@@ -16,9 +16,8 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -101,7 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--reps", type=int, default=None, help="Monte Carlo replications")
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--format", choices=["csv", "json"], default=None, help="grid table format")
-        p.add_argument("--workers", type=int, default=None, help="worker pool size for grid sweeps")
+        p.add_argument("--workers", type=int, default=None,
+                       help="reserved for Monte Carlo studies; accepted and currently unused")
 
     add_common(sub.add_parser("law", help="ergodicity report and sampled density/distribution"))
     p_est = sub.add_parser("estimate", help="simulate one path and estimate the signal")
@@ -192,13 +192,6 @@ def _check_positive(cfg: dict[str, Any], keys: Iterable[str]) -> None:
             raise ConfigError(f"--{key} must be positive, got {cfg[key]}")
 
 
-def _indexed_map(fn: Callable, items: Sequence, workers: int) -> list:
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n")
@@ -284,11 +277,7 @@ def cmd_resonance(cfg: dict[str, Any]) -> None:
     grid = _parse_grid(cfg["grid"] or "0.05:3.0:0.05")
     if np.any(grid <= 0):
         raise ConfigError("resonance grid must be strictly positive")
-
-    def one(e: float):
-        return resonance_curve(cfg["theta"], cfg["tau"], law, cfg["scheme"], [e])[0]
-
-    points = _indexed_map(one, [float(e) for e in grid], cfg["workers"])
+    points = resonance_curve(cfg["theta"], cfg["tau"], law, cfg["scheme"], grid)
     result = find_resonance(
         cfg["theta"], cfg["tau"], law, cfg["scheme"],
         bracket=Bracket(float(grid[0]), float(grid[-1])),
@@ -320,13 +309,8 @@ def cmd_test(cfg: dict[str, Any]) -> None:
     if np.any(eps_grid <= 0):
         raise ConfigError("eps grid must be strictly positive")
     theta1_grid = _parse_grid(cfg["theta_grid"], "theta-grid")
-
-    def block(e: float):
-        return p_err_surface(cfg["theta0"], theta1_grid, [e], cfg["tau"], cfg["T"],
-                             p0, p1, law, cfg["scheme"])
-
-    cells = [c for blk in _indexed_map(block, [float(e) for e in eps_grid], cfg["workers"])
-             for c in blk]
+    cells = p_err_surface(cfg["theta0"], theta1_grid, eps_grid, cfg["tau"], cfg["T"],
+                          p0, p1, law, cfg["scheme"])
     out = Path(cfg["out"])
     rows = [(c.theta1, c.eps, c.case_id, c.delta, c.gamma_lo, c.gamma_hi, c.p_err,
              c.failed, c.skipped) for c in cells]

@@ -13,6 +13,12 @@ Scheme conventions used throughout:
 
 Both schemes expose a VarianceReport whose ``fisher`` field (the reciprocal
 asymptotic variance) is the objective maximized over the noise level.
+
+Every law-dependent quantity is read from the law's cumulative tables
+(``InvariantLaw.tables``), so each costs O(1) per noise level and the same
+code serves every law.  The ``cfg`` arguments only reach the adaptive
+quadrature oracles kept for cross-checks (``*_quadrature``,
+``time_scheme_variance_ou_reference``); the tables need no tolerances.
 """
 from __future__ import annotations
 
@@ -21,10 +27,9 @@ from dataclasses import dataclass
 from typing import Callable, Literal
 
 import numpy as np
-from scipy import interpolate
 
 from .errors import DegenerateObservation, OutOfRange, QuadratureFailure
-from .laws import InvariantLaw, _panel_integrals, _reverse_cumulative
+from .laws import InvariantLaw
 from .numerics import (
     DEFAULT_QUADRATURE,
     Bracket,
@@ -125,22 +130,21 @@ def edf_variance(
 
     V(x) = 4 E[(F(xi ^ x) (1 - F(xi v x)) / (sigma(xi) f(xi)))^2], the
     reciprocal of the Fisher-type information for distribution function
-    estimation from an ergodic path.  The expectation is a single quadrature
-    with the stationary density as weight; the ratio is formed before
-    squaring so far tails stay inside double range.
+    estimation from an ergodic path.  Split at x it is
+    4 [sf(x)^2 A(x) + F(x)^2 B(x)] with the law's tables
+    A(x) = int_{-inf}^x F^2/(sigma^2 f) and B(x) = int_x^inf sf^2/(sigma^2 f);
+    both products are formed in logs so far tails stay inside double range.
+
+    ``sigma_fn`` must be the law's own diffusion coefficient, which the
+    tables already contain; any other function raises ValueError.  Raises
+    QuadratureFailure when x lies outside the law's tabulated support.
     """
-
-    def integrand(xi: float) -> float:
-        fx = float(law.f(xi))
-        if fx <= 0.0:
-            return 0.0
-        if xi < x:
-            r = float(law.F(xi)) * float(law.sf(x)) / (sigma_fn(xi) * fx)
-        else:
-            r = float(law.F(x)) * float(law.sf(xi)) / (sigma_fn(xi) * fx)
-        return r * r * fx
-
-    return 4.0 * integrate_line(integrand, cfg, split_at=(x,))
+    if sigma_fn is not law.spec.diffusion:
+        raise ValueError("sigma_fn must be the law's diffusion coefficient law.spec.diffusion")
+    p = law.tables.at(x)
+    return 4.0 * (
+        math.exp(2.0 * math.log(p.m[0]) + p.log_A) + math.exp(2.0 * math.log(p.F) + p.log_B)
+    )
 
 
 def time_scheme_variance(
@@ -202,32 +206,17 @@ def time_scheme_variance_ou_reference(
 # ---------------------------------------------------------------------------
 
 
-def _ou_upper_moments(x: float) -> tuple[float, float, float]:
-    """Moments of order 0..2 of the Gaussian noise law above x."""
-    e = math.exp(-x * x) if x * x < 700.0 else 0.0
-    m0 = 0.5 * math.erfc(x)
-    m1 = e / (2.0 * _SQRT_PI)
-    m2 = x * e / (2.0 * _SQRT_PI) + 0.25 * math.erfc(x)
-    return m0, m1, m2
+def _energy_weights(theta: float, eps: float) -> np.ndarray:
+    """Coefficients of (eps*xi + theta)^2 on the powers xi^0, xi^1, xi^2.
 
-
-def _upper_tail_energy(x: float, theta: float, ch: ChannelConfig, cfg: QuadratureConfig) -> float:
-    """E[(eps*xi + theta)^2 1{xi > x}] under the stationary law."""
-    if ch.law.closed_form:
-        m0, m1, m2 = _ou_upper_moments(x)
-        return ch.eps * ch.eps * m2 + 2.0 * theta * ch.eps * m1 + theta * theta * m0
-
-    def integrand(xi: float) -> float:
-        if xi <= x:
-            return 0.0
-        v = ch.eps * xi + theta
-        return v * v * float(ch.law.f(xi))
-
-    return integrate_line(integrand, cfg, split_at=(x,))
+    Dotted with the upper moments m_k(x) they give the truncated energy
+    tail(x) = E[(eps*xi + theta)^2 1{xi > x}].
+    """
+    return np.array([theta * theta, 2.0 * theta * eps, eps * eps])
 
 
 def energy_limit_closed_form(theta: float, ch: ChannelConfig) -> float:
-    """Long-run energy for the Gaussian noise law, in closed form.
+    """Long-run energy for the Gaussian noise law, in closed form (test oracle).
 
     ((eps^2 + 2 theta^2) erfc(a) + 2 eps (theta + tau) e^{-a^2}/sqrt(pi))/4,
     written with erfc so the deep subthreshold regime does not cancel.
@@ -243,7 +232,8 @@ def energy_limit_closed_form(theta: float, ch: ChannelConfig) -> float:
 def energy_limit_quadrature(
     theta: float, ch: ChannelConfig, cfg: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> float:
-    """Long-run energy for an arbitrary law, as truncated moments by quadrature.
+    """Long-run energy for an arbitrary law, as truncated moments by adaptive
+    quadrature (test oracle).
 
     eps^2 E[xi^2 1{xi>a}] + theta^2 sf(a) + 2 theta eps E[xi 1{xi>a}].
     """
@@ -267,14 +257,16 @@ def energy_limit_quadrature(
 def energy_limit(
     theta: float, ch: ChannelConfig, cfg: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> float:
-    """Long-run value of the energy statistic; increasing in theta below tau."""
-    if ch.law.closed_form:
-        return energy_limit_closed_form(theta, ch)
-    return energy_limit_quadrature(theta, ch, cfg)
+    """Long-run value of the energy statistic; increasing in theta below tau.
+
+    E[(eps*xi + theta)^2 1{xi > a}] with a = (tau - theta)/eps, a fixed
+    combination of the law's upper moments at a.
+    """
+    return float(_energy_weights(theta, ch.eps) @ ch.law.tables.upper_moments(ch.gap_ratio(theta)))
 
 
 def energy_limit_derivative_closed_form(theta: float, ch: ChannelConfig) -> float:
-    """Slope of the energy map for the Gaussian noise law."""
+    """Slope of the energy map for the Gaussian noise law (test oracle)."""
     a = ch.gap_ratio(theta)
     e = math.exp(-a * a) if a * a < 700.0 else 0.0
     return theta * math.erfc(a) + (ch.eps * ch.eps + ch.tau * ch.tau) * e / (ch.eps * _SQRT_PI)
@@ -283,7 +275,8 @@ def energy_limit_derivative_closed_form(theta: float, ch: ChannelConfig) -> floa
 def energy_limit_derivative_quadrature(
     theta: float, ch: ChannelConfig, cfg: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> float:
-    """Slope of the energy map for an arbitrary law.
+    """Slope of the energy map for an arbitrary law, by adaptive quadrature
+    (test oracle).
 
     tau^2 f(a)/eps + 2 theta sf(a) + 2 eps E[xi 1{xi>a}].
     """
@@ -305,9 +298,10 @@ def energy_limit_derivative_quadrature(
 def energy_limit_derivative(
     theta: float, ch: ChannelConfig, cfg: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> float:
-    if ch.law.closed_form:
-        return energy_limit_derivative_closed_form(theta, ch)
-    return energy_limit_derivative_quadrature(theta, ch, cfg)
+    """Slope of the energy map: tau^2 f(a)/eps + 2 theta sf(a) + 2 eps E[xi 1{xi>a}]."""
+    a = ch.gap_ratio(theta)
+    m = ch.law.tables.upper_moments(a)
+    return ch.tau * ch.tau * float(ch.law.f(a)) / ch.eps + 2.0 * theta * m[0] + 2.0 * ch.eps * m[1]
 
 
 def estimate_theta_energy(
@@ -353,78 +347,42 @@ def energy_covariance_kernel(
     collapsing into roundoff of near-equal differences.
     """
     a = ch.gap_ratio(theta)
-    tail_a = _upper_tail_energy(a, theta, ch, cfg)
+    weights = _energy_weights(theta, ch.eps)
+    tail_a = float(weights @ ch.law.tables.upper_moments(a))
     if y <= a:
         return tail_a * float(ch.law.F(y))
-    return _upper_tail_energy(y, theta, ch, cfg) - tail_a * float(ch.law.sf(y))
+    m = ch.law.tables.upper_moments(y)
+    return float(weights @ m) - tail_a * float(m[0])
 
 
-def _kernel_evaluator(
-    theta: float, ch: ChannelConfig, cfg: QuadratureConfig
-) -> Callable[[float], float]:
-    """Fast kernel M(.) for repeated evaluation inside the outer quadrature."""
-    a = ch.gap_ratio(theta)
-    law = ch.law
-    eps = ch.eps
-    if law.closed_form:
-        tail_a = _upper_tail_energy(a, theta, ch, cfg)
-
-        def kernel(y: float) -> float:
-            if y <= a:
-                return tail_a * float(law.F(y))
-            return _upper_tail_energy(y, theta, ch, cfg) - tail_a * float(law.sf(y))
-
-        return kernel
-
-    # generic law: cache the truncated energy on a grid, accumulated from the
-    # right so the tail keeps relative accuracy
-    hi = float(law.grid_x[-1]) if law.grid_x is not None else max(a, 0.0) + 12.0
-    if a >= hi:
-        raise QuadratureFailure(
-            f"threshold gap {a} lies beyond the numerical support of the law"
-        )
-    n = max(int(math.ceil((hi - a) / 0.01)), 400)
-    nodes = np.linspace(a, hi, n + 1)
-
-    def g(x):
-        x = np.asarray(x, dtype=float)
-        v = eps * x + theta
-        return v * v * law.f(x)
-
-    panels = _panel_integrals(g, nodes)
-    tail_nodes = _reverse_cumulative(panels)  # beyond the law grid the density is zero
-    tail_sp = interpolate.CubicSpline(nodes, tail_nodes)
-    tail_a = float(tail_nodes[0])
-
-    def kernel(y: float) -> float:
-        if y <= a:
-            return tail_a * float(law.F(y))
-        tail_y = 0.0 if y >= hi else float(tail_sp(y))
-        return tail_y - tail_a * float(law.sf(y))
-
-    return kernel
+# below this share of the summed magnitudes the quadratic form has lost too
+# many digits to cancellation; it happens when the gap a sits deep in the
+# lower tail, where every S_jk(a) is of order 1/f(a)
+_CANCELLATION_FLOOR = 1e-8
 
 
 def energy_statistic_variance(
     theta: float, ch: ChannelConfig, cfg: QuadratureConfig = DEFAULT_QUADRATURE
 ) -> float:
-    """Raw asymptotic variance of the energy statistic: 4 E[M(xi)^2 / f(xi)^2].
+    """Raw asymptotic variance of the energy statistic: 4 E[M(xi)^2 / (sigma f)^2].
 
-    The integrand is assembled as (M/sqrt(f))^2 so that regimes where M and
-    f underflow separately still integrate to a positive finite value.
+    Split at a: below it M(y) = tail(a) F(y); above it M is linear in the
+    upper moments, M(y) = sum_k c_k m_k(y) with
+    c = (theta^2 - tail(a), 2 theta eps, eps^2).  So
+    4 int M^2/(sigma^2 f) = 4 [tail(a)^2 A(a) + sum_jk c_j c_k S_jk(a)],
+    read from the law's tables.  Raises QuadratureFailure outside the
+    tabulated support and when the quadratic form cancels.
     """
-    a = ch.gap_ratio(theta)
-    kernel = _kernel_evaluator(theta, ch, cfg)
-    law = ch.law
-
-    def outer(xi: float) -> float:
-        fx = float(law.f(xi))
-        if fx <= 0.0:
-            return 0.0
-        s = kernel(xi) / math.sqrt(fx)
-        return s * s
-
-    v = 4.0 * integrate_line(outer, cfg, split_at=(a,))
+    p = ch.law.tables.at(ch.gap_ratio(theta))
+    c = _energy_weights(theta, ch.eps)
+    tail = float(c @ p.m)
+    c[0] -= tail
+    form = float(c @ p.nu @ c)
+    if not form > _CANCELLATION_FLOOR * float(np.abs(c) @ np.abs(p.nu) @ np.abs(c)):
+        raise QuadratureFailure(
+            f"energy-statistic variance cancels at theta={theta}, eps={ch.eps} (gap deep in the lower tail)"
+        )
+    v = 4.0 * (math.exp(2.0 * math.log(tail) + p.log_A) + math.exp(p.log_B + math.log(form)))
     if not (math.isfinite(v) and v > 0.0):
         raise QuadratureFailure(
             f"energy-statistic variance degenerates at theta={theta}, eps={ch.eps} (V={v})"
@@ -437,7 +395,7 @@ def energy_scheme_variance(
 ) -> VarianceReport:
     """Asymptotic variance of the energy-scheme estimator, by the delta method.
 
-    Sigma~(theta) = 4 E[M^2/f^2] / (d energy_limit/d theta)^2.
+    Sigma~(theta) = 4 E[M^2/(sigma f)^2] / (d energy_limit/d theta)^2.
     """
     slope = energy_limit_derivative(theta, ch, cfg)
     raw = energy_statistic_variance(theta, ch, cfg)

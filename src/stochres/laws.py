@@ -6,23 +6,30 @@ checks the ergodicity conditions numerically, builds the normalized law from
 arbitrary coefficients, and provides the closed-form law for the standard
 mean-reverting (Ornstein-Uhlenbeck) noise, which is Gaussian with mean zero
 and variance 1/2.
+
+Every law carries a node grid and, built lazily on first use, cumulative
+tables on that grid (``LawTables``) from which the asymptotic variances of
+both observation schemes are read in O(1) per noise level.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 from scipy import integrate, interpolate, special
 
-from .errors import NonConvergence, NotErgodic
+from .errors import NonConvergence, NotErgodic, QuadratureFailure
 from .numerics import DEFAULT_QUADRATURE, Bracket, QuadratureConfig, find_root, integrate_line
 
 __all__ = [
     "DiffusionSpec",
     "ErgodicityReport",
     "InvariantLaw",
+    "LawPoint",
+    "LawTables",
     "check_ergodicity",
     "build_invariant_law",
     "ou_law",
@@ -34,6 +41,16 @@ _EXP_MAX = 700.0  # exp argument above this overflows a double
 
 # 5-point Gauss-Legendre rule, exact through degree 9 polynomials per panel
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(5)
+
+# the support ends where the stationary mass falls below this fraction of its peak
+_MASS_FLOOR = 1e-300
+_PROBE_RANGE = Bracket(-50.0, 50.0)
+_NODE_SPACING = 0.005
+
+# index pairs j <= k of the six suffix tables S_jk
+_PAIRS = np.triu_indices(3)
+# panels per block when building the tables
+_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -66,8 +83,9 @@ class InvariantLaw:
     """Stationary law: density f, distribution F, survival sf and quantile.
 
     ``sf`` is kept separate from ``1 - F`` so that far tails retain relative
-    accuracy; several variance integrands depend on it.  Instances are
-    immutable and safe to share across workers.
+    accuracy.  ``grid_x`` is the node grid over the numerical support; the
+    variance tables are built on it the first time ``tables`` is read.
+    Instances are immutable apart from that cache and safe to share.
     """
 
     f: Callable
@@ -76,10 +94,14 @@ class InvariantLaw:
     quantile: Callable[[float], float]
     G: float
     spec: DiffusionSpec
-    closed_form: bool = False
+    grid_x: np.ndarray = field(repr=False, compare=False)
     label: str = ""
-    grid_x: Optional[np.ndarray] = field(default=None, repr=False)
-    grid_F: Optional[np.ndarray] = field(default=None, repr=False)
+    grid_F: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def tables(self) -> "LawTables":
+        """Cumulative Gauss-Legendre tables of this law on ``grid_x``."""
+        return LawTables(self.grid_x, self.f, _vectorized(self.spec.diffusion))
 
 
 def _vectorized(fn: Callable) -> Callable:
@@ -136,7 +158,7 @@ def _probe_coefficients(spec: DiffusionSpec, probe_range: Bracket) -> None:
 
 def check_ergodicity(
     spec: DiffusionSpec,
-    probe_range: Bracket = Bracket(-50.0, 50.0),
+    probe_range: Bracket = _PROBE_RANGE,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> ErgodicityReport:
     """Probe the ergodicity conditions at finite range.
@@ -209,7 +231,7 @@ def _support_edges(mass: Callable[[float], float], probe_range: Bracket) -> tupl
     peak = max(mass(float(x)) for x in center)
     if not (math.isfinite(peak) and peak > 0):
         raise NotErgodic("stationary mass is degenerate near the origin")
-    floor = peak * 1e-300
+    floor = peak * _MASS_FLOOR
 
     def expand(direction: float, cap: float) -> float:
         edge = direction
@@ -223,11 +245,204 @@ def _support_edges(mass: Callable[[float], float], probe_range: Bracket) -> tupl
     return expand(-1.0, probe_range.lo), expand(1.0, probe_range.hi)
 
 
+def _node_grid(
+    mass: Callable[[float], float], probe_range: Bracket, node_spacing: float
+) -> tuple[np.ndarray, int]:
+    """Evenly spaced nodes over the support of ``mass``, and the index of 0.
+
+    The support edges double outward from +-1 until the mass falls below
+    ``_MASS_FLOOR`` times its peak near the origin, capped at the probe range.
+    """
+    lo, hi = _support_edges(mass, probe_range)
+    n_left = max(int(round(-lo / node_spacing)), 8)
+    n_right = max(int(round(hi / node_spacing)), 8)
+    nodes = np.concatenate([np.linspace(lo, 0.0, n_left + 1)[:-1], np.linspace(0.0, hi, n_right + 1)])
+    return nodes, n_left
+
+
+def _log_sum(v: np.ndarray) -> np.ndarray:
+    """log(sum(exp(v))) over the last axis; entries may be -inf.
+
+    scipy.special.logsumexp does the same but its call overhead alone
+    exceeds the rest of a table lookup.
+    """
+    top = v.max(axis=-1, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    return np.log(np.exp(v - top).sum(axis=-1)) + top[..., 0]
+
+
+def _gauss_panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
+    """Gauss-Legendre points on the panels [lo, hi] and moments of f there.
+
+    Returns the points t, their weights w, f(t), the panel moments
+    P[k] = int_lo^hi xi^k f and the partial moments I[k] = int_lo^t xi^k f at
+    every point t (a nested rule on [lo, t]), for k = 0..2.  f is called once.
+    """
+    half = 0.5 * (hi - lo)
+    t = (lo + half)[:, None] + half[:, None] * _GL_X
+    w = half[:, None] * _GL_W
+    half_in = 0.5 * (t - lo[:, None])
+    s = (lo[:, None] + half_in)[..., None] + half_in[..., None] * _GL_X
+    vals = np.asarray(f(np.concatenate([t.ravel(), s.ravel()])), dtype=float)
+    f_t = vals[: t.size].reshape(t.shape)
+    wf_t = w * f_t
+    wf_s = half_in[..., None] * _GL_W * vals[t.size:].reshape(s.shape)
+    P = np.stack([wf_t.sum(-1), (wf_t * t).sum(-1), (wf_t * t * t).sum(-1)])
+    I = np.stack([wf_s.sum(-1), (wf_s * s).sum(-1), (wf_s * s * s).sum(-1)])
+    return t, w, f_t, P, I
+
+
+def _second_order_panels(F_t, m_t, f_t, sig2_t, w):
+    """Panel integrals of the variance tables from values at the Gauss points.
+
+    Returns log int F^2/(sigma^2 f), log int sf^2/(sigma^2 f), and for each
+    pair j <= k the sf^2/(sigma^2 f)-weighted panel mean of mu_j mu_k, where
+    mu_k = m_k/sf is the conditional upper moment.  Products are formed in
+    logs, so factors that underflow on their own still combine.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        base = np.log(w) - np.log(sig2_t) - np.log(f_t)
+        la_pts = 2.0 * np.log(F_t) + base
+        lb_pts = 2.0 * np.log(m_t[0]) + base
+        la = _log_sum(la_pts)
+        lb = _log_sum(lb_pts)
+        mu = m_t / m_t[0]
+        q = (mu[_PAIRS[0]] * mu[_PAIRS[1]] * np.exp(lb_pts - lb[..., None])).sum(-1)
+    return la, lb, q
+
+
+@dataclass(frozen=True)
+class LawPoint:
+    """The tabulated quantities of a law at one point x inside its support.
+
+    ``m[k]`` = E[xi^k 1{xi > x}] (``m[0]`` is the survival function);
+    ``log_A`` and ``log_B`` are the logarithms of
+    A(x) = int_{-inf}^x F^2/(sigma^2 f) and B(x) = int_x^inf sf^2/(sigma^2 f);
+    ``nu[j, k]`` = S_jk(x)/B(x) with S_jk(x) = int_x^inf m_j m_k/(sigma^2 f).
+    """
+
+    F: float
+    m: np.ndarray
+    log_A: float
+    log_B: float
+    nu: np.ndarray
+
+
+class LawTables:
+    """Node-level cumulative tables of a stationary law.
+
+    On every panel of the node grid a 5-point Gauss-Legendre rule integrates
+    the density moments (nested once more to get F, sf and the upper moments
+    at the Gauss points) and then the variance integrands.  Stored per node:
+    F as prefix sums and the upper moments m_0..m_2 as suffix sums of panels
+    (the far tails keep relative accuracy); log A as a prefix and log B as a
+    suffix of log-sum-exp accumulations; and the six suffix tables S_jk
+    scaled by B, which keeps them O(1 + |x|^(j+k)) where S_jk itself would
+    under- or overflow.  A lookup adds one partial panel at x.
+
+    The grid is trimmed to the nodes where the density exceeds
+    ``_MASS_FLOOR`` times its peak, so every first-order quantity is a
+    normal double there.  Second-order lookups outside the trimmed support
+    raise QuadratureFailure.
+    """
+
+    def __init__(self, nodes: np.ndarray, f: Callable, sigma: Callable) -> None:
+        self.f = f
+        self.sigma = sigma
+        f_nodes = np.asarray(f(nodes), dtype=float)
+        live = np.flatnonzero(f_nodes > _MASS_FLOOR * f_nodes.max())
+        x = np.asarray(nodes[live[0] : live[-1] + 1], dtype=float)
+        if len(x) < 2:
+            raise NotErgodic("stationary density has no resolvable support on its node grid")
+        n = len(x) - 1
+        # the panels go through in blocks, twice: once for the node tables of
+        # F and m, once for the variance integrands anchored on them; this
+        # bounds the nested-rule temporaries to one block
+        spans = [(j, min(j + _BLOCK, n)) for j in range(0, n, _BLOCK)]
+        P = np.empty((3, n))
+        for j, k in spans:
+            P[:, j:k] = _gauss_panels(f, x[j:k], x[j + 1 : k + 1])[3]
+        F = np.zeros(n + 1)
+        np.cumsum(P[0], out=F[1:])
+        m = np.zeros((3, n + 1))
+        m[:, :-1] = np.cumsum(P[:, ::-1], axis=1)[:, ::-1]
+        la, lb, q = np.empty(n), np.empty(n), np.empty((len(_PAIRS[0]), n))
+        for j, k in spans:
+            t, w, f_t, P_b, I = _gauss_panels(f, x[j:k], x[j + 1 : k + 1])
+            sig = np.asarray(sigma(t), dtype=float)
+            la[j:k], lb[j:k], q[:, j:k] = _second_order_panels(
+                F[j:k, None] + I[0], m[:, j + 1 : k + 1, None] + (P_b[..., None] - I), f_t, sig * sig, w
+            )
+        log_B = np.concatenate([np.logaddexp.accumulate(lb[::-1])[::-1], [-np.inf]])
+        # S_jk may change sign (m_1 < 0 below a negative mean), so the positive
+        # and negative panels of each are accumulated apart, in logs
+        nu = np.zeros((len(q), n + 1))
+        with np.errstate(divide="ignore"):
+            for row, q_row in zip(nu, q):
+                for sign in (1.0, -1.0):
+                    log_part = np.where(sign * q_row > 0.0, lb + np.log(np.abs(q_row)), -np.inf)
+                    row[:-1] += sign * np.exp(np.logaddexp.accumulate(log_part[::-1])[::-1] - log_B[:-1])
+        self.x = x
+        self.F = F
+        self.m = m
+        self.log_A = np.concatenate([[-np.inf], np.logaddexp.accumulate(la)])
+        self.log_B = log_B
+        self.nu = nu
+
+    @property
+    def support(self) -> tuple[float, float]:
+        return float(self.x[0]), float(self.x[-1])
+
+    def _panel(self, x: float) -> int:
+        return int(np.searchsorted(self.x, x, side="right")) - 1
+
+    def upper_moments(self, x: float) -> np.ndarray:
+        """(m_0, m_1, m_2)(x) with m_k = E[xi^k 1{xi > x}], at any real x."""
+        if x <= self.x[0]:
+            return self.m[:, 0].copy()
+        if x >= self.x[-1]:
+            return np.zeros(3)
+        i = self._panel(x)
+        half = 0.5 * (self.x[i + 1] - x)
+        t = x + half + half * _GL_X
+        wf = half * _GL_W * np.asarray(self.f(t), dtype=float)
+        return self.m[:, i + 1] + np.array([wf.sum(), wf @ t, wf @ (t * t)])
+
+    def at(self, x: float) -> LawPoint:
+        """Every tabulated quantity at x, strictly inside the support."""
+        lo, hi = self.support
+        if not lo < x < hi:
+            raise QuadratureFailure(
+                f"x={x:.6g} lies outside the tabulated support ({lo:.6g}, {hi:.6g}) of the law"
+            )
+        i = self._panel(x)
+        # panel 0 = [x_i, x] extends the prefix tables, panel 1 = [x, x_i+1] the suffix ones
+        t, w, f_t, P, I = _gauss_panels(
+            self.f, np.array([self.x[i], x]), np.array([x, self.x[i + 1]])
+        )
+        sig = np.asarray(self.sigma(t), dtype=float)
+        la, lb, q = _second_order_panels(
+            self.F[i] + I[0], self.m[:, i + 1, None, None] + (P[..., None] - I), f_t, sig * sig, w
+        )
+        log_B = float(np.logaddexp(self.log_B[i + 1], lb[1]))
+        pairs = self.nu[:, i + 1] * math.exp(self.log_B[i + 1] - log_B) + q[:, 1] * math.exp(lb[1] - log_B)
+        nu = np.empty((3, 3))
+        nu[_PAIRS] = pairs
+        nu[_PAIRS[::-1]] = pairs
+        return LawPoint(
+            F=float(self.F[i] + P[0, 0]),
+            m=self.m[:, i + 1] + P[:, 1],
+            log_A=float(np.logaddexp(self.log_A[i], la[0])),
+            log_B=log_B,
+            nu=nu,
+        )
+
+
 def build_invariant_law(
     spec: DiffusionSpec,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    probe_range: Bracket = Bracket(-50.0, 50.0),
-    node_spacing: float = 0.005,
+    probe_range: Bracket = _PROBE_RANGE,
+    node_spacing: float = _NODE_SPACING,
 ) -> InvariantLaw:
     """Construct the stationary law of a diffusion from its coefficients.
 
@@ -248,12 +463,7 @@ def build_invariant_law(
         sig = spec.diffusion(y)
         return _exp_clipped(2.0 * _quad_finite(s, 0.0, y, cfg)) / (sig * sig)
 
-    lo, hi = _support_edges(mass_scalar, probe_range)
-
-    n_left = max(int(round(-lo / node_spacing)), 8)
-    n_right = max(int(round(hi / node_spacing)), 8)
-    nodes = np.concatenate([np.linspace(lo, 0.0, n_left + 1)[:-1], np.linspace(0.0, hi, n_right + 1)])
-    zero_idx = n_left
+    nodes, zero_idx = _node_grid(mass_scalar, probe_range, node_spacing)
 
     s_vec = _vectorized(spec.drift)
     sig_vec = _vectorized(spec.diffusion)
@@ -284,12 +494,7 @@ def build_invariant_law(
             out[inside] = density_array(x[inside])
         return float(out) if out.ndim == 0 else out
 
-    panel_nodes = nodes
-    panel_mid = 0.5 * (panel_nodes[:-1] + panel_nodes[1:])
-    panel_half = 0.5 * (panel_nodes[1:] - panel_nodes[:-1])
-    pts = panel_mid[:, None] + panel_half[:, None] * _GL_X[None, :]
-    f_vals = density_array(pts.ravel()).reshape(pts.shape)
-    panels = (f_vals * _GL_W[None, :]).sum(axis=1) * panel_half
+    panels = _panel_integrals(density_array, nodes)
 
     F_nodes = np.empty(len(nodes))
     F_nodes[0] = 0.0
@@ -339,9 +544,8 @@ def build_invariant_law(
         quantile=quantile,
         G=G,
         spec=spec,
-        closed_form=False,
-        label=spec.label or "custom",
         grid_x=nodes,
+        label=spec.label or "custom",
         grid_F=F_nodes,
     )
 
@@ -350,7 +554,8 @@ def ou_law() -> InvariantLaw:
     """Closed-form stationary law of the standard mean-reverting noise.
 
     The law is Gaussian with mean zero and variance 1/2: density
-    exp(-x^2)/sqrt(pi), distribution (1 + erf(x))/2.
+    exp(-x^2)/sqrt(pi), distribution (1 + erf(x))/2.  Its node grid follows
+    the support rule of ``build_invariant_law`` applied to exp(-x^2).
     """
     spec = DiffusionSpec(drift=lambda x: -x, diffusion=lambda x: x * 0.0 + 1.0, label="ou")
 
@@ -378,7 +583,7 @@ def ou_law() -> InvariantLaw:
         quantile=quantile,
         G=_SQRT_PI,
         spec=spec,
-        closed_form=True,
+        grid_x=_node_grid(lambda y: math.exp(-y * y), _PROBE_RANGE, _NODE_SPACING)[0],
         label="ou",
     )
 

@@ -131,7 +131,7 @@ def moments(problem: TestProblem, cfg: QuadratureConfig = DEFAULT_QUADRATURE) ->
     """Gaussian moments of the chosen statistic under both hypotheses.
 
     Time scheme: mean sf((tau - theta_i)/eps), variance V(a_i)/T.
-    Energy scheme: mean is the long-run energy, variance 4E[M^2/f^2]/T.
+    Energy scheme: mean is the long-run energy, variance 4E[M^2/(sigma f)^2]/T.
     """
     ch = ChannelConfig(tau=problem.tau, eps=problem.eps, law=problem.law)
     if problem.scheme == "time":

@@ -122,6 +122,20 @@ def test_estimate_requires_subthreshold(tmp_path):
     assert run(["estimate", "--theta", "2", "--tau", "1", "--out", tmp_path / "x"]) == 2
 
 
+def test_estimate_cubic_law(tmp_path):
+    # a law built from coefficients: the energy inverse and both variances
+    # come from the law's tables, with no quadrature left to fail
+    out = tmp_path / "est"
+    code = run([
+        "estimate", "--drift=-x^3", "--sigma", "1", "--theta", "0.5", "--eps", "0.7244",
+        "--T", "2000", "--seed", "124", "--out", out,
+    ])
+    assert code == 0
+    report = json.loads((out / "estimate.json").read_text())
+    assert math.isfinite(report["theta_hat_time"]) and math.isfinite(report["theta_hat_energy"])
+    assert report["Sigma"] > 0 and report["Sigma_tilde"] > 0
+
+
 # ---------------------------------------------------------------------------
 # resonance
 # ---------------------------------------------------------------------------

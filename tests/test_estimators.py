@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import integrate, special
 
 from stochres import (
     ChannelConfig,
+    DiffusionSpec,
     SimConfig,
+    build_invariant_law,
     edf_variance,
     energy_covariance_kernel,
     energy_limit,
     energy_limit_closed_form,
     energy_limit_derivative,
+    energy_limit_derivative_closed_form,
     energy_limit_derivative_quadrature,
     energy_limit_quadrature,
     energy_scheme_variance,
@@ -27,6 +30,7 @@ from stochres import (
     time_scheme_variance_ou_reference,
 )
 from stochres.errors import DegenerateObservation, OutOfRange
+from stochres.expressions import compile_expression
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -285,6 +289,134 @@ def test_edf_variance_generic_law_agrees(ou, ou_numeric):
         assert edf_variance(x, ou_numeric, sigma) == pytest.approx(
             edf_variance(x, ou, sigma), rel=1e-6
         )
+
+
+@pytest.mark.parametrize("scheme_fn", [time_scheme_variance, energy_scheme_variance])
+def test_fisher_generic_law_agrees_across_bracket(ou, ou_numeric, scheme_fn):
+    for theta in (0.0, 0.5):
+        for eps in np.linspace(0.05, 3.0, 60):
+            closed = scheme_fn(theta, ChannelConfig(tau=1.0, eps=float(eps), law=ou)).fisher
+            numeric = scheme_fn(theta, ChannelConfig(tau=1.0, eps=float(eps), law=ou_numeric)).fisher
+            assert numeric == pytest.approx(closed, rel=1e-6, abs=0.0), (theta, eps)
+
+
+def test_edf_variance_rejects_foreign_sigma(ou):
+    # the tables carry the law's own diffusion coefficient; another one
+    # cannot be honoured and must not be ignored silently
+    with pytest.raises(ValueError):
+        edf_variance(0.5, ou, lambda x: 2.0)
+
+
+# ---------------------------------------------------------------------------
+# deep tails and accuracy, against windowed quadrature oracles
+# ---------------------------------------------------------------------------
+
+
+def _scaled_quad(log_integrand, lo, hi, shift):
+    """int_lo^hi exp(log_integrand) by adaptive quadrature with a purely
+    relative tolerance; the integrand is divided by exp(shift) to stay in range."""
+    value, _ = integrate.quad(
+        lambda x: math.exp(log_integrand(x) - shift), lo, hi, epsabs=0.0, epsrel=1e-12, limit=400
+    )
+    return value
+
+
+def _log_F(x):
+    return math.log(0.5 * special.erfc(-x))
+
+
+def _log_sf(x):
+    return math.log(0.5 * special.erfcx(x)) - x * x
+
+
+def _log_f(x):
+    return -x * x - 0.5 * math.log(math.pi)
+
+
+def ou_edf_variance_oracle(a, half_width=12.0):
+    """V(a) = 4[sf(a)^2 int^a F^2/f + F(a)^2 int_a sf^2/f] for the Gaussian
+    law, each integral on a finite window beside a, scaled by exp(a^2)."""
+    shift = -a * a
+    left = _scaled_quad(lambda x: 2.0 * (_log_F(x) + _log_sf(a)) - _log_f(x), a - half_width, a, shift)
+    right = _scaled_quad(lambda x: 2.0 * (_log_F(a) + _log_sf(x)) - _log_f(x), a, a + half_width, shift)
+    return 4.0 * math.exp(shift) * (left + right)
+
+
+def ou_energy_variance_oracle(theta, eps, tau=1.0, half_width=12.0):
+    """4 int M^2/f for the Gaussian law with M from the closed-form tail
+    energy tail(x) = exp(-x^2) * scaled_tail(x), windowed beside a."""
+    a = (tau - theta) / eps
+
+    def scaled_tail(x):
+        return (
+            theta * theta * special.erfcx(x) / 2.0
+            + theta * eps / SQRT_PI
+            + eps * eps * (x / (2.0 * SQRT_PI) + special.erfcx(x) / 4.0)
+        )
+
+    t_a = scaled_tail(a)
+
+    def log_below(y):  # (tail(a) F(y))^2 / f(y)
+        return 2.0 * (math.log(t_a) - a * a + _log_F(y)) - _log_f(y)
+
+    def log_above(y):  # (tail(y) - tail(a) sf(y))^2 / f(y)
+        m = scaled_tail(y) - math.exp(-a * a) * t_a * special.erfcx(y) / 2.0
+        return 2.0 * (math.log(m) - y * y) - _log_f(y)
+
+    shift = -a * a
+    below = _scaled_quad(log_below, a - half_width, a, shift)
+    above = _scaled_quad(log_above, a, a + half_width, shift)
+    return 4.0 * math.exp(shift) * (below + above)
+
+
+@pytest.mark.parametrize("a", [5.0, 10.0, 25.0])
+def test_edf_variance_deep_tail(ou, a):
+    # V(25) is about 1e-276: an absolute quadrature tolerance accepts any
+    # estimate there, the tables keep relative accuracy (so must the check)
+    assert edf_variance(a, ou, ou.spec.diffusion) == pytest.approx(ou_edf_variance_oracle(a), rel=1e-6, abs=0.0)
+
+
+@pytest.mark.parametrize("theta,eps", [(0.5, 0.1), (0.5, 0.05)])
+def test_energy_variance_deep_tail(ou, theta, eps):
+    ch = ChannelConfig(tau=1.0, eps=eps, law=ou)
+    assert energy_statistic_variance(theta, ch) == pytest.approx(
+        ou_energy_variance_oracle(theta, eps), rel=1e-6, abs=0.0
+    )
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.25, 0.5])
+def test_tables_match_oracles_across_noise(ou, theta):
+    for eps in np.arange(0.05, 3.0001, 0.05):
+        eps = float(eps)
+        ch = ChannelConfig(tau=1.0, eps=eps, law=ou)
+        a = ch.gap_ratio(theta)
+        pairs = (
+            (edf_variance(a, ou, ou.spec.diffusion), ou_edf_variance_oracle(a)),
+            (energy_statistic_variance(theta, ch), ou_energy_variance_oracle(theta, eps)),
+            (energy_limit(theta, ch), energy_limit_closed_form(theta, ch)),
+            (energy_limit_derivative(theta, ch), energy_limit_derivative_closed_form(theta, ch)),
+        )
+        for got, want in pairs:
+            assert got == pytest.approx(want, rel=1e-8, abs=0.0), (eps, got, want)
+
+
+@pytest.fixture(scope="module")
+def ou_fast():
+    # drift -4x with sigma 2: the OU stationary law, run four times faster
+    spec = DiffusionSpec(drift=compile_expression("-4*x"), diffusion=compile_expression("2"))
+    return build_invariant_law(spec)
+
+
+@pytest.mark.parametrize("eps", [0.3660, 0.7244])
+def test_time_change_shrinks_both_variances_fourfold(ou, ou_fast, eps):
+    theta = 0.5
+    a = (1.0 - theta) / eps
+    v_fast = edf_variance(a, ou_fast, ou_fast.spec.diffusion)
+    v_ou = edf_variance(a, ou, ou.spec.diffusion)
+    assert 4.0 * v_fast / v_ou == pytest.approx(1.0, abs=1e-6)
+    e_fast = energy_statistic_variance(theta, ChannelConfig(tau=1.0, eps=eps, law=ou_fast))
+    e_ou = energy_statistic_variance(theta, ChannelConfig(tau=1.0, eps=eps, law=ou))
+    assert 4.0 * e_fast / e_ou == pytest.approx(1.0, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from stochres import (
     check_ergodicity,
     integrate_line,
 )
-from stochres.errors import NotErgodic
+from stochres.errors import NotErgodic, QuadratureFailure
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -140,3 +140,30 @@ def test_probe_range_sets_c2_limits():
     )
     assert report.c2_left_limit == pytest.approx(-50.0, abs=1e-9)
     assert report.c2_right_limit == pytest.approx(-50.0, abs=1e-9)
+
+
+def test_ou_law_node_grid_follows_support_rule(ou, ou_numeric):
+    # exp(-x^2) falls below 1e-300 of its peak between 16 and 32
+    assert ou.grid_x[0] == -32.0 and ou.grid_x[-1] == 32.0
+    np.testing.assert_array_equal(ou.grid_x, ou_numeric.grid_x)
+
+
+def test_upper_moments_match_closed_form(ou):
+    for x in (-3.0, 0.0, 1.3, 10.0):
+        e = math.exp(-x * x)
+        expected = (0.5 * math.erfc(x), e / (2.0 * SQRT_PI), x * e / (2.0 * SQRT_PI) + math.erfc(x) / 4.0)
+        np.testing.assert_allclose(ou.tables.upper_moments(x), expected, rtol=1e-12, atol=1e-15)
+
+
+def test_upper_moments_beyond_support(ou):
+    lo, hi = ou.tables.support
+    np.testing.assert_allclose(ou.tables.upper_moments(lo - 1.0), (1.0, 0.0, 0.5), atol=1e-14)
+    assert not np.any(ou.tables.upper_moments(hi + 1.0))
+
+
+def test_second_order_lookup_needs_support(ou):
+    lo, hi = ou.tables.support
+    assert ou.tables.at(0.5 * hi).log_B < 0.0
+    for x in (lo, hi, 100.0):
+        with pytest.raises(QuadratureFailure):
+            ou.tables.at(x)

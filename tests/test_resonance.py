@@ -102,6 +102,18 @@ def test_failed_points_marked_not_dropped(ou):
     assert not curve[1].failed and curve[1].fisher > 0
 
 
+@pytest.mark.parametrize("scheme", ["time", "energy"])
+def test_grid_built_law_matches_closed_form_resonance(ou, ou_numeric, scheme):
+    # the same noise rebuilt from its coefficients: one peak, at the
+    # closed-form location, and no failed point on the way
+    bracket = Bracket(0.05, 3.0)
+    numeric = find_resonance(0.5, 1.0, ou_numeric, scheme, bracket=bracket)
+    closed = find_resonance(0.5, 1.0, ou, scheme, bracket=bracket)
+    assert len(numeric.local_maxima) == 1
+    assert abs(numeric.eps_star - closed.eps_star) <= 1e-3
+    assert not any(p.failed for p in numeric.curve)
+
+
 def test_resonance_bracket_validation(ou):
     with pytest.raises(ValueError):
         find_resonance(0.0, 1.0, ou, "time", bracket=Bracket(-0.1, 1.0))
