@@ -72,6 +72,7 @@ from .simulate import (
     SimConfig,
     Trajectory,
     observe,
+    observe_paths,
     perturb,
     simulate_path,
     simulate_paths,

@@ -379,6 +379,7 @@ def cmd_validate(cfg: dict[str, Any]) -> None:
         "empirical_var_ratio_energy": var_study.ratio_energy,
         "empirical_error_rate": err_study.empirical_rate,
         "predicted_p_err": err_study.predicted_p_err,
+        "degenerate": err_study.degenerate,
         "n_reps": var_study.n_reps,
         "n_degenerate": var_study.n_degenerate,
         "n_test_paths": err_study.n_paths,

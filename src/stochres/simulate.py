@@ -4,11 +4,22 @@ path observables (fraction of time above threshold, observed energy).
 Randomness comes from a counter-based generator (Philox), so replication k
 of a study simply uses seed = base_seed + k and every path is reproducible
 bit for bit in isolation or inside an ensemble.
+
+Ensembles are stepped in chunks of ``CHUNK`` steps.  ``observe_paths``
+steps, perturbs and observes a block of paths keeping only per-path
+counters, so its memory is O(paths x CHUNK) whatever the horizon;
+``simulate_paths`` steps the same chunks and stores the full paths.  Both
+observation routes reduce the energy the same way (a pairwise sum over
+each chunk of ``CHUNK`` samples, chunk sums accumulated in order), so a
+path's time fraction and energy are bit-identical whether it comes from
+``observe(perturb(simulate_path(...)))`` or from ``observe_paths``, in an
+ensemble of any size.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -21,11 +32,17 @@ __all__ = [
     "ObservationSummary",
     "simulate_path",
     "simulate_paths",
+    "observe_paths",
     "perturb",
     "observe",
 ]
 
 _BLOWUP = 1e12
+# Steps per chunk of the ensemble stepper and of the energy reduction.  Not
+# a power of two: the per-path normals (rows of CHUNK doubles) are read
+# column-wise into step rows, and a power-of-two row stride maps a column
+# onto few cache sets (the transpose of a 2000-path chunk then takes ~5x longer).
+CHUNK = 250
 
 
 @dataclass(frozen=True)
@@ -112,6 +129,60 @@ def simulate_path(spec: DiffusionSpec, cfg: SimConfig) -> Trajectory:
     return Trajectory(values=values, dt=cfg.dt, seed=cfg.seed)
 
 
+def _array_form(fn: Callable, x: np.ndarray) -> Callable:
+    """``fn`` itself when it maps the float array ``x`` to a float array of
+    the same shape, otherwise a wrapper that does; decided once per ensemble
+    rather than at every step."""
+    try:
+        out = fn(x)
+    except (TypeError, ValueError):
+        return np.vectorize(fn, otypes=[float])
+    if isinstance(out, np.ndarray) and out.shape == x.shape and out.dtype == np.float64:
+        return fn
+    return _vectorized(fn)
+
+
+def _chunks(spec: DiffusionSpec, cfg: SimConfig, n_paths: int) -> Iterator[np.ndarray]:
+    """Step the paths seeded cfg.seed, ..., cfg.seed + n_paths - 1 in chunks.
+
+    Yields one (m + 1, n_paths) array per chunk of m <= CHUNK steps: row i
+    holds X at step start + i across the paths, row 0 repeating the last row
+    of the previous chunk (X_0 for the first).  The array is reused, so it is
+    valid until the next chunk is requested.  Each path draws its normals
+    from its own Philox stream, m at a time, which gives the numbers of one
+    draw of the whole path: every path is bit-identical to ``simulate_path``
+    with its seed.  Raises NumericBlowup after the first chunk where a path
+    leaves |X| <= _BLOWUP, naming the lowest such seed.
+    """
+    gens = [np.random.Generator(np.random.Philox(cfg.seed + k)) for k in range(n_paths)]
+    rows = np.empty((CHUNK + 1, n_paths))
+    z_paths = np.empty((n_paths, CHUNK))
+    z = np.empty((CHUNK, n_paths))
+    rows[0] = cfg.x0
+    drift = _array_form(spec.drift, rows[0])
+    diffusion = _array_form(spec.diffusion, rows[0])
+    dt = cfg.dt
+    sqrt_dt = math.sqrt(dt)
+    n = cfg.n_steps
+    for start in range(0, n, CHUNK):
+        m = min(CHUNK, n - start)
+        for k, gen in enumerate(gens):
+            gen.standard_normal(out=z_paths[k, :m])
+        z[:m] = z_paths[:, :m].T
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(m):
+                x = rows[i]
+                rows[i + 1] = x + drift(x) * dt + diffusion(x) * sqrt_dt * z[i]
+            bad = ~(np.abs(rows[: m + 1]) <= _BLOWUP).all(axis=0)  # also catches NaN
+        if bad.any():
+            raise NumericBlowup(
+                f"|X| exceeded {_BLOWUP:g} for path seed {cfg.seed + int(np.argmax(bad))}; "
+                "check coefficients/dt"
+            )
+        yield rows[: m + 1]
+        rows[0] = rows[m]
+
+
 def simulate_paths(spec: DiffusionSpec, cfg: SimConfig, n_paths: int) -> list[Trajectory]:
     """An ensemble of paths with seeds cfg.seed, cfg.seed+1, ...
 
@@ -120,29 +191,54 @@ def simulate_paths(spec: DiffusionSpec, cfg: SimConfig, n_paths: int) -> list[Tr
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    n = cfg.n_steps
-    z = np.empty((n_paths, n))
-    for k in range(n_paths):
-        z[k] = _normals(cfg.seed + k, n)
-    drift = _vectorized(spec.drift)
-    diffusion = _vectorized(spec.diffusion)
-    sqrt_dt = math.sqrt(cfg.dt)
-    values = np.empty((n_paths, n + 1))
-    values[:, 0] = cfg.x0
-    x = np.full(n_paths, cfg.x0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
-            x = x + drift(x) * cfg.dt + diffusion(x) * sqrt_dt * z[:, k]
-            values[:, k + 1] = x
-    bad = ~np.isfinite(values).all(axis=1) | (np.abs(values).max(axis=1) > _BLOWUP)
-    if bad.any():
-        first = int(np.argmax(bad))
-        raise NumericBlowup(
-            f"|X| exceeded {_BLOWUP:g} for path seed {cfg.seed + first}; check coefficients/dt"
-        )
+    values = np.empty((n_paths, cfg.n_steps + 1))
+    start = 0
+    for rows in _chunks(spec, cfg, n_paths):
+        m = len(rows) - 1
+        values[:, start : start + m + 1] = rows.T
+        start += m
     return [
         Trajectory(values=values[k], dt=cfg.dt, seed=cfg.seed + k) for k in range(n_paths)
     ]
+
+
+def _above_energy(y: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Count of samples above tau and pairwise sum of y^2 over them, along
+    the last (contiguous) axis of at most CHUNK samples."""
+    above = y > tau
+    return np.count_nonzero(above, axis=-1), np.sum(np.square(y) * above, axis=-1)
+
+
+def observe_paths(
+    spec: DiffusionSpec,
+    cfg: SimConfig,
+    n_paths: int,
+    theta: float | np.ndarray,
+    eps: float,
+    tau: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Time fraction and energy of the perturbed paths theta + eps * X with
+    seeds cfg.seed, ..., cfg.seed + n_paths - 1, without storing the paths.
+
+    ``theta`` is one value for every path or one value per path.  Entry k
+    is bit-identical to ``observe(perturb(simulate_path(spec, cfg with seed
+    cfg.seed + k), theta_k, eps), tau)``.  Memory is O(n_paths x CHUNK).
+    """
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    theta = np.broadcast_to(np.asarray(theta, dtype=float), (n_paths,))[:, None]
+    count = np.zeros(n_paths, dtype=np.int64)
+    energy = np.zeros(n_paths)
+    for rows in _chunks(spec, cfg, n_paths):
+        # left endpoints, one contiguous row per path, perturbed as in ``perturb``
+        y = theta + eps * np.ascontiguousarray(rows[:-1].T)
+        c, e = _above_energy(y, tau)
+        count += c
+        energy += e
+    n = cfg.n_steps
+    return count / n, energy / n
 
 
 def perturb(traj: Trajectory, theta: float, eps: float) -> Trajectory:
@@ -157,11 +253,17 @@ def observe(traj: Trajectory, tau: float) -> ObservationSummary:
 
     Time integrals use the left-endpoint rule, so the fraction of time above
     the threshold is an exact step count over n = len(values) - 1 steps.
+    The energy is reduced chunk by chunk exactly as in ``observe_paths``.
     """
     if len(traj.values) < 2:
         raise ValueError("trajectory must contain at least one step")
     y = traj.values[:-1]
-    above = y > tau
-    frac = float(above.mean())
-    energy = float(np.mean(np.square(y) * above))
-    return ObservationSummary(time_fraction=frac, energy=energy, horizon=traj.horizon)
+    count = 0
+    energy = 0.0
+    for start in range(0, len(y), CHUNK):
+        c, e = _above_energy(y[start : start + CHUNK], tau)
+        count += int(c)
+        energy += float(e)
+    return ObservationSummary(
+        time_fraction=count / len(y), energy=energy / len(y), horizon=traj.horizon
+    )

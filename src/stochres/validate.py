@@ -2,14 +2,15 @@
 prediction, and empirical decision error against the closed-form value.
 
 Replication k always uses seed = base_seed + k, so studies are reproducible
-and trivially parallel; paths are simulated in bounded-size blocks to keep
-memory flat.
+and trivially parallel.  Each study steps all its paths in one call of the
+streaming kernel ``observe_paths``, which keeps only per-path counters:
+memory is O(paths x CHUNK), independent of the horizon, and every path's
+statistics are bit-identical to observing that path on its own.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,23 +25,9 @@ from .estimators import (
 from .laws import InvariantLaw
 from .maptest import Decision, TestProblem, build_rule, decide, moments, p_err
 from .numerics import DEFAULT_QUADRATURE, QuadratureConfig
-from .simulate import ObservationSummary, SimConfig, observe, perturb, simulate_paths
+from .simulate import SimConfig, observe_paths
 
 __all__ = ["VarianceStudy", "ErrorRateStudy", "variance_validation_study", "error_rate_study"]
-
-_BLOCK = 512
-
-
-def _observations(
-    law: InvariantLaw, theta: float, eps: float, tau: float, cfg: SimConfig, n: int
-) -> Iterator[ObservationSummary]:
-    done = 0
-    while done < n:
-        block = min(_BLOCK, n - done)
-        for traj in simulate_paths(law.spec, replace(cfg, seed=cfg.seed + done), block):
-            yield observe(perturb(traj, theta, eps), tau)
-        done += block
-
 
 @dataclass(frozen=True)
 class VarianceStudy:
@@ -74,13 +61,14 @@ def variance_validation_study(
         raise ValueError("need at least 2 replications")
     ch = ChannelConfig(tau=tau, eps=eps, law=law)
     sim = SimConfig(T=horizon, dt=dt, seed=base_seed)
+    fractions, energies = observe_paths(law.spec, sim, n_reps, theta, eps, tau)
     est_t: list[float] = []
     est_e: list[float] = []
     degenerate = 0
-    for obs in _observations(law, theta, eps, tau, sim, n_reps):
+    for fraction, energy in zip(fractions.tolist(), energies.tolist()):
         try:
-            est_t.append(estimate_theta_time(obs.time_fraction, ch))
-            est_e.append(estimate_theta_energy(obs.energy, ch, cfg))
+            est_t.append(estimate_theta_time(fraction, ch))
+            est_e.append(estimate_theta_energy(energy, ch, cfg))
         except DegenerateObservation:
             degenerate += 1
     if len(est_t) < 2:
@@ -103,8 +91,10 @@ def variance_validation_study(
 class ErrorRateStudy:
     """Empirical MAP error rate against the closed-form ``p_err``.
 
-    ``predicted_p_err`` follows ``p_err``, so a degenerate noise level
-    predicts the prior-guess error.  ``binomial_se`` is
+    ``predicted_p_err`` follows ``p_err``.  At a noise level that ``p_err``
+    flags ``degenerate`` the study scores the rule that prediction belongs
+    to, deciding every path for the larger prior, and ``degenerate`` is
+    set.  ``binomial_se`` is
     sqrt(p(1 - p)/n) at the predicted p.  A band of a few of these is a
     normal approximation to the binomial count and is valid only when
     n * predicted_p_err is large (about 10 or more expected errors); deep
@@ -118,6 +108,7 @@ class ErrorRateStudy:
     n_errors: int
     binomial_se: float
     seeds: tuple[int, int]
+    degenerate: bool
 
 
 def error_rate_study(
@@ -131,24 +122,31 @@ def error_rate_study(
 
     The label split is deterministic (round(p0 * n) null paths first), which
     matches the prior mixture in expectation and keeps every run reproducible
-    from the base seed.
+    from the base seed.  Where ``p_err`` is degenerate the MAP rule is the
+    prior guess: every path is decided for the larger prior (the null on a
+    tie), as in ``p_err``, and no path needs to be simulated.  Otherwise
+    null and alternative paths are stepped together in one kernel call.
     """
     if n_paths < 2:
         raise ValueError("need at least 2 labeled paths")
-    rule = build_rule(moments(problem, cfg), problem.p0, problem.p1)
-    predicted = p_err(problem, cfg).p_err
+    report = p_err(problem, cfg)
     n0 = int(round(problem.p0 * n_paths))
-    sim = SimConfig(T=problem.horizon, dt=dt, seed=base_seed)
-    errors = 0
-    for theta, truth, count, offset in (
-        (problem.theta0, Decision.D0, n0, 0),
-        (problem.theta1, Decision.D1, n_paths - n0, n0),
-    ):
-        block_cfg = replace(sim, seed=base_seed + offset)
-        for obs in _observations(problem.law, theta, problem.eps, problem.tau, block_cfg, count):
-            statistic = obs.time_fraction if problem.scheme == "time" else obs.energy
-            if decide(rule, statistic) is not truth:
-                errors += 1
+    is_alternative = np.arange(n_paths) >= n0
+    if report.degenerate:
+        decides_alternative = np.full(n_paths, problem.p1 > problem.p0)
+    else:
+        rule = build_rule(moments(problem, cfg), problem.p0, problem.p1)
+        theta = np.where(is_alternative, problem.theta1, problem.theta0)
+        sim = SimConfig(T=problem.horizon, dt=dt, seed=base_seed)
+        fractions, energies = observe_paths(
+            problem.law.spec, sim, n_paths, theta, problem.eps, problem.tau
+        )
+        statistics = fractions if problem.scheme == "time" else energies
+        decides_alternative = np.array(
+            [decide(rule, s) is Decision.D1 for s in statistics.tolist()], dtype=bool
+        )
+    errors = int(np.count_nonzero(decides_alternative != is_alternative))
+    predicted = report.p_err
     rate = errors / n_paths
     se = math.sqrt(max(predicted * (1.0 - predicted), 1e-12) / n_paths)
     return ErrorRateStudy(
@@ -158,4 +156,5 @@ def error_rate_study(
         n_errors=errors,
         binomial_se=se,
         seeds=(base_seed, base_seed + n_paths - 1),
+        degenerate=report.degenerate,
     )

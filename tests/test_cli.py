@@ -242,7 +242,7 @@ def test_validate_smoke(tmp_path):
     report = json.loads((out / "validate.json").read_text())
     for key in (
         "empirical_var_ratio_time", "empirical_var_ratio_energy",
-        "empirical_error_rate", "predicted_p_err", "n_reps", "seeds",
+        "empirical_error_rate", "predicted_p_err", "degenerate", "n_reps", "seeds",
     ):
         assert key in report
     assert report["n_reps"] == 50

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -7,12 +10,13 @@ from stochres import (
     SimConfig,
     Trajectory,
     observe,
+    observe_paths,
     perturb,
     simulate_path,
     simulate_paths,
 )
 from stochres.errors import NumericBlowup
-from stochres.simulate import _em_scalar
+from stochres.simulate import CHUNK, _em_scalar
 
 
 def make_traj(values, dt=0.1, seed=0):
@@ -87,6 +91,18 @@ def test_blowup_detected_scalar_and_ensemble():
         simulate_path(cubic, SimConfig(T=5.0, dt=0.5, seed=1, x0=2.0))
     with pytest.raises(NumericBlowup):
         simulate_paths(cubic, SimConfig(T=5.0, dt=0.5, seed=1, x0=2.0), 3)
+
+
+def test_ensemble_with_scalar_only_coefficients_matches_single_paths():
+    # drift rejects arrays, diffusion returns a scalar for an array
+    spec = DiffusionSpec(lambda x: -math.sin(x), lambda x: 1.0)
+    cfg = SimConfig(T=6.0, dt=0.01, seed=40)
+    fractions, energies = observe_paths(spec, cfg, 3, 0.5, 1.0, 1.0)
+    for k, traj in enumerate(simulate_paths(spec, cfg, 3)):
+        single = simulate_path(spec, SimConfig(T=6.0, dt=0.01, seed=40 + k))
+        assert np.array_equal(traj.values, single.values)
+        obs = observe(perturb(single, 0.5, 1.0), 1.0)
+        assert (fractions[k], energies[k]) == (obs.time_fraction, obs.energy)
 
 
 def test_sim_config_validation():
@@ -178,3 +194,62 @@ def test_observation_summary_validation():
         ObservationSummary(time_fraction=0.5, energy=-1.0, horizon=1.0)
     with pytest.raises(ValueError):
         observe(make_traj([1.0]), tau=0.0)
+
+
+# ---------------------------------------------------------------------------
+# streaming kernel
+# ---------------------------------------------------------------------------
+
+
+def _single_summary(seed, theta, eps=0.7, tau=1.0, T=20.37):
+    traj = simulate_path(OU, SimConfig(T=T, dt=0.01, seed=seed))
+    return observe(perturb(traj, theta, eps), tau)
+
+
+@pytest.mark.parametrize("n_paths", [1, 3, 70])
+def test_observe_paths_matches_single_paths_bitwise(n_paths):
+    cfg = SimConfig(T=20.37, dt=0.01, seed=500)
+    assert cfg.n_steps % CHUNK != 0
+    fractions, energies = observe_paths(OU, cfg, n_paths, 0.5, 0.7, 1.0)
+    assert fractions.shape == energies.shape == (n_paths,)
+    for k in range(n_paths):
+        obs = _single_summary(500 + k, 0.5)
+        assert fractions[k] == obs.time_fraction
+        assert energies[k] == obs.energy
+
+
+def test_observe_paths_independent_of_ensemble_size():
+    cfg = SimConfig(T=20.37, dt=0.01, seed=600)
+    big = observe_paths(OU, cfg, 70, 0.5, 0.7, 1.0)
+    small = observe_paths(OU, cfg, 3, 0.5, 0.7, 1.0)
+    shifted = observe_paths(OU, SimConfig(T=20.37, dt=0.01, seed=605), 1, 0.5, 0.7, 1.0)
+    for b, s, one in zip(big, small, shifted):
+        assert np.array_equal(b[:3], s)
+        assert b[5] == one[0]
+
+
+def test_observe_paths_per_path_theta_matches_scalar_calls():
+    cfg = SimConfig(T=20.37, dt=0.01, seed=700)
+    theta = np.array([0.0, 0.5, 0.5, 0.0, 0.25])
+    fractions, energies = observe_paths(OU, cfg, 5, theta, 0.7, 1.0)
+    for value in (0.0, 0.25, 0.5):
+        f, e = observe_paths(OU, cfg, 5, value, 0.7, 1.0)
+        mask = theta == value
+        assert np.array_equal(fractions[mask], f[mask])
+        assert np.array_equal(energies[mask], e[mask])
+
+
+def test_observe_paths_blowup_names_a_seed_in_range():
+    cubic = DiffusionSpec(lambda x: x**3, lambda x: x * 0.0 + 1.0)
+    with pytest.raises(NumericBlowup) as info:
+        observe_paths(cubic, SimConfig(T=5.0, dt=0.5, seed=30, x0=2.0), 4, 0.0, 1.0, 1.0)
+    seed = int(re.search(r"seed (\d+)", str(info.value)).group(1))
+    assert 30 <= seed < 34
+
+
+def test_observe_paths_validation():
+    cfg = SimConfig(T=1.0, dt=0.1)
+    with pytest.raises(ValueError):
+        observe_paths(OU, cfg, 0, 0.5, 0.7, 1.0)
+    with pytest.raises(ValueError):
+        observe_paths(OU, cfg, 2, 0.5, 0.0, 1.0)
