@@ -59,7 +59,6 @@ from .maptest import (
 )
 from .numerics import (
     Bracket,
-    QuadratureConfig,
     erf,
     find_root,
     integrate_line,

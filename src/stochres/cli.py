@@ -192,6 +192,12 @@ def _check_positive(cfg: dict[str, Any], keys: Iterable[str]) -> None:
             raise ConfigError(f"--{key} must be positive, got {cfg[key]}")
 
 
+def _check_step(cfg: dict[str, Any], horizons: Iterable[str]) -> None:
+    for key in horizons:
+        if not cfg["dt"] <= cfg[key]:
+            raise ConfigError(f"--dt must not exceed --{key}, got dt={cfg['dt']} > {cfg[key]}")
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n")
@@ -240,6 +246,7 @@ def cmd_law(cfg: dict[str, Any]) -> None:
 
 def cmd_estimate(cfg: dict[str, Any]) -> None:
     _check_positive(cfg, ("eps", "T", "dt", "tau"))
+    _check_step(cfg, ("T",))
     if not cfg["theta"] < cfg["tau"]:
         raise ConfigError("estimation assumes a subthreshold signal: need theta < tau")
     law = _resolve_law(cfg)
@@ -361,9 +368,14 @@ def cmd_validate(cfg: dict[str, Any]) -> None:
     if cfg["test_paths"] < 50:
         raise ConfigError(f"--test-paths must be at least 50, got {cfg['test_paths']}")
     _check_positive(cfg, ("eps", "T", "dt", "tau", "test_T", "test_eps"))
-    law = _resolve_law(cfg)
+    _check_step(cfg, ("T", "test_T"))
+    if not cfg["theta0"] < cfg["theta1"] < cfg["tau"]:
+        raise ConfigError(
+            f"need theta0 < theta1 < tau, got {cfg['theta0']}, {cfg['theta1']}, {cfg['tau']}"
+        )
     if not 0.0 < cfg["p0"] < 1.0:
         raise ConfigError("--p0 must lie strictly inside (0, 1)")
+    law = _resolve_law(cfg)
     var_study = variance_validation_study(
         law, cfg["theta"], cfg["tau"], cfg["eps"], cfg["T"], cfg["dt"],
         n_reps=cfg["reps"], base_seed=cfg["seed"],

@@ -16,9 +16,7 @@ asymptotic variance) is the objective maximized over the noise level.
 
 Every law-dependent quantity is read from the law's cumulative tables
 (``InvariantLaw.tables``), so each costs O(1) per noise level and the same
-code serves every law.  The ``cfg`` arguments only reach the adaptive
-quadrature oracles kept for cross-checks (``*_quadrature``,
-``time_scheme_variance_ou_reference``); the tables need no tolerances.
+code serves every law.
 """
 from __future__ import annotations
 
@@ -30,13 +28,7 @@ import numpy as np
 
 from .errors import DegenerateObservation, OutOfRange, QuadratureFailure
 from .laws import InvariantLaw
-from .numerics import (
-    DEFAULT_QUADRATURE,
-    Bracket,
-    QuadratureConfig,
-    find_root,
-    integrate_line,
-)
+from .numerics import Bracket, find_root, integrate_line
 
 __all__ = [
     "ChannelConfig",
@@ -120,12 +112,7 @@ def estimate_theta_time(time_fraction: float, ch: ChannelConfig) -> float:
     return ch.tau - ch.eps * ch.law.quantile(1.0 - time_fraction)
 
 
-def edf_variance(
-    x: float,
-    law: InvariantLaw,
-    sigma_fn: Callable[[float], float],
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> float:
+def edf_variance(x: float, law: InvariantLaw, sigma_fn: Callable[[float], float]) -> float:
     """Asymptotic variance of the empirical distribution function at x.
 
     V(x) = 4 E[(F(xi ^ x) (1 - F(xi v x)) / (sigma(xi) f(xi)))^2], the
@@ -147,9 +134,7 @@ def edf_variance(
     )
 
 
-def time_scheme_variance(
-    theta: float, ch: ChannelConfig, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> VarianceReport:
+def time_scheme_variance(theta: float, ch: ChannelConfig) -> VarianceReport:
     """Asymptotic variance of the time-scheme estimator, by the delta method.
 
     Sigma(theta) = eps^2 V(a) / f(a)^2 with a = (tau - theta)/eps.  The
@@ -159,7 +144,7 @@ def time_scheme_variance(
     """
     a = ch.gap_ratio(theta)
     fa = float(ch.law.f(a))
-    V = edf_variance(a, ch.law, ch.law.spec.diffusion, cfg)
+    V = edf_variance(a, ch.law, ch.law.spec.diffusion)
     if not (math.isfinite(V) and V > 0.0) or fa <= 0.0:
         raise QuadratureFailure(
             f"time-scheme variance degenerates at theta={theta}, eps={ch.eps} (f(a)={fa}, V={V})"
@@ -173,9 +158,7 @@ def time_scheme_variance(
     return VarianceReport(value=1.0 / fisher, fisher=fisher, scheme="time")
 
 
-def time_scheme_variance_ou_reference(
-    theta: float, tau: float, eps: float, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> float:
+def time_scheme_variance_ou_reference(theta: float, tau: float, eps: float) -> float:
     """Textbook closed-form variance for the Gaussian noise law, kept as a
     cross-check.
 
@@ -197,7 +180,7 @@ def time_scheme_variance_ou_reference(
             s = (1.0 + math.erf(a)) * math.erfc(xi) * math.exp(min(xi * xi, 700.0) / 2.0)
         return s * s
 
-    I = integrate_line(integrand, cfg, split_at=(a,))
+    I = integrate_line(integrand, split_at=(a,))
     return eps * eps * math.pi**1.5 * math.exp(2.0 * a * a) * I
 
 
@@ -229,9 +212,7 @@ def energy_limit_closed_form(theta: float, ch: ChannelConfig) -> float:
     )
 
 
-def energy_limit_quadrature(
-    theta: float, ch: ChannelConfig, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> float:
+def energy_limit_quadrature(theta: float, ch: ChannelConfig) -> float:
     """Long-run energy for an arbitrary law, as truncated moments by adaptive
     quadrature (test oracle).
 
@@ -245,7 +226,7 @@ def energy_limit_quadrature(
                 return 0.0
             return xi**power * float(ch.law.f(xi))
 
-        return integrate_line(integrand, cfg, split_at=(a,))
+        return integrate_line(integrand, split_at=(a,))
 
     return (
         ch.eps * ch.eps * moment(2)
@@ -254,9 +235,7 @@ def energy_limit_quadrature(
     )
 
 
-def energy_limit(
-    theta: float, ch: ChannelConfig, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> float:
+def energy_limit(theta: float, ch: ChannelConfig) -> float:
     """Long-run value of the energy statistic; increasing in theta below tau.
 
     E[(eps*xi + theta)^2 1{xi > a}] with a = (tau - theta)/eps, a fixed
@@ -272,9 +251,7 @@ def energy_limit_derivative_closed_form(theta: float, ch: ChannelConfig) -> floa
     return theta * math.erfc(a) + (ch.eps * ch.eps + ch.tau * ch.tau) * e / (ch.eps * _SQRT_PI)
 
 
-def energy_limit_derivative_quadrature(
-    theta: float, ch: ChannelConfig, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> float:
+def energy_limit_derivative_quadrature(theta: float, ch: ChannelConfig) -> float:
     """Slope of the energy map for an arbitrary law, by adaptive quadrature
     (test oracle).
 
@@ -287,7 +264,7 @@ def energy_limit_derivative_quadrature(
             return 0.0
         return xi * float(ch.law.f(xi))
 
-    m1 = integrate_line(integrand, cfg, split_at=(a,))
+    m1 = integrate_line(integrand, split_at=(a,))
     return (
         ch.tau * ch.tau * float(ch.law.f(a)) / ch.eps
         + 2.0 * theta * float(ch.law.sf(a))
@@ -295,18 +272,14 @@ def energy_limit_derivative_quadrature(
     )
 
 
-def energy_limit_derivative(
-    theta: float, ch: ChannelConfig, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> float:
+def energy_limit_derivative(theta: float, ch: ChannelConfig) -> float:
     """Slope of the energy map: tau^2 f(a)/eps + 2 theta sf(a) + 2 eps E[xi 1{xi>a}]."""
     a = ch.gap_ratio(theta)
     m = ch.law.tables.upper_moments(a)
     return ch.tau * ch.tau * float(ch.law.f(a)) / ch.eps + 2.0 * theta * m[0] + 2.0 * ch.eps * m[1]
 
 
-def estimate_theta_energy(
-    energy: float, ch: ChannelConfig, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> float:
+def estimate_theta_energy(energy: float, ch: ChannelConfig) -> float:
     """Invert the energy map by monotone root finding on [0, tau].
 
     The bracket is widened to [-tau, 2 tau] when the observation falls
@@ -317,7 +290,7 @@ def estimate_theta_energy(
         raise OutOfRange("energy statistic cannot be negative")
 
     def g(theta: float) -> float:
-        return energy_limit(theta, ch, cfg) - energy
+        return energy_limit(theta, ch) - energy
 
     knots = [0.0, ch.tau, -ch.tau, 2.0 * ch.tau]
     values = {t: g(t) for t in knots}
@@ -334,9 +307,7 @@ def estimate_theta_energy(
     )
 
 
-def energy_covariance_kernel(
-    y: float, theta: float, ch: ChannelConfig, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> float:
+def energy_covariance_kernel(y: float, theta: float, ch: ChannelConfig) -> float:
     """Covariance kernel of the energy statistic.
 
     M(y) = E[(F(y) - 1{xi < y}) (eps*xi + theta)^2 1{xi > a}] with
@@ -361,9 +332,7 @@ def energy_covariance_kernel(
 _CANCELLATION_FLOOR = 1e-8
 
 
-def energy_statistic_variance(
-    theta: float, ch: ChannelConfig, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> float:
+def energy_statistic_variance(theta: float, ch: ChannelConfig) -> float:
     """Raw asymptotic variance of the energy statistic: 4 E[M(xi)^2 / (sigma f)^2].
 
     Split at a: below it M(y) = tail(a) F(y); above it M is linear in the
@@ -390,15 +359,13 @@ def energy_statistic_variance(
     return v
 
 
-def energy_scheme_variance(
-    theta: float, ch: ChannelConfig, cfg: QuadratureConfig = DEFAULT_QUADRATURE
-) -> VarianceReport:
+def energy_scheme_variance(theta: float, ch: ChannelConfig) -> VarianceReport:
     """Asymptotic variance of the energy-scheme estimator, by the delta method.
 
     Sigma~(theta) = 4 E[M^2/(sigma f)^2] / (d energy_limit/d theta)^2.
     """
-    slope = energy_limit_derivative(theta, ch, cfg)
-    raw = energy_statistic_variance(theta, ch, cfg)
+    slope = energy_limit_derivative(theta, ch)
+    raw = energy_statistic_variance(theta, ch)
     if not (math.isfinite(slope) and slope > 0.0):
         raise QuadratureFailure(
             f"energy map is flat at theta={theta}, eps={ch.eps} (slope={slope})"
@@ -422,7 +389,6 @@ def log_likelihood_time(
     time_fraction: float,
     horizon: float,
     ch: ChannelConfig,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> float:
     """Gaussian approximation to the log likelihood of the time statistic.
 
@@ -435,6 +401,6 @@ def log_likelihood_time(
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     a = ch.gap_ratio(theta)
-    V = edf_variance(a, ch.law, ch.law.spec.diffusion, cfg)
+    V = edf_variance(a, ch.law, ch.law.spec.diffusion)
     resid = 1.0 - time_fraction - float(ch.law.F(a))
     return 0.5 * math.log(horizon / (2.0 * math.pi * V)) - 0.5 * horizon * resid * resid / V

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import integrate, interpolate, special
 
 from .errors import NonConvergence, NotErgodic, QuadratureFailure
-from .numerics import DEFAULT_QUADRATURE, Bracket, QuadratureConfig, find_root, integrate_line
+from .numerics import ABS_TOL, MAX_SUBDIVISIONS, REL_TOL, Bracket, find_root, integrate_line
 
 __all__ = [
     "DiffusionSpec",
@@ -134,9 +134,9 @@ def _drift_over_sq(spec: DiffusionSpec) -> Callable[[float], float]:
     return s
 
 
-def _quad_finite(fn: Callable[[float], float], lo: float, hi: float, cfg: QuadratureConfig) -> float:
+def _quad_finite(fn: Callable[[float], float], lo: float, hi: float) -> float:
     out = integrate.quad(
-        fn, lo, hi, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=cfg.max_subdivisions, full_output=1
+        fn, lo, hi, epsabs=ABS_TOL, epsrel=REL_TOL, limit=MAX_SUBDIVISIONS, full_output=1
     )
     if len(out) > 3:
         raise NonConvergence(f"quadrature failed on ({lo}, {hi}): {out[3]}")
@@ -156,11 +156,7 @@ def _probe_coefficients(spec: DiffusionSpec, probe_range: Bracket) -> None:
             raise ValueError(f"diffusion coefficient must be positive (sigma({x}) = {sig})")
 
 
-def check_ergodicity(
-    spec: DiffusionSpec,
-    probe_range: Bracket = _PROBE_RANGE,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> ErgodicityReport:
+def check_ergodicity(spec: DiffusionSpec, probe_range: Bracket = _PROBE_RANGE) -> ErgodicityReport:
     """Probe the ergodicity conditions at finite range.
 
     The drift integral is evaluated at the probe endpoints and at half range;
@@ -171,19 +167,19 @@ def check_ergodicity(
     _probe_coefficients(spec, probe_range)
     s = _drift_over_sq(spec)
 
-    left = _quad_finite(s, 0.0, probe_range.lo, cfg)
-    right = _quad_finite(s, 0.0, probe_range.hi, cfg)
-    left_mid = _quad_finite(s, 0.0, probe_range.lo / 2.0, cfg)
-    right_mid = _quad_finite(s, 0.0, probe_range.hi / 2.0, cfg)
+    left = _quad_finite(s, 0.0, probe_range.lo)
+    right = _quad_finite(s, 0.0, probe_range.hi)
+    left_mid = _quad_finite(s, 0.0, probe_range.lo / 2.0)
+    right_mid = _quad_finite(s, 0.0, probe_range.hi / 2.0)
 
     c2 = left < min(left_mid, 0.0) and right < min(right_mid, 0.0)
 
     def mass(y: float) -> float:
         sig = spec.diffusion(y)
-        return _exp_clipped(2.0 * _quad_finite(s, 0.0, y, cfg)) / (sig * sig)
+        return _exp_clipped(2.0 * _quad_finite(s, 0.0, y)) / (sig * sig)
 
     try:
-        G = integrate_line(mass, cfg)
+        G = integrate_line(mass)
         c3 = math.isfinite(G) and G > 0
     except NonConvergence:
         G = math.inf
@@ -226,7 +222,7 @@ def _reverse_cumulative(panels: np.ndarray) -> np.ndarray:
     return out
 
 
-def _support_edges(mass: Callable[[float], float], probe_range: Bracket) -> tuple[float, float]:
+def _support_edges(mass: Callable[[float], float]) -> tuple[float, float]:
     center = np.linspace(-1.0, 1.0, 21)
     peak = max(mass(float(x)) for x in center)
     if not (math.isfinite(peak) and peak > 0):
@@ -242,20 +238,19 @@ def _support_edges(mass: Callable[[float], float], probe_range: Bracket) -> tupl
             edge *= 2.0
         return cap
 
-    return expand(-1.0, probe_range.lo), expand(1.0, probe_range.hi)
+    return expand(-1.0, _PROBE_RANGE.lo), expand(1.0, _PROBE_RANGE.hi)
 
 
-def _node_grid(
-    mass: Callable[[float], float], probe_range: Bracket, node_spacing: float
-) -> tuple[np.ndarray, int]:
-    """Evenly spaced nodes over the support of ``mass``, and the index of 0.
+def _node_grid(mass: Callable[[float], float]) -> tuple[np.ndarray, int]:
+    """Nodes ``_NODE_SPACING`` apart over the support of ``mass``, and the
+    index of 0.
 
     The support edges double outward from +-1 until the mass falls below
-    ``_MASS_FLOOR`` times its peak near the origin, capped at the probe range.
+    ``_MASS_FLOOR`` times its peak near the origin, capped at ``_PROBE_RANGE``.
     """
-    lo, hi = _support_edges(mass, probe_range)
-    n_left = max(int(round(-lo / node_spacing)), 8)
-    n_right = max(int(round(hi / node_spacing)), 8)
+    lo, hi = _support_edges(mass)
+    n_left = max(int(round(-lo / _NODE_SPACING)), 8)
+    n_right = max(int(round(hi / _NODE_SPACING)), 8)
     nodes = np.concatenate([np.linspace(lo, 0.0, n_left + 1)[:-1], np.linspace(0.0, hi, n_right + 1)])
     return nodes, n_left
 
@@ -438,12 +433,7 @@ class LawTables:
         )
 
 
-def build_invariant_law(
-    spec: DiffusionSpec,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    probe_range: Bracket = _PROBE_RANGE,
-    node_spacing: float = _NODE_SPACING,
-) -> InvariantLaw:
+def build_invariant_law(spec: DiffusionSpec) -> InvariantLaw:
     """Construct the stationary law of a diffusion from its coefficients.
 
     The distribution function is cached on a dense grid covering the
@@ -451,7 +441,7 @@ def build_invariant_law(
     survival function is accumulated from the right so its far tail keeps
     relative accuracy.  Raises NotErgodic when the ergodicity probes fail.
     """
-    report = check_ergodicity(spec, probe_range, cfg)
+    report = check_ergodicity(spec)
     if not (report.c2_holds and report.c3_holds):
         raise NotErgodic(
             f"ergodicity checks failed (c2={report.c2_holds}, c3={report.c3_holds}, G={report.G})"
@@ -461,9 +451,9 @@ def build_invariant_law(
 
     def mass_scalar(y: float) -> float:
         sig = spec.diffusion(y)
-        return _exp_clipped(2.0 * _quad_finite(s, 0.0, y, cfg)) / (sig * sig)
+        return _exp_clipped(2.0 * _quad_finite(s, 0.0, y)) / (sig * sig)
 
-    nodes, zero_idx = _node_grid(mass_scalar, probe_range, node_spacing)
+    nodes, zero_idx = _node_grid(mass_scalar)
 
     s_vec = _vectorized(spec.drift)
     sig_vec = _vectorized(spec.diffusion)
@@ -583,7 +573,7 @@ def ou_law() -> InvariantLaw:
         quantile=quantile,
         G=_SQRT_PI,
         spec=spec,
-        grid_x=_node_grid(lambda y: math.exp(-y * y), _PROBE_RANGE, _NODE_SPACING)[0],
+        grid_x=_node_grid(lambda y: math.exp(-y * y))[0],
         label="ou",
     )
 

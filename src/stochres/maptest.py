@@ -28,7 +28,7 @@ from .estimators import (
     time_fraction_limit,
 )
 from .laws import InvariantLaw
-from .numerics import DEFAULT_QUADRATURE, Bracket, QuadratureConfig, maximize_scalar, normal_cdf
+from .numerics import Bracket, maximize_scalar, normal_cdf
 
 __all__ = [
     "Decision",
@@ -135,9 +135,11 @@ class DecisionRule:
 class ErrorReport:
     """Overall error probability and its two conditional components.
 
+    ``rule`` is the decision rule the probabilities belong to.
     ``degenerate`` marks a noise level where the Gaussian approximation
     reaches the statistic's boundary 0 under both hypotheses; the report
-    then holds the prior-guess error and ``reason`` gives both z values.
+    then holds the prior-guess error, has no ``rule`` and ``reason`` gives
+    both z values.
     """
 
     p_err: float
@@ -145,24 +147,25 @@ class ErrorReport:
     p_type2: float  # P(D0 | H1)
     degenerate: bool = False
     reason: Optional[str] = None
+    rule: Optional[DecisionRule] = None
 
 
 def _statistic_moments(
-    theta: float, ch: ChannelConfig, horizon: float, scheme: Scheme, cfg: QuadratureConfig
+    theta: float, ch: ChannelConfig, horizon: float, scheme: Scheme
 ) -> tuple[float, float]:
     """Mean and variance of the statistic at one signal value."""
     if scheme == "time":
         mu = time_fraction_limit(theta, ch)
-        var = edf_variance(ch.gap_ratio(theta), ch.law, ch.law.spec.diffusion, cfg) / horizon
+        var = edf_variance(ch.gap_ratio(theta), ch.law, ch.law.spec.diffusion) / horizon
     else:
-        mu = energy_limit(theta, ch, cfg)
-        var = energy_statistic_variance(theta, ch, cfg) / horizon
+        mu = energy_limit(theta, ch)
+        var = energy_statistic_variance(theta, ch) / horizon
     if not (math.isfinite(var) and var > 0.0):
         raise QuadratureFailure(f"statistic variance degenerates at eps={ch.eps} (variance={var})")
     return mu, var
 
 
-def moments(problem: TestProblem, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> GaussianMoments:
+def moments(problem: TestProblem) -> GaussianMoments:
     """Gaussian moments of the chosen statistic under both hypotheses.
 
     Time scheme: mean sf((tau - theta_i)/eps), variance V(a_i)/T.
@@ -173,7 +176,7 @@ def moments(problem: TestProblem, cfg: QuadratureConfig = DEFAULT_QUADRATURE) ->
     """
     ch = ChannelConfig(tau=problem.tau, eps=problem.eps, law=problem.law)
     (mu0, v0), (mu1, v1) = (
-        _statistic_moments(t, ch, problem.horizon, problem.scheme, cfg)
+        _statistic_moments(t, ch, problem.horizon, problem.scheme)
         for t in (problem.theta0, problem.theta1)
     )
     return GaussianMoments(mu0=mu0, mu1=mu1, s0sq=v0, s1sq=v1)
@@ -301,7 +304,7 @@ def error_report(m: GaussianMoments, p0: float, p1: float) -> ErrorReport:
         else:
             t1 = 1.0 - _interval_mass(rule.gamma_lo, rule.gamma_hi, m.mu0, s0)
             t2 = _interval_mass(rule.gamma_lo, rule.gamma_hi, m.mu1, s1)
-    return ErrorReport(p_err=t1 * p0 + t2 * p1, p_type1=t1, p_type2=t2)
+    return ErrorReport(p_err=t1 * p0 + t2 * p1, p_type1=t1, p_type2=t2, rule=rule)
 
 
 def _statistic_error(m: GaussianMoments, p0: float, p1: float) -> ErrorReport:
@@ -325,7 +328,7 @@ def _statistic_error(m: GaussianMoments, p0: float, p1: float) -> ErrorReport:
     )
 
 
-def p_err(problem: TestProblem, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> ErrorReport:
+def p_err(problem: TestProblem) -> ErrorReport:
     """Overall error probability of the MAP rule for this problem.
 
     With z_i = mu_i / s_i, a noise level where z0 <= 2 and z1 <= 2
@@ -336,7 +339,7 @@ def p_err(problem: TestProblem, cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> E
     deciding for the larger prior, ``degenerate`` set and both z values in
     ``reason``.
     """
-    return _statistic_error(moments(problem, cfg), problem.p0, problem.p1)
+    return _statistic_error(moments(problem), problem.p0, problem.p1)
 
 
 @dataclass(frozen=True)
@@ -369,22 +372,23 @@ def p_err_surface(
     p1: float,
     law: InvariantLaw,
     scheme: Scheme = "time",
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> list[SurfaceCell]:
     """Error probability over a (theta1, eps) grid.
 
     Cells violating theta0 < theta1 < tau are skipped with a flag; cells
-    whose variance quadrature degenerates are flagged as failed with NaN;
-    cells where the Gaussian approximation is degenerate follow the rule of
-    ``p_err`` and are flagged as degenerate.  Null-hypothesis moments are
-    cached per noise level since they do not depend on theta1.
+    whose statistic variance cannot be evaluated (a gap outside the law's
+    tabulated support, or a cancelling energy quadratic form) are flagged
+    as failed with NaN; cells where the Gaussian approximation is
+    degenerate follow the rule of ``p_err`` and are flagged as degenerate.
+    Null-hypothesis moments are cached per noise level since they do not
+    depend on theta1.
     """
     cells: list[SurfaceCell] = []
     for eps in eps_grid:
         eps = float(eps)
         ch = ChannelConfig(tau=tau, eps=eps, law=law)
         try:
-            null = _statistic_moments(theta0, ch, horizon, scheme, cfg)
+            null = _statistic_moments(theta0, ch, horizon, scheme)
         except QuadratureFailure:
             null = None
         for theta1 in theta1_grid:
@@ -393,7 +397,7 @@ def p_err_surface(
                 cells.append(SurfaceCell(theta1, eps, None, None, None, None, math.nan, skipped=True))
                 continue
             try:
-                alt = None if null is None else _statistic_moments(theta1, ch, horizon, scheme, cfg)
+                alt = None if null is None else _statistic_moments(theta1, ch, horizon, scheme)
             except QuadratureFailure:
                 alt = None
             if alt is None:
@@ -406,7 +410,7 @@ def p_err_surface(
                     SurfaceCell(theta1, eps, None, None, None, None, report.p_err, degenerate=True)
                 )
                 continue
-            rule = build_rule(m, p0, p1)
+            rule = report.rule
             cells.append(
                 SurfaceCell(
                     theta1=theta1,
@@ -448,7 +452,6 @@ def find_perr_minimum(
     bracket: Bracket = Bracket(0.05, 3.0),
     tol: float = 1e-4,
     grid_n: int = 64,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> PerrMinimum:
     """Minimize the overall error probability over the noise level.
 
@@ -480,7 +483,7 @@ def find_perr_minimum(
             scheme=scheme,
         )
         try:
-            report = p_err(problem, cfg)
+            report = p_err(problem)
         except QuadratureFailure:
             failures[0] += 1
             return -ceiling

@@ -15,9 +15,10 @@ from scipy import integrate, optimize
 from .errors import BadBracket, NonConvergence, NonFinite
 
 __all__ = [
-    "QuadratureConfig",
     "Bracket",
-    "DEFAULT_QUADRATURE",
+    "REL_TOL",
+    "ABS_TOL",
+    "MAX_SUBDIVISIONS",
     "erf",
     "normal_cdf",
     "integrate_line",
@@ -28,20 +29,10 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and budget for adaptive quadrature."""
-
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 200
-
-    def __post_init__(self) -> None:
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("quadrature tolerances must be strictly positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+# tolerances and subdivision budget of every adaptive quadrature
+REL_TOL = 1e-9
+ABS_TOL = 1e-12
+MAX_SUBDIVISIONS = 200
 
 
 @dataclass(frozen=True)
@@ -56,9 +47,6 @@ class Bracket:
             raise ValueError("bracket endpoints must be finite")
         if not self.lo < self.hi:
             raise ValueError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
 
 
 def erf(x: float) -> float:
@@ -83,12 +71,7 @@ def _t_of_x(x: float) -> float:
     return (math.sqrt(1.0 + 4.0 * x * x) - 1.0) / (2.0 * x)
 
 
-def integrate_line(
-    f: Callable[[float], float],
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    *,
-    split_at: Sequence[float] = (),
-) -> float:
+def integrate_line(f: Callable[[float], float], *, split_at: Sequence[float] = ()) -> float:
     """Integrate f over the whole real line.
 
     The line is mapped onto (-1, 1) by the smooth substitution x = t/(1-t^2)
@@ -96,8 +79,8 @@ def integrate_line(
     interior points where the integrand has kinks or jumps; splitting there
     keeps the adaptive scheme efficient and reliable.
 
-    Raises NonConvergence when the subdivision budget runs out before the
-    requested tolerance is met, or when the result is not finite.
+    Raises NonConvergence when the MAX_SUBDIVISIONS budget runs out before
+    the REL_TOL / ABS_TOL tolerance is met, or when the result is not finite.
     """
     cuts = sorted({_t_of_x(p) for p in split_at if math.isfinite(p)})
     edges = [-1.0] + [t for t in cuts if -1.0 < t < 1.0] + [1.0]
@@ -114,9 +97,9 @@ def integrate_line(
             g,
             lo,
             hi,
-            epsabs=cfg.abs_tol,
-            epsrel=cfg.rel_tol,
-            limit=cfg.max_subdivisions,
+            epsabs=ABS_TOL,
+            epsrel=REL_TOL,
+            limit=MAX_SUBDIVISIONS,
             full_output=1,
         )
         if len(out) > 3:

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import QuadratureFailure
 from .estimators import ChannelConfig, Scheme, energy_scheme_variance, time_scheme_variance
 from .laws import InvariantLaw
-from .numerics import DEFAULT_QUADRATURE, Bracket, QuadratureConfig, maximize_scalar
+from .numerics import Bracket, maximize_scalar
 
 __all__ = ["CurvePoint", "ResonanceResult", "resonance_curve", "find_resonance"]
 
@@ -28,9 +28,10 @@ DEFAULT_EPS_BRACKET = Bracket(0.02, 3.0)
 class CurvePoint:
     """One sampled point of the information-versus-noise curve.
 
-    ``failed`` marks noise levels where the variance quadrature degenerates
-    (numerically vanishing tails); the information is reported as 0 there,
-    which is its genuine limit, rather than dropping the point.
+    ``failed`` marks noise levels where the variance cannot be evaluated:
+    the gap (tau - theta)/eps lies outside the law's tabulated support, or
+    the energy quadratic form cancels.  The information is reported as 0
+    there rather than dropping the point.
     """
 
     eps: float
@@ -48,7 +49,7 @@ class ResonanceResult:
 
 
 def _fisher_objective(
-    theta: float, tau: float, law: InvariantLaw, scheme: Scheme, cfg: QuadratureConfig
+    theta: float, tau: float, law: InvariantLaw, scheme: Scheme
 ) -> Callable[[float], CurvePoint]:
     variance = time_scheme_variance if scheme == "time" else energy_scheme_variance
 
@@ -56,7 +57,7 @@ def _fisher_objective(
     def point(eps: float) -> CurvePoint:
         ch = ChannelConfig(tau=tau, eps=eps, law=law)
         try:
-            report = variance(theta, ch, cfg)
+            report = variance(theta, ch)
         except QuadratureFailure:
             return CurvePoint(eps=eps, fisher=0.0, failed=True)
         return CurvePoint(eps=eps, fisher=report.fisher, failed=False)
@@ -70,7 +71,6 @@ def resonance_curve(
     law: InvariantLaw,
     scheme: Scheme,
     eps_grid: Sequence[float],
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> list[CurvePoint]:
     """Fisher information sampled on an increasing grid of noise levels."""
     grid = np.asarray(list(eps_grid), dtype=float)
@@ -80,7 +80,7 @@ def resonance_curve(
         raise ValueError("eps_grid must be strictly positive and increasing")
     if scheme not in ("time", "energy"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    point = _fisher_objective(theta, tau, law, scheme, cfg)
+    point = _fisher_objective(theta, tau, law, scheme)
     return [point(float(e)) for e in grid]
 
 
@@ -92,20 +92,19 @@ def find_resonance(
     bracket: Bracket = DEFAULT_EPS_BRACKET,
     tol: float = 1e-4,
     grid_n: int = 64,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> ResonanceResult:
     """Locate the noise level that maximizes Fisher information.
 
     A coarse scan over the bracket feeds golden-section refinement of every
     interior peak, so a multi-peaked curve reports all of its maxima.  Grid
-    points with degenerate quadrature contribute information 0 (their true
-    limit) and are flagged on the returned curve.
+    points whose variance cannot be evaluated (see ``CurvePoint``)
+    contribute information 0 and are flagged on the returned curve.
     """
     if bracket.lo <= 0:
         raise ValueError("noise bracket must be positive")
     if scheme not in ("time", "energy"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    point = _fisher_objective(theta, tau, law, scheme, cfg)
+    point = _fisher_objective(theta, tau, law, scheme)
 
     result = maximize_scalar(lambda e: point(e).fisher, bracket, grid_n=grid_n, tol=tol)
     curve = [point(float(e)) for e in np.linspace(bracket.lo, bracket.hi, grid_n + 1)]

@@ -23,8 +23,7 @@ from .estimators import (
     time_scheme_variance,
 )
 from .laws import InvariantLaw
-from .maptest import Decision, TestProblem, build_rule, decide, moments, p_err
-from .numerics import DEFAULT_QUADRATURE, QuadratureConfig
+from .maptest import Decision, TestProblem, decide, p_err
 from .simulate import SimConfig, observe_paths
 
 __all__ = ["VarianceStudy", "ErrorRateStudy", "variance_validation_study", "error_rate_study"]
@@ -49,7 +48,6 @@ def variance_validation_study(
     dt: float,
     n_reps: int,
     base_seed: int = 0,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> VarianceStudy:
     """Compare T * var(estimate) across replications with the predicted
     asymptotic variance, for both schemes on the same simulated paths.
@@ -68,13 +66,13 @@ def variance_validation_study(
     for fraction, energy in zip(fractions.tolist(), energies.tolist()):
         try:
             est_t.append(estimate_theta_time(fraction, ch))
-            est_e.append(estimate_theta_energy(energy, ch, cfg))
+            est_e.append(estimate_theta_energy(energy, ch))
         except DegenerateObservation:
             degenerate += 1
     if len(est_t) < 2:
         raise DegenerateObservation("too few usable replications for a variance estimate")
-    sigma_t = time_scheme_variance(theta, ch, cfg).value
-    sigma_e = energy_scheme_variance(theta, ch, cfg).value
+    sigma_t = time_scheme_variance(theta, ch).value
+    sigma_e = energy_scheme_variance(theta, ch).value
     t_eff = sim.n_steps * dt
     return VarianceStudy(
         ratio_time=t_eff * float(np.var(est_t, ddof=1)) / sigma_t,
@@ -116,7 +114,6 @@ def error_rate_study(
     dt: float,
     n_paths: int,
     base_seed: int = 0,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> ErrorRateStudy:
     """Simulate labeled paths in prior proportions and score the MAP rule.
 
@@ -129,13 +126,12 @@ def error_rate_study(
     """
     if n_paths < 2:
         raise ValueError("need at least 2 labeled paths")
-    report = p_err(problem, cfg)
+    report = p_err(problem)
     n0 = int(round(problem.p0 * n_paths))
     is_alternative = np.arange(n_paths) >= n0
     if report.degenerate:
         decides_alternative = np.full(n_paths, problem.p1 > problem.p0)
     else:
-        rule = build_rule(moments(problem, cfg), problem.p0, problem.p1)
         theta = np.where(is_alternative, problem.theta1, problem.theta0)
         sim = SimConfig(T=problem.horizon, dt=dt, seed=base_seed)
         fractions, energies = observe_paths(
@@ -143,7 +139,7 @@ def error_rate_study(
         )
         statistics = fractions if problem.scheme == "time" else energies
         decides_alternative = np.array(
-            [decide(rule, s) is Decision.D1 for s in statistics.tolist()], dtype=bool
+            [decide(report.rule, s) is Decision.D1 for s in statistics.tolist()], dtype=bool
         )
     errors = int(np.count_nonzero(decides_alternative != is_alternative))
     predicted = report.p_err

@@ -253,8 +253,8 @@ def test_criterion_7_testing_resonance(ou):
     ok = dip is not None and dip[1] < end_lo and dip[1] < end_hi
     detail = (
         f"interior dip={dip}, p_err({lo})={end_lo:.3g}, p_err({hi})={end_hi:.3g}; "
-        f"the Gaussian approximation degenerates as eps -> 0 and sends the left "
-        f"endpoint to ~0, so 'strictly below both endpoints' cannot hold; see README"
+        f"the dip must lie strictly below both endpoints; near eps -> 0 the level is "
+        f"degenerate and p_err reports the prior-guess error min(p0, p1); see README"
     )
     ok = report("7 [testing resonance]", ok, detail)
     assert ok, detail

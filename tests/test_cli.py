@@ -120,6 +120,9 @@ def test_estimate_trajectory_export(tmp_path):
 
 def test_estimate_requires_subthreshold(tmp_path):
     assert run(["estimate", "--theta", "2", "--tau", "1", "--out", tmp_path / "x"]) == 2
+    # a step longer than the horizon is a configuration error, not a traceback
+    assert run(["estimate", "--T", "0.001", "--out", tmp_path / "x"]) == 2
+    assert not (tmp_path / "x" / "estimate.json").exists()
 
 
 def test_estimate_cubic_law(tmp_path):
@@ -227,9 +230,19 @@ def test_test_deterministic(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_validate_minimum_replications(tmp_path):
+def test_validate_minimum_replications(tmp_path, monkeypatch):
+    def no_paths(*args, **kwargs):
+        raise AssertionError("a rejected configuration must simulate no path")
+
+    monkeypatch.setattr("stochres.validate.observe_paths", no_paths)
     assert run(["validate", "--reps", "10", "--out", tmp_path / "v"]) == 2
     assert run(["validate", "--test-paths", "10", "--out", tmp_path / "v"]) == 2
+    # the hypotheses and the step are checked before either study runs
+    for bad in (["--theta1", "2"], ["--theta0", "0.5", "--theta1", "0.5"],
+                ["--theta1", "0.9", "--tau", "0.8"], ["--dt", "300"],
+                ["--test-T", "0.001"]):
+        assert run(["validate", *bad, "--out", tmp_path / "v"]) == 2
+    assert not (tmp_path / "v" / "validate.json").exists()
 
 
 def test_validate_smoke(tmp_path):

@@ -212,6 +212,7 @@ def test_degenerate_noise_level_reports_prior_guess(ou, eps):
     assert report.p_err == 0.5
     assert (report.p_type1, report.p_type2) == (0.0, 1.0)
     assert "z0=" in report.reason and "z1=" in report.reason
+    assert report.rule is None
 
 
 def test_degenerate_prior_guess_follows_larger_prior(ou):
@@ -233,6 +234,8 @@ def test_nondegenerate_noise_level_is_not_flagged(ou):
     report = p_err(problem(ou, eps=0.7))
     assert not report.degenerate and report.reason is None
     assert 0.0 < report.p_err < 0.5
+    # the report carries the rule its error belongs to
+    assert report.rule == build_rule(moments(problem(ou, eps=0.7)), 0.5, 0.5)
 
 
 def test_surface_flags_degenerate_cells(ou):

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochres import Bracket, QuadratureConfig, erf, find_root, integrate_line, maximize_scalar, normal_cdf
+import stochres
+from stochres import Bracket, erf, find_root, integrate_line, maximize_scalar, normal_cdf
+from stochres import numerics
 from stochres.errors import BadBracket, NonConvergence, NonFinite
 
 SQRT_PI = math.sqrt(math.pi)
@@ -103,11 +106,23 @@ def test_split_points_handle_kinks():
     assert val == pytest.approx(2.0, abs=1e-10)
 
 
-def test_quadrature_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_subdivisions=0)
+def test_no_exported_callable_takes_a_quadrature_config():
+    # the tolerances are module constants; only the simulators take a config,
+    # and theirs is a SimConfig
+    offenders = []
+    for name in dir(stochres):
+        obj = getattr(stochres, name)
+        if not (callable(obj) and getattr(obj, "__module__", "").startswith("stochres")):
+            continue
+        if isinstance(obj, type) and issubclass(obj, Exception):
+            continue
+        for param in inspect.signature(obj).parameters.values():
+            annotation = str(param.annotation)
+            if "Quadrature" in annotation or (param.name == "cfg" and annotation != "SimConfig"):
+                offenders.append(f"{name}({param.name}: {annotation})")
+    assert offenders == []
+    assert not hasattr(stochres, "QuadratureConfig")
+    assert (numerics.REL_TOL, numerics.ABS_TOL, numerics.MAX_SUBDIVISIONS) == (1e-9, 1e-12, 200)
 
 
 # ---------------------------------------------------------------------------
