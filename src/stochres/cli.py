@@ -21,7 +21,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateObservation, StochresError
+from .errors import ConfigError, DegenerateObservation, QuadratureFailure, StochresError
 from .estimators import (
     ChannelConfig,
     energy_scheme_variance,
@@ -31,7 +31,7 @@ from .estimators import (
 )
 from .expressions import ExpressionError, compile_expression
 from .laws import NAMED_SPECS, DiffusionSpec, InvariantLaw, build_invariant_law, check_ergodicity
-from .maptest import TestProblem, find_perr_minimum, p_err, p_err_surface
+from .maptest import TestProblem, find_perr_minimum, p_err_surface
 from .numerics import Bracket
 from .resonance import find_resonance, resonance_curve
 from .simulate import SimConfig, observe, perturb, simulate_path
@@ -189,13 +189,14 @@ def _resolve_law(cfg: dict[str, Any]) -> InvariantLaw:
 def _check_positive(cfg: dict[str, Any], keys: Iterable[str]) -> None:
     for key in keys:
         if not cfg[key] > 0:
-            raise ConfigError(f"--{key} must be positive, got {cfg[key]}")
+            raise ConfigError(f"--{key.replace('_', '-')} must be positive, got {cfg[key]}")
 
 
 def _check_step(cfg: dict[str, Any], horizons: Iterable[str]) -> None:
     for key in horizons:
         if not cfg["dt"] <= cfg[key]:
-            raise ConfigError(f"--dt must not exceed --{key}, got dt={cfg['dt']} > {cfg[key]}")
+            flag = "--" + key.replace("_", "-")
+            raise ConfigError(f"--dt must not exceed {flag}, got dt={cfg['dt']} > {cfg[key]}")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -228,7 +229,8 @@ def _cell(v: Any) -> Any:
 
 def cmd_law(cfg: dict[str, Any]) -> None:
     law = _resolve_law(cfg)
-    report = check_ergodicity(law.spec)
+    # a law built from coefficients carries the report its build checked
+    report = law.ergodicity if law.ergodicity is not None else check_ergodicity(law.spec)
     out = Path(cfg["out"])
     _write_json(out / "ergodicity.json", {
         "c2_left_limit": report.c2_left_limit,
@@ -239,7 +241,7 @@ def cmd_law(cfg: dict[str, Any]) -> None:
         "label": law.label,
     })
     grid = _parse_grid(cfg["grid"] or "-4:4:0.01")
-    rows = [(float(x), float(law.f(float(x))), float(law.F(float(x)))) for x in grid]
+    rows = list(zip(grid.tolist(), law.f(grid).tolist(), law.F(grid).tolist()))
     path = _write_table(out / "law", ("x", "f", "F"), rows, cfg["format"])
     print(f"wrote {out / 'ergodicity.json'} and {path} ({len(rows)} rows)")
 
@@ -337,12 +339,8 @@ def cmd_test(cfg: dict[str, Any]) -> None:
         grid_n = 64
         found = find_perr_minimum(cfg["theta0"], theta1, cfg["tau"], cfg["T"], p0, p1,
                                   law, cfg["scheme"], bracket=bracket, grid_n=grid_n)
-        endpoints = []
-        for e in (bracket.lo, bracket.hi):
-            problem = TestProblem(theta0=cfg["theta0"], theta1=theta1, p0=p0, p1=p1,
-                                  tau=cfg["tau"], eps=e, horizon=cfg["T"], law=law,
-                                  scheme=cfg["scheme"])
-            endpoints.append(p_err(problem))
+        if any(r is None for r in found.endpoints):
+            raise QuadratureFailure(f"p_err failed at a bracket end of --grid (theta1={theta1})")
         # a dip within one scan cell of the bracket edge is not resonance
         cell = (bracket.hi - bracket.lo) / grid_n
         interior = [(e, v) for e, v in found.local_minima
@@ -351,8 +349,8 @@ def cmd_test(cfg: dict[str, Any]) -> None:
             "theta1": theta1,
             "eps_star": found.eps_star,
             "p_err_min": found.p_err_min,
-            "p_err_at_bracket": [r.p_err for r in endpoints],
-            "degenerate_at_bracket": [r.degenerate for r in endpoints],
+            "p_err_at_bracket": [r.p_err for r in found.endpoints],
+            "degenerate_at_bracket": [r.degenerate for r in found.endpoints],
             "interior_minima": [{"eps": e, "p_err": v} for e, v in interior],
             "interior_minimum": bool(interior),
             "n_failed": found.n_failed,
@@ -414,9 +412,13 @@ _COMMANDS = {
 }
 
 
+# built once: a parser holds reference cycles that only the cyclic collector frees
+_PARSER = _build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -7,22 +7,26 @@ arbitrary coefficients, and provides the closed-form law for the standard
 mean-reverting (Ornstein-Uhlenbeck) noise, which is Gaussian with mean zero
 and variance 1/2.
 
-Every law carries a node grid and, built lazily on first use, cumulative
-tables on that grid (``LawTables``) from which the asymptotic variances of
-both observation schemes are read in O(1) per noise level.
+Every law carries a node grid and cumulative tables on it (``LawTables``)
+from which the asymptotic variances of both observation schemes are read in
+O(1) per noise level.  For a law built from coefficients the tables are its
+only representation: F, sf and the quantile read them.  scipy is imported
+only at call time, inside ``numerics``, by the adaptive quadrature of the
+ergodicity check and support probes and by the quantile's root finder; the
+closed-form law and every table lookup need none.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, partial
+from statistics import NormalDist
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate, interpolate, special
 
 from .errors import NonConvergence, NotErgodic, QuadratureFailure
-from .numerics import ABS_TOL, MAX_SUBDIVISIONS, REL_TOL, Bracket, find_root, integrate_line
+from .numerics import Bracket, find_root, integrate_interval, integrate_line
 
 __all__ = [
     "DiffusionSpec",
@@ -41,6 +45,12 @@ _EXP_MAX = 700.0  # exp argument above this overflows a double
 
 # 5-point Gauss-Legendre rule, exact through degree 9 polynomials per panel
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(5)
+# Q(u) = int_{-1}^u p, for p the degree-4 polynomial through values at the
+# points _GL_X: _PARTIAL @ values gives Q's coefficients of u^0..u^5, and
+# Q(1) is the Gauss-Legendre sum of the values
+_PARTIAL = np.vstack([(-1.0) ** np.arange(5) / np.arange(1, 6), np.diag(1.0 / np.arange(1, 6))]) @ (
+    np.linalg.inv(np.vander(_GL_X, 5, increasing=True))
+)
 
 # the support ends where the stationary mass falls below this fraction of its peak
 _MASS_FLOOR = 1e-300
@@ -83,9 +93,11 @@ class InvariantLaw:
     """Stationary law: density f, distribution F, survival sf and quantile.
 
     ``sf`` is kept separate from ``1 - F`` so that far tails retain relative
-    accuracy.  ``grid_x`` is the node grid over the numerical support; the
-    variance tables are built on it the first time ``tables`` is read.
-    Instances are immutable apart from that cache and safe to share.
+    accuracy.  ``grid_x`` is the node grid over the numerical support and
+    ``tables`` the cumulative tables of ``f`` on it, built on first use; a
+    law built from coefficients reads its F, sf and quantile from them too,
+    and keeps the ``ergodicity`` report its build checked.  Instances are
+    immutable apart from that cache and safe to share.
     """
 
     f: Callable
@@ -95,13 +107,26 @@ class InvariantLaw:
     G: float
     spec: DiffusionSpec
     grid_x: np.ndarray = field(repr=False, compare=False)
+    # the tables of a density on grid_x, built at the first call with it
+    lazy_tables: Callable[[Callable], "LawTables"] = field(repr=False, compare=False)
     label: str = ""
-    grid_F: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    ergodicity: Optional[ErgodicityReport] = field(default=None, compare=False)
 
-    @cached_property
+    @property
     def tables(self) -> "LawTables":
-        """Cumulative Gauss-Legendre tables of this law on ``grid_x``."""
-        return LawTables(self.grid_x, self.f, _vectorized(self.spec.diffusion))
+        """Cumulative Gauss-Legendre tables of this law's f on ``grid_x``."""
+        return self.lazy_tables(self.f)
+
+
+def _lazy_tables(nodes: np.ndarray, sigma: Callable) -> Callable[[Callable], "LawTables"]:
+    """The tables of a density on ``nodes``, built at the first call with it."""
+    sigma = _vectorized(sigma)
+    return cache(lambda f: LawTables(nodes, f, sigma))
+
+
+def _as_output(out: np.ndarray):
+    """A float for a scalar argument, the array otherwise."""
+    return float(out) if out.ndim == 0 else out
 
 
 def _vectorized(fn: Callable) -> Callable:
@@ -120,12 +145,6 @@ def _vectorized(fn: Callable) -> Callable:
     return wrapped
 
 
-def _exp_clipped(e: float) -> float:
-    if e > _EXP_MAX:
-        return math.inf
-    return math.exp(e)
-
-
 def _drift_over_sq(spec: DiffusionSpec) -> Callable[[float], float]:
     def s(u: float) -> float:
         sig = spec.diffusion(u)
@@ -134,15 +153,16 @@ def _drift_over_sq(spec: DiffusionSpec) -> Callable[[float], float]:
     return s
 
 
-def _quad_finite(fn: Callable[[float], float], lo: float, hi: float) -> float:
-    out = integrate.quad(
-        fn, lo, hi, epsabs=ABS_TOL, epsrel=REL_TOL, limit=MAX_SUBDIVISIONS, full_output=1
-    )
-    if len(out) > 3:
-        raise NonConvergence(f"quadrature failed on ({lo}, {hi}): {out[3]}")
-    if not math.isfinite(out[0]):
-        raise NonConvergence(f"quadrature produced non-finite value on ({lo}, {hi})")
-    return float(out[0])
+def _scalar_mass(spec: DiffusionSpec) -> Callable[[float], float]:
+    """Unnormalized stationary mass at one point, by adaptive quadrature."""
+    s = _drift_over_sq(spec)
+
+    def mass(y: float) -> float:
+        sig = spec.diffusion(y)
+        e = 2.0 * integrate_interval(s, 0.0, y)
+        return (math.exp(e) if e <= _EXP_MAX else math.inf) / (sig * sig)
+
+    return mass
 
 
 def _probe_coefficients(spec: DiffusionSpec, probe_range: Bracket) -> None:
@@ -161,25 +181,22 @@ def check_ergodicity(spec: DiffusionSpec, probe_range: Bracket = _PROBE_RANGE) -
 
     The drift integral is evaluated at the probe endpoints and at half range;
     the condition holds when the integral is negative and still decreasing at
-    the probes.  The normalizer G is computed by quadrature over the line and
-    declared infinite when that integral diverges.
+    the probes.  The normalizer G is computed by adaptive quadrature over the
+    whole line and declared infinite when that integral diverges; a panel sum
+    over a finite grid could not tell an infinite mass (Brownian motion) from
+    a finite one.
     """
     _probe_coefficients(spec, probe_range)
     s = _drift_over_sq(spec)
 
-    left = _quad_finite(s, 0.0, probe_range.lo)
-    right = _quad_finite(s, 0.0, probe_range.hi)
-    left_mid = _quad_finite(s, 0.0, probe_range.lo / 2.0)
-    right_mid = _quad_finite(s, 0.0, probe_range.hi / 2.0)
+    left = integrate_interval(s, 0.0, probe_range.lo)
+    right = integrate_interval(s, 0.0, probe_range.hi)
+    left_mid = integrate_interval(s, 0.0, probe_range.lo / 2.0)
+    right_mid = integrate_interval(s, 0.0, probe_range.hi / 2.0)
 
     c2 = left < min(left_mid, 0.0) and right < min(right_mid, 0.0)
-
-    def mass(y: float) -> float:
-        sig = spec.diffusion(y)
-        return _exp_clipped(2.0 * _quad_finite(s, 0.0, y)) / (sig * sig)
-
     try:
-        G = integrate_line(mass)
+        G = integrate_line(_scalar_mass(spec))
         c3 = math.isfinite(G) and G > 0
     except NonConvergence:
         G = math.inf
@@ -191,35 +208,17 @@ def check_ergodicity(spec: DiffusionSpec, probe_range: Bracket = _PROBE_RANGE) -
     )
 
 
-def _panel_integrals(fn: Callable, nodes: np.ndarray) -> np.ndarray:
-    """Integral of fn over each consecutive panel of ``nodes``."""
-    lo = nodes[:-1]
-    hi = nodes[1:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    pts = mid[:, None] + half[:, None] * _GL_X[None, :]
-    vals = np.asarray(fn(pts.ravel()), dtype=float).reshape(pts.shape)
-    return (vals * _GL_W[None, :]).sum(axis=1) * half
+def _panels(fn: Callable, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """5-point Gauss-Legendre points t on the panels [lo, hi] (which
+    broadcast), and w*fn(t); both have one more axis, of length 5."""
+    half = 0.5 * (np.asarray(hi, dtype=float) - lo)
+    t = (lo + half)[..., None] + half[..., None] * _GL_X
+    return t, half[..., None] * _GL_W * np.asarray(fn(t), dtype=float)
 
 
-def _cumulative_gl(fn: Callable, nodes: np.ndarray) -> np.ndarray:
-    """Prefix integrals of fn along consecutive panels of ``nodes``."""
-    out = np.empty(len(nodes))
-    out[0] = 0.0
-    np.cumsum(_panel_integrals(fn, nodes), out=out[1:])
-    return out
-
-
-def _reverse_cumulative(panels: np.ndarray) -> np.ndarray:
-    """Suffix sums of panel integrals, accumulated from the right.
-
-    Summing from the small end keeps relative accuracy in far tails instead
-    of losing it to cancellation against the bulk mass.
-    """
-    out = np.empty(len(panels) + 1)
-    out[-1] = 0.0
-    out[:-1] = np.cumsum(panels[::-1])[::-1]
-    return out
+def _moments(t: np.ndarray, wf: np.ndarray) -> np.ndarray:
+    """The rule's moments sum(w f t^k), k = 0..2, over the last axis."""
+    return np.stack([wf.sum(-1), (wf * t).sum(-1), (wf * t * t).sum(-1)])
 
 
 def _support_edges(mass: Callable[[float], float]) -> tuple[float, float]:
@@ -282,9 +281,7 @@ def _gauss_panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
     f_t = vals[: t.size].reshape(t.shape)
     wf_t = w * f_t
     wf_s = half_in[..., None] * _GL_W * vals[t.size:].reshape(s.shape)
-    P = np.stack([wf_t.sum(-1), (wf_t * t).sum(-1), (wf_t * t * t).sum(-1)])
-    I = np.stack([wf_s.sum(-1), (wf_s * s).sum(-1), (wf_s * s * s).sum(-1)])
-    return t, w, f_t, P, I
+    return t, w, f_t, _moments(t, wf_t), _moments(s, wf_s)
 
 
 def _second_order_panels(F_t, m_t, f_t, sig2_t, w):
@@ -356,7 +353,7 @@ class LawTables:
         spans = [(j, min(j + _BLOCK, n)) for j in range(0, n, _BLOCK)]
         P = np.empty((3, n))
         for j, k in spans:
-            P[:, j:k] = _gauss_panels(f, x[j:k], x[j + 1 : k + 1])[3]
+            P[:, j:k] = _moments(*_panels(f, x[j:k], x[j + 1 : k + 1]))
         F = np.zeros(n + 1)
         np.cumsum(P[0], out=F[1:])
         m = np.zeros((3, n + 1))
@@ -388,20 +385,27 @@ class LawTables:
     def support(self) -> tuple[float, float]:
         return float(self.x[0]), float(self.x[-1])
 
-    def _panel(self, x: float) -> int:
-        return int(np.searchsorted(self.x, x, side="right")) - 1
+    def _locate(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """x clipped into the support, and the index of its panel."""
+        x = np.clip(np.asarray(x, dtype=float), self.x[0], self.x[-1])
+        return x, np.minimum(np.searchsorted(self.x, x, side="right") - 1, len(self.x) - 2)
 
-    def upper_moments(self, x: float) -> np.ndarray:
-        """(m_0, m_1, m_2)(x) with m_k = E[xi^k 1{xi > x}], at any real x."""
-        if x <= self.x[0]:
-            return self.m[:, 0].copy()
-        if x >= self.x[-1]:
-            return np.zeros(3)
-        i = self._panel(x)
-        half = 0.5 * (self.x[i + 1] - x)
-        t = x + half + half * _GL_X
-        wf = half * _GL_W * np.asarray(self.f(t), dtype=float)
-        return self.m[:, i + 1] + np.array([wf.sum(), wf @ t, wf @ (t * t)])
+    def cdf(self, x):
+        """F(x) at any real x, scalar or array: the prefix F of x's panel plus
+        the partial panel up to x."""
+        x, i = self._locate(x)
+        return _as_output(self.F[i] + _panels(self.f, self.x[i], x)[1].sum(-1))
+
+    def upper_moments(self, x) -> np.ndarray:
+        """(m_0, m_1, m_2)(x) with m_k = E[xi^k 1{xi > x}], at any real x,
+        scalar or array: the suffix tables of the next node plus the partial
+        panel from x."""
+        x, i = self._locate(x)
+        return self.m[:, i + 1] + _moments(*_panels(self.f, x, self.x[i + 1]))
+
+    def sf(self, x):
+        """sf(x) = m_0(x) at any real x, scalar or array."""
+        return _as_output(self.upper_moments(x)[0])
 
     def at(self, x: float) -> LawPoint:
         """Every tabulated quantity at x, strictly inside the support."""
@@ -410,7 +414,7 @@ class LawTables:
             raise QuadratureFailure(
                 f"x={x:.6g} lies outside the tabulated support ({lo:.6g}, {hi:.6g}) of the law"
             )
-        i = self._panel(x)
+        i = int(self._locate(x)[1])
         # panel 0 = [x_i, x] extends the prefix tables, panel 1 = [x, x_i+1] the suffix ones
         t, w, f_t, P, I = _gauss_panels(
             self.f, np.array([self.x[i], x]), np.array([x, self.x[i + 1]])
@@ -436,79 +440,56 @@ class LawTables:
 def build_invariant_law(spec: DiffusionSpec) -> InvariantLaw:
     """Construct the stationary law of a diffusion from its coefficients.
 
-    The distribution function is cached on a dense grid covering the
-    numerical support and interpolated monotonically between nodes; the
-    survival function is accumulated from the right so its far tail keeps
-    relative accuracy.  Raises NotErgodic when the ergodicity probes fail.
+    The law is its ``LawTables`` and nothing else.  The density exponent
+    int_0^x S/sigma^2 is a node prefix of 5-point Gauss-Legendre panels,
+    accumulated outward from 0, plus one partial panel (the integral of the
+    polynomial through the panel's five Gauss values); G is the panel sum of
+    the mass exp(2*exponent)/sigma^2.  F, sf and the quantile (a bracketed
+    root of F or sf) read the tables.  The ergodicity report is kept on the
+    law.  Raises NotErgodic when the ergodicity probes fail.
     """
     report = check_ergodicity(spec)
     if not (report.c2_holds and report.c3_holds):
         raise NotErgodic(
             f"ergodicity checks failed (c2={report.c2_holds}, c3={report.c3_holds}, G={report.G})"
         )
-    G = report.G
-    s = _drift_over_sq(spec)
+    nodes, zero_idx = _node_grid(_scalar_mass(spec))
+    s_array = _vectorized(_drift_over_sq(spec))
+    sigma = _vectorized(spec.diffusion)
+    half = 0.5 * np.diff(nodes)
+    mid = nodes[:-1] + half
+    s_gauss = s_array(mid[:, None] + half[:, None] * _GL_X)
+    # the exponent at the nodes, accumulated outward from 0 so that rounding
+    # stays relative to |exponent|
+    panels = half * (s_gauss @ _GL_W)
+    exponent = np.zeros(len(nodes))
+    np.cumsum(panels[zero_idx:], out=exponent[zero_idx + 1 :])
+    exponent[:zero_idx] = -np.cumsum(panels[:zero_idx][::-1])[::-1]
+    # between nodes: half * Q(u), u = (x - mid)/half, the partial panel of
+    # the polynomial through the panel's five Gauss values of S/sigma^2 (a
+    # fresh Gauss rule on [x_i, x] would call the coefficients five times per
+    # density point, and the tables evaluate the density 35 times per panel)
+    partial = half * (_PARTIAL @ s_gauss.T)
+    last = len(nodes) - 2
 
-    def mass_scalar(y: float) -> float:
-        sig = spec.diffusion(y)
-        return _exp_clipped(2.0 * _quad_finite(s, 0.0, y)) / (sig * sig)
-
-    nodes, zero_idx = _node_grid(mass_scalar)
-
-    s_vec = _vectorized(spec.drift)
-    sig_vec = _vectorized(spec.diffusion)
-
-    def s_array(u):
-        sig = sig_vec(u)
-        return s_vec(u) / (sig * sig)
-
-    exponent = _cumulative_gl(s_array, nodes)
-    exponent -= exponent[zero_idx]
-    exponent_sp = interpolate.CubicSpline(nodes, exponent)
-
-    def density_array(x):
-        x = np.asarray(x, dtype=float)
-        sig = sig_vec(x)
+    def mass(x: np.ndarray) -> np.ndarray:
+        i = np.minimum(np.searchsorted(nodes, x, side="right") - 1, last)
+        u = (x - mid[i]) / half[i]
+        e = partial[5, i]
+        for c in partial[4::-1]:
+            e = e * u + c[i]
+        sig = sigma(x)
         with np.errstate(over="ignore"):
-            out = np.exp(2.0 * exponent_sp(x)) / (sig * sig * G)
-        return out
+            return np.exp(2.0 * (exponent[i] + e)) / (sig * sig)
 
-    lo_f = float(nodes[0])
-    hi_f = float(nodes[-1])
+    G = float(_panels(mass, nodes[:-1], nodes[1:])[1].sum())
+    lo, hi = float(nodes[0]), float(nodes[-1])
 
     def f(x):
         x = np.asarray(x, dtype=float)
-        inside = (x >= lo_f) & (x <= hi_f)
-        out = np.zeros_like(x)
-        if np.any(inside):
-            out[inside] = density_array(x[inside])
-        return float(out) if out.ndim == 0 else out
+        return _as_output(np.where((x >= lo) & (x <= hi), mass(np.clip(x, lo, hi)) / G, 0.0))
 
-    panels = _panel_integrals(density_array, nodes)
-
-    F_nodes = np.empty(len(nodes))
-    F_nodes[0] = 0.0
-    np.cumsum(panels, out=F_nodes[1:])
-    SF_nodes = _reverse_cumulative(panels)
-
-    # slope averaging inside PCHIP overflows harmlessly on subnormal tail increments
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        F_interp = interpolate.PchipInterpolator(nodes, F_nodes)
-        SF_interp = interpolate.PchipInterpolator(nodes, SF_nodes)
-
-    def F(x):
-        x = np.asarray(x, dtype=float)
-        out = np.clip(F_interp(np.clip(x, lo_f, hi_f)), 0.0, None)
-        out = np.where(x < lo_f, 0.0, out)
-        out = np.where(x > hi_f, F_nodes[-1], out)
-        return float(out) if out.ndim == 0 else out
-
-    def sf(x):
-        x = np.asarray(x, dtype=float)
-        out = np.clip(SF_interp(np.clip(x, lo_f, hi_f)), 0.0, None)
-        out = np.where(x < lo_f, SF_nodes[0], out)
-        out = np.where(x > hi_f, 0.0, out)
-        return float(out) if out.ndim == 0 else out
+    tables = _lazy_tables(nodes, spec.diffusion)
 
     def quantile(p: float) -> float:
         if not 0.0 < p < 1.0:
@@ -516,65 +497,62 @@ def build_invariant_law(spec: DiffusionSpec) -> InvariantLaw:
         # the lower tail of F and the upper tail of sf carry relative
         # accuracy; solve against whichever side resolves p
         if p <= 0.5:
-            g = lambda x: F(x) - p
+            g = lambda x: tables(f).cdf(x) - p
         else:
             q = 1.0 - p
-            g = lambda x: q - sf(x)
+            g = lambda x: q - tables(f).sf(x)
         q_lo, q_hi = -1.0, 1.0
-        while g(q_lo) > 0.0 and q_lo > lo_f:
-            q_lo = max(q_lo * 2.0, lo_f)
-        while g(q_hi) < 0.0 and q_hi < hi_f:
-            q_hi = min(q_hi * 2.0, hi_f)
+        while g(q_lo) > 0.0 and q_lo > lo:
+            q_lo = max(q_lo * 2.0, lo)
+        while g(q_hi) < 0.0 and q_hi < hi:
+            q_hi = min(q_hi * 2.0, hi)
         return find_root(g, Bracket(q_lo, q_hi), tol=1e-12)
 
     return InvariantLaw(
         f=f,
-        F=F,
-        sf=sf,
+        F=lambda x: tables(f).cdf(x),
+        sf=lambda x: tables(f).sf(x),
         quantile=quantile,
         G=G,
         spec=spec,
         grid_x=nodes,
         label=spec.label or "custom",
-        grid_F=F_nodes,
+        ergodicity=report,
+        lazy_tables=tables,
     )
+
+
+def _half_erfc(x, sign: float = 1.0):
+    """erfc(sign * x)/2 for a scalar or an array."""
+    if isinstance(x, (int, float)):
+        return 0.5 * math.erfc(sign * x)
+    return _as_output(0.5 * np.vectorize(math.erfc, otypes=[float])(sign * np.asarray(x, dtype=float)))
 
 
 def ou_law() -> InvariantLaw:
     """Closed-form stationary law of the standard mean-reverting noise.
 
     The law is Gaussian with mean zero and variance 1/2: density
-    exp(-x^2)/sqrt(pi), distribution (1 + erf(x))/2.  Its node grid follows
-    the support rule of ``build_invariant_law`` applied to exp(-x^2).
+    exp(-x^2)/sqrt(pi), distribution erfc(-x)/2, survival erfc(x)/2 and the
+    Gaussian quantile.  Its node grid follows the support rule of
+    ``build_invariant_law`` applied to exp(-x^2).
     """
     spec = DiffusionSpec(drift=lambda x: -x, diffusion=lambda x: x * 0.0 + 1.0, label="ou")
 
     def f(x):
-        out = np.exp(-np.square(np.asarray(x, dtype=float))) / _SQRT_PI
-        return float(out) if out.ndim == 0 else out
+        return _as_output(np.exp(-np.square(np.asarray(x, dtype=float))) / _SQRT_PI)
 
-    def F(x):
-        out = 0.5 * special.erfc(-np.asarray(x, dtype=float))
-        return float(out) if out.ndim == 0 else out
-
-    def sf(x):
-        out = 0.5 * special.erfc(np.asarray(x, dtype=float))
-        return float(out) if out.ndim == 0 else out
-
-    def quantile(p: float) -> float:
-        if not 0.0 < p < 1.0:
-            raise ValueError("quantile is defined on (0, 1)")
-        return float(special.erfinv(2.0 * p - 1.0))
-
+    nodes = _node_grid(lambda y: math.exp(-y * y))[0]
     return InvariantLaw(
         f=f,
-        F=F,
-        sf=sf,
-        quantile=quantile,
+        F=partial(_half_erfc, sign=-1.0),
+        sf=_half_erfc,
+        quantile=NormalDist(0.0, math.sqrt(0.5)).inv_cdf,
         G=_SQRT_PI,
         spec=spec,
-        grid_x=_node_grid(lambda y: math.exp(-y * y))[0],
+        grid_x=nodes,
         label="ou",
+        lazy_tables=_lazy_tables(nodes, spec.diffusion),
     )
 
 

@@ -430,7 +430,9 @@ class PerrMinimum:
     """Result of ``find_perr_minimum``.
 
     ``n_failed`` counts evaluated noise levels without a value,
-    ``n_degenerate`` those that took the prior-guess error.
+    ``n_degenerate`` those that took the prior-guess error.  ``endpoints``
+    holds the reports at the two bracket ends, taken from the scan grid,
+    whose first and last points are the ends (None where that level failed).
     """
 
     eps_star: float
@@ -438,6 +440,7 @@ class PerrMinimum:
     local_minima: list[tuple[float, float]]
     n_failed: int
     n_degenerate: int
+    endpoints: tuple[Optional[ErrorReport], Optional[ErrorReport]]
 
 
 def find_perr_minimum(
@@ -469,6 +472,7 @@ def find_perr_minimum(
     ceiling = min(p0, p1)
     failures = [0]
     degenerate: list[float] = []
+    endpoints: dict[float, ErrorReport] = {}
 
     def objective(eps: float) -> float:
         problem = TestProblem(
@@ -489,6 +493,8 @@ def find_perr_minimum(
             return -ceiling
         if report.degenerate:
             degenerate.append(eps)
+        if eps in (bracket.lo, bracket.hi):
+            endpoints[eps] = report
         return -report.p_err
 
     result = maximize_scalar(objective, bracket, grid_n=grid_n, tol=tol)
@@ -504,4 +510,5 @@ def find_perr_minimum(
         local_minima=local,
         n_failed=failures[0],
         n_degenerate=len(degenerate),
+        endpoints=(endpoints.get(bracket.lo), endpoints.get(bracket.hi)),
     )

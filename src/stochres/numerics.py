@@ -1,7 +1,10 @@
-"""Shared numerical kernels: quadrature over the real line, root finding,
-scalar maximization and the error-function family.
+"""Shared numerical kernels: adaptive quadrature, root finding, scalar
+maximization and the error-function family.
 
-All functions here are pure and safe for concurrent use.
+scipy is imported only inside the functions that call it (QUADPACK in
+``integrate_interval``, Brent's method in ``find_root``), so importing the
+package loads no scipy module.  All functions here are pure and safe for
+concurrent use.
 """
 from __future__ import annotations
 
@@ -10,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import BadBracket, NonConvergence, NonFinite
 
@@ -21,6 +23,7 @@ __all__ = [
     "MAX_SUBDIVISIONS",
     "erf",
     "normal_cdf",
+    "integrate_interval",
     "integrate_line",
     "find_root",
     "maximize_scalar",
@@ -71,16 +74,29 @@ def _t_of_x(x: float) -> float:
     return (math.sqrt(1.0 + 4.0 * x * x) - 1.0) / (2.0 * x)
 
 
+def integrate_interval(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Integrate f over the finite interval [lo, hi] by adaptive quadrature.
+
+    Raises NonConvergence when the MAX_SUBDIVISIONS budget runs out before
+    the REL_TOL / ABS_TOL tolerance is met, or when the result is not finite.
+    """
+    from scipy.integrate import quad
+
+    out = quad(f, lo, hi, epsabs=ABS_TOL, epsrel=REL_TOL, limit=MAX_SUBDIVISIONS, full_output=1)
+    if len(out) > 3:
+        raise NonConvergence(f"quadrature failed on ({lo}, {hi}): {out[3]}")
+    if not math.isfinite(out[0]):
+        raise NonConvergence(f"quadrature produced non-finite value on ({lo}, {hi})")
+    return float(out[0])
+
+
 def integrate_line(f: Callable[[float], float], *, split_at: Sequence[float] = ()) -> float:
     """Integrate f over the whole real line.
 
     The line is mapped onto (-1, 1) by the smooth substitution x = t/(1-t^2)
-    and each segment is handled by adaptive quadrature.  ``split_at`` lists
+    and each segment goes through ``integrate_interval``.  ``split_at`` lists
     interior points where the integrand has kinks or jumps; splitting there
     keeps the adaptive scheme efficient and reliable.
-
-    Raises NonConvergence when the MAX_SUBDIVISIONS budget runs out before
-    the REL_TOL / ABS_TOL tolerance is met, or when the result is not finite.
     """
     cuts = sorted({_t_of_x(p) for p in split_at if math.isfinite(p)})
     edges = [-1.0] + [t for t in cuts if -1.0 < t < 1.0] + [1.0]
@@ -91,23 +107,7 @@ def integrate_line(f: Callable[[float], float], *, split_at: Sequence[float] = (
         jac = (1.0 + t * t) / (one_minus * one_minus)
         return f(x) * jac
 
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        out = integrate.quad(
-            g,
-            lo,
-            hi,
-            epsabs=ABS_TOL,
-            epsrel=REL_TOL,
-            limit=MAX_SUBDIVISIONS,
-            full_output=1,
-        )
-        if len(out) > 3:
-            raise NonConvergence(f"quadrature failed on segment ({lo}, {hi}): {out[3]}")
-        if not math.isfinite(out[0]):
-            raise NonConvergence(f"quadrature produced non-finite value on segment ({lo}, {hi})")
-        total += out[0]
-    return total
+    return sum(integrate_interval(g, lo, hi) for lo, hi in zip(edges[:-1], edges[1:]))
 
 
 def find_root(g: Callable[[float], float], bracket: Bracket, tol: float = 1e-10) -> float:
@@ -129,7 +129,9 @@ def find_root(g: Callable[[float], float], bracket: Bracket, tol: float = 1e-10)
         raise BadBracket(
             f"no sign change on [{bracket.lo}, {bracket.hi}]: g(lo)={glo:.6g}, g(hi)={ghi:.6g}"
         )
-    return float(optimize.brentq(g, bracket.lo, bracket.hi, xtol=tol))
+    from scipy.optimize import brentq
+
+    return float(brentq(g, bracket.lo, bracket.hi, xtol=tol))
 
 
 class MaximizeResult(NamedTuple):

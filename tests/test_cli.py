@@ -4,7 +4,9 @@ import math
 
 import pytest
 
+from stochres import cli, maptest
 from stochres.cli import main
+from stochres.errors import QuadratureFailure
 
 
 def run(args):
@@ -45,6 +47,31 @@ def test_law_custom_cubic_drift(tmp_path):
     assert report["c2_holds"] and report["c3_holds"]
     header, rows = read_csv(out / "law.csv")
     assert len(rows) == 9
+
+
+def test_law_reports_the_build_check(tmp_path, monkeypatch):
+    # a grid-built law carries the ergodicity report its build computed;
+    # only the closed-form law is checked by the command itself
+    from stochres import ou_law
+
+    checked = []
+    original = cli.check_ergodicity
+    monkeypatch.setattr(cli, "check_ergodicity", lambda spec: checked.append(spec) or original(spec))
+    assert run(["law", "--drift=-x", "--sigma", "1", "--grid=-1:1:0.5", "--out", tmp_path / "x"]) == 0
+    assert checked == []
+    report = json.loads((tmp_path / "x" / "ergodicity.json").read_text())
+    assert report["G"] == pytest.approx(math.sqrt(math.pi), rel=1e-9) and report["c3_holds"]
+    assert run(["law", "--noise", "ou", "--grid=-1:1:0.5", "--out", tmp_path / "ou"]) == 0
+    assert len(checked) == 1 and checked[0].label == ou_law().spec.label
+
+
+def test_main_reuses_one_parser(tmp_path, monkeypatch):
+    def no_parser():
+        raise AssertionError("main must not build a parser per call")
+
+    monkeypatch.setattr(cli, "_build_parser", no_parser)
+    assert run(["law", "--grid=-1:1:0.5", "--out", tmp_path / "a"]) == 0
+    assert run(["law", "--grid=-1:1:0.5", "--out", tmp_path / "b"]) == 0
 
 
 def test_law_json_format(tmp_path):
@@ -216,6 +243,23 @@ def test_test_rejects_degenerate_prior(tmp_path):
     assert run(["test", "--p0", "0", "--out", tmp_path / "t"]) == 2
 
 
+def test_test_fails_when_a_bracket_end_fails(tmp_path, monkeypatch, capsys):
+    # minima.json reports p_err at both bracket ends, so a failed end fails the command
+    real = maptest.p_err
+
+    def p_err(problem):
+        if problem.eps == 1.0:
+            raise QuadratureFailure("forced")
+        return real(problem)
+
+    monkeypatch.setattr(maptest, "p_err", p_err)
+    out = tmp_path / "t"
+    args = ["test", "--T", "100", "--grid", "0.3:1.0:0.35", "--theta-grid", "0.4:0.6:0.2"]
+    assert run(args + ["--out", out]) == 1
+    assert "bracket end" in capsys.readouterr().err
+    assert not (out / "minima.json").exists()
+
+
 def test_test_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     args = ["test", "--T", "100", "--grid", "0.3:1.0:0.35", "--theta-grid", "0.4:0.6:0.2"]
@@ -243,6 +287,16 @@ def test_validate_minimum_replications(tmp_path, monkeypatch):
                 ["--test-T", "0.001"]):
         assert run(["validate", *bad, "--out", tmp_path / "v"]) == 2
     assert not (tmp_path / "v" / "validate.json").exists()
+
+
+@pytest.mark.parametrize("bad, message", [
+    (["--test-T", "0"], "error: --test-T must be positive"),
+    (["--test-eps", "-1"], "error: --test-eps must be positive"),
+    (["--test-T", "0.001"], "error: --dt must not exceed --test-T"),
+])
+def test_validate_errors_name_the_flag(tmp_path, capsys, bad, message):
+    assert run(["validate", *bad, "--out", tmp_path / "v"]) == 2
+    assert capsys.readouterr().err.startswith(message)
 
 
 def test_validate_smoke(tmp_path):

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stochres
 from stochres import (
     Bracket,
     DiffusionSpec,
@@ -75,7 +80,7 @@ def test_density_normalization(ou_numeric):
 def test_density_is_cdf_derivative(ou, ou_numeric):
     # numeric law: central differences on its own cache nodes
     nodes = ou_numeric.grid_x
-    F_nodes = ou_numeric.grid_F
+    F_nodes = ou_numeric.F(nodes)
     inner = (nodes > -4.0) & (nodes < 4.0)
     idx = np.flatnonzero(inner)[1:-1]
     fd = (F_nodes[idx + 1] - F_nodes[idx - 1]) / (nodes[idx + 1] - nodes[idx - 1])
@@ -167,3 +172,52 @@ def test_second_order_lookup_needs_support(ou):
     for x in (lo, hi, 100.0):
         with pytest.raises(QuadratureFailure):
             ou.tables.at(x)
+
+
+def test_grid_law_matches_closed_form_between_nodes(ou, ou_numeric):
+    # F, sf and quantile read the tables plus one partial panel, so the law
+    # rebuilt from -x, 1 is the closed form to rounding, not only at nodes
+    nodes = ou_numeric.grid_x
+    inner = nodes[(nodes >= -8.0) & (nodes < 8.0)]
+    xs = np.concatenate([inner + frac * np.diff(nodes)[0] for frac in (0.13, 0.5, 0.91)])
+    np.testing.assert_allclose(ou_numeric.F(xs), ou.F(xs), rtol=1e-11, atol=0.0)
+    np.testing.assert_allclose(ou_numeric.sf(xs), ou.sf(xs), rtol=1e-11, atol=0.0)
+    np.testing.assert_allclose(ou_numeric.f(xs), ou.f(xs), rtol=1e-11, atol=0.0)
+    ps = np.concatenate([np.geomspace(1e-10, 0.5, 60), 1.0 - np.geomspace(1e-10, 0.5, 60)[:-1]])
+    for p in ps:
+        assert abs(ou_numeric.quantile(float(p)) - ou.quantile(float(p))) <= 1e-11
+
+
+def test_grid_law_reads_its_tables(ou_numeric):
+    # one representation: F and sf at the nodes are the tables' prefix and suffix
+    tables = ou_numeric.tables
+    np.testing.assert_array_equal(ou_numeric.F(tables.x), tables.F)
+    np.testing.assert_array_equal(ou_numeric.sf(tables.x), tables.m[0])
+    assert ou_numeric.G == pytest.approx(SQRT_PI, rel=1e-13)
+    assert ou_numeric.ergodicity.c3_holds and ou_numeric.ergodicity.G == pytest.approx(SQRT_PI, rel=1e-9)
+
+
+def test_closed_form_law_accepts_arrays(ou):
+    xs = np.array([-30.0, -1.5, 0.0, 2.0, 30.0])
+    expected_F = [0.5 * math.erfc(-x) for x in xs]
+    np.testing.assert_array_equal(ou.F(xs), expected_F)
+    np.testing.assert_array_equal(ou.sf(xs), [0.5 * math.erfc(x) for x in xs])
+    assert [float(ou.F(x)) for x in xs] == expected_F
+    assert ou.quantile(1e-300) == pytest.approx(-26.2, abs=0.1)
+
+
+def test_import_path_loads_no_scipy():
+    # the closed-form law and its variance tables need no scipy; only the
+    # adaptive quadrature and root finder import it, when called
+    code = (
+        "import sys\n"
+        "import stochres\n"
+        "law = stochres.ou_law()\n"
+        "stochres.find_resonance(0.5, 1.0, law, 'time')\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(stochres.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

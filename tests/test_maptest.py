@@ -256,6 +256,16 @@ def test_perr_minimum_ignores_degenerate_levels(ou):
 
 
 @pytest.mark.parametrize("scheme", ["time", "energy"])
+def test_perr_minimum_carries_bracket_endpoints(ou, scheme):
+    # the scan evaluates both bracket ends; their reports come with the result
+    found = find_perr_minimum(0.0, 0.5, 1.0, 100.0, 0.5, 0.5, ou, scheme,
+                              bracket=Bracket(0.1, 3.0))
+    lo, hi = found.endpoints
+    assert lo == p_err(problem(ou, eps=0.1, scheme=scheme)) and lo.degenerate
+    assert hi == p_err(problem(ou, eps=3.0, scheme=scheme)) and not hi.degenerate
+
+
+@pytest.mark.parametrize("scheme", ["time", "energy"])
 @pytest.mark.parametrize("horizon", [50.0, 100.0, 1000.0])
 def test_no_minimum_next_to_degenerate_level(ou, scheme, horizon):
     # a minimum beside a degenerate level is where the Gaussian
