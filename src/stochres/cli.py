@@ -336,23 +336,18 @@ def cmd_test(cfg: dict[str, Any]) -> None:
         if not cfg["theta0"] < theta1 < cfg["tau"]:
             minima.append({"theta1": theta1, "skipped": True})
             continue
-        grid_n = 64
         found = find_perr_minimum(cfg["theta0"], theta1, cfg["tau"], cfg["T"], p0, p1,
-                                  law, cfg["scheme"], bracket=bracket, grid_n=grid_n)
+                                  law, cfg["scheme"], bracket=bracket)
         if any(r is None for r in found.endpoints):
             raise QuadratureFailure(f"p_err failed at a bracket end of --grid (theta1={theta1})")
-        # a dip within one scan cell of the bracket edge is not resonance
-        cell = (bracket.hi - bracket.lo) / grid_n
-        interior = [(e, v) for e, v in found.local_minima
-                    if bracket.lo + cell < e < bracket.hi - cell]
         minima.append({
             "theta1": theta1,
             "eps_star": found.eps_star,
             "p_err_min": found.p_err_min,
             "p_err_at_bracket": [r.p_err for r in found.endpoints],
             "degenerate_at_bracket": [r.degenerate for r in found.endpoints],
-            "interior_minima": [{"eps": e, "p_err": v} for e, v in interior],
-            "interior_minimum": bool(interior),
+            "interior_minima": [{"eps": e, "p_err": v} for e, v in found.local_minima],
+            "interior_minimum": bool(found.local_minima),
             "n_failed": found.n_failed,
             "n_degenerate": found.n_degenerate,
         })

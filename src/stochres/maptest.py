@@ -3,7 +3,9 @@
 Under either observation scheme the statistic is asymptotically Gaussian
 with hypothesis-dependent mean and variance, so the posterior comparison
 reduces to interval rules on the statistic.  Three cases arise from the
-variance ordering; each carries a closed-form overall error probability.
+variance ordering.  Each is one interval, inside or outside which the rule
+decides D1; ``decide`` and ``error_report`` both read it, and each error
+probability is summed from its own Gaussian tails.
 
 Both statistics are nonnegative.  When the Gaussian approximation puts
 the boundary 0 within ``DEGENERATE_Z`` = 2 standard deviations of the
@@ -28,7 +30,7 @@ from .estimators import (
     time_fraction_limit,
 )
 from .laws import InvariantLaw
-from .numerics import Bracket, maximize_scalar, normal_cdf
+from .numerics import SCAN_CELLS, Bracket, maximize_scalar, normal_cdf
 
 __all__ = [
     "Decision",
@@ -115,19 +117,19 @@ class DecisionRule:
     """Interval form of the posterior comparison.
 
     case_id 1: null variance larger; reject the null inside (gamma_lo, gamma_hi).
-    case_id 2: alternative variance larger; accept the null inside the interval.
+    case_id 2: alternative variance larger; reject the null outside the
+    interval (case 1 with the hypotheses relabelled).
     case_id 3: equal variances; single cut gamma_single, reject on the side
     where the alternative mean lies (``alt_on_high``).
-    A negative discriminant in cases 1/2 collapses the rule to a constant
-    decision.
+    A negative discriminant (``delta`` <= 0) in cases 1/2 leaves no cuts, an
+    empty interval: case 1 always accepts the null, case 2 always rejects it.
     """
 
     case_id: int
-    delta: Optional[float]
-    gamma_lo: Optional[float]
-    gamma_hi: Optional[float]
-    gamma_single: Optional[float]
-    accept_h0_region: str
+    delta: Optional[float] = None
+    gamma_lo: Optional[float] = None
+    gamma_hi: Optional[float] = None
+    gamma_single: Optional[float] = None
     alt_on_high: bool = True
 
 
@@ -135,6 +137,9 @@ class DecisionRule:
 class ErrorReport:
     """Overall error probability and its two conditional components.
 
+    ``p_type1`` is the null mass of the set where ``rule`` decides D1 and
+    ``p_type2`` the alternative mass of its complement, each summed from
+    Gaussian tails, so an error far in a tail is small but not 0.
     ``rule`` is the decision rule the probabilities belong to.
     ``degenerate`` marks a noise level where the Gaussian approximation
     reaches the statistic's boundary 0 under both hypotheses; the report
@@ -187,11 +192,10 @@ def build_rule(m: GaussianMoments, p0: float, p1: float) -> DecisionRule:
 
     Near-equal variances (relative difference below 1e-12) use the single-cut
     case: the two-cut formulas divide by the variance difference and lose all
-    precision there, while the single cut is their well-defined limit.
+    precision there, while the single cut is their well-defined limit.  Case 2
+    runs the case-1 formulas on the relabelled hypotheses.
     """
-    s0, s1 = math.sqrt(m.s0sq), math.sqrt(m.s1sq)
     if abs(m.s0sq - m.s1sq) <= _VAR_EQUAL_RTOL * max(m.s0sq, m.s1sq):
-        alt_on_high = m.mu1 >= m.mu0
         if m.mu1 == m.mu0:
             # identical Gaussians: pick the larger prior everywhere
             gamma = math.inf if p0 >= p1 else -math.inf
@@ -200,110 +204,57 @@ def build_rule(m: GaussianMoments, p0: float, p1: float) -> DecisionRule:
             gamma = (m.mu1**2 - m.mu0**2 + 2.0 * m.s0sq * math.log(p0 / p1)) / (
                 2.0 * (m.mu1 - m.mu0)
             )
-        side = "<=" if alt_on_high else ">="
-        return DecisionRule(
-            case_id=3,
-            delta=None,
-            gamma_lo=None,
-            gamma_hi=None,
-            gamma_single=gamma,
-            accept_h0_region=f"statistic {side} {gamma:.6g}",
-            alt_on_high=alt_on_high,
-        )
-
-    if m.s0sq > m.s1sq:
-        s2sq = m.s0sq - m.s1sq
-        delta = (m.mu0 - m.mu1) ** 2 - 2.0 * s2sq * math.log(p0 * s1 / (p1 * s0))
-        if delta <= 0:
-            return DecisionRule(
-                case_id=1,
-                delta=delta,
-                gamma_lo=None,
-                gamma_hi=None,
-                gamma_single=None,
-                accept_h0_region="always (negative discriminant)",
-            )
-        root = s0 * s1 * math.sqrt(delta)
-        gamma_lo = (m.mu1 * m.s0sq - m.mu0 * m.s1sq - root) / s2sq
-        gamma_hi = (m.mu1 * m.s0sq - m.mu0 * m.s1sq + root) / s2sq
-        return DecisionRule(
-            case_id=1,
-            delta=delta,
-            gamma_lo=gamma_lo,
-            gamma_hi=gamma_hi,
-            gamma_single=None,
-            accept_h0_region=f"statistic outside ({gamma_lo:.6g}, {gamma_hi:.6g})",
-        )
-
-    s2sq = m.s1sq - m.s0sq
-    delta = (m.mu0 - m.mu1) ** 2 - 2.0 * s2sq * math.log(p1 * s0 / (p0 * s1))
+        return DecisionRule(case_id=3, gamma_single=gamma, alt_on_high=m.mu1 >= m.mu0)
+    case_id = 1
+    if m.s1sq > m.s0sq:
+        # the same cuts with the hypotheses swapped; D1 now lies outside them
+        m, p0, p1, case_id = m.swapped(), p1, p0, 2
+    s0, s1 = math.sqrt(m.s0sq), math.sqrt(m.s1sq)
+    s2sq = m.s0sq - m.s1sq
+    delta = (m.mu0 - m.mu1) ** 2 - 2.0 * s2sq * math.log(p0 * s1 / (p1 * s0))
     if delta <= 0:
-        return DecisionRule(
-            case_id=2,
-            delta=delta,
-            gamma_lo=None,
-            gamma_hi=None,
-            gamma_single=None,
-            accept_h0_region="never (negative discriminant)",
-        )
+        return DecisionRule(case_id=case_id, delta=delta)
     root = s0 * s1 * math.sqrt(delta)
-    gamma_lo = (m.mu0 * m.s1sq - m.mu1 * m.s0sq - root) / s2sq
-    gamma_hi = (m.mu0 * m.s1sq - m.mu1 * m.s0sq + root) / s2sq
     return DecisionRule(
-        case_id=2,
+        case_id=case_id,
         delta=delta,
-        gamma_lo=gamma_lo,
-        gamma_hi=gamma_hi,
-        gamma_single=None,
-        accept_h0_region=f"statistic inside ({gamma_lo:.6g}, {gamma_hi:.6g})",
+        gamma_lo=(m.mu1 * m.s0sq - m.mu0 * m.s1sq - root) / s2sq,
+        gamma_hi=(m.mu1 * m.s0sq - m.mu0 * m.s1sq + root) / s2sq,
     )
+
+
+def _d1_interval(rule: DecisionRule) -> tuple[float, float, bool]:
+    """(lo, hi, inside): the rule decides D1 exactly where lo < s < hi holds
+    (inside) or fails (outside).  A negative discriminant is the empty
+    interval (inf, inf)."""
+    if rule.case_id == 3:
+        g = rule.gamma_single
+        return (g, math.inf, True) if rule.alt_on_high else (-math.inf, g, True)
+    lo, hi = (rule.gamma_lo, rule.gamma_hi) if rule.delta > 0 else (math.inf, math.inf)
+    return lo, hi, rule.case_id == 1
 
 
 def decide(rule: DecisionRule, statistic: float) -> Decision:
     """Apply the interval rule; D1 means the alternative wins the posterior."""
-    if rule.case_id == 3:
-        if rule.alt_on_high:
-            return Decision.D1 if statistic > rule.gamma_single else Decision.D0
-        return Decision.D1 if statistic < rule.gamma_single else Decision.D0
-    if rule.delta is not None and rule.delta <= 0:
-        return Decision.D0 if rule.case_id == 1 else Decision.D1
-    inside = rule.gamma_lo < statistic < rule.gamma_hi
-    if rule.case_id == 1:
-        return Decision.D1 if inside else Decision.D0
-    return Decision.D0 if inside else Decision.D1
+    lo, hi, inside = _d1_interval(rule)
+    return Decision.D1 if (lo < statistic < hi) == inside else Decision.D0
 
 
-def _interval_mass(lo: float, hi: float, mu: float, sd: float) -> float:
-    return normal_cdf((hi - mu) / sd) - normal_cdf((lo - mu) / sd)
+def _mass(lo: float, hi: float, inside: bool, mu: float, sd: float) -> float:
+    """Gaussian mass inside or outside (lo, hi), summed from its own tails
+    (the upper ones for an interval above the mean)."""
+    a, b = (lo - mu) / sd, (hi - mu) / sd
+    if not inside:
+        return normal_cdf(a) + normal_cdf(-b)
+    return normal_cdf(b) - normal_cdf(a) if a <= 0 else normal_cdf(-a) - normal_cdf(-b)
 
 
 def error_report(m: GaussianMoments, p0: float, p1: float) -> ErrorReport:
     """Conditional error probabilities of the rule built from these moments."""
     rule = build_rule(m, p0, p1)
-    s0, s1 = math.sqrt(m.s0sq), math.sqrt(m.s1sq)
-    if rule.case_id == 3:
-        g = rule.gamma_single
-        if not math.isfinite(g):
-            t1 = 1.0 if g == -math.inf else 0.0
-            t2 = 0.0 if g == -math.inf else 1.0
-        elif rule.alt_on_high:
-            t1 = 1.0 - normal_cdf((g - m.mu0) / s0)
-            t2 = normal_cdf((g - m.mu1) / s1)
-        else:
-            t1 = normal_cdf((g - m.mu0) / s0)
-            t2 = 1.0 - normal_cdf((g - m.mu1) / s1)
-    elif rule.case_id == 1:
-        if rule.delta <= 0:
-            t1, t2 = 0.0, 1.0
-        else:
-            t1 = _interval_mass(rule.gamma_lo, rule.gamma_hi, m.mu0, s0)
-            t2 = 1.0 - _interval_mass(rule.gamma_lo, rule.gamma_hi, m.mu1, s1)
-    else:
-        if rule.delta <= 0:
-            t1, t2 = 1.0, 0.0
-        else:
-            t1 = 1.0 - _interval_mass(rule.gamma_lo, rule.gamma_hi, m.mu0, s0)
-            t2 = _interval_mass(rule.gamma_lo, rule.gamma_hi, m.mu1, s1)
+    lo, hi, inside = _d1_interval(rule)
+    t1 = _mass(lo, hi, inside, m.mu0, math.sqrt(m.s0sq))
+    t2 = _mass(lo, hi, not inside, m.mu1, math.sqrt(m.s1sq))
     return ErrorReport(p_err=t1 * p0 + t2 * p1, p_type1=t1, p_type2=t2, rule=rule)
 
 
@@ -454,18 +405,19 @@ def find_perr_minimum(
     scheme: Scheme = "time",
     bracket: Bracket = Bracket(0.05, 3.0),
     tol: float = 1e-4,
-    grid_n: int = 64,
 ) -> PerrMinimum:
     """Minimize the overall error probability over the noise level.
 
     Degenerate noise levels (see ``p_err``) and failed ones evaluate to
     min(p0, p1), the error of guessing by prior alone, which is both the
     genuine limit at the bracket edges and never spuriously optimal.
-    ``local_minima`` lists every interior local minimum except edges: a
-    minimum with a degenerate noise level within one scan cell sits where
-    the Gaussian approximation starts, not in a dip, and is dropped.  The
-    list may be empty.  ``eps_star`` is the lowest error found, edges and
-    bracket endpoints included.
+    ``local_minima`` lists the interior local minima of a scan of
+    ``SCAN_CELLS`` cells.  Two kinds of minimum are dropped: one within a
+    scan cell of either bracket end, which is the edge of the search and not
+    a dip, and one with a degenerate noise level within a scan cell, which
+    sits where the Gaussian approximation starts.  The list may be empty.
+    ``eps_star`` is the lowest error found, dropped minima and bracket
+    endpoints included.
     """
     if bracket.lo <= 0:
         raise ValueError("noise bracket must be positive")
@@ -497,12 +449,13 @@ def find_perr_minimum(
             endpoints[eps] = report
         return -report.p_err
 
-    result = maximize_scalar(objective, bracket, grid_n=grid_n, tol=tol)
-    cell = (bracket.hi - bracket.lo) / grid_n
+    result = maximize_scalar(objective, bracket, tol=tol)
+    cell = (bracket.hi - bracket.lo) / SCAN_CELLS
     local = [
         (x, -v)
         for x, v in result.local_maxima
-        if not any(abs(x - d) <= cell for d in degenerate)
+        if bracket.lo + cell < x < bracket.hi - cell
+        and not any(abs(x - d) <= cell for d in degenerate)
     ]
     return PerrMinimum(
         eps_star=result.x_star,

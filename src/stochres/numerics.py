@@ -21,6 +21,7 @@ __all__ = [
     "REL_TOL",
     "ABS_TOL",
     "MAX_SUBDIVISIONS",
+    "SCAN_CELLS",
     "erf",
     "normal_cdf",
     "integrate_interval",
@@ -36,6 +37,9 @@ _SQRT2 = math.sqrt(2.0)
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
 MAX_SUBDIVISIONS = 200
+
+# cells of the coarse scan that seeds every maximize_scalar call
+SCAN_CELLS = 64
 
 
 @dataclass(frozen=True)
@@ -171,31 +175,28 @@ def _checked(h: Callable[[float], float], x: float) -> float:
 def maximize_scalar(
     h: Callable[[float], float],
     bracket: Bracket,
-    grid_n: int = 64,
     tol: float = 1e-6,
 ) -> MaximizeResult:
     """Locate the global maximum of h on a bracket, reporting every interior peak.
 
-    A coarse grid scan locates candidate peaks; each candidate is refined by
-    golden-section search.  Several interior maxima may be reported, which is
-    how multi-peaked objectives are detected.  The global maximizer is chosen
-    among the refined peaks and the bracket endpoints.
+    A scan of SCAN_CELLS equal cells locates candidate peaks; each candidate
+    is refined by golden-section search.  Several interior maxima may be
+    reported, which is how multi-peaked objectives are detected.  The global
+    maximizer is chosen among the refined peaks and the bracket endpoints.
     """
-    if grid_n < 16:
-        raise ValueError("grid_n must be >= 16")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    xs = np.linspace(bracket.lo, bracket.hi, grid_n + 1)
+    xs = np.linspace(bracket.lo, bracket.hi, SCAN_CELLS + 1)
     hs = np.array([_checked(h, float(x)) for x in xs])
 
     candidates = [
         i
-        for i in range(1, grid_n)
+        for i in range(1, SCAN_CELLS)
         if hs[i] >= hs[i - 1] and hs[i] >= hs[i + 1] and (hs[i] > hs[i - 1] or hs[i] > hs[i + 1])
     ]
 
     refined: list[tuple[float, float]] = []
-    cell = (bracket.hi - bracket.lo) / grid_n
+    cell = (bracket.hi - bracket.lo) / SCAN_CELLS
     for i in candidates:
         x_ref, h_ref = _golden_max(h, float(xs[i - 1]), float(xs[i + 1]), tol)
         # adjacent grid candidates can refine onto the same peak

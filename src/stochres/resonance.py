@@ -17,7 +17,7 @@ import numpy as np
 from .errors import QuadratureFailure
 from .estimators import ChannelConfig, Scheme, energy_scheme_variance, time_scheme_variance
 from .laws import InvariantLaw
-from .numerics import Bracket, maximize_scalar
+from .numerics import SCAN_CELLS, Bracket, maximize_scalar
 
 __all__ = ["CurvePoint", "ResonanceResult", "resonance_curve", "find_resonance"]
 
@@ -91,7 +91,6 @@ def find_resonance(
     scheme: Scheme = "time",
     bracket: Bracket = DEFAULT_EPS_BRACKET,
     tol: float = 1e-4,
-    grid_n: int = 64,
 ) -> ResonanceResult:
     """Locate the noise level that maximizes Fisher information.
 
@@ -106,8 +105,8 @@ def find_resonance(
         raise ValueError(f"unknown scheme {scheme!r}")
     point = _fisher_objective(theta, tau, law, scheme)
 
-    result = maximize_scalar(lambda e: point(e).fisher, bracket, grid_n=grid_n, tol=tol)
-    curve = [point(float(e)) for e in np.linspace(bracket.lo, bracket.hi, grid_n + 1)]
+    result = maximize_scalar(lambda e: point(e).fisher, bracket, tol=tol)
+    curve = [point(float(e)) for e in np.linspace(bracket.lo, bracket.hi, SCAN_CELLS + 1)]
     local = result.local_maxima if result.local_maxima else [(result.x_star, result.h_star)]
     return ResonanceResult(
         eps_star=result.x_star,

@@ -13,11 +13,13 @@ from stochres import (
     error_rate_study,
     error_report,
     find_perr_minimum,
+    integrate_line,
     moments,
     normal_cdf,
     p_err,
     p_err_surface,
 )
+from stochres.numerics import SCAN_CELLS
 
 
 def problem(ou, theta1=0.5, eps=0.7, horizon=100.0, p0=0.5, scheme="time", theta0=0.0):
@@ -189,6 +191,84 @@ def test_relabeling_symmetry_equal_variances():
     assert decide(rule, 0.35) is Decision.D0
 
 
+# every shape a rule can take, with the case and discriminant sign it must get
+RULE_SHAPES = {
+    "case1-delta-positive": (GaussianMoments(0.0, 1.0, 1.0, 0.25), 0.5, 1, True),
+    "case1-delta-negative": (GaussianMoments(0.3, 0.301, 0.04, 0.01), 0.9, 1, False),
+    "case2-delta-positive": (GaussianMoments(0.0, 1.0, 0.25, 1.0), 0.5, 2, True),
+    "case2-delta-negative": (GaussianMoments(0.3, 0.301, 0.01, 0.04), 0.1, 2, False),
+    "case3-alternative-above": (GaussianMoments(0.2, 0.4, 0.01, 0.01), 0.4, 3, None),
+    "case3-alternative-below": (GaussianMoments(0.4, 0.2, 0.01, 0.01), 0.4, 3, None),
+    "identical-null-prior-larger": (GaussianMoments(0.2, 0.2, 0.01, 0.01), 0.6, 3, None),
+    "identical-alternative-prior-larger": (GaussianMoments(0.2, 0.2, 0.01, 0.01), 0.3, 3, None),
+}
+
+
+@pytest.mark.parametrize("name", list(RULE_SHAPES))
+def test_decide_and_error_report_agree(name):
+    # each error is the Gaussian mass of the set where decide makes that error
+    m, p0, case_id, delta_positive = RULE_SHAPES[name]
+    report = error_report(m, p0, 1.0 - p0)
+    rule = report.rule
+    assert rule.case_id == case_id
+    if delta_positive is not None:
+        assert (rule.delta > 0) is delta_positive
+    cuts = [c for c in (rule.gamma_lo, rule.gamma_hi, rule.gamma_single) if c is not None]
+
+    def mass(decision, mu, var):
+        sd = math.sqrt(var)
+        return integrate_line(
+            lambda x: gaussian_pdf(x, mu, sd) if decide(rule, x) is decision else 0.0,
+            split_at=cuts + [mu],
+        )
+
+    assert report.p_type1 == pytest.approx(mass(Decision.D1, m.mu0, m.s0sq), abs=1e-10)
+    assert report.p_type2 == pytest.approx(mass(Decision.D0, m.mu1, m.s1sq), abs=1e-10)
+
+
+def reference_errors(m, rule):
+    """Type-1 and type-2 errors of a two-cut rule at its own (float) cuts, in
+    100-digit arithmetic, where 1 minus a mass loses nothing.  Compare with
+    abs=0.0: approx's default absolute tolerance of 1e-12 would accept 0."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(100):
+        lo, hi = mpmath.mpf(rule.gamma_lo), mpmath.mpf(rule.gamma_hi)
+
+        def inside(mu, var):
+            sd = mpmath.sqrt(var)
+            return mpmath.ncdf((hi - mu) / sd) - mpmath.ncdf((lo - mu) / sd)
+
+        in0, in1 = inside(m.mu0, m.s0sq), inside(m.mu1, m.s1sq)
+        t1, t2 = (in0, 1 - in1) if rule.case_id == 1 else (1 - in0, in1)
+        return float(t1), float(t2)
+
+
+def test_long_horizon_type1_error_is_a_tail_sum(ou):
+    # the null mass outside the case-2 interval used to be 1 - (1 - 4.5e-18),
+    # which rounds to 0, and p_err came out 18 % low
+    pr = problem(ou, eps=0.6040932546543265, horizon=1000.0)
+    report = p_err(pr)
+    assert report.rule.case_id == 2
+    t1, t2 = reference_errors(moments(pr), report.rule)
+    assert report.p_type1 == pytest.approx(4.5009371e-18, rel=1e-7, abs=0.0)
+    assert report.p_type1 == pytest.approx(t1, rel=1e-12, abs=0.0)
+    assert report.p_type2 == pytest.approx(t2, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("m, case_id", [
+    (GaussianMoments(mu0=0.0, mu1=40.0, s0sq=4.0, s1sq=1.0), 1),
+    (GaussianMoments(mu0=0.0, mu1=40.0, s0sq=1.0, s1sq=4.0), 2),
+], ids=["case1", "case2"])
+def test_two_cut_errors_keep_far_tails(m, case_id):
+    # both errors lie below 1e-30: each is a tail sum, never 1 minus a mass
+    report = error_report(m, 0.5, 0.5)
+    assert report.rule.case_id == case_id
+    t1, t2 = reference_errors(m, report.rule)
+    assert 0.0 < t1 < 1e-30 and 0.0 < t2 < 1e-30
+    assert report.p_type1 == pytest.approx(t1, rel=1e-12, abs=0.0)
+    assert report.p_type2 == pytest.approx(t2, rel=1e-12, abs=0.0)
+
+
 def test_map_never_worse_than_prior_guess(ou):
     for p0 in (0.3, 0.5, 0.8):
         for theta1 in (0.2, 0.5, 0.8):
@@ -270,10 +350,9 @@ def test_perr_minimum_carries_bracket_endpoints(ou, scheme):
 def test_no_minimum_next_to_degenerate_level(ou, scheme, horizon):
     # a minimum beside a degenerate level is where the Gaussian
     # approximation starts, not a dip
-    bracket, grid_n = Bracket(0.05, 3.0), 64
-    found = find_perr_minimum(0.0, 0.5, 1.0, horizon, 0.5, 0.5, ou, scheme,
-                              bracket=bracket, grid_n=grid_n)
-    scan = np.linspace(bracket.lo, bracket.hi, grid_n + 1)
+    bracket = Bracket(0.05, 3.0)
+    found = find_perr_minimum(0.0, 0.5, 1.0, horizon, 0.5, 0.5, ou, scheme, bracket=bracket)
+    scan = np.linspace(bracket.lo, bracket.hi, SCAN_CELLS + 1)
     cell = scan[1] - scan[0]
     for eps, value in found.local_minima:
         assert value > 0.0

@@ -211,7 +211,3 @@ def test_maximize_rejects_nan():
     with pytest.raises(NonFinite):
         maximize_scalar(h, Bracket(0.0, 3.0))
 
-
-def test_maximize_grid_floor():
-    with pytest.raises(ValueError):
-        maximize_scalar(math.sin, Bracket(0.0, 1.0), grid_n=8)
