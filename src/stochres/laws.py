@@ -10,10 +10,10 @@ and variance 1/2.
 Every law carries a node grid and cumulative tables on it (``LawTables``)
 from which the asymptotic variances of both observation schemes are read in
 O(1) per noise level.  For a law built from coefficients the tables are its
-only representation: F, sf and the quantile read them.  scipy is imported
-only at call time, inside ``numerics``, by the adaptive quadrature of the
-ergodicity check and support probes and by the quantile's root finder; the
-closed-form law and every table lookup need none.
+only representation: F, sf and the quantile read them.  The ergodicity
+check, the support edges and the density exponent all come from one
+Gauss-Legendre panel rule, so only the quantile's root finder imports scipy,
+at call time inside ``numerics``.
 """
 from __future__ import annotations
 
@@ -25,8 +25,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NonConvergence, NotErgodic, QuadratureFailure
-from .numerics import Bracket, find_root, integrate_interval, integrate_line
+from .errors import NotErgodic, QuadratureFailure
+from .numerics import REL_TOL, Bracket, find_root
 
 __all__ = [
     "DiffusionSpec",
@@ -41,7 +41,6 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
-_EXP_MAX = 700.0  # exp argument above this overflows a double
 
 # 5-point Gauss-Legendre rule, exact through degree 9 polynomials per panel
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(5)
@@ -59,7 +58,7 @@ _NODE_SPACING = 0.005
 
 # index pairs j <= k of the six suffix tables S_jk
 _PAIRS = np.triu_indices(3)
-# panels per block when building the tables
+# panels per block when building the tables or summing the probe mass
 _BLOCK = 512
 
 
@@ -77,8 +76,9 @@ class ErgodicityReport:
     """Numerical evidence for the two ergodicity conditions.
 
     The drift integral int_0^y S/sigma^2 must diverge to -inf in both
-    directions (checked by a finite-probe trend), and the unnormalized
-    stationary mass G must be finite.
+    directions (c2, checked by a finite-probe trend), and the unnormalized
+    stationary mass must be finite (c3): its panel sum G over the probe
+    range is finite and it has decayed at both probe ends (else G is inf).
     """
 
     c2_left_limit: float
@@ -145,69 +145,6 @@ def _vectorized(fn: Callable) -> Callable:
     return wrapped
 
 
-def _drift_over_sq(spec: DiffusionSpec) -> Callable[[float], float]:
-    def s(u: float) -> float:
-        sig = spec.diffusion(u)
-        return spec.drift(u) / (sig * sig)
-
-    return s
-
-
-def _scalar_mass(spec: DiffusionSpec) -> Callable[[float], float]:
-    """Unnormalized stationary mass at one point, by adaptive quadrature."""
-    s = _drift_over_sq(spec)
-
-    def mass(y: float) -> float:
-        sig = spec.diffusion(y)
-        e = 2.0 * integrate_interval(s, 0.0, y)
-        return (math.exp(e) if e <= _EXP_MAX else math.inf) / (sig * sig)
-
-    return mass
-
-
-def _probe_coefficients(spec: DiffusionSpec, probe_range: Bracket) -> None:
-    grid = np.linspace(probe_range.lo, probe_range.hi, 41)
-    for x in grid:
-        sig = spec.diffusion(float(x))
-        drv = spec.drift(float(x))
-        if not (math.isfinite(sig) and math.isfinite(drv)):
-            raise ValueError(f"coefficients must be finite on the probe grid (x={x})")
-        if sig <= 0:
-            raise ValueError(f"diffusion coefficient must be positive (sigma({x}) = {sig})")
-
-
-def check_ergodicity(spec: DiffusionSpec, probe_range: Bracket = _PROBE_RANGE) -> ErgodicityReport:
-    """Probe the ergodicity conditions at finite range.
-
-    The drift integral is evaluated at the probe endpoints and at half range;
-    the condition holds when the integral is negative and still decreasing at
-    the probes.  The normalizer G is computed by adaptive quadrature over the
-    whole line and declared infinite when that integral diverges; a panel sum
-    over a finite grid could not tell an infinite mass (Brownian motion) from
-    a finite one.
-    """
-    _probe_coefficients(spec, probe_range)
-    s = _drift_over_sq(spec)
-
-    left = integrate_interval(s, 0.0, probe_range.lo)
-    right = integrate_interval(s, 0.0, probe_range.hi)
-    left_mid = integrate_interval(s, 0.0, probe_range.lo / 2.0)
-    right_mid = integrate_interval(s, 0.0, probe_range.hi / 2.0)
-
-    c2 = left < min(left_mid, 0.0) and right < min(right_mid, 0.0)
-    try:
-        G = integrate_line(_scalar_mass(spec))
-        c3 = math.isfinite(G) and G > 0
-    except NonConvergence:
-        G = math.inf
-        c3 = False
-    if not c3:
-        G = math.inf
-    return ErgodicityReport(
-        c2_left_limit=left, c2_right_limit=right, G=G, c2_holds=c2, c3_holds=c3
-    )
-
-
 def _panels(fn: Callable, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """5-point Gauss-Legendre points t on the panels [lo, hi] (which
     broadcast), and w*fn(t); both have one more axis, of length 5."""
@@ -221,9 +158,11 @@ def _moments(t: np.ndarray, wf: np.ndarray) -> np.ndarray:
     return np.stack([wf.sum(-1), (wf * t).sum(-1), (wf * t * t).sum(-1)])
 
 
-def _support_edges(mass: Callable[[float], float]) -> tuple[float, float]:
-    center = np.linspace(-1.0, 1.0, 21)
-    peak = max(mass(float(x)) for x in center)
+def _support_edges(mass: Callable) -> tuple[float, float]:
+    """The support of a vectorized ``mass``: the edges double outward from
+    +-1 until the mass falls below ``_MASS_FLOOR`` times its peak near the
+    origin, capped at ``_PROBE_RANGE``."""
+    peak = float(np.max(mass(np.linspace(-1.0, 1.0, 21))))
     if not (math.isfinite(peak) and peak > 0):
         raise NotErgodic("stationary mass is degenerate near the origin")
     floor = peak * _MASS_FLOOR
@@ -231,7 +170,7 @@ def _support_edges(mass: Callable[[float], float]) -> tuple[float, float]:
     def expand(direction: float, cap: float) -> float:
         edge = direction
         while abs(edge) < abs(cap):
-            v = mass(edge)
+            v = float(mass(edge))
             if not math.isfinite(v) or v <= floor:
                 return edge
             edge *= 2.0
@@ -240,18 +179,102 @@ def _support_edges(mass: Callable[[float], float]) -> tuple[float, float]:
     return expand(-1.0, _PROBE_RANGE.lo), expand(1.0, _PROBE_RANGE.hi)
 
 
-def _node_grid(mass: Callable[[float], float]) -> tuple[np.ndarray, int]:
-    """Nodes ``_NODE_SPACING`` apart over the support of ``mass``, and the
-    index of 0.
-
-    The support edges double outward from +-1 until the mass falls below
-    ``_MASS_FLOOR`` times its peak near the origin, capped at ``_PROBE_RANGE``.
-    """
-    lo, hi = _support_edges(mass)
+def _node_grid(lo: float, hi: float) -> tuple[np.ndarray, int]:
+    """Nodes ``_NODE_SPACING`` apart over [lo, hi], lo < 0 < hi, with 0 among
+    them, and the index of 0."""
     n_left = max(int(round(-lo / _NODE_SPACING)), 8)
     n_right = max(int(round(hi / _NODE_SPACING)), 8)
     nodes = np.concatenate([np.linspace(lo, 0.0, n_left + 1)[:-1], np.linspace(0.0, hi, n_right + 1)])
     return nodes, n_left
+
+
+def _mass(spec: DiffusionSpec, nodes: np.ndarray, zero_idx: int) -> tuple[Callable, Callable]:
+    """The exponent int_0^x S/sigma^2 and the unnormalized stationary mass
+    exp(2*exponent)/sigma^2 at any x in [nodes[0], nodes[-1]], scalar or array.
+
+    At the nodes the exponent is a prefix of 5-point Gauss-Legendre panels,
+    accumulated outward from ``nodes[zero_idx] = 0`` so that rounding stays
+    relative to |exponent|.  Between nodes it adds half * Q(u),
+    u = (x - mid)/half, the partial panel of the polynomial through the
+    panel's five Gauss values of S/sigma^2 (a fresh Gauss rule on [x_i, x]
+    would call the coefficients five times per density point, and the tables
+    evaluate the density 35 times per panel).
+    """
+    sigma = _vectorized(spec.diffusion)
+    half = 0.5 * np.diff(nodes)
+    mid = nodes[:-1] + half
+    t = mid[:, None] + half[:, None] * _GL_X
+    sig_t = sigma(t)
+    s_gauss = _vectorized(spec.drift)(t) / (sig_t * sig_t)
+    panels = half * (s_gauss @ _GL_W)
+    at_nodes = np.zeros(len(nodes))
+    np.cumsum(panels[zero_idx:], out=at_nodes[zero_idx + 1 :])
+    at_nodes[:zero_idx] = -np.cumsum(panels[:zero_idx][::-1])[::-1]
+    partial = half * (_PARTIAL @ s_gauss.T)
+    last = len(nodes) - 2
+
+    def exponent(x):
+        i = np.minimum(np.searchsorted(nodes, x, side="right") - 1, last)
+        u = (x - mid[i]) / half[i]
+        e = partial[5, i]
+        for c in partial[4::-1]:
+            e = e * u + c[i]
+        return at_nodes[i] + e
+
+    def mass(x):
+        sig = sigma(x)
+        with np.errstate(over="ignore"):
+            return np.exp(2.0 * exponent(x)) / (sig * sig)
+
+    return exponent, mass
+
+
+def _probe(spec: DiffusionSpec, probe_range: Bracket) -> tuple[ErgodicityReport, Callable, list[str]]:
+    """The ergodicity report, the unnormalized mass on the probe range, and
+    the reason for each failed condition."""
+    lo, hi = probe_range.lo, probe_range.hi
+    if not lo < 0.0 < hi:
+        raise ValueError(f"the probe range must contain 0 inside, got [{lo}, {hi}]")
+    nodes, zero_idx = _node_grid(lo, hi)
+    sig = _vectorized(spec.diffusion)(nodes)
+    bad = ~(np.isfinite(_vectorized(spec.drift)(nodes)) & np.isfinite(sig) & (sig > 0))
+    if bad.any():
+        x = nodes[bad.argmax()]
+        raise ValueError(f"coefficients must be finite and sigma positive on the probe grid (x={x})")
+    exponent, mass = _mass(spec, nodes, zero_idx)
+    left, left_mid, right_mid, right = (float(e) for e in exponent(np.array([lo, lo / 2.0, hi / 2.0, hi])))
+    c2_failures = [
+        f"int_0^x S/sigma^2 does not fall toward -inf at the probe end x={end:g} ({e:.6g}, {e_mid:.6g} at x/2)"
+        for end, e, e_mid in ((lo, left, left_mid), (hi, right, right_mid))
+        if not e < min(e_mid, 0.0)
+    ]
+    lo_b, hi_b = nodes[:-1], nodes[1:]
+    blocks = range(0, len(lo_b), _BLOCK)
+    G = float(sum(_panels(mass, lo_b[j : j + _BLOCK], hi_b[j : j + _BLOCK])[1].sum() for j in blocks))
+    c3_failures = [f"the stationary mass sums to G={G:g} on the probe range"]
+    if math.isfinite(G) and G > 0:
+        ends = np.array([lo, hi])
+        c3_failures = [
+            f"the stationary mass has not decayed at the probe end x={end:g} "
+            f"(tail ratio mass*|x|/G = {ratio:.3g} > {REL_TOL:g})"
+            for end, ratio in zip(ends, mass(ends) * np.abs(ends) / G)
+            if not ratio <= REL_TOL
+        ]
+    report = ErgodicityReport(c2_left_limit=left, c2_right_limit=right, G=math.inf if c3_failures else G,
+                              c2_holds=not c2_failures, c3_holds=not c3_failures)
+    return report, mass, c2_failures + c3_failures
+
+
+def check_ergodicity(spec: DiffusionSpec, probe_range: Bracket = _PROBE_RANGE) -> ErgodicityReport:
+    """Probe the ergodicity conditions at finite range.
+
+    int_0^x S/sigma^2 is the law's exponent on nodes ``_NODE_SPACING`` apart
+    over the probe range; c2 holds when it is negative and still falling at
+    both probe ends.  c3 holds when the panel sum G is finite and positive
+    and the mass has decayed at both ends, mass(x)*|x| <= REL_TOL*G: about
+    REL_TOL of G lies past x for a tail falling at least like |x|^-2.
+    """
+    return _probe(spec, probe_range)[0]
 
 
 def _log_sum(v: np.ndarray) -> np.ndarray:
@@ -440,48 +463,20 @@ class LawTables:
 def build_invariant_law(spec: DiffusionSpec) -> InvariantLaw:
     """Construct the stationary law of a diffusion from its coefficients.
 
-    The law is its ``LawTables`` and nothing else.  The density exponent
-    int_0^x S/sigma^2 is a node prefix of 5-point Gauss-Legendre panels,
-    accumulated outward from 0, plus one partial panel (the integral of the
-    polynomial through the panel's five Gauss values); G is the panel sum of
-    the mass exp(2*exponent)/sigma^2.  F, sf and the quantile (a bracketed
-    root of F or sf) read the tables.  The ergodicity report is kept on the
-    law.  Raises NotErgodic when the ergodicity probes fail.
+    The law is its ``LawTables`` and nothing else.  The support edges come
+    from the mass of the ergodicity probe; on the support nodes the density
+    exponent int_0^x S/sigma^2 is evaluated again by the same panel rule,
+    and G is the panel sum of the mass exp(2*exponent)/sigma^2.  F, sf and
+    the quantile (a bracketed root of F or sf) read the tables.  The
+    ergodicity report is kept on the law.  Raises NotErgodic, naming each
+    failed condition, when the ergodicity probes fail.
     """
-    report = check_ergodicity(spec)
-    if not (report.c2_holds and report.c3_holds):
-        raise NotErgodic(
-            f"ergodicity checks failed (c2={report.c2_holds}, c3={report.c3_holds}, G={report.G})"
-        )
-    nodes, zero_idx = _node_grid(_scalar_mass(spec))
-    s_array = _vectorized(_drift_over_sq(spec))
-    sigma = _vectorized(spec.diffusion)
-    half = 0.5 * np.diff(nodes)
-    mid = nodes[:-1] + half
-    s_gauss = s_array(mid[:, None] + half[:, None] * _GL_X)
-    # the exponent at the nodes, accumulated outward from 0 so that rounding
-    # stays relative to |exponent|
-    panels = half * (s_gauss @ _GL_W)
-    exponent = np.zeros(len(nodes))
-    np.cumsum(panels[zero_idx:], out=exponent[zero_idx + 1 :])
-    exponent[:zero_idx] = -np.cumsum(panels[:zero_idx][::-1])[::-1]
-    # between nodes: half * Q(u), u = (x - mid)/half, the partial panel of
-    # the polynomial through the panel's five Gauss values of S/sigma^2 (a
-    # fresh Gauss rule on [x_i, x] would call the coefficients five times per
-    # density point, and the tables evaluate the density 35 times per panel)
-    partial = half * (_PARTIAL @ s_gauss.T)
-    last = len(nodes) - 2
-
-    def mass(x: np.ndarray) -> np.ndarray:
-        i = np.minimum(np.searchsorted(nodes, x, side="right") - 1, last)
-        u = (x - mid[i]) / half[i]
-        e = partial[5, i]
-        for c in partial[4::-1]:
-            e = e * u + c[i]
-        sig = sigma(x)
-        with np.errstate(over="ignore"):
-            return np.exp(2.0 * (exponent[i] + e)) / (sig * sig)
-
+    report, probe_mass, failures = _probe(spec, _PROBE_RANGE)
+    if failures:
+        raise NotErgodic("ergodicity checks failed: " + "; ".join(failures))
+    nodes, zero_idx = _node_grid(*_support_edges(probe_mass))
+    del probe_mass  # frees the probe range's panel tables before the support ones exist
+    mass = _mass(spec, nodes, zero_idx)[1]
     G = float(_panels(mass, nodes[:-1], nodes[1:])[1].sum())
     lo, hi = float(nodes[0]), float(nodes[-1])
 
@@ -542,7 +537,7 @@ def ou_law() -> InvariantLaw:
     def f(x):
         return _as_output(np.exp(-np.square(np.asarray(x, dtype=float))) / _SQRT_PI)
 
-    nodes = _node_grid(lambda y: math.exp(-y * y))[0]
+    nodes = _node_grid(*_support_edges(lambda y: np.exp(-np.square(y))))[0]
     return InvariantLaw(
         f=f,
         F=partial(_half_erfc, sign=-1.0),

@@ -3,8 +3,9 @@ maximization and the error-function family.
 
 scipy is imported only inside the functions that call it (QUADPACK in
 ``integrate_interval``, Brent's method in ``find_root``), so importing the
-package loads no scipy module.  All functions here are pure and safe for
-concurrent use.
+package loads no scipy module.  The adaptive quadrature serves the reference
+oracles of ``estimators`` and the tests; building a law does not call it.
+All functions here are pure and safe for concurrent use.
 """
 from __future__ import annotations
 
@@ -100,13 +101,16 @@ def integrate_line(f: Callable[[float], float], *, split_at: Sequence[float] = (
     The line is mapped onto (-1, 1) by the smooth substitution x = t/(1-t^2)
     and each segment goes through ``integrate_interval``.  ``split_at`` lists
     interior points where the integrand has kinks or jumps; splitting there
-    keeps the adaptive scheme efficient and reliable.
+    keeps the adaptive scheme efficient and reliable.  A divergent integral
+    raises NonConvergence, also when the subdivision reaches t = +-1.
     """
     cuts = sorted({_t_of_x(p) for p in split_at if math.isfinite(p)})
     edges = [-1.0] + [t for t in cuts if -1.0 < t < 1.0] + [1.0]
 
     def g(t: float) -> float:
         one_minus = 1.0 - t * t
+        if one_minus == 0.0:  # reached only on a slowly divergent integrand
+            raise NonConvergence("quadrature reached x = +-inf: the integral diverges")
         x = t / one_minus
         jac = (1.0 + t * t) / (one_minus * one_minus)
         return f(x) * jac

@@ -49,6 +49,15 @@ def test_law_custom_cubic_drift(tmp_path):
     assert len(rows) == 9
 
 
+def test_law_heavy_tail_is_a_numerical_error(tmp_path, capsys):
+    # stationary mass (1 + x^2)^-1/2: infinite, so the build must refuse it
+    code = run(["law", "--drift=-x/(2*(1+x^2))", "--sigma", "1", "--out", tmp_path / "law"])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ergodicity checks failed")
+    assert "tail ratio" in lines[0]
+
+
 def test_law_reports_the_build_check(tmp_path, monkeypatch):
     # a grid-built law carries the ergodicity report its build computed;
     # only the closed-form law is checked by the command itself

@@ -16,6 +16,7 @@ from stochres import (
     integrate_line,
 )
 from stochres.errors import NotErgodic, QuadratureFailure
+from stochres.expressions import compile_expression
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -41,6 +42,39 @@ def test_brownian_motion_fails_c3():
 def test_build_rejects_non_ergodic():
     with pytest.raises(NotErgodic):
         build_invariant_law(DiffusionSpec(lambda x: 0.0, lambda x: 1.0))
+
+
+@pytest.mark.parametrize(
+    "drift, sigma, ergodic",
+    [
+        ("-x", "1", True),
+        ("-x^3", "1", True),
+        ("-(x-2)", "1", True),
+        ("x-x^3", "1", True),
+        ("-tanh(x)", "1", True),
+        ("-4*x", "2", True),
+        ("-x", "5", True),
+        ("-x", "10", True),
+        # infinite mass: Brownian motion, and a tail falling like 1/|x|
+        ("0", "1", False),
+        ("-x/(2*(1+x^2))", "1", False),
+        # finite mass that the probe range would truncate: G = pi with a
+        # 1/x^2 tail, and a Gaussian of standard deviation 21
+        ("-x/(1+x^2)", "1", False),
+        ("-x", "30", False),
+    ],
+)
+def test_mass_must_decay_at_the_probe_ends(drift, sigma, ergodic):
+    spec = DiffusionSpec(compile_expression(drift), compile_expression(sigma))
+    report = check_ergodicity(spec)
+    assert report.c3_holds is ergodic
+    if ergodic:
+        law = build_invariant_law(spec)
+        assert report.G == pytest.approx(law.G, rel=1e-9)
+        return
+    assert math.isinf(report.G)
+    with pytest.raises(NotErgodic, match=r"not decayed at the probe end x=50 \(tail ratio mass\*\|x\|/G = "):
+        build_invariant_law(spec)
 
 
 def test_nonpositive_diffusion_rejected():
@@ -97,7 +131,7 @@ def test_survival_function_tail_accuracy(ou, ou_numeric):
     for x in (3.0, 5.0, 8.0):
         closed = float(ou.sf(x))
         numeric = float(ou_numeric.sf(x))
-        assert numeric == pytest.approx(closed, rel=1e-6)
+        assert numeric == pytest.approx(closed, rel=1e-6, abs=0.0)
 
 
 def test_shifted_center_law():
@@ -207,13 +241,17 @@ def test_closed_form_law_accepts_arrays(ou):
 
 
 def test_import_path_loads_no_scipy():
-    # the closed-form law and its variance tables need no scipy; only the
-    # adaptive quadrature and root finder import it, when called
+    # the closed-form law, a law built from coefficients and their variance
+    # tables need no scipy; only the adaptive quadrature of the test oracles
+    # and the root finder import it, when called
     code = (
         "import sys\n"
         "import stochres\n"
+        "from stochres.expressions import compile_expression as c\n"
         "law = stochres.ou_law()\n"
         "stochres.find_resonance(0.5, 1.0, law, 'time')\n"
+        "cubic = stochres.build_invariant_law(stochres.DiffusionSpec(c('-x^3'), c('1')))\n"
+        "stochres.find_resonance(0.5, 1.0, cubic, 'time')\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = str(Path(stochres.__file__).resolve().parent.parent)

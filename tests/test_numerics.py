@@ -95,9 +95,19 @@ def test_second_moment_integral():
     assert integrate_line(lambda x: x * x * math.exp(-x * x)) == pytest.approx(expected, abs=1e-9)
 
 
-def test_divergent_integrand_raises():
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda x: 1.0,
+        # slowly divergent: QUADPACK subdivides down to t = +-1 exactly
+        lambda x: (1.0 + x * x) ** -0.5,
+        lambda x: 1.0 / (1.0 + abs(x)),
+    ],
+    ids=["constant", "inverse_sqrt", "inverse_abs"],
+)
+def test_divergent_integrand_raises(f):
     with pytest.raises(NonConvergence):
-        integrate_line(lambda x: 1.0)
+        integrate_line(f)
 
 
 def test_split_points_handle_kinks():
