@@ -178,7 +178,10 @@ def _resolve_law(cfg: dict[str, Any]) -> InvariantLaw:
         except ExpressionError as exc:
             raise ConfigError(f"bad coefficient expression: {exc}") from exc
         spec = DiffusionSpec(drift=drift, diffusion=sigma, label="custom")
-        return build_invariant_law(spec)
+        try:
+            return build_invariant_law(spec)
+        except ValueError as exc:  # coefficients not finite, or sigma not positive
+            raise ConfigError(str(exc)) from exc
     label = cfg["noise"]
     maker = NAMED_SPECS.get(label)
     if maker is None:

@@ -8,8 +8,25 @@ Grammar (identifiers: the single variable ``x``; functions: exp, tanh):
     power  := atom ('^' unary)?          right associative
     atom   := NUMBER | 'x' | FUNC '(' expr ')' | '(' expr ')'
 
-Compiled expressions evaluate with numpy semantics, so they accept scalars
-and arrays alike.  No eval() is involved.
+An expression is parsed once into a tree, from which two closure trees are
+built.  No eval() is involved.
+
+- The array form evaluates with numpy semantics, so it accepts scalars and
+  arrays alike and broadcasts a constant to the shape of ``x``.
+- The scalar form runs on Python floats, with no numpy conversion around it;
+  the compiled function sends an argument of type ``float`` there, which is
+  what a single Euler path steps on.
+
+The two forms round alike, bit for bit, so a path stepped one float at a
+time equals its row of an ensemble stepped on arrays:
+
+- ``+ - * /`` and unary minus are the IEEE operators in both forms; a scalar
+  division by zero returns numpy's inf or nan instead of raising;
+- a literal integer exponent ``x^n``, 1 <= n <= ``_MAX_MULTIPLIED_POWER``, is
+  n - 1 multiplications from the left in both forms (numpy's ``power`` and
+  Python's ``**`` round differently from each other and from the product);
+- exp, tanh and every other power apply the numpy ufunc, which gives the same
+  double for a float as for an array element.
 """
 from __future__ import annotations
 
@@ -31,7 +48,15 @@ _TOKEN = re.compile(
     r"|(?P<op>[-+*/^()]))"
 )
 
-_FUNCTIONS: dict[str, Callable] = {"exp": np.exp, "tanh": np.tanh}
+_FUNCTIONS: dict[str, np.ufunc] = {"exp": np.exp, "tanh": np.tanh}
+
+# larger literal integer exponents go through ``power``: the product's cost
+# and its rounding error grow with n
+_MAX_MULTIPLIED_POWER = 16
+
+# A parse tree node is a tuple: ("num", value), ("x",), ("neg", a), (op, a, b)
+# for op in + - * / ^, or (function name, a).
+Node = tuple
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -69,58 +94,50 @@ class _Parser:
         if tok != ("op", op):
             raise ExpressionError(f"expected {op!r}, found {tok[1]!r} in {self.source!r}")
 
-    def parse(self) -> Callable:
+    def parse(self) -> Node:
         node = self.expr()
         if self.peek() is not None:
             raise ExpressionError(f"trailing input {self.peek()[1]!r} in {self.source!r}")
         return node
 
-    def expr(self) -> Callable:
+    def expr(self) -> Node:
         node = self.term()
         while self.peek() in (("op", "+"), ("op", "-")):
-            op = self.take()[1]
-            rhs = self.term()
-            node = _binary(np.add if op == "+" else np.subtract, node, rhs)
+            node = (self.take()[1], node, self.term())
         return node
 
-    def term(self) -> Callable:
+    def term(self) -> Node:
         node = self.unary()
         while self.peek() in (("op", "*"), ("op", "/")):
-            op = self.take()[1]
-            rhs = self.unary()
-            node = _binary(np.multiply if op == "*" else np.divide, node, rhs)
+            node = (self.take()[1], node, self.unary())
         return node
 
-    def unary(self) -> Callable:
+    def unary(self) -> Node:
         if self.peek() == ("op", "-"):
             self.take()
-            inner = self.unary()
-            return lambda x: np.negative(inner(x))
+            return ("neg", self.unary())
         return self.power()
 
-    def power(self) -> Callable:
+    def power(self) -> Node:
         base = self.atom()
         if self.peek() == ("op", "^"):
             self.take()
-            exponent = self.unary()
-            return _binary(np.power, base, exponent)
+            return ("^", base, self.unary())
         return base
 
-    def atom(self) -> Callable:
+    def atom(self) -> Node:
         kind, text = self.take()
         if kind == "num":
-            value = float(text)
-            return lambda x: value
+            return ("num", float(text))
         if kind == "name":
             if text == "x":
-                return lambda x: np.asarray(x, dtype=float)
-            fn = _FUNCTIONS.get(text)
-            if fn is None:
+                return ("x",)
+            if text not in _FUNCTIONS:
                 raise ExpressionError(f"unknown identifier {text!r} in {self.source!r}")
             self.expect_op("(")
             arg = self.expr()
             self.expect_op(")")
-            return lambda x: fn(arg(x))
+            return (text, arg)
         if (kind, text) == ("op", "("):
             node = self.expr()
             self.expect_op(")")
@@ -128,22 +145,78 @@ class _Parser:
         raise ExpressionError(f"unexpected token {text!r} in {self.source!r}")
 
 
-def _binary(op: Callable, lhs: Callable, rhs: Callable) -> Callable:
-    return lambda x: op(lhs(x), rhs(x))
+def _multiplied_power(exponent: Node) -> int | None:
+    """n when ``exponent`` is a literal integer the power multiplies out."""
+    if exponent[0] != "num":
+        return None
+    value = exponent[1]
+    return int(value) if value.is_integer() and 1 <= value <= _MAX_MULTIPLIED_POWER else None
+
+
+def _scalar_divide(a: float, b: float) -> float:
+    try:
+        return a / b
+    except ZeroDivisionError:
+        return float(np.divide(a, b))
+
+
+def _closure(node: Node, scalar: bool) -> Callable:
+    """The closure tree of ``node``: over Python floats when ``scalar``,
+    with numpy semantics otherwise."""
+    kind = node[0]
+    if kind == "num":
+        value = node[1]
+        return lambda x: value
+    if kind == "x":
+        return (lambda x: x) if scalar else (lambda x: np.asarray(x, dtype=float))
+    a = _closure(node[1], scalar)
+    if kind == "neg":
+        return lambda x: -a(x)
+    if kind in _FUNCTIONS:
+        ufunc = _FUNCTIONS[kind]
+        return (lambda x: float(ufunc(a(x)))) if scalar else (lambda x: ufunc(a(x)))
+    n = _multiplied_power(node[2]) if kind == "^" else None
+    if n is not None:
+        repeats = range(n - 1)
+
+        def power(x):
+            base = a(x)
+            out = base
+            for _ in repeats:
+                out = out * base
+            return out
+
+        return power
+    b = _closure(node[2], scalar)
+    if kind == "+":
+        return lambda x: a(x) + b(x)
+    if kind == "-":
+        return lambda x: a(x) - b(x)
+    if kind == "*":
+        return lambda x: a(x) * b(x)
+    if kind == "/":
+        return (lambda x: _scalar_divide(a(x), b(x))) if scalar else (lambda x: np.divide(a(x), b(x)))
+    return (lambda x: float(np.power(a(x), b(x)))) if scalar else (lambda x: np.power(a(x), b(x)))
 
 
 def compile_expression(text: str) -> Callable:
     """Compile a coefficient expression into a callable of x.
 
-    The result preserves scalar-in scalar-out behavior while broadcasting
-    over numpy arrays.
+    A Python float goes to the scalar form and comes back a float; anything
+    else goes to the array form, scalar-in scalar-out, broadcasting over
+    numpy arrays.  Both forms give the same doubles (see the module
+    docstring).
     """
     if not text or not text.strip():
         raise ExpressionError("empty expression")
-    node = _Parser(_tokenize(text), text).parse()
+    tree = _Parser(_tokenize(text), text).parse()
+    scalar = _closure(tree, scalar=True)
+    array = _closure(tree, scalar=False)
 
     def fn(x):
-        out = np.asarray(node(x), dtype=float)
+        if type(x) is float:
+            return scalar(x)
+        out = np.asarray(array(x), dtype=float)
         if out.ndim == 0 and np.ndim(x) == 0:
             return float(out)
         return np.broadcast_to(out, np.shape(x)).copy() if out.shape != np.shape(x) else out

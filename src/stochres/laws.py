@@ -45,10 +45,14 @@ _SQRT_PI = math.sqrt(math.pi)
 # 5-point Gauss-Legendre rule, exact through degree 9 polynomials per panel
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(5)
 # Q(u) = int_{-1}^u p, for p the degree-4 polynomial through values at the
-# points _GL_X: _PARTIAL @ values gives Q's coefficients of u^0..u^5, and
-# Q(1) is the Gauss-Legendre sum of the values
-_PARTIAL = np.vstack([(-1.0) ** np.arange(5) / np.arange(1, 6), np.diag(1.0 / np.arange(1, 6))]) @ (
-    np.linalg.inv(np.vander(_GL_X, 5, increasing=True))
+# points _GL_X: values @ _PARTIAL gives Q's coefficients of u^0..u^5, and
+# Q(1) is the Gauss-Legendre sum of the values.  Stored contiguous, so a
+# product with one row of values per panel runs in BLAS.
+_PARTIAL = np.ascontiguousarray(
+    (
+        np.vstack([(-1.0) ** np.arange(5) / np.arange(1, 6), np.diag(1.0 / np.arange(1, 6))])
+        @ np.linalg.inv(np.vander(_GL_X, 5, increasing=True))
+    ).T
 )
 
 # the support ends where the stationary mass falls below this fraction of its peak
@@ -210,7 +214,7 @@ def _mass(spec: DiffusionSpec, nodes: np.ndarray, zero_idx: int) -> tuple[Callab
     at_nodes = np.zeros(len(nodes))
     np.cumsum(panels[zero_idx:], out=at_nodes[zero_idx + 1 :])
     at_nodes[:zero_idx] = -np.cumsum(panels[:zero_idx][::-1])[::-1]
-    partial = half * (_PARTIAL @ s_gauss.T)
+    partial = (half[:, None] * (s_gauss @ _PARTIAL)).T
     last = len(nodes) - 2
 
     def exponent(x):

@@ -211,16 +211,18 @@ def build_rule(m: GaussianMoments, p0: float, p1: float) -> DecisionRule:
         m, p0, p1, case_id = m.swapped(), p1, p0, 2
     s0, s1 = math.sqrt(m.s0sq), math.sqrt(m.s1sq)
     s2sq = m.s0sq - m.s1sq
-    delta = (m.mu0 - m.mu1) ** 2 - 2.0 * s2sq * math.log(p0 * s1 / (p1 * s0))
+    log_ratio = math.log(p0 * s1 / (p1 * s0))
+    delta = (m.mu0 - m.mu1) ** 2 - 2.0 * s2sq * log_ratio
     if delta <= 0:
         return DecisionRule(case_id=case_id, delta=delta)
-    root = s0 * s1 * math.sqrt(delta)
-    return DecisionRule(
-        case_id=case_id,
-        delta=delta,
-        gamma_lo=(m.mu1 * m.s0sq - m.mu0 * m.s1sq - root) / s2sq,
-        gamma_hi=(m.mu1 * m.s0sq - m.mu0 * m.s1sq + root) / s2sq,
-    )
+    # the cuts are the roots (b -+ root)/s2sq of s2sq g^2 - 2 b g + c; the far
+    # one adds root to b with the sign of b, and the near one comes from the
+    # product of the roots, c/s2sq, as b - sign(b) root would cancel
+    b = m.mu1 * m.s0sq - m.mu0 * m.s1sq
+    c = m.mu1**2 * m.s0sq - m.mu0**2 * m.s1sq + 2.0 * m.s0sq * m.s1sq * log_ratio
+    q = b + math.copysign(s0 * s1 * math.sqrt(delta), b)
+    far, near = q / s2sq, c / q
+    return DecisionRule(case_id=case_id, delta=delta, gamma_lo=min(far, near), gamma_hi=max(far, near))
 
 
 def _d1_interval(rule: DecisionRule) -> tuple[float, float, bool]:

@@ -107,13 +107,15 @@ def _em_scalar(spec: DiffusionSpec, x0: float, dt: float, z: np.ndarray) -> np.n
     diffusion = spec.diffusion
     sqrt_dt = math.sqrt(dt)
     out = np.empty(len(z) + 1)
-    out[0] = x0
-    x = x0
-    for k, zk in enumerate(z):
-        x = x + drift(x) * dt + diffusion(x) * sqrt_dt * zk
-        if not (-_BLOWUP < x < _BLOWUP):  # also catches NaN
-            raise NumericBlowup(f"|X| exceeded {_BLOWUP:g} at step {k + 1}; check coefficients/dt")
-        out[k + 1] = x
+    out[0] = x = float(x0)
+    # x stays a Python float, which a compiled expression steps on without
+    # numpy; the normals become floats one chunk at a time
+    for start in range(0, len(z), CHUNK):
+        for k, zk in enumerate(z[start : start + CHUNK].tolist(), start + 1):
+            x = x + drift(x) * dt + diffusion(x) * sqrt_dt * zk
+            if not (-_BLOWUP < x < _BLOWUP):  # also catches NaN
+                raise NumericBlowup(f"|X| exceeded {_BLOWUP:g} at step {k}; check coefficients/dt")
+            out[k] = x
     return out
 
 

@@ -58,6 +58,14 @@ def test_law_heavy_tail_is_a_numerical_error(tmp_path, capsys):
     assert "tail ratio" in lines[0]
 
 
+def test_law_rejects_a_sigma_that_is_not_positive(tmp_path, capsys):
+    code = run(["law", "--drift=-x", "--sigma=x", "--out", tmp_path / "law"])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: coefficients must be finite and sigma positive")
+
+
 def test_law_reports_the_build_check(tmp_path, monkeypatch):
     # a grid-built law carries the ergodicity report its build computed;
     # only the closed-form law is checked by the command itself

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochres.expressions import ExpressionError, compile_expression
 
@@ -49,6 +51,50 @@ def test_vectorized_evaluation():
     g = compile_expression("1")
     assert np.allclose(g(xs), [1.0, 1.0, 1.0])
     assert g(xs).shape == xs.shape
+
+
+def _same_double(a: float, b: float) -> bool:
+    return (math.isnan(a) and math.isnan(b)) or (a == b and math.copysign(1.0, a) == math.copysign(1.0, b))
+
+
+def _grouped(template):
+    return lambda parts: template.format(*parts)
+
+
+# expressions over every grammar operation: + - * / ^ (literal integer and
+# fractional exponents, a variable exponent), unary minus, exp and tanh; the
+# literal 0 and x - x make divisions by zero
+EXPRESSIONS = st.recursive(
+    st.sampled_from(["x", "0", "1", "2", "0.5", "3"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(_grouped("({}){}({})")),
+        inner.map("-({})".format),
+        st.tuples(st.sampled_from(["exp", "tanh"]), inner).map(_grouped("{}({})")),
+        st.tuples(inner, st.sampled_from(["2", "3", "4", "0.5", "1.5", "-1", "x"])).map(_grouped("({})^{}")),
+    ),
+    max_leaves=8,
+)
+VALUES = st.one_of(st.floats(-5.0, 5.0), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.one_of(st.sampled_from(["1/x", "x/(x-x)", "-x^3", "-tanh(x)", "1+0.5*exp(-x^2)"]), EXPRESSIONS),
+       v=VALUES)
+def test_scalar_form_rounds_like_the_array_form(text, v):
+    f = compile_expression(text)
+    with np.errstate(all="ignore"):
+        scalar = f(float(v))
+        array = f(np.array([v]))
+    assert type(scalar) is float
+    assert _same_double(scalar, float(array[0])), (text, v, scalar, array[0])
+
+
+def test_integer_powers_are_products_from_the_left():
+    xs = np.random.default_rng(3).standard_normal(1000) * 3.0
+    cube = compile_expression("x^3")
+    assert np.array_equal(cube(xs), xs * xs * xs)
+    assert [cube(v) for v in xs.tolist()] == (xs * xs * xs).tolist()
+    assert compile_expression("x^1")(0.1) == 0.1
 
 
 def test_whitespace_tolerated():

@@ -84,6 +84,19 @@ def test_case3_equal_priors_midpoint():
     assert rule.gamma_single == pytest.approx(0.3, abs=1e-12)
 
 
+def test_near_cut_just_above_the_equal_variance_switch():
+    # variances 1.01e-12 apart: two cuts, the near one at the posterior
+    # equality point 0.3; subtracting the roots' numerator put it at 0.30006
+    two_cuts = GaussianMoments(mu0=0.2, mu1=0.4, s0sq=0.01, s1sq=0.01 * (1 + 1.01e-12))
+    single_cut = GaussianMoments(mu0=0.2, mu1=0.4, s0sq=0.01, s1sq=0.01 * (1 + 0.99e-12))
+    rule = build_rule(two_cuts, 0.5, 0.5)
+    assert rule.case_id == 2 and build_rule(single_cut, 0.5, 0.5).case_id == 3
+    assert rule.gamma_hi == pytest.approx(0.3, abs=1e-9)
+    assert error_report(two_cuts, 0.5, 0.5).p_err == pytest.approx(
+        error_report(single_cut, 0.5, 0.5).p_err, rel=1e-9
+    )
+
+
 def test_case1_negative_discriminant_accepts_always():
     # wide null, degenerate alternative prior: accepting is always optimal
     m = GaussianMoments(mu0=0.3, mu1=0.301, s0sq=0.04, s1sq=0.01)

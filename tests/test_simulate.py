@@ -16,6 +16,7 @@ from stochres import (
     simulate_paths,
 )
 from stochres.errors import NumericBlowup
+from stochres.expressions import compile_expression
 from stochres.simulate import CHUNK, _em_scalar
 
 
@@ -24,6 +25,9 @@ def make_traj(values, dt=0.1, seed=0):
 
 
 OU = DiffusionSpec(lambda x: -x, lambda x: x * 0.0 + 1.0, label="ou")
+# compiled laws: single paths step their scalar form, ensembles their array form
+CUBIC = DiffusionSpec(compile_expression("-x^3"), compile_expression("1"), label="cubic")
+TANH = DiffusionSpec(compile_expression("-tanh(x)"), compile_expression("1+0.5*exp(-x^2)"), label="tanh")
 
 
 # ---------------------------------------------------------------------------
@@ -68,11 +72,12 @@ def test_determinism():
 
 def test_ensemble_matches_single_paths_bitwise():
     cfg = SimConfig(T=20.0, dt=0.01, seed=77)
-    ensemble = simulate_paths(OU, cfg, 4)
-    for k, traj in enumerate(ensemble):
-        single = simulate_path(OU, SimConfig(T=20.0, dt=0.01, seed=77 + k))
-        assert traj.seed == 77 + k
-        assert np.array_equal(traj.values, single.values)
+    for spec in (OU, CUBIC, TANH):
+        ensemble = simulate_paths(spec, cfg, 4)
+        for k, traj in enumerate(ensemble):
+            single = simulate_path(spec, SimConfig(T=20.0, dt=0.01, seed=77 + k))
+            assert traj.seed == 77 + k
+            assert np.array_equal(traj.values, single.values), spec.label
 
 
 def test_stationary_variance():
@@ -91,6 +96,11 @@ def test_blowup_detected_scalar_and_ensemble():
         simulate_path(cubic, SimConfig(T=5.0, dt=0.5, seed=1, x0=2.0))
     with pytest.raises(NumericBlowup):
         simulate_paths(cubic, SimConfig(T=5.0, dt=0.5, seed=1, x0=2.0), 3)
+    # a compiled drift with a pole at the start: the scalar form's 1/0 is
+    # numpy's inf, not a ZeroDivisionError
+    pole = DiffusionSpec(compile_expression("1/x"), compile_expression("1"))
+    with np.errstate(divide="ignore"), pytest.raises(NumericBlowup, match="at step 1;"):
+        simulate_path(pole, SimConfig(T=1.0, dt=0.01, seed=1, x0=0.0))
 
 
 def test_ensemble_with_scalar_only_coefficients_matches_single_paths():
@@ -201,8 +211,8 @@ def test_observation_summary_validation():
 # ---------------------------------------------------------------------------
 
 
-def _single_summary(seed, theta, eps=0.7, tau=1.0, T=20.37):
-    traj = simulate_path(OU, SimConfig(T=T, dt=0.01, seed=seed))
+def _single_summary(seed, theta, eps=0.7, tau=1.0, T=20.37, spec=OU):
+    traj = simulate_path(spec, SimConfig(T=T, dt=0.01, seed=seed))
     return observe(perturb(traj, theta, eps), tau)
 
 
@@ -210,12 +220,13 @@ def _single_summary(seed, theta, eps=0.7, tau=1.0, T=20.37):
 def test_observe_paths_matches_single_paths_bitwise(n_paths):
     cfg = SimConfig(T=20.37, dt=0.01, seed=500)
     assert cfg.n_steps % CHUNK != 0
-    fractions, energies = observe_paths(OU, cfg, n_paths, 0.5, 0.7, 1.0)
-    assert fractions.shape == energies.shape == (n_paths,)
-    for k in range(n_paths):
-        obs = _single_summary(500 + k, 0.5)
-        assert fractions[k] == obs.time_fraction
-        assert energies[k] == obs.energy
+    for spec in (OU, CUBIC, TANH):
+        fractions, energies = observe_paths(spec, cfg, n_paths, 0.5, 0.7, 1.0)
+        assert fractions.shape == energies.shape == (n_paths,)
+        for k in range(n_paths):
+            obs = _single_summary(500 + k, 0.5, spec=spec)
+            assert fractions[k] == obs.time_fraction, spec.label
+            assert energies[k] == obs.energy, spec.label
 
 
 def test_observe_paths_independent_of_ensemble_size():
