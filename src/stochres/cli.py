@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -101,7 +102,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--format", choices=["csv", "json"], default=None, help="grid table format")
         p.add_argument("--workers", type=int, default=None,
-                       help="reserved for Monte Carlo studies; accepted and currently unused")
+                       help="processes that split the seeds of the validate studies, capped at "
+                            "the CPUs this process may use (the report is the same for any "
+                            "count); other commands run in one process")
 
     add_common(sub.add_parser("law", help="ergodicity report and sampled density/distribution"))
     p_est = sub.add_parser("estimate", help="simulate one path and estimate the signal")
@@ -151,6 +154,9 @@ def _merge_config(args: argparse.Namespace, command: str) -> dict[str, Any]:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
+    workers = merged["workers"]
+    if type(workers) is not int or workers < 1:
+        raise ConfigError(f"--workers must be an integer of at least 1, got {workers!r}")
     return merged
 
 
@@ -200,6 +206,13 @@ def _check_step(cfg: dict[str, Any], horizons: Iterable[str]) -> None:
         if not cfg["dt"] <= cfg[key]:
             flag = "--" + key.replace("_", "-")
             raise ConfigError(f"--dt must not exceed {flag}, got dt={cfg['dt']} > {cfg[key]}")
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -372,16 +385,18 @@ def cmd_validate(cfg: dict[str, Any]) -> None:
     if not 0.0 < cfg["p0"] < 1.0:
         raise ConfigError("--p0 must lie strictly inside (0, 1)")
     law = _resolve_law(cfg)
+    # each study caps this again at its number of paths
+    workers = min(cfg["workers"], _usable_cpus())
     var_study = variance_validation_study(
         law, cfg["theta"], cfg["tau"], cfg["eps"], cfg["T"], cfg["dt"],
-        n_reps=cfg["reps"], base_seed=cfg["seed"],
+        n_reps=cfg["reps"], base_seed=cfg["seed"], workers=workers,
     )
     p1 = 1.0 - cfg["p0"]
     problem = TestProblem(theta0=cfg["theta0"], theta1=cfg["theta1"], p0=cfg["p0"], p1=p1,
                           tau=cfg["tau"], eps=cfg["test_eps"], horizon=cfg["test_T"],
                           law=law, scheme=cfg["scheme"])
     err_study = error_rate_study(problem, cfg["dt"], cfg["test_paths"],
-                                 base_seed=cfg["seed"] + cfg["reps"])
+                                 base_seed=cfg["seed"] + cfg["reps"], workers=workers)
     report = {
         "empirical_var_ratio_time": var_study.ratio_time,
         "empirical_var_ratio_energy": var_study.ratio_energy,

@@ -2,15 +2,19 @@
 prediction, and empirical decision error against the closed-form value.
 
 Replication k always uses seed = base_seed + k, so studies are reproducible
-and trivially parallel.  Each study steps all its paths in one call of the
-streaming kernel ``observe_paths``, which keeps only per-path counters:
-memory is O(paths x CHUNK), independent of the horizon, and every path's
-statistics are bit-identical to observing that path on its own.
+and trivially parallel.  A study steps its paths with the streaming kernel
+``observe_paths``, which keeps only per-path counters: memory is
+O(paths x CHUNK), independent of the horizon, and every path's statistics
+are bit-identical to observing that path on its own.  With ``workers=1``
+that is one kernel call in this process.  With more workers the seeds are
+split into contiguous ranges, one kernel call per range on a fork-started
+process pool, and the results are concatenated in seed order, so every
+study result is bit-identical for any worker count.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,11 +26,70 @@ from .estimators import (
     estimate_theta_time,
     time_scheme_variance,
 )
-from .laws import InvariantLaw
+from .laws import DiffusionSpec, InvariantLaw
 from .maptest import Decision, TestProblem, decide, p_err
 from .simulate import SimConfig, observe_paths
 
 __all__ = ["VarianceStudy", "ErrorRateStudy", "variance_validation_study", "error_rate_study"]
+
+# (spec, sim, theta, eps, tau) of the study a pool worker serves; set only in
+# the worker processes, by ``_adopt_task`` at their start
+_TASK: tuple | None = None
+
+
+def _adopt_task(task: tuple) -> None:
+    global _TASK
+    _TASK = task
+
+
+def _observe_range(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    spec, sim, theta, eps, tau = _TASK
+    return observe_paths(spec, replace(sim, seed=sim.seed + lo), hi - lo, theta[lo:hi], eps, tau)
+
+
+def _observe_split(
+    spec: DiffusionSpec,
+    sim: SimConfig,
+    n_paths: int,
+    theta: float | np.ndarray,
+    eps: float,
+    tau: float,
+    workers: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``observe_paths(spec, sim, n_paths, theta, eps, tau)``, with the seeds
+    split into min(workers, n_paths) contiguous ranges on a process pool.
+
+    Each path's statistics do not depend on the paths stepped beside it, so
+    the concatenated arrays equal the single call's bit for bit.  The pool
+    is started with fork: the task reaches the workers by inheritance,
+    because the coefficients (lambdas, compiled closure trees) do not
+    pickle; only the range bounds go out and two arrays per range come back.
+    The caller must hold no threads that fork could leave with a held lock.
+    Where fork is not available the call runs serially in this process.  A
+    worker's exception is re-raised as itself, the first in seed order.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    workers = min(workers, n_paths)
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers <= 1:
+        return observe_paths(spec, sim, n_paths, theta, eps, tau)
+    from concurrent.futures import ProcessPoolExecutor
+
+    theta = np.broadcast_to(np.asarray(theta, dtype=float), (n_paths,))
+    bounds = [n_paths * i // workers for i in range(workers + 1)]
+    with ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_adopt_task, initargs=((spec, sim, theta, eps, tau),),
+    ) as pool:
+        pending = [pool.submit(_observe_range, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        fractions, energies = zip(*[part.result() for part in pending])
+    return np.concatenate(fractions), np.concatenate(energies)
+
 
 @dataclass(frozen=True)
 class VarianceStudy:
@@ -48,18 +111,20 @@ def variance_validation_study(
     dt: float,
     n_reps: int,
     base_seed: int = 0,
+    workers: int = 1,
 ) -> VarianceStudy:
     """Compare T * var(estimate) across replications with the predicted
     asymptotic variance, for both schemes on the same simulated paths.
 
     Replications whose time fraction hits 0 or 1 carry no finite estimate
-    and are excluded (counted in n_degenerate).
+    and are excluded (counted in n_degenerate).  ``workers`` processes step
+    the replications; the result is the same for any count.
     """
     if n_reps < 2:
         raise ValueError("need at least 2 replications")
     ch = ChannelConfig(tau=tau, eps=eps, law=law)
     sim = SimConfig(T=horizon, dt=dt, seed=base_seed)
-    fractions, energies = observe_paths(law.spec, sim, n_reps, theta, eps, tau)
+    fractions, energies = _observe_split(law.spec, sim, n_reps, theta, eps, tau, workers)
     est_t: list[float] = []
     est_e: list[float] = []
     degenerate = 0
@@ -114,6 +179,7 @@ def error_rate_study(
     dt: float,
     n_paths: int,
     base_seed: int = 0,
+    workers: int = 1,
 ) -> ErrorRateStudy:
     """Simulate labeled paths in prior proportions and score the MAP rule.
 
@@ -122,7 +188,8 @@ def error_rate_study(
     from the base seed.  Where ``p_err`` is degenerate the MAP rule is the
     prior guess: every path is decided for the larger prior (the null on a
     tie), as in ``p_err``, and no path needs to be simulated.  Otherwise
-    null and alternative paths are stepped together in one kernel call.
+    null and alternative paths are stepped together, by ``workers``
+    processes; the result is the same for any count.
     """
     if n_paths < 2:
         raise ValueError("need at least 2 labeled paths")
@@ -134,8 +201,8 @@ def error_rate_study(
     else:
         theta = np.where(is_alternative, problem.theta1, problem.theta0)
         sim = SimConfig(T=problem.horizon, dt=dt, seed=base_seed)
-        fractions, energies = observe_paths(
-            problem.law.spec, sim, n_paths, theta, problem.eps, problem.tau
+        fractions, energies = _observe_split(
+            problem.law.spec, sim, n_paths, theta, problem.eps, problem.tau, workers
         )
         statistics = fractions if problem.scheme == "time" else energies
         decides_alternative = np.array(

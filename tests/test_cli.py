@@ -310,6 +310,8 @@ def test_validate_minimum_replications(tmp_path, monkeypatch):
     (["--test-T", "0"], "error: --test-T must be positive"),
     (["--test-eps", "-1"], "error: --test-eps must be positive"),
     (["--test-T", "0.001"], "error: --dt must not exceed --test-T"),
+    (["--workers", "0"], "error: --workers must be an integer of at least 1"),
+    (["--workers", "-2"], "error: --workers must be an integer of at least 1"),
 ])
 def test_validate_errors_name_the_flag(tmp_path, capsys, bad, message):
     assert run(["validate", *bad, "--out", tmp_path / "v"]) == 2
@@ -353,6 +355,30 @@ def test_surface_energy_scheme(tmp_path):
     _, rows = read_csv(out / "surface.csv")
     assert len(rows) == 3 * 2
     assert all(0.0 <= float(r[6]) <= 0.5 + 1e-12 for r in rows if r[7] == "False")
+
+
+def test_validate_workers_agree(tmp_path):
+    # 3 exceeds the CPUs of a small host and is capped there; the report
+    # must not depend on the worker count either way.  --test-eps 1.2 keeps
+    # the error study off its degenerate level, so it steps its paths.
+    args = ["validate", "--reps", "50", "--test-paths", "50", "--T", "20", "--test-T", "20",
+            "--test-eps", "1.2", "--seed", "4"]
+    reports = []
+    for workers in ("1", "2", "3"):
+        out = tmp_path / workers
+        assert run(args + ["--workers", workers, "--out", out]) == 0
+        reports.append((out / "validate.json").read_bytes())
+    assert not json.loads(reports[0])["degenerate"]
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_config_workers_must_be_a_positive_integer(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    for bad in (0, 1.5, "2"):
+        cfg.write_text(json.dumps({"workers": bad}))
+        assert run(["validate", "--config", cfg, "--out", tmp_path / "v"]) == 2
+        assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "v").exists()
 
 
 def test_validate_deterministic(tmp_path):

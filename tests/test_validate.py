@@ -1,10 +1,20 @@
+import multiprocessing
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import stochres
+from stochres import DiffusionSpec, SimConfig, observe_paths
 from stochres import TestProblem as Problem
 from stochres import error_rate_study, ou_law, variance_validation_study
-from stochres.errors import DegenerateObservation
+from stochres.errors import DegenerateObservation, NumericBlowup
+from stochres.validate import _observe_split
 
 
 @pytest.fixture(scope="module")
@@ -74,3 +84,59 @@ def test_variance_study_memory_does_not_grow_with_horizon(law):
         tracemalloc.stop()
     # the paths alone would take 50 x 20 000 x 8 B = 8 MB per array
     assert peak < 4 * 2**20
+
+
+def test_split_matches_one_kernel_call(law):
+    # per-path theta, and 7 paths over 3 workers: ranges of 2, 2 and 3 seeds
+    cfg = SimConfig(T=20.37, dt=0.01, seed=40)
+    theta = np.array([0.0, 0.5, 0.25, 0.5, 0.0, 0.1, 0.5])
+    one = observe_paths(law.spec, cfg, 7, theta, 0.7, 1.0)
+    for workers in (2, 3, 7, 20):
+        split = _observe_split(law.spec, cfg, 7, theta, 0.7, 1.0, workers)
+        for a, b in zip(one, split):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_studies_do_not_depend_on_workers(law):
+    problem = Problem(0.0, 0.5, 0.4, 0.6, 1.0, 0.7, 20.0, law, "time")
+    serial = error_rate_study(problem, dt=0.01, n_paths=7, base_seed=11)
+    assert serial.n_paths == 7
+    assert error_rate_study(problem, dt=0.01, n_paths=7, base_seed=11, workers=3) == serial
+    kwargs = dict(theta=0.5, tau=1.0, eps=0.7, horizon=20.0, dt=0.01, n_reps=7, base_seed=3)
+    serial = variance_validation_study(law, **kwargs)
+    assert variance_validation_study(law, **kwargs, workers=3) == serial
+
+
+def test_split_reraises_a_worker_error_and_leaves_no_process():
+    cubic = DiffusionSpec(lambda x: x**3, lambda x: x * 0.0 + 1.0)
+    cfg = SimConfig(T=5.0, dt=0.5, seed=30, x0=2.0)
+    with pytest.raises(NumericBlowup) as info:
+        _observe_split(cubic, cfg, 4, 0.0, 1.0, 1.0, workers=2)
+    assert type(info.value) is NumericBlowup
+    # every path blows up; the error of the first range (seeds 30, 31) wins
+    seed = int(re.search(r"seed (\d+)", str(info.value)).group(1))
+    assert 30 <= seed < 32
+    assert multiprocessing.active_children() == []
+
+
+def test_split_rejects_fewer_than_one_worker(law):
+    with pytest.raises(ValueError):
+        _observe_split(law.spec, SimConfig(T=1.0), 2, 0.5, 0.7, 1.0, workers=0)
+
+
+def test_serial_studies_load_no_multiprocessing():
+    # a pool is only imported when a study runs on more than one worker
+    code = (
+        "import sys\n"
+        "import stochres, stochres.cli\n"
+        "law = stochres.ou_law()\n"
+        "stochres.variance_validation_study(law, 0.5, 1.0, 0.7, 20.0, 0.01, 10, workers=1)\n"
+        "problem = stochres.TestProblem(0.0, 0.5, 0.5, 0.5, 1.0, 0.7, 20.0, law, 'time')\n"
+        "stochres.error_rate_study(problem, 0.01, 10, workers=1)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))\n"
+    )
+    src = str(Path(stochres.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
