@@ -10,7 +10,7 @@ class QuadratureFailure(StochresError):
 
 
 class NonConvergence(QuadratureFailure):
-    """Adaptive quadrature exhausted its subdivision budget before reaching tolerance."""
+    """Adaptive quadrature or root finding exhausted its budget before reaching tolerance."""
 
 
 class BadBracket(StochresError):

@@ -12,8 +12,8 @@ from which the asymptotic variances of both observation schemes are read in
 O(1) per noise level.  For a law built from coefficients the tables are its
 only representation: F, sf and the quantile read them.  The ergodicity
 check, the support edges and the density exponent all come from one
-Gauss-Legendre panel rule, so only the quantile's root finder imports scipy,
-at call time inside ``numerics``.
+Gauss-Legendre panel rule, and the quantile is a bracketed root of F or sf,
+so no law imports scipy.
 """
 from __future__ import annotations
 

@@ -1,15 +1,16 @@
 """Shared numerical kernels: adaptive quadrature, root finding, scalar
 maximization and the error-function family.
 
-scipy is imported only inside the functions that call it (QUADPACK in
-``integrate_interval``, Brent's method in ``find_root``), so importing the
-package loads no scipy module.  The adaptive quadrature serves the reference
-oracles of ``estimators`` and the tests; building a law does not call it.
-All functions here are pure and safe for concurrent use.
+scipy is imported only inside ``integrate_interval`` (QUADPACK), so importing
+the package loads no scipy module.  The adaptive quadrature serves the
+reference oracles of ``estimators`` and the tests; building a law and root
+finding do not call it.  All functions here are pure and safe for concurrent
+use.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -121,7 +122,10 @@ def integrate_line(f: Callable[[float], float], *, split_at: Sequence[float] = (
 def find_root(g: Callable[[float], float], bracket: Bracket, tol: float = 1e-10) -> float:
     """Locate the root of a continuous function inside a sign-changing bracket.
 
-    Raises BadBracket when g has the same nonzero sign at both endpoints.
+    Brent's method: the returned x lies within tol + 4 eps |x| of a sign
+    change of g.  Raises BadBracket when g has the same nonzero sign at both
+    endpoints, NonFinite when g is not finite at a point inside the bracket,
+    and NonConvergence when 100 iterations do not reach tol.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -133,13 +137,56 @@ def find_root(g: Callable[[float], float], bracket: Bracket, tol: float = 1e-10)
         return bracket.lo
     if ghi == 0.0:
         return bracket.hi
-    if glo * ghi > 0:
+    if (glo < 0.0) == (ghi < 0.0):
         raise BadBracket(
             f"no sign change on [{bracket.lo}, {bracket.hi}]: g(lo)={glo:.6g}, g(hi)={ghi:.6g}"
         )
-    from scipy.optimize import brentq
+    return _brent(g, bracket.lo, bracket.hi, float(glo), float(ghi), tol)
 
-    return float(brentq(g, bracket.lo, bracket.hi, xtol=tol))
+
+_BRENT_RTOL = 4.0 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
+
+
+def _brent(g: Callable[[float], float], xpre: float, xcur: float,
+           fpre: float, fcur: float, xtol: float) -> float:
+    """Brent's method on a bracket whose end values are given, nonzero and of
+    opposite sign; the same step rule and tolerances as scipy's ``brentq``, so
+    it returns the same root bit for bit."""
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # a zero denominator gives no usable step, so the test below bisects
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den != 0.0 else math.inf
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = g(xcur)
+        if not math.isfinite(fcur):
+            raise NonFinite(f"function is not finite at x={xcur}: {fcur}")
+        fcur = float(fcur)
+    raise NonConvergence(f"root finding did not converge in {_BRENT_MAXITER} iterations")
 
 
 class MaximizeResult(NamedTuple):

@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stochres
 from stochres import cli, maptest
 from stochres.cli import main
 from stochres.errors import QuadratureFailure
@@ -413,3 +418,29 @@ def test_config_unknown_key_rejected(tmp_path):
 
 def test_config_missing_file(tmp_path):
     assert run(["estimate", "--config", tmp_path / "none.json", "--out", tmp_path / "e"]) == 2
+
+
+def test_commands_load_no_scipy(tmp_path):
+    # estimate (closed-form and grid-built law), a serial validate and a
+    # grid-built law's quantile compute nothing with scipy, so none loads it
+    out = str(tmp_path)
+    code = (
+        "import sys\n"
+        "import stochres\n"
+        "from stochres.cli import main\n"
+        "from stochres.expressions import compile_expression as c\n"
+        f"out = {out!r}\n"
+        "assert main(['estimate', '--noise', 'ou', '--T', '200', '--out', out + '/ou']) == 0\n"
+        "assert main(['estimate', '--drift=-x^3', '--sigma', '1', '--T', '200',\n"
+        "             '--out', out + '/cubic']) == 0\n"
+        "assert main(['validate', '--reps', '50', '--test-paths', '50', '--T', '100',\n"
+        "             '--test-T', '20', '--out', out + '/val']) == 0\n"
+        "cubic = stochres.build_invariant_law(stochres.DiffusionSpec(c('-x^3'), c('1')))\n"
+        "cubic.quantile(0.9)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(stochres.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                            check=True, timeout=120)
+    assert result.stdout.strip().splitlines()[-1] == "[]"

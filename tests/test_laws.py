@@ -243,7 +243,7 @@ def test_closed_form_law_accepts_arrays(ou):
 def test_import_path_loads_no_scipy():
     # the closed-form law, a law built from coefficients and their variance
     # tables need no scipy; only the adaptive quadrature of the test oracles
-    # and the root finder import it, when called
+    # imports it, when called
     code = (
         "import sys\n"
         "import stochres\n"

@@ -166,6 +166,97 @@ def test_find_root_residuals_small():
         assert abs(g(root)) <= 10.0 * tol * lipschitz
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_find_root_nonfinite_inside_bracket_names_x(bad):
+    # finite at both ends; the first step lands on x = 0.5
+    g = lambda x: bad if 0.2 < x < 0.8 else x - 0.5
+    with pytest.raises(NonFinite, match=r"x=0\.5\b"):
+        find_root(g, Bracket(0.0, 1.0), tol=1e-10)
+
+
+def test_find_root_nonconvergence_is_typed():
+    # a jump at 1e-200 inside a 2e300-wide bracket: bisection needs more than
+    # the iteration budget to resolve it at tol 1e-300
+    with pytest.raises(NonConvergence):
+        find_root(lambda x: -1.0 if x < 1e-200 else 1.0, Bracket(-1e300, 1e300), tol=1e-300)
+
+
+def test_find_root_same_sign_ends_whose_product_underflows():
+    with pytest.raises(BadBracket):
+        find_root(lambda x: 1e-200, Bracket(0.0, 1.0))
+
+
+def _root_oracle_cases():
+    """(name, g, lo, hi, tol): smooth and steep roots over random brackets,
+    the energy-map inversions on OU and on the cubic law, and the cubic
+    law's quantile residuals."""
+    from stochres.estimators import ChannelConfig, energy_limit
+    from stochres.expressions import compile_expression as c
+
+    rng = np.random.default_rng(20)
+    functions = {
+        "tanh": lambda x: math.tanh(x - 0.3),
+        "cubic": lambda x: x**3 - 2.0 * x - 5.0,
+        "exp": lambda x: math.exp(x) - 3.0,
+        "steep_atan": lambda x: math.atan(1e4 * (x - 0.123)),
+        "erf": lambda x: erf(x) - 0.5,
+        "sin": lambda x: math.sin(x) - 0.5 * x,
+        # products of values this small underflow to zero, so some inverse
+        # quadratic steps have a zero denominator
+        "tiny_cubic": lambda x: 1e-200 * (x**3 - 2.0 * x - 5.0),
+    }
+    cases = []
+    for name, g in functions.items():
+        for lo, hi in np.sort(rng.uniform(-4.0, 4.0, size=(40, 2)), axis=1):
+            if (g(lo) < 0.0) != (g(hi) < 0.0):
+                cases += [(name, g, float(lo), float(hi), tol) for tol in (1e-10, 1e-12)]
+    ou = stochres.ou_law()
+    cubic = stochres.build_invariant_law(stochres.DiffusionSpec(c("-x^3"), c("1")))
+    for law_name, law in (("ou", ou), ("cubic", cubic)):
+        for theta, eps in rng.uniform((-0.5, 0.3), (0.9, 1.5), size=(15, 2)):
+            ch = ChannelConfig(tau=1.0, eps=float(eps), law=law)
+            energy = energy_limit(float(theta), ch)
+            g = lambda t, ch=ch, energy=energy: energy_limit(t, ch) - energy
+            cases.append((f"energy_{law_name}", g, -1.0, 2.0, 1e-10))
+            cases.append((f"energy_{law_name}", g, float(theta) - 0.5, float(theta) + 0.25, 1e-10))
+    for p in (1e-6, 0.01, 0.3, 0.5, 0.7, 0.99, 1.0 - 1e-6):
+        if p <= 0.5:
+            g = lambda x, p=p: cubic.F(x) - p
+        else:
+            g = lambda x, q=1.0 - p: q - cubic.sf(x)
+        lo, hi = -1.0, 1.0  # the quantile's own bracket expansion
+        while g(lo) > 0.0:
+            lo *= 2.0
+        while g(hi) < 0.0:
+            hi *= 2.0
+        cases.append(("quantile_cubic", g, lo, hi, 1e-12))
+        cases.append(("quantile_cubic", g, -4.0, 4.0, 1e-12))
+    return cases
+
+
+def test_find_root_matches_brentq_bit_for_bit():
+    # the solver is brentq's step rule in Python floats, so each root is the
+    # same double; brentq's call count includes the two end values, which
+    # find_root evaluates once and hands to the solver
+    from scipy.optimize import brentq
+
+    cases = _root_oracle_cases()
+    assert len(cases) > 300
+    mismatches = []
+    for name, g, lo, hi, tol in cases:
+        calls = [0]
+
+        def counted(x, g=g):
+            calls[0] += 1
+            return g(x)
+
+        got = find_root(counted, Bracket(lo, hi), tol=tol)
+        want, info = brentq(g, lo, hi, xtol=tol, full_output=True)
+        if got != want or calls[0] != info.function_calls:
+            mismatches.append((name, lo, hi, tol, got, want, calls[0], info.function_calls))
+    assert mismatches == []
+
+
 def test_bracket_validation():
     with pytest.raises(ValueError):
         Bracket(1.0, 1.0)
