@@ -19,7 +19,6 @@ from .estimators import (
     ChannelConfig,
     VarianceReport,
     edf_variance,
-    energy_covariance_kernel,
     energy_limit,
     energy_limit_closed_form,
     energy_limit_derivative,
@@ -30,7 +29,6 @@ from .estimators import (
     energy_statistic_variance,
     estimate_theta_energy,
     estimate_theta_time,
-    log_likelihood_time,
     time_fraction_limit,
     time_scheme_variance,
     time_scheme_variance_ou_reference,

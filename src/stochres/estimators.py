@@ -16,11 +16,17 @@ asymptotic variance) is the objective maximized over the noise level.
 
 Every law-dependent quantity is read from the law's cumulative tables
 (``InvariantLaw.tables``), so each costs O(1) per noise level and the same
-code serves every law.
+code serves every law.  A table lookup takes an array of gaps, and each
+per-noise-level formula has one array form (the ``*_at`` functions): it
+takes a float or an array of noise levels and returns the values with a
+per-point ``failed`` mask, so a curve or a scan over the noise level is one
+lookup.  The scalar functions evaluate that form at one point and raise
+QuadratureFailure where it fails.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -28,7 +34,7 @@ import numpy as np
 
 from .errors import DegenerateObservation, OutOfRange, QuadratureFailure
 from .laws import InvariantLaw
-from .numerics import Bracket, find_root, integrate_line
+from .numerics import Bracket, find_root, integrate_line, libm, not_finite_above
 
 __all__ = [
     "ChannelConfig",
@@ -36,22 +42,28 @@ __all__ = [
     "time_fraction_limit",
     "estimate_theta_time",
     "edf_variance",
+    "edf_variance_at",
     "time_scheme_variance",
     "time_scheme_variance_ou_reference",
     "energy_limit",
+    "energy_limit_at",
     "energy_limit_closed_form",
     "energy_limit_quadrature",
     "energy_limit_derivative",
+    "energy_limit_derivative_at",
     "energy_limit_derivative_closed_form",
     "energy_limit_derivative_quadrature",
     "estimate_theta_energy",
-    "energy_covariance_kernel",
     "energy_statistic_variance",
+    "energy_statistic_variance_at",
     "energy_scheme_variance",
-    "log_likelihood_time",
+    "fisher_at",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
+# the largest double whose reciprocal overflows: 1/x is finite for every
+# double x above it
+_NO_RECIPROCAL = 1.0 / sys.float_info.max
 
 Scheme = Literal["time", "energy"]
 
@@ -112,6 +124,21 @@ def estimate_theta_time(time_fraction: float, ch: ChannelConfig) -> float:
     return ch.tau - ch.eps * ch.law.quantile(1.0 - time_fraction)
 
 
+def edf_variance_at(x, law: InvariantLaw) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of ``edf_variance``: V at a float x or at each entry of an
+    array, in one table lookup, and the mask of the points that failed
+    (outside the tabulated support, where V is NaN).
+
+    A float outside the support raises QuadratureFailure instead.
+    """
+    p = law.tables.at(x)
+    V = 4.0 * (
+        libm(math.exp, 2.0 * libm(math.log, p.m[..., 0]) + p.log_A)
+        + libm(math.exp, 2.0 * libm(math.log, p.F) + p.log_B)
+    )
+    return V, p.outside
+
+
 def edf_variance(x: float, law: InvariantLaw, sigma_fn: Callable[[float], float]) -> float:
     """Asymptotic variance of the empirical distribution function at x.
 
@@ -128,10 +155,50 @@ def edf_variance(x: float, law: InvariantLaw, sigma_fn: Callable[[float], float]
     """
     if sigma_fn is not law.spec.diffusion:
         raise ValueError("sigma_fn must be the law's diffusion coefficient law.spec.diffusion")
-    p = law.tables.at(x)
-    return 4.0 * (
-        math.exp(2.0 * math.log(p.m[0]) + p.log_A) + math.exp(2.0 * math.log(p.F) + p.log_B)
-    )
+    return float(edf_variance_at(x, law)[0])
+
+
+def fisher_at(theta: float, tau: float, eps, law: InvariantLaw, scheme: Scheme):
+    """Fisher information of either scheme at a float noise level or at each
+    entry of an array, in one table lookup, and the mask of the levels where
+    it fails (see ``time_scheme_variance`` and ``energy_scheme_variance``).
+
+    A float whose gap lies outside the tabulated support raises
+    QuadratureFailure instead.
+    """
+    if scheme == "time":
+        a = (tau - theta) / eps
+        fa = law.f(a)
+        V, failed = edf_variance_at(a, law)
+        failed = failed | not_finite_above(V) | (fa <= 0.0)
+        # (f/(eps sqrt V))^2 stays finite where f and V underflow separately
+        num, den = fa, eps * libm(math.sqrt, V)
+    else:
+        slope = energy_limit_derivative_at(theta, tau, eps, law)
+        raw, failed = energy_statistic_variance_at(theta, tau, eps, law)
+        failed = failed | not_finite_above(slope)
+        num, den = slope, libm(math.sqrt, raw)
+    if isinstance(failed, bool):  # a float: float arithmetic, which raises where den is 0
+        if failed:
+            return math.nan, True
+        q = num / den
+        fisher = q * q
+    else:  # an array: a failed entry may divide by 0 or overflow
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            q = num / den
+            fisher = q * q
+    return fisher, failed | not_finite_above(fisher, _NO_RECIPROCAL)
+
+
+def _variance_report(theta: float, ch: ChannelConfig, scheme: Scheme) -> VarianceReport:
+    fisher, failed = fisher_at(theta, ch.tau, ch.eps, ch.law, scheme)
+    if failed:
+        raise QuadratureFailure(
+            f"{scheme}-scheme variance degenerates or its fisher information is not representable "
+            f"at theta={theta}, eps={ch.eps}"
+        )
+    fisher = float(fisher)
+    return VarianceReport(value=1.0 / fisher, fisher=fisher, scheme=scheme)
 
 
 def time_scheme_variance(theta: float, ch: ChannelConfig) -> VarianceReport:
@@ -140,22 +207,11 @@ def time_scheme_variance(theta: float, ch: ChannelConfig) -> VarianceReport:
     Sigma(theta) = eps^2 V(a) / f(a)^2 with a = (tau - theta)/eps.  The
     Fisher information is assembled as (f(a) / (eps sqrt(V)))^2 so that
     regimes where both f and V underflow separately still produce a finite
-    positive result whenever one is representable.
+    positive result whenever one is representable.  Raises
+    QuadratureFailure where it is not, or where a lies outside the law's
+    tabulated support.
     """
-    a = ch.gap_ratio(theta)
-    fa = float(ch.law.f(a))
-    V = edf_variance(a, ch.law, ch.law.spec.diffusion)
-    if not (math.isfinite(V) and V > 0.0) or fa <= 0.0:
-        raise QuadratureFailure(
-            f"time-scheme variance degenerates at theta={theta}, eps={ch.eps} (f(a)={fa}, V={V})"
-        )
-    q = fa / (ch.eps * math.sqrt(V))
-    fisher = q * q
-    if not (math.isfinite(fisher) and fisher > 0.0) or not math.isfinite(1.0 / fisher):
-        raise QuadratureFailure(
-            f"time-scheme fisher not representable at theta={theta}, eps={ch.eps}"
-        )
-    return VarianceReport(value=1.0 / fisher, fisher=fisher, scheme="time")
+    return _variance_report(theta, ch, "time")
 
 
 def time_scheme_variance_ou_reference(theta: float, tau: float, eps: float) -> float:
@@ -189,13 +245,39 @@ def time_scheme_variance_ou_reference(theta: float, tau: float, eps: float) -> f
 # ---------------------------------------------------------------------------
 
 
-def _energy_weights(theta: float, eps: float) -> np.ndarray:
-    """Coefficients of (eps*xi + theta)^2 on the powers xi^0, xi^1, xi^2.
+def _energy_weights(theta: float, eps, tail=0.0) -> np.ndarray:
+    """Coefficients of (eps*xi + theta)^2 on the powers xi^0, xi^1, xi^2,
+    less ``tail`` on xi^0: one contiguous row per noise level.
 
     Dotted with the upper moments m_k(x) they give the truncated energy
     tail(x) = E[(eps*xi + theta)^2 1{xi > x}].
     """
-    return np.array([theta * theta, 2.0 * theta * eps, eps * eps])
+    # 0.0 * eps broadcasts the first coefficient to the shape of eps
+    w = np.array([theta * theta - tail + 0.0 * eps, 2.0 * theta * eps, eps * eps])
+    return np.ascontiguousarray(w.T)
+
+
+def _plain(x):
+    """A float for one number, so that the checks on it stay on Python
+    floats and bools; an array unchanged."""
+    return float(x) if x.ndim == 0 else x
+
+
+def _dot(u: np.ndarray, v: np.ndarray):
+    """u . v over the last axis.  Each row is one BLAS dot of three entries,
+    the same call as ``u @ v`` for one row, so a row and a float agree bit
+    for bit (numpy's elementwise sum rounds differently)."""
+    return _plain((u[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+
+def _quadratic_form(c: np.ndarray, nu: np.ndarray):
+    """c . nu . c over the last axes, as ``c @ nu @ c`` for one row."""
+    return _plain((c[..., None, :] @ nu @ c[..., :, None])[..., 0, 0])
+
+
+def _log_or_nan(x: float) -> float:
+    """log x, NaN at x <= 0 (a cancelled quadratic form), where math.log raises."""
+    return math.log(x) if x > 0.0 else math.nan
 
 
 def energy_limit_closed_form(theta: float, ch: ChannelConfig) -> float:
@@ -235,13 +317,20 @@ def energy_limit_quadrature(theta: float, ch: ChannelConfig) -> float:
     )
 
 
+def energy_limit_at(theta: float, tau: float, eps, law: InvariantLaw):
+    """Array form of ``energy_limit`` at a float noise level or at each entry
+    of an array; it has no failure condition."""
+    a = (tau - theta) / eps
+    return _dot(_energy_weights(theta, eps), np.ascontiguousarray(law.tables.upper_moments(a).T))
+
+
 def energy_limit(theta: float, ch: ChannelConfig) -> float:
     """Long-run value of the energy statistic; increasing in theta below tau.
 
     E[(eps*xi + theta)^2 1{xi > a}] with a = (tau - theta)/eps, a fixed
     combination of the law's upper moments at a.
     """
-    return float(_energy_weights(theta, ch.eps) @ ch.law.tables.upper_moments(ch.gap_ratio(theta)))
+    return float(energy_limit_at(theta, ch.tau, ch.eps, ch.law))
 
 
 def energy_limit_derivative_closed_form(theta: float, ch: ChannelConfig) -> float:
@@ -272,11 +361,17 @@ def energy_limit_derivative_quadrature(theta: float, ch: ChannelConfig) -> float
     )
 
 
+def energy_limit_derivative_at(theta: float, tau: float, eps, law: InvariantLaw):
+    """Array form of ``energy_limit_derivative`` at a float noise level or at
+    each entry of an array; it has no failure condition."""
+    a = (tau - theta) / eps
+    m = law.tables.upper_moments(a)
+    return _plain(tau * tau * law.f(a) / eps + 2.0 * theta * m[0] + 2.0 * eps * m[1])
+
+
 def energy_limit_derivative(theta: float, ch: ChannelConfig) -> float:
     """Slope of the energy map: tau^2 f(a)/eps + 2 theta sf(a) + 2 eps E[xi 1{xi>a}]."""
-    a = ch.gap_ratio(theta)
-    m = ch.law.tables.upper_moments(a)
-    return ch.tau * ch.tau * float(ch.law.f(a)) / ch.eps + 2.0 * theta * m[0] + 2.0 * ch.eps * m[1]
+    return float(energy_limit_derivative_at(theta, ch.tau, ch.eps, ch.law))
 
 
 def estimate_theta_energy(energy: float, ch: ChannelConfig) -> float:
@@ -307,100 +402,59 @@ def estimate_theta_energy(energy: float, ch: ChannelConfig) -> float:
     )
 
 
-def energy_covariance_kernel(y: float, theta: float, ch: ChannelConfig) -> float:
-    """Covariance kernel of the energy statistic.
-
-    M(y) = E[(F(y) - 1{xi < y}) (eps*xi + theta)^2 1{xi > a}] with
-    a = (tau - theta)/eps.  Below the threshold gap the kernel is
-    tail(a) * F(y); above it, tail(y) - tail(a) * sf(y), with tail(x) the
-    truncated energy above x.  Each branch pairs quantities that decay
-    together, so both far tails keep relative accuracy instead of
-    collapsing into roundoff of near-equal differences.
-    """
-    a = ch.gap_ratio(theta)
-    weights = _energy_weights(theta, ch.eps)
-    tail_a = float(weights @ ch.law.tables.upper_moments(a))
-    if y <= a:
-        return tail_a * float(ch.law.F(y))
-    m = ch.law.tables.upper_moments(y)
-    return float(weights @ m) - tail_a * float(m[0])
-
-
 # below this share of the summed magnitudes the quadratic form has lost too
 # many digits to cancellation; it happens when the gap a sits deep in the
 # lower tail, where every S_jk(a) is of order 1/f(a)
 _CANCELLATION_FLOOR = 1e-8
 
 
+def energy_statistic_variance_at(theta: float, tau: float, eps, law: InvariantLaw):
+    """Array form of ``energy_statistic_variance`` at a float noise level or
+    at each entry of an array, in one table lookup, and the mask of the
+    levels where it fails: the gap lies outside the tabulated support, the
+    quadratic form cancels, or the variance is not finite and positive.
+
+    A float whose gap lies outside the support raises QuadratureFailure
+    instead.
+    """
+    p = law.tables.at((tau - theta) / eps)
+    tail = _dot(_energy_weights(theta, eps), p.m)
+    c = _energy_weights(theta, eps, tail)
+    form = _quadratic_form(c, p.nu)
+    cancels = form <= _CANCELLATION_FLOOR * _quadratic_form(np.abs(c), np.abs(p.nu))
+    v = 4.0 * (
+        libm(math.exp, 2.0 * libm(math.log, tail) + p.log_A)
+        + libm(math.exp, p.log_B + libm(_log_or_nan, form))
+    )
+    return v, p.outside | cancels | not_finite_above(v)
+
+
 def energy_statistic_variance(theta: float, ch: ChannelConfig) -> float:
     """Raw asymptotic variance of the energy statistic: 4 E[M(xi)^2 / (sigma f)^2].
 
-    Split at a: below it M(y) = tail(a) F(y); above it M is linear in the
-    upper moments, M(y) = sum_k c_k m_k(y) with
-    c = (theta^2 - tail(a), 2 theta eps, eps^2).  So
-    4 int M^2/(sigma^2 f) = 4 [tail(a)^2 A(a) + sum_jk c_j c_k S_jk(a)],
+    With a = (tau - theta)/eps the covariance kernel is
+    M(y) = E[(F(y) - 1{xi < y}) (eps*xi + theta)^2 1{xi > a}].  Split at a:
+    below it M(y) = tail(a) F(y); above it M is linear in the upper moments,
+    M(y) = sum_k c_k m_k(y) with c = (theta^2 - tail(a), 2 theta eps, eps^2).
+    So 4 int M^2/(sigma^2 f) = 4 [tail(a)^2 A(a) + sum_jk c_j c_k S_jk(a)],
     read from the law's tables.  Raises QuadratureFailure outside the
-    tabulated support and when the quadratic form cancels.
+    tabulated support, when the quadratic form cancels (the gap deep in the
+    lower tail) and when the variance is not finite and positive.
     """
-    p = ch.law.tables.at(ch.gap_ratio(theta))
-    c = _energy_weights(theta, ch.eps)
-    tail = float(c @ p.m)
-    c[0] -= tail
-    form = float(c @ p.nu @ c)
-    if not form > _CANCELLATION_FLOOR * float(np.abs(c) @ np.abs(p.nu) @ np.abs(c)):
+    v, failed = energy_statistic_variance_at(theta, ch.tau, ch.eps, ch.law)
+    if failed:
         raise QuadratureFailure(
-            f"energy-statistic variance cancels at theta={theta}, eps={ch.eps} (gap deep in the lower tail)"
+            f"energy-statistic variance cancels or degenerates at theta={theta}, eps={ch.eps} "
+            f"(V={float(v)})"
         )
-    v = 4.0 * (math.exp(2.0 * math.log(tail) + p.log_A) + math.exp(p.log_B + math.log(form)))
-    if not (math.isfinite(v) and v > 0.0):
-        raise QuadratureFailure(
-            f"energy-statistic variance degenerates at theta={theta}, eps={ch.eps} (V={v})"
-        )
-    return v
+    return float(v)
 
 
 def energy_scheme_variance(theta: float, ch: ChannelConfig) -> VarianceReport:
     """Asymptotic variance of the energy-scheme estimator, by the delta method.
 
     Sigma~(theta) = 4 E[M^2/(sigma f)^2] / (d energy_limit/d theta)^2.
+    Raises QuadratureFailure where ``energy_statistic_variance`` fails, the
+    energy map is flat, or the information is not representable.
     """
-    slope = energy_limit_derivative(theta, ch)
-    raw = energy_statistic_variance(theta, ch)
-    if not (math.isfinite(slope) and slope > 0.0):
-        raise QuadratureFailure(
-            f"energy map is flat at theta={theta}, eps={ch.eps} (slope={slope})"
-        )
-    q = slope / math.sqrt(raw)
-    fisher = q * q
-    if not (math.isfinite(fisher) and fisher > 0.0) or not math.isfinite(1.0 / fisher):
-        raise QuadratureFailure(
-            f"energy-scheme fisher not representable at theta={theta}, eps={ch.eps}"
-        )
-    return VarianceReport(value=1.0 / fisher, fisher=fisher, scheme="energy")
-
-
-# ---------------------------------------------------------------------------
-# approximate likelihood (time scheme)
-# ---------------------------------------------------------------------------
-
-
-def log_likelihood_time(
-    theta: float,
-    time_fraction: float,
-    horizon: float,
-    ch: ChannelConfig,
-) -> float:
-    """Gaussian approximation to the log likelihood of the time statistic.
-
-    log sqrt(T / (2 pi V(a))) - (T/2) (1 - fraction - F(a))^2 / V(a).
-    The exponent vanishes exactly at the inverse-map estimate, so this
-    likelihood is maximized there up to the O(1) prefactor variation.
-    """
-    if not 0.0 < time_fraction < 1.0:
-        raise DegenerateObservation("time fraction on the boundary has no likelihood expansion")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    a = ch.gap_ratio(theta)
-    V = edf_variance(a, ch.law, ch.law.spec.diffusion)
-    resid = 1.0 - time_fraction - float(ch.law.F(a))
-    return 0.5 * math.log(horizon / (2.0 * math.pi * V)) - 0.5 * horizon * resid * resid / V
+    return _variance_report(theta, ch, "energy")

@@ -9,11 +9,11 @@ and variance 1/2.
 
 Every law carries a node grid and cumulative tables on it (``LawTables``)
 from which the asymptotic variances of both observation schemes are read in
-O(1) per noise level.  For a law built from coefficients the tables are its
-only representation: F, sf and the quantile read them.  The ergodicity
-check, the support edges and the density exponent all come from one
-Gauss-Legendre panel rule, and the quantile is a bracketed root of F or sf,
-so no law imports scipy.
+O(1) per noise level; one lookup takes a whole array of gaps.  For a law
+built from coefficients the tables are its only representation: F, sf and
+the quantile read them.  The ergodicity check, the support edges and the
+density exponent all come from one Gauss-Legendre panel rule, and the
+quantile is a bracketed root of F or sf, so no law imports scipy.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NotErgodic, QuadratureFailure
-from .numerics import REL_TOL, Bracket, find_root
+from .numerics import REL_TOL, Bracket, find_root, libm
 
 __all__ = [
     "DiffusionSpec",
@@ -60,8 +60,10 @@ _MASS_FLOOR = 1e-300
 _PROBE_RANGE = Bracket(-50.0, 50.0)
 _NODE_SPACING = 0.005
 
-# index pairs j <= k of the six suffix tables S_jk
+# index pairs j <= k of the six suffix tables S_jk, and the pair of each
+# entry of the symmetric 3 x 3 matrix, row by row
 _PAIRS = np.triu_indices(3)
+_SYMMETRIC = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
 # panels per block when building the tables or summing the probe mass
 _BLOCK = 512
 
@@ -159,7 +161,7 @@ def _panels(fn: Callable, lo, hi) -> tuple[np.ndarray, np.ndarray]:
 
 def _moments(t: np.ndarray, wf: np.ndarray) -> np.ndarray:
     """The rule's moments sum(w f t^k), k = 0..2, over the last axis."""
-    return np.stack([wf.sum(-1), (wf * t).sum(-1), (wf * t * t).sum(-1)])
+    return np.array([wf.sum(-1), (wf * t).sum(-1), (wf * t * t).sum(-1)])
 
 
 def _support_edges(mass: Callable) -> tuple[float, float]:
@@ -287,7 +289,7 @@ def _log_sum(v: np.ndarray) -> np.ndarray:
     scipy.special.logsumexp does the same but its call overhead alone
     exceeds the rest of a table lookup.
     """
-    top = v.max(axis=-1, keepdims=True)
+    top = np.maximum.reduce(v, axis=-1, keepdims=True)
     top[~np.isfinite(top)] = 0.0
     return np.log(np.exp(v - top).sum(axis=-1)) + top[..., 0]
 
@@ -314,16 +316,19 @@ def _gauss_panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
 def _second_order_panels(F_t, m_t, f_t, sig2_t, w):
     """Panel integrals of the variance tables from values at the Gauss points.
 
-    Returns log int F^2/(sigma^2 f), log int sf^2/(sigma^2 f), and for each
-    pair j <= k the sf^2/(sigma^2 f)-weighted panel mean of mu_j mu_k, where
-    mu_k = m_k/sf is the conditional upper moment.  Products are formed in
-    logs, so factors that underflow on their own still combine.
+    ``f_t``, ``sig2_t`` and ``w`` cover a row of panels, ``F_t`` the first
+    of them and ``m_t`` the last (all of them when building the tables; a
+    lookup's left partial panels and its right ones).  Returns, on the
+    panels of ``F_t``, log int F^2/(sigma^2 f), and on those of ``m_t``
+    log int sf^2/(sigma^2 f) and, for each pair j <= k, the
+    sf^2/(sigma^2 f)-weighted panel mean of mu_j mu_k, where mu_k = m_k/sf
+    is the conditional upper moment.  Products are formed in logs, so
+    factors that underflow on their own still combine.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         base = np.log(w) - np.log(sig2_t) - np.log(f_t)
-        la_pts = 2.0 * np.log(F_t) + base
-        lb_pts = 2.0 * np.log(m_t[0]) + base
-        la = _log_sum(la_pts)
+        la = _log_sum(2.0 * np.log(F_t) + base[: len(F_t)])
+        lb_pts = 2.0 * np.log(m_t[0]) + base[len(base) - m_t.shape[1] :]
         lb = _log_sum(lb_pts)
         mu = m_t / m_t[0]
         q = (mu[_PAIRS[0]] * mu[_PAIRS[1]] * np.exp(lb_pts - lb[..., None])).sum(-1)
@@ -332,12 +337,16 @@ def _second_order_panels(F_t, m_t, f_t, sig2_t, w):
 
 @dataclass(frozen=True)
 class LawPoint:
-    """The tabulated quantities of a law at one point x inside its support.
+    """The tabulated quantities of a law at one point x, or at each of an
+    array of points.
 
     ``m[k]`` = E[xi^k 1{xi > x}] (``m[0]`` is the survival function);
     ``log_A`` and ``log_B`` are the logarithms of
     A(x) = int_{-inf}^x F^2/(sigma^2 f) and B(x) = int_x^inf sf^2/(sigma^2 f);
     ``nu[j, k]`` = S_jk(x)/B(x) with S_jk(x) = int_x^inf m_j m_k/(sigma^2 f).
+    For an array of n points every field gains a leading axis of length n
+    (``m`` is (n, 3), ``nu`` is (n, 3, 3)), and ``outside`` marks the points
+    that do not lie strictly inside the support, whose fields are NaN.
     """
 
     F: float
@@ -345,6 +354,7 @@ class LawPoint:
     log_A: float
     log_B: float
     nu: np.ndarray
+    outside: np.ndarray | bool = False
 
 
 class LawTables:
@@ -434,34 +444,59 @@ class LawTables:
         """sf(x) = m_0(x) at any real x, scalar or array."""
         return _as_output(self.upper_moments(x)[0])
 
-    def at(self, x: float) -> LawPoint:
-        """Every tabulated quantity at x, strictly inside the support."""
+    def at(self, x) -> LawPoint:
+        """Every tabulated quantity at x, a float or an array of points.
+
+        Each point adds one partial panel on either side of it to the node
+        tables.  A float must lie strictly inside the support, else
+        QuadratureFailure; an array is one lookup whose points outside come
+        back flagged (see ``LawPoint``).  A float runs through the same code
+        as an array of one point, so both give the same bits.
+        """
         lo, hi = self.support
-        if not lo < x < hi:
-            raise QuadratureFailure(
-                f"x={x:.6g} lies outside the tabulated support ({lo:.6g}, {hi:.6g}) of the law"
-            )
-        i = int(self._locate(x)[1])
-        # panel 0 = [x_i, x] extends the prefix tables, panel 1 = [x, x_i+1] the suffix ones
-        t, w, f_t, P, I = _gauss_panels(
-            self.f, np.array([self.x[i], x]), np.array([x, self.x[i + 1]])
-        )
+        pts = np.asarray(x, dtype=float)
+        scalar = pts.ndim == 0
+        if scalar:
+            if not lo < x < hi:
+                raise QuadratureFailure(
+                    f"x={x:.6g} lies outside the tabulated support ({lo:.6g}, {hi:.6g}) of the law"
+                )
+            pts = pts.reshape(1)
+        else:
+            outside = ~((pts > lo) & (pts < hi))
+            if outside.any():  # an interior node stands in; its fields are replaced below
+                pts = np.where(outside, self.x[1], pts)
+        n = len(pts)
+        i = self.x.searchsorted(pts, side="right") - 1
+        j = i + 1
+        m_next = self.m[:, j]
+        # panels [x_i, x] (the first n) extend the prefix tables, panels
+        # [x, x_i+1] the suffix ones
+        ends = np.concatenate([self.x[i], pts, self.x[j]])
+        t, w, f_t, P, I = _gauss_panels(self.f, ends[: 2 * n], ends[n:])
         sig = np.asarray(self.sigma(t), dtype=float)
-        la, lb, q = _second_order_panels(
-            self.F[i] + I[0], self.m[:, i + 1, None, None] + (P[..., None] - I), f_t, sig * sig, w
-        )
-        log_B = float(np.logaddexp(self.log_B[i + 1], lb[1]))
-        pairs = self.nu[:, i + 1] * math.exp(self.log_B[i + 1] - log_B) + q[:, 1] * math.exp(lb[1] - log_B)
-        nu = np.empty((3, 3))
-        nu[_PAIRS] = pairs
-        nu[_PAIRS[::-1]] = pairs
-        return LawPoint(
-            F=float(self.F[i] + P[0, 0]),
-            m=self.m[:, i + 1] + P[:, 1],
-            log_A=float(np.logaddexp(self.log_A[i], la[0])),
-            log_B=log_B,
-            nu=nu,
-        )
+        F_t = self.F[i, None] + I[0, :n]
+        m_t = m_next[..., None] + (P[:, n:, None] - I[:, n:])
+        la, lb, q = _second_order_panels(F_t, m_t, f_t, sig * sig, w)
+        log_B_next = self.log_B[j]
+        log_B = np.logaddexp(log_B_next, lb)
+        shift = libm(math.exp, np.array([log_B_next, lb]) - log_B)
+        pairs = self.nu[:, j] * shift[0] + q * shift[1]
+        # contiguous rows: BLAS rounds the energy form's products on a strided
+        # matrix differently from one point's
+        nu = np.ascontiguousarray(pairs[_SYMMETRIC].T).reshape(n, 3, 3)
+        F = self.F[i] + P[0, :n]
+        m = np.ascontiguousarray((m_next + P[:, n:]).T)
+        log_A = np.logaddexp(self.log_A[i], la)
+        if scalar:
+            return LawPoint(
+                F=float(F[0]), m=m[0], log_A=float(log_A[0]), log_B=float(log_B[0]), nu=nu[0]
+            )
+        if outside.any():
+            F, log_A, log_B = (np.where(outside, np.nan, v) for v in (F, log_A, log_B))
+            m[outside] = np.nan
+            nu[outside] = np.nan
+        return LawPoint(F=F, m=m, log_A=log_A, log_B=log_B, nu=nu, outside=outside)
 
 
 def build_invariant_law(spec: DiffusionSpec) -> InvariantLaw:

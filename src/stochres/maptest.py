@@ -12,6 +12,10 @@ the boundary 0 within ``DEGENERATE_Z`` = 2 standard deviations of the
 mean under both hypotheses, the path hardly ever crosses the threshold and
 the approximation says nothing about the error: such a noise level is
 flagged degenerate and reports the prior-guess error min(p0, p1).
+
+The moments come from one table lookup per signal value over an array of
+noise levels, so a row of the error surface and the coarse scan of
+``find_perr_minimum`` take one lookup per hypothesis.
 """
 from __future__ import annotations
 
@@ -20,17 +24,18 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+import numpy as np
+
 from .errors import QuadratureFailure
 from .estimators import (
     ChannelConfig,
     Scheme,
-    edf_variance,
-    energy_limit,
-    energy_statistic_variance,
-    time_fraction_limit,
+    edf_variance_at,
+    energy_limit_at,
+    energy_statistic_variance_at,
 )
 from .laws import InvariantLaw
-from .numerics import SCAN_CELLS, Bracket, maximize_scalar, normal_cdf
+from .numerics import SCAN_CELLS, Bracket, maximize_scalar, normal_cdf, not_finite_above, scan_points
 
 __all__ = [
     "Decision",
@@ -156,18 +161,21 @@ class ErrorReport:
 
 
 def _statistic_moments(
-    theta: float, ch: ChannelConfig, horizon: float, scheme: Scheme
-) -> tuple[float, float]:
-    """Mean and variance of the statistic at one signal value."""
+    theta: float, tau: float, eps, horizon: float, law: InvariantLaw, scheme: Scheme
+):
+    """Mean and variance of the statistic at one signal value, at the float
+    noise level ``eps`` or at each entry of an array, in one table lookup,
+    and the mask of the levels whose variance fails (outside the tabulated
+    support, a cancelling energy form, or not finite and positive)."""
     if scheme == "time":
-        mu = time_fraction_limit(theta, ch)
-        var = edf_variance(ch.gap_ratio(theta), ch.law, ch.law.spec.diffusion) / horizon
+        a = (tau - theta) / eps
+        mu = law.sf(a)
+        var, failed = edf_variance_at(a, law)
     else:
-        mu = energy_limit(theta, ch)
-        var = energy_statistic_variance(theta, ch) / horizon
-    if not (math.isfinite(var) and var > 0.0):
-        raise QuadratureFailure(f"statistic variance degenerates at eps={ch.eps} (variance={var})")
-    return mu, var
+        mu = energy_limit_at(theta, tau, eps, law)
+        var, failed = energy_statistic_variance_at(theta, tau, eps, law)
+    var = var / horizon
+    return mu, var, failed | not_finite_above(var)
 
 
 def moments(problem: TestProblem) -> GaussianMoments:
@@ -177,14 +185,19 @@ def moments(problem: TestProblem) -> GaussianMoments:
     Energy scheme: mean is the long-run energy, variance 4E[M^2/(sigma f)^2]/T.
     These are the T -> infinity asymptotics.  Both statistics are >= 0, so
     where a mean sits within a few standard deviations of 0 the Gaussian
-    law is a poor description; ``p_err`` flags such noise levels.
+    law is a poor description; ``p_err`` flags such noise levels.  Raises
+    QuadratureFailure where either variance cannot be evaluated.
     """
     ch = ChannelConfig(tau=problem.tau, eps=problem.eps, law=problem.law)
-    (mu0, v0), (mu1, v1) = (
-        _statistic_moments(t, ch, problem.horizon, problem.scheme)
+    (mu0, v0, failed0), (mu1, v1, failed1) = (
+        _statistic_moments(t, ch.tau, ch.eps, problem.horizon, ch.law, problem.scheme)
         for t in (problem.theta0, problem.theta1)
     )
-    return GaussianMoments(mu0=mu0, mu1=mu1, s0sq=v0, s1sq=v1)
+    if failed0 or failed1:
+        raise QuadratureFailure(
+            f"statistic variance degenerates at eps={ch.eps} (variances {float(v0)}, {float(v1)})"
+        )
+    return GaussianMoments(mu0=float(mu0), mu1=float(mu1), s0sq=float(v0), s1sq=float(v1))
 
 
 def build_rule(m: GaussianMoments, p0: float, p1: float) -> DecisionRule:
@@ -333,49 +346,55 @@ def p_err_surface(
     tabulated support, or a cancelling energy quadratic form) are flagged
     as failed with NaN; cells where the Gaussian approximation is
     degenerate follow the rule of ``p_err`` and are flagged as degenerate.
-    Null-hypothesis moments are cached per noise level since they do not
-    depend on theta1.
+    The null-hypothesis row of moments is one table lookup over the noise
+    levels, and so is each theta1 row.
     """
+    eps = np.array([float(e) for e in eps_grid])
+    if not math.isfinite(tau):
+        raise ValueError("tau must be finite")
+    if not (np.all(eps > 0.0) and np.all(np.isfinite(eps))):
+        raise ValueError("eps must be positive and finite")
+    null = _statistic_moments(theta0, tau, eps, horizon, law, scheme)
+    rows = []  # (theta1, its reports per noise level, or None where skipped)
+    for theta1 in map(float, theta1_grid):
+        if not theta0 < theta1 < tau:
+            rows.append((theta1, None))
+            continue
+        alt = _statistic_moments(theta1, tau, eps, horizon, law, scheme)
+        rows.append((theta1, _error_row(null, alt, p0, p1)))
     cells: list[SurfaceCell] = []
-    for eps in eps_grid:
-        eps = float(eps)
-        ch = ChannelConfig(tau=tau, eps=eps, law=law)
-        try:
-            null = _statistic_moments(theta0, ch, horizon, scheme)
-        except QuadratureFailure:
-            null = None
-        for theta1 in theta1_grid:
-            theta1 = float(theta1)
-            if not theta0 < theta1 < tau:
-                cells.append(SurfaceCell(theta1, eps, None, None, None, None, math.nan, skipped=True))
-                continue
-            try:
-                alt = None if null is None else _statistic_moments(theta1, ch, horizon, scheme)
-            except QuadratureFailure:
-                alt = None
-            if alt is None:
-                cells.append(SurfaceCell(theta1, eps, None, None, None, None, math.nan, failed=True))
-                continue
-            m = GaussianMoments(mu0=null[0], mu1=alt[0], s0sq=null[1], s1sq=alt[1])
-            report = _statistic_error(m, p0, p1)
-            if report.degenerate:
+    for k, e in enumerate(eps.tolist()):
+        for theta1, row in rows:
+            if row is None:
+                cells.append(SurfaceCell(theta1, e, None, None, None, None, math.nan, skipped=True))
+            elif row[k] is None:
+                cells.append(SurfaceCell(theta1, e, None, None, None, None, math.nan, failed=True))
+            elif row[k].degenerate:
                 cells.append(
-                    SurfaceCell(theta1, eps, None, None, None, None, report.p_err, degenerate=True)
+                    SurfaceCell(theta1, e, None, None, None, None, row[k].p_err, degenerate=True)
                 )
-                continue
-            rule = report.rule
-            cells.append(
-                SurfaceCell(
+            else:
+                rule = row[k].rule
+                cells.append(SurfaceCell(
                     theta1=theta1,
-                    eps=eps,
+                    eps=e,
                     case_id=rule.case_id,
                     delta=rule.delta,
                     gamma_lo=rule.gamma_lo,
                     gamma_hi=rule.gamma_hi,
-                    p_err=report.p_err,
-                )
-            )
+                    p_err=row[k].p_err,
+                ))
     return cells
+
+
+def _error_row(null, alt, p0: float, p1: float) -> list[Optional[ErrorReport]]:
+    """The ``p_err`` report at each noise level of a row of null moments and
+    a row of alternative ones, None where either failed."""
+    return [
+        None if failed0 or failed1
+        else _statistic_error(GaussianMoments(mu0=mu0, mu1=mu1, s0sq=v0, s1sq=v1), p0, p1)
+        for mu0, v0, failed0, mu1, v1, failed1 in zip(*(np.asarray(v).tolist() for v in null + alt))
+    ]
 
 
 @dataclass(frozen=True)
@@ -383,7 +402,8 @@ class PerrMinimum:
     """Result of ``find_perr_minimum``.
 
     ``n_failed`` counts evaluated noise levels without a value,
-    ``n_degenerate`` those that took the prior-guess error.  ``endpoints``
+    ``n_degenerate`` those that took the prior-guess error, over the scan
+    and the golden-section refinement both.  ``endpoints``
     holds the reports at the two bracket ends, taken from the scan grid,
     whose first and last points are the ends (None where that level failed).
     """
@@ -424,9 +444,11 @@ def find_perr_minimum(
     if bracket.lo <= 0:
         raise ValueError("noise bracket must be positive")
     ceiling = min(p0, p1)
-    failures = [0]
-    degenerate: list[float] = []
-    endpoints: dict[float, ErrorReport] = {}
+    scan = scan_points(bracket)
+    null, alt = (_statistic_moments(t, tau, scan, horizon, law, scheme) for t in (theta0, theta1))
+    row = _error_row(null, alt, p0, p1)
+    # the counts and the degenerate levels cover the golden-section levels too
+    refined: list[tuple[float, Optional[ErrorReport]]] = []
 
     def objective(eps: float) -> float:
         problem = TestProblem(
@@ -443,15 +465,15 @@ def find_perr_minimum(
         try:
             report = p_err(problem)
         except QuadratureFailure:
-            failures[0] += 1
-            return -ceiling
-        if report.degenerate:
-            degenerate.append(eps)
-        if eps in (bracket.lo, bracket.hi):
-            endpoints[eps] = report
-        return -report.p_err
+            report = None
+        refined.append((eps, report))
+        return -ceiling if report is None else -report.p_err
 
-    result = maximize_scalar(objective, bracket, tol=tol)
+    result = maximize_scalar(
+        objective, bracket, tol=tol, scan=[-ceiling if r is None else -r.p_err for r in row]
+    )
+    levels = list(zip(scan.tolist(), row)) + refined
+    degenerate = [eps for eps, r in levels if r is not None and r.degenerate]
     cell = (bracket.hi - bracket.lo) / SCAN_CELLS
     local = [
         (x, -v)
@@ -463,7 +485,7 @@ def find_perr_minimum(
         eps_star=result.x_star,
         p_err_min=-result.h_star,
         local_minima=local,
-        n_failed=failures[0],
+        n_failed=sum(r is None for _, r in levels),
         n_degenerate=len(degenerate),
-        endpoints=(endpoints.get(bracket.lo), endpoints.get(bracket.hi)),
+        endpoints=(row[0], row[-1]),
     )

@@ -29,7 +29,10 @@ __all__ = [
     "integrate_interval",
     "integrate_line",
     "find_root",
+    "libm",
+    "not_finite_above",
     "maximize_scalar",
+    "scan_points",
     "MaximizeResult",
 ]
 
@@ -70,6 +73,26 @@ def normal_cdf(z: float) -> float:
     without cancellation for z far below zero.
     """
     return 0.5 * math.erfc(-z / _SQRT2)
+
+
+def libm(fn: Callable[[float], float], x):
+    """A ``math`` function at a float, or at each entry of an array.
+
+    numpy's vectorized exp and log differ from libm's in the last bit for a
+    few per cent of arguments.  The array forms of the variance formulas
+    call this where their scalar forms always called ``math``, so a float and
+    an array entry give the same bits.
+    """
+    if isinstance(x, np.ndarray) and x.ndim:
+        return np.fromiter(map(fn, x.ravel().tolist()), float, count=x.size).reshape(x.shape)
+    return fn(x)
+
+
+def not_finite_above(x, floor: float = 0.0):
+    """Where x is not a finite number above ``floor``: NaN, +inf or at most
+    ``floor``.  A bool for a float (so a scalar check stays on Python bools,
+    and ``~`` would turn True into -2), a mask for an array."""
+    return (x <= floor) | (x != x) | (x == math.inf)
 
 
 def _t_of_x(x: float) -> float:
@@ -223,10 +246,16 @@ def _checked(h: Callable[[float], float], x: float) -> float:
     return float(v)
 
 
+def scan_points(bracket: Bracket) -> np.ndarray:
+    """The SCAN_CELLS + 1 points of the coarse scan of ``maximize_scalar``."""
+    return np.linspace(bracket.lo, bracket.hi, SCAN_CELLS + 1)
+
+
 def maximize_scalar(
     h: Callable[[float], float],
     bracket: Bracket,
     tol: float = 1e-6,
+    scan: Sequence[float] | None = None,
 ) -> MaximizeResult:
     """Locate the global maximum of h on a bracket, reporting every interior peak.
 
@@ -234,11 +263,23 @@ def maximize_scalar(
     is refined by golden-section search.  Several interior maxima may be
     reported, which is how multi-peaked objectives are detected.  The global
     maximizer is chosen among the refined peaks and the bracket endpoints.
+    A caller that evaluates h on the whole scan in one call (one table
+    lookup over an array of gaps) passes those values as ``scan``, h at
+    ``scan_points(bracket)``; the refinement always calls h one point at a
+    time.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    xs = np.linspace(bracket.lo, bracket.hi, SCAN_CELLS + 1)
-    hs = np.array([_checked(h, float(x)) for x in xs])
+    xs = scan_points(bracket)
+    if scan is None:
+        hs = np.array([_checked(h, float(x)) for x in xs])
+    else:
+        hs = np.asarray(scan, dtype=float)
+        if hs.shape != xs.shape:
+            raise ValueError(f"scan must hold h at the {len(xs)} scan points, got shape {hs.shape}")
+        bad = np.flatnonzero(~np.isfinite(hs))
+        if bad.size:
+            raise NonFinite(f"objective is not finite at x={xs[bad[0]]}: {hs[bad[0]]}")
 
     candidates = [
         i

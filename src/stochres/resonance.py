@@ -5,19 +5,28 @@ noise and drowned by too much of it, so the Fisher information of either
 observation scheme rises and falls with the noise level.  The maximizer is
 the resonance point; several interior maxima would indicate multi-resonance
 and are all reported.
+
+The table lookup takes an array of gaps, so a curve and the coarse scan of
+``find_resonance`` are one lookup each; only the golden-section refinement
+evaluates one noise level at a time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import QuadratureFailure
-from .estimators import ChannelConfig, Scheme, energy_scheme_variance, time_scheme_variance
+from .estimators import (
+    ChannelConfig,
+    Scheme,
+    energy_scheme_variance,
+    fisher_at,
+    time_scheme_variance,
+)
 from .laws import InvariantLaw
-from .numerics import SCAN_CELLS, Bracket, maximize_scalar
+from .numerics import Bracket, maximize_scalar, scan_points
 
 __all__ = ["CurvePoint", "ResonanceResult", "resonance_curve", "find_resonance"]
 
@@ -48,21 +57,15 @@ class ResonanceResult:
     scheme: Scheme
 
 
-def _fisher_objective(
-    theta: float, tau: float, law: InvariantLaw, scheme: Scheme
-) -> Callable[[float], CurvePoint]:
-    variance = time_scheme_variance if scheme == "time" else energy_scheme_variance
-
-    @lru_cache(maxsize=None)
-    def point(eps: float) -> CurvePoint:
-        ch = ChannelConfig(tau=tau, eps=eps, law=law)
-        try:
-            report = variance(theta, ch)
-        except QuadratureFailure:
-            return CurvePoint(eps=eps, fisher=0.0, failed=True)
-        return CurvePoint(eps=eps, fisher=report.fisher, failed=False)
-
-    return point
+def _curve(
+    theta: float, tau: float, law: InvariantLaw, scheme: Scheme, grid: np.ndarray
+) -> list[CurvePoint]:
+    """The curve on ``grid`` from one table lookup."""
+    fisher, failed = fisher_at(theta, tau, grid, law, scheme)
+    return [
+        CurvePoint(eps=e, fisher=0.0 if bad else f, failed=bad)
+        for e, f, bad in zip(grid.tolist(), fisher.tolist(), failed.tolist())
+    ]
 
 
 def resonance_curve(
@@ -80,8 +83,7 @@ def resonance_curve(
         raise ValueError("eps_grid must be strictly positive and increasing")
     if scheme not in ("time", "energy"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    point = _fisher_objective(theta, tau, law, scheme)
-    return [point(float(e)) for e in grid]
+    return _curve(theta, tau, law, scheme, grid)
 
 
 def find_resonance(
@@ -94,19 +96,26 @@ def find_resonance(
 ) -> ResonanceResult:
     """Locate the noise level that maximizes Fisher information.
 
-    A coarse scan over the bracket feeds golden-section refinement of every
-    interior peak, so a multi-peaked curve reports all of its maxima.  Grid
-    points whose variance cannot be evaluated (see ``CurvePoint``)
-    contribute information 0 and are flagged on the returned curve.
+    A coarse scan over the bracket, one table lookup that is also the
+    returned curve, feeds golden-section refinement of every interior peak,
+    so a multi-peaked curve reports all of its maxima.  Grid points whose
+    variance cannot be evaluated (see ``CurvePoint``) contribute
+    information 0 and are flagged on the returned curve.
     """
     if bracket.lo <= 0:
         raise ValueError("noise bracket must be positive")
     if scheme not in ("time", "energy"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    point = _fisher_objective(theta, tau, law, scheme)
+    variance = time_scheme_variance if scheme == "time" else energy_scheme_variance
 
-    result = maximize_scalar(lambda e: point(e).fisher, bracket, tol=tol)
-    curve = [point(float(e)) for e in np.linspace(bracket.lo, bracket.hi, SCAN_CELLS + 1)]
+    def fisher(eps: float) -> float:
+        try:
+            return variance(theta, ChannelConfig(tau=tau, eps=eps, law=law)).fisher
+        except QuadratureFailure:
+            return 0.0
+
+    curve = _curve(theta, tau, law, scheme, scan_points(bracket))
+    result = maximize_scalar(fisher, bracket, tol=tol, scan=[p.fisher for p in curve])
     local = result.local_maxima if result.local_maxima else [(result.x_star, result.h_star)]
     return ResonanceResult(
         eps_star=result.x_star,

@@ -9,9 +9,8 @@ from pathlib import Path
 import pytest
 
 import stochres
-from stochres import cli, maptest
+from stochres import cli
 from stochres.cli import main
-from stochres.errors import QuadratureFailure
 
 
 def run(args):
@@ -265,18 +264,12 @@ def test_test_rejects_degenerate_prior(tmp_path):
     assert run(["test", "--p0", "0", "--out", tmp_path / "t"]) == 2
 
 
-def test_test_fails_when_a_bracket_end_fails(tmp_path, monkeypatch, capsys):
-    # minima.json reports p_err at both bracket ends, so a failed end fails the command
-    real = maptest.p_err
-
-    def p_err(problem):
-        if problem.eps == 1.0:
-            raise QuadratureFailure("forced")
-        return real(problem)
-
-    monkeypatch.setattr(maptest, "p_err", p_err)
+def test_test_fails_when_a_bracket_end_fails(tmp_path, capsys):
+    # minima.json reports p_err at both bracket ends, so a failed end fails the
+    # command: at eps = 0.03 the null gap 1/0.03 lies beyond the Gaussian
+    # law's tabulated support (+-26.3)
     out = tmp_path / "t"
-    args = ["test", "--T", "100", "--grid", "0.3:1.0:0.35", "--theta-grid", "0.4:0.6:0.2"]
+    args = ["test", "--T", "100", "--grid", "0.03:1.0:0.485", "--theta-grid", "0.4:0.6:0.2"]
     assert run(args + ["--out", out]) == 1
     assert "bracket end" in capsys.readouterr().err
     assert not (out / "minima.json").exists()

@@ -10,7 +10,6 @@ from stochres import (
     SimConfig,
     build_invariant_law,
     edf_variance,
-    energy_covariance_kernel,
     energy_limit,
     energy_limit_closed_form,
     energy_limit_derivative,
@@ -21,7 +20,6 @@ from stochres import (
     energy_statistic_variance,
     estimate_theta_energy,
     estimate_theta_time,
-    log_likelihood_time,
     observe,
     perturb,
     simulate_paths,
@@ -29,7 +27,14 @@ from stochres import (
     time_scheme_variance,
     time_scheme_variance_ou_reference,
 )
-from stochres.errors import DegenerateObservation, OutOfRange
+from stochres.errors import DegenerateObservation, OutOfRange, QuadratureFailure
+from stochres.estimators import (
+    edf_variance_at,
+    energy_limit_at,
+    energy_limit_derivative_at,
+    energy_statistic_variance_at,
+    fisher_at,
+)
 from stochres.expressions import compile_expression
 
 SQRT_PI = math.sqrt(math.pi)
@@ -239,31 +244,8 @@ def test_estimate_theta_energy_out_of_range(ou):
 
 
 # ---------------------------------------------------------------------------
-# energy covariance kernel and variance
+# energy-statistic variance
 # ---------------------------------------------------------------------------
-
-
-def kernel_riemann(y, theta, tau, eps, n=2_000_001, lo=-9.0, hi=9.0):
-    """Dense-grid oracle for E[(F(y) - 1{xi<y})(eps xi + theta)^2 1{xi>a}]."""
-    a = (tau - theta) / eps
-    edges = np.linspace(lo, hi, n)
-    xi = 0.5 * (edges[:-1] + edges[1:])
-    f = np.exp(-xi * xi) / SQRT_PI
-    Fy = 0.5 * math.erfc(-y)
-    integrand = (Fy - (xi < y)) * (eps * xi + theta) ** 2 * (xi > a) * f
-    return float(np.sum(integrand) * (edges[1] - edges[0]))
-
-
-def test_kernel_vanishes_in_both_limits(ou):
-    ch = ChannelConfig(tau=1.0, eps=0.7, law=ou)
-    assert abs(energy_covariance_kernel(-40.0, 0.5, ch)) < 1e-12
-    assert abs(energy_covariance_kernel(40.0, 0.5, ch)) < 1e-12
-
-
-def test_kernel_matches_riemann_oracle(ou):
-    ch = ChannelConfig(tau=1.0, eps=0.7, law=ou)
-    value = energy_covariance_kernel(1.0, 0.5, ch)
-    assert value == pytest.approx(kernel_riemann(1.0, 0.5, 1.0, 0.7), abs=1e-6)
 
 
 def test_energy_variance_positive_grid(ou):
@@ -298,6 +280,38 @@ def test_fisher_generic_law_agrees_across_bracket(ou, ou_numeric, scheme_fn):
             closed = scheme_fn(theta, ChannelConfig(tau=1.0, eps=float(eps), law=ou)).fisher
             numeric = scheme_fn(theta, ChannelConfig(tau=1.0, eps=float(eps), law=ou_numeric)).fisher
             assert numeric == pytest.approx(closed, rel=1e-6, abs=0.0), (theta, eps)
+
+
+@pytest.mark.parametrize("scheme", ["time", "energy"])
+@pytest.mark.parametrize("theta", [0.0, 0.5, 3.0])
+def test_array_forms_equal_the_scalar_functions(ou, ou_numeric, scheme, theta):
+    # each array form is the scalar function's own code run over a row of
+    # noise levels: the same bits where the scalar succeeds, and flagged
+    # exactly where it raises (gaps beyond the support at small eps; for
+    # theta = 3 above tau the energy form cancels deep in the lower tail)
+    eps = np.concatenate([[0.01, 0.02, 0.03], np.linspace(0.05, 3.0, 40)])
+    scheme_fn = time_scheme_variance if scheme == "time" else energy_scheme_variance
+    for law in (ou, ou_numeric):
+        fisher, failed = fisher_at(theta, 1.0, eps, law, scheme)
+        raw, raw_failed = energy_statistic_variance_at(theta, 1.0, eps, law)
+        V, V_failed = edf_variance_at((1.0 - theta) / eps, law)
+        limit = energy_limit_at(theta, 1.0, eps, law)
+        slope = energy_limit_derivative_at(theta, 1.0, eps, law)
+        for k, e in enumerate(eps.tolist()):
+            ch = ChannelConfig(tau=1.0, eps=e, law=law)
+            assert limit[k] == energy_limit(theta, ch)
+            assert slope[k] == energy_limit_derivative(theta, ch)
+            for value, bad, fn in (
+                (fisher[k], failed[k], lambda: scheme_fn(theta, ch).fisher),
+                (raw[k], raw_failed[k], lambda: energy_statistic_variance(theta, ch)),
+                (V[k], V_failed[k], lambda: edf_variance(ch.gap_ratio(theta), law, law.spec.diffusion)),
+            ):
+                if bad:
+                    with pytest.raises(QuadratureFailure):
+                        fn()
+                else:
+                    assert value == fn(), (e, law.label)
+        assert failed[0] and not failed.all()
 
 
 def test_edf_variance_rejects_foreign_sigma(ou):
@@ -417,46 +431,6 @@ def test_time_change_shrinks_both_variances_fourfold(ou, ou_fast, eps):
     e_fast = energy_statistic_variance(theta, ChannelConfig(tau=1.0, eps=eps, law=ou_fast))
     e_ou = energy_statistic_variance(theta, ChannelConfig(tau=1.0, eps=eps, law=ou))
     assert 4.0 * e_fast / e_ou == pytest.approx(1.0, abs=1e-6)
-
-
-# ---------------------------------------------------------------------------
-# approximate likelihood (time scheme)
-# ---------------------------------------------------------------------------
-
-
-def _loglik_exponent(theta, frac, horizon, ch):
-    a = ch.gap_ratio(theta)
-    V = edf_variance(a, ch.law, ch.law.spec.diffusion)
-    prefactor = 0.5 * math.log(horizon / (2.0 * math.pi * V))
-    return log_likelihood_time(theta, frac, horizon, ch) - prefactor
-
-
-def test_loglik_exponent_vanishes_at_estimate(ch_oracle):
-    frac = 0.1647
-    theta_hat = estimate_theta_time(frac, ch_oracle)
-    assert abs(_loglik_exponent(theta_hat, frac, 1000.0, ch_oracle)) < 1e-16
-
-
-def test_loglik_exponent_negative_off_estimate(ch_oracle):
-    frac = 0.1647
-    theta_hat = estimate_theta_time(frac, ch_oracle)
-    for theta in (theta_hat - 0.2, theta_hat + 0.2):
-        assert _loglik_exponent(theta, frac, 1000.0, ch_oracle) < 0.0
-
-
-def test_loglik_grid_argmax_near_estimate(ch_oracle):
-    frac = 0.1647
-    horizon = 1e4
-    theta_hat = estimate_theta_time(frac, ch_oracle)
-    grid = np.arange(0.0, 1.0, 1e-3)
-    values = [log_likelihood_time(float(t), frac, horizon, ch_oracle) for t in grid]
-    argmax = float(grid[int(np.argmax(values))])
-    assert abs(argmax - theta_hat) <= 1e-3
-
-
-def test_loglik_degenerate_fraction(ch_oracle):
-    with pytest.raises(DegenerateObservation):
-        log_likelihood_time(0.5, 0.0, 100.0, ch_oracle)
 
 
 # ---------------------------------------------------------------------------

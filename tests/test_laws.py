@@ -208,6 +208,39 @@ def test_second_order_lookup_needs_support(ou):
             ou.tables.at(x)
 
 
+@pytest.mark.parametrize("drift, sigma", [(None, None), ("-x^3", "1"), ("-4*x", "2")])
+def test_array_lookup_equals_one_point_lookups(ou, drift, sigma):
+    # one lookup over an array of gaps reads the same panels as one lookup
+    # per point, field by field; points outside the support are flagged
+    # there, while a float outside still raises
+    law = ou if drift is None else build_invariant_law(
+        DiffusionSpec(compile_expression(drift), compile_expression(sigma)))
+    tables = law.tables
+    lo, hi = tables.support
+    inside = np.concatenate([
+        [lo + 1e-12, lo + 1e-6, hi - 1e-6, hi - 1e-12],  # next to both edges
+        np.linspace(lo + 0.05, lo + 3.0, 7), np.linspace(hi - 3.0, hi - 0.05, 7),  # both tails
+        tables.x[[1, len(tables.x) // 3, len(tables.x) // 2, -2]],  # exactly on nodes
+        np.linspace(-2.0, 2.0, 9),
+    ])
+    outside = np.array([lo, hi, lo - 1.0, hi + 1.0, np.nan])
+    xs = np.concatenate([inside, outside])
+    points = tables.at(xs)
+    np.testing.assert_array_equal(points.outside, [False] * len(inside) + [True] * len(outside))
+    assert points.m.shape == (len(xs), 3) and points.nu.shape == (len(xs), 3, 3)
+    for k, x in enumerate(inside):
+        one = tables.at(float(x))
+        assert one.outside is False
+        for name in ("F", "log_A", "log_B", "m", "nu"):
+            np.testing.assert_allclose(getattr(points, name)[k], getattr(one, name), rtol=1e-13, atol=0.0,
+                                       err_msg=f"{name} at x={x}")
+    for name in ("F", "log_A", "log_B", "m", "nu"):
+        assert np.all(np.isnan(getattr(points, name)[len(inside):]))
+    for x in outside:
+        with pytest.raises(QuadratureFailure):
+            tables.at(float(x))
+
+
 def test_grid_law_matches_closed_form_between_nodes(ou, ou_numeric):
     # F, sf and quantile read the tables plus one partial panel, so the law
     # rebuilt from -x, 1 is the closed form to rounding, not only at nodes

@@ -19,6 +19,8 @@ from stochres import (
     p_err,
     p_err_surface,
 )
+from stochres.errors import QuadratureFailure
+from stochres.laws import LawTables
 from stochres.numerics import SCAN_CELLS
 
 
@@ -377,6 +379,40 @@ def test_no_minimum_next_to_degenerate_level(ou, scheme, horizon):
 # ---------------------------------------------------------------------------
 # surface and resonance of the error probability
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("scheme", ["time", "energy"])
+def test_scan_and_surface_rows_are_one_lookup_each(ou, monkeypatch, scheme):
+    # one lookup per hypothesis for the scan of find_perr_minimum (plus two
+    # per golden-section step), and one per row of the surface: the null
+    # row and one per theta1; one lookup per point made 166 and 120
+    calls = []
+    real = LawTables.at
+    monkeypatch.setattr(LawTables, "at", lambda self, x: calls.append(np.ndim(x)) or real(self, x))
+    find_perr_minimum(0.0, 0.5, 1.0, 100.0, 0.5, 0.5, ou, scheme)
+    assert calls.count(1) == 2 and len(calls) <= 38
+    calls.clear()
+    cells = p_err_surface(0.0, [0.3, 0.5, 0.7], np.arange(1, 31) / 10.0, 1.0, 100.0, 0.5, 0.5, ou, scheme)
+    assert len(cells) == 90
+    assert calls == [1, 1, 1, 1]
+
+
+def test_surface_cells_equal_pointwise_reports(ou):
+    # a surface row reads one array lookup; each cell is the p_err report of
+    # its own problem, bit for bit, and a failed cell is one whose problem
+    # raises
+    theta1_grid = [0.3, 0.7]
+    eps_grid = [0.03, 0.1, 0.4, 0.9, 2.5]
+    for scheme in ("time", "energy"):
+        cells = p_err_surface(0.0, theta1_grid, eps_grid, 1.0, 100.0, 0.5, 0.5, ou, scheme)
+        for cell in cells:
+            pr = problem(ou, theta1=cell.theta1, eps=cell.eps, scheme=scheme)
+            if cell.failed:
+                with pytest.raises(QuadratureFailure):
+                    p_err(pr)
+                continue
+            assert cell.p_err == p_err(pr).p_err
+        assert any(c.failed for c in cells) and any(c.degenerate for c in cells)
 
 
 def test_surface_shape_flags_and_reproducibility(ou):

@@ -4,12 +4,16 @@ import pytest
 from stochres import (
     Bracket,
     ChannelConfig,
+    DiffusionSpec,
+    build_invariant_law,
     find_resonance,
     maximize_scalar,
     resonance_curve,
     time_scheme_variance,
     time_scheme_variance_ou_reference,
 )
+from stochres.expressions import compile_expression
+from stochres.laws import LawTables
 
 
 def test_curve_validation(ou):
@@ -117,3 +121,59 @@ def test_grid_built_law_matches_closed_form_resonance(ou, ou_numeric, scheme):
 def test_resonance_bracket_validation(ou):
     with pytest.raises(ValueError):
         find_resonance(0.0, 1.0, ou, "time", bracket=Bracket(-0.1, 1.0))
+
+
+@pytest.fixture(scope="module")
+def triple_well():
+    # g(a) = a^2 f(a)^2/V(a) has two local maxima, at a = 0.383 and a = 3.505
+    spec = DiffusionSpec(compile_expression("-x*(x^2-4)*(x^2-9)/10"), compile_expression("1"))
+    return build_invariant_law(spec)
+
+
+@pytest.mark.parametrize(
+    "theta, peaks, n_failed",
+    [
+        (0.5, [(0.1427146, 8.057885), (1.304395, 0.865776)], 2),
+        (0.0, [(0.2854568, 2.014491), (2.608792, 0.216444)], 4),
+    ],
+)
+def test_grid_law_reports_both_peaks_of_a_triple_well(triple_well, theta, peaks, n_failed):
+    # a grid-built law with two interior time-scheme resonances: both are
+    # found and refined, and the gaps beyond the tabulated support at the
+    # smallest noise levels are flagged, not scored as peaks
+    res = find_resonance(theta, 1.0, triple_well, "time")
+    assert len(res.local_maxima) == 2
+    for (eps, fisher), (eps_want, fisher_want) in zip(res.local_maxima, peaks):
+        assert eps == pytest.approx(eps_want, abs=1e-6)
+        assert fisher == pytest.approx(fisher_want, rel=1e-6)
+    assert len(res.curve) == 65
+    assert sum(p.failed for p in res.curve) == n_failed
+    assert all(p.failed for p in res.curve[:n_failed])
+    assert res.eps_star == res.local_maxima[0][0]
+
+
+def count_lookups(monkeypatch):
+    calls = []
+    real = LawTables.at
+
+    def at(self, x):
+        calls.append(np.ndim(x))
+        return real(self, x)
+
+    monkeypatch.setattr(LawTables, "at", at)
+    return calls
+
+
+@pytest.mark.parametrize("scheme", ["time", "energy"])
+def test_resonance_scan_is_one_lookup(ou, monkeypatch, scheme):
+    # the coarse scan is one array lookup; each golden-section step is one
+    # more (18 for one peak at tol 1e-4), where one lookup per scan point
+    # made 83
+    calls = count_lookups(monkeypatch)
+    res = find_resonance(0.5, 1.0, ou, scheme)
+    assert len(res.local_maxima) == 1
+    assert calls.count(1) == 1
+    assert len(calls) <= 19
+    calls.clear()
+    resonance_curve(0.5, 1.0, ou, scheme, np.arange(0.05, 3.0001, 0.05))
+    assert calls == [1]
