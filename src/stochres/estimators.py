@@ -174,8 +174,8 @@ def fisher_at(theta: float, tau: float, eps, law: InvariantLaw, scheme: Scheme):
         # (f/(eps sqrt V))^2 stays finite where f and V underflow separately
         num, den = fa, eps * libm(math.sqrt, V)
     else:
-        slope = energy_limit_derivative_at(theta, tau, eps, law)
-        raw, failed = energy_statistic_variance_at(theta, tau, eps, law)
+        a, m, _, raw, failed = _energy_at(theta, tau, eps, law)
+        slope = _energy_slope(theta, tau, eps, law.f(a), m)
         failed = failed | not_finite_above(slope)
         num, den = slope, libm(math.sqrt, raw)
     if isinstance(failed, bool):  # a float: float arithmetic, which raises where den is 0
@@ -361,12 +361,17 @@ def energy_limit_derivative_quadrature(theta: float, ch: ChannelConfig) -> float
     )
 
 
+def _energy_slope(theta: float, tau: float, eps, f_a, m):
+    """tau^2 f(a)/eps + 2 theta m_0(a) + 2 eps m_1(a), from the density at
+    the gap and the upper moments there (last axis)."""
+    return _plain(tau * tau * f_a / eps + 2.0 * theta * m[..., 0] + 2.0 * eps * m[..., 1])
+
+
 def energy_limit_derivative_at(theta: float, tau: float, eps, law: InvariantLaw):
     """Array form of ``energy_limit_derivative`` at a float noise level or at
     each entry of an array; it has no failure condition."""
     a = (tau - theta) / eps
-    m = law.tables.upper_moments(a)
-    return _plain(tau * tau * law.f(a) / eps + 2.0 * theta * m[0] + 2.0 * eps * m[1])
+    return _energy_slope(theta, tau, eps, law.f(a), law.tables.upper_moments(a).T)
 
 
 def energy_limit_derivative(theta: float, ch: ChannelConfig) -> float:
@@ -408,6 +413,28 @@ def estimate_theta_energy(energy: float, ch: ChannelConfig) -> float:
 _CANCELLATION_FLOOR = 1e-8
 
 
+def _energy_at(theta: float, tau: float, eps, law: InvariantLaw):
+    """The energy scheme at a float noise level or at each entry of an array,
+    from one table lookup at the gap a = (tau - theta)/eps: a, the upper
+    moments m(a) (last axis), the long-run energy tail(a), the statistic's
+    raw variance and its failed mask (see ``energy_statistic_variance_at``).
+
+    m(a) and tail(a) equal ``upper_moments`` and ``energy_limit_at`` bit for
+    bit.  A float whose gap lies outside the support raises QuadratureFailure.
+    """
+    a = (tau - theta) / eps
+    p = law.tables.at(a)
+    tail = _dot(_energy_weights(theta, eps), p.m)
+    c = _energy_weights(theta, eps, tail)
+    form = _quadratic_form(c, p.nu)
+    cancels = form <= _CANCELLATION_FLOOR * _quadratic_form(np.abs(c), np.abs(p.nu))
+    v = 4.0 * (
+        libm(math.exp, 2.0 * libm(math.log, tail) + p.log_A)
+        + libm(math.exp, p.log_B + libm(_log_or_nan, form))
+    )
+    return a, p.m, tail, v, p.outside | cancels | not_finite_above(v)
+
+
 def energy_statistic_variance_at(theta: float, tau: float, eps, law: InvariantLaw):
     """Array form of ``energy_statistic_variance`` at a float noise level or
     at each entry of an array, in one table lookup, and the mask of the
@@ -417,16 +444,7 @@ def energy_statistic_variance_at(theta: float, tau: float, eps, law: InvariantLa
     A float whose gap lies outside the support raises QuadratureFailure
     instead.
     """
-    p = law.tables.at((tau - theta) / eps)
-    tail = _dot(_energy_weights(theta, eps), p.m)
-    c = _energy_weights(theta, eps, tail)
-    form = _quadratic_form(c, p.nu)
-    cancels = form <= _CANCELLATION_FLOOR * _quadratic_form(np.abs(c), np.abs(p.nu))
-    v = 4.0 * (
-        libm(math.exp, 2.0 * libm(math.log, tail) + p.log_A)
-        + libm(math.exp, p.log_B + libm(_log_or_nan, form))
-    )
-    return v, p.outside | cancels | not_finite_above(v)
+    return _energy_at(theta, tau, eps, law)[3:]
 
 
 def energy_statistic_variance(theta: float, ch: ChannelConfig) -> float:

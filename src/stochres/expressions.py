@@ -27,6 +27,14 @@ time equals its row of an ensemble stepped on arrays:
   Python's ``**`` round differently from each other and from the product);
 - exp, tanh and every other power apply the numpy ufunc, which gives the same
   double for a float as for an array element.
+
+An expression without ``x`` is folded once, at compile time, into the
+compiled function's ``constant`` attribute (``None`` when ``x`` occurs,
+even where it cancels, as in ``x*0+1``).  The fold runs the scalar form,
+so ``constant`` is the double every evaluation returns; a fold that divides
+by zero or overflows gives numpy's inf or nan without a warning.  The
+Euler-Maruyama stepper forms a constant diffusion's increments for a whole
+chunk of steps at once instead of calling the coefficient at every step.
 """
 from __future__ import annotations
 
@@ -153,6 +161,10 @@ def _multiplied_power(exponent: Node) -> int | None:
     return int(value) if value.is_integer() and 1 <= value <= _MAX_MULTIPLIED_POWER else None
 
 
+def _has_x(node: Node) -> bool:
+    return node[0] == "x" or any(_has_x(child) for child in node[1:] if isinstance(child, tuple))
+
+
 def _scalar_divide(a: float, b: float) -> float:
     try:
         return a / b
@@ -205,7 +217,8 @@ def compile_expression(text: str) -> Callable:
     A Python float goes to the scalar form and comes back a float; anything
     else goes to the array form, scalar-in scalar-out, broadcasting over
     numpy arrays.  Both forms give the same doubles (see the module
-    docstring).
+    docstring).  The callable's ``constant`` is the expression's value when
+    it has no ``x``, else None.
     """
     if not text or not text.strip():
         raise ExpressionError("empty expression")
@@ -221,4 +234,8 @@ def compile_expression(text: str) -> Callable:
             return float(out)
         return np.broadcast_to(out, np.shape(x)).copy() if out.shape != np.shape(x) else out
 
+    fn.constant = None
+    if not _has_x(tree):
+        with np.errstate(all="ignore"):
+            fn.constant = scalar(0.0)
     return fn

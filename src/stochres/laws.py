@@ -26,6 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NotErgodic, QuadratureFailure
+from .expressions import compile_expression
 from .numerics import REL_TOL, Bracket, find_root, libm
 
 __all__ = [
@@ -70,7 +71,12 @@ _BLOCK = 512
 
 @dataclass(frozen=True)
 class DiffusionSpec:
-    """Coefficients of the noise SDE dX = drift(X)dt + diffusion(X)dW."""
+    """Coefficients of the noise SDE dX = drift(X)dt + diffusion(X)dW.
+
+    A diffusion with a float ``constant`` attribute, as a compiled
+    expression without ``x`` has, is taken to return that value at every
+    X: the Euler-Maruyama steppers then never call it.
+    """
 
     drift: Callable[[float], float]
     diffusion: Callable[[float], float]
@@ -569,9 +575,11 @@ def ou_law() -> InvariantLaw:
     The law is Gaussian with mean zero and variance 1/2: density
     exp(-x^2)/sqrt(pi), distribution erfc(-x)/2, survival erfc(x)/2 and the
     Gaussian quantile.  Its node grid follows the support rule of
-    ``build_invariant_law`` applied to exp(-x^2).
+    ``build_invariant_law`` applied to exp(-x^2).  The diffusion is the
+    compiled constant ``1``, so paths of this law take the steppers'
+    constant-diffusion route.
     """
-    spec = DiffusionSpec(drift=lambda x: -x, diffusion=lambda x: x * 0.0 + 1.0, label="ou")
+    spec = DiffusionSpec(drift=lambda x: -x, diffusion=compile_expression("1"), label="ou")
 
     def f(x):
         return _as_output(np.exp(-np.square(np.asarray(x, dtype=float))) / _SQRT_PI)

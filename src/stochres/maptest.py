@@ -30,9 +30,8 @@ from .errors import QuadratureFailure
 from .estimators import (
     ChannelConfig,
     Scheme,
+    _energy_at,
     edf_variance_at,
-    energy_limit_at,
-    energy_statistic_variance_at,
 )
 from .laws import InvariantLaw
 from .numerics import SCAN_CELLS, Bracket, maximize_scalar, normal_cdf, not_finite_above, scan_points
@@ -172,8 +171,7 @@ def _statistic_moments(
         mu = law.sf(a)
         var, failed = edf_variance_at(a, law)
     else:
-        mu = energy_limit_at(theta, tau, eps, law)
-        var, failed = energy_statistic_variance_at(theta, tau, eps, law)
+        _, _, mu, var, failed = _energy_at(theta, tau, eps, law)
     var = var / horizon
     return mu, var, failed | not_finite_above(var)
 

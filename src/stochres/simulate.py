@@ -5,13 +5,22 @@ Randomness comes from a counter-based generator (Philox), so replication k
 of a study simply uses seed = base_seed + k and every path is reproducible
 bit for bit in isolation or inside an ensemble.
 
-Ensembles are stepped in chunks of ``CHUNK`` steps.  ``observe_paths``
-steps, perturbs and observes a block of paths keeping only per-path
-counters, so its memory is O(paths x CHUNK) whatever the horizon;
-``simulate_paths`` steps the same chunks and stores the full paths.  Both
-observation routes reduce the energy the same way (a pairwise sum over
-each chunk of ``CHUNK`` samples, chunk sums accumulated in order), so a
-path's time fraction and energy are bit-identical whether it comes from
+Ensembles are stepped in chunks of ``CHUNK`` steps, each path drawing its
+normals ``_NORMALS_BLOCK`` at a time, and a step writes the next row of the
+chunk in place.  For a diffusion with a ``constant`` (a compiled expression
+without x) the increments (c sqrt(dt)) Z of a whole chunk are one product,
+so a step is the drift, one product and two sums, and the diffusion is
+never called; a single path uses the same increments, one chunk at a time.
+Every product and sum keeps the operands and order of
+X + S(X) dt + sigma(X) sqrt(dt) Z, so no route changes a bit of a path.
+
+``observe_paths`` steps, perturbs and observes a block of paths keeping
+only per-path counters, in buffers allocated once, so its memory is
+O(paths x CHUNK) whatever the horizon; ``simulate_paths`` steps the same
+chunks and stores the full paths.  Both observation routes reduce the
+energy the same way (a pairwise sum over each chunk of ``CHUNK`` samples,
+chunk sums accumulated in order), so a path's time fraction and energy are
+bit-identical whether it comes from
 ``observe(perturb(simulate_path(...)))`` or from ``observe_paths``, in an
 ensemble of any size.
 """
@@ -39,10 +48,12 @@ __all__ = [
 
 _BLOWUP = 1e12
 # Steps per chunk of the ensemble stepper and of the energy reduction.  Not
-# a power of two: the per-path normals (rows of CHUNK doubles) are read
-# column-wise into step rows, and a power-of-two row stride maps a column
+# a power of two: the per-path normals (rows of _NORMALS_BLOCK doubles) are
+# read column-wise into step rows, and a power-of-two row stride maps a column
 # onto few cache sets (the transpose of a 2000-path chunk then takes ~5x longer).
 CHUNK = 250
+# Steps of normals a path draws per generator call: one call serves four chunks.
+_NORMALS_BLOCK = 4 * CHUNK
 
 
 @dataclass(frozen=True)
@@ -105,18 +116,32 @@ def _normals(seed: int, n: int) -> np.ndarray:
 def _em_scalar(spec: DiffusionSpec, x0: float, dt: float, z: np.ndarray) -> np.ndarray:
     drift = spec.drift
     diffusion = spec.diffusion
+    c = getattr(diffusion, "constant", None)
     sqrt_dt = math.sqrt(dt)
     out = np.empty(len(z) + 1)
     out[0] = x = float(x0)
     # x stays a Python float, which a compiled expression steps on without
-    # numpy; the normals become floats one chunk at a time
+    # numpy; the normals, or a constant diffusion's increments
+    # (c sqrt(dt)) z, become floats one chunk at a time
     for start in range(0, len(z), CHUNK):
-        for k, zk in enumerate(z[start : start + CHUNK].tolist(), start + 1):
-            x = x + drift(x) * dt + diffusion(x) * sqrt_dt * zk
-            if not (-_BLOWUP < x < _BLOWUP):  # also catches NaN
-                raise NumericBlowup(f"|X| exceeded {_BLOWUP:g} at step {k}; check coefficients/dt")
-            out[k] = x
+        block = z[start : start + CHUNK]
+        if c is None:
+            for k, zk in enumerate(block.tolist(), start + 1):
+                x = x + drift(x) * dt + diffusion(x) * sqrt_dt * zk
+                if not (-_BLOWUP < x < _BLOWUP):  # also catches NaN
+                    raise _blowup_at(k)
+                out[k] = x
+        else:
+            for k, dw in enumerate((c * sqrt_dt * block).tolist(), start + 1):
+                x = x + drift(x) * dt + dw
+                if not (-_BLOWUP < x < _BLOWUP):
+                    raise _blowup_at(k)
+                out[k] = x
     return out
+
+
+def _blowup_at(k: int) -> NumericBlowup:
+    return NumericBlowup(f"|X| exceeded {_BLOWUP:g} at step {k}; check coefficients/dt")
 
 
 def simulate_path(spec: DiffusionSpec, cfg: SimConfig) -> Trajectory:
@@ -151,30 +176,52 @@ def _chunks(spec: DiffusionSpec, cfg: SimConfig, n_paths: int) -> Iterator[np.nd
     holds X at step start + i across the paths, row 0 repeating the last row
     of the previous chunk (X_0 for the first).  The array is reused, so it is
     valid until the next chunk is requested.  Each path draws its normals
-    from its own Philox stream, m at a time, which gives the numbers of one
-    draw of the whole path: every path is bit-identical to ``simulate_path``
-    with its seed.  Raises NumericBlowup after the first chunk where a path
-    leaves |X| <= _BLOWUP, naming the lowest such seed.
+    from its own Philox stream, ``_NORMALS_BLOCK`` at a time, which gives the
+    numbers of one draw of the whole path: every path is bit-identical to
+    ``simulate_path`` with its seed.  Raises NumericBlowup after the first
+    chunk where a path leaves |X| <= _BLOWUP, naming the lowest such seed.
+
+    A step writes the next row in place, from increments formed for the
+    whole chunk when the diffusion is a constant (see the module docstring).
     """
     gens = [np.random.Generator(np.random.Philox(cfg.seed + k)) for k in range(n_paths)]
-    rows = np.empty((CHUNK + 1, n_paths))
-    z_paths = np.empty((n_paths, CHUNK))
-    z = np.empty((CHUNK, n_paths))
-    rows[0] = cfg.x0
-    drift = _array_form(spec.drift, rows[0])
-    diffusion = _array_form(spec.diffusion, rows[0])
+    n = cfg.n_steps
     dt = cfg.dt
     sqrt_dt = math.sqrt(dt)
-    n = cfg.n_steps
+    rows = np.empty((CHUNK + 1, n_paths))
+    rows[0] = cfg.x0
+    drift = _array_form(spec.drift, rows[0])
+    c = getattr(spec.diffusion, "constant", None)
+    diffusion = _array_form(spec.diffusion, rows[0]) if c is None else None
+    z_paths = np.empty((n_paths, min(_NORMALS_BLOCK, n)))
+    # row i: the normals of step i, or for a constant diffusion its increments
+    dw = np.empty((CHUNK, n_paths))
+    sigma_dw = np.empty(n_paths)
+    x_rows = list(rows)
     for start in range(0, n, CHUNK):
         m = min(CHUNK, n - start)
-        for k, gen in enumerate(gens):
-            gen.standard_normal(out=z_paths[k, :m])
-        z[:m] = z_paths[:, :m].T
+        offset = start % _NORMALS_BLOCK
+        if offset == 0:
+            drawn = min(_NORMALS_BLOCK, n - start)
+            for k, gen in enumerate(gens):
+                gen.standard_normal(out=z_paths[k, :drawn])
+        z = z_paths[:, offset : offset + m].T
+        steps = zip(x_rows[:m], x_rows[1 : m + 1], dw)
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(m):
-                x = rows[i]
-                rows[i + 1] = x + drift(x) * dt + diffusion(x) * sqrt_dt * z[i]
+            if diffusion is None:
+                np.multiply(c * sqrt_dt, z, out=dw[:m])
+                for x, y, dw_i in steps:
+                    np.multiply(drift(x), dt, out=y)
+                    np.add(x, y, out=y)
+                    np.add(y, dw_i, out=y)
+            else:
+                dw[:m] = z
+                for x, y, z_i in steps:
+                    np.multiply(drift(x), dt, out=y)
+                    np.add(x, y, out=y)
+                    np.multiply(diffusion(x), sqrt_dt, out=sigma_dw)
+                    np.multiply(sigma_dw, z_i, out=sigma_dw)
+                    np.add(y, sigma_dw, out=y)
             bad = ~(np.abs(rows[: m + 1]) <= _BLOWUP).all(axis=0)  # also catches NaN
         if bad.any():
             raise NumericBlowup(
@@ -204,11 +251,22 @@ def simulate_paths(spec: DiffusionSpec, cfg: SimConfig, n_paths: int) -> list[Tr
     ]
 
 
-def _above_energy(y: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+def _above_energy(
+    y: np.ndarray, tau: float, above: np.ndarray, square: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Count of samples above tau and pairwise sum of y^2 over them, along
-    the last (contiguous) axis of at most CHUNK samples."""
-    above = y > tau
-    return np.count_nonzero(above, axis=-1), np.sum(np.square(y) * above, axis=-1)
+    the last (contiguous) axis of at most CHUNK samples.  ``above`` (bool)
+    and ``square`` (float) are scratch arrays of the shape of ``y``."""
+    np.greater(y, tau, out=above)
+    np.square(y, out=square)
+    np.multiply(square, above, out=square)
+    return np.count_nonzero(above, axis=-1), np.sum(square, axis=-1)
+
+
+def _scratch(n_paths: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat buffers for the observed chunk, its threshold mask and its squares."""
+    size = n_paths * CHUNK
+    return np.empty(size), np.empty(size, dtype=bool), np.empty(size)
 
 
 def observe_paths(
@@ -233,10 +291,16 @@ def observe_paths(
     theta = np.broadcast_to(np.asarray(theta, dtype=float), (n_paths,))[:, None]
     count = np.zeros(n_paths, dtype=np.int64)
     energy = np.zeros(n_paths)
+    buffers = _scratch(n_paths)
     for rows in _chunks(spec, cfg, n_paths):
-        # left endpoints, one contiguous row per path, perturbed as in ``perturb``
-        y = theta + eps * np.ascontiguousarray(rows[:-1].T)
-        c, e = _above_energy(y, tau)
+        m = len(rows) - 1
+        # contiguous (n_paths, m) views, one row per path: the last chunk's
+        # rows must be contiguous too for its energy sums to pair as a path's
+        y, above, square = (b[: n_paths * m].reshape(n_paths, m) for b in buffers)
+        # left endpoints, perturbed as in ``perturb``
+        np.multiply(eps, rows[:-1].T, out=y)
+        np.add(theta, y, out=y)
+        c, e = _above_energy(y, tau, above, square)
         count += c
         energy += e
     n = cfg.n_steps
@@ -262,8 +326,10 @@ def observe(traj: Trajectory, tau: float) -> ObservationSummary:
     y = traj.values[:-1]
     count = 0
     energy = 0.0
+    _, above, square = _scratch(1)
     for start in range(0, len(y), CHUNK):
-        c, e = _above_energy(y[start : start + CHUNK], tau)
+        chunk = y[start : start + CHUNK]
+        c, e = _above_energy(chunk, tau, above[: len(chunk)], square[: len(chunk)])
         count += int(c)
         energy += float(e)
     return ObservationSummary(

@@ -370,6 +370,41 @@ def test_validate_workers_agree(tmp_path):
     assert reports[0] == reports[1] == reports[2]
 
 
+# the exact validate.json of two small runs, OU and -4*x with sigma 2: a
+# change to the Euler-Maruyama kernel must not move a Monte Carlo result
+GOLDEN_VALIDATE = {
+    "ou": (["--noise", "ou"], {
+        "degenerate": False,
+        "empirical_error_rate": 0.2,
+        "empirical_var_ratio_energy": 1.5071348116837953,
+        "empirical_var_ratio_time": 1.5429872419239594,
+        "predicted_p_err": 0.1958868203673544,
+    }),
+    "sigma2": (["--drift=-4*x", "--sigma=2"], {
+        "degenerate": False,
+        "empirical_error_rate": 0.05,
+        "empirical_var_ratio_energy": 1.1628465251064142,
+        "empirical_var_ratio_time": 1.2560492925194349,
+        "predicted_p_err": 0.04672818780944572,
+    }),
+}
+
+
+@pytest.mark.parametrize("law", sorted(GOLDEN_VALIDATE))
+def test_validate_golden_report(tmp_path, law):
+    flags, values = GOLDEN_VALIDATE[law]
+    out = tmp_path / law
+    assert run(["validate", *flags, "--reps", "50", "--test-paths", "60", "--T", "20",
+                "--test-T", "20", "--test-eps", "1.2", "--seed", "3", "--out", out]) == 0
+    assert json.loads((out / "validate.json").read_text()) == {
+        **values,
+        "n_degenerate": 0,
+        "n_reps": 50,
+        "n_test_paths": 60,
+        "seeds": {"error_study": [53, 112], "variance_study": [3, 52]},
+    }
+
+
 def test_config_workers_must_be_a_positive_integer(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     for bad in (0, 1.5, "2"):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,25 @@ def test_constants_and_variable():
     assert compile_expression("2.5")(0.0) == 2.5
     assert compile_expression("x")(3.0) == 3.0
     assert compile_expression("1e-2")(0.0) == 0.01
+
+
+@pytest.mark.parametrize("text, value", [("1", 1.0), ("2*3", 6.0), ("-4", -4.0), ("exp(0)", 1.0)])
+def test_expression_without_x_folds_to_its_constant(text, value):
+    constant = compile_expression(text).constant
+    assert type(constant) is float and constant == value
+
+
+@pytest.mark.parametrize("text", ["x", "x*0+1", "1+0*x"])
+def test_expression_with_x_has_no_constant(text):
+    assert compile_expression(text).constant is None
+
+
+def test_folding_warns_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert compile_expression("1/0").constant == math.inf
+        assert math.isnan(compile_expression("0/0").constant)
+        assert compile_expression("exp(1000)").constant == math.inf
 
 
 def test_precedence():

@@ -92,6 +92,8 @@ def test_closed_form_ou_values(ou):
     assert float(ou.F(0.0)) == 0.5
     assert float(ou.f(1.0)) == pytest.approx(0.2075537, abs=1e-7)
     assert ou.quantile(0.5) == 0.0
+    # a compiled constant, so its paths take the constant-diffusion stepper
+    assert ou.spec.diffusion.constant == 1.0
 
 
 def test_numeric_matches_closed_form(ou, ou_numeric):

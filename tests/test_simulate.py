@@ -17,7 +17,7 @@ from stochres import (
 )
 from stochres.errors import NumericBlowup
 from stochres.expressions import compile_expression
-from stochres.simulate import CHUNK, _em_scalar
+from stochres.simulate import _NORMALS_BLOCK, CHUNK, _em_scalar
 
 
 def make_traj(values, dt=0.1, seed=0):
@@ -28,6 +28,10 @@ OU = DiffusionSpec(lambda x: -x, lambda x: x * 0.0 + 1.0, label="ou")
 # compiled laws: single paths step their scalar form, ensembles their array form
 CUBIC = DiffusionSpec(compile_expression("-x^3"), compile_expression("1"), label="cubic")
 TANH = DiffusionSpec(compile_expression("-tanh(x)"), compile_expression("1+0.5*exp(-x^2)"), label="tanh")
+# a compiled constant sigma, which the steppers never call, and a
+# state-dependent Python sigma, which they call at every step
+SIGMA2 = DiffusionSpec(compile_expression("-4*x"), compile_expression("2"), label="sigma2")
+LAMBDA = DiffusionSpec(lambda x: -x, lambda x: 1.0 + 0.5 * x * x / (1.0 + x * x), label="lambda")
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +82,42 @@ def test_ensemble_matches_single_paths_bitwise():
             single = simulate_path(spec, SimConfig(T=20.0, dt=0.01, seed=77 + k))
             assert traj.seed == 77 + k
             assert np.array_equal(traj.values, single.values), spec.label
+
+
+@pytest.mark.parametrize("n_paths", [1, 5])
+@pytest.mark.parametrize("spec", [SIGMA2, TANH, LAMBDA], ids=lambda spec: spec.label)
+def test_ensembles_match_single_paths_off_the_chunk_and_block_grid(spec, n_paths):
+    cfg = SimConfig(T=12.34, dt=0.01, seed=900)
+    assert cfg.n_steps == 1234 and cfg.n_steps % CHUNK and cfg.n_steps % _NORMALS_BLOCK
+    singles = [simulate_path(spec, SimConfig(T=12.34, dt=0.01, seed=900 + k)) for k in range(n_paths)]
+    for traj, single in zip(simulate_paths(spec, cfg, n_paths), singles, strict=True):
+        assert np.array_equal(traj.values, single.values)
+    fractions, energies = observe_paths(spec, cfg, n_paths, 0.5, 0.7, 1.0)
+    for k, single in enumerate(singles):
+        obs = observe(perturb(single, 0.5, 0.7), 1.0)
+        assert (fractions[k], energies[k]) == (obs.time_fraction, obs.energy)
+
+
+def test_constant_diffusion_is_never_called_while_stepping():
+    sigma = compile_expression("2")
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return sigma(x)
+
+    counted.constant = sigma.constant
+    spec = DiffusionSpec(SIGMA2.drift, counted)
+    cfg = SimConfig(T=5.0, dt=0.01, seed=3)
+    ensemble = simulate_paths(spec, cfg, 3)
+    single = simulate_path(spec, cfg)
+    observe_paths(spec, cfg, 3, 0.5, 0.7, 1.0)
+    assert calls == []
+    # the same bits as a sigma the steppers call at every step
+    called = DiffusionSpec(SIGMA2.drift, lambda x: x * 0.0 + 2.0)
+    assert np.array_equal(single.values, simulate_path(called, cfg).values)
+    for a, b in zip(ensemble, simulate_paths(called, cfg, 3), strict=True):
+        assert np.array_equal(a.values, b.values)
 
 
 def test_stationary_variance():
