@@ -32,7 +32,7 @@ from .estimators import (
 )
 from .expressions import ExpressionError, compile_expression
 from .laws import NAMED_SPECS, DiffusionSpec, InvariantLaw, build_invariant_law, check_ergodicity
-from .maptest import TestProblem, find_perr_minimum, p_err_surface
+from .maptest import PerrMinimum, TestProblem, find_perr_minimum, p_err_surface
 from .numerics import Bracket
 from .resonance import find_resonance, resonance_curve
 from .simulate import SimConfig, observe, perturb, simulate_path
@@ -355,7 +355,7 @@ def cmd_test(cfg: dict[str, Any]) -> None:
         found = find_perr_minimum(cfg["theta0"], theta1, cfg["tau"], cfg["T"], p0, p1,
                                   law, cfg["scheme"], bracket=bracket)
         if any(r is None for r in found.endpoints):
-            raise QuadratureFailure(f"p_err failed at a bracket end of --grid (theta1={theta1})")
+            raise QuadratureFailure(_bracket_end_failure(cfg, theta1, bracket, found, law))
         minima.append({
             "theta1": theta1,
             "eps_star": found.eps_star,
@@ -369,6 +369,22 @@ def cmd_test(cfg: dict[str, Any]) -> None:
         })
     _write_json(out / "minima.json", {"theta0": cfg["theta0"], "minima": minima})
     print(f"wrote {table} ({len(rows)} cells) and {out / 'minima.json'}")
+
+
+def _bracket_end_failure(cfg: dict[str, Any], theta1: float, bracket: Bracket,
+                         found: PerrMinimum, law: InvariantLaw) -> str:
+    """Why ``p_err`` failed at an end of the --grid bracket.  Where the null
+    gap (tau - theta0)/eps, the larger one, lies beyond the tabulated support
+    at the low end, the message names it and the smallest usable start."""
+    message = f"p_err failed at a bracket end of --grid (theta1={theta1})"
+    lo, hi = law.tables.support
+    distance = cfg["tau"] - cfg["theta0"]
+    if found.endpoints[0] is None and distance / bracket.lo >= hi:
+        message += (f": at eps={bracket.lo:g} the null gap (tau - theta0)/eps = "
+                    f"{distance / bracket.lo:.6g} lies beyond the law's tabulated support "
+                    f"({lo:.6g}, {hi:.6g}); start --grid above (tau - theta0)/{hi:.6g} = "
+                    f"{distance / hi:.6g}")
+    return message
 
 
 def cmd_validate(cfg: dict[str, Any]) -> None:

@@ -17,11 +17,11 @@ asymptotic variance) is the objective maximized over the noise level.
 Every law-dependent quantity is read from the law's cumulative tables
 (``InvariantLaw.tables``), so each costs O(1) per noise level and the same
 code serves every law.  A table lookup takes an array of gaps, and each
-per-noise-level formula has one array form (the ``*_at`` functions): it
-takes a float or an array of noise levels and returns the values with a
-per-point ``failed`` mask, so a curve or a scan over the noise level is one
-lookup.  The scalar functions evaluate that form at one point and raise
-QuadratureFailure where it fails.
+per-noise-level formula has one form (the ``*_at`` functions): it takes an
+array of noise levels and returns the values with a per-point ``failed``
+mask, so a curve or a scan over the noise level is one lookup.  A scalar
+function evaluates that form on an array of one point and raises
+QuadratureFailure where its mask is set.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DegenerateObservation, OutOfRange, QuadratureFailure
 from .laws import InvariantLaw
-from .numerics import Bracket, find_root, integrate_line, libm, not_finite_above
+from .numerics import Bracket, find_root, integrate_line, not_finite_above
 
 __all__ = [
     "ChannelConfig",
@@ -124,19 +124,26 @@ def estimate_theta_time(time_fraction: float, ch: ChannelConfig) -> float:
     return ch.tau - ch.eps * ch.law.quantile(1.0 - time_fraction)
 
 
-def edf_variance_at(x, law: InvariantLaw) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of ``edf_variance``: V at a float x or at each entry of an
-    array, in one table lookup, and the mask of the points that failed
-    (outside the tabulated support, where V is NaN).
+def _only(values: np.ndarray, failed: np.ndarray, what: str) -> float:
+    """An array form's value at its one point; QuadratureFailure (``what``) where it failed."""
+    if failed[0]:
+        raise QuadratureFailure(f"{what} (value {float(values[0])})")
+    return float(values[0])
 
-    A float outside the support raises QuadratureFailure instead.
+
+def edf_variance_at(x: np.ndarray, law: InvariantLaw) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of ``edf_variance``: V at each entry of an array, in one
+    table lookup, and the mask of the points where it fails: outside the
+    tabulated support (V is NaN), or V not finite and positive (next to a
+    support edge, where sf or F underflows).
     """
     p = law.tables.at(x)
-    V = 4.0 * (
-        libm(math.exp, 2.0 * libm(math.log, p.m[..., 0]) + p.log_A)
-        + libm(math.exp, 2.0 * libm(math.log, p.F) + p.log_B)
-    )
-    return V, p.outside
+    # log(0) at an underflowed edge, and what it makes, is flagged by the mask
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        V = 4.0 * (
+            np.exp(2.0 * np.log(p.m[..., 0]) + p.log_A) + np.exp(2.0 * np.log(p.F) + p.log_B)
+        )
+    return V, p.outside | not_finite_above(V)
 
 
 def edf_variance(x: float, law: InvariantLaw, sigma_fn: Callable[[float], float]) -> float:
@@ -151,53 +158,44 @@ def edf_variance(x: float, law: InvariantLaw, sigma_fn: Callable[[float], float]
 
     ``sigma_fn`` must be the law's own diffusion coefficient, which the
     tables already contain; any other function raises ValueError.  Raises
-    QuadratureFailure when x lies outside the law's tabulated support.
+    QuadratureFailure when x lies outside the law's tabulated support or V
+    is not finite and positive there.
     """
     if sigma_fn is not law.spec.diffusion:
         raise ValueError("sigma_fn must be the law's diffusion coefficient law.spec.diffusion")
-    return float(edf_variance_at(x, law)[0])
+    lo, hi = law.tables.support
+    return _only(*edf_variance_at(np.array([x]), law),
+                 f"V is not finite and positive at x={x:.6g} "
+                 f"(tabulated support ({lo:.6g}, {hi:.6g}))")
 
 
-def fisher_at(theta: float, tau: float, eps, law: InvariantLaw, scheme: Scheme):
-    """Fisher information of either scheme at a float noise level or at each
-    entry of an array, in one table lookup, and the mask of the levels where
-    it fails (see ``time_scheme_variance`` and ``energy_scheme_variance``).
-
-    A float whose gap lies outside the tabulated support raises
-    QuadratureFailure instead.
+def fisher_at(theta: float, tau: float, eps: np.ndarray, law: InvariantLaw, scheme: Scheme):
+    """Fisher information of either scheme at each entry of an array of
+    noise levels, in one table lookup, and the mask of the levels where it
+    fails (see ``time_scheme_variance`` and ``energy_scheme_variance``).
     """
     if scheme == "time":
         a = (tau - theta) / eps
-        fa = law.f(a)
         V, failed = edf_variance_at(a, law)
-        failed = failed | not_finite_above(V) | (fa <= 0.0)
-        # (f/(eps sqrt V))^2 stays finite where f and V underflow separately
-        num, den = fa, eps * libm(math.sqrt, V)
+        # (f/(eps sqrt V))^2 stays finite where f and V underflow separately;
+        # where f is 0 the information is 0, which the mask below flags
+        num, den = law.f(a), eps * np.sqrt(V)
     else:
         a, m, _, raw, failed = _energy_at(theta, tau, eps, law)
         slope = _energy_slope(theta, tau, eps, law.f(a), m)
         failed = failed | not_finite_above(slope)
-        num, den = slope, libm(math.sqrt, raw)
-    if isinstance(failed, bool):  # a float: float arithmetic, which raises where den is 0
-        if failed:
-            return math.nan, True
+        num, den = slope, np.sqrt(raw)
+    # a failed entry may divide by 0 or overflow
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         q = num / den
         fisher = q * q
-    else:  # an array: a failed entry may divide by 0 or overflow
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            q = num / den
-            fisher = q * q
     return fisher, failed | not_finite_above(fisher, _NO_RECIPROCAL)
 
 
 def _variance_report(theta: float, ch: ChannelConfig, scheme: Scheme) -> VarianceReport:
-    fisher, failed = fisher_at(theta, ch.tau, ch.eps, ch.law, scheme)
-    if failed:
-        raise QuadratureFailure(
-            f"{scheme}-scheme variance degenerates or its fisher information is not representable "
-            f"at theta={theta}, eps={ch.eps}"
-        )
-    fisher = float(fisher)
+    fisher = _only(*fisher_at(theta, ch.tau, np.array([ch.eps]), ch.law, scheme),
+                   f"{scheme}-scheme variance degenerates or its fisher information is not "
+                   f"representable at theta={theta}, eps={ch.eps}")
     return VarianceReport(value=1.0 / fisher, fisher=fisher, scheme=scheme)
 
 
@@ -245,7 +243,7 @@ def time_scheme_variance_ou_reference(theta: float, tau: float, eps: float) -> f
 # ---------------------------------------------------------------------------
 
 
-def _energy_weights(theta: float, eps, tail=0.0) -> np.ndarray:
+def _energy_weights(theta: float, eps: np.ndarray, tail=0.0) -> np.ndarray:
     """Coefficients of (eps*xi + theta)^2 on the powers xi^0, xi^1, xi^2,
     less ``tail`` on xi^0: one contiguous row per noise level.
 
@@ -257,27 +255,16 @@ def _energy_weights(theta: float, eps, tail=0.0) -> np.ndarray:
     return np.ascontiguousarray(w.T)
 
 
-def _plain(x):
-    """A float for one number, so that the checks on it stay on Python
-    floats and bools; an array unchanged."""
-    return float(x) if x.ndim == 0 else x
-
-
-def _dot(u: np.ndarray, v: np.ndarray):
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """u . v over the last axis.  Each row is one BLAS dot of three entries,
-    the same call as ``u @ v`` for one row, so a row and a float agree bit
-    for bit (numpy's elementwise sum rounds differently)."""
-    return _plain((u[..., None, :] @ v[..., :, None])[..., 0, 0])
+    so a row gives the same bits in an array of one point as in a longer one
+    (numpy's elementwise sum rounds differently)."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-def _quadratic_form(c: np.ndarray, nu: np.ndarray):
-    """c . nu . c over the last axes, as ``c @ nu @ c`` for one row."""
-    return _plain((c[..., None, :] @ nu @ c[..., :, None])[..., 0, 0])
-
-
-def _log_or_nan(x: float) -> float:
-    """log x, NaN at x <= 0 (a cancelled quadratic form), where math.log raises."""
-    return math.log(x) if x > 0.0 else math.nan
+def _quadratic_form(c: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """c . nu . c over the last axes, row by row."""
+    return (c[..., None, :] @ nu @ c[..., :, None])[..., 0, 0]
 
 
 def energy_limit_closed_form(theta: float, ch: ChannelConfig) -> float:
@@ -317,9 +304,9 @@ def energy_limit_quadrature(theta: float, ch: ChannelConfig) -> float:
     )
 
 
-def energy_limit_at(theta: float, tau: float, eps, law: InvariantLaw):
-    """Array form of ``energy_limit`` at a float noise level or at each entry
-    of an array; it has no failure condition."""
+def energy_limit_at(theta: float, tau: float, eps: np.ndarray, law: InvariantLaw) -> np.ndarray:
+    """Array form of ``energy_limit`` at each entry of an array of noise
+    levels; it has no failure condition."""
     a = (tau - theta) / eps
     return _dot(_energy_weights(theta, eps), np.ascontiguousarray(law.tables.upper_moments(a).T))
 
@@ -330,7 +317,7 @@ def energy_limit(theta: float, ch: ChannelConfig) -> float:
     E[(eps*xi + theta)^2 1{xi > a}] with a = (tau - theta)/eps, a fixed
     combination of the law's upper moments at a.
     """
-    return float(energy_limit_at(theta, ch.tau, ch.eps, ch.law))
+    return float(energy_limit_at(theta, ch.tau, np.array([ch.eps]), ch.law)[0])
 
 
 def energy_limit_derivative_closed_form(theta: float, ch: ChannelConfig) -> float:
@@ -361,22 +348,22 @@ def energy_limit_derivative_quadrature(theta: float, ch: ChannelConfig) -> float
     )
 
 
-def _energy_slope(theta: float, tau: float, eps, f_a, m):
+def _energy_slope(theta: float, tau: float, eps: np.ndarray, f_a: np.ndarray, m: np.ndarray):
     """tau^2 f(a)/eps + 2 theta m_0(a) + 2 eps m_1(a), from the density at
     the gap and the upper moments there (last axis)."""
-    return _plain(tau * tau * f_a / eps + 2.0 * theta * m[..., 0] + 2.0 * eps * m[..., 1])
+    return tau * tau * f_a / eps + 2.0 * theta * m[..., 0] + 2.0 * eps * m[..., 1]
 
 
-def energy_limit_derivative_at(theta: float, tau: float, eps, law: InvariantLaw):
-    """Array form of ``energy_limit_derivative`` at a float noise level or at
-    each entry of an array; it has no failure condition."""
+def energy_limit_derivative_at(theta: float, tau: float, eps: np.ndarray, law: InvariantLaw):
+    """Array form of ``energy_limit_derivative`` at each entry of an array of
+    noise levels; it has no failure condition."""
     a = (tau - theta) / eps
     return _energy_slope(theta, tau, eps, law.f(a), law.tables.upper_moments(a).T)
 
 
 def energy_limit_derivative(theta: float, ch: ChannelConfig) -> float:
     """Slope of the energy map: tau^2 f(a)/eps + 2 theta sf(a) + 2 eps E[xi 1{xi>a}]."""
-    return float(energy_limit_derivative_at(theta, ch.tau, ch.eps, ch.law))
+    return float(energy_limit_derivative_at(theta, ch.tau, np.array([ch.eps]), ch.law)[0])
 
 
 def estimate_theta_energy(energy: float, ch: ChannelConfig) -> float:
@@ -413,14 +400,14 @@ def estimate_theta_energy(energy: float, ch: ChannelConfig) -> float:
 _CANCELLATION_FLOOR = 1e-8
 
 
-def _energy_at(theta: float, tau: float, eps, law: InvariantLaw):
-    """The energy scheme at a float noise level or at each entry of an array,
-    from one table lookup at the gap a = (tau - theta)/eps: a, the upper
-    moments m(a) (last axis), the long-run energy tail(a), the statistic's
-    raw variance and its failed mask (see ``energy_statistic_variance_at``).
+def _energy_at(theta: float, tau: float, eps: np.ndarray, law: InvariantLaw):
+    """The energy scheme at each entry of an array of noise levels, from one
+    table lookup at the gaps a = (tau - theta)/eps: a, the upper moments m(a)
+    (last axis), the long-run energy tail(a), the statistic's raw variance
+    and its failed mask (see ``energy_statistic_variance_at``).
 
     m(a) and tail(a) equal ``upper_moments`` and ``energy_limit_at`` bit for
-    bit.  A float whose gap lies outside the support raises QuadratureFailure.
+    bit.
     """
     a = (tau - theta) / eps
     p = law.tables.at(a)
@@ -428,21 +415,17 @@ def _energy_at(theta: float, tau: float, eps, law: InvariantLaw):
     c = _energy_weights(theta, eps, tail)
     form = _quadratic_form(c, p.nu)
     cancels = form <= _CANCELLATION_FLOOR * _quadratic_form(np.abs(c), np.abs(p.nu))
-    v = 4.0 * (
-        libm(math.exp, 2.0 * libm(math.log, tail) + p.log_A)
-        + libm(math.exp, p.log_B + libm(_log_or_nan, form))
-    )
+    # a cancelled form (<= 0) is flagged above; its log is -inf or NaN
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        v = 4.0 * (np.exp(2.0 * np.log(tail) + p.log_A) + np.exp(p.log_B + np.log(form)))
     return a, p.m, tail, v, p.outside | cancels | not_finite_above(v)
 
 
-def energy_statistic_variance_at(theta: float, tau: float, eps, law: InvariantLaw):
-    """Array form of ``energy_statistic_variance`` at a float noise level or
-    at each entry of an array, in one table lookup, and the mask of the
-    levels where it fails: the gap lies outside the tabulated support, the
-    quadratic form cancels, or the variance is not finite and positive.
-
-    A float whose gap lies outside the support raises QuadratureFailure
-    instead.
+def energy_statistic_variance_at(theta: float, tau: float, eps: np.ndarray, law: InvariantLaw):
+    """Array form of ``energy_statistic_variance`` at each entry of an array
+    of noise levels, in one table lookup, and the mask of the levels where
+    it fails: the gap lies outside the tabulated support, the quadratic form
+    cancels, or the variance is not finite and positive.
     """
     return _energy_at(theta, tau, eps, law)[3:]
 
@@ -459,13 +442,8 @@ def energy_statistic_variance(theta: float, ch: ChannelConfig) -> float:
     tabulated support, when the quadratic form cancels (the gap deep in the
     lower tail) and when the variance is not finite and positive.
     """
-    v, failed = energy_statistic_variance_at(theta, ch.tau, ch.eps, ch.law)
-    if failed:
-        raise QuadratureFailure(
-            f"energy-statistic variance cancels or degenerates at theta={theta}, eps={ch.eps} "
-            f"(V={float(v)})"
-        )
-    return float(v)
+    return _only(*energy_statistic_variance_at(theta, ch.tau, np.array([ch.eps]), ch.law),
+                 f"energy-statistic variance cancels or degenerates at theta={theta}, eps={ch.eps}")
 
 
 def energy_scheme_variance(theta: float, ch: ChannelConfig) -> VarianceReport:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NotErgodic, QuadratureFailure
 from .expressions import compile_expression
-from .numerics import REL_TOL, Bracket, find_root, libm
+from .numerics import REL_TOL, Bracket, find_root
 
 __all__ = [
     "DiffusionSpec",
@@ -460,18 +460,15 @@ class LawTables:
         as an array of one point, so both give the same bits.
         """
         lo, hi = self.support
-        pts = np.asarray(x, dtype=float)
-        scalar = pts.ndim == 0
-        if scalar:
-            if not lo < x < hi:
-                raise QuadratureFailure(
-                    f"x={x:.6g} lies outside the tabulated support ({lo:.6g}, {hi:.6g}) of the law"
-                )
-            pts = pts.reshape(1)
-        else:
-            outside = ~((pts > lo) & (pts < hi))
-            if outside.any():  # an interior node stands in; its fields are replaced below
-                pts = np.where(outside, self.x[1], pts)
+        scalar = np.ndim(x) == 0
+        pts = np.atleast_1d(np.asarray(x, dtype=float))
+        outside = ~((pts > lo) & (pts < hi))
+        if scalar and outside[0]:
+            raise QuadratureFailure(
+                f"x={x:.6g} lies outside the tabulated support ({lo:.6g}, {hi:.6g}) of the law"
+            )
+        if outside.any():  # an interior node stands in; its fields are replaced below
+            pts = np.where(outside, self.x[1], pts)
         n = len(pts)
         i = self.x.searchsorted(pts, side="right") - 1
         j = i + 1
@@ -486,7 +483,7 @@ class LawTables:
         la, lb, q = _second_order_panels(F_t, m_t, f_t, sig * sig, w)
         log_B_next = self.log_B[j]
         log_B = np.logaddexp(log_B_next, lb)
-        shift = libm(math.exp, np.array([log_B_next, lb]) - log_B)
+        shift = np.exp(np.array([log_B_next, lb]) - log_B)
         pairs = self.nu[:, j] * shift[0] + q * shift[1]
         # contiguous rows: BLAS rounds the energy form's products on a strided
         # matrix differently from one point's

@@ -15,7 +15,8 @@ flagged degenerate and reports the prior-guess error min(p0, p1).
 
 The moments come from one table lookup per signal value over an array of
 noise levels, so a row of the error surface and the coarse scan of
-``find_perr_minimum`` take one lookup per hypothesis.
+``find_perr_minimum`` take one lookup per hypothesis.  A single noise level
+(``moments``, each golden-section step) is an array of one.
 """
 from __future__ import annotations
 
@@ -27,12 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import QuadratureFailure
-from .estimators import (
-    ChannelConfig,
-    Scheme,
-    _energy_at,
-    edf_variance_at,
-)
+from .estimators import ChannelConfig, Scheme, _energy_at, edf_variance_at
 from .laws import InvariantLaw
 from .numerics import SCAN_CELLS, Bracket, maximize_scalar, normal_cdf, not_finite_above, scan_points
 
@@ -160,12 +156,12 @@ class ErrorReport:
 
 
 def _statistic_moments(
-    theta: float, tau: float, eps, horizon: float, law: InvariantLaw, scheme: Scheme
+    theta: float, tau: float, eps: np.ndarray, horizon: float, law: InvariantLaw, scheme: Scheme
 ):
-    """Mean and variance of the statistic at one signal value, at the float
-    noise level ``eps`` or at each entry of an array, in one table lookup,
-    and the mask of the levels whose variance fails (outside the tabulated
-    support, a cancelling energy form, or not finite and positive)."""
+    """Mean and variance of the statistic at one signal value and each entry
+    of an array of noise levels, in one table lookup, and the mask of the
+    levels whose variance fails (outside the tabulated support, a cancelling
+    energy form, or not finite and positive)."""
     if scheme == "time":
         a = (tau - theta) / eps
         mu = law.sf(a)
@@ -187,9 +183,10 @@ def moments(problem: TestProblem) -> GaussianMoments:
     QuadratureFailure where either variance cannot be evaluated.
     """
     ch = ChannelConfig(tau=problem.tau, eps=problem.eps, law=problem.law)
-    (mu0, v0, failed0), (mu1, v1, failed1) = (
-        _statistic_moments(t, ch.tau, ch.eps, problem.horizon, ch.law, problem.scheme)
-        for t in (problem.theta0, problem.theta1)
+    eps = np.array([ch.eps])
+    mu0, v0, failed0, mu1, v1, failed1 = (
+        v[0] for t in (problem.theta0, problem.theta1)
+        for v in _statistic_moments(t, ch.tau, eps, problem.horizon, ch.law, problem.scheme)
     )
     if failed0 or failed1:
         raise QuadratureFailure(
@@ -399,9 +396,9 @@ def _error_row(null, alt, p0: float, p1: float) -> list[Optional[ErrorReport]]:
 class PerrMinimum:
     """Result of ``find_perr_minimum``.
 
-    ``n_failed`` counts evaluated noise levels without a value,
-    ``n_degenerate`` those that took the prior-guess error, over the scan
-    and the golden-section refinement both.  ``endpoints``
+    ``n_failed`` counts the levels of the scan grid (``scan_points`` of the
+    bracket) without a value, ``n_degenerate`` those that took the
+    prior-guess error; neither depends on ``tol``.  ``endpoints``
     holds the reports at the two bracket ends, taken from the scan grid,
     whose first and last points are the ends (None where that level failed).
     """
@@ -434,7 +431,7 @@ def find_perr_minimum(
     ``local_minima`` lists the interior local minima of a scan of
     ``SCAN_CELLS`` cells.  Two kinds of minimum are dropped: one within a
     scan cell of either bracket end, which is the edge of the search and not
-    a dip, and one with a degenerate noise level within a scan cell, which
+    a dip, and one with a degenerate scan level within a scan cell, which
     sits where the Gaussian approximation starts.  The list may be empty.
     ``eps_star`` is the lowest error found, dropped minima and bracket
     endpoints included.
@@ -442,36 +439,20 @@ def find_perr_minimum(
     if bracket.lo <= 0:
         raise ValueError("noise bracket must be positive")
     ceiling = min(p0, p1)
-    scan = scan_points(bracket)
-    null, alt = (_statistic_moments(t, tau, scan, horizon, law, scheme) for t in (theta0, theta1))
-    row = _error_row(null, alt, p0, p1)
-    # the counts and the degenerate levels cover the golden-section levels too
-    refined: list[tuple[float, Optional[ErrorReport]]] = []
 
-    def objective(eps: float) -> float:
-        problem = TestProblem(
-            theta0=theta0,
-            theta1=theta1,
-            p0=p0,
-            p1=p1,
-            tau=tau,
-            eps=eps,
-            horizon=horizon,
-            law=law,
-            scheme=scheme,
-        )
-        try:
-            report = p_err(problem)
-        except QuadratureFailure:
-            report = None
-        refined.append((eps, report))
+    def reports(eps: np.ndarray) -> list[Optional[ErrorReport]]:
+        null, alt = (_statistic_moments(t, tau, eps, horizon, law, scheme)
+                     for t in (theta0, theta1))
+        return _error_row(null, alt, p0, p1)
+
+    def value(report: Optional[ErrorReport]) -> float:
         return -ceiling if report is None else -report.p_err
 
-    result = maximize_scalar(
-        objective, bracket, tol=tol, scan=[-ceiling if r is None else -r.p_err for r in row]
-    )
-    levels = list(zip(scan.tolist(), row)) + refined
-    degenerate = [eps for eps, r in levels if r is not None and r.degenerate]
+    scan = scan_points(bracket)
+    row = reports(scan)
+    result = maximize_scalar(lambda eps: value(reports(np.array([eps]))[0]), bracket, tol=tol,
+                             scan=[value(r) for r in row])
+    degenerate = [eps for eps, r in zip(scan.tolist(), row) if r is not None and r.degenerate]
     cell = (bracket.hi - bracket.lo) / SCAN_CELLS
     local = [
         (x, -v)
@@ -483,7 +464,7 @@ def find_perr_minimum(
         eps_star=result.x_star,
         p_err_min=-result.h_star,
         local_minima=local,
-        n_failed=sum(r is None for _, r in levels),
+        n_failed=sum(r is None for r in row),
         n_degenerate=len(degenerate),
         endpoints=(row[0], row[-1]),
     )

@@ -29,7 +29,6 @@ __all__ = [
     "integrate_interval",
     "integrate_line",
     "find_root",
-    "libm",
     "not_finite_above",
     "maximize_scalar",
     "scan_points",
@@ -75,24 +74,10 @@ def normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / _SQRT2)
 
 
-def libm(fn: Callable[[float], float], x):
-    """A ``math`` function at a float, or at each entry of an array.
-
-    numpy's vectorized exp and log differ from libm's in the last bit for a
-    few per cent of arguments.  The array forms of the variance formulas
-    call this where their scalar forms always called ``math``, so a float and
-    an array entry give the same bits.
-    """
-    if isinstance(x, np.ndarray) and x.ndim:
-        return np.fromiter(map(fn, x.ravel().tolist()), float, count=x.size).reshape(x.shape)
-    return fn(x)
-
-
-def not_finite_above(x, floor: float = 0.0):
-    """Where x is not a finite number above ``floor``: NaN, +inf or at most
-    ``floor``.  A bool for a float (so a scalar check stays on Python bools,
-    and ``~`` would turn True into -2), a mask for an array."""
-    return (x <= floor) | (x != x) | (x == math.inf)
+def not_finite_above(x: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """The mask of the entries of x that are not a finite number above
+    ``floor``: NaN, +inf or at most ``floor``."""
+    return ~(np.isfinite(x) & (x > floor))
 
 
 def _t_of_x(x: float) -> float:

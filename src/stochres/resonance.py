@@ -7,8 +7,8 @@ the resonance point; several interior maxima would indicate multi-resonance
 and are all reported.
 
 The table lookup takes an array of gaps, so a curve and the coarse scan of
-``find_resonance`` are one lookup each; only the golden-section refinement
-evaluates one noise level at a time.
+``find_resonance`` are one lookup each, and each golden-section step runs
+the same code on an array of one noise level.
 """
 from __future__ import annotations
 
@@ -17,14 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import QuadratureFailure
-from .estimators import (
-    ChannelConfig,
-    Scheme,
-    energy_scheme_variance,
-    fisher_at,
-    time_scheme_variance,
-)
+from .estimators import Scheme, fisher_at
 from .laws import InvariantLaw
 from .numerics import Bracket, maximize_scalar, scan_points
 
@@ -60,7 +53,7 @@ class ResonanceResult:
 def _curve(
     theta: float, tau: float, law: InvariantLaw, scheme: Scheme, grid: np.ndarray
 ) -> list[CurvePoint]:
-    """The curve on ``grid`` from one table lookup."""
+    """The curve on an array ``grid`` of noise levels, from one table lookup."""
     fisher, failed = fisher_at(theta, tau, grid, law, scheme)
     return [
         CurvePoint(eps=e, fisher=0.0 if bad else f, failed=bad)
@@ -98,7 +91,7 @@ def find_resonance(
 
     A coarse scan over the bracket, one table lookup that is also the
     returned curve, feeds golden-section refinement of every interior peak,
-    so a multi-peaked curve reports all of its maxima.  Grid points whose
+    so a multi-peaked curve reports all of its maxima.  Points whose
     variance cannot be evaluated (see ``CurvePoint``) contribute
     information 0 and are flagged on the returned curve.
     """
@@ -106,13 +99,9 @@ def find_resonance(
         raise ValueError("noise bracket must be positive")
     if scheme not in ("time", "energy"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    variance = time_scheme_variance if scheme == "time" else energy_scheme_variance
 
     def fisher(eps: float) -> float:
-        try:
-            return variance(theta, ChannelConfig(tau=tau, eps=eps, law=law)).fisher
-        except QuadratureFailure:
-            return 0.0
+        return _curve(theta, tau, law, scheme, np.array([eps]))[0].fisher
 
     curve = _curve(theta, tau, law, scheme, scan_points(bracket))
     result = maximize_scalar(fisher, bracket, tol=tol, scan=[p.fisher for p in curve])

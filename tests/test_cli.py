@@ -275,6 +275,18 @@ def test_test_fails_when_a_bracket_end_fails(tmp_path, capsys):
     assert not (out / "minima.json").exists()
 
 
+def test_test_names_the_gap_beyond_the_support(tmp_path, capsys):
+    # the default grid starts at eps = 0.1, where the null gap 1/0.1 = 10 lies
+    # beyond the cubic law's tabulated support (+-6.095): the error says so
+    # and names the smallest usable grid start, 1/6.095
+    out = tmp_path / "t"
+    assert run(["test", "--drift=-x^3", "--sigma", "1", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "bracket end" in err and "at eps=0.1 the null gap (tau - theta0)/eps = 10 " in err
+    assert "support (-6.095, 6.095)" in err and "start --grid above (tau - theta0)/6.095 = 0.164069" in err
+    assert run(["test", "--drift=-x^3", "--sigma", "1", "--grid", "0.2:3:0.1", "--out", out]) == 0
+
+
 def test_test_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     args = ["test", "--T", "100", "--grid", "0.3:1.0:0.35", "--theta-grid", "0.4:0.6:0.2"]
@@ -368,6 +380,47 @@ def test_validate_workers_agree(tmp_path):
         reports.append((out / "validate.json").read_bytes())
     assert not json.loads(reports[0])["degenerate"]
     assert reports[0] == reports[1] == reports[2]
+
+
+# the exact resonance.json at theta = 0.5 on the default grid, and the exact
+# estimate.json of one short OU run: a change to how a noise level is
+# evaluated must not move the resonance or an estimate
+GOLDEN_RESONANCE = {
+    "ou_time": (["--noise", "ou", "--scheme", "time"], 0.36597796335842914, 2.897579807418631),
+    "ou_energy": (["--noise", "ou", "--scheme", "energy"], 0.3635523963825258, 2.7101316785286786),
+    "cubic_time": (["--drift=-x^3", "--sigma", "1", "--scheme", "time"],
+                   0.3371654364505718, 18.12695165966953),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_RESONANCE))
+def test_resonance_golden_report(tmp_path, case):
+    flags, eps_star, fisher_star = GOLDEN_RESONANCE[case]
+    out = tmp_path / case
+    assert run(["resonance", *flags, "--theta", "0.5", "--out", out]) == 0
+    assert json.loads((out / "resonance.json").read_text()) == {
+        "eps_star": eps_star,
+        "fisher_star": fisher_star,
+        "local_maxima": [{"eps": eps_star, "fisher": fisher_star}],
+        "scheme": flags[-1],
+        "tau": 1.0,
+        "theta": 0.5,
+    }
+
+
+def test_estimate_golden_report(tmp_path):
+    out = tmp_path / "est"
+    assert run(["estimate", "--noise", "ou", "--T", "200", "--seed", "11", "--out", out]) == 0
+    assert json.loads((out / "estimate.json").read_text()) == {
+        "Sigma": 0.6504843956511027,
+        "Sigma_tilde": 0.7040560206935511,
+        "T": 200.0,
+        "gamma_T": 0.2104,
+        "nu_T": 0.37383806972639466,
+        "seed": 11,
+        "theta_hat_energy": 0.5977788920473165,
+        "theta_hat_time": 0.5876388684641902,
+    }
 
 
 # the exact validate.json of two small runs, OU and -4*x with sigma 2: a

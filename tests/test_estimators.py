@@ -321,6 +321,22 @@ def test_edf_variance_rejects_foreign_sigma(ou):
         edf_variance(0.5, ou, lambda x: 2.0)
 
 
+def test_edf_variance_next_to_a_support_edge_raises(ou):
+    # next to either end of the tabulated support sf or F underflows (OU's
+    # sf is 6.5e-313 there) and V comes out 0; that must fail, not pass as
+    # a value
+    cubic = build_invariant_law(
+        DiffusionSpec(drift=compile_expression("-x^3"), diffusion=compile_expression("1"))
+    )
+    for law in (ou, cubic):
+        lo, hi = law.tables.support
+        for x in (lo + 1e-12, hi - 1e-12):
+            with pytest.raises(QuadratureFailure):
+                edf_variance(x, law, law.spec.diffusion)
+        _, failed = edf_variance_at(np.array([lo + 1e-12, 0.0, hi - 1e-12]), law)
+        assert failed.tolist() == [True, False, True]
+
+
 # ---------------------------------------------------------------------------
 # deep tails and accuracy, against windowed quadrature oracles
 # ---------------------------------------------------------------------------

@@ -361,6 +361,22 @@ def test_perr_minimum_carries_bracket_endpoints(ou, scheme):
 
 
 @pytest.mark.parametrize("scheme", ["time", "energy"])
+def test_perr_minimum_counts_the_scan_levels_only(ou, scheme):
+    # n_degenerate and n_failed are properties of the 65-point scan, not of
+    # where the golden section steps: the same at every tol (counting the
+    # refinement too gave 6 and 9 in the time scheme, 7 and 9 in the energy
+    # scheme)
+    bracket = Bracket(0.1, 3.0)
+    scan = np.linspace(bracket.lo, bracket.hi, SCAN_CELLS + 1)
+    cells = p_err_surface(0.0, [0.7], scan, 1.0, 100.0, 0.5, 0.5, ou, scheme)
+    expected = (sum(c.degenerate for c in cells), sum(c.failed for c in cells))
+    assert expected == (3, 0)
+    for tol in (1e-4, 1e-6):
+        found = find_perr_minimum(0.0, 0.7, 1.0, 100.0, 0.5, 0.5, ou, scheme, bracket=bracket, tol=tol)
+        assert (found.n_degenerate, found.n_failed) == expected, tol
+
+
+@pytest.mark.parametrize("scheme", ["time", "energy"])
 @pytest.mark.parametrize("horizon", [50.0, 100.0, 1000.0])
 def test_no_minimum_next_to_degenerate_level(ou, scheme, horizon):
     # a minimum beside a degenerate level is where the Gaussian
@@ -383,18 +399,19 @@ def test_no_minimum_next_to_degenerate_level(ou, scheme, horizon):
 
 @pytest.mark.parametrize("scheme", ["time", "energy"])
 def test_scan_and_surface_rows_are_one_lookup_each(ou, monkeypatch, scheme):
-    # one lookup per hypothesis for the scan of find_perr_minimum (plus two
-    # per golden-section step), and one per row of the surface: the null
-    # row and one per theta1; one lookup per point made 166 and 120
+    # one 65-point lookup per hypothesis for the scan of find_perr_minimum
+    # (plus two one-point lookups per golden-section step), and one per row
+    # of the surface: the null row and one per theta1; one lookup per point
+    # made 166 and 120.  Each call records the number of points looked up.
     calls = []
     real = LawTables.at
-    monkeypatch.setattr(LawTables, "at", lambda self, x: calls.append(np.ndim(x)) or real(self, x))
+    monkeypatch.setattr(LawTables, "at", lambda self, x: calls.append(np.size(x)) or real(self, x))
     find_perr_minimum(0.0, 0.5, 1.0, 100.0, 0.5, 0.5, ou, scheme)
-    assert calls.count(1) == 2 and len(calls) <= 38
+    assert calls.count(65) == 2 and sorted(set(calls)) == [1, 65] and len(calls) <= 38
     calls.clear()
     cells = p_err_surface(0.0, [0.3, 0.5, 0.7], np.arange(1, 31) / 10.0, 1.0, 100.0, 0.5, 0.5, ou, scheme)
     assert len(cells) == 90
-    assert calls == [1, 1, 1, 1]
+    assert calls == [30, 30, 30, 30]
 
 
 def test_surface_cells_equal_pointwise_reports(ou):

@@ -153,11 +153,13 @@ def test_grid_law_reports_both_peaks_of_a_triple_well(triple_well, theta, peaks,
 
 
 def count_lookups(monkeypatch):
+    # the number of points of each lookup: every lookup is an array, and a
+    # golden-section step is an array of one point
     calls = []
     real = LawTables.at
 
     def at(self, x):
-        calls.append(np.ndim(x))
+        calls.append(np.size(x))
         return real(self, x)
 
     monkeypatch.setattr(LawTables, "at", at)
@@ -166,14 +168,15 @@ def count_lookups(monkeypatch):
 
 @pytest.mark.parametrize("scheme", ["time", "energy"])
 def test_resonance_scan_is_one_lookup(ou, monkeypatch, scheme):
-    # the coarse scan is one array lookup; each golden-section step is one
-    # more (18 for one peak at tol 1e-4), where one lookup per scan point
-    # made 83
+    # the coarse scan is one 65-point lookup; each golden-section step is
+    # one more of one point (18 for one peak at tol 1e-4), where one lookup
+    # per scan point made 83
     calls = count_lookups(monkeypatch)
     res = find_resonance(0.5, 1.0, ou, scheme)
     assert len(res.local_maxima) == 1
-    assert calls.count(1) == 1
+    assert calls.count(65) == 1
+    assert sorted(set(calls)) == [1, 65]
     assert len(calls) <= 19
     calls.clear()
     resonance_curve(0.5, 1.0, ou, scheme, np.arange(0.05, 3.0001, 0.05))
-    assert calls == [1]
+    assert calls == [60]
