@@ -28,13 +28,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Literal
 
 import numpy as np
 
 from .errors import DegenerateObservation, OutOfRange, QuadratureFailure
 from .laws import InvariantLaw
-from .numerics import Bracket, find_root, integrate_line, not_finite_above
+from .numerics import Bracket, _brent, integrate_line, not_finite_above
 
 __all__ = [
     "ChannelConfig",
@@ -379,16 +380,17 @@ def estimate_theta_energy(energy: float, ch: ChannelConfig) -> float:
     def g(theta: float) -> float:
         return energy_limit(theta, ch) - energy
 
-    knots = [0.0, ch.tau, -ch.tau, 2.0 * ch.tau]
-    values = {t: g(t) for t in knots}
+    # each knot is evaluated once, when the first bracket that needs it is
+    # tried, and Brent's method starts from the values held
+    value = cache(g)
     for lo, hi in ((0.0, ch.tau), (-ch.tau, 0.0), (ch.tau, 2.0 * ch.tau)):
-        glo, ghi = values[lo], values[hi]
+        glo, ghi = value(lo), value(hi)
         if glo == 0.0:
             return lo
         if ghi == 0.0:
             return hi
         if glo * ghi < 0:
-            return find_root(g, Bracket(lo, hi), tol=1e-10)
+            return _brent(g, Bracket(lo, hi), glo, ghi, 1e-10)
     raise OutOfRange(
         f"energy {energy} is outside the forward map range on [-tau, 2*tau]"
     )

@@ -14,6 +14,11 @@ built from coefficients the tables are its only representation: F, sf and
 the quantile read them.  The ergodicity check, the support edges and the
 density exponent all come from one Gauss-Legendre panel rule, and the
 quantile is a bracketed root of F or sf, so no law imports scipy.
+
+The layer works on arrays.  A user coefficient is lifted to its array form
+once, by ``_array_form``, from the probe's node grid: a law build and the
+tables read the lifted form, and the Euler-Maruyama ensemble lifts it once
+more from its first row.
 """
 from __future__ import annotations
 
@@ -25,9 +30,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NotErgodic, QuadratureFailure
+from .errors import NotErgodic
 from .expressions import compile_expression
-from .numerics import REL_TOL, Bracket, find_root
+from .numerics import REL_TOL, Bracket, _brent
 
 __all__ = [
     "DiffusionSpec",
@@ -73,7 +78,9 @@ _BLOCK = 512
 class DiffusionSpec:
     """Coefficients of the noise SDE dX = drift(X)dt + diffusion(X)dW.
 
-    A diffusion with a float ``constant`` attribute, as a compiled
+    A coefficient may take arrays, take floats only, or return one
+    constant whatever its argument: a law build and an ensemble each lift
+    it to an array form once.  A diffusion with a float ``constant`` attribute, as a compiled
     expression without ``x`` has, is taken to return that value at every
     X: the Euler-Maruyama steppers then never call it.
     """
@@ -131,8 +138,8 @@ class InvariantLaw:
 
 
 def _lazy_tables(nodes: np.ndarray, sigma: Callable) -> Callable[[Callable], "LawTables"]:
-    """The tables of a density on ``nodes``, built at the first call with it."""
-    sigma = _vectorized(sigma)
+    """The tables of a density on ``nodes``, built at the first call with it;
+    ``sigma`` is the diffusion's array form."""
     return cache(lambda f: LawTables(nodes, f, sigma))
 
 
@@ -141,20 +148,18 @@ def _as_output(out: np.ndarray):
     return float(out) if out.ndim == 0 else out
 
 
-def _vectorized(fn: Callable) -> Callable:
-    """Wrap a scalar-only coefficient so it accepts numpy arrays too."""
-
-    def wrapped(x):
-        try:
-            out = fn(x)
-        except (TypeError, ValueError):
-            return np.vectorize(fn, otypes=[float])(x)
-        out = np.asarray(out, dtype=float)
-        if np.shape(out) != np.shape(x):
-            out = np.broadcast_to(out, np.shape(x)).copy()
-        return out
-
-    return wrapped
+def _array_form(fn: Callable, x: np.ndarray) -> Callable:
+    """``fn`` itself when it maps the float array ``x`` to a float array of
+    the same shape, otherwise a wrapper that does: a loop over the entries
+    for a coefficient that takes floats only, a broadcast for one that
+    returns a constant.  Decided once, from ``x``, rather than at every call."""
+    try:
+        out = fn(x)
+    except (TypeError, ValueError):
+        return np.vectorize(fn, otypes=[float])
+    if isinstance(out, np.ndarray) and out.shape == x.shape and out.dtype == np.float64:
+        return fn
+    return lambda y: np.broadcast_to(np.asarray(fn(y), dtype=float), np.shape(y))
 
 
 def _panels(fn: Callable, lo, hi) -> tuple[np.ndarray, np.ndarray]:
@@ -200,9 +205,10 @@ def _node_grid(lo: float, hi: float) -> tuple[np.ndarray, int]:
     return nodes, n_left
 
 
-def _mass(spec: DiffusionSpec, nodes: np.ndarray, zero_idx: int) -> tuple[Callable, Callable]:
+def _mass(drift: Callable, sigma: Callable, nodes: np.ndarray, zero_idx: int) -> tuple[Callable, Callable]:
     """The exponent int_0^x S/sigma^2 and the unnormalized stationary mass
-    exp(2*exponent)/sigma^2 at any x in [nodes[0], nodes[-1]], scalar or array.
+    exp(2*exponent)/sigma^2 at any x in [nodes[0], nodes[-1]], scalar or
+    array, from the array forms of the coefficients.
 
     At the nodes the exponent is a prefix of 5-point Gauss-Legendre panels,
     accumulated outward from ``nodes[zero_idx] = 0`` so that rounding stays
@@ -212,12 +218,11 @@ def _mass(spec: DiffusionSpec, nodes: np.ndarray, zero_idx: int) -> tuple[Callab
     would call the coefficients five times per density point, and the tables
     evaluate the density 35 times per panel).
     """
-    sigma = _vectorized(spec.diffusion)
     half = 0.5 * np.diff(nodes)
     mid = nodes[:-1] + half
     t = mid[:, None] + half[:, None] * _GL_X
     sig_t = sigma(t)
-    s_gauss = _vectorized(spec.drift)(t) / (sig_t * sig_t)
+    s_gauss = drift(t) / (sig_t * sig_t)
     panels = half * (s_gauss @ _GL_W)
     at_nodes = np.zeros(len(nodes))
     np.cumsum(panels[zero_idx:], out=at_nodes[zero_idx + 1 :])
@@ -241,19 +246,19 @@ def _mass(spec: DiffusionSpec, nodes: np.ndarray, zero_idx: int) -> tuple[Callab
     return exponent, mass
 
 
-def _probe(spec: DiffusionSpec, probe_range: Bracket) -> tuple[ErgodicityReport, Callable, list[str]]:
-    """The ergodicity report, the unnormalized mass on the probe range, and
-    the reason for each failed condition."""
-    lo, hi = probe_range.lo, probe_range.hi
-    if not lo < 0.0 < hi:
-        raise ValueError(f"the probe range must contain 0 inside, got [{lo}, {hi}]")
+def _probe(spec: DiffusionSpec) -> tuple[ErgodicityReport, Callable, list[str], tuple[Callable, Callable]]:
+    """The ergodicity report, the unnormalized mass on the probe range, the
+    reason for each failed condition, and the array forms of the drift and
+    the diffusion, lifted from the probe's node grid."""
+    lo, hi = _PROBE_RANGE.lo, _PROBE_RANGE.hi
     nodes, zero_idx = _node_grid(lo, hi)
-    sig = _vectorized(spec.diffusion)(nodes)
-    bad = ~(np.isfinite(_vectorized(spec.drift)(nodes)) & np.isfinite(sig) & (sig > 0))
+    drift, sigma = _array_form(spec.drift, nodes), _array_form(spec.diffusion, nodes)
+    sig = sigma(nodes)
+    bad = ~(np.isfinite(drift(nodes)) & np.isfinite(sig) & (sig > 0))
     if bad.any():
         x = nodes[bad.argmax()]
         raise ValueError(f"coefficients must be finite and sigma positive on the probe grid (x={x})")
-    exponent, mass = _mass(spec, nodes, zero_idx)
+    exponent, mass = _mass(drift, sigma, nodes, zero_idx)
     left, left_mid, right_mid, right = (float(e) for e in exponent(np.array([lo, lo / 2.0, hi / 2.0, hi])))
     c2_failures = [
         f"int_0^x S/sigma^2 does not fall toward -inf at the probe end x={end:g} ({e:.6g}, {e_mid:.6g} at x/2)"
@@ -274,19 +279,20 @@ def _probe(spec: DiffusionSpec, probe_range: Bracket) -> tuple[ErgodicityReport,
         ]
     report = ErgodicityReport(c2_left_limit=left, c2_right_limit=right, G=math.inf if c3_failures else G,
                               c2_holds=not c2_failures, c3_holds=not c3_failures)
-    return report, mass, c2_failures + c3_failures
+    return report, mass, c2_failures + c3_failures, (drift, sigma)
 
 
-def check_ergodicity(spec: DiffusionSpec, probe_range: Bracket = _PROBE_RANGE) -> ErgodicityReport:
+def check_ergodicity(spec: DiffusionSpec) -> ErgodicityReport:
     """Probe the ergodicity conditions at finite range.
 
     int_0^x S/sigma^2 is the law's exponent on nodes ``_NODE_SPACING`` apart
-    over the probe range; c2 holds when it is negative and still falling at
-    both probe ends.  c3 holds when the panel sum G is finite and positive
-    and the mass has decayed at both ends, mass(x)*|x| <= REL_TOL*G: about
-    REL_TOL of G lies past x for a tail falling at least like |x|^-2.
+    over the fixed probe range [-50, 50]; c2 holds when it is negative and
+    still falling at both probe ends.  c3 holds when the panel sum G is
+    finite and positive and the mass has decayed at both ends,
+    mass(x)*|x| <= REL_TOL*G: about REL_TOL of G lies past x for a tail
+    falling at least like |x|^-2.
     """
-    return _probe(spec, probe_range)[0]
+    return _probe(spec)[0]
 
 
 def _log_sum(v: np.ndarray) -> np.ndarray:
@@ -343,24 +349,23 @@ def _second_order_panels(F_t, m_t, f_t, sig2_t, w):
 
 @dataclass(frozen=True)
 class LawPoint:
-    """The tabulated quantities of a law at one point x, or at each of an
-    array of points.
+    """The tabulated quantities of a law at each of an array of n points x.
 
-    ``m[k]`` = E[xi^k 1{xi > x}] (``m[0]`` is the survival function);
+    ``m[:, k]`` = E[xi^k 1{xi > x}] (``m[:, 0]`` is the survival function);
     ``log_A`` and ``log_B`` are the logarithms of
     A(x) = int_{-inf}^x F^2/(sigma^2 f) and B(x) = int_x^inf sf^2/(sigma^2 f);
-    ``nu[j, k]`` = S_jk(x)/B(x) with S_jk(x) = int_x^inf m_j m_k/(sigma^2 f).
-    For an array of n points every field gains a leading axis of length n
-    (``m`` is (n, 3), ``nu`` is (n, 3, 3)), and ``outside`` marks the points
-    that do not lie strictly inside the support, whose fields are NaN.
+    ``nu[:, j, k]`` = S_jk(x)/B(x) with S_jk(x) = int_x^inf m_j m_k/(sigma^2 f).
+    ``F``, ``log_A`` and ``log_B`` have length n, ``m`` is (n, 3) and ``nu``
+    (n, 3, 3).  ``outside``, always a boolean array of length n, marks the
+    points that do not lie strictly inside the support, whose fields are NaN.
     """
 
-    F: float
+    F: np.ndarray
     m: np.ndarray
-    log_A: float
-    log_B: float
+    log_A: np.ndarray
+    log_B: np.ndarray
     nu: np.ndarray
-    outside: np.ndarray | bool = False
+    outside: np.ndarray
 
 
 class LawTables:
@@ -377,8 +382,9 @@ class LawTables:
 
     The grid is trimmed to the nodes where the density exceeds
     ``_MASS_FLOOR`` times its peak, so every first-order quantity is a
-    normal double there.  Second-order lookups outside the trimmed support
-    raise QuadratureFailure.
+    normal double there.  A second-order lookup flags its points outside
+    the trimmed support.  ``sigma`` is the diffusion's array form (see
+    ``_array_form``): it is called on arrays of Gauss points as it is.
     """
 
     def __init__(self, nodes: np.ndarray, f: Callable, sigma: Callable) -> None:
@@ -404,7 +410,7 @@ class LawTables:
         la, lb, q = np.empty(n), np.empty(n), np.empty((len(_PAIRS[0]), n))
         for j, k in spans:
             t, w, f_t, P_b, I = _gauss_panels(f, x[j:k], x[j + 1 : k + 1])
-            sig = np.asarray(sigma(t), dtype=float)
+            sig = sigma(t)
             la[j:k], lb[j:k], q[:, j:k] = _second_order_panels(
                 F[j:k, None] + I[0], m[:, j + 1 : k + 1, None] + (P_b[..., None] - I), f_t, sig * sig, w
             )
@@ -446,27 +452,17 @@ class LawTables:
         x, i = self._locate(x)
         return self.m[:, i + 1] + _moments(*_panels(self.f, x, self.x[i + 1]))
 
-    def sf(self, x):
-        """sf(x) = m_0(x) at any real x, scalar or array."""
-        return _as_output(self.upper_moments(x)[0])
-
-    def at(self, x) -> LawPoint:
-        """Every tabulated quantity at x, a float or an array of points.
+    def at(self, x: np.ndarray) -> LawPoint:
+        """Every tabulated quantity at each point of the 1-d array x, in one
+        lookup; a single point is ``at(np.array([x]))``.
 
         Each point adds one partial panel on either side of it to the node
-        tables.  A float must lie strictly inside the support, else
-        QuadratureFailure; an array is one lookup whose points outside come
-        back flagged (see ``LawPoint``).  A float runs through the same code
-        as an array of one point, so both give the same bits.
+        tables.  Points that do not lie strictly inside the support come
+        back flagged, with NaN fields (see ``LawPoint``).
         """
         lo, hi = self.support
-        scalar = np.ndim(x) == 0
-        pts = np.atleast_1d(np.asarray(x, dtype=float))
+        pts = np.asarray(x, dtype=float)
         outside = ~((pts > lo) & (pts < hi))
-        if scalar and outside[0]:
-            raise QuadratureFailure(
-                f"x={x:.6g} lies outside the tabulated support ({lo:.6g}, {hi:.6g}) of the law"
-            )
         if outside.any():  # an interior node stands in; its fields are replaced below
             pts = np.where(outside, self.x[1], pts)
         n = len(pts)
@@ -477,7 +473,7 @@ class LawTables:
         # [x, x_i+1] the suffix ones
         ends = np.concatenate([self.x[i], pts, self.x[j]])
         t, w, f_t, P, I = _gauss_panels(self.f, ends[: 2 * n], ends[n:])
-        sig = np.asarray(self.sigma(t), dtype=float)
+        sig = self.sigma(t)
         F_t = self.F[i, None] + I[0, :n]
         m_t = m_next[..., None] + (P[:, n:, None] - I[:, n:])
         la, lb, q = _second_order_panels(F_t, m_t, f_t, sig * sig, w)
@@ -491,10 +487,6 @@ class LawTables:
         F = self.F[i] + P[0, :n]
         m = np.ascontiguousarray((m_next + P[:, n:]).T)
         log_A = np.logaddexp(self.log_A[i], la)
-        if scalar:
-            return LawPoint(
-                F=float(F[0]), m=m[0], log_A=float(log_A[0]), log_B=float(log_B[0]), nu=nu[0]
-            )
         if outside.any():
             F, log_A, log_B = (np.where(outside, np.nan, v) for v in (F, log_A, log_B))
             m[outside] = np.nan
@@ -513,12 +505,12 @@ def build_invariant_law(spec: DiffusionSpec) -> InvariantLaw:
     ergodicity report is kept on the law.  Raises NotErgodic, naming each
     failed condition, when the ergodicity probes fail.
     """
-    report, probe_mass, failures = _probe(spec, _PROBE_RANGE)
+    report, probe_mass, failures, (drift, sigma) = _probe(spec)
     if failures:
         raise NotErgodic("ergodicity checks failed: " + "; ".join(failures))
     nodes, zero_idx = _node_grid(*_support_edges(probe_mass))
     del probe_mass  # frees the probe range's panel tables before the support ones exist
-    mass = _mass(spec, nodes, zero_idx)[1]
+    mass = _mass(drift, sigma, nodes, zero_idx)[1]
     G = float(_panels(mass, nodes[:-1], nodes[1:])[1].sum())
     lo, hi = float(nodes[0]), float(nodes[-1])
 
@@ -526,7 +518,10 @@ def build_invariant_law(spec: DiffusionSpec) -> InvariantLaw:
         x = np.asarray(x, dtype=float)
         return _as_output(np.where((x >= lo) & (x <= hi), mass(np.clip(x, lo, hi)) / G, 0.0))
 
-    tables = _lazy_tables(nodes, spec.diffusion)
+    tables = _lazy_tables(nodes, sigma)
+
+    def sf(x):
+        return _as_output(tables(f).upper_moments(x)[0])
 
     def quantile(p: float) -> float:
         if not 0.0 < p < 1.0:
@@ -537,18 +532,24 @@ def build_invariant_law(spec: DiffusionSpec) -> InvariantLaw:
             g = lambda x: tables(f).cdf(x) - p
         else:
             q = 1.0 - p
-            g = lambda x: q - tables(f).sf(x)
+            g = lambda x: q - sf(x)
+        # the doubling loops hold g at the bracket ends, so Brent's method
+        # starts from those values instead of evaluating the ends again
         q_lo, q_hi = -1.0, 1.0
-        while g(q_lo) > 0.0 and q_lo > lo:
+        g_lo = g(q_lo)
+        while g_lo > 0.0 and q_lo > lo:
             q_lo = max(q_lo * 2.0, lo)
-        while g(q_hi) < 0.0 and q_hi < hi:
+            g_lo = g(q_lo)
+        g_hi = g(q_hi)
+        while g_hi < 0.0 and q_hi < hi:
             q_hi = min(q_hi * 2.0, hi)
-        return find_root(g, Bracket(q_lo, q_hi), tol=1e-12)
+            g_hi = g(q_hi)
+        return _brent(g, Bracket(q_lo, q_hi), g_lo, g_hi, 1e-12)
 
     return InvariantLaw(
         f=f,
         F=lambda x: tables(f).cdf(x),
-        sf=lambda x: tables(f).sf(x),
+        sf=sf,
         quantile=quantile,
         G=G,
         spec=spec,
@@ -560,10 +561,9 @@ def build_invariant_law(spec: DiffusionSpec) -> InvariantLaw:
 
 
 def _half_erfc(x, sign: float = 1.0):
-    """erfc(sign * x)/2 for a scalar or an array."""
-    if isinstance(x, (int, float)):
-        return 0.5 * math.erfc(sign * x)
-    return _as_output(0.5 * np.vectorize(math.erfc, otypes=[float])(sign * np.asarray(x, dtype=float)))
+    """erfc(sign * x)/2 for a scalar or an array, by ``math.erfc`` per entry."""
+    y = sign * np.asarray(x, dtype=float)
+    return _as_output(0.5 * np.fromiter(map(math.erfc, y.ravel().tolist()), float, y.size).reshape(y.shape))
 
 
 def ou_law() -> InvariantLaw:
@@ -591,7 +591,7 @@ def ou_law() -> InvariantLaw:
         spec=spec,
         grid_x=nodes,
         label="ou",
-        lazy_tables=_lazy_tables(nodes, spec.diffusion),
+        lazy_tables=_lazy_tables(nodes, _array_form(spec.diffusion, nodes)),
     )
 
 

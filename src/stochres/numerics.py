@@ -137,8 +137,20 @@ def find_root(g: Callable[[float], float], bracket: Bracket, tol: float = 1e-10)
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    glo = g(bracket.lo)
-    ghi = g(bracket.hi)
+    return _brent(g, bracket, g(bracket.lo), g(bracket.hi), tol)
+
+
+_BRENT_RTOL = 4.0 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
+
+
+def _brent(g: Callable[[float], float], bracket: Bracket, glo: float, ghi: float, xtol: float) -> float:
+    """``find_root`` for a caller that already holds g at the bracket ends.
+
+    After the same checks of the end values, Brent's method runs with the
+    step rule and tolerances of scipy's ``brentq``, so it returns the same
+    root bit for bit.
+    """
     if not (math.isfinite(glo) and math.isfinite(ghi)):
         raise BadBracket("function is not finite at the bracket endpoints")
     if glo == 0.0:
@@ -149,18 +161,7 @@ def find_root(g: Callable[[float], float], bracket: Bracket, tol: float = 1e-10)
         raise BadBracket(
             f"no sign change on [{bracket.lo}, {bracket.hi}]: g(lo)={glo:.6g}, g(hi)={ghi:.6g}"
         )
-    return _brent(g, bracket.lo, bracket.hi, float(glo), float(ghi), tol)
-
-
-_BRENT_RTOL = 4.0 * sys.float_info.epsilon
-_BRENT_MAXITER = 100
-
-
-def _brent(g: Callable[[float], float], xpre: float, xcur: float,
-           fpre: float, fcur: float, xtol: float) -> float:
-    """Brent's method on a bracket whose end values are given, nonzero and of
-    opposite sign; the same step rule and tolerances as scipy's ``brentq``, so
-    it returns the same root bit for bit."""
+    xpre, xcur, fpre, fcur = bracket.lo, bracket.hi, float(glo), float(ghi)
     xblk = fblk = spre = scur = 0.0
     for _ in range(_BRENT_MAXITER):
         if (fpre < 0.0) != (fcur < 0.0):

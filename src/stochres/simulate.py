@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .errors import NumericBlowup
-from .laws import DiffusionSpec, _vectorized
+from .laws import DiffusionSpec, _array_form
 
 __all__ = [
     "SimConfig",
@@ -154,19 +154,6 @@ def simulate_path(spec: DiffusionSpec, cfg: SimConfig) -> Trajectory:
     z = _normals(cfg.seed, cfg.n_steps)
     values = _em_scalar(spec, cfg.x0, cfg.dt, z)
     return Trajectory(values=values, dt=cfg.dt, seed=cfg.seed)
-
-
-def _array_form(fn: Callable, x: np.ndarray) -> Callable:
-    """``fn`` itself when it maps the float array ``x`` to a float array of
-    the same shape, otherwise a wrapper that does; decided once per ensemble
-    rather than at every step."""
-    try:
-        out = fn(x)
-    except (TypeError, ValueError):
-        return np.vectorize(fn, otypes=[float])
-    if isinstance(out, np.ndarray) and out.shape == x.shape and out.dtype == np.float64:
-        return fn
-    return _vectorized(fn)
 
 
 def _chunks(spec: DiffusionSpec, cfg: SimConfig, n_paths: int) -> Iterator[np.ndarray]:

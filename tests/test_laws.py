@@ -9,13 +9,12 @@ import pytest
 
 import stochres
 from stochres import (
-    Bracket,
     DiffusionSpec,
     build_invariant_law,
     check_ergodicity,
     integrate_line,
 )
-from stochres.errors import NotErgodic, QuadratureFailure
+from stochres.errors import NotErgodic
 from stochres.expressions import compile_expression
 
 SQRT_PI = math.sqrt(math.pi)
@@ -175,12 +174,21 @@ def test_quantile_domain(ou, ou_numeric):
 
 
 def test_probe_range_sets_c2_limits():
-    # for drift -x the probe integral is -probe^2/2 at either end
-    report = check_ergodicity(
-        DiffusionSpec(lambda x: -x, lambda x: 1.0), probe_range=Bracket(-10.0, 10.0)
-    )
-    assert report.c2_left_limit == pytest.approx(-50.0, abs=1e-9)
-    assert report.c2_right_limit == pytest.approx(-50.0, abs=1e-9)
+    # for drift -x the probe integral is -probe^2/2 at either end of +-50
+    report = check_ergodicity(DiffusionSpec(lambda x: -x, lambda x: 1.0))
+    assert report.c2_left_limit == pytest.approx(-1250.0, rel=1e-12)
+    assert report.c2_right_limit == pytest.approx(-1250.0, rel=1e-12)
+
+
+def test_scalar_only_and_constant_coefficients_build_the_compiled_law():
+    # the drift takes floats only and the diffusion returns a constant: both
+    # are lifted to array forms once, and the law is the compiled one's
+    lifted = build_invariant_law(DiffusionSpec(lambda x: -4.0 * float(x), lambda x: 2.0))
+    compiled = build_invariant_law(DiffusionSpec(compile_expression("-4*x"), compile_expression("2")))
+    assert lifted.ergodicity == compiled.ergodicity
+    np.testing.assert_array_equal(lifted.grid_x, compiled.grid_x)
+    for name in ("x", "F", "m", "log_A", "log_B", "nu"):
+        np.testing.assert_array_equal(getattr(lifted.tables, name), getattr(compiled.tables, name), err_msg=name)
 
 
 def test_ou_law_node_grid_follows_support_rule(ou, ou_numeric):
@@ -204,17 +212,17 @@ def test_upper_moments_beyond_support(ou):
 
 def test_second_order_lookup_needs_support(ou):
     lo, hi = ou.tables.support
-    assert ou.tables.at(0.5 * hi).log_B < 0.0
-    for x in (lo, hi, 100.0):
-        with pytest.raises(QuadratureFailure):
-            ou.tables.at(x)
+    assert ou.tables.at(np.array([0.5 * hi])).log_B[0] < 0.0
+    points = ou.tables.at(np.array([lo, hi, 100.0]))
+    assert points.outside.tolist() == [True, True, True]
+    for name in ("F", "log_A", "log_B", "m", "nu"):
+        assert np.all(np.isnan(getattr(points, name))), name
 
 
 @pytest.mark.parametrize("drift, sigma", [(None, None), ("-x^3", "1"), ("-4*x", "2")])
 def test_array_lookup_equals_one_point_lookups(ou, drift, sigma):
     # one lookup over an array of gaps reads the same panels as one lookup
     # per point, field by field; points outside the support are flagged
-    # there, while a float outside still raises
     law = ou if drift is None else build_invariant_law(
         DiffusionSpec(compile_expression(drift), compile_expression(sigma)))
     tables = law.tables
@@ -231,16 +239,13 @@ def test_array_lookup_equals_one_point_lookups(ou, drift, sigma):
     np.testing.assert_array_equal(points.outside, [False] * len(inside) + [True] * len(outside))
     assert points.m.shape == (len(xs), 3) and points.nu.shape == (len(xs), 3, 3)
     for k, x in enumerate(inside):
-        one = tables.at(float(x))
-        assert one.outside is False
+        one = tables.at(np.array([x]))
+        assert one.outside.tolist() == [False]
         for name in ("F", "log_A", "log_B", "m", "nu"):
-            np.testing.assert_allclose(getattr(points, name)[k], getattr(one, name), rtol=1e-13, atol=0.0,
+            np.testing.assert_allclose(getattr(points, name)[k], getattr(one, name)[0], rtol=1e-13, atol=0.0,
                                        err_msg=f"{name} at x={x}")
     for name in ("F", "log_A", "log_B", "m", "nu"):
         assert np.all(np.isnan(getattr(points, name)[len(inside):]))
-    for x in outside:
-        with pytest.raises(QuadratureFailure):
-            tables.at(float(x))
 
 
 def test_grid_law_matches_closed_form_between_nodes(ou, ou_numeric):

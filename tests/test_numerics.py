@@ -257,6 +257,33 @@ def test_find_root_matches_brentq_bit_for_bit():
     assert mismatches == []
 
 
+@pytest.mark.parametrize("case", ["energy_estimate", "grid_quantile"])
+def test_held_bracket_ends_are_not_evaluated_again(monkeypatch, case):
+    # a caller that has evaluated g at the bracket ends while choosing the
+    # bracket hands those values to Brent's method, so no point is evaluated twice
+    from stochres import estimators, laws
+    from stochres.estimators import ChannelConfig, energy_limit, estimate_theta_energy
+    from stochres.expressions import compile_expression
+
+    calls = []
+    if case == "energy_estimate":
+        ch = ChannelConfig(tau=1.0, eps=0.7244, law=stochres.ou_law())
+        energy = energy_limit(0.3, ch)
+        monkeypatch.setattr(estimators, "energy_limit", lambda t, ch: calls.append(t) or energy_limit(t, ch))
+        root, expected_calls = estimate_theta_energy(energy, ch), 10
+        check = energy_limit(root, ch) - energy
+    else:
+        law = stochres.build_invariant_law(
+            stochres.DiffusionSpec(compile_expression("-x^3"), compile_expression("1")))
+        cdf = laws.LawTables.cdf
+        monkeypatch.setattr(laws.LawTables, "cdf", lambda self, x: calls.append(x) or cdf(self, x))
+        root, expected_calls = law.quantile(0.3), 8
+        check = cdf(law.tables, root) - 0.3
+    assert len(calls) == expected_calls, calls
+    assert len(set(calls)) == len(calls)
+    assert check == pytest.approx(0.0, abs=1e-10)
+
+
 def test_bracket_validation():
     with pytest.raises(ValueError):
         Bracket(1.0, 1.0)
