@@ -251,9 +251,11 @@ def _energy_weights(theta: float, eps: np.ndarray, tail=0.0) -> np.ndarray:
     Dotted with the upper moments m_k(x) they give the truncated energy
     tail(x) = E[(eps*xi + theta)^2 1{xi > x}].
     """
-    # 0.0 * eps broadcasts the first coefficient to the shape of eps
-    w = np.array([theta * theta - tail + 0.0 * eps, 2.0 * theta * eps, eps * eps])
-    return np.ascontiguousarray(w.T)
+    w = np.empty(eps.shape + (3,))
+    w[..., 0] = theta * theta - tail
+    w[..., 1] = 2.0 * theta * eps
+    w[..., 2] = eps * eps
+    return w
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -217,8 +217,9 @@ def compile_expression(text: str) -> Callable:
     A Python float goes to the scalar form and comes back a float; anything
     else goes to the array form, scalar-in scalar-out, broadcasting over
     numpy arrays.  Both forms give the same doubles (see the module
-    docstring).  The callable's ``constant`` is the expression's value when
-    it has no ``x``, else None.
+    docstring).  The callable's ``array`` is the array form itself, with no
+    dispatch or shape handling around it, and its ``constant`` is the
+    expression's value when it has no ``x``, else None.
     """
     if not text or not text.strip():
         raise ExpressionError("empty expression")
@@ -234,6 +235,7 @@ def compile_expression(text: str) -> Callable:
             return float(out)
         return np.broadcast_to(out, np.shape(x)).copy() if out.shape != np.shape(x) else out
 
+    fn.array = array
     fn.constant = None
     if not _has_x(tree):
         with np.errstate(all="ignore"):

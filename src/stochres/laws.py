@@ -7,13 +7,15 @@ arbitrary coefficients, and provides the closed-form law for the standard
 mean-reverting (Ornstein-Uhlenbeck) noise, which is Gaussian with mean zero
 and variance 1/2.
 
-Every law carries a node grid and cumulative tables on it (``LawTables``)
-from which the asymptotic variances of both observation schemes are read in
-O(1) per noise level; one lookup takes a whole array of gaps.  For a law
-built from coefficients the tables are its only representation: F, sf and
-the quantile read them.  The ergodicity check, the support edges and the
-density exponent all come from one Gauss-Legendre panel rule, and the
-quantile is a bracketed root of F or sf, so no law imports scipy.
+A law is its density and the cumulative tables of that density on a node
+grid (``LawTables``), from which the asymptotic variances of both
+observation schemes are read in O(1) per noise level; one lookup takes a
+whole array of gaps.  Both constructors hand the density to one builder,
+``_tables_law``, whose F, sf and quantile read the tables: the closed-form
+law differs from a law built from coefficients only in its density and its
+normalizer.  The ergodicity check, the support edges and the density
+exponent all come from one Gauss-Legendre panel rule, and the quantile is a
+bracketed root of F or sf, so no law imports scipy.
 
 The layer works on arrays.  A user coefficient is lifted to its array form
 once, by ``_array_form``, from the probe's node grid: a law build and the
@@ -24,8 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, partial
-from statistics import NormalDist
+from functools import cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -111,12 +112,14 @@ class ErgodicityReport:
 class InvariantLaw:
     """Stationary law: density f, distribution F, survival sf and quantile.
 
-    ``sf`` is kept separate from ``1 - F`` so that far tails retain relative
-    accuracy.  ``grid_x`` is the node grid over the numerical support and
-    ``tables`` the cumulative tables of ``f`` on it, built on first use; a
-    law built from coefficients reads its F, sf and quantile from them too,
-    and keeps the ``ergodicity`` report its build checked.  Instances are
-    immutable apart from that cache and safe to share.
+    ``grid_x`` is the node grid over the numerical support and ``tables``
+    the cumulative tables of ``f`` on it, built on first use.  F, sf and
+    the quantile read those tables, so every law has one representation;
+    ``sf`` is the tables' upper moment m_0, not ``1 - F``, so that far
+    tails retain relative accuracy.  Beyond the tabulated support F is 0 or
+    1 and sf 1 or 0.  A law built from coefficients keeps the
+    ``ergodicity`` report its build checked.  Instances are immutable apart
+    from the tables' cache and safe to share.
     """
 
     f: Callable
@@ -126,21 +129,15 @@ class InvariantLaw:
     G: float
     spec: DiffusionSpec
     grid_x: np.ndarray = field(repr=False, compare=False)
-    # the tables of a density on grid_x, built at the first call with it
-    lazy_tables: Callable[[Callable], "LawTables"] = field(repr=False, compare=False)
+    # the tables of the law's density on grid_x, built at the first call
+    lazy_tables: Callable[[], "LawTables"] = field(repr=False, compare=False)
     label: str = ""
     ergodicity: Optional[ErgodicityReport] = field(default=None, compare=False)
 
     @property
     def tables(self) -> "LawTables":
         """Cumulative Gauss-Legendre tables of this law's f on ``grid_x``."""
-        return self.lazy_tables(self.f)
-
-
-def _lazy_tables(nodes: np.ndarray, sigma: Callable) -> Callable[[Callable], "LawTables"]:
-    """The tables of a density on ``nodes``, built at the first call with it;
-    ``sigma`` is the diffusion's array form."""
-    return cache(lambda f: LawTables(nodes, f, sigma))
+        return self.lazy_tables()
 
 
 def _as_output(out: np.ndarray):
@@ -152,7 +149,10 @@ def _array_form(fn: Callable, x: np.ndarray) -> Callable:
     """``fn`` itself when it maps the float array ``x`` to a float array of
     the same shape, otherwise a wrapper that does: a loop over the entries
     for a coefficient that takes floats only, a broadcast for one that
-    returns a constant.  Decided once, from ``x``, rather than at every call."""
+    returns a constant.  Decided once, from ``x``, rather than at every call.
+    A compiled expression is judged by its ``array`` form, which skips the
+    compiled function's dispatch between floats and arrays."""
+    fn = getattr(fn, "array", fn)
     try:
         out = fn(x)
     except (TypeError, ValueError):
@@ -494,34 +494,20 @@ class LawTables:
         return LawPoint(F=F, m=m, log_A=log_A, log_B=log_B, nu=nu, outside=outside)
 
 
-def build_invariant_law(spec: DiffusionSpec) -> InvariantLaw:
-    """Construct the stationary law of a diffusion from its coefficients.
-
-    The law is its ``LawTables`` and nothing else.  The support edges come
-    from the mass of the ergodicity probe; on the support nodes the density
-    exponent int_0^x S/sigma^2 is evaluated again by the same panel rule,
-    and G is the panel sum of the mass exp(2*exponent)/sigma^2.  F, sf and
-    the quantile (a bracketed root of F or sf) read the tables.  The
-    ergodicity report is kept on the law.  Raises NotErgodic, naming each
-    failed condition, when the ergodicity probes fail.
-    """
-    report, probe_mass, failures, (drift, sigma) = _probe(spec)
-    if failures:
-        raise NotErgodic("ergodicity checks failed: " + "; ".join(failures))
-    nodes, zero_idx = _node_grid(*_support_edges(probe_mass))
-    del probe_mass  # frees the probe range's panel tables before the support ones exist
-    mass = _mass(drift, sigma, nodes, zero_idx)[1]
-    G = float(_panels(mass, nodes[:-1], nodes[1:])[1].sum())
+def _tables_law(f: Callable, G: float, spec: DiffusionSpec, nodes: np.ndarray, sigma: Callable, label: str,
+                report: Optional[ErgodicityReport]) -> InvariantLaw:
+    """The law of density ``f`` (normalizer ``G``) on the node grid
+    ``nodes``, with ``sigma`` the diffusion's array form: F, sf and the
+    quantile (a bracketed root of F or sf) read the tables of ``f``, which
+    are built at the first call that needs them."""
     lo, hi = float(nodes[0]), float(nodes[-1])
+    tables = cache(lambda: LawTables(nodes, f, sigma))
 
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        return _as_output(np.where((x >= lo) & (x <= hi), mass(np.clip(x, lo, hi)) / G, 0.0))
-
-    tables = _lazy_tables(nodes, sigma)
+    def F(x):
+        return tables().cdf(x)
 
     def sf(x):
-        return _as_output(tables(f).upper_moments(x)[0])
+        return _as_output(tables().upper_moments(x)[0])
 
     def quantile(p: float) -> float:
         if not 0.0 < p < 1.0:
@@ -529,7 +515,7 @@ def build_invariant_law(spec: DiffusionSpec) -> InvariantLaw:
         # the lower tail of F and the upper tail of sf carry relative
         # accuracy; solve against whichever side resolves p
         if p <= 0.5:
-            g = lambda x: tables(f).cdf(x) - p
+            g = lambda x: F(x) - p
         else:
             q = 1.0 - p
             g = lambda x: q - sf(x)
@@ -546,32 +532,45 @@ def build_invariant_law(spec: DiffusionSpec) -> InvariantLaw:
             g_hi = g(q_hi)
         return _brent(g, Bracket(q_lo, q_hi), g_lo, g_hi, 1e-12)
 
-    return InvariantLaw(
-        f=f,
-        F=lambda x: tables(f).cdf(x),
-        sf=sf,
-        quantile=quantile,
-        G=G,
-        spec=spec,
-        grid_x=nodes,
-        label=spec.label or "custom",
-        ergodicity=report,
-        lazy_tables=tables,
-    )
+    return InvariantLaw(f=f, F=F, sf=sf, quantile=quantile, G=G, spec=spec, grid_x=nodes, lazy_tables=tables,
+                        label=label, ergodicity=report)
 
 
-def _half_erfc(x, sign: float = 1.0):
-    """erfc(sign * x)/2 for a scalar or an array, by ``math.erfc`` per entry."""
-    y = sign * np.asarray(x, dtype=float)
-    return _as_output(0.5 * np.fromiter(map(math.erfc, y.ravel().tolist()), float, y.size).reshape(y.shape))
+def build_invariant_law(spec: DiffusionSpec) -> InvariantLaw:
+    """Construct the stationary law of a diffusion from its coefficients.
+
+    The support edges come from the mass of the ergodicity probe; on the
+    support nodes the density exponent int_0^x S/sigma^2 is evaluated again
+    by the same panel rule, and G is the panel sum of the mass
+    exp(2*exponent)/sigma^2.  F, sf and the quantile read the tables of the
+    density (see ``_tables_law``).  The ergodicity report is kept on the
+    law.  Raises NotErgodic, naming each failed condition, when the
+    ergodicity probes fail.
+    """
+    report, probe_mass, failures, (drift, sigma) = _probe(spec)
+    if failures:
+        raise NotErgodic("ergodicity checks failed: " + "; ".join(failures))
+    nodes, zero_idx = _node_grid(*_support_edges(probe_mass))
+    del probe_mass  # frees the probe range's panel tables before the support ones exist
+    mass = _mass(drift, sigma, nodes, zero_idx)[1]
+    G = float(_panels(mass, nodes[:-1], nodes[1:])[1].sum())
+    lo, hi = float(nodes[0]), float(nodes[-1])
+
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        return _as_output(np.where((x >= lo) & (x <= hi), mass(np.clip(x, lo, hi)) / G, 0.0))
+
+    return _tables_law(f, G, spec, nodes, sigma, spec.label or "custom", report)
 
 
 def ou_law() -> InvariantLaw:
     """Closed-form stationary law of the standard mean-reverting noise.
 
-    The law is Gaussian with mean zero and variance 1/2: density
-    exp(-x^2)/sqrt(pi), distribution erfc(-x)/2, survival erfc(x)/2 and the
-    Gaussian quantile.  Its node grid follows the support rule of
+    The law is Gaussian with mean zero and variance 1/2: its density
+    exp(-x^2)/sqrt(pi) and its normalizer sqrt(pi) are exact, and its F, sf
+    and quantile read the tables of that density, as a law built from
+    coefficients does (they match erfc(-x)/2, erfc(x)/2 and the Gaussian
+    quantile to about 1e-14).  Its node grid follows the support rule of
     ``build_invariant_law`` applied to exp(-x^2).  The diffusion is the
     compiled constant ``1``, so paths of this law take the steppers'
     constant-diffusion route.
@@ -582,17 +581,7 @@ def ou_law() -> InvariantLaw:
         return _as_output(np.exp(-np.square(np.asarray(x, dtype=float))) / _SQRT_PI)
 
     nodes = _node_grid(*_support_edges(lambda y: np.exp(-np.square(y))))[0]
-    return InvariantLaw(
-        f=f,
-        F=partial(_half_erfc, sign=-1.0),
-        sf=_half_erfc,
-        quantile=NormalDist(0.0, math.sqrt(0.5)).inv_cdf,
-        G=_SQRT_PI,
-        spec=spec,
-        grid_x=nodes,
-        label="ou",
-        lazy_tables=_lazy_tables(nodes, _array_form(spec.diffusion, nodes)),
-    )
+    return _tables_law(f, _SQRT_PI, spec, nodes, _array_form(spec.diffusion, nodes), "ou", None)
 
 
 NAMED_SPECS: dict[str, Callable[[], InvariantLaw]] = {"ou": ou_law}

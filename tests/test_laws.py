@@ -1,5 +1,6 @@
 import math
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,18 @@ from stochres.errors import NotErgodic
 from stochres.expressions import compile_expression
 
 SQRT_PI = math.sqrt(math.pi)
+
+# the closed forms of the Gaussian law N(0, 1/2), as the oracle for every law
+# of the -x, 1 noise
+GAUSS = statistics.NormalDist(0.0, math.sqrt(0.5))
+
+
+def erfc_F(x):
+    return 0.5 * math.erfc(-x)
+
+
+def erfc_sf(x):
+    return 0.5 * math.erfc(x)
 
 
 def test_ou_ergodicity_report():
@@ -88,16 +101,17 @@ def test_numeric_ou_density_and_cdf(ou_numeric):
 
 
 def test_closed_form_ou_values(ou):
-    assert float(ou.F(0.0)) == 0.5
+    # F and the quantile read the tables, so the median is exact to rounding
+    assert float(ou.F(0.0)) == pytest.approx(0.5, rel=0.0, abs=1e-15)
     assert float(ou.f(1.0)) == pytest.approx(0.2075537, abs=1e-7)
-    assert ou.quantile(0.5) == 0.0
+    assert ou.quantile(0.5) == pytest.approx(0.0, rel=0.0, abs=1e-15)
     # a compiled constant, so its paths take the constant-diffusion stepper
     assert ou.spec.diffusion.constant == 1.0
 
 
-def test_numeric_matches_closed_form(ou, ou_numeric):
+def test_numeric_matches_closed_form(ou_numeric):
     xs = np.linspace(-4.0, 4.0, 401)
-    err = max(abs(float(ou_numeric.F(x)) - float(ou.F(x))) for x in xs)
+    err = max(abs(float(ou_numeric.F(x)) - erfc_F(x)) for x in xs)
     assert err < 1e-6
 
 
@@ -127,12 +141,11 @@ def test_density_is_cdf_derivative(ou, ou_numeric):
     assert np.max(np.abs(fd - ou.f(xs[1:-1]))) < 1e-5
 
 
-def test_survival_function_tail_accuracy(ou, ou_numeric):
+def test_survival_function_tail_accuracy(ou_numeric):
     # 1 - F loses everything past ~ 1e-16; the stored survival must not
     for x in (3.0, 5.0, 8.0):
-        closed = float(ou.sf(x))
         numeric = float(ou_numeric.sf(x))
-        assert numeric == pytest.approx(closed, rel=1e-6, abs=0.0)
+        assert numeric == pytest.approx(erfc_sf(x), rel=1e-6, abs=0.0)
 
 
 def test_shifted_center_law():
@@ -156,10 +169,10 @@ def test_cubic_drift_law_is_ergodic():
     assert float(law.F(0.0)) == pytest.approx(0.5, abs=1e-9)
 
 
-def test_quantile_deep_tail_expansion(ou, ou_numeric):
+def test_quantile_deep_tail_expansion(ou_numeric):
     # p far in the tail forces the bracket to expand well beyond [-1, 1]
     for p in (1e-10, 1.0 - 1e-10):
-        closed = ou.quantile(p)
+        closed = GAUSS.inv_cdf(p)
         numeric = ou_numeric.quantile(p)
         assert abs(closed) > 4.0
         assert numeric == pytest.approx(closed, abs=1e-6)
@@ -248,18 +261,18 @@ def test_array_lookup_equals_one_point_lookups(ou, drift, sigma):
         assert np.all(np.isnan(getattr(points, name)[len(inside):]))
 
 
-def test_grid_law_matches_closed_form_between_nodes(ou, ou_numeric):
+def test_grid_law_matches_closed_form_between_nodes(ou_numeric):
     # F, sf and quantile read the tables plus one partial panel, so the law
     # rebuilt from -x, 1 is the closed form to rounding, not only at nodes
     nodes = ou_numeric.grid_x
     inner = nodes[(nodes >= -8.0) & (nodes < 8.0)]
     xs = np.concatenate([inner + frac * np.diff(nodes)[0] for frac in (0.13, 0.5, 0.91)])
-    np.testing.assert_allclose(ou_numeric.F(xs), ou.F(xs), rtol=1e-11, atol=0.0)
-    np.testing.assert_allclose(ou_numeric.sf(xs), ou.sf(xs), rtol=1e-11, atol=0.0)
-    np.testing.assert_allclose(ou_numeric.f(xs), ou.f(xs), rtol=1e-11, atol=0.0)
+    np.testing.assert_allclose(ou_numeric.F(xs), [erfc_F(x) for x in xs], rtol=1e-11, atol=0.0)
+    np.testing.assert_allclose(ou_numeric.sf(xs), [erfc_sf(x) for x in xs], rtol=1e-11, atol=0.0)
+    np.testing.assert_allclose(ou_numeric.f(xs), np.exp(-xs * xs) / SQRT_PI, rtol=1e-11, atol=0.0)
     ps = np.concatenate([np.geomspace(1e-10, 0.5, 60), 1.0 - np.geomspace(1e-10, 0.5, 60)[:-1]])
     for p in ps:
-        assert abs(ou_numeric.quantile(float(p)) - ou.quantile(float(p))) <= 1e-11
+        assert abs(ou_numeric.quantile(float(p)) - GAUSS.inv_cdf(float(p))) <= 1e-11
 
 
 def test_grid_law_reads_its_tables(ou_numeric):
@@ -271,19 +284,34 @@ def test_grid_law_reads_its_tables(ou_numeric):
     assert ou_numeric.ergodicity.c3_holds and ou_numeric.ergodicity.G == pytest.approx(SQRT_PI, rel=1e-9)
 
 
-def test_closed_form_law_accepts_arrays(ou):
-    xs = np.array([-30.0, -1.5, 0.0, 2.0, 30.0])
-    expected_F = [0.5 * math.erfc(-x) for x in xs]
-    np.testing.assert_array_equal(ou.F(xs), expected_F)
-    np.testing.assert_array_equal(ou.sf(xs), [0.5 * math.erfc(x) for x in xs])
-    assert [float(ou.F(x)) for x in xs] == expected_F
+def test_closed_form_law_reads_its_tables(ou):
+    # F, sf and the quantile of the closed-form law read the tables of its
+    # exact density: the erfc and Gaussian closed forms to rounding on
+    # [-8, 8], 0 or 1 beyond the support, and the same value for a float as
+    # for its entry of an array
+    xs = np.linspace(-8.0, 8.0, 641)
+    np.testing.assert_allclose(ou.F(xs), [erfc_F(x) for x in xs], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(ou.sf(xs), [erfc_sf(x) for x in xs], rtol=1e-12, atol=0.0)
+    for p in (erfc_F(x) for x in xs[::8]):
+        if p < 1.0:  # erfc_F(x) rounds to 1 from x = 5.9 on
+            assert abs(ou.quantile(p) - GAUSS.inv_cdf(p)) <= 1e-12
+    lo, hi = ou.tables.support
+    assert hi == pytest.approx(26.3, abs=0.05) and lo == -hi
+    beyond = np.array([-100.0, lo - 1.0, lo, hi, hi + 1.0, 100.0])
+    np.testing.assert_array_equal(ou.F(beyond[:3]), 0.0)
+    np.testing.assert_allclose(ou.F(beyond[3:]), 1.0, rtol=1e-14)
+    np.testing.assert_allclose(ou.sf(beyond[:3]), 1.0, rtol=1e-14)
+    np.testing.assert_array_equal(ou.sf(beyond[3:]), 0.0)
+    both = np.concatenate([xs, beyond])
+    assert [float(ou.F(x)) for x in both] == ou.F(both).tolist()
+    assert [float(ou.sf(x)) for x in both] == ou.sf(both).tolist()
     assert ou.quantile(1e-300) == pytest.approx(-26.2, abs=0.1)
 
 
 def test_import_path_loads_no_scipy():
     # the closed-form law, a law built from coefficients and their variance
-    # tables need no scipy; only the adaptive quadrature of the test oracles
-    # imports it, when called
+    # tables need no scipy (only the adaptive quadrature of the test oracles
+    # imports it, when called) and no statistics module
     code = (
         "import sys\n"
         "import stochres\n"
@@ -292,7 +320,7 @@ def test_import_path_loads_no_scipy():
         "stochres.find_resonance(0.5, 1.0, law, 'time')\n"
         "cubic = stochres.build_invariant_law(stochres.DiffusionSpec(c('-x^3'), c('1')))\n"
         "stochres.find_resonance(0.5, 1.0, cubic, 'time')\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'statistics')))\n"
     )
     src = str(Path(stochres.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -13,12 +13,18 @@ interpreter with ``PYTHONPATH`` set to one tree, from a working directory
 of its own, and writes under a relative ``--out``.  Every file written, the
 exit code and the standard output and error (with the working directory
 replaced by ``<out>``) must be byte-identical.  One line is printed per
-difference; the exit status is 1 if there is any, else 0.
+difference; the exit status is 1 if there is any, else 0.  The line of a
+JSON or CSV report written on both sides also says how far it moved: the
+largest relative difference over its numeric fields, and whether any
+non-numeric field (a string, a flag, a key or the shape) differs.
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import io
+import json
+import math
 import os
 import re
 import shlex
@@ -74,6 +80,62 @@ def run(src: Path, argv: list[str], cwd: Path) -> tuple[tuple[int, str, str], di
     return ran, {str(p.relative_to(cwd)): p.read_bytes() for p in sorted(cwd.rglob("*")) if p.is_file()}
 
 
+def _leaves(value, key=()):
+    """(key path, value) of every scalar of a parsed JSON document."""
+    if isinstance(value, (dict, list)):
+        for k, v in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield from _leaves(v, key + (k,))
+    else:
+        yield key, value
+
+
+def _cell(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _fields(path: str, data: bytes) -> list | None:
+    """(key, value) of every field of a JSON or CSV report, numbers as
+    numbers; None for any other file."""
+    if path.endswith(".json"):
+        return list(_leaves(json.loads(data)))
+    if path.endswith(".csv"):
+        rows = csv.reader(io.StringIO(data.decode()))
+        return [((r, c), _cell(text)) for r, row in enumerate(rows) for c, text in enumerate(row)]
+    return None
+
+
+def _relative(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def moved(path: str, a: bytes, b: bytes) -> str:
+    """How far the report ``path`` moved from ``a`` to ``b``: the largest
+    relative difference over its numeric fields and whether a non-numeric
+    field differs; empty for a file that is not JSON or CSV, or does not parse."""
+    try:
+        fields_a, fields_b = _fields(path, a), _fields(path, b)
+    except ValueError:  # a malformed report, or one that is not UTF-8
+        return ""
+    if fields_a is None:
+        return ""
+    numeric = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+    largest, other = 0.0, len(fields_a) != len(fields_b)
+    for (key_a, va), (key_b, vb) in zip(fields_a, fields_b):
+        if key_a == key_b and numeric(va) and numeric(vb):
+            largest = max(largest, _relative(float(va), float(vb)))
+        elif key_a != key_b or va != vb:
+            other = True
+    return (f" (largest relative difference {largest:.2g} over numeric fields; "
+            f"non-numeric fields {'differ' if other else 'equal'})")
+
+
 def compare(rev: str) -> list[str]:
     differences = []
     with tempfile.TemporaryDirectory(prefix="compare_reports_") as tmp:
@@ -87,8 +149,10 @@ def compare(rev: str) -> list[str]:
                      for what, a, b in zip(("exit code", "stdout", "stderr"), ran_rev, ran_work) if a != b]
             for path in sorted(wrote_rev.keys() | wrote_work.keys()):
                 if wrote_rev.get(path) != wrote_work.get(path):
-                    both = path in wrote_rev and path in wrote_work
-                    found.append(f"{name}: {path} {'differs' if both else 'is written on one side only'}")
+                    if path in wrote_rev and path in wrote_work:
+                        found.append(f"{name}: {path} differs{moved(path, wrote_rev[path], wrote_work[path])}")
+                    else:
+                        found.append(f"{name}: {path} is written on one side only")
             print(f"{'differs' if found else 'same'}: {name}", flush=True)
             differences += found
     return differences
