@@ -164,15 +164,19 @@ def _array_form(fn: Callable, x: np.ndarray) -> Callable:
 
 def _panels(fn: Callable, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """5-point Gauss-Legendre points t on the panels [lo, hi] (which
-    broadcast), and w*fn(t); both have one more axis, of length 5."""
+    broadcast), and w*fn(t).  Both put a Gauss axis of length 5 before the
+    panel axes, shape (5,) for one scalar panel, so that a sum over the rule
+    adds whole contiguous rows rather than 5 entries per panel."""
     half = 0.5 * (np.asarray(hi, dtype=float) - lo)
-    t = (lo + half)[..., None] + half[..., None] * _GL_X
-    return t, half[..., None] * _GL_W * np.asarray(fn(t), dtype=float)
+    t = (lo + half) + np.multiply.outer(_GL_X, half)
+    return t, np.multiply.outer(_GL_W, half) * np.asarray(fn(t), dtype=float)
 
 
 def _moments(t: np.ndarray, wf: np.ndarray) -> np.ndarray:
-    """The rule's moments sum(w f t^k), k = 0..2, over the last axis."""
-    return np.array([wf.sum(-1), (wf * t).sum(-1), (wf * t * t).sum(-1)])
+    """The rule's moments sum(w f t^k), k = 0..2, over the leading Gauss
+    axis of ``_panels``' layout: the 3 moments lead, the panel axes follow."""
+    wft = wf * t
+    return np.array([wf.sum(0), wft.sum(0), (wft * t).sum(0)])
 
 
 def _support_edges(mass: Callable) -> tuple[float, float]:
@@ -267,7 +271,8 @@ def _probe(spec: DiffusionSpec) -> tuple[ErgodicityReport, Callable, list[str], 
     ]
     lo_b, hi_b = nodes[:-1], nodes[1:]
     blocks = range(0, len(lo_b), _BLOCK)
-    G = float(sum(_panels(mass, lo_b[j : j + _BLOCK], hi_b[j : j + _BLOCK])[1].sum() for j in blocks))
+    # sum a contiguous (n, 5) copy: a flat sum of the (5, n) block groups the adds otherwise
+    G = float(sum(_panels(mass, lo_b[j : j + _BLOCK], hi_b[j : j + _BLOCK])[1].T.copy().sum() for j in blocks))
     c3_failures = [f"the stationary mass sums to G={G:g} on the probe range"]
     if math.isfinite(G) and G > 0:
         ends = np.array([lo, hi])
@@ -296,41 +301,45 @@ def check_ergodicity(spec: DiffusionSpec) -> ErgodicityReport:
 
 
 def _log_sum(v: np.ndarray) -> np.ndarray:
-    """log(sum(exp(v))) over the last axis; entries may be -inf.
+    """log(sum(exp(v))) over the leading Gauss axis, one value per panel;
+    entries may be -inf.
 
     scipy.special.logsumexp does the same but its call overhead alone
     exceeds the rest of a table lookup.
     """
-    top = np.maximum.reduce(v, axis=-1, keepdims=True)
+    top = np.maximum.reduce(v, axis=0)
     top[~np.isfinite(top)] = 0.0
-    return np.log(np.exp(v - top).sum(axis=-1)) + top[..., 0]
+    return np.log(np.exp(v - top).sum(0)) + top
 
 
 def _gauss_panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
-    """Gauss-Legendre points on the panels [lo, hi] and moments of f there.
+    """Gauss-Legendre points on the n panels [lo, hi] and moments of f there.
 
-    Returns the points t, their weights w, f(t), the panel moments
-    P[k] = int_lo^hi xi^k f and the partial moments I[k] = int_lo^t xi^k f at
-    every point t (a nested rule on [lo, t]), for k = 0..2.  f is called once.
+    Returns the points t, their weights w, f(t), each of shape (5, n) (the
+    Gauss axis leads, the panel axis follows), the panel moments
+    P[k] = int_lo^hi xi^k f, shape (3, n), and the partial moments
+    I[k] = int_lo^t xi^k f at every point t, shape (3, 5, n), from a nested
+    rule on [lo, t] whose own Gauss axis leads the (5, 5, n) block it sums.
+    f is called once.
     """
     half = 0.5 * (hi - lo)
-    t = (lo + half)[:, None] + half[:, None] * _GL_X
-    w = half[:, None] * _GL_W
-    half_in = 0.5 * (t - lo[:, None])
-    s = (lo[:, None] + half_in)[..., None] + half_in[..., None] * _GL_X
+    t = (lo + half) + np.multiply.outer(_GL_X, half)
+    w = np.multiply.outer(_GL_W, half)
+    half_in = 0.5 * (t - lo)
+    s = (lo + half_in) + np.multiply.outer(_GL_X, half_in)
     vals = np.asarray(f(np.concatenate([t.ravel(), s.ravel()])), dtype=float)
     f_t = vals[: t.size].reshape(t.shape)
-    wf_t = w * f_t
-    wf_s = half_in[..., None] * _GL_W * vals[t.size:].reshape(s.shape)
-    return t, w, f_t, _moments(t, wf_t), _moments(s, wf_s)
+    wf_s = np.multiply.outer(_GL_W, half_in) * vals[t.size:].reshape(s.shape)
+    return t, w, f_t, _moments(t, w * f_t), _moments(s, wf_s)
 
 
 def _second_order_panels(F_t, m_t, f_t, sig2_t, w):
     """Panel integrals of the variance tables from values at the Gauss points.
 
-    ``f_t``, ``sig2_t`` and ``w`` cover a row of panels, ``F_t`` the first
-    of them and ``m_t`` the last (all of them when building the tables; a
-    lookup's left partial panels and its right ones).  Returns, on the
+    ``f_t``, ``sig2_t`` and ``w`` (shape (5, n): the Gauss axis leads, the
+    panel axis follows) cover a row of panels, ``F_t`` (5, n_F) the first of
+    them and ``m_t`` (3, 5, n_m) the last (all of them when building the
+    tables; a lookup's left partial panels and its right ones).  Returns, on the
     panels of ``F_t``, log int F^2/(sigma^2 f), and on those of ``m_t``
     log int sf^2/(sigma^2 f) and, for each pair j <= k, the
     sf^2/(sigma^2 f)-weighted panel mean of mu_j mu_k, where mu_k = m_k/sf
@@ -339,11 +348,11 @@ def _second_order_panels(F_t, m_t, f_t, sig2_t, w):
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         base = np.log(w) - np.log(sig2_t) - np.log(f_t)
-        la = _log_sum(2.0 * np.log(F_t) + base[: len(F_t)])
-        lb_pts = 2.0 * np.log(m_t[0]) + base[len(base) - m_t.shape[1] :]
+        la = _log_sum(2.0 * np.log(F_t) + base[:, : F_t.shape[1]])
+        lb_pts = 2.0 * np.log(m_t[0]) + base[:, base.shape[1] - m_t.shape[2] :]
         lb = _log_sum(lb_pts)
         mu = m_t / m_t[0]
-        q = (mu[_PAIRS[0]] * mu[_PAIRS[1]] * np.exp(lb_pts - lb[..., None])).sum(-1)
+        q = (mu[_PAIRS[0]] * mu[_PAIRS[1]] * np.exp(lb_pts - lb)).sum(1)
     return la, lb, q
 
 
@@ -380,6 +389,13 @@ class LawTables:
     scaled by B, which keeps them O(1 + |x|^(j+k)) where S_jk itself would
     under- or overflow.  A lookup adds one partial panel at x.
 
+    Every panel kernel holds the 5 Gauss points on the leading axis and the
+    panels on the last one: (5, n) per quantity, (3, 5, n) for the moments
+    at the points and (5, 5, n) for the nested rule, so each sum over a rule
+    adds contiguous rows.  numpy adds the 5 points of a rule in sequence
+    whichever axis holds them, so the layout does not move a bit of the
+    tables.
+
     The grid is trimmed to the nodes where the density exceeds
     ``_MASS_FLOOR`` times its peak, so every first-order quantity is a
     normal double there.  A second-order lookup flags its points outside
@@ -410,9 +426,8 @@ class LawTables:
         la, lb, q = np.empty(n), np.empty(n), np.empty((len(_PAIRS[0]), n))
         for j, k in spans:
             t, w, f_t, P_b, I = _gauss_panels(f, x[j:k], x[j + 1 : k + 1])
-            sig = sigma(t)
             la[j:k], lb[j:k], q[:, j:k] = _second_order_panels(
-                F[j:k, None] + I[0], m[:, j + 1 : k + 1, None] + (P_b[..., None] - I), f_t, sig * sig, w
+                F[j:k] + I[0], m[:, None, j + 1 : k + 1] + (P_b[:, None] - I), f_t, np.square(sigma(t)), w
             )
         log_B = np.concatenate([np.logaddexp.accumulate(lb[::-1])[::-1], [-np.inf]])
         # S_jk may change sign (m_1 < 0 below a negative mean), so the positive
@@ -420,8 +435,9 @@ class LawTables:
         nu = np.zeros((len(q), n + 1))
         with np.errstate(divide="ignore"):
             for row, q_row in zip(nu, q):
+                log_q = lb + np.log(np.abs(q_row))
                 for sign in (1.0, -1.0):
-                    log_part = np.where(sign * q_row > 0.0, lb + np.log(np.abs(q_row)), -np.inf)
+                    log_part = np.where(sign * q_row > 0.0, log_q, -np.inf)
                     row[:-1] += sign * np.exp(np.logaddexp.accumulate(log_part[::-1])[::-1] - log_B[:-1])
         self.x = x
         self.F = F
@@ -443,7 +459,7 @@ class LawTables:
         """F(x) at any real x, scalar or array: the prefix F of x's panel plus
         the partial panel up to x."""
         x, i = self._locate(x)
-        return _as_output(self.F[i] + _panels(self.f, self.x[i], x)[1].sum(-1))
+        return _as_output(self.F[i] + _panels(self.f, self.x[i], x)[1].sum(0))
 
     def upper_moments(self, x) -> np.ndarray:
         """(m_0, m_1, m_2)(x) with m_k = E[xi^k 1{xi > x}], at any real x,
@@ -473,10 +489,9 @@ class LawTables:
         # [x, x_i+1] the suffix ones
         ends = np.concatenate([self.x[i], pts, self.x[j]])
         t, w, f_t, P, I = _gauss_panels(self.f, ends[: 2 * n], ends[n:])
-        sig = self.sigma(t)
-        F_t = self.F[i, None] + I[0, :n]
-        m_t = m_next[..., None] + (P[:, n:, None] - I[:, n:])
-        la, lb, q = _second_order_panels(F_t, m_t, f_t, sig * sig, w)
+        F_t = self.F[i] + I[0, :, :n]
+        m_t = m_next[:, None] + (P[:, None, n:] - I[:, :, n:])
+        la, lb, q = _second_order_panels(F_t, m_t, f_t, np.square(self.sigma(t)), w)
         log_B_next = self.log_B[j]
         log_B = np.logaddexp(log_B_next, lb)
         shift = np.exp(np.array([log_B_next, lb]) - log_B)
@@ -542,9 +557,9 @@ def build_invariant_law(spec: DiffusionSpec) -> InvariantLaw:
     The support edges come from the mass of the ergodicity probe; on the
     support nodes the density exponent int_0^x S/sigma^2 is evaluated again
     by the same panel rule, and G is the panel sum of the mass
-    exp(2*exponent)/sigma^2.  F, sf and the quantile read the tables of the
-    density (see ``_tables_law``).  The ergodicity report is kept on the
-    law.  Raises NotErgodic, naming each failed condition, when the
+    exp(2*exponent)/sigma^2, summed panel-major as in ``_probe``.  F, sf and
+    the quantile read the tables of the density (see ``_tables_law``).  The
+    ergodicity report is kept on the law.  Raises NotErgodic, naming each failed condition, when the
     ergodicity probes fail.
     """
     report, probe_mass, failures, (drift, sigma) = _probe(spec)
@@ -553,7 +568,7 @@ def build_invariant_law(spec: DiffusionSpec) -> InvariantLaw:
     nodes, zero_idx = _node_grid(*_support_edges(probe_mass))
     del probe_mass  # frees the probe range's panel tables before the support ones exist
     mass = _mass(drift, sigma, nodes, zero_idx)[1]
-    G = float(_panels(mass, nodes[:-1], nodes[1:])[1].sum())
+    G = float(_panels(mass, nodes[:-1], nodes[1:])[1].T.copy().sum())
     lo, hi = float(nodes[0]), float(nodes[-1])
 
     def f(x):

@@ -308,6 +308,193 @@ def test_closed_form_law_reads_its_tables(ou):
     assert ou.quantile(1e-300) == pytest.approx(-26.2, abs=0.1)
 
 
+# the normalizer G, the tables at a few nodes (first, second, n//7, n//3,
+# n//2, 2n//3, second last, last) and one lookup at PINNED_POINTS, as
+# float.hex, for the closed-form OU law and the compiled -x^3 law: the tables
+# are a fixed sequence of roundings, so a reordered sum in the panel kernels
+# shows here
+PINNED_POINTS = np.array([-2.3, -0.41, 0.0, 0.7, 3.1])
+PINNED_BITS = {
+    "ou": (10513, {
+        "G": (
+            "0x1.c5bf891b4ef6ap+0"
+        ),
+        "F": (
+            "0x0.0p+0 0x1.44d28bef79c87p-1005 0x1.4f97c5066b23ap-515 0x1.40b51f65b95d8p-116 0x1.0000000000001p-1 "
+            "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0"
+        ),
+        "m": (
+            "0x1.ffffffffffff7p-1 0x1.ffffffffffff7p-1 0x1.ffffffffffff7p-1 0x1.ffffffffffff7p-1 "
+            "0x1.fffffffffffffp-2 0x1.40b51f65b9529p-116 0x1.44d28bef78824p-1005 0x0.0p+0 -0x1.c50dff6cc07f5p-53 "
+            "-0x1.c50dff6cc07f5p-53 -0x1.c50dff6cc07f5p-53 -0x1.c50dff6cc07f5p-53 0x1.20dd750429b6ap-2 "
+            "0x1.616f19b6fed53p-113 0x1.0abbe409d4438p-1000 0x0.0p+0 0x1.ffffffffffff3p-2 0x1.ffffffffffff3p-2 "
+            "0x1.ffffffffffff3p-2 0x1.ffffffffffff3p-2 0x1.0000000000001p-2 0x1.858407aedacf4p-110 "
+            "0x1.b61127a3af879p-996 0x0.0p+0"
+        ),
+        "log_A": (
+            "-inf -0x1.6219b62c3af76p+9 -0x1.6bf5021bdf57ep+8 -0x1.57ba24fbdc331p+6 -0x1.c0b7fa5f194d5p+0 "
+            "0x1.29d0200e6f029p+6 0x1.577e54641039fp+9 0x1.579ff0c20d7b3p+9"
+        ),
+        "log_B": (
+            "0x1.579ff0c20d7b3p+9 0x1.577e54641039ep+9 0x1.5d72e0a109d36p+8 0x1.29d0200e6f027p+6 "
+            "-0x1.c0b7fa5f194d3p+0 -0x1.57ba24fbdc332p+6 -0x1.6219b62c3af95p+9 -inf"
+        ),
+        "nu": (
+            "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 "
+            "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0 -0x1.c50dff6cc0891p-53 "
+            "-0x1.c50dff6cc0891p-53 -0x1.c50dff6cc06ccp-53 -0x1.c50dff6cc073dp-53 0x1.a0be83d8d0328p-1 "
+            "0x1.1be4ca9820d70p+3 0x1.a472ed922254fp+4 0x0.0p+0 0x1.00000000000f8p-1 0x1.00000000000f8p-1 "
+            "0x1.fffffffffffefp-2 0x1.fffffffffffefp-2 0x1.b8aa3b295c173p-1 0x1.3ad9e9b688188p+6 "
+            "0x1.5944a79ca441ap+9 0x0.0p+0 0x1.90e5455d68a54p-105 0x1.90e5455d68a54p-105 0x1.90e5455d688c4p-105 "
+            "0x1.9ce8e8594311ep-105 0x1.71547652b82f7p-1 0x1.3ad6bd43ec434p+6 0x1.5944a7922cb81p+9 0x0.0p+0 "
+            "-0x1.c50dff6cc06bep-54 -0x1.c50dff6cc06bep-54 -0x1.c50dff6cc06bep-54 -0x1.c50dff6cc072ep-54 "
+            "0x1.a0be83d8d0321p-1 0x1.5d2f31c564817p+9 0x1.1b87d20040de8p+14 0x0.0p+0 0x1.fffffffffffdep-3 "
+            "0x1.fffffffffffdep-3 0x1.fffffffffffdep-3 0x1.000000000002fp-2 0x1.f1547652b82f1p-1 "
+            "0x1.834ab6939b326p+12 0x1.d1aa1e398a183p+18 0x0.0p+0"
+        ),
+        "at.F": (
+            "0x1.2bad48659485dp-11 0x1.1fc283f23f3d1p-2 0x1.0000000000001p-1 0x1.ad846108b8b23p-1 "
+            "0x1.ffff3c9165c7bp-1"
+        ),
+        "at.m": (
+            "0x1.ffb514ade69aap-1 0x1.74d5df00c6208p-10 0x1.fc5b8f2cfe6c2p-2 0x1.701ebe06e0619p-1 "
+            "0x1.e85669854088dp-3 0x1.0c02c9acd6fdap-2 0x1.fffffffffffffp-2 0x1.20dd750429b6ap-2 "
+            "0x1.0000000000001p-2 0x1.49ee7bdd1d377p-3 0x1.61eec74c053cep-3 0x1.9cb7fca3c5798p-3 "
+            "0x1.86dd3472492c6p-18 0x1.3d5ad068da296p-16 0x1.022a17f4d4f63p-14"
+        ),
+        "at.log_A": (
+            "-0x1.59b8306d22087p+3 -0x1.6fea31828856ap+1 -0x1.c0b7fa5f194d5p+0 -0x1.97ba6929d869fp-4 "
+            "0x1.0d6b95f53fd57p+3"
+        ),
+        "at.log_B": (
+            "0x1.1d1cb4bbdba17p+2 -0x1.84abb2d89a36fp-1 -0x1.c0b7fa5f194d3p+0 -0x1.e2c43c17bd3dbp+1 "
+            "-0x1.fc0f085c166a3p+3"
+        ),
+        "at.nu": (
+            "0x1.ffffffffffffcp-1 0x1.b5f7148fff06cp-7 0x1.f1bf53073d375p-2 0x1.b5f7148fff06cp-7 "
+            "0x1.7c9a9136c8934p-9 0x1.b63c688764386p-8 0x1.f1bf53073d375p-2 0x1.b63c688764386p-8 "
+            "0x1.e672df8e53210p-3 0x1.fffffffffffffp-1 0x1.23a21bb695555p-1 0x1.26858d18d2862p-1 "
+            "0x1.23a21bb695555p-1 0x1.8939da7901fd7p-2 0x1.a60b3773df9bfp-2 0x1.26858d18d2862p-1 "
+            "0x1.a60b3773df9bfp-2 0x1.dc30227505077p-2 0x1.0000000000000p+0 0x1.a0be83d8d0329p-1 "
+            "0x1.b8aa3b295c174p-1 0x1.a0be83d8d0329p-1 0x1.71547652b82f7p-1 0x1.a0be83d8d0320p-1 "
+            "0x1.b8aa3b295c174p-1 0x1.a0be83d8d0320p-1 0x1.f1547652b82f1p-1 0x1.fffffffffffffp-1 "
+            "0x1.4df85da0358f3p+0 0x1.d4e1fe89221f3p+0 0x1.4df85da0358f3p+0 0x1.bffc885551f3dp+0 "
+            "0x1.43c7c4edf7768p+1 0x1.d4e1fe89221f3p+0 0x1.43c7c4edf7768p+1 0x1.e2a3b46ad6330p+1 "
+            "0x1.0000000000000p+0 0x1.b09d51f30cfacp+1 0x1.6eaba0c2f65f9p+3 0x1.b09d51f30cfacp+1 "
+            "0x1.6e1088698f7b3p+3 0x1.36bd0ba43336ap+5 0x1.6eaba0c2f65f9p+3 0x1.36bd0ba43336ap+5 "
+            "0x1.08338b25da412p+7"
+        ),
+    }),
+    "-x^3": (2439, {
+        "G": (
+            "0x1.13f145bc7d120p+1"
+        ),
+        "F": (
+            "0x0.0p+0 0x1.99fc9e5665631p-1003 0x1.078660edf5001p-268 0x1.61a4873765690p-18 0x1.0000000000003p-1 "
+            "0x1.ffff5e8199e7bp-1 0x1.0000000000002p+0 0x1.0000000000002p+0"
+        ),
+        "m": (
+            "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.ffff4f2dbc64bp-1 "
+            "0x1.0000000000004p-1 0x1.42fccc31ef012p-18 0x1.99fc9e5665d75p-1003 0x0.0p+0 -0x1.5f3fe53a3a6f7p-54 "
+            "-0x1.5f3fe53a3a6f7p-54 -0x1.5f3fe53a3a6f7p-54 0x1.7019ff65ba6dap-17 0x1.29a91ba90e2b5p-2 "
+            "0x1.50f2e0f47689fp-17 0x1.382f9ab68085dp-1000 0x0.0p+0 0x1.e975e5343aa5bp-2 0x1.e975e5343aa5bp-2 "
+            "0x1.e975e5343aa5bp-2 0x1.e96fe7c1eaff9p-2 0x1.e975e5343aa66p-3 0x1.5fb3ffa32c0f1p-16 "
+            "0x1.db6e2916280fap-998 0x0.0p+0"
+        ),
+        "log_A": (
+            "-inf -0x1.61c41c68759d0p+9 -0x1.87ee2b73595b0p+7 -0x1.2125dc9626f1cp+4 -0x1.9534df96bcfd3p+0 "
+            "0x1.a84c8a5ba0949p+2 0x1.5535ba2d878efp+9 0x1.5656e0869ebb7p+9"
+        ),
+        "log_B": (
+            "0x1.5656e0869ebb9p+9 0x1.5535ba2d878f2p+9 0x1.5f0a6431a1b93p+7 0x1.a37eaeddbb28bp+2 "
+            "-0x1.9534df96bcfcfp+0 -0x1.22cc4ecb13802p+4 -0x1.61c41c687f40dp+9 -inf"
+        ),
+        "nu": (
+            "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 "
+            "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0 -0x1.5f3fe53a3a5c6p-54 "
+            "-0x1.5f3fe53a3a885p-54 -0x1.5f3fe53a3a725p-54 0x1.098eae0df1b94p-10 0x1.829595a5658a4p-1 "
+            "0x1.109768aed8638p+1 0x1.85ebcfe11265ap+2 0x0.0p+0 0x1.e975e5343a8f4p-2 0x1.e975e5343a8f4p-2 "
+            "0x1.e975e5343aaddp-2 0x1.e8f3fa6206679p-2 0x1.60b901ac9cbd3p-1 0x1.2280d6a3b9febp+2 "
+            "0x1.28f3404ec2811p+5 0x0.0p+0 0x1.e1f046884c2f8p-108 0x1.e1f046884c2f8p-108 0x1.e1f046884c2f8p-108 "
+            "0x1.6bd718ad460fap-12 0x1.2fceb422f7565p-1 0x1.225e0c8a8a00ap+2 0x1.28f33fbb9a6d9p+5 0x0.0p+0 "
+            "-0x1.4fc967c5e765ep-55 -0x1.4fc967c5e765ep-55 -0x1.4fc967c5e75b6p-55 0x1.fbbbe25d32c70p-12 "
+            "0x1.1c8e8d50484eep-1 0x1.359130ee8b9b6p+3 0x1.c44b29e5378c7p+7 0x0.0p+0 0x1.d3e9cdf66b902p-3 "
+            "0x1.d3e9cdf66b902p-3 0x1.d3e9cdf66b818p-3 0x1.d31051668d476p-3 0x1.0fd5f86f3e5fap-1 "
+            "0x1.4a2b0ec4a8461p+4 0x1.58736cfd52cc0p+10 0x0.0p+0"
+        ),
+        "at.F": (
+            "0x1.05544dd051334p-26 0x1.3dcc95e01ac4fp-2 0x1.0000000000003p-1 0x1.a263130c255a2p-1 "
+            "0x1.0000000000002p+0"
+        ),
+        "at.m": (
+            "0x1.ffffff7d55d96p-1 0x1.316b3695c5d7ep-25 0x1.e975dfa01af09p-2 0x1.6119b50ff29dbp-1 "
+            "0x1.01ec9c82302abp-2 0x1.ff2761eb4f0c2p-3 0x1.0000000000004p-1 0x1.29a91ba90e2b5p-2 "
+            "0x1.e975e5343aa66p-3 0x1.7673b3cf6a981p-3 0x1.738f63aab3ef7p-3 0x1.8239b24f96c9cp-3 "
+            "0x1.473f8465a8b2fp-74 0x1.fde59a7a5529dp-73 0x1.8d41357dc0c8cp-71"
+        ),
+        "at.log_A": (
+            "-0x1.8920263ef8d02p+4 -0x1.6da31781e26fep+1 -0x1.9534df96bcfd3p+0 -0x1.b03a78fd3a451p-4 "
+            "0x1.56fd29f3a1bc4p+5"
+        ),
+        "at.log_B": (
+            "0x1.741e3e16b46e8p+3 -0x1.4ccb70a1eac2bp-1 -0x1.9534df96bcfcfp+0 -0x1.044606618a81ap+2 "
+            "-0x1.da45647c0dd69p+5"
+        ),
+        "at.nu": (
+            "0x1.0000000000003p+0 0x1.b9ed15c7bc6c3p-18 0x1.e974f42ac43a6p-2 0x1.b9ed15c7bc6c3p-18 "
+            "0x1.2363b41f93b03p-19 0x1.a678b1d595391p-19 0x1.e974f42ac43a6p-2 0x1.a678b1d595391p-19 "
+            "0x1.d3e8329eb5f4ap-3 0x1.ffffffffffffdp-1 0x1.273a3ee38156bp-1 0x1.07f0c75051a3ap-1 "
+            "0x1.273a3ee38156bp-1 0x1.75576cf771200p-2 0x1.5483d183e0d9fp-2 0x1.07f0c75051a3ap-1 "
+            "0x1.5483d183e0d9fp-2 0x1.3b735b77f05b2p-2 0x1.0000000000000p+0 0x1.829595a5658a5p-1 "
+            "0x1.60b901ac9cbd2p-1 0x1.829595a5658a5p-1 0x1.2fceb422f7564p-1 0x1.1c8e8d50484edp-1 "
+            "0x1.60b901ac9cbd2p-1 0x1.1c8e8d50484edp-1 0x1.0fd5f86f3e5fap-1 0x1.ffffffffffffdp-1 "
+            "0x1.1e155fff75b79p+0 0x1.4bd1089323e9cp+0 0x1.1e155fff75b79p+0 0x1.4307a36c84192p+0 "
+            "0x1.7a9030499928fp+0 0x1.4bd1089323e9cp+0 0x1.7a9030499928fp+0 0x1.c048956287b66p+0 "
+            "0x1.000000000000ap+0 0x1.90e010bc049a4p+1 0x1.39e276a7af7f7p+3 0x1.90e010bc049a4p+1 "
+            "0x1.39e06abc8aeafp+3 0x1.eb8aa80ca8e34p+4 0x1.39e276a7af7f7p+3 0x1.eb8aa80ca8e34p+4 "
+            "0x1.80e51e5f866cap+6"
+        ),
+    }),
+}
+
+
+@pytest.fixture(scope="module")
+def cubic():
+    return build_invariant_law(DiffusionSpec(compile_expression("-x^3"), compile_expression("1")))
+
+
+@pytest.mark.parametrize("name", ["ou", "-x^3"])
+def test_tables_bits_are_pinned(ou, cubic, name):
+    law = ou if name == "ou" else cubic
+    tables = law.tables
+    n, pinned = PINNED_BITS[name]
+    assert len(tables.x) == n
+    nodes = [0, 1, n // 7, n // 3, n // 2, 2 * n // 3, n - 2, n - 1]
+    point = tables.at(PINNED_POINTS)
+    fields = {"G": law.G, "F": tables.F[nodes], "m": tables.m[:, nodes], "log_A": tables.log_A[nodes],
+              "log_B": tables.log_B[nodes], "nu": tables.nu[:, nodes], "at.F": point.F, "at.m": point.m,
+              "at.log_A": point.log_A, "at.log_B": point.log_B, "at.nu": point.nu}
+    assert fields.keys() == pinned.keys()
+    for key, values in fields.items():
+        assert " ".join(float(v).hex() for v in np.ravel(values)) == pinned[key], key
+
+
+@pytest.mark.parametrize("name", ["ou", "-x^3"])
+def test_float_argument_gives_entry_of_array_call(ou, cubic, name):
+    # a float argument takes the same panels as an array of one point and
+    # comes back as a float, or as a (3,) array for the upper moments
+    law = ou if name == "ou" else cubic
+    beyond = law.tables.support[1] + 1.0
+    for x in (-3.0, 0.0, 0.7, 5.0, beyond):
+        for fn in (law.F, law.sf, law.tables.cdf):
+            one, row = fn(x), fn(np.array([x]))
+            assert type(one) is float and row.shape == (1,)
+            assert float(one).hex() == float(row[0]).hex(), (fn, x)
+        one, row = law.tables.upper_moments(x), law.tables.upper_moments(np.array([x]))
+        assert one.shape == (3,) and row.shape == (3, 1)
+        assert [float(v).hex() for v in one] == [float(v).hex() for v in row[:, 0]], x
+
+
 def test_import_path_loads_no_scipy():
     # the closed-form law, a law built from coefficients and their variance
     # tables need no scipy (only the adaptive quadrature of the test oracles

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
-from compare_reports import moved  # noqa: E402
+from compare_reports import moved, ran_differs  # noqa: E402
 
 
 @pytest.mark.parametrize("path, a, b, largest, other", [
@@ -24,3 +24,13 @@ def test_moved_reports_numeric_and_other_differences(path, a, b, largest, other)
 def test_moved_says_nothing_for_other_or_malformed_files():
     assert moved("r.txt", b"1", b"2") == ""
     assert moved("r.json", b'{"x": 1.0}', b'{"x": 1.') == ""
+
+
+def test_differing_stdout_is_summarized_when_it_parses_as_json():
+    a, b = '{\n  "x": 1.0,\n  "ok": true\n}\n', '{\n  "x": 1.0000000001,\n  "ok": true\n}\n'
+    assert ran_differs("stdout", a, b, "HEAD") == (
+        "stdout differs (largest relative difference 1e-10 over numeric fields; non-numeric fields equal)")
+    # text that is not JSON on both sides, stderr and the exit code are quoted
+    assert ran_differs("stdout", a, "done\n", "HEAD") == f"stdout differs: {a!r} at HEAD, 'done\\n' in the working tree"
+    assert ran_differs("stderr", a, b, "HEAD") == f"stderr differs: {a!r} at HEAD, {b!r} in the working tree"
+    assert ran_differs("exit code", 0, 1, "HEAD") == "exit code differs: 0 at HEAD, 1 in the working tree"

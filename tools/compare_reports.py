@@ -14,9 +14,11 @@ of its own, and writes under a relative ``--out``.  Every file written, the
 exit code and the standard output and error (with the working directory
 replaced by ``<out>``) must be byte-identical.  One line is printed per
 difference; the exit status is 1 if there is any, else 0.  The line of a
-JSON or CSV report written on both sides also says how far it moved: the
-largest relative difference over its numeric fields, and whether any
-non-numeric field (a string, a flag, a key or the shape) differs.
+JSON or CSV report written on both sides, or of a standard output that
+parses as JSON on both sides, says how far it moved: the largest relative
+difference over its numeric fields, and whether any non-numeric field (a
+string, a flag, a key or the shape) differs.  Any other differing exit code
+or stream is quoted from both sides.
 """
 from __future__ import annotations
 
@@ -136,6 +138,14 @@ def moved(path: str, a: bytes, b: bytes) -> str:
             f"non-numeric fields {'differ' if other else 'equal'})")
 
 
+def ran_differs(what: str, a, b, rev: str) -> str:
+    """The line for an exit code, stdout or stderr ``what`` that is ``a`` at
+    ``rev`` and ``b`` in the working tree: a stdout that parses as JSON on
+    both sides is summarized as a JSON report is, anything else quoted."""
+    summary = moved("stdout.json", a.encode(), b.encode()) if what == "stdout" else ""
+    return f"{what} differs{summary}" if summary else f"{what} differs: {a!r} at {rev}, {b!r} in the working tree"
+
+
 def compare(rev: str) -> list[str]:
     differences = []
     with tempfile.TemporaryDirectory(prefix="compare_reports_") as tmp:
@@ -145,7 +155,7 @@ def compare(rev: str) -> list[str]:
             name = "stochres " + shlex.join(argv)
             ran_rev, wrote_rev = run(rev_src, argv, tmp / "out_rev" / str(k))
             ran_work, wrote_work = run(ROOT / "src", argv, tmp / "out_work" / str(k))
-            found = [f"{name}: {what} differs: {a!r} at {rev}, {b!r} in the working tree"
+            found = [f"{name}: {ran_differs(what, a, b, rev)}"
                      for what, a, b in zip(("exit code", "stdout", "stderr"), ran_rev, ran_work) if a != b]
             for path in sorted(wrote_rev.keys() | wrote_work.keys()):
                 if wrote_rev.get(path) != wrote_work.get(path):
