@@ -8,20 +8,32 @@ Grammar (identifiers: the single variable ``x``; functions: exp, tanh):
     power  := atom ('^' unary)?          right associative
     atom   := NUMBER | 'x' | FUNC '(' expr ')' | '(' expr ')'
 
-An expression is parsed once into a tree, from which two closure trees are
-built.  No eval() is involved.
+An expression is parsed once into a tree.  One emitter turns the tree into
+the body of ``lambda x: ...`` in two forms, as ``ast`` nodes, and each form
+is compiled once into a single Python function with its arithmetic inline:
+``-x^3`` becomes ``lambda x: -(x * x * x)``.
 
 - The array form evaluates with numpy semantics, so it accepts scalars and
   arrays alike and broadcasts a constant to the shape of ``x``.
 - The scalar form runs on Python floats, with no numpy conversion around it;
   the compiled function sends an argument of type ``float`` there, which is
-  what a single Euler path steps on.
+  what a single Euler path steps on, one call per step.
+
+No user text reaches the compiler.  The tokenizer and the parser accept
+only numbers, ``x``, the operators and the function names of
+``_FUNCTIONS``, and the emitter builds every node from the parse tree: a
+number becomes a constant node, ``x`` the lambda's argument, and each
+operation a fixed operator or a call of a fixed helper name.  The forms run
+in a namespace that holds only those helpers (the ufuncs, ``float``, the
+two divisions and the array conversion) and empty ``__builtins__``.
 
 The two forms round alike, bit for bit, so a path stepped one float at a
 time equals its row of an ensemble stepped on arrays:
 
-- ``+ - * /`` and unary minus are the IEEE operators in both forms; a scalar
-  division by zero returns numpy's inf or nan instead of raising;
+- ``+ - * /`` and unary minus are the IEEE operators in both forms (where
+  Python folds an operation on literals at compile time, it uses the same
+  operator); a scalar division by zero returns numpy's inf or nan instead
+  of raising;
 - a literal integer exponent ``x^n``, 1 <= n <= ``_MAX_MULTIPLIED_POWER``, is
   n - 1 multiplications from the left in both forms (numpy's ``power`` and
   Python's ``**`` round differently from each other and from the product);
@@ -38,8 +50,10 @@ chunk of steps at once instead of calling the coefficient at every step.
 """
 from __future__ import annotations
 
+import ast
+import itertools
 import re
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -172,43 +186,76 @@ def _scalar_divide(a: float, b: float) -> float:
         return float(np.divide(a, b))
 
 
-def _closure(node: Node, scalar: bool) -> Callable:
-    """The closure tree of ``node``: over Python floats when ``scalar``,
-    with numpy semantics otherwise."""
+def _call(name: str, *args: ast.expr) -> ast.Call:
+    return ast.Call(ast.Name(name, ast.Load()), list(args), [])
+
+
+def _product(base: ast.expr, n: int, names: Iterator[str]) -> ast.expr:
+    """``base`` multiplied by itself n - 1 times from the left; a compound
+    base is evaluated once, into a fresh local name."""
+    if n == 1:
+        return base
+    first = again = base
+    if not isinstance(base, (ast.Name, ast.Constant)):
+        name = next(names)
+        first = ast.NamedExpr(ast.Name(name, ast.Store()), base)
+        again = ast.Name(name, ast.Load())
+    out = first
+    for _ in range(n - 1):
+        out = ast.BinOp(out, ast.Mult(), again)
+    return out
+
+
+_OPERATORS = {"+": ast.Add, "-": ast.Sub, "*": ast.Mult}
+
+
+def _emit(node: Node, scalar: bool, names: Iterator[str]) -> ast.expr:
+    """The body of the scalar (over Python floats) or the array (numpy
+    semantics) form of ``node``, as an expression in ``x``."""
     kind = node[0]
     if kind == "num":
-        value = node[1]
-        return lambda x: value
+        return ast.Constant(node[1])
     if kind == "x":
-        return (lambda x: x) if scalar else (lambda x: np.asarray(x, dtype=float))
-    a = _closure(node[1], scalar)
+        x = ast.Name("x", ast.Load())
+        return x if scalar else _call("_float_array", x)
+    a = _emit(node[1], scalar, names)
     if kind == "neg":
-        return lambda x: -a(x)
+        return ast.UnaryOp(ast.USub(), a)
     if kind in _FUNCTIONS:
-        ufunc = _FUNCTIONS[kind]
-        return (lambda x: float(ufunc(a(x)))) if scalar else (lambda x: ufunc(a(x)))
+        return _call("float", _call(kind, a)) if scalar else _call(kind, a)
     n = _multiplied_power(node[2]) if kind == "^" else None
     if n is not None:
-        repeats = range(n - 1)
-
-        def power(x):
-            base = a(x)
-            out = base
-            for _ in repeats:
-                out = out * base
-            return out
-
-        return power
-    b = _closure(node[2], scalar)
-    if kind == "+":
-        return lambda x: a(x) + b(x)
-    if kind == "-":
-        return lambda x: a(x) - b(x)
-    if kind == "*":
-        return lambda x: a(x) * b(x)
+        return _product(a, n, names)
+    b = _emit(node[2], scalar, names)
+    if kind in _OPERATORS:
+        return ast.BinOp(a, _OPERATORS[kind](), b)
     if kind == "/":
-        return (lambda x: _scalar_divide(a(x), b(x))) if scalar else (lambda x: np.divide(a(x), b(x)))
-    return (lambda x: float(np.power(a(x), b(x)))) if scalar else (lambda x: np.power(a(x), b(x)))
+        return _call("_scalar_divide", a, b) if scalar else _call("divide", a, b)
+    return _call("float", _call("power", a, b)) if scalar else _call("power", a, b)
+
+
+def _float_array(x):
+    return np.asarray(x, dtype=float)
+
+
+# every global name a compiled form reads; it sees no builtins
+_HELPERS = {
+    "float": float,
+    "_float_array": _float_array,
+    "_scalar_divide": _scalar_divide,
+    "divide": np.divide,
+    "power": np.power,
+    **_FUNCTIONS,
+}
+
+
+def _compile(tree: Node, scalar: bool) -> Callable:
+    """``lambda x: ...`` of the scalar or the array form of ``tree``,
+    compiled once from the emitted nodes."""
+    body = _emit(tree, scalar, map("_b{}".format, itertools.count()))
+    args = ast.arguments(posonlyargs=[], args=[ast.arg("x")], kwonlyargs=[], kw_defaults=[], defaults=[])
+    code = compile(ast.fix_missing_locations(ast.Expression(ast.Lambda(args, body))), "<coefficient>", "eval")
+    return eval(code, dict(_HELPERS, __builtins__={}))
 
 
 def compile_expression(text: str) -> Callable:
@@ -217,15 +264,15 @@ def compile_expression(text: str) -> Callable:
     A Python float goes to the scalar form and comes back a float; anything
     else goes to the array form, scalar-in scalar-out, broadcasting over
     numpy arrays.  Both forms give the same doubles (see the module
-    docstring).  The callable's ``array`` is the array form itself, with no
-    dispatch or shape handling around it, and its ``constant`` is the
-    expression's value when it has no ``x``, else None.
+    docstring).  The callable's ``scalar`` and ``array`` are the two forms
+    themselves, with no dispatch or shape handling around them, and its
+    ``constant`` is the expression's value when it has no ``x``, else None.
     """
     if not text or not text.strip():
         raise ExpressionError("empty expression")
     tree = _Parser(_tokenize(text), text).parse()
-    scalar = _closure(tree, scalar=True)
-    array = _closure(tree, scalar=False)
+    scalar = _compile(tree, scalar=True)
+    array = _compile(tree, scalar=False)
 
     def fn(x):
         if type(x) is float:
@@ -235,6 +282,7 @@ def compile_expression(text: str) -> Callable:
             return float(out)
         return np.broadcast_to(out, np.shape(x)).copy() if out.shape != np.shape(x) else out
 
+    fn.scalar = scalar
     fn.array = array
     fn.constant = None
     if not _has_x(tree):

@@ -11,7 +11,9 @@ chunk in place.  For a diffusion with a ``constant`` (a compiled expression
 without x) the increments (c sqrt(dt)) Z of a whole chunk are one product,
 so a step is the drift, one product and two sums, and the diffusion is
 never called; a single path uses the same increments, one chunk at a time.
-Every product and sum keeps the operands and order of
+A single path steps on Python floats: a compiled coefficient through its
+``scalar`` form, which is one Python function, so a step makes one call
+for the drift and one for a diffusion that is not a constant.  Every product and sum keeps the operands and order of
 X + S(X) dt + sigma(X) sqrt(dt) Z, so no route changes a bit of a path.
 
 ``observe_paths`` steps, perturbs and observes a block of paths keeping
@@ -19,8 +21,9 @@ only per-path counters, in buffers allocated once, so its memory is
 O(paths x CHUNK) whatever the horizon; ``simulate_paths`` steps the same
 chunks and stores the full paths.  Both observation routes reduce the
 energy the same way (a pairwise sum over each chunk of ``CHUNK`` samples,
-chunk sums accumulated in order), so a path's time fraction and energy are
-bit-identical whether it comes from
+chunk sums accumulated in order; ``observe`` reduces all the whole chunks
+of a path in one call, as the rows of one view), so a path's time fraction
+and energy are bit-identical whether it comes from
 ``observe(perturb(simulate_path(...)))`` or from ``observe_paths``, in an
 ensemble of any size.
 """
@@ -114,29 +117,35 @@ def _normals(seed: int, n: int) -> np.ndarray:
 
 
 def _em_scalar(spec: DiffusionSpec, x0: float, dt: float, z: np.ndarray) -> np.ndarray:
-    drift = spec.drift
-    diffusion = spec.diffusion
-    c = getattr(diffusion, "constant", None)
+    """X_0 = x0 and the Euler-Maruyama steps driven by the normals ``z``.
+
+    x stays a Python float.  A compiled coefficient is stepped through its
+    ``scalar`` form, one Python call per step, and any other callable is
+    called as it is; a constant diffusion is never called, its increments
+    (c sqrt(dt)) z formed one chunk at a time.  The steps of a chunk are
+    collected in a list and stored with one slice assignment."""
+    drift = getattr(spec.drift, "scalar", spec.drift)
+    diffusion = getattr(spec.diffusion, "scalar", spec.diffusion)
+    c = getattr(spec.diffusion, "constant", None)
     sqrt_dt = math.sqrt(dt)
     out = np.empty(len(z) + 1)
     out[0] = x = float(x0)
-    # x stays a Python float, which a compiled expression steps on without
-    # numpy; the normals, or a constant diffusion's increments
-    # (c sqrt(dt)) z, become floats one chunk at a time
     for start in range(0, len(z), CHUNK):
         block = z[start : start + CHUNK]
+        steps = []
         if c is None:
-            for k, zk in enumerate(block.tolist(), start + 1):
+            for zk in block.tolist():
                 x = x + drift(x) * dt + diffusion(x) * sqrt_dt * zk
                 if not (-_BLOWUP < x < _BLOWUP):  # also catches NaN
-                    raise _blowup_at(k)
-                out[k] = x
+                    raise _blowup_at(start + len(steps) + 1)
+                steps.append(x)
         else:
-            for k, dw in enumerate((c * sqrt_dt * block).tolist(), start + 1):
+            for dw in (c * sqrt_dt * block).tolist():
                 x = x + drift(x) * dt + dw
                 if not (-_BLOWUP < x < _BLOWUP):
-                    raise _blowup_at(k)
-                out[k] = x
+                    raise _blowup_at(start + len(steps) + 1)
+                steps.append(x)
+        out[start + 1 : start + 1 + len(steps)] = steps
     return out
 
 
@@ -306,19 +315,22 @@ def observe(traj: Trajectory, tau: float) -> ObservationSummary:
 
     Time integrals use the left-endpoint rule, so the fraction of time above
     the threshold is an exact step count over n = len(values) - 1 steps.
-    The energy is reduced chunk by chunk exactly as in ``observe_paths``.
+    The energy is reduced chunk by chunk exactly as in ``observe_paths``,
+    all chunks in one pass.
     """
     if len(traj.values) < 2:
         raise ValueError("trajectory must contain at least one step")
     y = traj.values[:-1]
+    n = len(y)
+    full = n - n % CHUNK
     count = 0
     energy = 0.0
-    _, above, square = _scratch(1)
-    for start in range(0, len(y), CHUNK):
-        chunk = y[start : start + CHUNK]
-        c, e = _above_energy(chunk, tau, above[: len(chunk)], square[: len(chunk)])
-        count += int(c)
-        energy += float(e)
-    return ObservationSummary(
-        time_fraction=count / len(y), energy=energy / len(y), horizon=traj.horizon
-    )
+    # the whole chunks as the rows of one view, then the tail as a row of its own
+    for part in (y[:full].reshape(-1, CHUNK), y[full:].reshape(1, -1)):
+        c, e = _above_energy(part, tau, np.empty(part.shape, dtype=bool), np.empty(part.shape))
+        count += int(c.sum())
+        # in order from 0.0, as observe_paths adds them (not sum(), which
+        # compensates from Python 3.12)
+        for chunk_energy in e.tolist():
+            energy += chunk_energy
+    return ObservationSummary(time_fraction=count / n, energy=energy / n, horizon=traj.horizon)

@@ -62,7 +62,7 @@ def _observe_split(
     Each path's statistics do not depend on the paths stepped beside it, so
     the concatenated arrays equal the single call's bit for bit.  The pool
     is started with fork: the task reaches the workers by inheritance,
-    because the coefficients (lambdas, compiled closure trees) do not
+    because the coefficients (lambdas, compiled expressions) do not
     pickle; only the range bounds go out and two arrays per range come back.
     The caller must hold no threads that fork could leave with a held lock.
     Where fork is not available the call runs serially in this process.  A

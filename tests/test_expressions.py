@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochres.expressions import ExpressionError, compile_expression
+from stochres.expressions import ExpressionError, _Parser, _tokenize, compile_expression
 
 
 def test_constants_and_variable():
@@ -107,6 +107,80 @@ def test_scalar_form_rounds_like_the_array_form(text, v):
         array = f(np.array([v]))
     assert type(scalar) is float
     assert _same_double(scalar, float(array[0])), (text, v, scalar, array[0])
+
+
+def _reference(node, x: float) -> float:
+    """The rounding contract applied to the parse tree one node at a time."""
+    kind = node[0]
+    if kind == "num":
+        return node[1]
+    if kind == "x":
+        return x
+    a = _reference(node[1], x)
+    if kind == "neg":
+        return -a
+    if kind in ("exp", "tanh"):
+        return float(getattr(np, kind)(a))
+    if kind == "^" and node[2][0] == "num" and node[2][1].is_integer() and 1 <= node[2][1] <= 16:
+        out = a
+        for _ in range(int(node[2][1]) - 1):
+            out = out * a
+        return out
+    b = _reference(node[2], x)
+    if kind == "+":
+        return a + b
+    if kind == "-":
+        return a - b
+    if kind == "*":
+        return a * b
+    if kind == "/":
+        return float(np.divide(a, b))
+    return float(np.power(a, b))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=EXPRESSIONS, v=VALUES)
+def test_scalar_form_is_the_float_route_and_follows_the_tree(text, v):
+    f = compile_expression(text)
+    with np.errstate(all="ignore"):
+        scalar = f.scalar(float(v))
+        reference = _reference(_Parser(_tokenize(text), text).parse(), float(v))
+        called = f(float(v))
+    assert type(scalar) is float
+    assert _same_double(scalar, called), (text, v, scalar, called)
+    assert _same_double(scalar, reference), (text, v, scalar, reference)
+
+
+@pytest.mark.parametrize("text", ["x", "2", "-x^3", "((x+1)^2+1)^3", "1+0.5*exp(-x^2)", "x/(1-x)^0.5", "tanh(x)^x"])
+def test_compiled_forms_see_only_their_helpers(text):
+    f = compile_expression(text)
+    helpers = {"float", "_float_array", "_scalar_divide", "divide", "power", "exp", "tanh"}
+    for form in (f.scalar, f.array):
+        assert form.__globals__["__builtins__"] == {}
+        assert set(form.__globals__) == helpers | {"__builtins__"}
+        assert set(form.__code__.co_names) <= helpers
+
+
+def test_a_single_path_calls_the_scalar_forms_once_a_step():
+    from stochres import DiffusionSpec, SimConfig, simulate_path
+
+    drift, sigma = compile_expression("-tanh(x)"), compile_expression("1+0.5*exp(-x^2)")
+    cfg = SimConfig(T=6.0, dt=0.01, seed=5)
+    expected = simulate_path(DiffusionSpec(drift, sigma), cfg)
+    calls = {"drift": 0, "sigma": 0}
+
+    def counted(name, form):
+        def scalar(x):
+            calls[name] += 1
+            return form(x)
+
+        return scalar
+
+    drift.scalar = counted("drift", drift.scalar)
+    sigma.scalar = counted("sigma", sigma.scalar)
+    path = simulate_path(DiffusionSpec(drift, sigma), cfg)
+    assert calls == {"drift": cfg.n_steps, "sigma": cfg.n_steps}
+    assert np.array_equal(path.values, expected.values)
 
 
 def test_integer_powers_are_products_from_the_left():

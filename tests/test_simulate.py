@@ -17,7 +17,7 @@ from stochres import (
 )
 from stochres.errors import NumericBlowup
 from stochres.expressions import compile_expression
-from stochres.simulate import _NORMALS_BLOCK, CHUNK, _em_scalar
+from stochres.simulate import _NORMALS_BLOCK, CHUNK, _em_scalar, _normals
 
 
 def make_traj(values, dt=0.1, seed=0):
@@ -141,6 +141,23 @@ def test_blowup_detected_scalar_and_ensemble():
     pole = DiffusionSpec(compile_expression("1/x"), compile_expression("1"))
     with np.errstate(divide="ignore"), pytest.raises(NumericBlowup, match="at step 1;"):
         simulate_path(pole, SimConfig(T=1.0, dt=0.01, seed=1, x0=0.0))
+
+
+@pytest.mark.parametrize("sigma", ["1", "1+0*x"])
+def test_blowup_after_the_first_chunk_names_its_step(sigma):
+    # drift x from x0 = 1 grows by 1.1 a step and leaves |x| <= 1e12 near
+    # step 290, inside the second chunk of a single path
+    spec = DiffusionSpec(compile_expression("x"), compile_expression(sigma))
+    cfg = SimConfig(T=100.0, dt=0.1, seed=2, x0=1.0)
+    sqrt_dt = math.sqrt(cfg.dt)
+    x = cfg.x0
+    for k, zk in enumerate(_normals(cfg.seed, cfg.n_steps).tolist(), 1):
+        x = x + x * cfg.dt + 1.0 * sqrt_dt * zk
+        if not abs(x) < 1e12:
+            break
+    assert CHUNK < k < cfg.n_steps
+    with pytest.raises(NumericBlowup, match=f"at step {k};"):
+        simulate_path(spec, cfg)
 
 
 def test_ensemble_with_scalar_only_coefficients_matches_single_paths():
@@ -267,6 +284,20 @@ def test_observe_paths_matches_single_paths_bitwise(n_paths):
             obs = _single_summary(500 + k, 0.5, spec=spec)
             assert fractions[k] == obs.time_fraction, spec.label
             assert energies[k] == obs.energy, spec.label
+
+
+@pytest.mark.parametrize("n_steps", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK])
+@pytest.mark.parametrize("spec", [OU, CUBIC, TANH], ids=lambda spec: spec.label)
+def test_observe_matches_observe_paths_at_the_chunk_edges(spec, n_steps):
+    # observe reduces the whole chunks as rows of one view plus a tail row:
+    # no chunk, a tail only, whole chunks only, and both
+    cfg = SimConfig(T=n_steps * 0.01, dt=0.01, seed=800)
+    assert cfg.n_steps == n_steps
+    fractions, energies = observe_paths(spec, cfg, 2, 0.5, 0.7, 1.0)
+    for k in range(2):
+        traj = simulate_path(spec, SimConfig(T=cfg.T, dt=cfg.dt, seed=800 + k))
+        obs = observe(perturb(traj, 0.5, 0.7), 1.0)
+        assert (fractions[k], energies[k]) == (obs.time_fraction, obs.energy)
 
 
 def test_observe_paths_independent_of_ensemble_size():
