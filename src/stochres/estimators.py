@@ -22,6 +22,13 @@ array of noise levels and returns the values with a per-point ``failed``
 mask, so a curve or a scan over the noise level is one lookup.  A scalar
 function evaluates that form on an array of one point and raises
 QuadratureFailure where its mask is set.
+
+Both schemes share one such form, ``statistic_at``: from one lookup at the
+gaps it gives the statistic's long-run mean, its raw asymptotic variance
+and the failed mask, and it checks the scheme's name (an unknown one
+raises ValueError).  The Fisher information (``fisher_at``), the MAP
+test's moments and the two variance forms ``edf_variance_at`` and
+``energy_statistic_variance_at`` all read it.
 """
 from __future__ import annotations
 
@@ -58,6 +65,7 @@ __all__ = [
     "energy_statistic_variance",
     "energy_statistic_variance_at",
     "energy_scheme_variance",
+    "statistic_at",
     "fisher_at",
 ]
 
@@ -138,13 +146,8 @@ def edf_variance_at(x: np.ndarray, law: InvariantLaw) -> tuple[np.ndarray, np.nd
     tabulated support (V is NaN), or V not finite and positive (next to a
     support edge, where sf or F underflows).
     """
-    p = law.tables.at(x)
-    # log(0) at an underflowed edge, and what it makes, is flagged by the mask
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        V = 4.0 * (
-            np.exp(2.0 * np.log(p.m[..., 0]) + p.log_A) + np.exp(2.0 * np.log(p.F) + p.log_B)
-        )
-    return V, p.outside | not_finite_above(V)
+    # the gap (x - 0)/1 is x itself
+    return statistic_at(0.0, np.asarray(x, dtype=float), 1.0, law, "time")[3:]
 
 
 def edf_variance(x: float, law: InvariantLaw, sigma_fn: Callable[[float], float]) -> float:
@@ -175,17 +178,15 @@ def fisher_at(theta: float, tau: float, eps: np.ndarray, law: InvariantLaw, sche
     noise levels, in one table lookup, and the mask of the levels where it
     fails (see ``time_scheme_variance`` and ``energy_scheme_variance``).
     """
+    a, m, _, raw, failed = statistic_at(theta, tau, eps, law, scheme)
+    f_a = law.f(a)
     if scheme == "time":
-        a = (tau - theta) / eps
-        V, failed = edf_variance_at(a, law)
         # (f/(eps sqrt V))^2 stays finite where f and V underflow separately;
         # where f is 0 the information is 0, which the mask below flags
-        num, den = law.f(a), eps * np.sqrt(V)
+        num, den = f_a, eps * np.sqrt(raw)
     else:
-        a, m, _, raw, failed = _energy_at(theta, tau, eps, law)
-        slope = _energy_slope(theta, tau, eps, law.f(a), m)
-        failed = failed | not_finite_above(slope)
-        num, den = slope, np.sqrt(raw)
+        num, den = _energy_slope(theta, tau, eps, f_a, m), np.sqrt(raw)
+        failed = failed | not_finite_above(num)
     # a failed entry may divide by 0 or overflow
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         q = num / den
@@ -404,25 +405,39 @@ def estimate_theta_energy(energy: float, ch: ChannelConfig) -> float:
 _CANCELLATION_FLOOR = 1e-8
 
 
-def _energy_at(theta: float, tau: float, eps: np.ndarray, law: InvariantLaw):
-    """The energy scheme at each entry of an array of noise levels, from one
-    table lookup at the gaps a = (tau - theta)/eps: a, the upper moments m(a)
-    (last axis), the long-run energy tail(a), the statistic's raw variance
-    and its failed mask (see ``energy_statistic_variance_at``).
+def statistic_at(theta: float, tau: float, eps: np.ndarray, law: InvariantLaw, scheme: Scheme):
+    """The statistic of either scheme at each entry of an array of noise
+    levels, from one table lookup at the gaps a = (tau - theta)/eps: a, the
+    upper moments m(a) (last axis), the statistic's long-run mean, its raw
+    asymptotic variance and the mask of the levels where that fails.
 
-    m(a) and tail(a) equal ``upper_moments`` and ``energy_limit_at`` bit for
-    bit.
+    The time statistic's mean is sf(a) = m_0(a) and its variance V(a) (see
+    ``edf_variance``); the energy statistic's mean is tail(a) and its
+    variance 4 [tail(a)^2 A(a) + c . S(a) . c] (see
+    ``energy_statistic_variance``).  Both read m(a) from the lookup, equal
+    to ``upper_moments`` bit for bit, and neither evaluates the density.  A
+    level fails outside the tabulated support, where the energy quadratic
+    form cancels, or where the variance is not finite and positive.  Raises
+    ValueError for a scheme other than "time" and "energy".
     """
+    if scheme not in ("time", "energy"):
+        raise ValueError(f"unknown scheme {scheme!r}")
     a = (tau - theta) / eps
     p = law.tables.at(a)
-    tail = _dot(_energy_weights(theta, eps), p.m)
-    c = _energy_weights(theta, eps, tail)
-    form = _quadratic_form(c, p.nu)
-    cancels = form <= _CANCELLATION_FLOOR * _quadratic_form(np.abs(c), np.abs(p.nu))
-    # a cancelled form (<= 0) is flagged above; its log is -inf or NaN
+    # log(0) at an underflowed edge or of a cancelled energy form (<= 0), and
+    # what it makes, is flagged by the mask
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        v = 4.0 * (np.exp(2.0 * np.log(tail) + p.log_A) + np.exp(p.log_B + np.log(form)))
-    return a, p.m, tail, v, p.outside | cancels | not_finite_above(v)
+        if scheme == "time":
+            # the part above the gap, F(a)^2 B(a), in logs
+            mean, log_above, failed = p.m[:, 0], 2.0 * np.log(p.F), p.outside
+        else:
+            mean = _dot(_energy_weights(theta, eps), p.m)
+            c = _energy_weights(theta, eps, mean)
+            form = _quadratic_form(c, p.nu)
+            log_above = np.log(form)
+            failed = p.outside | (form <= _CANCELLATION_FLOOR * _quadratic_form(np.abs(c), np.abs(p.nu)))
+        raw = 4.0 * (np.exp(2.0 * np.log(mean) + p.log_A) + np.exp(log_above + p.log_B))
+    return a, p.m, mean, raw, failed | not_finite_above(raw)
 
 
 def energy_statistic_variance_at(theta: float, tau: float, eps: np.ndarray, law: InvariantLaw):
@@ -431,7 +446,7 @@ def energy_statistic_variance_at(theta: float, tau: float, eps: np.ndarray, law:
     it fails: the gap lies outside the tabulated support, the quadratic form
     cancels, or the variance is not finite and positive.
     """
-    return _energy_at(theta, tau, eps, law)[3:]
+    return statistic_at(theta, tau, eps, law, "energy")[3:]
 
 
 def energy_statistic_variance(theta: float, ch: ChannelConfig) -> float:

@@ -13,10 +13,13 @@ mean under both hypotheses, the path hardly ever crosses the threshold and
 the approximation says nothing about the error: such a noise level is
 flagged degenerate and reports the prior-guess error min(p0, p1).
 
-The moments come from one table lookup per signal value over an array of
-noise levels, so a row of the error surface and the coarse scan of
-``find_perr_minimum`` take one lookup per hypothesis.  A single noise level
-(``moments``, each golden-section step) is an array of one.
+The moments of either scheme are ``estimators.statistic_at``, the mean
+and the raw variance divided by the horizon: one table lookup per signal
+value over an array of noise levels, so a row of the error surface and the
+coarse scan of ``find_perr_minimum`` take one lookup per hypothesis and no
+other read of the tables.  A single noise level (``moments``, each
+golden-section step) is an array of one.  An unknown scheme raises
+ValueError there.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import QuadratureFailure
-from .estimators import ChannelConfig, Scheme, _energy_at, edf_variance_at
+from .estimators import Scheme, statistic_at
 from .laws import InvariantLaw
 from .numerics import SCAN_CELLS, Bracket, maximize_scalar, normal_cdf, not_finite_above, scan_points
 
@@ -68,7 +71,11 @@ class Decision(Enum):
 
 @dataclass(frozen=True)
 class TestProblem:
-    """Two simple hypotheses theta0 < theta1 < tau with prior weights."""
+    """Two simple hypotheses theta0 < theta1 < tau with prior weights.
+
+    tau, eps and the horizon must be finite, eps and the horizon positive.
+    The scheme is checked where the moments are read (``statistic_at``).
+    """
 
     theta0: float
     theta1: float
@@ -87,12 +94,12 @@ class TestProblem:
             raise ValueError("priors must lie strictly inside (0, 1)")
         if abs(self.p0 + self.p1 - 1.0) > 1e-12:
             raise ValueError("priors must sum to 1")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if self.scheme not in ("time", "energy"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+        if not math.isfinite(self.tau):
+            raise ValueError("tau must be finite")
+        if not (self.eps > 0 and math.isfinite(self.eps)):
+            raise ValueError("eps must be positive and finite")
+        if not (self.horizon > 0 and math.isfinite(self.horizon)):
+            raise ValueError("horizon must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -160,14 +167,8 @@ def _statistic_moments(
 ):
     """Mean and variance of the statistic at one signal value and each entry
     of an array of noise levels, in one table lookup, and the mask of the
-    levels whose variance fails (outside the tabulated support, a cancelling
-    energy form, or not finite and positive)."""
-    if scheme == "time":
-        a = (tau - theta) / eps
-        mu = law.sf(a)
-        var, failed = edf_variance_at(a, law)
-    else:
-        _, _, mu, var, failed = _energy_at(theta, tau, eps, law)
+    levels whose variance fails (see ``statistic_at``)."""
+    _, _, mu, var, failed = statistic_at(theta, tau, eps, law, scheme)
     var = var / horizon
     return mu, var, failed | not_finite_above(var)
 
@@ -180,17 +181,17 @@ def moments(problem: TestProblem) -> GaussianMoments:
     These are the T -> infinity asymptotics.  Both statistics are >= 0, so
     where a mean sits within a few standard deviations of 0 the Gaussian
     law is a poor description; ``p_err`` flags such noise levels.  Raises
-    QuadratureFailure where either variance cannot be evaluated.
+    QuadratureFailure where either variance cannot be evaluated, and
+    ValueError for an unknown scheme.
     """
-    ch = ChannelConfig(tau=problem.tau, eps=problem.eps, law=problem.law)
-    eps = np.array([ch.eps])
+    eps = np.array([problem.eps])
     mu0, v0, failed0, mu1, v1, failed1 = (
         v[0] for t in (problem.theta0, problem.theta1)
-        for v in _statistic_moments(t, ch.tau, eps, problem.horizon, ch.law, problem.scheme)
+        for v in _statistic_moments(t, problem.tau, eps, problem.horizon, problem.law, problem.scheme)
     )
     if failed0 or failed1:
         raise QuadratureFailure(
-            f"statistic variance degenerates at eps={ch.eps} (variances {float(v0)}, {float(v1)})"
+            f"statistic variance degenerates at eps={problem.eps} (variances {float(v0)}, {float(v1)})"
         )
     return GaussianMoments(mu0=float(mu0), mu1=float(mu1), s0sq=float(v0), s1sq=float(v1))
 
@@ -434,8 +435,11 @@ def find_perr_minimum(
     a dip, and one with a degenerate scan level within a scan cell, which
     sits where the Gaussian approximation starts.  The list may be empty.
     ``eps_star`` is the lowest error found, dropped minima and bracket
-    endpoints included.
+    endpoints included.  Raises ValueError unless theta0 < theta1 < tau with
+    tau finite.
     """
+    if not (theta0 < theta1 < tau and math.isfinite(tau)):
+        raise ValueError("need theta0 < theta1 < tau, with tau finite")
     if bracket.lo <= 0:
         raise ValueError("noise bracket must be positive")
     ceiling = min(p0, p1)

@@ -74,8 +74,6 @@ def resonance_curve(
         raise ValueError("eps_grid must be nonempty")
     if not (np.all(grid > 0) and np.all(np.diff(grid) > 0)):
         raise ValueError("eps_grid must be strictly positive and increasing")
-    if scheme not in ("time", "energy"):
-        raise ValueError(f"unknown scheme {scheme!r}")
     return _curve(theta, tau, law, scheme, grid)
 
 
@@ -97,8 +95,6 @@ def find_resonance(
     """
     if bracket.lo <= 0:
         raise ValueError("noise bracket must be positive")
-    if scheme not in ("time", "energy"):
-        raise ValueError(f"unknown scheme {scheme!r}")
 
     def fisher(eps: float) -> float:
         return _curve(theta, tau, law, scheme, np.array([eps]))[0].fisher

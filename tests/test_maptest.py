@@ -20,6 +20,7 @@ from stochres import (
     p_err_surface,
 )
 from stochres.errors import QuadratureFailure
+from stochres.estimators import fisher_at
 from stochres.laws import LawTables
 from stochres.numerics import SCAN_CELLS
 
@@ -49,6 +50,28 @@ def test_problem_validation(ou):
         Problem(0.0, 0.5, 1.0, 0.0, 1.0, 0.7, 100.0, ou)  # prior on boundary
     with pytest.raises(ValueError):
         Problem(0.0, 0.5, 0.6, 0.6, 1.0, 0.7, 100.0, ou)  # priors not summing to 1
+
+
+@pytest.mark.parametrize("field", ["tau", "eps", "horizon"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_problem_rejects_non_finite_tau_eps_and_horizon(ou, field, value):
+    # a NaN horizon would build and fail only in p_err, as a quadrature failure
+    fields = dict(theta0=0.0, theta1=0.5, p0=0.5, p1=0.5, tau=1.0, eps=0.7, horizon=100.0, law=ou)
+    with pytest.raises(ValueError, match=field):
+        Problem(**{**fields, field: value})
+
+
+@pytest.mark.parametrize("scheme", ["Time", "bogus"])
+def test_an_unknown_scheme_is_rejected(ou, scheme):
+    # not run as the energy scheme
+    with pytest.raises(ValueError, match="unknown scheme"):
+        find_perr_minimum(0.0, 0.5, 1.0, 100.0, 0.5, 0.5, ou, scheme)
+    with pytest.raises(ValueError, match="unknown scheme"):
+        p_err_surface(0.0, [0.5], [0.5, 1.0], 1.0, 100.0, 0.5, 0.5, ou, scheme)
+    with pytest.raises(ValueError, match="unknown scheme"):
+        fisher_at(0.5, 1.0, np.array([0.5, 1.0]), ou, scheme)
+    with pytest.raises(ValueError, match="unknown scheme"):
+        p_err(problem(ou, scheme=scheme))
 
 
 def test_moments_continuous_in_theta(ou):
@@ -341,6 +364,18 @@ def test_surface_flags_degenerate_cells(ou):
     assert mid.p_err == p_err(problem(ou, eps=0.7)).p_err
 
 
+@pytest.mark.parametrize("theta0, theta1, tau", [
+    (0.0, 1.5, 1.0),  # theta1 above the threshold
+    (0.5, 0.3, 1.0),  # theta0 above theta1
+    (0.3, 0.3, 1.0),
+    (0.0, 0.5, math.inf),
+    (0.0, 0.5, math.nan),
+])
+def test_perr_minimum_rejects_signals_out_of_order(ou, theta0, theta1, tau):
+    with pytest.raises(ValueError, match="theta0 < theta1 < tau"):
+        find_perr_minimum(theta0, theta1, tau, 100.0, 0.5, 0.5, ou)
+
+
 def test_perr_minimum_ignores_degenerate_levels(ou):
     found = find_perr_minimum(0.0, 0.5, 1.0, 100.0, 0.5, 0.5, ou, "time",
                               bracket=Bracket(0.05, 3.0))
@@ -403,15 +438,21 @@ def test_scan_and_surface_rows_are_one_lookup_each(ou, monkeypatch, scheme):
     # (plus two one-point lookups per golden-section step), and one per row
     # of the surface: the null row and one per theta1; one lookup per point
     # made 166 and 120.  Each call records the number of points looked up.
-    calls = []
+    # No other read of the tables: a time-scheme mean read from sf made 38
+    # more per search and 4 per surface.
+    calls, reads = [], []
     real = LawTables.at
     monkeypatch.setattr(LawTables, "at", lambda self, x: calls.append(np.size(x)) or real(self, x))
+    for name in ("upper_moments", "cdf"):
+        read = getattr(LawTables, name)
+        monkeypatch.setattr(LawTables, name, lambda self, x, name=name, read=read: reads.append(name) or read(self, x))
     find_perr_minimum(0.0, 0.5, 1.0, 100.0, 0.5, 0.5, ou, scheme)
     assert calls.count(65) == 2 and sorted(set(calls)) == [1, 65] and len(calls) <= 38
+    assert reads == []
     calls.clear()
     cells = p_err_surface(0.0, [0.3, 0.5, 0.7], np.arange(1, 31) / 10.0, 1.0, 100.0, 0.5, 0.5, ou, scheme)
     assert len(cells) == 90
-    assert calls == [30, 30, 30, 30]
+    assert calls == [30, 30, 30, 30] and reads == []
 
 
 def test_surface_cells_equal_pointwise_reports(ou):
