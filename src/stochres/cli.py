@@ -4,7 +4,13 @@ hypothesis-test studies and Monte Carlo validation.
 Structured reports are written as JSON, grids as CSV (or JSON with
 --format json).  Every command is bit-reproducible for a fixed seed and
 configuration.  Config files are JSON objects mirroring the flag names;
-explicit flags override file values.
+explicit flags override file values.  Each option is one row of
+``_OPTIONS``: its name, type or choices, default and help.  The parser is
+built from that table, and a config value must be one its flag accepts: a
+JSON number for a float flag, an integer (not a bool) for --seed, --reps,
+--workers and --test-paths, a listed choice for --scheme and --format, and
+a string for the rest.  NaN and infinity are rejected as flags and as
+config values alike.
 
 Exit codes: 0 success, 1 typed numerical error, 2 configuration error,
 3 degenerate observation (statistic on its boundary).
@@ -18,7 +24,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,43 +44,83 @@ from .resonance import find_resonance, resonance_curve
 from .simulate import SimConfig, observe, perturb, simulate_path
 from .validate import error_rate_study, variance_validation_study
 
-_COMMON_KEYS = {
-    "noise", "drift", "sigma", "tau", "theta", "eps", "T", "dt", "seed",
-    "scheme", "grid", "p0", "reps", "out", "format", "workers",
-}
-_KNOWN_KEYS = {
-    "law": _COMMON_KEYS,
-    "estimate": _COMMON_KEYS | {"trajectory_out"},
-    "resonance": _COMMON_KEYS,
-    "test": _COMMON_KEYS | {"theta0", "theta_grid"},
-    "validate": _COMMON_KEYS | {"theta0", "theta1", "test_paths", "test_T", "test_eps"},
-}
 
-_DEFAULTS: dict[str, Any] = {
-    "noise": "ou",
-    "tau": 1.0,
-    "theta": 0.5,
-    "eps": 0.7244,
-    "T": 1000.0,
-    "dt": 0.01,
-    "seed": 0,
-    "scheme": "time",
-    "p0": 0.5,
-    "reps": 200,
-    "out": "out",
-    "format": "csv",
-    "workers": 1,
-    "theta0": 0.0,
-    "theta1": 0.5,
-    "theta_grid": "0.1:0.9:0.1",
-    "grid": None,
-    "drift": None,
-    "sigma": None,
-    "trajectory_out": None,
-    "test_paths": 2000,
-    "test_T": 200.0,
-    "test_eps": 0.7,
-}
+def _finite(value: Any) -> float:
+    """The type of every float option: a finite float, so NaN and infinity
+    are rejected as a flag and as a config value alike."""
+    try:
+        number = float(value)
+    except (ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {value!r}")
+    return number
+
+
+# the JSON types a config value of each option type may have, and their name
+_JSON_TYPES = {_finite: ((int, float), "a finite number"), int: ((int,), "an integer"),
+               str: ((str,), "a string")}
+
+
+class _Option(NamedTuple):
+    """One option: the config key ``name`` and the flag ``_flag(name)``.
+
+    ``type`` converts the flag's text and the config file's value alike.
+    ``default`` is one value, or a mapping from command to value (None for
+    a command it leaves out).  ``commands`` lists the commands that take
+    the option; None means every command.
+    """
+
+    name: str
+    default: Any
+    help: str
+    type: Callable[[Any], Any] = str
+    choices: tuple[str, ...] | None = None
+    commands: tuple[str, ...] | None = None
+
+    def default_for(self, command: str) -> Any:
+        return self.default.get(command) if isinstance(self.default, dict) else self.default
+
+
+_OPTIONS = (
+    _Option("noise", "ou", "named noise law (e.g. 'ou')"),
+    _Option("drift", None, "drift expression in x for a custom law"),
+    _Option("sigma", None, "diffusion expression in x for a custom law"),
+    _Option("tau", 1.0, "detector threshold", _finite),
+    _Option("theta", 0.5, "signal level", _finite),
+    _Option("eps", 0.7244, "noise level", _finite),
+    _Option("T", 1000.0, "time horizon", _finite),
+    _Option("dt", 0.01, "simulation step size", _finite),
+    _Option("seed", 0, "base RNG seed", int),
+    _Option("scheme", "time", "observation scheme", choices=("time", "energy")),
+    _Option("grid", {"law": "-4:4:0.01", "resonance": "0.05:3.0:0.05", "test": "0.1:3.0:0.1"},
+            "grid as lo:hi:step"),
+    _Option("p0", 0.5, "prior of the null hypothesis", _finite),
+    _Option("reps", 200, "Monte Carlo replications", int),
+    _Option("out", "out", "output directory"),
+    _Option("format", "csv", "grid table format", choices=("csv", "json")),
+    _Option("workers", 1, "processes that split the seeds of the validate studies, capped at the "
+            "CPUs this process may use (the report is the same for any count); other commands "
+            "run in one process", int),
+    _Option("trajectory_out", None, "also write the perturbed path as CSV (t, value)",
+            commands=("estimate",)),
+    _Option("theta0", 0.0, "null signal level", _finite, commands=("test", "validate")),
+    _Option("theta_grid", "0.1:0.9:0.1", "theta1 grid as lo:hi:step", commands=("test",)),
+    _Option("theta1", 0.5, "alternative signal level", _finite, commands=("validate",)),
+    _Option("test_paths", 2000, "labeled paths for the error-rate study", int,
+            commands=("validate",)),
+    _Option("test_T", 200.0, "horizon for the error-rate study", _finite, commands=("validate",)),
+    _Option("test_eps", 0.7, "noise level for the error-rate study", _finite,
+            commands=("validate",)),
+)
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _options(command: str) -> dict[str, _Option]:
+    return {o.name: o for o in _OPTIONS if o.commands is None or command in o.commands}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,80 +129,63 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Subthreshold signal estimation through a noisy threshold detector.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", type=str, default=None, help="JSON config file; flags override it")
-        p.add_argument("--noise", type=str, default=None, help="named noise law (e.g. 'ou')")
-        p.add_argument("--drift", type=str, default=None, help="drift expression in x for a custom law")
-        p.add_argument("--sigma", type=str, default=None, help="diffusion expression in x for a custom law")
-        p.add_argument("--tau", type=float, default=None, help="detector threshold")
-        p.add_argument("--theta", type=float, default=None, help="signal level")
-        p.add_argument("--eps", type=float, default=None, help="noise level")
-        p.add_argument("--T", type=float, default=None, help="time horizon")
-        p.add_argument("--dt", type=float, default=None, help="simulation step size")
-        p.add_argument("--seed", type=int, default=None, help="base RNG seed")
-        p.add_argument("--scheme", choices=["time", "energy"], default=None)
-        p.add_argument("--grid", type=str, default=None, help="grid as lo:hi:step")
-        p.add_argument("--p0", type=float, default=None, help="prior of the null hypothesis")
-        p.add_argument("--reps", type=int, default=None, help="Monte Carlo replications")
-        p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--format", choices=["csv", "json"], default=None, help="grid table format")
-        p.add_argument("--workers", type=int, default=None,
-                       help="processes that split the seeds of the validate studies, capped at "
-                            "the CPUs this process may use (the report is the same for any "
-                            "count); other commands run in one process")
-
-    add_common(sub.add_parser("law", help="ergodicity report and sampled density/distribution"))
-    p_est = sub.add_parser("estimate", help="simulate one path and estimate the signal")
-    add_common(p_est)
-    p_est.add_argument("--trajectory-out", dest="trajectory_out", type=str, default=None,
-                       help="also write the perturbed path as CSV (t, value)")
-    add_common(sub.add_parser("resonance", help="fisher-information sweep over the noise level"))
-    p_test = sub.add_parser("test", help="MAP error-probability surface over (theta1, eps)")
-    add_common(p_test)
-    p_test.add_argument("--theta0", type=float, default=None)
-    p_test.add_argument("--theta-grid", dest="theta_grid", type=str, default=None,
-                        help="theta1 grid as lo:hi:step")
-    p_val = sub.add_parser("validate", help="Monte Carlo validation studies")
-    add_common(p_val)
-    p_val.add_argument("--theta0", type=float, default=None)
-    p_val.add_argument("--theta1", type=float, default=None)
-    p_val.add_argument("--test-paths", dest="test_paths", type=int, default=None,
-                       help="labeled paths for the error-rate study")
-    p_val.add_argument("--test-T", dest="test_T", type=float, default=None,
-                       help="horizon for the error-rate study")
-    p_val.add_argument("--test-eps", dest="test_eps", type=float, default=None,
-                       help="noise level for the error-rate study")
+    for command, about in (
+        ("law", "ergodicity report and sampled density/distribution"),
+        ("estimate", "simulate one path and estimate the signal"),
+        ("resonance", "fisher-information sweep over the noise level"),
+        ("test", "MAP error-probability surface over (theta1, eps)"),
+        ("validate", "Monte Carlo validation studies"),
+    ):
+        p = sub.add_parser(command, help=about)
+        p.add_argument("--config", help="JSON config file; flags override it")
+        # the parser's default stays None, so a given flag is told apart from an unset one
+        for option in _options(command).values():
+            default = option.default_for(command)
+            text = option.help if default is None else f"{option.help} (default: {default})"
+            p.add_argument(_flag(option.name), dest=option.name, type=option.type,
+                           choices=option.choices, help=text)
     return parser
 
 
-def _load_config(path: str | None, command: str) -> dict[str, Any]:
-    if path is None:
-        return {}
+def _config_value(option: _Option, value: Any) -> Any:
+    """A config-file value through its flag's type and choices; it must
+    also be of the JSON type the flag's type reads (``_JSON_TYPES``), so a
+    bool is not an integer and a string is not a number."""
+    accepted, kind = _JSON_TYPES[option.type]
+    if option.choices is not None:
+        kind = "one of " + ", ".join(option.choices)
     try:
-        raw = json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config file must hold a JSON object")
-    unknown = set(raw) - _KNOWN_KEYS[command]
-    if unknown:
-        raise ConfigError(f"unknown config keys for '{command}': {sorted(unknown)}")
-    return raw
+        if type(value) in accepted and (option.choices is None or value in option.choices):
+            return option.type(value)
+    except argparse.ArgumentTypeError:
+        pass
+    raise ConfigError(f"config value {json.dumps(value)} for {_flag(option.name)}: must be {kind}")
 
 
 def _merge_config(args: argparse.Namespace, command: str) -> dict[str, Any]:
-    merged = dict(_DEFAULTS)
-    merged.update(_load_config(getattr(args, "config", None), command))
-    for key in _KNOWN_KEYS[command]:
-        flag = getattr(args, key, None)
+    """Each option of ``command``: its flag if given, else its value in the
+    --config file, else its default."""
+    options = _options(command)
+    merged = {name: option.default_for(command) for name, option in options.items()}
+    if args.config is not None:
+        try:
+            raw = json.loads(Path(args.config).read_text())
+        except FileNotFoundError as exc:
+            raise ConfigError(f"config file not found: {args.config}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError("config file must hold a JSON object")
+        unknown = set(raw) - set(options)
+        if unknown:
+            raise ConfigError(f"unknown config keys for '{command}': {sorted(unknown)}")
+        merged.update((key, _config_value(options[key], value)) for key, value in raw.items())
+    for name in options:
+        flag = getattr(args, name)
         if flag is not None:
-            merged[key] = flag
-    workers = merged["workers"]
-    if type(workers) is not int or workers < 1:
-        raise ConfigError(f"--workers must be an integer of at least 1, got {workers!r}")
+            merged[name] = flag
+    if merged["workers"] < 1:
+        raise ConfigError(f"--workers must be an integer of at least 1, got {merged['workers']!r}")
     return merged
 
 
@@ -198,14 +227,13 @@ def _resolve_law(cfg: dict[str, Any]) -> InvariantLaw:
 def _check_positive(cfg: dict[str, Any], keys: Iterable[str]) -> None:
     for key in keys:
         if not cfg[key] > 0:
-            raise ConfigError(f"--{key.replace('_', '-')} must be positive, got {cfg[key]}")
+            raise ConfigError(f"{_flag(key)} must be positive, got {cfg[key]}")
 
 
 def _check_step(cfg: dict[str, Any], horizons: Iterable[str]) -> None:
     for key in horizons:
         if not cfg["dt"] <= cfg[key]:
-            flag = "--" + key.replace("_", "-")
-            raise ConfigError(f"--dt must not exceed {flag}, got dt={cfg['dt']} > {cfg[key]}")
+            raise ConfigError(f"--dt must not exceed {_flag(key)}, got dt={cfg['dt']} > {cfg[key]}")
 
 
 def _usable_cpus() -> int:
@@ -215,32 +243,28 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_json(path: Path, payload: Any) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n")
 
 
-def _write_table(path_base: Path, header: Sequence[str], rows: Iterable[Sequence], fmt: str) -> Path:
-    path_base.parent.mkdir(parents=True, exist_ok=True)
-    if fmt == "json":
-        path = path_base.with_suffix(".json")
-        payload = [dict(zip(header, row)) for row in rows]
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n")
-        return path
-    path = path_base.with_suffix(".csv")
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A header and rows; the csv module writes None as an empty cell and
+    NaN as ``nan``."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows([[_cell(v) for v in row] for row in rows])
+        writer.writerows(rows)
+
+
+def _write_table(path_base: Path, header: Sequence[str], rows: Iterable[Sequence], fmt: str) -> Path:
+    path = path_base.with_suffix("." + fmt)
+    if fmt == "json":
+        _write_json(path, [dict(zip(header, row)) for row in rows])
+    else:
+        _write_csv(path, header, rows)
     return path
-
-
-def _cell(v: Any) -> Any:
-    if v is None:
-        return ""
-    if isinstance(v, float) and math.isnan(v):
-        return "nan"
-    return v
 
 
 def cmd_law(cfg: dict[str, Any]) -> None:
@@ -256,7 +280,7 @@ def cmd_law(cfg: dict[str, Any]) -> None:
         "c3_holds": report.c3_holds,
         "label": law.label,
     })
-    grid = _parse_grid(cfg["grid"] or "-4:4:0.01")
+    grid = _parse_grid(cfg["grid"])
     rows = list(zip(grid.tolist(), law.f(grid).tolist(), law.F(grid).tolist()))
     path = _write_table(out / "law", ("x", "f", "F"), rows, cfg["format"])
     print(f"wrote {out / 'ergodicity.json'} and {path} ({len(rows)} rows)")
@@ -286,20 +310,18 @@ def cmd_estimate(cfg: dict[str, Any]) -> None:
     }
     out = Path(cfg["out"])
     _write_json(out / "estimate.json", report)
-    if cfg.get("trajectory_out"):
-        traj_path = Path(cfg["trajectory_out"])
-        traj_path.parent.mkdir(parents=True, exist_ok=True)
-        with traj_path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("t", "value"))
-            writer.writerows(zip(path.times.tolist(), path.values.tolist()))
+    if cfg["trajectory_out"]:
+        _write_csv(Path(cfg["trajectory_out"]), ("t", "value"),
+                   zip(path.times.tolist(), path.values.tolist()))
     print(json.dumps(report, sort_keys=True))
 
 
 def cmd_resonance(cfg: dict[str, Any]) -> None:
     _check_positive(cfg, ("tau",))
+    if not cfg["theta"] < cfg["tau"]:
+        raise ConfigError("resonance assumes a subthreshold signal: need theta < tau")
     law = _resolve_law(cfg)
-    grid = _parse_grid(cfg["grid"] or "0.05:3.0:0.05")
+    grid = _parse_grid(cfg["grid"])
     if np.any(grid <= 0):
         raise ConfigError("resonance grid must be strictly positive")
     points = resonance_curve(cfg["theta"], cfg["tau"], law, cfg["scheme"], grid)
@@ -330,7 +352,7 @@ def cmd_test(cfg: dict[str, Any]) -> None:
     p0 = cfg["p0"]
     p1 = 1.0 - p0
     law = _resolve_law(cfg)
-    eps_grid = _parse_grid(cfg["grid"] or "0.1:3.0:0.1")
+    eps_grid = _parse_grid(cfg["grid"])
     if np.any(eps_grid <= 0):
         raise ConfigError("eps grid must be strictly positive")
     theta1_grid = _parse_grid(cfg["theta_grid"], "theta-grid")
@@ -388,10 +410,9 @@ def _bracket_end_failure(cfg: dict[str, Any], theta1: float, bracket: Bracket,
 
 
 def cmd_validate(cfg: dict[str, Any]) -> None:
-    if cfg["reps"] < 50:
-        raise ConfigError(f"--reps must be at least 50, got {cfg['reps']}")
-    if cfg["test_paths"] < 50:
-        raise ConfigError(f"--test-paths must be at least 50, got {cfg['test_paths']}")
+    for key in ("reps", "test_paths"):
+        if cfg[key] < 50:
+            raise ConfigError(f"{_flag(key)} must be at least 50, got {cfg[key]}")
     _check_positive(cfg, ("eps", "T", "dt", "tau", "test_T", "test_eps"))
     _check_step(cfg, ("T", "test_T"))
     if not cfg["theta0"] < cfg["theta1"] < cfg["tau"]:

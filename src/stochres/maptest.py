@@ -69,6 +69,11 @@ class Decision(Enum):
     D1 = "D1"
 
 
+def _check_horizon(horizon: float) -> None:
+    if not (horizon > 0 and math.isfinite(horizon)):
+        raise ValueError("horizon must be positive and finite")
+
+
 @dataclass(frozen=True)
 class TestProblem:
     """Two simple hypotheses theta0 < theta1 < tau with prior weights.
@@ -98,8 +103,7 @@ class TestProblem:
             raise ValueError("tau must be finite")
         if not (self.eps > 0 and math.isfinite(self.eps)):
             raise ValueError("eps must be positive and finite")
-        if not (self.horizon > 0 and math.isfinite(self.horizon)):
-            raise ValueError("horizon must be positive and finite")
+        _check_horizon(self.horizon)
 
 
 @dataclass(frozen=True)
@@ -343,11 +347,14 @@ def p_err_surface(
     as failed with NaN; cells where the Gaussian approximation is
     degenerate follow the rule of ``p_err`` and are flagged as degenerate.
     The null-hypothesis row of moments is one table lookup over the noise
-    levels, and so is each theta1 row.
+    levels, and so is each theta1 row.  Raises ValueError unless theta0
+    and tau are finite, the noise levels positive and finite and the
+    horizon positive and finite.
     """
     eps = np.array([float(e) for e in eps_grid])
-    if not math.isfinite(tau):
-        raise ValueError("tau must be finite")
+    if not (math.isfinite(theta0) and math.isfinite(tau)):
+        raise ValueError("theta0 and tau must be finite")
+    _check_horizon(horizon)
     if not (np.all(eps > 0.0) and np.all(np.isfinite(eps))):
         raise ValueError("eps must be positive and finite")
     null = _statistic_moments(theta0, tau, eps, horizon, law, scheme)
@@ -436,10 +443,11 @@ def find_perr_minimum(
     sits where the Gaussian approximation starts.  The list may be empty.
     ``eps_star`` is the lowest error found, dropped minima and bracket
     endpoints included.  Raises ValueError unless theta0 < theta1 < tau with
-    tau finite.
+    theta0 and tau finite, and unless the horizon is positive and finite.
     """
-    if not (theta0 < theta1 < tau and math.isfinite(tau)):
-        raise ValueError("need theta0 < theta1 < tau, with tau finite")
+    if not (theta0 < theta1 < tau and math.isfinite(theta0) and math.isfinite(tau)):
+        raise ValueError("need theta0 < theta1 < tau, with theta0 and tau finite")
+    _check_horizon(horizon)
     if bracket.lo <= 0:
         raise ValueError("noise bracket must be positive")
     ceiling = min(p0, p1)

@@ -12,6 +12,7 @@ the same code on an array of one noise level.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,6 +51,11 @@ class ResonanceResult:
     scheme: Scheme
 
 
+def _check_signal(theta: float, tau: float) -> None:
+    if not (theta < tau and math.isfinite(theta) and math.isfinite(tau)):
+        raise ValueError("need theta < tau, with theta and tau finite")
+
+
 def _curve(
     theta: float, tau: float, law: InvariantLaw, scheme: Scheme, grid: np.ndarray
 ) -> list[CurvePoint]:
@@ -68,7 +74,12 @@ def resonance_curve(
     scheme: Scheme,
     eps_grid: Sequence[float],
 ) -> list[CurvePoint]:
-    """Fisher information sampled on an increasing grid of noise levels."""
+    """Fisher information sampled on an increasing grid of noise levels.
+
+    Raises ValueError unless theta < tau with both finite, and for an empty
+    grid or one that is not strictly positive and increasing.
+    """
+    _check_signal(theta, tau)
     grid = np.asarray(list(eps_grid), dtype=float)
     if grid.size == 0:
         raise ValueError("eps_grid must be nonempty")
@@ -91,8 +102,11 @@ def find_resonance(
     returned curve, feeds golden-section refinement of every interior peak,
     so a multi-peaked curve reports all of its maxima.  Points whose
     variance cannot be evaluated (see ``CurvePoint``) contribute
-    information 0 and are flagged on the returned curve.
+    information 0 and are flagged on the returned curve.  Raises ValueError
+    unless theta < tau with both finite, and for a bracket that is not
+    positive.
     """
+    _check_signal(theta, tau)
     if bracket.lo <= 0:
         raise ValueError("noise bracket must be positive")
 

@@ -467,6 +467,73 @@ def test_config_workers_must_be_a_positive_integer(tmp_path, capsys):
     assert not (tmp_path / "v").exists()
 
 
+@pytest.mark.parametrize("command, value, flag", [
+    ("estimate", {"T": "100"}, "--T"),
+    ("estimate", {"seed": 1.5}, "--seed"),
+    ("estimate", {"reps": True}, "--reps"),
+    ("resonance", {"grid": 5}, "--grid"),
+    ("resonance", {"scheme": "Time"}, "--scheme"),
+    ("resonance", {"theta": math.nan}, "--theta"),
+    ("law", {"format": "xml"}, "--format"),
+])
+def test_config_values_pass_the_flag_checks(tmp_path, capsys, command, value, flag):
+    # a config value takes its flag's type and choices: no traceback, and no
+    # silent fallback (an unknown format wrote CSV)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(value))
+    out = tmp_path / "o"
+    assert run([command, "--config", cfg, "--out", out]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_numbers_write_what_their_flags_write(tmp_path):
+    # an integer for a float option becomes a float, as its flag's text does:
+    # {"theta": 0} wrote "theta": 0 to resonance.json where --theta 0 wrote 0.0
+    cfg = tmp_path / "run.json"
+    for command, value, flag, report in (
+        ("estimate", {"T": 100}, ["--T", "100"], "estimate.json"),
+        ("resonance", {"theta": 0}, ["--theta", "0"], "resonance.json"),
+    ):
+        cfg.write_text(json.dumps(value))
+        a, b = tmp_path / command / "a", tmp_path / command / "b"
+        assert run([command, "--config", cfg, "--out", a]) == 0
+        assert run([command, *flag, "--out", b]) == 0
+        assert (a / report).read_bytes() == (b / report).read_bytes()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["resonance", "--theta", "nan"], "--theta"),
+    (["test", "--theta0", "nan"], "--theta0"),
+    (["estimate", "--tau=inf"], "--tau"),
+    (["validate", "--theta", "nan"], "--theta"),
+])
+def test_non_finite_flags_are_rejected(tmp_path, capsys, argv, flag):
+    out = tmp_path / "o"
+    assert run([*argv, "--out", out]) == 2
+    assert f"argument {flag}: must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_resonance_requires_subthreshold(tmp_path, capsys):
+    # a signal at the threshold fails every level: eps* was the grid's lower end
+    out = tmp_path / "r"
+    assert run(["resonance", "--theta", "1", "--tau", "1", "--out", out]) == 2
+    assert "need theta < tau" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_help_shows_each_default_and_the_parser_keeps_none(capsys):
+    assert run(["resonance", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "(default: 0.05:3.0:0.05)" in text and "(default: 0.7244)" in text
+    assert run(["test", "--help"]) == 0
+    assert "(default: 0.1:3.0:0.1)" in " ".join(capsys.readouterr().out.split())
+    # a flag left unset parses to None, so it does not override a config value
+    args = cli._PARSER.parse_args(["resonance"])
+    assert args.grid is None and args.theta is None
+
+
 def test_validate_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     args = ["validate", "--reps", "50", "--test-paths", "60", "--T", "100",

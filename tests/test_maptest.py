@@ -376,6 +376,25 @@ def test_perr_minimum_rejects_signals_out_of_order(ou, theta0, theta1, tau):
         find_perr_minimum(theta0, theta1, tau, 100.0, 0.5, 0.5, ou)
 
 
+@pytest.mark.parametrize("horizon", [math.nan, -100.0, 0.0, math.inf])
+def test_perr_minimum_and_surface_reject_a_bad_horizon(ou, horizon):
+    # a NaN or negative horizon fails every level: the search returned the
+    # bracket's lower end with n_failed 65 and the surface failed every cell
+    with pytest.raises(ValueError, match="horizon"):
+        find_perr_minimum(0.0, 0.5, 1.0, horizon, 0.5, 0.5, ou)
+    with pytest.raises(ValueError, match="horizon"):
+        p_err_surface(0.0, [0.5], [0.5, 1.0], 1.0, horizon, 0.5, 0.5, ou)
+
+
+@pytest.mark.parametrize("theta0", [math.nan, -math.inf])
+def test_perr_minimum_and_surface_reject_a_non_finite_null(ou, theta0):
+    # a NaN null skipped every cell of the surface
+    with pytest.raises(ValueError, match="theta0"):
+        p_err_surface(theta0, [0.5], [0.5, 1.0], 1.0, 100.0, 0.5, 0.5, ou)
+    with pytest.raises(ValueError, match="theta0"):
+        find_perr_minimum(theta0, 0.5, 1.0, 100.0, 0.5, 0.5, ou)
+
+
 def test_perr_minimum_ignores_degenerate_levels(ou):
     found = find_perr_minimum(0.0, 0.5, 1.0, 100.0, 0.5, 0.5, ou, "time",
                               bracket=Bracket(0.05, 3.0))

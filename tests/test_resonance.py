@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,23 @@ def test_curve_validation(ou):
         resonance_curve(0.0, 1.0, ou, "time", [-0.1, 0.5])
     with pytest.raises(ValueError):
         resonance_curve(0.0, 1.0, ou, "bogus", [0.1, 0.5])
+
+
+@pytest.mark.parametrize("theta, tau", [
+    (1.0, 1.0),  # the signal at the threshold
+    (1.5, 1.0),
+    (math.nan, 1.0),
+    (-math.inf, 1.0),
+    (0.5, math.inf),
+    (0.5, math.nan),
+])
+def test_signal_must_be_finite_and_below_threshold(ou, theta, tau):
+    # such a signal failed every level: the search reported the bracket's
+    # lower end with information 0, a fake peak
+    with pytest.raises(ValueError, match="need theta < tau"):
+        find_resonance(theta, tau, ou, "time")
+    with pytest.raises(ValueError, match="need theta < tau"):
+        resonance_curve(theta, tau, ou, "energy", [0.5, 1.0])
 
 
 def test_curve_positive_with_single_interior_peak(ou):
