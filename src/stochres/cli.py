@@ -415,6 +415,8 @@ def cmd_validate(cfg: dict[str, Any]) -> None:
             raise ConfigError(f"{_flag(key)} must be at least 50, got {cfg[key]}")
     _check_positive(cfg, ("eps", "T", "dt", "tau", "test_T", "test_eps"))
     _check_step(cfg, ("T", "test_T"))
+    if not cfg["theta"] < cfg["tau"]:
+        raise ConfigError("validation assumes a subthreshold signal: need theta < tau")
     if not cfg["theta0"] < cfg["theta1"] < cfg["tau"]:
         raise ConfigError(
             f"need theta0 < theta1 < tau, got {cfg['theta0']}, {cfg['theta1']}, {cfg['tau']}"

@@ -18,7 +18,7 @@ exponent all come from one Gauss-Legendre panel rule, and the quantile is a
 bracketed root of F or sf, so no law imports scipy.
 
 The layer works on arrays.  A user coefficient is lifted to its array form
-once, by ``_array_form``, from the probe's node grid: a law build and the
+once, by ``numerics._array_form``, from the probe's node grid: a law build and the
 tables read the lifted form, and the Euler-Maruyama ensemble lifts it once
 more from its first row.
 """
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import NotErgodic
 from .expressions import compile_expression
-from .numerics import REL_TOL, Bracket, _brent
+from .numerics import REL_TOL, Bracket, _array_form, _brent
 
 __all__ = [
     "DiffusionSpec",
@@ -143,23 +143,6 @@ class InvariantLaw:
 def _as_output(out: np.ndarray):
     """A float for a scalar argument, the array otherwise."""
     return float(out) if out.ndim == 0 else out
-
-
-def _array_form(fn: Callable, x: np.ndarray) -> Callable:
-    """``fn`` itself when it maps the float array ``x`` to a float array of
-    the same shape, otherwise a wrapper that does: a loop over the entries
-    for a coefficient that takes floats only, a broadcast for one that
-    returns a constant.  Decided once, from ``x``, rather than at every call.
-    A compiled expression is judged by its ``array`` form, which skips the
-    compiled function's dispatch between floats and arrays."""
-    fn = getattr(fn, "array", fn)
-    try:
-        out = fn(x)
-    except (TypeError, ValueError):
-        return np.vectorize(fn, otypes=[float])
-    if isinstance(out, np.ndarray) and out.shape == x.shape and out.dtype == np.float64:
-        return fn
-    return lambda y: np.broadcast_to(np.asarray(fn(y), dtype=float), np.shape(y))
 
 
 def _panels(fn: Callable, lo, hi) -> tuple[np.ndarray, np.ndarray]:

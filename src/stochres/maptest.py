@@ -15,11 +15,11 @@ flagged degenerate and reports the prior-guess error min(p0, p1).
 
 The moments of either scheme are ``estimators.statistic_at``, the mean
 and the raw variance divided by the horizon: one table lookup per signal
-value over an array of noise levels, so a row of the error surface and the
-coarse scan of ``find_perr_minimum`` take one lookup per hypothesis and no
-other read of the tables.  A single noise level (``moments``, each
-golden-section step) is an array of one.  An unknown scheme raises
-ValueError there.
+value over an array of noise levels, so a row of the error surface and
+each scan of ``find_perr_minimum`` (the coarse scan and the scans that
+refine each dip) take one lookup per hypothesis and no other read of the
+tables.  A single noise level (``moments``) is an array of one.  An unknown
+scheme raises ValueError there.
 """
 from __future__ import annotations
 
@@ -462,7 +462,7 @@ def find_perr_minimum(
 
     scan = scan_points(bracket)
     row = reports(scan)
-    result = maximize_scalar(lambda eps: value(reports(np.array([eps]))[0]), bracket, tol=tol,
+    result = maximize_scalar(lambda eps: [value(r) for r in reports(eps)], bracket, tol=tol,
                              scan=[value(r) for r in row])
     degenerate = [eps for eps, r in zip(scan.tolist(), row) if r is not None and r.degenerate]
     cell = (bracket.hi - bracket.lo) / SCAN_CELLS

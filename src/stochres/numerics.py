@@ -1,11 +1,14 @@
 """Shared numerical kernels: adaptive quadrature, root finding, scalar
-maximization and the error-function family.
+maximization by array scans, the array adapter and the error-function
+family.
 
 scipy is imported only inside ``integrate_interval`` (QUADPACK), so importing
 the package loads no scipy module.  The adaptive quadrature serves the
 reference oracles of ``estimators`` and the tests; building a law and root
-finding do not call it.  All functions here are pure and safe for concurrent
-use.
+finding do not call it.  ``maximize_scalar`` calls its objective on arrays
+of points only, a coarse scan and then scans of the same size that zoom in
+on each peak; ``_array_form`` lifts an objective or a coefficient that takes
+floats only.  All functions here are pure and safe for concurrent use.
 """
 from __future__ import annotations
 
@@ -42,7 +45,7 @@ REL_TOL = 1e-9
 ABS_TOL = 1e-12
 MAX_SUBDIVISIONS = 200
 
-# cells of the coarse scan that seeds every maximize_scalar call
+# cells of every scan of maximize_scalar: the coarse scan and each zoom
 SCAN_CELLS = 64
 
 
@@ -72,6 +75,23 @@ def normal_cdf(z: float) -> float:
     without cancellation for z far below zero.
     """
     return 0.5 * math.erfc(-z / _SQRT2)
+
+
+def _array_form(fn: Callable, x: np.ndarray) -> Callable:
+    """``fn`` itself when it maps the float array ``x`` to a float array of
+    the same shape, otherwise a wrapper that does: a loop over the entries
+    for a function that takes floats only, a broadcast for one that
+    returns a constant.  Decided once, from ``x``, rather than at every call.
+    A compiled expression is judged by its ``array`` form, which skips the
+    compiled function's dispatch between floats and arrays."""
+    fn = getattr(fn, "array", fn)
+    try:
+        out = fn(x)
+    except (TypeError, ValueError):
+        return np.vectorize(fn, otypes=[float])
+    if isinstance(out, np.ndarray) and out.shape == x.shape and out.dtype == np.float64:
+        return fn
+    return lambda y: np.broadcast_to(np.asarray(fn(y), dtype=float), np.shape(y))
 
 
 def not_finite_above(x: np.ndarray, floor: float = 0.0) -> np.ndarray:
@@ -204,68 +224,65 @@ class MaximizeResult(NamedTuple):
     local_maxima: list[tuple[float, float]]
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(h: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    hc = _checked(h, c)
-    hd = _checked(h, d)
-    while (hi - lo) > tol:
-        if hc >= hd:
-            hi, d, hd = d, c, hc
-            c = hi - _INVPHI * (hi - lo)
-            hc = _checked(h, c)
-        else:
-            lo, c, hc = c, d, hd
-            d = lo + _INVPHI * (hi - lo)
-            hd = _checked(h, d)
-    x = 0.5 * (lo + hi)
-    return x, _checked(h, x)
-
-
-def _checked(h: Callable[[float], float], x: float) -> float:
-    v = h(x)
-    if not math.isfinite(v):
-        raise NonFinite(f"objective is not finite at x={x}: {v}")
-    return float(v)
-
-
 def scan_points(bracket: Bracket) -> np.ndarray:
-    """The SCAN_CELLS + 1 points of the coarse scan of ``maximize_scalar``."""
+    """The SCAN_CELLS + 1 points of every scan of ``maximize_scalar``."""
     return np.linspace(bracket.lo, bracket.hi, SCAN_CELLS + 1)
 
 
+def _finite(xs: np.ndarray, hs) -> np.ndarray:
+    """hs, the objective at the points xs, as a float array.  Raises
+    ValueError unless it holds one value per point and NonFinite at its
+    first value that is not finite."""
+    hs = np.asarray(hs, dtype=float)
+    if hs.shape != xs.shape:
+        raise ValueError(f"objective must give {len(xs)} values, one per point, got shape {hs.shape}")
+    bad = np.flatnonzero(~np.isfinite(hs))
+    if bad.size:
+        raise NonFinite(f"objective is not finite at x={xs[bad[0]]}: {hs[bad[0]]}")
+    return hs
+
+
+def _zoom(h: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Scan [lo, hi], then the two cells around the best point of each scan,
+    until a cell is at most tol; the best point of the last scan and h there."""
+    while True:
+        xs = scan_points(Bracket(lo, hi))
+        hs = _finite(xs, h(xs))
+        best = int(np.argmax(hs))
+        if (hi - lo) / SCAN_CELLS <= tol:
+            return float(xs[best]), float(hs[best])
+        k = min(max(best, 1), SCAN_CELLS - 1)
+        lo, hi = float(xs[k - 1]), float(xs[k + 1])
+
+
 def maximize_scalar(
-    h: Callable[[float], float],
+    h: Callable,
     bracket: Bracket,
     tol: float = 1e-6,
     scan: Sequence[float] | None = None,
 ) -> MaximizeResult:
     """Locate the global maximum of h on a bracket, reporting every interior peak.
 
-    A scan of SCAN_CELLS equal cells locates candidate peaks; each candidate
-    is refined by golden-section search.  Several interior maxima may be
-    reported, which is how multi-peaked objectives are detected.  The global
-    maximizer is chosen among the refined peaks and the bracket endpoints.
-    A caller that evaluates h on the whole scan in one call (one table
-    lookup over an array of gaps) passes those values as ``scan``, h at
-    ``scan_points(bracket)``; the refinement always calls h one point at a
-    time.
+    A scan of SCAN_CELLS equal cells locates candidate peaks.  Each
+    candidate is refined by the same scan over its two cells, repeated over
+    the two cells around the best point of each scan until a cell is at
+    most ``tol``; the best point of the last scan is the peak.  Several
+    interior maxima may be reported, which is how multi-peaked objectives
+    are detected.  The global maximizer is chosen among the refined peaks
+    and the bracket endpoints.  h is called on arrays of points only.  An h
+    that takes floats only is lifted by ``_array_form`` from the scan
+    points; a caller that passes ``scan``, h at ``scan_points(bracket)``
+    from one call (one table lookup over an array of gaps), passes an h
+    that takes arrays.  Raises NonFinite where a scanned value is not
+    finite.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     xs = scan_points(bracket)
     if scan is None:
-        hs = np.array([_checked(h, float(x)) for x in xs])
-    else:
-        hs = np.asarray(scan, dtype=float)
-        if hs.shape != xs.shape:
-            raise ValueError(f"scan must hold h at the {len(xs)} scan points, got shape {hs.shape}")
-        bad = np.flatnonzero(~np.isfinite(hs))
-        if bad.size:
-            raise NonFinite(f"objective is not finite at x={xs[bad[0]]}: {hs[bad[0]]}")
+        h = _array_form(h, xs)
+        scan = h(xs)
+    hs = _finite(xs, scan)
 
     candidates = [
         i
@@ -276,7 +293,7 @@ def maximize_scalar(
     refined: list[tuple[float, float]] = []
     cell = (bracket.hi - bracket.lo) / SCAN_CELLS
     for i in candidates:
-        x_ref, h_ref = _golden_max(h, float(xs[i - 1]), float(xs[i + 1]), tol)
+        x_ref, h_ref = _zoom(h, float(xs[i - 1]), float(xs[i + 1]), tol)
         # adjacent grid candidates can refine onto the same peak
         if refined and abs(x_ref - refined[-1][0]) <= cell:
             if h_ref > refined[-1][1]:

@@ -6,9 +6,9 @@ observation scheme rises and falls with the noise level.  The maximizer is
 the resonance point; several interior maxima would indicate multi-resonance
 and are all reported.
 
-The table lookup takes an array of gaps, so a curve and the coarse scan of
-``find_resonance`` are one lookup each, and each golden-section step runs
-the same code on an array of one noise level.
+The table lookup takes an array of gaps, so a curve and each scan of
+``find_resonance`` are one lookup each: the coarse scan and the scans of
+the same size that refine each peak.
 """
 from __future__ import annotations
 
@@ -99,19 +99,21 @@ def find_resonance(
     """Locate the noise level that maximizes Fisher information.
 
     A coarse scan over the bracket, one table lookup that is also the
-    returned curve, feeds golden-section refinement of every interior peak,
-    so a multi-peaked curve reports all of its maxima.  Points whose
-    variance cannot be evaluated (see ``CurvePoint``) contribute
-    information 0 and are flagged on the returned curve.  Raises ValueError
-    unless theta < tau with both finite, and for a bracket that is not
-    positive.
+    returned curve, locates every interior peak, so a multi-peaked curve
+    reports all of its maxima.  Each peak is refined by scans of the same
+    size over its two scan cells, one lookup each, until a cell is at most
+    ``tol``.  Points whose variance cannot be evaluated (see
+    ``CurvePoint``) contribute information 0 and are flagged on the
+    returned curve.  Raises ValueError unless theta < tau with both finite,
+    and for a bracket that is not positive.
     """
     _check_signal(theta, tau)
     if bracket.lo <= 0:
         raise ValueError("noise bracket must be positive")
 
-    def fisher(eps: float) -> float:
-        return _curve(theta, tau, law, scheme, np.array([eps]))[0].fisher
+    def fisher(eps: np.ndarray) -> np.ndarray:
+        value, failed = fisher_at(theta, tau, eps, law, scheme)
+        return np.where(failed, 0.0, value)
 
     curve = _curve(theta, tau, law, scheme, scan_points(bracket))
     result = maximize_scalar(fisher, bracket, tol=tol, scan=[p.fisher for p in curve])

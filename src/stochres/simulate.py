@@ -36,7 +36,8 @@ from typing import Iterator
 import numpy as np
 
 from .errors import NumericBlowup
-from .laws import DiffusionSpec, _array_form
+from .laws import DiffusionSpec
+from .numerics import _array_form
 
 __all__ = [
     "SimConfig",

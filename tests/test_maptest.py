@@ -22,7 +22,7 @@ from stochres import (
 from stochres.errors import QuadratureFailure
 from stochres.estimators import fisher_at
 from stochres.laws import LawTables
-from stochres.numerics import SCAN_CELLS
+from stochres.numerics import SCAN_CELLS, scan_points
 
 
 def problem(ou, theta1=0.5, eps=0.7, horizon=100.0, p0=0.5, scheme="time", theta0=0.0):
@@ -431,6 +431,26 @@ def test_perr_minimum_counts_the_scan_levels_only(ou, scheme):
 
 
 @pytest.mark.parametrize("scheme", ["time", "energy"])
+@pytest.mark.parametrize("horizon", [100.0, 200.0])
+def test_perr_minimum_matches_a_dense_grid(ou, scheme, horizon):
+    # oracle: the lowest of 20 001 levels across the dip's two scan cells,
+    # one surface row; the refining scans land within tol of it, and the
+    # dip's error within 1e-5 of the oracle's
+    bracket, tol = Bracket(0.05, 3.0), 1e-4
+    found = find_perr_minimum(0.0, 0.5, 1.0, horizon, 0.5, 0.5, ou, scheme, bracket=bracket, tol=tol)
+    assert found.local_minima and found.eps_star == found.local_minima[0][0]
+    scan = scan_points(bracket)
+    for eps, value in found.local_minima:
+        i = int(np.clip(np.argmin(np.abs(scan - eps)), 1, SCAN_CELLS - 1))
+        grid = np.linspace(scan[i - 1], scan[i + 1], 20_001)
+        cells = p_err_surface(0.0, [0.5], grid, 1.0, horizon, 0.5, 0.5, ou, scheme)
+        assert not any(c.failed or c.degenerate for c in cells)
+        best = min(cells, key=lambda c: c.p_err)
+        assert abs(eps - best.eps) <= tol
+        assert value == pytest.approx(best.p_err, rel=1e-5)
+
+
+@pytest.mark.parametrize("scheme", ["time", "energy"])
 @pytest.mark.parametrize("horizon", [50.0, 100.0, 1000.0])
 def test_no_minimum_next_to_degenerate_level(ou, scheme, horizon):
     # a minimum beside a degenerate level is where the Gaussian
@@ -454,10 +474,10 @@ def test_no_minimum_next_to_degenerate_level(ou, scheme, horizon):
 @pytest.mark.parametrize("scheme", ["time", "energy"])
 def test_scan_and_surface_rows_are_one_lookup_each(ou, monkeypatch, scheme):
     # one 65-point lookup per hypothesis for the scan of find_perr_minimum
-    # (plus two one-point lookups per golden-section step), and one per row
-    # of the surface: the null row and one per theta1; one lookup per point
-    # made 166 and 120.  Each call records the number of points looked up.
-    # No other read of the tables: a time-scheme mean read from sf made 38
+    # and for each of its two refining scans, and one per row of the
+    # surface: the null row and one per theta1; one lookup per point made
+    # 166 and 120.  Each call records the number of points looked up.  No
+    # other read of the tables: a time-scheme mean read from sf made 38
     # more per search and 4 per surface.
     calls, reads = [], []
     real = LawTables.at
@@ -466,7 +486,7 @@ def test_scan_and_surface_rows_are_one_lookup_each(ou, monkeypatch, scheme):
         read = getattr(LawTables, name)
         monkeypatch.setattr(LawTables, name, lambda self, x, name=name, read=read: reads.append(name) or read(self, x))
     find_perr_minimum(0.0, 0.5, 1.0, 100.0, 0.5, 0.5, ou, scheme)
-    assert calls.count(65) == 2 and sorted(set(calls)) == [1, 65] and len(calls) <= 38
+    assert calls == [65] * 6
     assert reads == []
     calls.clear()
     cells = p_err_surface(0.0, [0.3, 0.5, 0.7], np.arange(1, 31) / 10.0, 1.0, 100.0, 0.5, 0.5, ou, scheme)

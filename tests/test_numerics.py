@@ -339,3 +339,13 @@ def test_maximize_rejects_nan():
     with pytest.raises(NonFinite):
         maximize_scalar(h, Bracket(0.0, 3.0))
 
+    # NaN only strictly between the scan points 63/64 and 66/64, inside the
+    # two cells of the candidate peak 63/64: only a refining scan sees it
+    def h_zoom(x):
+        return math.nan if 1.0 < x < 1.01 else -((x - 1.0) ** 2)
+
+    scan = numerics.scan_points(Bracket(0.0, 3.0))
+    assert not np.any((scan > 1.0) & (scan < 1.01))
+    with pytest.raises(NonFinite):
+        maximize_scalar(h_zoom, Bracket(0.0, 3.0))
+

@@ -15,7 +15,9 @@ from stochres import (
     time_scheme_variance_ou_reference,
 )
 from stochres.expressions import compile_expression
+from stochres.estimators import fisher_at
 from stochres.laws import LawTables
+from stochres.numerics import SCAN_CELLS, scan_points
 
 
 def test_curve_validation(ou):
@@ -152,8 +154,8 @@ def triple_well():
 @pytest.mark.parametrize(
     "theta, peaks, n_failed",
     [
-        (0.5, [(0.1427146, 8.057885), (1.304395, 0.865776)], 2),
-        (0.0, [(0.2854568, 2.014491), (2.608792, 0.216444)], 4),
+        (0.5, [(0.1427267, 8.057958), (1.304379, 0.865776)], 2),
+        (0.0, [(0.2854608, 2.014492), (2.608811, 0.216444)], 4),
     ],
 )
 def test_grid_law_reports_both_peaks_of_a_triple_well(triple_well, theta, peaks, n_failed):
@@ -171,9 +173,39 @@ def test_grid_law_reports_both_peaks_of_a_triple_well(triple_well, theta, peaks,
     assert res.eps_star == res.local_maxima[0][0]
 
 
+@pytest.fixture(scope="module")
+def cubic():
+    return build_invariant_law(DiffusionSpec(compile_expression("-x^3"), compile_expression("1")))
+
+
+@pytest.mark.parametrize("law, scheme, theta", [
+    ("ou", "time", 0.5),
+    ("ou", "energy", 0.5),
+    ("cubic", "time", 0.5),
+    ("cubic", "energy", 0.5),
+    ("triple_well", "time", 0.5),
+    ("triple_well", "time", 0.0),
+])
+def test_resonance_matches_a_dense_grid(request, law, scheme, theta):
+    # oracle: the best of 20 001 levels across each peak's two scan cells,
+    # one lookup; the refining scans land within tol of it, and the peak's
+    # information within 1e-5 of the oracle's
+    law = request.getfixturevalue(law)
+    bracket, tol = Bracket(0.02, 3.0), 1e-4
+    res = find_resonance(theta, 1.0, law, scheme, bracket=bracket, tol=tol)
+    scan = scan_points(bracket)
+    for eps, fisher in res.local_maxima:
+        i = int(np.clip(np.argmin(np.abs(scan - eps)), 1, SCAN_CELLS - 1))
+        grid = np.linspace(scan[i - 1], scan[i + 1], 20_001)
+        dense, failed = fisher_at(theta, 1.0, grid, law, scheme)
+        assert not failed.any()
+        best = int(np.argmax(dense))
+        assert abs(eps - grid[best]) <= tol
+        assert fisher == pytest.approx(dense[best], rel=1e-5)
+
+
 def count_lookups(monkeypatch):
-    # the number of points of each lookup: every lookup is an array, and a
-    # golden-section step is an array of one point
+    # the number of points of each lookup: every lookup is an array
     calls = []
     real = LawTables.at
 
@@ -187,15 +219,13 @@ def count_lookups(monkeypatch):
 
 @pytest.mark.parametrize("scheme", ["time", "energy"])
 def test_resonance_scan_is_one_lookup(ou, monkeypatch, scheme):
-    # the coarse scan is one 65-point lookup; each golden-section step is
-    # one more of one point (18 for one peak at tol 1e-4), where one lookup
-    # per scan point made 83
+    # the coarse scan is one 65-point lookup, and so is each refining scan:
+    # two zooms bring a 0.047 cell below tol 1e-4, so one peak costs 3
+    # lookups and none of them is of one point
     calls = count_lookups(monkeypatch)
     res = find_resonance(0.5, 1.0, ou, scheme)
     assert len(res.local_maxima) == 1
-    assert calls.count(65) == 1
-    assert sorted(set(calls)) == [1, 65]
-    assert len(calls) <= 19
+    assert calls == [65, 65, 65]
     calls.clear()
     resonance_curve(0.5, 1.0, ou, scheme, np.arange(0.05, 3.0001, 0.05))
     assert calls == [60]
