@@ -74,6 +74,6 @@ from .simulate import (
     simulate_path,
     simulate_paths,
 )
-from .validate import error_rate_study, variance_validation_study
+from .validate import error_rate_study, validation_studies, variance_validation_study
 
 __version__ = "0.1.0"

@@ -42,7 +42,7 @@ from .maptest import PerrMinimum, TestProblem, find_perr_minimum, p_err_surface
 from .numerics import Bracket
 from .resonance import find_resonance, resonance_curve
 from .simulate import SimConfig, observe, perturb, simulate_path
-from .validate import error_rate_study, variance_validation_study
+from .validate import validation_studies
 
 
 def _finite(value: Any) -> float:
@@ -424,18 +424,14 @@ def cmd_validate(cfg: dict[str, Any]) -> None:
     if not 0.0 < cfg["p0"] < 1.0:
         raise ConfigError("--p0 must lie strictly inside (0, 1)")
     law = _resolve_law(cfg)
-    # each study caps this again at its number of paths
-    workers = min(cfg["workers"], _usable_cpus())
-    var_study = variance_validation_study(
-        law, cfg["theta"], cfg["tau"], cfg["eps"], cfg["T"], cfg["dt"],
-        n_reps=cfg["reps"], base_seed=cfg["seed"], workers=workers,
-    )
     p1 = 1.0 - cfg["p0"]
     problem = TestProblem(theta0=cfg["theta0"], theta1=cfg["theta1"], p0=cfg["p0"], p1=p1,
                           tau=cfg["tau"], eps=cfg["test_eps"], horizon=cfg["test_T"],
                           law=law, scheme=cfg["scheme"])
-    err_study = error_rate_study(problem, cfg["dt"], cfg["test_paths"],
-                                 base_seed=cfg["seed"] + cfg["reps"], workers=workers)
+    var_study, err_study = validation_studies(
+        problem, cfg["theta"], cfg["eps"], cfg["T"], cfg["dt"], cfg["reps"], cfg["test_paths"],
+        base_seed=cfg["seed"], workers=min(cfg["workers"], _usable_cpus()),
+    )
     report = {
         "empirical_var_ratio_time": var_study.ratio_time,
         "empirical_var_ratio_energy": var_study.ratio_energy,

@@ -26,7 +26,15 @@ class NotErgodic(StochresError):
 
 
 class NumericBlowup(StochresError):
-    """A simulated path escaped the sanity bound (bad coefficients or step size)."""
+    """A simulated path escaped the sanity bound (bad coefficients or step size).
+
+    ``step``, for an ensemble, is the last step of the chunk in which a path
+    left the bound (None for a single path, whose message names its step).
+    """
+
+    def __init__(self, message: str, step: int | None = None) -> None:
+        super().__init__(message)
+        self.step = step
 
 
 class DegenerateObservation(StochresError):

@@ -5,20 +5,30 @@ Replication k always uses seed = base_seed + k, so studies are reproducible
 and trivially parallel.  A study steps its paths with the streaming kernel
 ``observe_paths``, which keeps only per-path counters: memory is
 O(paths x CHUNK), independent of the horizon, and every path's statistics
-are bit-identical to observing that path on its own.  With ``workers=1``
-that is one kernel call in this process.  With more workers the seeds are
-split into contiguous ranges, one kernel call per range on a fork-started
-process pool, and the results are concatenated in seed order, so every
-study result is bit-identical for any worker count.
+are bit-identical to observing that path on its own.
+
+Each study is a job: its paths, and the reduction of a seed range's
+statistics to per-path results (the variance study's estimate pair, or
+``DegenerateObservation``; the error study's decision).  With ``workers=1``
+every job is one kernel call and one reduction in this process.  With more
+workers the jobs of a run share one fork-started process pool:
+``validation_studies`` submits both studies to it.  The seeds are cut into
+contiguous ranges of about ceil(total paths / (2 workers)) paths, a study
+with fewer paths being one range, and the ranges are submitted largest
+(steps x paths) first.  A worker steps a range and reduces its paths there;
+this process only concatenates the results in seed order and aggregates,
+so every study result is bit-identical for any worker count.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
+from typing import Any, Callable
 
 import numpy as np
 
-from .errors import DegenerateObservation
+from .errors import DegenerateObservation, NumericBlowup
 from .estimators import (
     ChannelConfig,
     energy_scheme_variance,
@@ -30,65 +40,131 @@ from .laws import DiffusionSpec, InvariantLaw
 from .maptest import Decision, TestProblem, decide, p_err
 from .simulate import SimConfig, observe_paths
 
-__all__ = ["VarianceStudy", "ErrorRateStudy", "variance_validation_study", "error_rate_study"]
-
-# (spec, sim, theta, eps, tau) of the study a pool worker serves; set only in
-# the worker processes, by ``_adopt_task`` at their start
-_TASK: tuple | None = None
-
-
-def _adopt_task(task: tuple) -> None:
-    global _TASK
-    _TASK = task
+__all__ = [
+    "VarianceStudy",
+    "ErrorRateStudy",
+    "variance_validation_study",
+    "error_rate_study",
+    "validation_studies",
+]
 
 
-def _observe_range(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    spec, sim, theta, eps, tau = _TASK
-    return observe_paths(spec, replace(sim, seed=sim.seed + lo), hi - lo, theta[lo:hi], eps, tau)
+@dataclass(frozen=True)
+class _Job:
+    """One study's paths, seeds sim.seed, ..., sim.seed + n_paths - 1, the
+    path k observed at theta[k]; ``reduce`` maps a seed range's time
+    fractions and energies to that range's per-path results, and
+    ``combine`` the list of every range's results, in seed order, to the
+    study.  A job with no paths is combined from an empty list."""
+
+    spec: DiffusionSpec
+    sim: SimConfig
+    n_paths: int
+    theta: np.ndarray
+    eps: float
+    tau: float
+    reduce: Callable[[np.ndarray, np.ndarray], Any]
+    combine: Callable[[list], Any]
 
 
-def _observe_split(
-    spec: DiffusionSpec,
-    sim: SimConfig,
-    n_paths: int,
-    theta: float | np.ndarray,
-    eps: float,
-    tau: float,
-    workers: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``observe_paths(spec, sim, n_paths, theta, eps, tau)``, with the seeds
-    split into min(workers, n_paths) contiguous ranges on a process pool.
+# the jobs a pool worker serves; set only in the worker processes, by
+# ``_adopt_jobs`` at their start
+_JOBS: list[_Job] | None = None
 
+
+def _adopt_jobs(jobs: list[_Job]) -> None:
+    global _JOBS
+    _JOBS = jobs
+
+
+def _run_range(job: _Job, lo: int, hi: int) -> tuple[Any, Exception | None]:
+    """Step seeds lo..hi-1 of a job and reduce them: (results, None), or
+    (None, the reduction's exception).  A stepping error is raised."""
+    fractions, energies = observe_paths(
+        job.spec, replace(job.sim, seed=job.sim.seed + lo), hi - lo, job.theta[lo:hi],
+        job.eps, job.tau,
+    )
+    try:
+        return job.reduce(fractions, energies), None
+    except Exception as exc:  # raised in the parent, after every stepping error of its study
+        return None, exc
+
+
+def _run_adopted(index: int, lo: int, hi: int) -> tuple[Any, Exception | None]:
+    return _run_range(_JOBS[index], lo, hi)
+
+
+def _finish(job: _Job, outcomes: list[Callable[[], tuple[Any, Exception | None]]]) -> Any:
+    """The job's study from its ranges' outcomes, in seed order.
+
+    A stepping error is raised first: a blow-up as one kernel call over
+    every seed would raise it (the earliest chunk, then the lowest seed),
+    any other as soon as it is met in seed order.  Then the first reduction
+    error, then what ``combine`` raises.
+    """
+    results, blowups = [], []
+    for outcome in outcomes:
+        try:
+            results.append(outcome())
+        except NumericBlowup as exc:
+            blowups.append(exc)
+    if blowups:
+        raise min(blowups, key=lambda exc: exc.step)
+    for _, error in results:
+        if error is not None:
+            raise error
+    return job.combine([value for value, _ in results])
+
+
+def _run_jobs(jobs: list[_Job], workers: int) -> list:
+    """Each job's study, in job order, its paths stepped by ``workers``
+    processes.
+
+    The jobs are cut into contiguous seed ranges of about
+    ceil(total paths / (2 workers)) paths each, on one pool of at most
+    ``workers`` fork-started processes, largest range (steps x paths) first.
     Each path's statistics do not depend on the paths stepped beside it, so
-    the concatenated arrays equal the single call's bit for bit.  The pool
-    is started with fork: the task reaches the workers by inheritance,
-    because the coefficients (lambdas, compiled expressions) do not
-    pickle; only the range bounds go out and two arrays per range come back.
-    The caller must hold no threads that fork could leave with a held lock.
-    Where fork is not available the call runs serially in this process.  A
-    worker's exception is re-raised as itself, the first in seed order.
+    every study equals the one-range result bit for bit.  The jobs reach the
+    workers by inheritance, because the coefficients (lambdas, compiled
+    expressions) and the reductions do not pickle; only the range bounds go
+    out and each range's per-path results come back.  The caller must hold
+    no threads that fork could leave with a held lock.  With one worker, or
+    where fork is not available, each job is one range stepped in this
+    process.  Errors are raised as themselves, the same for any count (see
+    ``_finish``), jobs in order.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    workers = min(workers, n_paths)
-    if workers > 1:
+    total = sum(job.n_paths for job in jobs)
+    parallel = workers > 1 and total > 1
+    if parallel:
         import multiprocessing
 
-        if "fork" not in multiprocessing.get_all_start_methods():
-            workers = 1
-    if workers <= 1:
-        return observe_paths(spec, sim, n_paths, theta, eps, tau)
+        parallel = "fork" in multiprocessing.get_all_start_methods()
+    if not parallel:
+        return [
+            _finish(job, [partial(_run_range, job, 0, job.n_paths)] if job.n_paths else [])
+            for job in jobs
+        ]
     from concurrent.futures import ProcessPoolExecutor
 
-    theta = np.broadcast_to(np.asarray(theta, dtype=float), (n_paths,))
-    bounds = [n_paths * i // workers for i in range(workers + 1)]
+    width = -(-total // (2 * workers))
+    ranges = []
+    for index, job in enumerate(jobs):
+        n, k = job.n_paths, -(-job.n_paths // width)
+        ranges.append([(index, n * i // k, n * (i + 1) // k) for i in range(k)])
+    by_cost = sorted((r for rs in ranges for r in rs),
+                     key=lambda r: -jobs[r[0]].sim.n_steps * (r[2] - r[1]))
     with ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=_adopt_task, initargs=((spec, sim, theta, eps, tau),),
+        min(workers, len(by_cost)), mp_context=multiprocessing.get_context("fork"),
+        initializer=_adopt_jobs, initargs=(jobs,),
     ) as pool:
-        pending = [pool.submit(_observe_range, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        fractions, energies = zip(*[part.result() for part in pending])
-    return np.concatenate(fractions), np.concatenate(energies)
+        try:
+            pending = {r: pool.submit(_run_adopted, *r) for r in by_cost}
+            return [_finish(job, [pending[r].result for r in rs]) for job, rs in zip(jobs, ranges)]
+        finally:
+            # after a raised study, the ranges not yet started are dropped
+            pool.shutdown(cancel_futures=True)
 
 
 @dataclass(frozen=True)
@@ -100,6 +176,54 @@ class VarianceStudy:
     n_reps: int
     n_degenerate: int
     seeds: tuple[int, int]  # inclusive seed range used
+
+
+def _variance_job(
+    law: InvariantLaw,
+    theta: float,
+    tau: float,
+    eps: float,
+    horizon: float,
+    dt: float,
+    n_reps: int,
+    base_seed: int,
+) -> _Job:
+    if n_reps < 2:
+        raise ValueError("need at least 2 replications")
+    ch = ChannelConfig(tau=tau, eps=eps, law=law)
+    sim = SimConfig(T=horizon, dt=dt, seed=base_seed)
+
+    def estimates(fractions: np.ndarray, energies: np.ndarray) -> tuple[list, list, int]:
+        est_t: list[float] = []
+        est_e: list[float] = []
+        degenerate = 0
+        for fraction, energy in zip(fractions.tolist(), energies.tolist()):
+            try:
+                est_t.append(estimate_theta_time(fraction, ch))
+                est_e.append(estimate_theta_energy(energy, ch))
+            except DegenerateObservation:
+                degenerate += 1
+        return est_t, est_e, degenerate
+
+    def study(parts: list[tuple[list, list, int]]) -> VarianceStudy:
+        est_t = [e for part in parts for e in part[0]]
+        est_e = [e for part in parts for e in part[1]]
+        if len(est_t) < 2:
+            raise DegenerateObservation("too few usable replications for a variance estimate")
+        sigma_t = time_scheme_variance(theta, ch).value
+        sigma_e = energy_scheme_variance(theta, ch).value
+        t_eff = sim.n_steps * dt
+        return VarianceStudy(
+            ratio_time=t_eff * float(np.var(est_t, ddof=1)) / sigma_t,
+            ratio_energy=t_eff * float(np.var(est_e, ddof=1)) / sigma_e,
+            sigma_time=sigma_t,
+            sigma_energy=sigma_e,
+            n_reps=len(est_t),
+            n_degenerate=sum(part[2] for part in parts),
+            seeds=(base_seed, base_seed + n_reps - 1),
+        )
+
+    return _Job(law.spec, sim, n_reps, np.full(n_reps, float(theta)), eps, tau, estimates, study)
 
 
 def variance_validation_study(
@@ -118,36 +242,10 @@ def variance_validation_study(
 
     Replications whose time fraction hits 0 or 1 carry no finite estimate
     and are excluded (counted in n_degenerate).  ``workers`` processes step
-    the replications; the result is the same for any count.
+    and estimate the replications; the result is the same for any count.
     """
-    if n_reps < 2:
-        raise ValueError("need at least 2 replications")
-    ch = ChannelConfig(tau=tau, eps=eps, law=law)
-    sim = SimConfig(T=horizon, dt=dt, seed=base_seed)
-    fractions, energies = _observe_split(law.spec, sim, n_reps, theta, eps, tau, workers)
-    est_t: list[float] = []
-    est_e: list[float] = []
-    degenerate = 0
-    for fraction, energy in zip(fractions.tolist(), energies.tolist()):
-        try:
-            est_t.append(estimate_theta_time(fraction, ch))
-            est_e.append(estimate_theta_energy(energy, ch))
-        except DegenerateObservation:
-            degenerate += 1
-    if len(est_t) < 2:
-        raise DegenerateObservation("too few usable replications for a variance estimate")
-    sigma_t = time_scheme_variance(theta, ch).value
-    sigma_e = energy_scheme_variance(theta, ch).value
-    t_eff = sim.n_steps * dt
-    return VarianceStudy(
-        ratio_time=t_eff * float(np.var(est_t, ddof=1)) / sigma_t,
-        ratio_energy=t_eff * float(np.var(est_e, ddof=1)) / sigma_e,
-        sigma_time=sigma_t,
-        sigma_energy=sigma_e,
-        n_reps=len(est_t),
-        n_degenerate=degenerate,
-        seeds=(base_seed, base_seed + n_reps - 1),
-    )
+    job = _variance_job(law, theta, tau, eps, horizon, dt, n_reps, base_seed)
+    return _run_jobs([job], workers)[0]
 
 
 @dataclass(frozen=True)
@@ -174,6 +272,45 @@ class ErrorRateStudy:
     degenerate: bool
 
 
+def _error_job(problem: TestProblem, dt: float, n_paths: int, base_seed: int) -> _Job:
+    if n_paths < 2:
+        raise ValueError("need at least 2 labeled paths")
+    # before any pool forks: the workers inherit the law's tables it builds
+    report = p_err(problem)
+    n0 = int(round(problem.p0 * n_paths))
+    is_alternative = np.arange(n_paths) >= n0
+    theta = np.where(is_alternative, problem.theta1, problem.theta0)
+    sim = SimConfig(T=problem.horizon, dt=dt, seed=base_seed)
+
+    def decisions(fractions: np.ndarray, energies: np.ndarray) -> np.ndarray:
+        statistics = fractions if problem.scheme == "time" else energies
+        return np.array(
+            [decide(report.rule, s) is Decision.D1 for s in statistics.tolist()], dtype=bool
+        )
+
+    def study(parts: list[np.ndarray]) -> ErrorRateStudy:
+        if report.degenerate:
+            decides_alternative = np.full(n_paths, problem.p1 > problem.p0)
+        else:
+            decides_alternative = np.concatenate(parts)
+        errors = int(np.count_nonzero(decides_alternative != is_alternative))
+        predicted = report.p_err
+        se = math.sqrt(max(predicted * (1.0 - predicted), 1e-12) / n_paths)
+        return ErrorRateStudy(
+            empirical_rate=errors / n_paths,
+            predicted_p_err=predicted,
+            n_paths=n_paths,
+            n_errors=errors,
+            binomial_se=se,
+            seeds=(base_seed, base_seed + n_paths - 1),
+            degenerate=report.degenerate,
+        )
+
+    # the prior guess needs no path
+    stepped = 0 if report.degenerate else n_paths
+    return _Job(problem.law.spec, sim, stepped, theta, problem.eps, problem.tau, decisions, study)
+
+
 def error_rate_study(
     problem: TestProblem,
     dt: float,
@@ -187,37 +324,37 @@ def error_rate_study(
     matches the prior mixture in expectation and keeps every run reproducible
     from the base seed.  Where ``p_err`` is degenerate the MAP rule is the
     prior guess: every path is decided for the larger prior (the null on a
-    tie), as in ``p_err``, and no path needs to be simulated.  Otherwise
-    null and alternative paths are stepped together, by ``workers``
+    tie), as in ``p_err``, and no path is simulated.  Otherwise null and
+    alternative paths are stepped together, and decided, by ``workers``
     processes; the result is the same for any count.
     """
-    if n_paths < 2:
-        raise ValueError("need at least 2 labeled paths")
-    report = p_err(problem)
-    n0 = int(round(problem.p0 * n_paths))
-    is_alternative = np.arange(n_paths) >= n0
-    if report.degenerate:
-        decides_alternative = np.full(n_paths, problem.p1 > problem.p0)
-    else:
-        theta = np.where(is_alternative, problem.theta1, problem.theta0)
-        sim = SimConfig(T=problem.horizon, dt=dt, seed=base_seed)
-        fractions, energies = _observe_split(
-            problem.law.spec, sim, n_paths, theta, problem.eps, problem.tau, workers
-        )
-        statistics = fractions if problem.scheme == "time" else energies
-        decides_alternative = np.array(
-            [decide(report.rule, s) is Decision.D1 for s in statistics.tolist()], dtype=bool
-        )
-    errors = int(np.count_nonzero(decides_alternative != is_alternative))
-    predicted = report.p_err
-    rate = errors / n_paths
-    se = math.sqrt(max(predicted * (1.0 - predicted), 1e-12) / n_paths)
-    return ErrorRateStudy(
-        empirical_rate=rate,
-        predicted_p_err=predicted,
-        n_paths=n_paths,
-        n_errors=errors,
-        binomial_se=se,
-        seeds=(base_seed, base_seed + n_paths - 1),
-        degenerate=report.degenerate,
-    )
+    return _run_jobs([_error_job(problem, dt, n_paths, base_seed)], workers)[0]
+
+
+def validation_studies(
+    problem: TestProblem,
+    theta: float,
+    eps: float,
+    horizon: float,
+    dt: float,
+    n_reps: int,
+    n_paths: int,
+    base_seed: int = 0,
+    workers: int = 1,
+) -> tuple[VarianceStudy, ErrorRateStudy]:
+    """Both studies on one pool of ``workers`` processes:
+    ``variance_validation_study(problem.law, theta, problem.tau, eps,
+    horizon, dt, n_reps, base_seed)`` and ``error_rate_study(problem, dt,
+    n_paths, base_seed + n_reps)``, the error seeds following the variance
+    seeds.  Each result, and the exception raised if any (the variance
+    study's first), is the one of those two calls, for any worker count.
+    """
+    jobs = [_variance_job(problem.law, theta, problem.tau, eps, horizon, dt, n_reps, base_seed)]
+    try:
+        jobs.append(_error_job(problem, dt, n_paths, base_seed + n_reps))
+    except Exception:
+        # raised only after the variance study, as when the two run in turn
+        _run_jobs(jobs, workers)
+        raise
+    variance, error = _run_jobs(jobs, workers)
+    return variance, error

@@ -382,6 +382,24 @@ def test_validate_workers_agree(tmp_path):
     assert reports[0] == reports[1] == reports[2]
 
 
+
+def test_validate_starts_one_pool(tmp_path, monkeypatch):
+    # both studies share the workers: one pool, not one per study
+    import concurrent.futures
+
+    pools = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    monkeypatch.setattr("stochres.cli._usable_cpus", lambda: 2)
+    assert run(["validate", "--workers", "2", "--reps", "50", "--test-paths", "50", "--T", "20",
+                "--test-T", "20", "--test-eps", "1.2", "--out", tmp_path / "v"]) == 0
+    assert len(pools) == 1
+
 # the exact resonance.json at theta = 0.5 on the default grid, and the exact
 # estimate.json of one short OU run: a change to how a noise level is
 # evaluated must not move the resonance or an estimate

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,23 @@ import pytest
 import stochres
 from stochres import DiffusionSpec, SimConfig, observe_paths
 from stochres import TestProblem as Problem
-from stochres import error_rate_study, ou_law, variance_validation_study
-from stochres.errors import DegenerateObservation, NumericBlowup
-from stochres.validate import _observe_split
+from stochres import error_rate_study, ou_law, validation_studies, variance_validation_study
+from stochres.errors import DegenerateObservation, NumericBlowup, OutOfRange
+from stochres.validate import _Job, _run_jobs
+
+
+def _observe_split(spec, cfg, n_paths, theta, eps, tau, workers):
+    """``observe_paths`` through the study runner: one job whose ranges keep
+    their arrays, concatenated in seed order."""
+    theta = np.broadcast_to(np.asarray(theta, dtype=float), (n_paths,))
+    job = _Job(spec, cfg, n_paths, theta, eps, tau, lambda f, e: (f, e),
+               lambda parts: tuple(np.concatenate(a) for a in zip(*parts)))
+    return _run_jobs([job], workers)[0]
+
+
+# x^3 pushes paths out: at dt 0.05 no seed below 10 leaves the bound within
+# 10 steps, seeds 8 and 9 do within 20, and every path within 400
+_CUBIC = DiffusionSpec(lambda x: x**3, lambda x: x * 0.0 + 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -34,10 +49,13 @@ def test_variance_study_reproducible(law):
 
 def test_variance_study_excludes_degenerate(law):
     # tiny noise level: the path never crosses, every replication degenerates
-    with pytest.raises(DegenerateObservation):
-        variance_validation_study(
-            law, theta=0.0, tau=1.0, eps=0.01, horizon=20.0, dt=0.01, n_reps=5, base_seed=0
-        )
+    for workers in (1, 2):
+        with pytest.raises(DegenerateObservation):
+            variance_validation_study(
+                law, theta=0.0, tau=1.0, eps=0.01, horizon=20.0, dt=0.01, n_reps=5, base_seed=0,
+                workers=workers,
+            )
+    assert multiprocessing.active_children() == []
 
 
 def test_error_study_prior_split_and_reproducibility(law):
@@ -113,11 +131,27 @@ def test_split_reraises_a_worker_error_and_leaves_no_process():
     with pytest.raises(NumericBlowup) as info:
         _observe_split(cubic, cfg, 4, 0.0, 1.0, 1.0, workers=2)
     assert type(info.value) is NumericBlowup
-    # every path blows up; the error of the first range (seeds 30, 31) wins
+    # every path blows up; the error of the first range (seed 30, of four ranges) wins
     seed = int(re.search(r"seed (\d+)", str(info.value)).group(1))
     assert 30 <= seed < 32
     assert multiprocessing.active_children() == []
 
+
+
+def test_split_names_the_blowup_of_one_kernel_call():
+    # a well of height 0.83 between cubic walls: the paths escape at random
+    # steps.  Seeds 0-7 over 8 chunks: seed 5 leaves the bound in an earlier
+    # chunk than seed 1, so the first range in seed order names the wrong seed.
+    spec = DiffusionSpec(lambda x: -x + 0.3 * x**3, lambda x: x * 0.0 + 1.0)
+    cfg = SimConfig(T=100.0, dt=0.05)
+    with pytest.raises(NumericBlowup) as one:
+        observe_paths(spec, cfg, 8, 0.5, 0.7, 1.0)
+    assert "seed 5;" in str(one.value)
+    for workers in (2, 3, 8):
+        with pytest.raises(NumericBlowup) as split:
+            _observe_split(spec, cfg, 8, 0.5, 0.7, 1.0, workers)
+        assert str(split.value) == str(one.value) and split.value.step == one.value.step
+    assert multiprocessing.active_children() == []
 
 def test_split_rejects_fewer_than_one_worker(law):
     with pytest.raises(ValueError):
@@ -133,6 +167,7 @@ def test_serial_studies_load_no_multiprocessing():
         "stochres.variance_validation_study(law, 0.5, 1.0, 0.7, 20.0, 0.01, 10, workers=1)\n"
         "problem = stochres.TestProblem(0.0, 0.5, 0.5, 0.5, 1.0, 0.7, 20.0, law, 'time')\n"
         "stochres.error_rate_study(problem, 0.01, 10, workers=1)\n"
+        "stochres.validation_studies(problem, 0.5, 0.7, 20.0, 0.01, 10, 10, workers=1)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))\n"
     )
     src = str(Path(stochres.__file__).resolve().parent.parent)
@@ -140,3 +175,79 @@ def test_serial_studies_load_no_multiprocessing():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("test_eps, n_reps, n_paths", [
+    (1.2, 7, 9),  # per-path theta: null and alternative paths stepped together
+    (0.2, 7, 9),  # degenerate: the error study steps no path
+    (1.2, 2, 2),  # fewer paths than the pool could take
+])
+def test_combined_studies_equal_the_single_studies(law, test_eps, n_reps, n_paths):
+    problem = Problem(0.0, 0.5, 0.4, 0.6, 1.0, test_eps, 20.0, law, "time")
+    variance = variance_validation_study(law, 0.5, 1.0, 0.7, 20.0, 0.01, n_reps, base_seed=3)
+    error = error_rate_study(problem, 0.01, n_paths, base_seed=3 + n_reps)
+    assert error.degenerate == (test_eps == 0.2)
+    for workers in (1, 2, 3):
+        combined = validation_studies(problem, 0.5, 0.7, 20.0, 0.01, n_reps, n_paths,
+                                      base_seed=3, workers=workers)
+        assert combined == (variance, error)
+    assert multiprocessing.active_children() == []
+
+
+def test_degenerate_error_study_steps_no_path(law, monkeypatch):
+    seeds = []
+
+    def recording(spec, cfg, n_paths, *args):
+        seeds.extend(range(cfg.seed, cfg.seed + n_paths))
+        return observe_paths(spec, cfg, n_paths, *args)
+
+    monkeypatch.setattr("stochres.validate.observe_paths", recording)
+    problem = Problem(0.0, 0.5, 0.3, 0.7, 1.0, 0.2, 100.0, law, "time")
+    _, error = validation_studies(problem, 0.5, 0.7, 20.0, 0.01, 10, 50, base_seed=5)
+    assert error.degenerate and error.seeds == (15, 64)
+    assert seeds == list(range(5, 15))
+
+
+def test_combined_studies_raise_what_the_serial_run_raises(law):
+    problem = Problem(0.0, 0.5, 0.5, 0.5, 1.0, 1.2, 20.0, replace(law, spec=_CUBIC), "time")
+    cases = [
+        # a blow-up in the variance study (seeds 8 and 9), which runs first
+        (NumericBlowup, "seed 8;", dict(eps=1.0, horizon=1.0, n_reps=10)),
+        # the variance study's paths stay bounded; every error-study path blows up
+        (NumericBlowup, "seed 10;", dict(eps=1.0, horizon=0.5, n_reps=10)),
+        # an energy no theta in [-tau, 2 tau] explains
+        (OutOfRange, "outside the forward map range", dict(eps=3.0, horizon=0.5, n_reps=8)),
+    ]
+    for kind, named, kwargs in cases:
+        args = (problem, 0.5, kwargs["eps"], kwargs["horizon"], 0.05, kwargs["n_reps"], 8)
+        with pytest.raises(kind, match=named) as serial:
+            validation_studies(*args, workers=1)
+        for workers in (2, 3):
+            with pytest.raises(kind) as split:
+                validation_studies(*args, workers=workers)
+            assert type(split.value) is kind
+            assert str(split.value) == str(serial.value)
+            assert multiprocessing.active_children() == []
+
+
+def test_combined_studies_check_the_error_study_after_the_variance_study(law):
+    # one labeled path is too few, but serially the variance study runs first
+    problem = Problem(0.0, 0.5, 0.4, 0.6, 1.0, 1.2, 20.0, law, "time")
+    with pytest.raises(DegenerateObservation):
+        validation_studies(problem, 0.0, 0.01, 20.0, 0.01, 5, 1, workers=2)
+    with pytest.raises(ValueError, match="labeled paths"):
+        validation_studies(problem, 0.5, 0.7, 20.0, 0.01, 5, 1, workers=2)
+
+
+def test_stepping_error_precedes_reduction_error_of_a_lower_range():
+    # seeds 0-7 stay bounded for 20 steps and seeds 8 and 9 blow up; every
+    # reduction fails.  Serially the stepping error comes first, so it must
+    # when the lower ranges reduce (and fail) before the range of seed 8.
+    def fails(fractions, energies):
+        raise ZeroDivisionError("reduction")
+
+    job = _Job(_CUBIC, SimConfig(T=1.0, dt=0.05), 10, np.zeros(10), 1.0, 1.0, fails, list)
+    for workers in (1, 2, 3):
+        with pytest.raises(NumericBlowup, match="seed 8;"):
+            _run_jobs([job], workers)
+    assert multiprocessing.active_children() == []
