@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cache
 from typing import Callable, Literal
 
 import numpy as np
@@ -49,6 +48,7 @@ __all__ = [
     "VarianceReport",
     "time_fraction_limit",
     "estimate_theta_time",
+    "estimate_theta_time_at",
     "edf_variance",
     "edf_variance_at",
     "time_scheme_variance",
@@ -62,6 +62,7 @@ __all__ = [
     "energy_limit_derivative_closed_form",
     "energy_limit_derivative_quadrature",
     "estimate_theta_energy",
+    "estimate_theta_energy_at",
     "energy_statistic_variance",
     "energy_statistic_variance_at",
     "energy_scheme_variance",
@@ -119,18 +120,32 @@ def time_fraction_limit(theta: float, ch: ChannelConfig) -> float:
     return float(ch.law.sf(ch.gap_ratio(theta)))
 
 
+def estimate_theta_time_at(fractions: np.ndarray, ch: ChannelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of ``estimate_theta_time``: the estimate at each entry of
+    an array of time fractions, from one array quantile, and the mask of
+    the degenerate entries (a fraction not strictly between 0 and 1), whose
+    estimate is NaN."""
+    fractions = np.asarray(fractions, dtype=float)
+    degenerate = ~((fractions > 0.0) & (fractions < 1.0))
+    theta = np.full(fractions.shape, np.nan)
+    theta[~degenerate] = ch.tau - ch.eps * ch.law.quantile(1.0 - fractions[~degenerate])
+    return theta, degenerate
+
+
 def estimate_theta_time(time_fraction: float, ch: ChannelConfig) -> float:
     """Invert the time-fraction map: theta = tau - eps * quantile(1 - fraction).
 
     Raises DegenerateObservation at fraction 0 or 1, where the inverse
     escapes to -inf or +inf; callers decide the policy for finite samples
-    that hit the boundary.
+    that hit the boundary.  This is ``estimate_theta_time_at`` on an array
+    of one.
     """
-    if not 0.0 < time_fraction < 1.0:
+    theta, degenerate = estimate_theta_time_at(np.array([time_fraction]), ch)
+    if degenerate[0]:
         raise DegenerateObservation(
             f"time fraction {time_fraction} admits no finite estimate"
         )
-    return ch.tau - ch.eps * ch.law.quantile(1.0 - time_fraction)
+    return float(theta[0])
 
 
 def _only(values: np.ndarray, failed: np.ndarray, what: str) -> float:
@@ -245,14 +260,15 @@ def time_scheme_variance_ou_reference(theta: float, tau: float, eps: float) -> f
 # ---------------------------------------------------------------------------
 
 
-def _energy_weights(theta: float, eps: np.ndarray, tail=0.0) -> np.ndarray:
+def _energy_weights(theta, eps, tail=0.0) -> np.ndarray:
     """Coefficients of (eps*xi + theta)^2 on the powers xi^0, xi^1, xi^2,
-    less ``tail`` on xi^0: one contiguous row per noise level.
+    less ``tail`` on xi^0: one contiguous row per entry of theta and eps,
+    which broadcast.
 
     Dotted with the upper moments m_k(x) they give the truncated energy
     tail(x) = E[(eps*xi + theta)^2 1{xi > x}].
     """
-    w = np.empty(eps.shape + (3,))
+    w = np.empty(np.broadcast_shapes(np.shape(theta), np.shape(eps)) + (3,))
     w[..., 0] = theta * theta - tail
     w[..., 1] = 2.0 * theta * eps
     w[..., 2] = eps * eps
@@ -308,9 +324,10 @@ def energy_limit_quadrature(theta: float, ch: ChannelConfig) -> float:
     )
 
 
-def energy_limit_at(theta: float, tau: float, eps: np.ndarray, law: InvariantLaw) -> np.ndarray:
+def energy_limit_at(theta, tau: float, eps, law: InvariantLaw) -> np.ndarray:
     """Array form of ``energy_limit`` at each entry of an array of noise
-    levels; it has no failure condition."""
+    levels, or of signals, or of both (they broadcast); it has no failure
+    condition."""
     a = (tau - theta) / eps
     return _dot(_energy_weights(theta, eps), np.ascontiguousarray(law.tables.upper_moments(a).T))
 
@@ -370,33 +387,63 @@ def energy_limit_derivative(theta: float, ch: ChannelConfig) -> float:
     return float(energy_limit_derivative_at(theta, ch.tau, np.array([ch.eps]), ch.law)[0])
 
 
+# the brackets [0, tau], [-tau, 0] and [tau, 2 tau] of the energy map, in
+# the order they are tried, as index pairs into its knots 0, tau, -tau, 2 tau
+_ENERGY_BRACKETS = np.array([[0, 1], [2, 0], [1, 3]])
+
+
+def estimate_theta_energy_at(energies: np.ndarray, ch: ChannelConfig) -> np.ndarray:
+    """Array form of ``estimate_theta_energy``: the estimate at each entry
+    of an array of energies.
+
+    The map is evaluated at the four knots once, in one lookup, and each
+    entry's bracket is chosen from those values; the entries inside a
+    bracket are then solved by one array root find, one lookup per
+    iteration.  Raises what a loop of ``estimate_theta_energy`` over the
+    entries raises: the error of the first entry that fails.
+    """
+    energies = np.asarray(energies, dtype=float)
+    knots = np.array([0.0, ch.tau, -ch.tau, 2.0 * ch.tau])
+    held = energy_limit_at(knots, ch.tau, ch.eps, ch.law)[:, None] - energies
+    theta = np.full(energies.shape, np.nan)
+    bracket = np.full(energies.shape, -1)
+    todo = ~(energies < 0.0)
+    for k, (i, j) in enumerate(_ENERGY_BRACKETS.tolist()):
+        for end, g in ((i, held[i]), (j, held[j])):
+            at_end = todo & (g == 0.0)
+            theta[at_end] = knots[end]
+            todo &= ~at_end
+        inside = todo & (held[i] * held[j] < 0.0)
+        bracket[inside] = k
+        todo &= ~inside
+    # a negative energy or one in no bracket: the entries before the first
+    # are solved, as a loop meets their errors first
+    failed = np.flatnonzero((energies < 0.0) | todo)[:1].tolist()
+    solved = np.flatnonzero(bracket[: failed[0] if failed else None] >= 0)
+    if solved.size:
+        i, j = _ENERGY_BRACKETS[bracket[solved]].T
+        Bracket(float(knots[i[0]]), float(knots[j[0]]))  # a reversed one (tau < 0) raises ValueError
+        theta[solved] = _brent(
+            lambda x, k: energy_limit_at(x, ch.tau, ch.eps, ch.law) - energies[solved[k]],
+            knots[i], knots[j], held[i, solved], held[j, solved], 1e-10,
+        )
+    if failed:
+        energy = float(energies[failed[0]])
+        if energy < 0.0:
+            raise OutOfRange("energy statistic cannot be negative")
+        raise OutOfRange(f"energy {energy} is outside the forward map range on [-tau, 2*tau]")
+    return theta
+
+
 def estimate_theta_energy(energy: float, ch: ChannelConfig) -> float:
     """Invert the energy map by monotone root finding on [0, tau].
 
-    The bracket is widened to [-tau, 2 tau] when the observation falls
-    outside the primary range; OutOfRange is raised when no bracket
-    contains a root (for example a negative observation).
+    The bracket is widened to [-tau, 0], then [tau, 2 tau], when the
+    observation falls outside the primary range; OutOfRange is raised when
+    no bracket contains a root (for example a negative observation).  This
+    is ``estimate_theta_energy_at`` on an array of one.
     """
-    if energy < 0.0:
-        raise OutOfRange("energy statistic cannot be negative")
-
-    def g(theta: float) -> float:
-        return energy_limit(theta, ch) - energy
-
-    # each knot is evaluated once, when the first bracket that needs it is
-    # tried, and Brent's method starts from the values held
-    value = cache(g)
-    for lo, hi in ((0.0, ch.tau), (-ch.tau, 0.0), (ch.tau, 2.0 * ch.tau)):
-        glo, ghi = value(lo), value(hi)
-        if glo == 0.0:
-            return lo
-        if ghi == 0.0:
-            return hi
-        if glo * ghi < 0:
-            return _brent(g, Bracket(lo, hi), glo, ghi, 1e-10)
-    raise OutOfRange(
-        f"energy {energy} is outside the forward map range on [-tau, 2*tau]"
-    )
+    return float(estimate_theta_energy_at(np.array([energy]), ch)[0])
 
 
 # below this share of the summed magnitudes the quadratic form has lost too

@@ -15,7 +15,8 @@ whole array of gaps.  Both constructors hand the density to one builder,
 law differs from a law built from coefficients only in its density and its
 normalizer.  The ergodicity check, the support edges and the density
 exponent all come from one Gauss-Legendre panel rule, and the quantile is a
-bracketed root of F or sf, so no law imports scipy.
+bracketed root of F or sf, one array root find over its levels, so no law
+imports scipy.
 
 The layer works on arrays.  A user coefficient is lifted to its array form
 once, by ``numerics._array_form``, from the probe's node grid: a law build and the
@@ -125,7 +126,7 @@ class InvariantLaw:
     f: Callable
     F: Callable
     sf: Callable
-    quantile: Callable[[float], float]
+    quantile: Callable
     G: float
     spec: DiffusionSpec
     grid_x: np.ndarray = field(repr=False, compare=False)
@@ -496,8 +497,16 @@ def _tables_law(f: Callable, G: float, spec: DiffusionSpec, nodes: np.ndarray, s
                 report: Optional[ErgodicityReport]) -> InvariantLaw:
     """The law of density ``f`` (normalizer ``G``) on the node grid
     ``nodes``, with ``sigma`` the diffusion's array form: F, sf and the
-    quantile (a bracketed root of F or sf) read the tables of ``f``, which
-    are built at the first call that needs them."""
+    quantile read the tables of ``f``, which are built at the first call
+    that needs them.
+
+    The quantile takes a level or an array of levels in (0, 1) and returns
+    a float for a float, as F and sf do.  Each level is a bracketed root of
+    F - p (p <= 1/2) or 1 - p - sf; the levels of a side are one array root
+    find (``numerics._brent``), one lookup per iteration.  Their brackets
+    come from one lookup at the doubling knots, which every level shares,
+    so each level's bracket and the values at its ends are those of a
+    search for that level alone."""
     lo, hi = float(nodes[0]), float(nodes[-1])
     tables = cache(lambda: LawTables(nodes, f, sigma))
 
@@ -507,28 +516,42 @@ def _tables_law(f: Callable, G: float, spec: DiffusionSpec, nodes: np.ndarray, s
     def sf(x):
         return _as_output(tables().upper_moments(x)[0])
 
-    def quantile(p: float) -> float:
-        if not 0.0 < p < 1.0:
+    # the doubling knots -1, -2, ... and 1, 2, ..., clipped to the grid,
+    # at which a quantile's bracket search evaluates F or sf
+    below, above = [-1.0], [1.0]
+    while below[-1] > lo:
+        below.append(max(below[-1] * 2.0, lo))
+    while above[-1] < hi:
+        above.append(min(above[-1] * 2.0, hi))
+    knots = np.array(below + above)
+    n_below = len(below)
+
+    def solve(g: Callable, c: np.ndarray) -> np.ndarray:
+        """The root of g(x, c_i), increasing in x, for each entry c_i: the
+        bracket ends double outward from -1 and 1, while g has not changed
+        sign and the grid end is not reached, as one lookup at the knots."""
+        held = g(knots, c[:, None])
+        # the first knot on each side where the search stops; the last one always does
+        i_lo = (~(held[:, :n_below] > 0.0) | (knots[:n_below] <= lo)).argmax(1)
+        i_hi = n_below + (~(held[:, n_below:] < 0.0) | (knots[n_below:] >= hi)).argmax(1)
+        rows = np.arange(len(c))
+        return _brent(lambda x, i: g(x, c[i]), knots[i_lo], knots[i_hi],
+                      held[rows, i_lo], held[rows, i_hi], 1e-12)
+
+    def quantile(p):
+        p = np.asarray(p, dtype=float)
+        if not np.all((p > 0.0) & (p < 1.0)):
             raise ValueError("quantile is defined on (0, 1)")
+        flat = p.reshape(-1)
+        x = np.empty(flat.shape)
         # the lower tail of F and the upper tail of sf carry relative
-        # accuracy; solve against whichever side resolves p
-        if p <= 0.5:
-            g = lambda x: F(x) - p
-        else:
-            q = 1.0 - p
-            g = lambda x: q - sf(x)
-        # the doubling loops hold g at the bracket ends, so Brent's method
-        # starts from those values instead of evaluating the ends again
-        q_lo, q_hi = -1.0, 1.0
-        g_lo = g(q_lo)
-        while g_lo > 0.0 and q_lo > lo:
-            q_lo = max(q_lo * 2.0, lo)
-            g_lo = g(q_lo)
-        g_hi = g(q_hi)
-        while g_hi < 0.0 and q_hi < hi:
-            q_hi = min(q_hi * 2.0, hi)
-            g_hi = g(q_hi)
-        return _brent(g, Bracket(q_lo, q_hi), g_lo, g_hi, 1e-12)
+        # accuracy; each entry is solved against whichever side resolves it
+        lower = flat <= 0.5
+        if lower.any():
+            x[lower] = solve(lambda y, c: F(y) - c, flat[lower])
+        if not lower.all():
+            x[~lower] = solve(lambda y, c: c - sf(y), 1.0 - flat[~lower])
+        return _as_output(x.reshape(p.shape))
 
     return InvariantLaw(f=f, F=F, sf=sf, quantile=quantile, G=G, spec=spec, grid_x=nodes, lazy_tables=tables,
                         label=label, ergodicity=report)

@@ -1,5 +1,5 @@
-"""Shared numerical kernels: adaptive quadrature, root finding, scalar
-maximization by array scans, the array adapter and the error-function
+"""Shared numerical kernels: adaptive quadrature, root finding on arrays,
+scalar maximization by array scans, the array adapter and the error-function
 family.
 
 scipy is imported only inside ``integrate_interval`` (QUADPACK), so importing
@@ -8,7 +8,10 @@ reference oracles of ``estimators`` and the tests; building a law and root
 finding do not call it.  ``maximize_scalar`` calls its objective on arrays
 of points only, a coarse scan and then scans of the same size that zoom in
 on each peak; ``_array_form`` lifts an objective or a coefficient that takes
-floats only.  All functions here are pure and safe for concurrent use.
+floats only.  ``_brent`` is the one root finder: Brent's method over an
+array of brackets, the entries stepping in lockstep, each with the
+arithmetic of a scalar solve; ``find_root`` is an array of one.  All
+functions here are pure and safe for concurrent use.
 """
 from __future__ import annotations
 
@@ -153,69 +156,99 @@ def find_root(g: Callable[[float], float], bracket: Bracket, tol: float = 1e-10)
     Brent's method: the returned x lies within tol + 4 eps |x| of a sign
     change of g.  Raises BadBracket when g has the same nonzero sign at both
     endpoints, NonFinite when g is not finite at a point inside the bracket,
-    and NonConvergence when 100 iterations do not reach tol.
+    and NonConvergence when 100 iterations do not reach tol.  g takes
+    floats; the solve is ``_brent`` on an array of one entry.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    return _brent(g, bracket, g(bracket.lo), g(bracket.hi), tol)
+    roots = _brent(lambda x, _: [g(v) for v in x.tolist()], [bracket.lo], [bracket.hi],
+                   [g(bracket.lo)], [g(bracket.hi)], tol)
+    return float(roots[0])
 
 
 _BRENT_RTOL = 4.0 * sys.float_info.epsilon
 _BRENT_MAXITER = 100
 
 
-def _brent(g: Callable[[float], float], bracket: Bracket, glo: float, ghi: float, xtol: float) -> float:
-    """``find_root`` for a caller that already holds g at the bracket ends.
+def _brent(g: Callable, lo: np.ndarray, hi: np.ndarray, glo: np.ndarray, ghi: np.ndarray,
+           xtol: float) -> np.ndarray:
+    """The roots of n functions g_i, each in its own bracket [lo[i], hi[i]]
+    with g_i held at the ends, by Brent's method over arrays.
 
-    After the same checks of the end values, Brent's method runs with the
-    step rule and tolerances of scipy's ``brentq``, so it returns the same
-    root bit for bit.
+    ``g(x, i)`` gives g_i(x[k]) for each entry i[k]: an array of points and
+    the indices of their entries.  The entries step in lockstep, each with
+    the step rule and tolerances of scipy's ``brentq`` in the arithmetic of
+    one Python float, so every root is the scalar method's bit for bit.  An
+    entry leaves at its end checks or when it converges, and each iteration
+    calls g once, on the entries still running; with none, g is not called.
+    The errors are ``find_root``'s, per entry: the one raised is that of the
+    lowest failing entry, as a loop over the entries would raise it, after
+    the others have finished.
     """
-    if not (math.isfinite(glo) and math.isfinite(ghi)):
-        raise BadBracket("function is not finite at the bracket endpoints")
-    if glo == 0.0:
-        return bracket.lo
-    if ghi == 0.0:
-        return bracket.hi
-    if (glo < 0.0) == (ghi < 0.0):
-        raise BadBracket(
-            f"no sign change on [{bracket.lo}, {bracket.hi}]: g(lo)={glo:.6g}, g(hi)={ghi:.6g}"
+    lo, hi, glo, ghi = (np.asarray(v, dtype=float) for v in (lo, hi, glo, ghi))
+    root = np.full(lo.shape, np.nan)
+    errors: dict[int, Exception] = {}
+    finite = np.isfinite(glo) & np.isfinite(ghi)
+    for i in np.flatnonzero(~finite).tolist():
+        errors[i] = BadBracket("function is not finite at the bracket endpoints")
+    at_lo = finite & (glo == 0.0)
+    at_hi = finite & ~at_lo & (ghi == 0.0)
+    root[at_lo], root[at_hi] = lo[at_lo], hi[at_hi]
+    live = finite & ~at_lo & ~at_hi
+    for i in np.flatnonzero(live & ((glo < 0.0) == (ghi < 0.0))).tolist():
+        errors[i] = BadBracket(
+            f"no sign change on [{float(lo[i])}, {float(hi[i])}]: "
+            f"g(lo)={float(glo[i]):.6g}, g(hi)={float(ghi[i]):.6g}"
         )
-    xpre, xcur, fpre, fcur = bracket.lo, bracket.hi, float(glo), float(ghi)
-    xblk = fblk = spre = scur = 0.0
+    entry = np.flatnonzero(live & ((glo < 0.0) != (ghi < 0.0)))
+    xpre, xcur, fpre, fcur = lo[entry], hi[entry], glo[entry], ghi[entry]
+    xblk, fblk, spre, scur = (np.zeros(entry.size) for _ in range(4))
     for _ in range(_BRENT_MAXITER):
-        if (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
+        flip = (fpre < 0.0) != (fcur < 0.0)
+        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+        step = xcur - xpre
+        spre, scur = np.where(flip, step, spre), np.where(flip, step, scur)
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
+        fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
+        delta = (xtol + _BRENT_RTOL * np.abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                # a zero denominator gives no usable step, so the test below bisects
-                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den != 0.0 else math.inf
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
+        done = (fcur == 0.0) | (np.abs(sbis) < delta)
+        root[entry[done]] = xcur[done]
+        if done.any():
+            on = ~done
+            entry, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+                v[on] for v in (entry, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis))
+        if not entry.size:
+            break
+        # every step form is computed for every entry and each entry keeps its
+        # own; the forms it does not take may divide by zero
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            secant = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            den = dblk * dpre * (fblk - fpre)
+            # a zero denominator gives no usable step, so the test below bisects
+            quadratic = np.where(den != 0.0, -fcur * (fblk * dblk - fpre * dpre) / den, np.inf)
+            stry = np.where(xpre == xblk, secant, quadratic)
+            take = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                    & (2.0 * np.abs(stry) < np.minimum(np.abs(spre), 3.0 * np.abs(sbis) - delta)))
+        spre, scur = np.where(take, scur, sbis), np.where(take, stry, sbis)
         xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = g(xcur)
-        if not math.isfinite(fcur):
-            raise NonFinite(f"function is not finite at x={xcur}: {fcur}")
-        fcur = float(fcur)
-    raise NonConvergence(f"root finding did not converge in {_BRENT_MAXITER} iterations")
+        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0.0, delta, -delta))
+        fcur = np.asarray(g(xcur, entry), dtype=float)
+        bad = ~np.isfinite(fcur)
+        if bad.any():
+            for k in np.flatnonzero(bad).tolist():
+                errors[int(entry[k])] = NonFinite(f"function is not finite at x={float(xcur[k])}: {float(fcur[k])}")
+            on = ~bad
+            entry, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = (
+                v[on] for v in (entry, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur))
+    for i in entry.tolist():
+        errors[i] = NonConvergence(f"root finding did not converge in {_BRENT_MAXITER} iterations")
+    if errors:
+        raise errors[min(errors)]
+    return root
 
 
 class MaximizeResult(NamedTuple):

@@ -9,7 +9,10 @@ are bit-identical to observing that path on its own.
 
 Each study is a job: its paths, and the reduction of a seed range's
 statistics to per-path results (the variance study's estimate pair, or
-``DegenerateObservation``; the error study's decision).  With ``workers=1``
+a degenerate flag; the error study's decision).  The variance reduction
+is two array root finds over the range, one per scheme
+(``estimate_theta_time_at`` and ``estimate_theta_energy_at``), so its
+table lookups do not grow with the number of replications.  With ``workers=1``
 every job is one kernel call and one reduction in this process.  With more
 workers the jobs of a run share one fork-started process pool:
 ``validation_studies`` submits both studies to it.  The seeds are cut into
@@ -33,7 +36,9 @@ from .estimators import (
     ChannelConfig,
     energy_scheme_variance,
     estimate_theta_energy,
+    estimate_theta_energy_at,
     estimate_theta_time,
+    estimate_theta_time_at,
     time_scheme_variance,
 )
 from .laws import DiffusionSpec, InvariantLaw
@@ -193,21 +198,25 @@ def _variance_job(
     ch = ChannelConfig(tau=tau, eps=eps, law=law)
     sim = SimConfig(T=horizon, dt=dt, seed=base_seed)
 
-    def estimates(fractions: np.ndarray, energies: np.ndarray) -> tuple[list, list, int]:
-        est_t: list[float] = []
-        est_e: list[float] = []
-        degenerate = 0
-        for fraction, energy in zip(fractions.tolist(), energies.tolist()):
-            try:
-                est_t.append(estimate_theta_time(fraction, ch))
-                est_e.append(estimate_theta_energy(energy, ch))
-            except DegenerateObservation:
-                degenerate += 1
-        return est_t, est_e, degenerate
+    def estimates(fractions: np.ndarray, energies: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+        try:
+            est_t, degenerate = estimate_theta_time_at(fractions, ch)
+            est_e = estimate_theta_energy_at(energies[~degenerate], ch)
+        except Exception:
+            # the error of the first replication that fails, its time
+            # estimate before its energy one, as a loop over them raises it
+            for fraction, energy in zip(fractions.tolist(), energies.tolist()):
+                try:
+                    estimate_theta_time(fraction, ch)
+                except DegenerateObservation:
+                    continue
+                estimate_theta_energy(energy, ch)
+            raise
+        return est_t[~degenerate], est_e, int(np.count_nonzero(degenerate))
 
-    def study(parts: list[tuple[list, list, int]]) -> VarianceStudy:
-        est_t = [e for part in parts for e in part[0]]
-        est_e = [e for part in parts for e in part[1]]
+    def study(parts: list[tuple[np.ndarray, np.ndarray, int]]) -> VarianceStudy:
+        est_t = np.concatenate([part[0] for part in parts])
+        est_e = np.concatenate([part[1] for part in parts])
         if len(est_t) < 2:
             raise DegenerateObservation("too few usable replications for a variance estimate")
         sigma_t = time_scheme_variance(theta, ch).value

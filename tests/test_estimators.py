@@ -21,6 +21,7 @@ from stochres import (
     estimate_theta_energy,
     estimate_theta_time,
     observe,
+    observe_paths,
     perturb,
     simulate_paths,
     time_fraction_limit,
@@ -33,6 +34,8 @@ from stochres.estimators import (
     energy_limit_at,
     energy_limit_derivative_at,
     energy_statistic_variance_at,
+    estimate_theta_energy_at,
+    estimate_theta_time_at,
     fisher_at,
 )
 from stochres.expressions import compile_expression
@@ -241,6 +244,59 @@ def test_estimate_theta_energy_out_of_range(ou):
     ch = ChannelConfig(tau=1.0, eps=1.0, law=ou)
     with pytest.raises(OutOfRange):
         estimate_theta_energy(-1.0, ch)
+
+
+@pytest.mark.parametrize("coefficients, theta, eps", [
+    (None, 0.5, 0.7244),
+    (("-x^3", "1"), 0.4, 0.6),
+    (("-4*x", "2"), 0.8, 1.3),
+    (("-tanh(x)", "1+0.5*exp(-x^2)"), 0.0, 0.9),
+], ids=["ou", "cubic", "ou_fast", "tanh"])
+def test_array_estimators_equal_the_scalar_loop(ou, coefficients, theta, eps):
+    law = ou if coefficients is None else build_invariant_law(
+        DiffusionSpec(*(compile_expression(c) for c in coefficients)))
+    ch = ChannelConfig(tau=1.0, eps=eps, law=law)
+    fractions, energies = observe_paths(law.spec, SimConfig(T=20.0, dt=0.01, seed=4), 300,
+                                        np.full(300, theta), eps, ch.tau)
+    want_t, want_e, in_range = [], [], []
+    for k, (fraction, energy) in enumerate(zip(fractions.tolist(), energies.tolist())):
+        try:
+            want_t.append(estimate_theta_time(fraction, ch).hex())
+        except DegenerateObservation:
+            continue
+        try:
+            want_e.append(estimate_theta_energy(energy, ch).hex())
+            in_range.append(k)
+        except OutOfRange:  # a short path's energy below the map's value at -tau
+            pass
+    theta_t, degenerate = estimate_theta_time_at(fractions, ch)
+    assert [v.hex() for v in theta_t[~degenerate].tolist()] == want_t
+    assert np.isnan(theta_t[degenerate]).all()
+    theta_e = estimate_theta_energy_at(energies[in_range], ch)
+    assert [v.hex() for v in theta_e.tolist()] == want_e
+    assert len(want_e) > 200
+
+
+def test_array_estimators_edge_cases(ou):
+    ch = ChannelConfig(tau=1.0, eps=0.7, law=ou)
+    theta, degenerate = estimate_theta_time_at(np.array([0.0, 0.3, 1.0, 0.5]), ch)
+    assert degenerate.tolist() == [True, False, True, False]
+    assert np.isnan(theta[degenerate]).all()
+    assert theta[~degenerate].tolist() == [estimate_theta_time(0.3, ch), estimate_theta_time(0.5, ch)]
+    # two energies at the knots 0 and 2 tau, then one in each bracket
+    # [-tau, 0], [tau, 2 tau] and [0, tau]
+    targets = np.array([0.0, 2.0, -0.5, 1.5, 0.4])
+    energies = energy_limit_at(targets, ch.tau, ch.eps, ou)
+    got = estimate_theta_energy_at(energies, ch)
+    assert got[:2].tolist() == [0.0, 2.0]
+    assert got.tolist() == [estimate_theta_energy(e, ch) for e in energies.tolist()]
+    np.testing.assert_allclose(got, targets, rtol=0.0, atol=1e-8)
+    # the first entry that fails is named, as a loop over the entries would
+    with pytest.raises(OutOfRange, match="cannot be negative"):
+        estimate_theta_energy_at(np.array([0.1, -1e-3, 50.0]), ch)
+    with pytest.raises(OutOfRange, match=r"^energy 50\.0 is outside"):
+        estimate_theta_energy_at(np.array([0.1, 50.0, -1e-3, 60.0]), ch)
+    assert estimate_theta_energy_at(np.array([]), ch).shape == (0,)
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,20 @@ def test_quantile_domain(ou, ou_numeric):
             law.quantile(0.0)
         with pytest.raises(ValueError):
             law.quantile(1.0)
+        with pytest.raises(ValueError):
+            law.quantile(np.array([0.3, 1.0]))
+
+
+def test_quantile_of_an_array_is_the_quantile_of_each_level(ou, ou_numeric):
+    # levels on both sides of 1/2, mixed, down to the deep tails: one array
+    # quantile gives each level's own quantile bit for bit
+    levels = np.array([0.7, 1e-300, 0.5, 1e-6, 0.3, 1.0 - 1e-6, 0.2, 0.99, 1e-10, 0.5 + 1e-12])
+    for law in (ou, ou_numeric):
+        got = law.quantile(levels)
+        assert [x.hex() for x in got.tolist()] == [law.quantile(float(p)).hex() for p in levels]
+        assert law.quantile(levels.reshape(2, 5)).shape == (2, 5)
+        assert type(law.quantile(0.3)) is float
+        assert law.quantile(np.array([])).shape == (0,)
 
 
 def test_probe_range_sets_c2_limits():

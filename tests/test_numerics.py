@@ -257,10 +257,67 @@ def test_find_root_matches_brentq_bit_for_bit():
     assert mismatches == []
 
 
+def test_array_solve_matches_brentq_bit_for_bit():
+    # every case of the oracle set (the energy maps and the cubic quantile
+    # included) as one entry of one array solve per tolerance, each with its
+    # own bracket: each root is brentq's double, and each entry evaluates its
+    # function as often as brentq does
+    from scipy.optimize import brentq
+
+    cases = _root_oracle_cases()
+    mismatches = []
+    for tol in sorted({case[4] for case in cases}):
+        group = [case for case in cases if case[4] == tol]
+        fns = [g for _, g, _, _, _ in group]
+        lo = np.array([case[2] for case in group])
+        hi = np.array([case[3] for case in group])
+        calls = np.full(len(group), 2)
+
+        def g(x, entries):
+            calls[entries] += 1
+            return [fns[i](v) for v, i in zip(x.tolist(), entries.tolist())]
+
+        held = [[fn(float(x)) for fn, x in zip(fns, ends)] for ends in (lo, hi)]
+        got = numerics._brent(g, lo, hi, *held, tol)
+        for (name, fn, a, b, _), root, n_calls in zip(group, got.tolist(), calls.tolist()):
+            want, info = brentq(fn, a, b, xtol=tol, full_output=True)
+            if root != want or n_calls != info.function_calls:
+                mismatches.append((name, a, b, tol, root, want, n_calls, info.function_calls))
+    assert mismatches == []
+
+
+def test_array_solve_calls_g_only_for_running_entries():
+    def g(x, entries):
+        raise AssertionError(f"g called at {x}")
+
+    empty = np.array([])
+    assert numerics._brent(g, empty, empty, empty, empty, 1e-10).shape == (0,)
+    # entries resolved at a bracket end take no iteration
+    roots = numerics._brent(g, np.array([0.0, 1.0, -3.0]), np.array([1.0, 2.0, 3.0]),
+                            np.array([0.0, -1.0, 0.0]), np.array([1.0, 0.0, 0.0]), 1e-10)
+    assert roots.tolist() == [0.0, 2.0, -3.0]
+
+
+def test_array_solve_raises_the_lowest_failing_entry():
+    # entry 2 has no sign change; entry 1 meets a NaN at its first step, one
+    # iteration in; entries 0 and 3 converge.  A loop over the entries would
+    # raise entry 1's error, and so does the array solve.
+    def g(x, entries):
+        return [math.nan if i == 1 else v - 0.25 for v, i in zip(x.tolist(), entries.tolist())]
+
+    lo, hi = np.zeros(4), np.ones(4)
+    glo, ghi = np.array([-0.25, -0.25, 1.0, -0.25]), np.array([0.75, 0.75, 2.0, 0.75])
+    with pytest.raises(NonFinite, match=r"x=0\.25\b"):
+        numerics._brent(g, lo, hi, glo, ghi, 1e-10)
+    with pytest.raises(BadBracket, match="no sign change"):
+        numerics._brent(g, lo[[0, 2, 3]], hi[[0, 2, 3]], glo[[0, 2, 3]], ghi[[0, 2, 3]], 1e-10)
+
+
 @pytest.mark.parametrize("case", ["energy_estimate", "grid_quantile"])
 def test_held_bracket_ends_are_not_evaluated_again(monkeypatch, case):
-    # a caller that has evaluated g at the bracket ends while choosing the
-    # bracket hands those values to Brent's method, so no point is evaluated twice
+    # the bracket search evaluates g at all its knots in one lookup and hands
+    # the values at the chosen ends to Brent's method, which then makes one
+    # lookup per iteration, so no point is evaluated twice
     from stochres import estimators, laws
     from stochres.estimators import ChannelConfig, energy_limit, estimate_theta_energy
     from stochres.expressions import compile_expression
@@ -269,18 +326,23 @@ def test_held_bracket_ends_are_not_evaluated_again(monkeypatch, case):
     if case == "energy_estimate":
         ch = ChannelConfig(tau=1.0, eps=0.7244, law=stochres.ou_law())
         energy = energy_limit(0.3, ch)
-        monkeypatch.setattr(estimators, "energy_limit", lambda t, ch: calls.append(t) or energy_limit(t, ch))
-        root, expected_calls = estimate_theta_energy(energy, ch), 10
-        check = energy_limit(root, ch) - energy
+        limit_at = estimators.energy_limit_at
+        monkeypatch.setattr(estimators, "energy_limit_at",
+                            lambda t, *args: calls.append(np.ravel(t)) or limit_at(t, *args))
+        # the knots 0, tau, -tau and 2 tau, then 8 iterations
+        root, expected_calls = estimate_theta_energy(energy, ch), 9
+        check = float(limit_at(root, ch.tau, ch.eps, ch.law)) - energy
     else:
         law = stochres.build_invariant_law(
             stochres.DiffusionSpec(compile_expression("-x^3"), compile_expression("1")))
         cdf = laws.LawTables.cdf
-        monkeypatch.setattr(laws.LawTables, "cdf", lambda self, x: calls.append(x) or cdf(self, x))
-        root, expected_calls = law.quantile(0.3), 8
+        monkeypatch.setattr(laws.LawTables, "cdf", lambda self, x: calls.append(np.ravel(x)) or cdf(self, x))
+        # the doubling knots -1, -2, ... and 1, 2, ... to the grid ends, then 6 iterations
+        root, expected_calls = law.quantile(0.3), 7
         check = cdf(law.tables, root) - 0.3
     assert len(calls) == expected_calls, calls
-    assert len(set(calls)) == len(calls)
+    points = np.concatenate(calls)
+    assert len(np.unique(points)) == len(points)
     assert check == pytest.approx(0.0, abs=1e-10)
 
 

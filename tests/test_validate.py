@@ -230,6 +230,47 @@ def test_combined_studies_raise_what_the_serial_run_raises(law):
             assert multiprocessing.active_children() == []
 
 
+def test_variance_error_names_the_first_replication_out_of_range(law):
+    # replications 4 and 7 have energies no theta in [-tau, 2 tau] explains
+    # (6 is degenerate); a loop over the replications names the energy of 4,
+    # in one range (workers 1) as across ranges (workers 2 and 3)
+    problem = Problem(0.0, 0.5, 0.5, 0.5, 1.0, 1.2, 20.0, law, "time")
+    cfg = SimConfig(T=1.0, dt=0.05, seed=0)
+    _, energies = observe_paths(law.spec, cfg, 10, np.full(10, 0.5), 1.5, 1.0)
+    ch = stochres.ChannelConfig(tau=1.0, eps=1.5, law=law)
+    failing = []
+    for k, energy in enumerate(energies.tolist()):
+        try:
+            stochres.estimate_theta_energy(energy, ch)
+        except OutOfRange:
+            failing.append(k)
+    assert failing[:2] == [4, 6] and 7 in failing
+    for workers in (1, 2, 3):
+        with pytest.raises(OutOfRange, match=f"^energy {re.escape(repr(energies[4].item()))} is outside"):
+            validation_studies(problem, 0.5, 1.5, 1.0, 0.05, 10, 8, workers=workers)
+    assert multiprocessing.active_children() == []
+
+
+def test_variance_reduce_lookups_do_not_grow_with_the_replications(law, monkeypatch):
+    # each scheme's estimates are one array root find: one lookup at the
+    # bracket knots, then one per iteration of the slowest replication (a
+    # loop over the 200 replications makes about 20 per replication)
+    from stochres import laws
+    from stochres.validate import _variance_job
+
+    job = _variance_job(law, 0.5, 1.0, 0.7244, 20.0, 0.01, 200, 0)
+    fractions, energies = observe_paths(law.spec, job.sim, 200, job.theta, job.eps, job.tau)
+    law.tables
+    lookups = []
+    for name in ("cdf", "upper_moments"):
+        lookup = getattr(laws.LawTables, name)
+        monkeypatch.setattr(laws.LawTables, name,
+                            lambda self, x, lookup=lookup: lookups.append(np.size(x)) or lookup(self, x))
+    est_t, est_e, degenerate = job.reduce(fractions, energies)
+    assert degenerate == 0 and len(est_t) == len(est_e) == 200
+    assert len(lookups) <= 30, lookups
+
+
 def test_combined_studies_check_the_error_study_after_the_variance_study(law):
     # one labeled path is too few, but serially the variance study runs first
     problem = Problem(0.0, 0.5, 0.4, 0.6, 1.0, 1.2, 20.0, law, "time")
