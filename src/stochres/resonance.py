@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import QuadratureFailure
 from .estimators import Scheme, fisher_at
 from .laws import InvariantLaw
 from .numerics import Bracket, maximize_scalar, scan_points
@@ -105,7 +106,8 @@ def find_resonance(
     ``tol``.  Points whose variance cannot be evaluated (see
     ``CurvePoint``) contribute information 0 and are flagged on the
     returned curve.  Raises ValueError unless theta < tau with both finite,
-    and for a bracket that is not positive.
+    and for a bracket that is not positive; raises QuadratureFailure when
+    every level of the coarse scan fails, as there is then no peak.
     """
     _check_signal(theta, tau)
     if bracket.lo <= 0:
@@ -116,6 +118,14 @@ def find_resonance(
         return np.where(failed, 0.0, value)
 
     curve = _curve(theta, tau, law, scheme, scan_points(bracket))
+    if all(p.failed for p in curve):
+        lo, hi = law.tables.support
+        raise QuadratureFailure(
+            f"all {len(curve)} noise levels of the scan failed, so there is no peak: the gaps "
+            f"(tau - theta)/eps run from {(tau - theta) / bracket.hi:.6g} to "
+            f"{(tau - theta) / bracket.lo:.6g}, and the law's tabulated support is "
+            f"({lo:.6g}, {hi:.6g})"
+        )
     result = maximize_scalar(fisher, bracket, tol=tol, scan=[p.fisher for p in curve])
     local = result.local_maxima if result.local_maxima else [(result.x_star, result.h_star)]
     return ResonanceResult(

@@ -7,20 +7,19 @@ and trivially parallel.  A study steps its paths with the streaming kernel
 O(paths x CHUNK), independent of the horizon, and every path's statistics
 are bit-identical to observing that path on its own.
 
-Each study is a job: its paths, and the reduction of a seed range's
-statistics to per-path results (the variance study's estimate pair, or
-a degenerate flag; the error study's decision).  The variance reduction
-is two array root finds over the range, one per scheme
-(``estimate_theta_time_at`` and ``estimate_theta_energy_at``), so its
-table lookups do not grow with the number of replications.  With ``workers=1``
-every job is one kernel call and one reduction in this process.  With more
+Each study is a job: its paths, and one function of every path's time
+fraction and energy, in seed order, to the study.  The variance study's
+estimates are two array root finds over all its replications, one per
+scheme (``estimate_theta_time_at`` and ``estimate_theta_energy_at``), so
+its table lookups do not grow with the number of replications.  With
+``workers=1`` every job is one kernel call in this process.  With more
 workers the jobs of a run share one fork-started process pool:
 ``validation_studies`` submits both studies to it.  The seeds are cut into
 contiguous ranges of about ceil(total paths / (2 workers)) paths, a study
 with fewer paths being one range, and the ranges are submitted largest
-(steps x paths) first.  A worker steps a range and reduces its paths there;
-this process only concatenates the results in seed order and aggregates,
-so every study result is bit-identical for any worker count.
+(steps x paths) first.  A worker only steps a range and returns its
+statistics; this process concatenates them in seed order and reduces each
+study once, so every study result is bit-identical for any worker count.
 """
 from __future__ import annotations
 
@@ -57,10 +56,9 @@ __all__ = [
 @dataclass(frozen=True)
 class _Job:
     """One study's paths, seeds sim.seed, ..., sim.seed + n_paths - 1, the
-    path k observed at theta[k]; ``reduce`` maps a seed range's time
-    fractions and energies to that range's per-path results, and
-    ``combine`` the list of every range's results, in seed order, to the
-    study.  A job with no paths is combined from an empty list."""
+    path k observed at theta[k]; ``study`` maps every path's time fraction
+    and energy, in seed order, to the study.  A job with no paths gets two
+    empty arrays."""
 
     spec: DiffusionSpec
     sim: SimConfig
@@ -68,8 +66,7 @@ class _Job:
     theta: np.ndarray
     eps: float
     tau: float
-    reduce: Callable[[np.ndarray, np.ndarray], Any]
-    combine: Callable[[list], Any]
+    study: Callable[[np.ndarray, np.ndarray], Any]
 
 
 # the jobs a pool worker serves; set only in the worker processes, by
@@ -82,43 +79,34 @@ def _adopt_jobs(jobs: list[_Job]) -> None:
     _JOBS = jobs
 
 
-def _run_range(job: _Job, lo: int, hi: int) -> tuple[Any, Exception | None]:
-    """Step seeds lo..hi-1 of a job and reduce them: (results, None), or
-    (None, the reduction's exception).  A stepping error is raised."""
-    fractions, energies = observe_paths(
-        job.spec, replace(job.sim, seed=job.sim.seed + lo), hi - lo, job.theta[lo:hi],
-        job.eps, job.tau,
-    )
-    try:
-        return job.reduce(fractions, energies), None
-    except Exception as exc:  # raised in the parent, after every stepping error of its study
-        return None, exc
+def _run_range(job: _Job, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The time fractions and energies of seeds lo..hi-1 of a job."""
+    sim = replace(job.sim, seed=job.sim.seed + lo)
+    return observe_paths(job.spec, sim, hi - lo, job.theta[lo:hi], job.eps, job.tau)
 
 
-def _run_adopted(index: int, lo: int, hi: int) -> tuple[Any, Exception | None]:
+def _run_adopted(index: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     return _run_range(_JOBS[index], lo, hi)
 
 
-def _finish(job: _Job, outcomes: list[Callable[[], tuple[Any, Exception | None]]]) -> Any:
-    """The job's study from its ranges' outcomes, in seed order.
+def _finish(job: _Job, outcomes: list[Callable[[], tuple[np.ndarray, np.ndarray]]]) -> Any:
+    """The job's study from its ranges' statistics, in seed order.
 
     A stepping error is raised first: a blow-up as one kernel call over
     every seed would raise it (the earliest chunk, then the lowest seed),
-    any other as soon as it is met in seed order.  Then the first reduction
-    error, then what ``combine`` raises.
+    any other as soon as it is met in seed order.  Then what ``study``
+    raises over all the paths.
     """
-    results, blowups = [], []
+    parts, blowups = [], []
     for outcome in outcomes:
         try:
-            results.append(outcome())
+            parts.append(outcome())
         except NumericBlowup as exc:
             blowups.append(exc)
     if blowups:
         raise min(blowups, key=lambda exc: exc.step)
-    for _, error in results:
-        if error is not None:
-            raise error
-    return job.combine([value for value, _ in results])
+    fractions, energies = zip(*parts) if parts else ([np.empty(0)], [np.empty(0)])
+    return job.study(np.concatenate(fractions), np.concatenate(energies))
 
 
 def _run_jobs(jobs: list[_Job], workers: int) -> list:
@@ -131,12 +119,13 @@ def _run_jobs(jobs: list[_Job], workers: int) -> list:
     Each path's statistics do not depend on the paths stepped beside it, so
     every study equals the one-range result bit for bit.  The jobs reach the
     workers by inheritance, because the coefficients (lambdas, compiled
-    expressions) and the reductions do not pickle; only the range bounds go
-    out and each range's per-path results come back.  The caller must hold
-    no threads that fork could leave with a held lock.  With one worker, or
-    where fork is not available, each job is one range stepped in this
-    process.  Errors are raised as themselves, the same for any count (see
-    ``_finish``), jobs in order.
+    expressions) and the studies do not pickle; only the range bounds go
+    out and each range's time fractions and energies come back.  A worker
+    only steps paths: each study is reduced once, in this process.  The
+    caller must hold no threads that fork could leave with a held lock.
+    With one worker, or where fork is not available, each job is one range
+    stepped in this process.  Errors are raised as themselves, the same for
+    any count (see ``_finish``), jobs in order.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -198,7 +187,7 @@ def _variance_job(
     ch = ChannelConfig(tau=tau, eps=eps, law=law)
     sim = SimConfig(T=horizon, dt=dt, seed=base_seed)
 
-    def estimates(fractions: np.ndarray, energies: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    def study(fractions: np.ndarray, energies: np.ndarray) -> VarianceStudy:
         try:
             est_t, degenerate = estimate_theta_time_at(fractions, ch)
             est_e = estimate_theta_energy_at(energies[~degenerate], ch)
@@ -212,11 +201,7 @@ def _variance_job(
                     continue
                 estimate_theta_energy(energy, ch)
             raise
-        return est_t[~degenerate], est_e, int(np.count_nonzero(degenerate))
-
-    def study(parts: list[tuple[np.ndarray, np.ndarray, int]]) -> VarianceStudy:
-        est_t = np.concatenate([part[0] for part in parts])
-        est_e = np.concatenate([part[1] for part in parts])
+        est_t = est_t[~degenerate]
         if len(est_t) < 2:
             raise DegenerateObservation("too few usable replications for a variance estimate")
         sigma_t = time_scheme_variance(theta, ch).value
@@ -228,11 +213,11 @@ def _variance_job(
             sigma_time=sigma_t,
             sigma_energy=sigma_e,
             n_reps=len(est_t),
-            n_degenerate=sum(part[2] for part in parts),
+            n_degenerate=int(np.count_nonzero(degenerate)),
             seeds=(base_seed, base_seed + n_reps - 1),
         )
 
-    return _Job(law.spec, sim, n_reps, np.full(n_reps, float(theta)), eps, tau, estimates, study)
+    return _Job(law.spec, sim, n_reps, np.full(n_reps, float(theta)), eps, tau, study)
 
 
 def variance_validation_study(
@@ -251,7 +236,8 @@ def variance_validation_study(
 
     Replications whose time fraction hits 0 or 1 carry no finite estimate
     and are excluded (counted in n_degenerate).  ``workers`` processes step
-    and estimate the replications; the result is the same for any count.
+    the replications, and this process estimates them; the result is the
+    same for any count.
     """
     job = _variance_job(law, theta, tau, eps, horizon, dt, n_reps, base_seed)
     return _run_jobs([job], workers)[0]
@@ -284,24 +270,21 @@ class ErrorRateStudy:
 def _error_job(problem: TestProblem, dt: float, n_paths: int, base_seed: int) -> _Job:
     if n_paths < 2:
         raise ValueError("need at least 2 labeled paths")
-    # before any pool forks: the workers inherit the law's tables it builds
+    # before any pool forks: whether the study steps its paths depends on it
     report = p_err(problem)
     n0 = int(round(problem.p0 * n_paths))
     is_alternative = np.arange(n_paths) >= n0
     theta = np.where(is_alternative, problem.theta1, problem.theta0)
     sim = SimConfig(T=problem.horizon, dt=dt, seed=base_seed)
 
-    def decisions(fractions: np.ndarray, energies: np.ndarray) -> np.ndarray:
-        statistics = fractions if problem.scheme == "time" else energies
-        return np.array(
-            [decide(report.rule, s) is Decision.D1 for s in statistics.tolist()], dtype=bool
-        )
-
-    def study(parts: list[np.ndarray]) -> ErrorRateStudy:
+    def study(fractions: np.ndarray, energies: np.ndarray) -> ErrorRateStudy:
         if report.degenerate:
             decides_alternative = np.full(n_paths, problem.p1 > problem.p0)
         else:
-            decides_alternative = np.concatenate(parts)
+            statistics = fractions if problem.scheme == "time" else energies
+            decides_alternative = np.array(
+                [decide(report.rule, s) is Decision.D1 for s in statistics.tolist()], dtype=bool
+            )
         errors = int(np.count_nonzero(decides_alternative != is_alternative))
         predicted = report.p_err
         se = math.sqrt(max(predicted * (1.0 - predicted), 1e-12) / n_paths)
@@ -317,7 +300,7 @@ def _error_job(problem: TestProblem, dt: float, n_paths: int, base_seed: int) ->
 
     # the prior guess needs no path
     stepped = 0 if report.degenerate else n_paths
-    return _Job(problem.law.spec, sim, stepped, theta, problem.eps, problem.tau, decisions, study)
+    return _Job(problem.law.spec, sim, stepped, theta, problem.eps, problem.tau, study)
 
 
 def error_rate_study(
@@ -334,8 +317,8 @@ def error_rate_study(
     from the base seed.  Where ``p_err`` is degenerate the MAP rule is the
     prior guess: every path is decided for the larger prior (the null on a
     tie), as in ``p_err``, and no path is simulated.  Otherwise null and
-    alternative paths are stepped together, and decided, by ``workers``
-    processes; the result is the same for any count.
+    alternative paths are stepped together by ``workers`` processes, and
+    decided in this process; the result is the same for any count.
     """
     return _run_jobs([_error_job(problem, dt, n_paths, base_seed)], workers)[0]
 

@@ -206,6 +206,15 @@ def test_resonance_energy_paper_value(tmp_path):
     assert len(rows) == 30
 
 
+def test_resonance_fails_when_every_level_fails(tmp_path, capsys):
+    # every gap 0.5/eps of the grid 0.001..0.01 lies beyond the Gaussian
+    # law's tabulated support: the command fails and names it, no fake peak
+    out = tmp_path / "r"
+    assert run(["resonance", "--theta", "0.5", "--grid", "0.001:0.01:0.001", "--out", out]) == 1
+    assert "all 65 noise levels of the scan failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_resonance_rejects_bad_grid(tmp_path):
     assert run(["resonance", "--grid", "0:1", "--out", tmp_path / "r"]) == 2
     assert run(["resonance", "--grid", "1:0:0.1", "--out", tmp_path / "r"]) == 2
@@ -367,12 +376,13 @@ def test_surface_energy_scheme(tmp_path):
     assert all(0.0 <= float(r[6]) <= 0.5 + 1e-12 for r in rows if r[7] == "False")
 
 
-def test_validate_workers_agree(tmp_path):
+@pytest.mark.parametrize("law", [[], ["--drift=-4*x", "--sigma=2"]], ids=["ou", "grid_law"])
+def test_validate_workers_agree(tmp_path, law):
     # 3 exceeds the CPUs of a small host and is capped there; the report
     # must not depend on the worker count either way.  --test-eps 1.2 keeps
     # the error study off its degenerate level, so it steps its paths.
     args = ["validate", "--reps", "50", "--test-paths", "50", "--T", "20", "--test-T", "20",
-            "--test-eps", "1.2", "--seed", "4"]
+            "--test-eps", "1.2", "--seed", "4"] + law
     reports = []
     for workers in ("1", "2", "3"):
         out = tmp_path / workers

@@ -14,6 +14,7 @@ from stochres import (
     time_scheme_variance,
     time_scheme_variance_ou_reference,
 )
+from stochres.errors import QuadratureFailure
 from stochres.expressions import compile_expression
 from stochres.estimators import fisher_at
 from stochres.laws import LawTables
@@ -142,6 +143,15 @@ def test_grid_built_law_matches_closed_form_resonance(ou, ou_numeric, scheme):
 def test_resonance_bracket_validation(ou):
     with pytest.raises(ValueError):
         find_resonance(0.0, 1.0, ou, "time", bracket=Bracket(-0.1, 1.0))
+
+
+@pytest.mark.parametrize("scheme", ["time", "energy"])
+def test_resonance_raises_when_every_scan_level_fails(ou, scheme):
+    # eps <= 0.01 puts every gap 0.5/eps at 50 or more, beyond the Gaussian
+    # law's tabulated support (+-26.28): no level has information, so the
+    # bracket's lower end must not be reported as a peak
+    with pytest.raises(QuadratureFailure, match=r"all 65 noise levels .* support is \(-26\.28, 26\.28\)"):
+        find_resonance(0.5, 1.0, ou, scheme, bracket=Bracket(0.001, 0.01))
 
 
 @pytest.fixture(scope="module")

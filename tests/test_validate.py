@@ -19,11 +19,10 @@ from stochres.validate import _Job, _run_jobs
 
 
 def _observe_split(spec, cfg, n_paths, theta, eps, tau, workers):
-    """``observe_paths`` through the study runner: one job whose ranges keep
-    their arrays, concatenated in seed order."""
+    """``observe_paths`` through the study runner: one job whose study is
+    its paths' arrays, concatenated in seed order."""
     theta = np.broadcast_to(np.asarray(theta, dtype=float), (n_paths,))
-    job = _Job(spec, cfg, n_paths, theta, eps, tau, lambda f, e: (f, e),
-               lambda parts: tuple(np.concatenate(a) for a in zip(*parts)))
+    job = _Job(spec, cfg, n_paths, theta, eps, tau, lambda f, e: (f, e))
     return _run_jobs([job], workers)[0]
 
 
@@ -266,8 +265,8 @@ def test_variance_reduce_lookups_do_not_grow_with_the_replications(law, monkeypa
         lookup = getattr(laws.LawTables, name)
         monkeypatch.setattr(laws.LawTables, name,
                             lambda self, x, lookup=lookup: lookups.append(np.size(x)) or lookup(self, x))
-    est_t, est_e, degenerate = job.reduce(fractions, energies)
-    assert degenerate == 0 and len(est_t) == len(est_e) == 200
+    study = job.study(fractions, energies)
+    assert study.n_degenerate == 0 and study.n_reps == 200
     assert len(lookups) <= 30, lookups
 
 
@@ -281,14 +280,29 @@ def test_combined_studies_check_the_error_study_after_the_variance_study(law):
 
 
 def test_stepping_error_precedes_reduction_error_of_a_lower_range():
-    # seeds 0-7 stay bounded for 20 steps and seeds 8 and 9 blow up; every
-    # reduction fails.  Serially the stepping error comes first, so it must
-    # when the lower ranges reduce (and fail) before the range of seed 8.
+    # seeds 0-7 stay bounded for 20 steps and seeds 8 and 9 blow up; the
+    # study fails.  Serially the stepping error comes first, so it must when
+    # the lower ranges are stepped before the range of seed 8.
     def fails(fractions, energies):
         raise ZeroDivisionError("reduction")
 
-    job = _Job(_CUBIC, SimConfig(T=1.0, dt=0.05), 10, np.zeros(10), 1.0, 1.0, fails, list)
+    job = _Job(_CUBIC, SimConfig(T=1.0, dt=0.05), 10, np.zeros(10), 1.0, 1.0, fails)
     for workers in (1, 2, 3):
         with pytest.raises(NumericBlowup, match="seed 8;"):
             _run_jobs([job], workers)
+    assert multiprocessing.active_children() == []
+
+
+def test_studies_are_reduced_in_this_process(law, monkeypatch):
+    # workers only step paths: the variance study's energy estimates are one
+    # array root find here, over every replication of every range
+    from stochres import validate
+
+    calls = []
+    estimate = validate.estimate_theta_energy_at
+    monkeypatch.setattr("stochres.validate.estimate_theta_energy_at",
+                        lambda energies, ch: calls.append(len(energies)) or estimate(energies, ch))
+    problem = Problem(0.0, 0.5, 0.4, 0.6, 1.0, 1.2, 20.0, law, "time")
+    variance, _ = validation_studies(problem, 0.5, 0.7, 20.0, 0.01, 7, 9, base_seed=3, workers=2)
+    assert calls == [7] and variance.n_reps == 7
     assert multiprocessing.active_children() == []

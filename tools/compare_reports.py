@@ -7,12 +7,13 @@ Usage (from anywhere inside the repository):
 ``src/`` at REV is extracted with ``git archive`` into a temporary
 directory.  The same commands then run against that tree and against the
 working tree's ``src/``: the ``stochres`` commands of README.md's CLI
-section and the seed-0 commands of every benchmark workload
-(``perfbench.workloads.WORKLOADS``).  Each command runs in its own
-interpreter with ``PYTHONPATH`` set to one tree, from a working directory
-of its own, and writes under a relative ``--out``.  Every file written, the
-exit code and the standard output and error (with the working directory
-replaced by ``<out>``) must be byte-identical.  One line is printed per
+section, each README ``validate`` command again with ``--workers 2`` (its
+studies stepped on a process pool), and the seed-0 commands of every
+benchmark workload (``perfbench.workloads.WORKLOADS``).  Each command runs
+in its own interpreter with ``PYTHONPATH`` set to one tree, from a working
+directory of its own, and writes under a relative ``--out``.  Every file
+written, the exit code and the standard output and error (with the working
+directory replaced by ``<out>``) must be byte-identical.  One line is printed per
 difference; the exit status is 1 if there is any, else 0.  The line of a
 JSON or CSV report written on both sides, or of a standard output that
 parses as JSON on both sides, says how far it moved: the largest relative
@@ -58,6 +59,9 @@ def commands() -> list[list[str]]:
     for argv in readme_commands():
         out = argv.index("--out") + 1
         argvs.append(argv[:out] + [str(Path("readme") / argv[out])] + argv[out + 1:])
+        if argv[0] == "validate":
+            argvs.append(argv[:out] + [str(Path("readme_workers2") / argv[out])] + argv[out + 1:]
+                         + ["--workers", "2"])
     for name, workload in WORKLOADS.items():
         argvs += [command.argv for command in workload.commands(0, Path(name))]
     return argvs
