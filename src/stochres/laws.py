@@ -13,7 +13,10 @@ observation schemes are read in O(1) per noise level; one lookup takes a
 whole array of gaps.  Both constructors hand the density to one builder,
 ``_tables_law``, whose F, sf and quantile read the tables: the closed-form
 law differs from a law built from coefficients only in its density and its
-normalizer.  The ergodicity check, the support edges and the density
+normalizer.  The tables call the density with the panel of the node grid
+that holds each point, a slice of whole panels in a build and the panel a
+lookup has located, so only a law's public f (and the probe) searches the
+nodes.  The ergodicity check, the support edges and the density
 exponent all come from one Gauss-Legendre panel rule, and the quantile is a
 bracketed root of F or sf, one array root find over its levels, so no law
 imports scipy.
@@ -146,14 +149,15 @@ def _as_output(out: np.ndarray):
     return float(out) if out.ndim == 0 else out
 
 
-def _panels(fn: Callable, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+def _panels(fn: Callable, lo, hi, i) -> tuple[np.ndarray, np.ndarray]:
     """5-point Gauss-Legendre points t on the panels [lo, hi] (which
-    broadcast), and w*fn(t).  Both put a Gauss axis of length 5 before the
-    panel axes, shape (5,) for one scalar panel, so that a sum over the rule
-    adds whole contiguous rows rather than 5 entries per panel."""
+    broadcast), which lie in the panels i of the density's node grid, and
+    w*fn(t, i).  Both put a Gauss axis of length 5 before the panel axes,
+    shape (5,) for one scalar panel, so that a sum over the rule adds whole
+    contiguous rows rather than 5 entries per panel."""
     half = 0.5 * (np.asarray(hi, dtype=float) - lo)
     t = (lo + half) + np.multiply.outer(_GL_X, half)
-    return t, np.multiply.outer(_GL_W, half) * np.asarray(fn(t), dtype=float)
+    return t, np.multiply.outer(_GL_W, half) * np.asarray(fn(t, i), dtype=float)
 
 
 def _moments(t: np.ndarray, wf: np.ndarray) -> np.ndarray:
@@ -193,10 +197,21 @@ def _node_grid(lo: float, hi: float) -> tuple[np.ndarray, int]:
     return nodes, n_left
 
 
+def _panel_of(nodes: np.ndarray, x):
+    """The index of the panel of ``nodes`` that holds each x; the last panel
+    holds the last node.  A density called by the tables is handed its
+    panels, so only a law's public ``f`` and its probe search."""
+    return np.minimum(np.searchsorted(nodes, x, side="right") - 1, len(nodes) - 2)
+
+
 def _mass(drift: Callable, sigma: Callable, nodes: np.ndarray, zero_idx: int) -> tuple[Callable, Callable]:
     """The exponent int_0^x S/sigma^2 and the unnormalized stationary mass
-    exp(2*exponent)/sigma^2 at any x in [nodes[0], nodes[-1]], scalar or
-    array, from the array forms of the coefficients.
+    exp(2*exponent)/sigma^2, from the array forms of the coefficients.  Both
+    take (x, i): x, scalar or array, lies in the panels i of ``nodes``
+    (panel k is [nodes[k], nodes[k+1]]).  i broadcasts along the last axis
+    of x: an index array, or a slice when that axis runs over consecutive
+    panels, whose coefficients are then read as views.  Neither searches
+    the nodes (``_panel_of`` does, for callers that do not know the panel).
 
     At the nodes the exponent is a prefix of 5-point Gauss-Legendre panels,
     accumulated outward from ``nodes[zero_idx] = 0`` so that rounding stays
@@ -216,28 +231,28 @@ def _mass(drift: Callable, sigma: Callable, nodes: np.ndarray, zero_idx: int) ->
     np.cumsum(panels[zero_idx:], out=at_nodes[zero_idx + 1 :])
     at_nodes[:zero_idx] = -np.cumsum(panels[:zero_idx][::-1])[::-1]
     partial = (half[:, None] * (s_gauss @ _PARTIAL)).T
-    last = len(nodes) - 2
+    at_left = at_nodes[:-1]  # per panel, as half, mid and partial are
 
-    def exponent(x):
-        i = np.minimum(np.searchsorted(nodes, x, side="right") - 1, last)
+    def exponent(x, i):
         u = (x - mid[i]) / half[i]
         e = partial[5, i]
         for c in partial[4::-1]:
             e = e * u + c[i]
-        return at_nodes[i] + e
+        return at_left[i] + e
 
-    def mass(x):
+    def mass(x, i):
         sig = sigma(x)
         with np.errstate(over="ignore"):
-            return np.exp(2.0 * exponent(x)) / (sig * sig)
+            return np.exp(2.0 * exponent(x, i)) / (sig * sig)
 
     return exponent, mass
 
 
 def _probe(spec: DiffusionSpec) -> tuple[ErgodicityReport, Callable, list[str], tuple[Callable, Callable]]:
-    """The ergodicity report, the unnormalized mass on the probe range, the
-    reason for each failed condition, and the array forms of the drift and
-    the diffusion, lifted from the probe's node grid."""
+    """The ergodicity report, the unnormalized mass on the probe range as a
+    function of x alone (it searches the probe's nodes), the reason for each
+    failed condition, and the array forms of the drift and the diffusion,
+    lifted from the probe's node grid."""
     lo, hi = _PROBE_RANGE.lo, _PROBE_RANGE.hi
     nodes, zero_idx = _node_grid(lo, hi)
     drift, sigma = _array_form(spec.drift, nodes), _array_form(spec.diffusion, nodes)
@@ -247,7 +262,8 @@ def _probe(spec: DiffusionSpec) -> tuple[ErgodicityReport, Callable, list[str], 
         x = nodes[bad.argmax()]
         raise ValueError(f"coefficients must be finite and sigma positive on the probe grid (x={x})")
     exponent, mass = _mass(drift, sigma, nodes, zero_idx)
-    left, left_mid, right_mid, right = (float(e) for e in exponent(np.array([lo, lo / 2.0, hi / 2.0, hi])))
+    probes = np.array([lo, lo / 2.0, hi / 2.0, hi])
+    left, left_mid, right_mid, right = (float(e) for e in exponent(probes, _panel_of(nodes, probes)))
     c2_failures = [
         f"int_0^x S/sigma^2 does not fall toward -inf at the probe end x={end:g} ({e:.6g}, {e_mid:.6g} at x/2)"
         for end, e, e_mid in ((lo, left, left_mid), (hi, right, right_mid))
@@ -256,19 +272,20 @@ def _probe(spec: DiffusionSpec) -> tuple[ErgodicityReport, Callable, list[str], 
     lo_b, hi_b = nodes[:-1], nodes[1:]
     blocks = range(0, len(lo_b), _BLOCK)
     # sum a contiguous (n, 5) copy: a flat sum of the (5, n) block groups the adds otherwise
-    G = float(sum(_panels(mass, lo_b[j : j + _BLOCK], hi_b[j : j + _BLOCK])[1].T.copy().sum() for j in blocks))
+    G = float(sum(_panels(mass, lo_b[j : j + _BLOCK], hi_b[j : j + _BLOCK], slice(j, j + _BLOCK))[1].T.copy().sum()
+                  for j in blocks))
     c3_failures = [f"the stationary mass sums to G={G:g} on the probe range"]
     if math.isfinite(G) and G > 0:
         ends = np.array([lo, hi])
         c3_failures = [
             f"the stationary mass has not decayed at the probe end x={end:g} "
             f"(tail ratio mass*|x|/G = {ratio:.3g} > {REL_TOL:g})"
-            for end, ratio in zip(ends, mass(ends) * np.abs(ends) / G)
+            for end, ratio in zip(ends, mass(ends, np.array([0, -1])) * np.abs(ends) / G)
             if not ratio <= REL_TOL
         ]
     report = ErgodicityReport(c2_left_limit=left, c2_right_limit=right, G=math.inf if c3_failures else G,
                               c2_holds=not c2_failures, c3_holds=not c3_failures)
-    return report, mass, c2_failures + c3_failures, (drift, sigma)
+    return report, lambda x: mass(x, _panel_of(nodes, x)), c2_failures + c3_failures, (drift, sigma)
 
 
 def check_ergodicity(spec: DiffusionSpec) -> ErgodicityReport:
@@ -296,24 +313,25 @@ def _log_sum(v: np.ndarray) -> np.ndarray:
     return np.log(np.exp(v - top).sum(0)) + top
 
 
-def _gauss_panels(f: Callable, lo: np.ndarray, hi: np.ndarray):
-    """Gauss-Legendre points on the n panels [lo, hi] and moments of f there.
+def _gauss_panels(density: Callable, lo: np.ndarray, hi: np.ndarray, i):
+    """Gauss-Legendre points on the n panels [lo, hi] and moments of the
+    density there; the panels lie in the panels i of its node grid.
 
     Returns the points t, their weights w, f(t), each of shape (5, n) (the
     Gauss axis leads, the panel axis follows), the panel moments
     P[k] = int_lo^hi xi^k f, shape (3, n), and the partial moments
     I[k] = int_lo^t xi^k f at every point t, shape (3, 5, n), from a nested
     rule on [lo, t] whose own Gauss axis leads the (5, 5, n) block it sums.
-    f is called once.
+    The density is called on t and on the nested points, each with the
+    panel axis last, so that i broadcasts against both.
     """
     half = 0.5 * (hi - lo)
     t = (lo + half) + np.multiply.outer(_GL_X, half)
     w = np.multiply.outer(_GL_W, half)
     half_in = 0.5 * (t - lo)
     s = (lo + half_in) + np.multiply.outer(_GL_X, half_in)
-    vals = np.asarray(f(np.concatenate([t.ravel(), s.ravel()])), dtype=float)
-    f_t = vals[: t.size].reshape(t.shape)
-    wf_s = np.multiply.outer(_GL_W, half_in) * vals[t.size:].reshape(s.shape)
+    f_t = np.asarray(density(t, i), dtype=float)
+    wf_s = np.multiply.outer(_GL_W, half_in) * np.asarray(density(s, i), dtype=float)
     return t, w, f_t, _moments(t, w * f_t), _moments(s, wf_s)
 
 
@@ -383,16 +401,23 @@ class LawTables:
     The grid is trimmed to the nodes where the density exceeds
     ``_MASS_FLOOR`` times its peak, so every first-order quantity is a
     normal double there.  A second-order lookup flags its points outside
-    the trimmed support.  ``sigma`` is the diffusion's array form (see
-    ``_array_form``): it is called on arrays of Gauss points as it is.
+    the trimmed support.  ``density(x, i)`` is the law's density at points
+    x of the panels i of ``nodes`` (see ``_mass``): the build and every
+    lookup know the panel of each point they pass, so none searches for it;
+    a build passes a slice per block.  ``sigma`` is the diffusion's array
+    form (see ``_array_form``): it is called on arrays of Gauss points as
+    it is.
     """
 
-    def __init__(self, nodes: np.ndarray, f: Callable, sigma: Callable) -> None:
-        self.f = f
+    def __init__(self, nodes: np.ndarray, density: Callable, sigma: Callable) -> None:
+        self.density = density
         self.sigma = sigma
-        f_nodes = np.asarray(f(nodes), dtype=float)
+        # node k is the left end of panel k, the last node the right end of the last panel
+        f_nodes = np.asarray(density(nodes, np.minimum(np.arange(len(nodes)), len(nodes) - 2)), dtype=float)
         live = np.flatnonzero(f_nodes > _MASS_FLOOR * f_nodes.max())
-        x = np.asarray(nodes[live[0] : live[-1] + 1], dtype=float)
+        # panel j of the trimmed grid is panel j + _shift of nodes
+        self._shift = shift = int(live[0])
+        x = np.asarray(nodes[shift : live[-1] + 1], dtype=float)
         if len(x) < 2:
             raise NotErgodic("stationary density has no resolvable support on its node grid")
         n = len(x) - 1
@@ -402,14 +427,14 @@ class LawTables:
         spans = [(j, min(j + _BLOCK, n)) for j in range(0, n, _BLOCK)]
         P = np.empty((3, n))
         for j, k in spans:
-            P[:, j:k] = _moments(*_panels(f, x[j:k], x[j + 1 : k + 1]))
+            P[:, j:k] = _moments(*_panels(density, x[j:k], x[j + 1 : k + 1], slice(shift + j, shift + k)))
         F = np.zeros(n + 1)
         np.cumsum(P[0], out=F[1:])
         m = np.zeros((3, n + 1))
         m[:, :-1] = np.cumsum(P[:, ::-1], axis=1)[:, ::-1]
         la, lb, q = np.empty(n), np.empty(n), np.empty((len(_PAIRS[0]), n))
         for j, k in spans:
-            t, w, f_t, P_b, I = _gauss_panels(f, x[j:k], x[j + 1 : k + 1])
+            t, w, f_t, P_b, I = _gauss_panels(density, x[j:k], x[j + 1 : k + 1], slice(shift + j, shift + k))
             la[j:k], lb[j:k], q[:, j:k] = _second_order_panels(
                 F[j:k] + I[0], m[:, None, j + 1 : k + 1] + (P_b[:, None] - I), f_t, np.square(sigma(t)), w
             )
@@ -443,14 +468,14 @@ class LawTables:
         """F(x) at any real x, scalar or array: the prefix F of x's panel plus
         the partial panel up to x."""
         x, i = self._locate(x)
-        return _as_output(self.F[i] + _panels(self.f, self.x[i], x)[1].sum(0))
+        return _as_output(self.F[i] + _panels(self.density, self.x[i], x, i + self._shift)[1].sum(0))
 
     def upper_moments(self, x) -> np.ndarray:
         """(m_0, m_1, m_2)(x) with m_k = E[xi^k 1{xi > x}], at any real x,
         scalar or array: the suffix tables of the next node plus the partial
         panel from x."""
         x, i = self._locate(x)
-        return self.m[:, i + 1] + _moments(*_panels(self.f, x, self.x[i + 1]))
+        return self.m[:, i + 1] + _moments(*_panels(self.density, x, self.x[i + 1], i + self._shift))
 
     def at(self, x: np.ndarray) -> LawPoint:
         """Every tabulated quantity at each point of the 1-d array x, in one
@@ -470,9 +495,9 @@ class LawTables:
         j = i + 1
         m_next = self.m[:, j]
         # panels [x_i, x] (the first n) extend the prefix tables, panels
-        # [x, x_i+1] the suffix ones
+        # [x, x_i+1] the suffix ones; both lie in panel i
         ends = np.concatenate([self.x[i], pts, self.x[j]])
-        t, w, f_t, P, I = _gauss_panels(self.f, ends[: 2 * n], ends[n:])
+        t, w, f_t, P, I = _gauss_panels(self.density, ends[: 2 * n], ends[n:], np.tile(i + self._shift, 2))
         F_t = self.F[i] + I[0, :, :n]
         m_t = m_next[:, None] + (P[:, None, n:] - I[:, :, n:])
         la, lb, q = _second_order_panels(F_t, m_t, f_t, np.square(self.sigma(t)), w)
@@ -493,12 +518,14 @@ class LawTables:
         return LawPoint(F=F, m=m, log_A=log_A, log_B=log_B, nu=nu, outside=outside)
 
 
-def _tables_law(f: Callable, G: float, spec: DiffusionSpec, nodes: np.ndarray, sigma: Callable, label: str,
-                report: Optional[ErgodicityReport]) -> InvariantLaw:
+def _tables_law(f: Callable, density: Callable, G: float, spec: DiffusionSpec, nodes: np.ndarray, sigma: Callable,
+                label: str, report: Optional[ErgodicityReport]) -> InvariantLaw:
     """The law of density ``f`` (normalizer ``G``) on the node grid
     ``nodes``, with ``sigma`` the diffusion's array form: F, sf and the
-    quantile read the tables of ``f``, which are built at the first call
-    that needs them.
+    quantile read the tables of the density, which are built at the first
+    call that needs them.  ``density(x, i)`` is ``f`` at points x of the
+    panels i of ``nodes``, the form the tables call (see ``LawTables``);
+    only ``f`` searches the nodes.
 
     The quantile takes a level or an array of levels in (0, 1) and returns
     a float for a float, as F and sf do.  Each level is a bracketed root of
@@ -508,7 +535,7 @@ def _tables_law(f: Callable, G: float, spec: DiffusionSpec, nodes: np.ndarray, s
     so each level's bracket and the values at its ends are those of a
     search for that level alone."""
     lo, hi = float(nodes[0]), float(nodes[-1])
-    tables = cache(lambda: LawTables(nodes, f, sigma))
+    tables = cache(lambda: LawTables(nodes, density, sigma))
 
     def F(x):
         return tables().cdf(x)
@@ -574,14 +601,15 @@ def build_invariant_law(spec: DiffusionSpec) -> InvariantLaw:
     nodes, zero_idx = _node_grid(*_support_edges(probe_mass))
     del probe_mass  # frees the probe range's panel tables before the support ones exist
     mass = _mass(drift, sigma, nodes, zero_idx)[1]
-    G = float(_panels(mass, nodes[:-1], nodes[1:])[1].T.copy().sum())
+    G = float(_panels(mass, nodes[:-1], nodes[1:], slice(None))[1].T.copy().sum())
     lo, hi = float(nodes[0]), float(nodes[-1])
 
     def f(x):
         x = np.asarray(x, dtype=float)
-        return _as_output(np.where((x >= lo) & (x <= hi), mass(np.clip(x, lo, hi)) / G, 0.0))
+        y = np.clip(x, lo, hi)
+        return _as_output(np.where((x >= lo) & (x <= hi), mass(y, _panel_of(nodes, y)) / G, 0.0))
 
-    return _tables_law(f, G, spec, nodes, sigma, spec.label or "custom", report)
+    return _tables_law(f, lambda x, i: mass(x, i) / G, G, spec, nodes, sigma, spec.label or "custom", report)
 
 
 def ou_law() -> InvariantLaw:
@@ -602,7 +630,7 @@ def ou_law() -> InvariantLaw:
         return _as_output(np.exp(-np.square(np.asarray(x, dtype=float))) / _SQRT_PI)
 
     nodes = _node_grid(*_support_edges(lambda y: np.exp(-np.square(y))))[0]
-    return _tables_law(f, _SQRT_PI, spec, nodes, _array_form(spec.diffusion, nodes), "ou", None)
+    return _tables_law(f, lambda x, i: f(x), _SQRT_PI, spec, nodes, _array_form(spec.diffusion, nodes), "ou", None)
 
 
 NAMED_SPECS: dict[str, Callable[[], InvariantLaw]] = {"ou": ou_law}

@@ -509,6 +509,77 @@ def test_float_argument_gives_entry_of_array_call(ou, cubic, name):
         assert [float(v).hex() for v in one] == [float(v).hex() for v in row[:, 0]], x
 
 
+@pytest.mark.parametrize("drift, sigma, trimmed", [(None, None, True), ("-x^3", "1", True), ("-x", "10", False)])
+def test_tables_call_the_density_on_its_panels(monkeypatch, drift, sigma, trimmed):
+    # every point the build and the lookups hand the density lies in the panel
+    # passed with it; under sigma = 10 no node is trimmed, so the panels of
+    # the tables are those of the law
+    from stochres import laws
+
+    calls = []
+    init = laws.LawTables.__init__
+
+    def checked_init(self, nodes, density, sigma_form):
+        panels = np.arange(len(nodes) - 1)
+
+        def checked(x, i):
+            x = np.asarray(x, dtype=float)
+            if not isinstance(i, slice):
+                assert np.all(np.asarray(i) >= 0)
+            k = panels[i]
+            assert np.broadcast_shapes(x.shape, np.shape(k)) == x.shape
+            assert np.all((nodes[k] <= x) & (x <= nodes[k + 1]))
+            calls.append(x.size)
+            return density(x, i)
+
+        init(self, nodes, checked, sigma_form)
+
+    monkeypatch.setattr(laws.LawTables, "__init__", checked_init)
+    law = laws.ou_law() if drift is None else build_invariant_law(
+        DiffusionSpec(compile_expression(drift), compile_expression(sigma)))
+    tables = law.tables
+    assert (tables._shift > 0) == trimmed and (len(tables.x) < len(law.grid_x)) == trimmed
+    lo, hi = tables.support
+    xs = np.concatenate([
+        tables.x[[0, 1, len(tables.x) // 3, len(tables.x) // 2, -2, -1]],  # nodes, both support ends among them
+        np.linspace(lo, hi, 65)[1:-1] + 1e-3,  # interior points
+        [lo + 1e-12, hi - 1e-12, lo - 1.0, hi + 1.0],  # next to the ends and beyond them
+    ])
+    built = len(calls)
+    assert built > 0
+    tables.at(xs)
+    tables.cdf(xs)
+    tables.upper_moments(xs)
+    for x in xs:
+        tables.cdf(float(x))
+        tables.upper_moments(float(x))
+        tables.at(np.array([x]))
+    assert len(calls) > built
+
+
+@pytest.mark.parametrize("drift, sigma", [("-x^3", "1"), ("-tanh(x)", "1+0.5*exp(-x^2)")])
+def test_grid_law_has_one_density(monkeypatch, drift, sigma):
+    # the public f is the tables' density at the panel it searches for; the
+    # tables search no node grid, neither in their build nor in a lookup
+    from stochres import laws
+
+    law = build_invariant_law(DiffusionSpec(compile_expression(drift), compile_expression(sigma)))
+    searches = []
+    search = laws._panel_of
+    monkeypatch.setattr(laws, "_panel_of", lambda nodes, x: searches.append(np.size(x)) or search(nodes, x))
+    tables = law.tables
+    lo, hi = tables.support
+    tables.at(np.linspace(lo, hi, 65))
+    assert searches == []
+    nodes = law.grid_x
+    xs = np.concatenate([np.random.default_rng(7).uniform(nodes[0], nodes[-1], 500), nodes, nodes[[0, -1]]])
+    f = law.f(xs)
+    assert searches == [len(xs)]
+    panel_f = tables.density(xs, search(nodes, xs))
+    assert [float(v).hex() for v in f] == [float(v).hex() for v in panel_f]
+    assert float(law.f(float(nodes[-1]))).hex() == float(panel_f[-1]).hex()
+
+
 def test_import_path_loads_no_scipy():
     # the closed-form law, a law built from coefficients and their variance
     # tables need no scipy (only the adaptive quadrature of the test oracles
