@@ -13,11 +13,16 @@ observation schemes are read in O(1) per noise level; one lookup takes a
 whole array of gaps.  Both constructors hand the density to one builder,
 ``_tables_law``, whose F, sf and quantile read the tables: the closed-form
 law differs from a law built from coefficients only in its density and its
-normalizer.  The tables call the density with the panel of the node grid
-that holds each point, a slice of whole panels in a build and the panel a
-lookup has located, so only a law's public f (and the probe) searches the
-nodes.  The ergodicity check, the support edges and the density
-exponent all come from one Gauss-Legendre panel rule, and the quantile is a
+normalizer.  Each table is built by its first reader: F, sf and the
+quantile build only the first-order tables (F and the upper moments), and
+the first variance lookup builds the variance tables.  A law built from
+coefficients hands the tables the mass at the Gauss points that its
+normalizer summed, so a build computes the density at each point once.
+The tables call the density with the panel of the node grid that holds
+each point, a slice of whole panels in a build and the panel a lookup has
+located, so only a law's public f (and the probe) searches the nodes.  The
+ergodicity check, the support edges and the density exponent all come from
+one Gauss-Legendre panel rule, and the quantile is a
 bracketed root of F or sf, one array root find over its levels, so no law
 imports scipy.
 
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -117,10 +122,10 @@ class InvariantLaw:
     """Stationary law: density f, distribution F, survival sf and quantile.
 
     ``grid_x`` is the node grid over the numerical support and ``tables``
-    the cumulative tables of ``f`` on it, built on first use.  F, sf and
-    the quantile read those tables, so every law has one representation;
-    ``sf`` is the tables' upper moment m_0, not ``1 - F``, so that far
-    tails retain relative accuracy.  Beyond the tabulated support F is 0 or
+    the cumulative tables of ``f`` on it, each built by its first reader
+    (see ``LawTables``).  F, sf and the quantile read those tables, so every
+    law has one representation; ``sf`` is the tables' upper moment m_0, not
+    ``1 - F``, so that far tails retain relative accuracy.  Beyond the tabulated support F is 0 or
     1 and sf 1 or 0.  A law built from coefficients keeps the
     ``ergodicity`` report its build checked.  Instances are immutable apart
     from the tables' cache and safe to share.
@@ -149,15 +154,20 @@ def _as_output(out: np.ndarray):
     return float(out) if out.ndim == 0 else out
 
 
-def _panels(fn: Callable, lo, hi, i) -> tuple[np.ndarray, np.ndarray]:
-    """5-point Gauss-Legendre points t on the panels [lo, hi] (which
-    broadcast), which lie in the panels i of the density's node grid, and
-    w*fn(t, i).  Both put a Gauss axis of length 5 before the panel axes,
-    shape (5,) for one scalar panel, so that a sum over the rule adds whole
-    contiguous rows rather than 5 entries per panel."""
+def _gauss_rule(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """5-point Gauss-Legendre points t and weights w on the panels [lo, hi]
+    (which broadcast).  Both put a Gauss axis of length 5 before the panel
+    axes, shape (5,) for one scalar panel, so that a sum over the rule adds
+    whole contiguous rows rather than 5 entries per panel."""
     half = 0.5 * (np.asarray(hi, dtype=float) - lo)
-    t = (lo + half) + np.multiply.outer(_GL_X, half)
-    return t, np.multiply.outer(_GL_W, half) * np.asarray(fn(t, i), dtype=float)
+    return (lo + half) + np.multiply.outer(_GL_X, half), np.multiply.outer(_GL_W, half)
+
+
+def _panels(fn: Callable, lo, hi, i) -> tuple[np.ndarray, np.ndarray]:
+    """The Gauss points t of the panels [lo, hi], which lie in the panels i
+    of the density's node grid, and w*fn(t, i), in ``_gauss_rule``'s layout."""
+    t, w = _gauss_rule(lo, hi)
+    return t, w * np.asarray(fn(t, i), dtype=float)
 
 
 def _moments(t: np.ndarray, wf: np.ndarray) -> np.ndarray:
@@ -313,6 +323,17 @@ def _log_sum(v: np.ndarray) -> np.ndarray:
     return np.log(np.exp(v - top).sum(0)) + top
 
 
+def _nested_moments(density: Callable, lo, t: np.ndarray, i) -> np.ndarray:
+    """The partial moments I[k] = int_lo^t xi^k f at every Gauss point t of
+    the panels starting at lo, which lie in the panels i of the density's
+    node grid: shape (3, 5, n), from a nested rule on [lo, t] whose own
+    Gauss axis leads the (5, 5, n) block of points it sums.  The density is
+    called on the nested points with the panel axis last, so that i
+    broadcasts against them."""
+    s, w_s = _gauss_rule(lo, t)
+    return _moments(s, w_s * np.asarray(density(s, i), dtype=float))
+
+
 def _gauss_panels(density: Callable, lo: np.ndarray, hi: np.ndarray, i):
     """Gauss-Legendre points on the n panels [lo, hi] and moments of the
     density there; the panels lie in the panels i of its node grid.
@@ -320,19 +341,11 @@ def _gauss_panels(density: Callable, lo: np.ndarray, hi: np.ndarray, i):
     Returns the points t, their weights w, f(t), each of shape (5, n) (the
     Gauss axis leads, the panel axis follows), the panel moments
     P[k] = int_lo^hi xi^k f, shape (3, n), and the partial moments
-    I[k] = int_lo^t xi^k f at every point t, shape (3, 5, n), from a nested
-    rule on [lo, t] whose own Gauss axis leads the (5, 5, n) block it sums.
-    The density is called on t and on the nested points, each with the
-    panel axis last, so that i broadcasts against both.
+    I[k] = int_lo^t xi^k f at every point t (see ``_nested_moments``).
     """
-    half = 0.5 * (hi - lo)
-    t = (lo + half) + np.multiply.outer(_GL_X, half)
-    w = np.multiply.outer(_GL_W, half)
-    half_in = 0.5 * (t - lo)
-    s = (lo + half_in) + np.multiply.outer(_GL_X, half_in)
+    t, w = _gauss_rule(lo, hi)
     f_t = np.asarray(density(t, i), dtype=float)
-    wf_s = np.multiply.outer(_GL_W, half_in) * np.asarray(density(s, i), dtype=float)
-    return t, w, f_t, _moments(t, w * f_t), _moments(s, wf_s)
+    return t, w, f_t, _moments(t, w * f_t), _nested_moments(density, lo, t, i)
 
 
 def _second_order_panels(F_t, m_t, f_t, sig2_t, w):
@@ -391,6 +404,13 @@ class LawTables:
     scaled by B, which keeps them O(1 + |x|^(j+k)) where S_jk itself would
     under- or overflow.  A lookup adds one partial panel at x.
 
+    The first-order tables (the trim, F and m) are built with the tables;
+    ``cdf``, ``upper_moments`` and ``support`` read only them.  The variance
+    tables (``log_A``, ``log_B`` and ``nu``) are built once, at the first
+    ``at`` or the first read of one of them.  Their pass reuses the density
+    that the first pass kept at the Gauss points, and calls the density
+    only on the nested points.
+
     Every panel kernel holds the 5 Gauss points on the leading axis and the
     panels on the last one: (5, n) per quantity, (3, 5, n) for the moments
     at the points and (5, 5, n) for the nested rule, so each sum over a rule
@@ -404,12 +424,15 @@ class LawTables:
     the trimmed support.  ``density(x, i)`` is the law's density at points
     x of the panels i of ``nodes`` (see ``_mass``): the build and every
     lookup know the panel of each point they pass, so none searches for it;
-    a build passes a slice per block.  ``sigma`` is the diffusion's array
-    form (see ``_array_form``): it is called on arrays of Gauss points as
-    it is.
+    a build passes a slice per block.  ``gauss_density(i)``, when a law's
+    build already holds them, gives the density at the Gauss points of the
+    panels of ``nodes`` in the slice i, as ``density`` would; the first pass
+    then calls no density on them.  ``sigma`` is the diffusion's array form
+    (see ``_array_form``): it is called on arrays of Gauss points as it is.
     """
 
-    def __init__(self, nodes: np.ndarray, density: Callable, sigma: Callable) -> None:
+    def __init__(self, nodes: np.ndarray, density: Callable, sigma: Callable,
+                 gauss_density: Optional[Callable[[slice], np.ndarray]] = None) -> None:
         self.density = density
         self.sigma = sigma
         # node k is the left end of panel k, the last node the right end of the last panel
@@ -421,39 +444,67 @@ class LawTables:
         if len(x) < 2:
             raise NotErgodic("stationary density has no resolvable support on its node grid")
         n = len(x) - 1
-        # the panels go through in blocks, twice: once for the node tables of
-        # F and m, once for the variance integrands anchored on them; this
-        # bounds the nested-rule temporaries to one block
-        spans = [(j, min(j + _BLOCK, n)) for j in range(0, n, _BLOCK)]
+        # the panels go through in blocks, in each pass: the node tables of F
+        # and m here, the variance integrands anchored on them at the first
+        # lookup; this bounds the nested-rule temporaries to one block
+        self._spans = [(j, min(j + _BLOCK, n)) for j in range(0, n, _BLOCK)]
+        # the density at the Gauss points of every panel, kept for the variance pass
+        self._f_t = f_t = np.empty((len(_GL_X), n))
         P = np.empty((3, n))
-        for j, k in spans:
-            P[:, j:k] = _moments(*_panels(density, x[j:k], x[j + 1 : k + 1], slice(shift + j, shift + k)))
-        F = np.zeros(n + 1)
-        np.cumsum(P[0], out=F[1:])
-        m = np.zeros((3, n + 1))
-        m[:, :-1] = np.cumsum(P[:, ::-1], axis=1)[:, ::-1]
+        for j, k in self._spans:
+            t, w = _gauss_rule(x[j:k], x[j + 1 : k + 1])
+            panels = slice(shift + j, shift + k)
+            f_t[:, j:k] = density(t, panels) if gauss_density is None else gauss_density(panels)
+            P[:, j:k] = _moments(t, w * f_t[:, j:k])
+        self.x = x
+        self.F = np.zeros(n + 1)
+        np.cumsum(P[0], out=self.F[1:])
+        self.m = np.zeros((3, n + 1))
+        self.m[:, :-1] = np.cumsum(P[:, ::-1], axis=1)[:, ::-1]
+
+    @cached_property
+    def _second_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """log A, log B and nu at the nodes, from the variance integrands of
+        every panel, anchored on the first-order tables."""
+        x, F, m, f_t, shift = self.x, self.F, self.m, self._f_t, self._shift
+        n = len(x) - 1
         la, lb, q = np.empty(n), np.empty(n), np.empty((len(_PAIRS[0]), n))
-        for j, k in spans:
-            t, w, f_t, P_b, I = _gauss_panels(density, x[j:k], x[j + 1 : k + 1], slice(shift + j, shift + k))
+        for j, k in self._spans:
+            t, w = _gauss_rule(x[j:k], x[j + 1 : k + 1])
+            # the panel moments of the first pass, to the bit
+            P = _moments(t, w * f_t[:, j:k])
+            I = _nested_moments(self.density, x[j:k], t, slice(shift + j, shift + k))
             la[j:k], lb[j:k], q[:, j:k] = _second_order_panels(
-                F[j:k] + I[0], m[:, None, j + 1 : k + 1] + (P_b[:, None] - I), f_t, np.square(sigma(t)), w
+                F[j:k] + I[0], m[:, None, j + 1 : k + 1] + (P[:, None] - I), f_t[:, j:k],
+                np.square(self.sigma(t)), w
             )
         log_B = np.concatenate([np.logaddexp.accumulate(lb[::-1])[::-1], [-np.inf]])
         # S_jk may change sign (m_1 < 0 below a negative mean), so the positive
-        # and negative panels of each are accumulated apart, in logs
+        # and negative panels of each are accumulated apart, in logs; a part
+        # with no panel would add -0.0 or +0.0 to every entry, and is skipped
         nu = np.zeros((len(q), n + 1))
         with np.errstate(divide="ignore"):
             for row, q_row in zip(nu, q):
                 log_q = lb + np.log(np.abs(q_row))
                 for sign in (1.0, -1.0):
-                    log_part = np.where(sign * q_row > 0.0, log_q, -np.inf)
-                    row[:-1] += sign * np.exp(np.logaddexp.accumulate(log_part[::-1])[::-1] - log_B[:-1])
-        self.x = x
-        self.F = F
-        self.m = m
-        self.log_A = np.concatenate([[-np.inf], np.logaddexp.accumulate(la)])
-        self.log_B = log_B
-        self.nu = nu
+                    part = sign * q_row > 0.0
+                    if part.any():
+                        log_part = np.where(part, log_q, -np.inf)
+                        row[:-1] += sign * np.exp(np.logaddexp.accumulate(log_part[::-1])[::-1] - log_B[:-1])
+        del self._f_t  # this pass is its only reader
+        return np.concatenate([[-np.inf], np.logaddexp.accumulate(la)]), log_B, nu
+
+    @property
+    def log_A(self) -> np.ndarray:
+        return self._second_order[0]
+
+    @property
+    def log_B(self) -> np.ndarray:
+        return self._second_order[1]
+
+    @property
+    def nu(self) -> np.ndarray:
+        return self._second_order[2]
 
     @property
     def support(self) -> tuple[float, float]:
@@ -519,13 +570,16 @@ class LawTables:
 
 
 def _tables_law(f: Callable, density: Callable, G: float, spec: DiffusionSpec, nodes: np.ndarray, sigma: Callable,
-                label: str, report: Optional[ErgodicityReport]) -> InvariantLaw:
+                label: str, report: Optional[ErgodicityReport],
+                gauss_density: Optional[Callable[[slice], np.ndarray]] = None) -> InvariantLaw:
     """The law of density ``f`` (normalizer ``G``) on the node grid
     ``nodes``, with ``sigma`` the diffusion's array form: F, sf and the
-    quantile read the tables of the density, which are built at the first
-    call that needs them.  ``density(x, i)`` is ``f`` at points x of the
-    panels i of ``nodes``, the form the tables call (see ``LawTables``);
-    only ``f`` searches the nodes.
+    quantile read the first-order tables of the density, which are built at
+    the first call that needs them; they never build the variance tables.
+    ``density(x, i)`` is ``f`` at points x of the panels i of ``nodes``, the
+    form the tables call, and ``gauss_density``, if given, the density at
+    the Gauss points of whole panels, which a build already holds (see
+    ``LawTables``); only ``f`` searches the nodes.
 
     The quantile takes a level or an array of levels in (0, 1) and returns
     a float for a float, as F and sf do.  Each level is a bracketed root of
@@ -535,7 +589,10 @@ def _tables_law(f: Callable, density: Callable, G: float, spec: DiffusionSpec, n
     so each level's bracket and the values at its ends are those of a
     search for that level alone."""
     lo, hi = float(nodes[0]), float(nodes[-1])
-    tables = cache(lambda: LawTables(nodes, density, sigma))
+    # the build's Gauss-point values go to the table build that reads them,
+    # so the law keeps none once its tables exist
+    handed = [gauss_density]
+    tables = cache(lambda: LawTables(nodes, density, sigma, handed.pop() if handed else None))
 
     def F(x):
         return tables().cdf(x)
@@ -590,10 +647,12 @@ def build_invariant_law(spec: DiffusionSpec) -> InvariantLaw:
     The support edges come from the mass of the ergodicity probe; on the
     support nodes the density exponent int_0^x S/sigma^2 is evaluated again
     by the same panel rule, and G is the panel sum of the mass
-    exp(2*exponent)/sigma^2, summed panel-major as in ``_probe``.  F, sf and
-    the quantile read the tables of the density (see ``_tables_law``).  The
-    ergodicity report is kept on the law.  Raises NotErgodic, naming each failed condition, when the
-    ergodicity probes fail.
+    exp(2*exponent)/sigma^2, summed panel-major as in ``_probe``.  The mass
+    at those Gauss points is kept for the tables, which divide it by G.
+    F, sf and the quantile read the tables of the density (see
+    ``_tables_law``).  The ergodicity report is kept on the law.  Raises
+    NotErgodic, naming each failed condition, when the ergodicity probes
+    fail.
     """
     report, probe_mass, failures, (drift, sigma) = _probe(spec)
     if failures:
@@ -601,7 +660,11 @@ def build_invariant_law(spec: DiffusionSpec) -> InvariantLaw:
     nodes, zero_idx = _node_grid(*_support_edges(probe_mass))
     del probe_mass  # frees the probe range's panel tables before the support ones exist
     mass = _mass(drift, sigma, nodes, zero_idx)[1]
-    G = float(_panels(mass, nodes[:-1], nodes[1:], slice(None))[1].T.copy().sum())
+    # the mass at the Gauss points of every panel: G sums it, and the first
+    # pass of the tables reads it, divided by G, instead of calling the density
+    t, w = _gauss_rule(nodes[:-1], nodes[1:])
+    mass_t = mass(t, slice(None))
+    G = float((w * mass_t).T.copy().sum())
     lo, hi = float(nodes[0]), float(nodes[-1])
 
     def f(x):
@@ -609,7 +672,8 @@ def build_invariant_law(spec: DiffusionSpec) -> InvariantLaw:
         y = np.clip(x, lo, hi)
         return _as_output(np.where((x >= lo) & (x <= hi), mass(y, _panel_of(nodes, y)) / G, 0.0))
 
-    return _tables_law(f, lambda x, i: mass(x, i) / G, G, spec, nodes, sigma, spec.label or "custom", report)
+    return _tables_law(f, lambda x, i: mass(x, i) / G, G, spec, nodes, sigma, spec.label or "custom", report,
+                       lambda i: mass_t[:, i] / G)
 
 
 def ou_law() -> InvariantLaw:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,27 @@ def test_law_rejects_a_sigma_that_is_not_positive(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: coefficients must be finite and sigma positive")
+
+
+def test_law_builds_no_variance_table_for_a_steep_tail(tmp_path, capsys):
+    # the variance tables of -x^7 are NaN near its upper edge (the tail
+    # moment cancels there): law reads F and f only, so it builds none of
+    # them and writes its reports with no warning; resonance needs them, so
+    # it still warns of the NaN and fails every scan level, with no report
+    out = tmp_path / "law"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["law", "--drift=-x^7", "--sigma", "1", "--out", out]) == 0
+    assert json.loads((out / "ergodicity.json").read_text())["c3_holds"]
+    header, rows = read_csv(out / "law.csv")
+    assert header == ["x", "f", "F"] and len(rows) > 0
+    capsys.readouterr()
+    resonance = tmp_path / "r"
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        assert run(["resonance", "--drift=-x^7", "--sigma", "1", "--scheme", "time", "--theta", "0.5",
+                    "--out", resonance]) == 1
+    assert "all 65 noise levels of the scan failed" in capsys.readouterr().err
+    assert not resonance.exists()
 
 
 def test_law_reports_the_build_check(tmp_path, monkeypatch):

@@ -519,7 +519,7 @@ def test_tables_call_the_density_on_its_panels(monkeypatch, drift, sigma, trimme
     calls = []
     init = laws.LawTables.__init__
 
-    def checked_init(self, nodes, density, sigma_form):
+    def checked_init(self, nodes, density, sigma_form, gauss_density=None):
         panels = np.arange(len(nodes) - 1)
 
         def checked(x, i):
@@ -532,7 +532,16 @@ def test_tables_call_the_density_on_its_panels(monkeypatch, drift, sigma, trimme
             calls.append(x.size)
             return density(x, i)
 
-        init(self, nodes, checked, sigma_form)
+        def checked_gauss(i):
+            # the build hands over whole panels of the law's grid: a slice
+            # inside it, with one value per Gauss point of each panel
+            assert isinstance(i, slice) and 0 <= i.start < i.stop <= len(panels)
+            values = gauss_density(i)
+            assert values.shape == (5, i.stop - i.start)
+            calls.append(values.size)
+            return values
+
+        init(self, nodes, checked, sigma_form, None if gauss_density is None else checked_gauss)
 
     monkeypatch.setattr(laws.LawTables, "__init__", checked_init)
     law = laws.ou_law() if drift is None else build_invariant_law(
@@ -555,6 +564,84 @@ def test_tables_call_the_density_on_its_panels(monkeypatch, drift, sigma, trimme
         tables.upper_moments(float(x))
         tables.at(np.array([x]))
     assert len(calls) > built
+
+
+def _law(drift, sigma):
+    from stochres import laws
+
+    return laws.ou_law() if drift is None else build_invariant_law(
+        DiffusionSpec(compile_expression(drift), compile_expression(sigma)))
+
+
+@pytest.mark.parametrize("drift, sigma", [(None, None), ("-x^3", "1"), ("-x", "10")])
+def test_first_order_readers_build_no_variance_table(monkeypatch, drift, sigma):
+    # F, sf, the quantile, cdf, upper_moments and the support read the
+    # trim, F and m only: no density call on the nested points of the
+    # variance pass, a (5, 5, n) block.  The first lookup builds the
+    # variance tables, one nested call per block, and later lookups and
+    # reads of them build nothing more.
+    from stochres import laws
+
+    nested = []
+    init = laws.LawTables.__init__
+
+    def counting_init(self, nodes, density, sigma_form, gauss_density=None):
+        def counted(x, i):
+            if np.ndim(x) == 3:
+                nested.append(np.shape(x))
+            return density(x, i)
+
+        init(self, nodes, counted, sigma_form, gauss_density)
+
+    monkeypatch.setattr(laws.LawTables, "__init__", counting_init)
+    law = _law(drift, sigma)
+    tables = law.tables
+    lo, hi = tables.support
+    xs = np.linspace(lo - 1.0, hi + 1.0, 33)
+    law.F(xs), law.sf(xs), law.F(0.3), law.sf(0.3)
+    law.quantile(np.array([1e-12, 0.3, 0.5, 0.9, 1.0 - 1e-9])), law.quantile(0.7)
+    tables.cdf(xs), tables.upper_moments(xs), tables.cdf(0.3), tables.upper_moments(0.3)
+    assert nested == []
+    tables.at(np.array([0.3, 0.5 * hi]))
+    blocks = -(-(len(tables.x) - 1) // laws._BLOCK)
+    assert len(nested) == blocks + 1
+    tables.at(np.array([0.3]))
+    tables.log_A, tables.log_B, tables.nu
+    assert len(nested) == blocks + 2
+
+
+@pytest.mark.parametrize("drift, sigma, trimmed", [
+    ("-x", "1", True), ("-x^3", "1", True), ("-tanh(x)", "1+0.5*exp(-x^2)", False), ("-x", "10", False),
+])
+def test_tables_from_the_build_masses_equal_tables_that_call_the_density(monkeypatch, drift, sigma, trimmed):
+    # a law's build hands its Gauss-point masses to the tables, whose first
+    # pass then calls the density on the nodes only; the tables and every
+    # lookup are bit for bit those of tables that evaluate the density
+    from stochres import laws
+
+    calls = []
+    init = laws.LawTables.__init__
+
+    def counting_init(self, nodes, density, sigma_form, gauss_density=None):
+        assert gauss_density is not None
+        init(self, nodes, lambda x, i: calls.append(np.ndim(x)) or density(x, i), sigma_form, gauss_density)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(laws.LawTables, "__init__", counting_init)
+        law = _law(drift, sigma)
+        handed = law.tables
+    assert calls == [1]
+    called = laws.LawTables(law.grid_x, handed.density, handed.sigma)
+    assert (handed._shift > 0) == trimmed
+    lo, hi = handed.support
+    xs = np.concatenate([np.linspace(lo, hi, 65)[1:-1] + 1e-3, handed.x[[1, len(handed.x) // 2, -2]]])
+    for name in ("x", "F", "m", "log_A", "log_B", "nu"):
+        assert getattr(handed, name).tobytes() == getattr(called, name).tobytes(), name
+    point_a, point_b = handed.at(xs), called.at(xs)
+    for name in ("F", "m", "log_A", "log_B", "nu"):
+        assert getattr(point_a, name).tobytes() == getattr(point_b, name).tobytes(), f"at.{name}"
+    assert handed.cdf(xs).tobytes() == called.cdf(xs).tobytes()
+    assert handed.upper_moments(xs).tobytes() == called.upper_moments(xs).tobytes()
 
 
 @pytest.mark.parametrize("drift, sigma", [("-x^3", "1"), ("-tanh(x)", "1+0.5*exp(-x^2)")])
