@@ -17,7 +17,9 @@ normalizer.  Each table is built by its first reader: F, sf and the
 quantile build only the first-order tables (F and the upper moments), and
 the first variance lookup builds the variance tables.  A law built from
 coefficients hands the tables the mass at the Gauss points that its
-normalizer summed, so a build computes the density at each point once.
+normalizer summed, so a build computes the density at each point once, and
+that normalizer is the G its ergodicity check reads: the probe range is
+searched for the support, not summed.
 The tables call the density with the panel of the node grid that holds
 each point, a slice of whole panels in a build and the panel a lookup has
 located, so only a law's public f (and the probe) searches the nodes.  The
@@ -74,13 +76,14 @@ _PARTIAL = np.ascontiguousarray(
 # the support ends where the stationary mass falls below this fraction of its peak
 _MASS_FLOOR = 1e-300
 _PROBE_RANGE = Bracket(-50.0, 50.0)
+_PROBE_ENDS = np.array([_PROBE_RANGE.lo, _PROBE_RANGE.hi])
 _NODE_SPACING = 0.005
 
 # index pairs j <= k of the six suffix tables S_jk, and the pair of each
 # entry of the symmetric 3 x 3 matrix, row by row
 _PAIRS = np.triu_indices(3)
 _SYMMETRIC = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
-# panels per block when building the tables or summing the probe mass
+# panels per block when building the tables
 _BLOCK = 512
 
 
@@ -106,8 +109,11 @@ class ErgodicityReport:
 
     The drift integral int_0^y S/sigma^2 must diverge to -inf in both
     directions (c2, checked by a finite-probe trend), and the unnormalized
-    stationary mass must be finite (c3): its panel sum G over the probe
-    range is finite and it has decayed at both probe ends (else G is inf).
+    stationary mass must be finite (c3): its panel sum G over the support
+    is finite and it has decayed at both probe ends (else G is inf).  G is
+    the normalizer of the law built from the same coefficients, to the bit.
+    The support is the whole probe range unless the mass falls below
+    ``_MASS_FLOOR`` of its peak before the probe ends (see ``_probe``).
     """
 
     c2_left_limit: float
@@ -177,13 +183,15 @@ def _moments(t: np.ndarray, wf: np.ndarray) -> np.ndarray:
     return np.array([wf.sum(0), wft.sum(0), (wft * t).sum(0)])
 
 
-def _support_edges(mass: Callable) -> tuple[float, float]:
-    """The support of a vectorized ``mass``: the edges double outward from
-    +-1 until the mass falls below ``_MASS_FLOOR`` times its peak near the
-    origin, capped at ``_PROBE_RANGE``."""
+def _support_edges(mass: Callable) -> tuple[float, float, float]:
+    """The support of a vectorized ``mass`` and the floor that ends it: the
+    edges double outward from +-1 until the mass falls below the floor,
+    ``_MASS_FLOOR`` times its peak near the origin, capped at
+    ``_PROBE_RANGE``.  A peak that is not finite and positive bounds
+    nothing: the support is then the whole probe range, with a NaN floor."""
     peak = float(np.max(mass(np.linspace(-1.0, 1.0, 21))))
     if not (math.isfinite(peak) and peak > 0):
-        raise NotErgodic("stationary mass is degenerate near the origin")
+        return _PROBE_RANGE.lo, _PROBE_RANGE.hi, math.nan
     floor = peak * _MASS_FLOOR
 
     def expand(direction: float, cap: float) -> float:
@@ -195,7 +203,7 @@ def _support_edges(mass: Callable) -> tuple[float, float]:
             edge *= 2.0
         return cap
 
-    return expand(-1.0, _PROBE_RANGE.lo), expand(1.0, _PROBE_RANGE.hi)
+    return expand(-1.0, _PROBE_RANGE.lo), expand(1.0, _PROBE_RANGE.hi), floor
 
 
 def _node_grid(lo: float, hi: float) -> tuple[np.ndarray, int]:
@@ -214,10 +222,12 @@ def _panel_of(nodes: np.ndarray, x):
     return np.minimum(np.searchsorted(nodes, x, side="right") - 1, len(nodes) - 2)
 
 
-def _mass(drift: Callable, sigma: Callable, nodes: np.ndarray, zero_idx: int) -> tuple[Callable, Callable]:
-    """The exponent int_0^x S/sigma^2 and the unnormalized stationary mass
-    exp(2*exponent)/sigma^2, from the array forms of the coefficients.  Both
-    take (x, i): x, scalar or array, lies in the panels i of ``nodes``
+def _mass(drift: Callable, sigma: Callable, nodes: np.ndarray,
+          zero_idx: int) -> tuple[np.ndarray, Callable, Callable]:
+    """The exponent int_0^x S/sigma^2 at the nodes, the exponent, and the
+    unnormalized stationary mass exp(2*exponent)/sigma^2, from the array
+    forms of the coefficients.  The two functions take (x, i): x, scalar or
+    array, lies in the panels i of ``nodes``
     (panel k is [nodes[k], nodes[k+1]]).  i broadcasts along the last axis
     of x: an index array, or a slice when that axis runs over consecutive
     panels, whose coefficients are then read as views.  Neither searches
@@ -255,14 +265,23 @@ def _mass(drift: Callable, sigma: Callable, nodes: np.ndarray, zero_idx: int) ->
         with np.errstate(over="ignore"):
             return np.exp(2.0 * exponent(x, i)) / (sig * sig)
 
-    return exponent, mass
+    return at_nodes, exponent, mass
 
 
-def _probe(spec: DiffusionSpec) -> tuple[ErgodicityReport, Callable, list[str], tuple[Callable, Callable]]:
-    """The ergodicity report, the unnormalized mass on the probe range as a
-    function of x alone (it searches the probe's nodes), the reason for each
-    failed condition, and the array forms of the drift and the diffusion,
-    lifted from the probe's node grid."""
+def _probe(spec: DiffusionSpec) -> tuple[tuple[float, float], list[str], np.ndarray, tuple[float, float],
+                                         tuple[Callable, Callable]]:
+    """The exponent int_0^x S/sigma^2 at both probe ends, the reason for
+    each failed c2 condition, the unnormalized mass at the probe ends, the
+    support edges, and the array forms of the drift and the diffusion,
+    lifted from the probe's node grid.  Nothing of the probe's node grid
+    outlives the call.
+
+    The support is the whole probe range when the support search cannot
+    bound the mass: its peak near the origin is not finite, or a probe node
+    beyond the edges has a mass that is not finite or above the floor.
+    Those node masses are read from the exponent at the nodes.  Past the
+    edges of a bounded support every node mass is below ``_MASS_FLOOR`` of
+    the peak, so the support holds all of G that the probe range does."""
     lo, hi = _PROBE_RANGE.lo, _PROBE_RANGE.hi
     nodes, zero_idx = _node_grid(lo, hi)
     drift, sigma = _array_form(spec.drift, nodes), _array_form(spec.diffusion, nodes)
@@ -271,7 +290,7 @@ def _probe(spec: DiffusionSpec) -> tuple[ErgodicityReport, Callable, list[str], 
     if bad.any():
         x = nodes[bad.argmax()]
         raise ValueError(f"coefficients must be finite and sigma positive on the probe grid (x={x})")
-    exponent, mass = _mass(drift, sigma, nodes, zero_idx)
+    at_nodes, exponent, mass = _mass(drift, sigma, nodes, zero_idx)
     probes = np.array([lo, lo / 2.0, hi / 2.0, hi])
     left, left_mid, right_mid, right = (float(e) for e in exponent(probes, _panel_of(nodes, probes)))
     c2_failures = [
@@ -279,23 +298,40 @@ def _probe(spec: DiffusionSpec) -> tuple[ErgodicityReport, Callable, list[str], 
         for end, e, e_mid in ((lo, left, left_mid), (hi, right, right_mid))
         if not e < min(e_mid, 0.0)
     ]
-    lo_b, hi_b = nodes[:-1], nodes[1:]
-    blocks = range(0, len(lo_b), _BLOCK)
+    end_mass = mass(_PROBE_ENDS, np.array([0, -1]))
+    edge_lo, edge_hi, floor = _support_edges(lambda x: mass(x, _panel_of(nodes, x)))
+    beyond = (nodes < edge_lo) | (nodes > edge_hi)
+    with np.errstate(over="ignore"):
+        bounded = np.all(np.exp(2.0 * at_nodes[beyond]) / np.square(sig[beyond]) <= floor)
+    edges = (edge_lo, edge_hi) if bounded else (lo, hi)
+    return (left, right), c2_failures, end_mass, edges, (drift, sigma)
+
+
+def _support_mass(spec: DiffusionSpec) -> tuple[ErgodicityReport, list[str], np.ndarray, Callable, np.ndarray,
+                                                Callable]:
+    """The ergodicity report, the reason for each failed condition, the
+    support's nodes, the unnormalized mass on them (see ``_mass``), the mass
+    at the Gauss points of every support panel, in ``_gauss_rule``'s
+    layout, and the diffusion's array form.  G, the one normalizer, is the
+    panel sum of those Gauss-point masses."""
+    (left, right), c2_failures, end_mass, edges, (drift, sigma) = _probe(spec)
+    nodes, zero_idx = _node_grid(*edges)
+    mass = _mass(drift, sigma, nodes, zero_idx)[2]
+    t, w = _gauss_rule(nodes[:-1], nodes[1:])
+    mass_t = mass(t, slice(None))
     # sum a contiguous (n, 5) copy: a flat sum of the (5, n) block groups the adds otherwise
-    G = float(sum(_panels(mass, lo_b[j : j + _BLOCK], hi_b[j : j + _BLOCK], slice(j, j + _BLOCK))[1].T.copy().sum()
-                  for j in blocks))
+    G = float((w * mass_t).T.copy().sum())
     c3_failures = [f"the stationary mass sums to G={G:g} on the probe range"]
     if math.isfinite(G) and G > 0:
-        ends = np.array([lo, hi])
         c3_failures = [
             f"the stationary mass has not decayed at the probe end x={end:g} "
             f"(tail ratio mass*|x|/G = {ratio:.3g} > {REL_TOL:g})"
-            for end, ratio in zip(ends, mass(ends, np.array([0, -1])) * np.abs(ends) / G)
+            for end, ratio in zip(_PROBE_ENDS, end_mass * np.abs(_PROBE_ENDS) / G)
             if not ratio <= REL_TOL
         ]
     report = ErgodicityReport(c2_left_limit=left, c2_right_limit=right, G=math.inf if c3_failures else G,
                               c2_holds=not c2_failures, c3_holds=not c3_failures)
-    return report, lambda x: mass(x, _panel_of(nodes, x)), c2_failures + c3_failures, (drift, sigma)
+    return report, c2_failures + c3_failures, nodes, mass, mass_t, sigma
 
 
 def check_ergodicity(spec: DiffusionSpec) -> ErgodicityReport:
@@ -303,12 +339,15 @@ def check_ergodicity(spec: DiffusionSpec) -> ErgodicityReport:
 
     int_0^x S/sigma^2 is the law's exponent on nodes ``_NODE_SPACING`` apart
     over the fixed probe range [-50, 50]; c2 holds when it is negative and
-    still falling at both probe ends.  c3 holds when the panel sum G is
-    finite and positive and the mass has decayed at both ends,
+    still falling at both probe ends.  c3 holds when G, the panel sum of the
+    mass over the support that ``build_invariant_law`` builds on, is finite
+    and positive and the mass has decayed at both probe ends,
     mass(x)*|x| <= REL_TOL*G: about REL_TOL of G lies past x for a tail
-    falling at least like |x|^-2.
+    falling at least like |x|^-2.  The support is the whole probe range when
+    the support search cannot bound the mass (see ``_probe``), so a mass
+    that is infinite anywhere on the probe range fails c3.
     """
-    return _probe(spec)[0]
+    return _support_mass(spec)[0]
 
 
 def _log_sum(v: np.ndarray) -> np.ndarray:
@@ -644,27 +683,23 @@ def _tables_law(f: Callable, density: Callable, G: float, spec: DiffusionSpec, n
 def build_invariant_law(spec: DiffusionSpec) -> InvariantLaw:
     """Construct the stationary law of a diffusion from its coefficients.
 
-    The support edges come from the mass of the ergodicity probe; on the
-    support nodes the density exponent int_0^x S/sigma^2 is evaluated again
-    by the same panel rule, and G is the panel sum of the mass
-    exp(2*exponent)/sigma^2, summed panel-major as in ``_probe``.  The mass
-    at those Gauss points is kept for the tables, which divide it by G.
-    F, sf and the quantile read the tables of the density (see
-    ``_tables_law``).  The ergodicity report is kept on the law.  Raises
-    NotErgodic, naming each failed condition, when the ergodicity probes
-    fail.
+    The support edges come from the mass of the ergodicity probe, or are
+    the whole probe range when it cannot bound the mass (see ``_probe``).
+    On the support nodes the density exponent int_0^x S/sigma^2 is
+    evaluated again by the same panel rule, and G is the panel sum of the
+    mass exp(2*exponent)/sigma^2 there, summed panel-major.  That one G
+    decides c3 and is the report's G, to the bit.  The mass at those Gauss
+    points is kept for the tables, which divide it by G.  F, sf and the
+    quantile read the tables of the density (see ``_tables_law``).  The
+    ergodicity report is kept on the law.  Raises NotErgodic, naming each
+    failed condition, when the ergodicity probes fail.
     """
-    report, probe_mass, failures, (drift, sigma) = _probe(spec)
+    report, failures, nodes, mass, mass_t, sigma = _support_mass(spec)
     if failures:
         raise NotErgodic("ergodicity checks failed: " + "; ".join(failures))
-    nodes, zero_idx = _node_grid(*_support_edges(probe_mass))
-    del probe_mass  # frees the probe range's panel tables before the support ones exist
-    mass = _mass(drift, sigma, nodes, zero_idx)[1]
-    # the mass at the Gauss points of every panel: G sums it, and the first
-    # pass of the tables reads it, divided by G, instead of calling the density
-    t, w = _gauss_rule(nodes[:-1], nodes[1:])
-    mass_t = mass(t, slice(None))
-    G = float((w * mass_t).T.copy().sum())
+    # the first pass of the tables reads the Gauss-point masses, divided by
+    # G, instead of calling the density
+    G = report.G
     lo, hi = float(nodes[0]), float(nodes[-1])
 
     def f(x):
@@ -693,7 +728,7 @@ def ou_law() -> InvariantLaw:
     def f(x):
         return _as_output(np.exp(-np.square(np.asarray(x, dtype=float))) / _SQRT_PI)
 
-    nodes = _node_grid(*_support_edges(lambda y: np.exp(-np.square(y))))[0]
+    nodes = _node_grid(*_support_edges(lambda y: np.exp(-np.square(y)))[:2])[0]
     return _tables_law(f, lambda x, i: f(x), _SQRT_PI, spec, nodes, _array_form(spec.diffusion, nodes), "ou", None)
 
 

@@ -12,6 +12,7 @@ import pytest
 import stochres
 from stochres import cli
 from stochres.cli import main
+from stochres.expressions import compile_expression
 
 
 def run(args):
@@ -50,6 +51,9 @@ def test_law_custom_cubic_drift(tmp_path):
     assert code == 0
     report = json.loads((out / "ergodicity.json").read_text())
     assert report["c2_holds"] and report["c3_holds"]
+    # the report's G is the law's normalizer, to the bit
+    law = stochres.build_invariant_law(stochres.DiffusionSpec(compile_expression("-x^3"), compile_expression("1")))
+    assert report["G"].hex() == law.G.hex()
     header, rows = read_csv(out / "law.csv")
     assert len(rows) == 9
 

@@ -81,12 +81,80 @@ def test_mass_must_decay_at_the_probe_ends(drift, sigma, ergodic):
     report = check_ergodicity(spec)
     assert report.c3_holds is ergodic
     if ergodic:
+        # one normalizer: the check, the build's report and the law share G to the bit
         law = build_invariant_law(spec)
-        assert report.G == pytest.approx(law.G, rel=1e-9)
+        assert report.G.hex() == law.ergodicity.G.hex() == law.G.hex()
         return
     assert math.isinf(report.G)
     with pytest.raises(NotErgodic, match=r"not decayed at the probe end x=50 \(tail ratio mass\*\|x\|/G = "):
         build_invariant_law(spec)
+
+
+def _far_mass_drift(x):
+    # -x up to |x| = 32, where the mass exp(-1024) is below the support
+    # floor and the doubling search stops; then +400 sign(x) up to 36, which
+    # lifts the exponent to 1088 (an infinite mass); then -2000 sign(x)
+    x = np.asarray(x, dtype=float)
+    out = np.where(np.abs(x) <= 36.0, 400.0 * np.sign(x), -2000.0 * np.sign(x))
+    return np.where(np.abs(x) <= 32.0, -x, out)
+
+
+def test_mass_beyond_the_support_edges_fails_c3():
+    # the mass is infinite on (32, 36] although the doubling search stops at
+    # 32: a probe node past the edges above the floor makes the support the
+    # whole probe range, so G sums the infinite mass there
+    spec = DiffusionSpec(_far_mass_drift, lambda x: 1.0)
+    report = check_ergodicity(spec)
+    assert report.c2_holds
+    assert not report.c3_holds and math.isinf(report.G)
+    with pytest.raises(NotErgodic, match=r"^ergodicity checks failed: the stationary mass sums to G=inf "
+                                         r"on the probe range$"):
+        build_invariant_law(spec)
+
+
+def test_mass_with_no_finite_peak_fails_c2_and_c3():
+    # exp(1000 x^2) overflows within [-1, 1], so the support search finds no
+    # finite peak; the report is still returned, with G summed over the
+    # whole probe range
+    spec = DiffusionSpec(compile_expression("1000*x"), compile_expression("1"))
+    report = check_ergodicity(spec)
+    assert report.c2_left_limit == pytest.approx(1.25e6, rel=1e-12)
+    assert report.c2_right_limit == pytest.approx(1.25e6, rel=1e-12)
+    assert math.isinf(report.G)
+    assert not report.c2_holds and not report.c3_holds
+    with pytest.raises(NotErgodic) as raised:
+        build_invariant_law(spec)
+    assert str(raised.value) == (
+        "ergodicity checks failed: "
+        "int_0^x S/sigma^2 does not fall toward -inf at the probe end x=-50 (1.25e+06, 312500 at x/2); "
+        "int_0^x S/sigma^2 does not fall toward -inf at the probe end x=50 (1.25e+06, 312500 at x/2); "
+        "the stationary mass sums to G=inf on the probe range"
+    )
+
+
+@pytest.mark.parametrize("drift", ["-x", "-x^3"])
+def test_probe_reads_the_mass_only_where_it_searches(monkeypatch, drift):
+    # the probe evaluates the mass at the support search's points and the
+    # two probe ends only, never at the Gauss points of the probe range
+    from stochres import laws
+
+    reads = []
+    make_mass = laws._mass
+
+    def counting_mass(drift_fn, sigma, nodes, zero_idx):
+        at_nodes, exponent, mass = make_mass(drift_fn, sigma, nodes, zero_idx)
+        calls = []
+        reads.append(calls)
+        return at_nodes, exponent, lambda x, i: calls.append(np.size(x)) or mass(x, i)
+
+    monkeypatch.setattr(laws, "_mass", counting_mass)
+    build_invariant_law(DiffusionSpec(compile_expression(drift), compile_expression("1")))
+    probe, support = reads
+    # 2 ends, 21 points near the origin, then one point per doubling step
+    # (at most 1, 2, ..., 32 on each side)
+    assert probe[:2] == [2, 21] and set(probe[2:]) == {1} and len(probe) <= 2 + 2 * 6
+    # the support's G sums the mass at 5 Gauss points of each of its panels
+    assert sum(support) >= 5 * 2 * int(8 / 0.005)
 
 
 def test_nonpositive_diffusion_rejected():
