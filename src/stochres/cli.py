@@ -37,7 +37,7 @@ from .estimators import (
     time_scheme_variance,
 )
 from .expressions import ExpressionError, compile_expression
-from .laws import NAMED_SPECS, DiffusionSpec, InvariantLaw, build_invariant_law, check_ergodicity
+from .laws import NAMED_SPECS, DiffusionSpec, InvariantLaw, build_invariant_law
 from .maptest import PerrMinimum, TestProblem, find_perr_minimum, p_err_surface
 from .numerics import Bracket
 from .resonance import find_resonance, resonance_curve
@@ -269,8 +269,7 @@ def _write_table(path_base: Path, header: Sequence[str], rows: Iterable[Sequence
 
 def cmd_law(cfg: dict[str, Any]) -> None:
     law = _resolve_law(cfg)
-    # a law built from coefficients carries the report its build checked
-    report = law.ergodicity if law.ergodicity is not None else check_ergodicity(law.spec)
+    report = law.ergodicity
     out = Path(cfg["out"])
     _write_json(out / "ergodicity.json", {
         "c2_left_limit": report.c2_left_limit,

@@ -10,16 +10,19 @@ and variance 1/2.
 A law is its density and the cumulative tables of that density on a node
 grid (``LawTables``), from which the asymptotic variances of both
 observation schemes are read in O(1) per noise level; one lookup takes a
-whole array of gaps.  Both constructors hand the density to one builder,
-``_tables_law``, whose F, sf and quantile read the tables: the closed-form
-law differs from a law built from coefficients only in its density and its
-normalizer.  Each table is built by its first reader: F, sf and the
-quantile build only the first-order tables (F and the upper moments), and
-the first variance lookup builds the variance tables.  A law built from
-coefficients hands the tables the mass at the Gauss points that its
-normalizer summed, so a build computes the density at each point once, and
-that normalizer is the G its ergodicity check reads: the probe range is
-searched for the support, not summed.
+whole array of gaps.  Both constructors hand the density, its normalizer
+and its ergodicity report to one builder, ``_tables_law``, which forms the
+public f and whose F, sf and quantile read the tables: the closed-form law
+differs from a law built from coefficients only in its density, its
+normalizer and its report, which is closed-form too.  Each table is built
+by its first reader: F, sf and the quantile build only the first-order
+tables (F and the upper moments), and the first variance lookup builds the
+variance tables.  A law built from coefficients hands the tables the mass
+at the Gauss points that its normalizer summed, so a build computes the
+density at each point once, and that normalizer is the G its ergodicity
+check reads.  One rule sets every support: the probe's node masses, read
+from the exponent it already holds at its nodes, rounded out to powers of
+two (see ``_support_edges``).
 The tables call the density with the panel of the node grid that holds
 each point, a slice of whole panels in a build and the panel a lookup has
 located, so only a law's public f (and the probe) searches the nodes.  The
@@ -77,6 +80,8 @@ _PARTIAL = np.ascontiguousarray(
 _MASS_FLOOR = 1e-300
 _PROBE_RANGE = Bracket(-50.0, 50.0)
 _PROBE_ENDS = np.array([_PROBE_RANGE.lo, _PROBE_RANGE.hi])
+# the support edges: powers of two from 1 up to the first past the probe range
+_EDGES = 2.0 ** np.arange(7)
 _NODE_SPACING = 0.005
 
 # index pairs j <= k of the six suffix tables S_jk, and the pair of each
@@ -112,8 +117,9 @@ class ErgodicityReport:
     stationary mass must be finite (c3): its panel sum G over the support
     is finite and it has decayed at both probe ends (else G is inf).  G is
     the normalizer of the law built from the same coefficients, to the bit.
-    The support is the whole probe range unless the mass falls below
-    ``_MASS_FLOOR`` of its peak before the probe ends (see ``_probe``).
+    The support is set by the probe's node masses (see ``_support_edges``).
+    Every law carries one: a law built from coefficients the report its
+    build checked, the closed-form law its exact one.
     """
 
     c2_left_limit: float
@@ -132,8 +138,8 @@ class InvariantLaw:
     (see ``LawTables``).  F, sf and the quantile read those tables, so every
     law has one representation; ``sf`` is the tables' upper moment m_0, not
     ``1 - F``, so that far tails retain relative accuracy.  Beyond the tabulated support F is 0 or
-    1 and sf 1 or 0.  A law built from coefficients keeps the
-    ``ergodicity`` report its build checked.  Instances are immutable apart
+    1 and sf 1 or 0.  Every law keeps its ``ergodicity`` report: the one
+    its build checked, or the closed form's.  Instances are immutable apart
     from the tables' cache and safe to share.
     """
 
@@ -146,8 +152,8 @@ class InvariantLaw:
     grid_x: np.ndarray = field(repr=False, compare=False)
     # the tables of the law's density on grid_x, built at the first call
     lazy_tables: Callable[[], "LawTables"] = field(repr=False, compare=False)
+    ergodicity: ErgodicityReport = field(compare=False)
     label: str = ""
-    ergodicity: Optional[ErgodicityReport] = field(default=None, compare=False)
 
     @property
     def tables(self) -> "LawTables":
@@ -183,27 +189,19 @@ def _moments(t: np.ndarray, wf: np.ndarray) -> np.ndarray:
     return np.array([wf.sum(0), wft.sum(0), (wft * t).sum(0)])
 
 
-def _support_edges(mass: Callable) -> tuple[float, float, float]:
-    """The support of a vectorized ``mass`` and the floor that ends it: the
-    edges double outward from +-1 until the mass falls below the floor,
-    ``_MASS_FLOOR`` times its peak near the origin, capped at
-    ``_PROBE_RANGE``.  A peak that is not finite and positive bounds
-    nothing: the support is then the whole probe range, with a NaN floor."""
-    peak = float(np.max(mass(np.linspace(-1.0, 1.0, 21))))
+def _support_edges(nodes: np.ndarray, mass: np.ndarray) -> tuple[float, float]:
+    """The support of the unnormalized ``mass`` at the probe's ``nodes``:
+    each edge is the smallest of the powers of two 1, 2, 4, ... that lies
+    beyond every node whose mass exceeds ``_MASS_FLOOR`` times the largest
+    node mass, capped at ``_PROBE_RANGE``.  A largest mass that is not
+    finite and positive bounds nothing: the support is then the whole probe
+    range."""
+    peak = float(mass.max())
     if not (math.isfinite(peak) and peak > 0):
-        return _PROBE_RANGE.lo, _PROBE_RANGE.hi, math.nan
-    floor = peak * _MASS_FLOOR
-
-    def expand(direction: float, cap: float) -> float:
-        edge = direction
-        while abs(edge) < abs(cap):
-            v = float(mass(edge))
-            if not math.isfinite(v) or v <= floor:
-                return edge
-            edge *= 2.0
-        return cap
-
-    return expand(-1.0, _PROBE_RANGE.lo), expand(1.0, _PROBE_RANGE.hi), floor
+        return _PROBE_RANGE.lo, _PROBE_RANGE.hi
+    live = nodes[mass > _MASS_FLOOR * peak]
+    return (max(-float(_EDGES[_EDGES > -live[0]][0]), _PROBE_RANGE.lo),
+            min(float(_EDGES[_EDGES > live[-1]][0]), _PROBE_RANGE.hi))
 
 
 def _node_grid(lo: float, hi: float) -> tuple[np.ndarray, int]:
@@ -276,12 +274,13 @@ def _probe(spec: DiffusionSpec) -> tuple[tuple[float, float], list[str], np.ndar
     lifted from the probe's node grid.  Nothing of the probe's node grid
     outlives the call.
 
-    The support is the whole probe range when the support search cannot
-    bound the mass: its peak near the origin is not finite, or a probe node
-    beyond the edges has a mass that is not finite or above the floor.
-    Those node masses are read from the exponent at the nodes.  Past the
-    edges of a bounded support every node mass is below ``_MASS_FLOOR`` of
-    the peak, so the support holds all of G that the probe range does."""
+    The support edges come from the mass at every probe node, read from the
+    exponent at the nodes (see ``_support_edges``); the mass function itself
+    is called only at the two probe ends.  Past the edges of a bounded
+    support every node mass is below ``_MASS_FLOOR`` of the largest, so the
+    support holds all of G that the probe range does; a mass that is not
+    finite at some node makes the support the whole probe range, where G
+    sums it."""
     lo, hi = _PROBE_RANGE.lo, _PROBE_RANGE.hi
     nodes, zero_idx = _node_grid(lo, hi)
     drift, sigma = _array_form(spec.drift, nodes), _array_form(spec.diffusion, nodes)
@@ -299,11 +298,8 @@ def _probe(spec: DiffusionSpec) -> tuple[tuple[float, float], list[str], np.ndar
         if not e < min(e_mid, 0.0)
     ]
     end_mass = mass(_PROBE_ENDS, np.array([0, -1]))
-    edge_lo, edge_hi, floor = _support_edges(lambda x: mass(x, _panel_of(nodes, x)))
-    beyond = (nodes < edge_lo) | (nodes > edge_hi)
     with np.errstate(over="ignore"):
-        bounded = np.all(np.exp(2.0 * at_nodes[beyond]) / np.square(sig[beyond]) <= floor)
-    edges = (edge_lo, edge_hi) if bounded else (lo, hi)
+        edges = _support_edges(nodes, np.exp(2.0 * at_nodes) / np.square(sig))
     return (left, right), c2_failures, end_mass, edges, (drift, sigma)
 
 
@@ -344,8 +340,8 @@ def check_ergodicity(spec: DiffusionSpec) -> ErgodicityReport:
     and positive and the mass has decayed at both probe ends,
     mass(x)*|x| <= REL_TOL*G: about REL_TOL of G lies past x for a tail
     falling at least like |x|^-2.  The support is the whole probe range when
-    the support search cannot bound the mass (see ``_probe``), so a mass
-    that is infinite anywhere on the probe range fails c3.
+    the largest node mass is not finite (see ``_support_edges``), so a mass
+    that is infinite at a probe node fails c3.
     """
     return _support_mass(spec)[0]
 
@@ -608,17 +604,18 @@ class LawTables:
         return LawPoint(F=F, m=m, log_A=log_A, log_B=log_B, nu=nu, outside=outside)
 
 
-def _tables_law(f: Callable, density: Callable, G: float, spec: DiffusionSpec, nodes: np.ndarray, sigma: Callable,
-                label: str, report: Optional[ErgodicityReport],
+def _tables_law(density: Callable, G: float, spec: DiffusionSpec, nodes: np.ndarray, sigma: Callable, label: str,
+                report: ErgodicityReport,
                 gauss_density: Optional[Callable[[slice], np.ndarray]] = None) -> InvariantLaw:
-    """The law of density ``f`` (normalizer ``G``) on the node grid
-    ``nodes``, with ``sigma`` the diffusion's array form: F, sf and the
+    """The law of normalizer ``G`` and ergodicity ``report`` whose density at
+    points x of the panels i of the node grid ``nodes`` is
+    ``density(x, i)``, with ``sigma`` the diffusion's array form.  The
+    public f clips x to the grid, searches its panel and reads the density
+    there, and is 0 off the grid; only f searches the nodes.  F, sf and the
     quantile read the first-order tables of the density, which are built at
     the first call that needs them; they never build the variance tables.
-    ``density(x, i)`` is ``f`` at points x of the panels i of ``nodes``, the
-    form the tables call, and ``gauss_density``, if given, the density at
-    the Gauss points of whole panels, which a build already holds (see
-    ``LawTables``); only ``f`` searches the nodes.
+    ``gauss_density``, if given, is the density at the Gauss points of whole
+    panels, which a build already holds (see ``LawTables``).
 
     The quantile takes a level or an array of levels in (0, 1) and returns
     a float for a float, as F and sf do.  Each level is a bracketed root of
@@ -632,6 +629,11 @@ def _tables_law(f: Callable, density: Callable, G: float, spec: DiffusionSpec, n
     # so the law keeps none once its tables exist
     handed = [gauss_density]
     tables = cache(lambda: LawTables(nodes, density, sigma, handed.pop() if handed else None))
+
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        y = np.clip(x, lo, hi)
+        return _as_output(np.where((x >= lo) & (x <= hi), density(y, _panel_of(nodes, y)), 0.0))
 
     def F(x):
         return tables().cdf(x)
@@ -677,22 +679,22 @@ def _tables_law(f: Callable, density: Callable, G: float, spec: DiffusionSpec, n
         return _as_output(x.reshape(p.shape))
 
     return InvariantLaw(f=f, F=F, sf=sf, quantile=quantile, G=G, spec=spec, grid_x=nodes, lazy_tables=tables,
-                        label=label, ergodicity=report)
+                        ergodicity=report, label=label)
 
 
 def build_invariant_law(spec: DiffusionSpec) -> InvariantLaw:
     """Construct the stationary law of a diffusion from its coefficients.
 
-    The support edges come from the mass of the ergodicity probe, or are
-    the whole probe range when it cannot bound the mass (see ``_probe``).
-    On the support nodes the density exponent int_0^x S/sigma^2 is
-    evaluated again by the same panel rule, and G is the panel sum of the
-    mass exp(2*exponent)/sigma^2 there, summed panel-major.  That one G
-    decides c3 and is the report's G, to the bit.  The mass at those Gauss
-    points is kept for the tables, which divide it by G.  F, sf and the
-    quantile read the tables of the density (see ``_tables_law``).  The
-    ergodicity report is kept on the law.  Raises NotErgodic, naming each
-    failed condition, when the ergodicity probes fail.
+    The support edges come from the probe's node masses (see
+    ``_support_edges``).  On the support nodes the density exponent
+    int_0^x S/sigma^2 is evaluated again by the same panel rule, and G is
+    the panel sum of the mass exp(2*exponent)/sigma^2 there, summed
+    panel-major.  That one G decides c3 and is the report's G, to the bit.
+    The mass at those Gauss points is kept for the tables, which divide it
+    by G.  f, F, sf and the quantile read the density (see
+    ``_tables_law``), and the law keeps the ergodicity report.  Raises
+    NotErgodic, naming each failed condition, when the ergodicity probes
+    fail.
     """
     report, failures, nodes, mass, mass_t, sigma = _support_mass(spec)
     if failures:
@@ -700,14 +702,7 @@ def build_invariant_law(spec: DiffusionSpec) -> InvariantLaw:
     # the first pass of the tables reads the Gauss-point masses, divided by
     # G, instead of calling the density
     G = report.G
-    lo, hi = float(nodes[0]), float(nodes[-1])
-
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        y = np.clip(x, lo, hi)
-        return _as_output(np.where((x >= lo) & (x <= hi), mass(y, _panel_of(nodes, y)) / G, 0.0))
-
-    return _tables_law(f, lambda x, i: mass(x, i) / G, G, spec, nodes, sigma, spec.label or "custom", report,
+    return _tables_law(lambda x, i: mass(x, i) / G, G, spec, nodes, sigma, spec.label or "custom", report,
                        lambda i: mass_t[:, i] / G)
 
 
@@ -715,21 +710,21 @@ def ou_law() -> InvariantLaw:
     """Closed-form stationary law of the standard mean-reverting noise.
 
     The law is Gaussian with mean zero and variance 1/2: its density
-    exp(-x^2)/sqrt(pi) and its normalizer sqrt(pi) are exact, and its F, sf
-    and quantile read the tables of that density, as a law built from
-    coefficients does (they match erfc(-x)/2, erfc(x)/2 and the Gaussian
-    quantile to about 1e-14).  Its node grid follows the support rule of
-    ``build_invariant_law`` applied to exp(-x^2).  The diffusion is the
+    exp(-x^2)/sqrt(pi), its normalizer sqrt(pi) and its ergodicity report
+    are exact (int_0^{+-50} -x dx = -1250 at both probe ends), and its f, F,
+    sf and quantile read that density as a law built from coefficients does
+    (F, sf and the quantile match erfc(-x)/2, erfc(x)/2 and the Gaussian
+    quantile to about 1e-14).  Its node grid is +-32, the one the support
+    rule gives exp(-x^2), which falls below ``_MASS_FLOOR`` of its peak
+    near |x| = 26.3 (see ``_support_edges``).  The diffusion is the
     compiled constant ``1``, so paths of this law take the steppers'
     constant-diffusion route.
     """
     spec = DiffusionSpec(drift=lambda x: -x, diffusion=compile_expression("1"), label="ou")
-
-    def f(x):
-        return _as_output(np.exp(-np.square(np.asarray(x, dtype=float))) / _SQRT_PI)
-
-    nodes = _node_grid(*_support_edges(lambda y: np.exp(-np.square(y)))[:2])[0]
-    return _tables_law(f, lambda x, i: f(x), _SQRT_PI, spec, nodes, _array_form(spec.diffusion, nodes), "ou", None)
+    nodes = _node_grid(-32.0, 32.0)[0]
+    report = ErgodicityReport(c2_left_limit=-1250.0, c2_right_limit=-1250.0, G=_SQRT_PI, c2_holds=True, c3_holds=True)
+    return _tables_law(lambda x, i: np.exp(-np.square(x)) / _SQRT_PI, _SQRT_PI, spec, nodes,
+                       _array_form(spec.diffusion, nodes), "ou", report)
 
 
 NAMED_SPECS: dict[str, Callable[[], InvariantLaw]] = {"ou": ou_law}

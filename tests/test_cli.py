@@ -42,7 +42,9 @@ def test_law_default_grid(tmp_path):
     assert float(by_x["0.0"][2]) == pytest.approx(0.5, rel=0.0, abs=1e-15)
     report = json.loads((out / "ergodicity.json").read_text())
     assert report["c2_holds"] and report["c3_holds"]
-    assert report["G"] == pytest.approx(math.sqrt(math.pi), abs=1e-6)
+    # the closed-form law's own report: int_0^{+-50} -x dx and sqrt(pi), exactly
+    assert report["c2_left_limit"] == report["c2_right_limit"] == -1250.0
+    assert report["G"].hex() == math.sqrt(math.pi).hex()
 
 
 def test_law_custom_cubic_drift(tmp_path):
@@ -97,19 +99,21 @@ def test_law_builds_no_variance_table_for_a_steep_tail(tmp_path, capsys):
 
 
 def test_law_reports_the_build_check(tmp_path, monkeypatch):
-    # a grid-built law carries the ergodicity report its build computed;
-    # only the closed-form law is checked by the command itself
-    from stochres import ou_law
+    # every law carries its ergodicity report: a grid-built law the one its
+    # build computed, the closed-form law its exact one, so the command
+    # probes no law again
+    from stochres import laws
 
-    checked = []
-    original = cli.check_ergodicity
-    monkeypatch.setattr(cli, "check_ergodicity", lambda spec: checked.append(spec) or original(spec))
+    probed = []
+    original = laws._probe
+    monkeypatch.setattr(laws, "_probe", lambda spec: probed.append(spec) or original(spec))
     assert run(["law", "--drift=-x", "--sigma", "1", "--grid=-1:1:0.5", "--out", tmp_path / "x"]) == 0
-    assert checked == []
+    assert len(probed) == 1
     report = json.loads((tmp_path / "x" / "ergodicity.json").read_text())
     assert report["G"] == pytest.approx(math.sqrt(math.pi), rel=1e-9) and report["c3_holds"]
+    probed.clear()
     assert run(["law", "--noise", "ou", "--grid=-1:1:0.5", "--out", tmp_path / "ou"]) == 0
-    assert len(checked) == 1 and checked[0].label == ou_law().spec.label
+    assert probed == []
 
 
 def test_main_reuses_one_parser(tmp_path, monkeypatch):

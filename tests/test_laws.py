@@ -132,10 +132,35 @@ def test_mass_with_no_finite_peak_fails_c2_and_c3():
     )
 
 
+@pytest.mark.parametrize(
+    "drift, sigma, edges",
+    [
+        ("-x", "1", (-32.0, 32.0)),
+        ("-x^3", "1", (-8.0, 8.0)),
+        ("-x^5", "1", (-4.0, 4.0)),
+        ("2*x-x^3", "1", (-8.0, 8.0)),
+        ("-x", "0.01", (-1.0, 1.0)),
+        ("-x^3", "0.05", (-2.0, 2.0)),
+        ("-3*(x-1)", "0.7", (-16.0, 16.0)),
+        ("-x", "10", (-50.0, 50.0)),
+        # the largest node mass lies at -20 or 20: the mass near the origin,
+        # e^-400 of it, sets no edge
+        ("-(x+20)", "1", (-50.0, 8.0)),
+        ("-(x-20)", "1", (-8.0, 50.0)),
+    ],
+)
+def test_support_edges_round_the_node_masses_out_to_powers_of_two(drift, sigma, edges):
+    # each edge is the first power of two past every node whose mass
+    # exceeds 1e-300 of the largest node mass, capped at the probe range
+    law = build_invariant_law(DiffusionSpec(compile_expression(drift), compile_expression(sigma)))
+    assert tuple(law.grid_x[[0, -1]]) == edges
+
+
 @pytest.mark.parametrize("drift", ["-x", "-x^3"])
 def test_probe_reads_the_mass_only_where_it_searches(monkeypatch, drift):
-    # the probe evaluates the mass at the support search's points and the
-    # two probe ends only, never at the Gauss points of the probe range
+    # the probe evaluates the mass function once, at the two probe ends: its
+    # support comes from the exponent at its nodes, never from the Gauss
+    # points of the probe range
     from stochres import laws
 
     reads = []
@@ -148,13 +173,11 @@ def test_probe_reads_the_mass_only_where_it_searches(monkeypatch, drift):
         return at_nodes, exponent, lambda x, i: calls.append(np.size(x)) or mass(x, i)
 
     monkeypatch.setattr(laws, "_mass", counting_mass)
-    build_invariant_law(DiffusionSpec(compile_expression(drift), compile_expression("1")))
+    law = build_invariant_law(DiffusionSpec(compile_expression(drift), compile_expression("1")))
     probe, support = reads
-    # 2 ends, 21 points near the origin, then one point per doubling step
-    # (at most 1, 2, ..., 32 on each side)
-    assert probe[:2] == [2, 21] and set(probe[2:]) == {1} and len(probe) <= 2 + 2 * 6
+    assert probe == [2]
     # the support's G sums the mass at 5 Gauss points of each of its panels
-    assert sum(support) >= 5 * 2 * int(8 / 0.005)
+    assert support == [5 * (len(law.grid_x) - 1)]
 
 
 def test_nonpositive_diffusion_rejected():
@@ -290,6 +313,19 @@ def test_ou_law_node_grid_follows_support_rule(ou, ou_numeric):
     # exp(-x^2) falls below 1e-300 of its peak between 16 and 32
     assert ou.grid_x[0] == -32.0 and ou.grid_x[-1] == 32.0
     np.testing.assert_array_equal(ou.grid_x, ou_numeric.grid_x)
+
+
+def test_ou_law_f_is_the_closed_form_density(ou):
+    # the one public f of every law reads the closed-form density on the
+    # grid, to the bit, and is 0 off it, where exp(-x^2) has underflowed
+    nodes = ou.grid_x
+    inside = np.concatenate([nodes, np.random.default_rng(3).uniform(-32.0, 32.0, 500)])
+    expected = np.exp(-np.square(inside)) / SQRT_PI
+    assert [v.hex() for v in ou.f(inside).tolist()] == [v.hex() for v in expected.tolist()]
+    assert [ou.f(float(x)).hex() for x in inside[::97]] == [v.hex() for v in expected[::97].tolist()]
+    outside = np.array([-1e300, -50.0, np.nextafter(-32.0, -np.inf), np.nextafter(32.0, np.inf), 40.0, np.inf])
+    assert ou.f(outside).tolist() == [0.0] * len(outside)
+    assert isinstance(ou.f(33.0), float) and ou.f(33.0) == 0.0 and ou.f(-32.5) == 0.0
 
 
 def test_upper_moments_match_closed_form(ou):
