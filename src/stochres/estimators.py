@@ -122,18 +122,20 @@ def time_fraction_limit(theta: float, ch: ChannelConfig) -> float:
 
 def estimate_theta_time_at(fractions: np.ndarray, ch: ChannelConfig) -> tuple[np.ndarray, np.ndarray]:
     """Array form of ``estimate_theta_time``: the estimate at each entry of
-    an array of time fractions, from one array quantile, and the mask of
-    the degenerate entries (a fraction not strictly between 0 and 1), whose
-    estimate is NaN."""
+    an array of time fractions, from one inverse of the law's sf over them
+    (``LawTables.inverse``), and the mask of the degenerate entries (a
+    fraction not strictly between 0 and 1), whose estimate is NaN.  sf is
+    solved at the fraction itself, or F at 1 - fraction above 1/2, so a
+    fraction as small as 2^-62 keeps its estimate."""
     fractions = np.asarray(fractions, dtype=float)
     degenerate = ~((fractions > 0.0) & (fractions < 1.0))
     theta = np.full(fractions.shape, np.nan)
-    theta[~degenerate] = ch.tau - ch.eps * ch.law.quantile(1.0 - fractions[~degenerate])
+    theta[~degenerate] = ch.tau - ch.eps * ch.law.tables.inverse(fractions[~degenerate], True)
     return theta, degenerate
 
 
 def estimate_theta_time(time_fraction: float, ch: ChannelConfig) -> float:
-    """Invert the time-fraction map: theta = tau - eps * quantile(1 - fraction).
+    """Invert the time-fraction map: theta = tau - eps * sf^-1(fraction).
 
     Raises DegenerateObservation at fraction 0 or 1, where the inverse
     escapes to -inf or +inf; callers decide the policy for finite samples

@@ -27,9 +27,10 @@ The tables call the density with the panel of the node grid that holds
 each point, a slice of whole panels in a build and the panel a lookup has
 located, so only a law's public f (and the probe) searches the nodes.  The
 ergodicity check, the support edges and the density exponent all come from
-one Gauss-Legendre panel rule, and the quantile is a
-bracketed root of F or sf, one array root find over its levels, so no law
-imports scipy.
+one Gauss-Legendre panel rule.  The tables invert F and sf themselves
+(``LawTables.inverse``): each level is one root of F or sf in the node panel
+whose table entries bracket it, and all levels are one array root find, so
+no law imports scipy.
 
 The layer works on arrays.  A user coefficient is lifted to its array form
 once, by ``numerics._array_form``, from the probe's node grid: a law build and the
@@ -440,11 +441,11 @@ class LawTables:
     under- or overflow.  A lookup adds one partial panel at x.
 
     The first-order tables (the trim, F and m) are built with the tables;
-    ``cdf``, ``upper_moments`` and ``support`` read only them.  The variance
-    tables (``log_A``, ``log_B`` and ``nu``) are built once, at the first
-    ``at`` or the first read of one of them.  Their pass reuses the density
-    that the first pass kept at the Gauss points, and calls the density
-    only on the nested points.
+    ``cdf``, ``upper_moments``, ``inverse`` and ``support`` read only them.
+    The variance tables (``log_A``, ``log_B`` and ``nu``) are built once, at
+    the first ``at`` or the first read of one of them.  Their pass reuses the
+    density that the first pass kept at the Gauss points, and calls the
+    density only on the nested points.
 
     Every panel kernel holds the 5 Gauss points on the leading axis and the
     panels on the last one: (5, n) per quantity, (3, 5, n) for the moments
@@ -563,6 +564,37 @@ class LawTables:
         x, i = self._locate(x)
         return self.m[:, i + 1] + _moments(*_panels(self.density, x, self.x[i + 1], i + self._shift))
 
+    def inverse(self, c: np.ndarray, upper: bool) -> np.ndarray:
+        """The x with F(x) = c, or sf(x) = c when ``upper``, at each level c
+        of a 1-d array in (0, 1).
+
+        A level above 1/2 is solved on the other tail at 1 - c, which is
+        exact there (Sterbenz), so each side keeps relative accuracy.  One
+        search of the side's node table, F against the level or -m_0 against
+        minus the level, finds the panel i whose two entries bracket it; they
+        are the residual at the bracket ends, and ``numerics._brent`` solves
+        in that panel.  Each evaluation adds the partial panel to the node
+        table as ``cdf`` and ``upper_moments`` do once they have located x, so
+        the residual is the law's own F or sf, bit for bit, and nothing clips
+        or searches."""
+        c = np.asarray(c, dtype=float)
+        flip = c > 0.5
+        on_sf = flip != upper
+        # each side's table and level, both increasing in x: F and c, or -m_0 and -c
+        key = np.where(flip, 1.0 - c, c) * np.where(on_sf, -1.0, 1.0)
+        neg_m0 = -self.m[0]
+        i = np.where(on_sf, neg_m0.searchsorted(key), self.F.searchsorted(key)) - 1
+        ends = np.array([i, i + 1])
+
+        def g(x, e):
+            # F[i] + int_{x_i}^x f, or -(m_0[i + 1] + int_x^{x_i+1} f)
+            j, sf = i[e], on_sf[e]
+            partial = _panels(self.density, np.where(sf, x, self.x[j]), np.where(sf, self.x[j + 1], x),
+                              j + self._shift)[1].sum(0)
+            return np.where(sf, neg_m0[j + 1] - partial, self.F[j] + partial) - key[e]
+
+        return _brent(g, *self.x[ends], *(np.where(on_sf, neg_m0[ends], self.F[ends]) - key), 1e-12)
+
     def at(self, x: np.ndarray) -> LawPoint:
         """Every tabulated quantity at each point of the 1-d array x, in one
         lookup; a single point is ``at(np.array([x]))``.
@@ -618,12 +650,9 @@ def _tables_law(density: Callable, G: float, spec: DiffusionSpec, nodes: np.ndar
     panels, which a build already holds (see ``LawTables``).
 
     The quantile takes a level or an array of levels in (0, 1) and returns
-    a float for a float, as F and sf do.  Each level is a bracketed root of
-    F - p (p <= 1/2) or 1 - p - sf; the levels of a side are one array root
-    find (``numerics._brent``), one lookup per iteration.  Their brackets
-    come from one lookup at the doubling knots, which every level shares,
-    so each level's bracket and the values at its ends are those of a
-    search for that level alone."""
+    a float for a float, as F and sf do.  It is the tables' inverse of F
+    (``LawTables.inverse``): a level above 1/2 is solved on sf at 1 - p, and
+    each level is a root in the node panel that brackets it."""
     lo, hi = float(nodes[0]), float(nodes[-1])
     # the build's Gauss-point values go to the table build that reads them,
     # so the law keeps none once its tables exist
@@ -641,42 +670,11 @@ def _tables_law(density: Callable, G: float, spec: DiffusionSpec, nodes: np.ndar
     def sf(x):
         return _as_output(tables().upper_moments(x)[0])
 
-    # the doubling knots -1, -2, ... and 1, 2, ..., clipped to the grid,
-    # at which a quantile's bracket search evaluates F or sf
-    below, above = [-1.0], [1.0]
-    while below[-1] > lo:
-        below.append(max(below[-1] * 2.0, lo))
-    while above[-1] < hi:
-        above.append(min(above[-1] * 2.0, hi))
-    knots = np.array(below + above)
-    n_below = len(below)
-
-    def solve(g: Callable, c: np.ndarray) -> np.ndarray:
-        """The root of g(x, c_i), increasing in x, for each entry c_i: the
-        bracket ends double outward from -1 and 1, while g has not changed
-        sign and the grid end is not reached, as one lookup at the knots."""
-        held = g(knots, c[:, None])
-        # the first knot on each side where the search stops; the last one always does
-        i_lo = (~(held[:, :n_below] > 0.0) | (knots[:n_below] <= lo)).argmax(1)
-        i_hi = n_below + (~(held[:, n_below:] < 0.0) | (knots[n_below:] >= hi)).argmax(1)
-        rows = np.arange(len(c))
-        return _brent(lambda x, i: g(x, c[i]), knots[i_lo], knots[i_hi],
-                      held[rows, i_lo], held[rows, i_hi], 1e-12)
-
     def quantile(p):
         p = np.asarray(p, dtype=float)
         if not np.all((p > 0.0) & (p < 1.0)):
             raise ValueError("quantile is defined on (0, 1)")
-        flat = p.reshape(-1)
-        x = np.empty(flat.shape)
-        # the lower tail of F and the upper tail of sf carry relative
-        # accuracy; each entry is solved against whichever side resolves it
-        lower = flat <= 0.5
-        if lower.any():
-            x[lower] = solve(lambda y, c: F(y) - c, flat[lower])
-        if not lower.all():
-            x[~lower] = solve(lambda y, c: c - sf(y), 1.0 - flat[~lower])
-        return _as_output(x.reshape(p.shape))
+        return _as_output(tables().inverse(p.reshape(-1), False).reshape(p.shape))
 
     return InvariantLaw(f=f, F=F, sf=sf, quantile=quantile, G=G, spec=spec, grid_x=nodes, lazy_tables=tables,
                         ergodicity=report, label=label)

@@ -470,14 +470,14 @@ def test_estimate_golden_report(tmp_path):
     out = tmp_path / "est"
     assert run(["estimate", "--noise", "ou", "--T", "200", "--seed", "11", "--out", out]) == 0
     assert json.loads((out / "estimate.json").read_text()) == {
-        "Sigma": 0.6504843956511254,
+        "Sigma": 0.6504843956511028,
         "Sigma_tilde": 0.7040560206935511,
         "T": 200.0,
         "gamma_T": 0.2104,
         "nu_T": 0.37383806972639466,
         "seed": 11,
         "theta_hat_energy": 0.5977788920473165,
-        "theta_hat_time": 0.5876388684641374,
+        "theta_hat_time": 0.58763886846419,
     }
 
 
@@ -488,14 +488,14 @@ GOLDEN_VALIDATE = {
         "degenerate": False,
         "empirical_error_rate": 0.2,
         "empirical_var_ratio_energy": 1.5071348116837953,
-        "empirical_var_ratio_time": 1.5429872419238537,
+        "empirical_var_ratio_time": 1.542987241923908,
         "predicted_p_err": 0.19588682036735447,
     }),
     "sigma2": (["--drift=-4*x", "--sigma=2"], {
         "degenerate": False,
         "empirical_error_rate": 0.05,
         "empirical_var_ratio_energy": 1.1628465251064142,
-        "empirical_var_ratio_time": 1.2560492925194349,
+        "empirical_var_ratio_time": 1.2560492925197049,
         "predicted_p_err": 0.04672818780944572,
     }),
 }

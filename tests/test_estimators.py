@@ -87,6 +87,31 @@ def test_estimate_theta_time_degenerate(ch_oracle, frac):
         estimate_theta_time(frac, ch_oracle)
 
 
+@pytest.fixture(scope="module")
+def cubic_law():
+    return build_invariant_law(DiffusionSpec(compile_expression("-x^3"), compile_expression("1")))
+
+
+@pytest.mark.parametrize("frac", [2.0**-62, 1e-17])
+@pytest.mark.parametrize("name", ["ou", "-x^3"])
+def test_estimate_theta_time_of_a_tiny_fraction(ou, cubic_law, name, frac):
+    # sf is solved at the fraction itself: 1 - (1 - 2^-62) is 0, which the
+    # quantile refused, and 1 - (1 - 1e-17) too
+    ch = ChannelConfig(tau=1.0, eps=0.7, law=ou if name == "ou" else cubic_law)
+    theta = estimate_theta_time(frac, ch)
+    assert math.isfinite(theta)
+    assert abs(ch.law.sf(ch.gap_ratio(theta)) - frac) <= 1e-9 * frac
+
+
+@pytest.mark.parametrize("name", ["ou", "-x^3"])
+def test_estimate_theta_time_at_tiny_fractions_is_the_scalar_estimate(ou, cubic_law, name):
+    ch = ChannelConfig(tau=1.0, eps=0.7, law=ou if name == "ou" else cubic_law)
+    fractions = np.array([0.3, 2.0**-62, 0.5, 1.0 - 1e-12, 1e-17, 0.9, 1e-300, 0.5 + 1e-12, 0.1])
+    theta, degenerate = estimate_theta_time_at(fractions, ch)
+    assert not degenerate.any()
+    assert [v.hex() for v in theta.tolist()] == [estimate_theta_time(f, ch).hex() for f in fractions.tolist()]
+
+
 def test_forward_maps_strictly_increasing(ou):
     ch = ChannelConfig(tau=1.0, eps=0.6, law=ou)
     thetas = np.linspace(-0.5, 0.95, 30)

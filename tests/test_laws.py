@@ -261,7 +261,7 @@ def test_cubic_drift_law_is_ergodic():
 
 
 def test_quantile_deep_tail_expansion(ou_numeric):
-    # p far in the tail forces the bracket to expand well beyond [-1, 1]
+    # p far in either tail: the root lies well beyond [-1, 1]
     for p in (1e-10, 1.0 - 1e-10):
         closed = GAUSS.inv_cdf(p)
         numeric = ou_numeric.quantile(p)
@@ -619,6 +619,7 @@ def test_tables_call_the_density_on_its_panels(monkeypatch, drift, sigma, trimme
     # passed with it; under sigma = 10 no node is trimmed, so the panels of
     # the tables are those of the law
     from stochres import laws
+    from stochres.estimators import ChannelConfig, estimate_theta_time_at
 
     calls = []
     init = laws.LawTables.__init__
@@ -667,6 +668,10 @@ def test_tables_call_the_density_on_its_panels(monkeypatch, drift, sigma, trimme
         tables.cdf(float(x))
         tables.upper_moments(float(x))
         tables.at(np.array([x]))
+    # the inversions solve in the node panel that brackets each level
+    levels = np.array([1e-300, 1e-12, 0.3, 0.5, 0.7, 1.0 - 1e-12])
+    law.quantile(levels)
+    estimate_theta_time_at(levels, ChannelConfig(tau=1.0, eps=0.7, law=law))
     assert len(calls) > built
 
 

@@ -224,7 +224,9 @@ def _root_oracle_cases():
             g = lambda x, p=p: cubic.F(x) - p
         else:
             g = lambda x, q=1.0 - p: q - cubic.sf(x)
-        lo, hi = -1.0, 1.0  # the quantile's own bracket expansion
+        # wide brackets, doubled out from [-1, 1] until they hold the root,
+        # give brentq many steps on the law's F and sf
+        lo, hi = -1.0, 1.0
         while g(lo) > 0.0:
             lo *= 2.0
         while g(hi) < 0.0:
@@ -315,35 +317,49 @@ def test_array_solve_raises_the_lowest_failing_entry():
 
 @pytest.mark.parametrize("case", ["energy_estimate", "grid_quantile"])
 def test_held_bracket_ends_are_not_evaluated_again(monkeypatch, case):
-    # the bracket search evaluates g at all its knots in one lookup and hands
-    # the values at the chosen ends to Brent's method, which then makes one
-    # lookup per iteration, so no point is evaluated twice
+    # Brent's method starts from values at the bracket ends that the caller
+    # already holds and then evaluates g once per iteration, so no point is
+    # evaluated twice.  The energy estimate holds them from one lookup at its
+    # knots; the quantile reads them from the node tables, and solves in the
+    # panel they bracket without a lookup, a clip or a search.
     from stochres import estimators, laws
     from stochres.estimators import ChannelConfig, energy_limit, estimate_theta_energy
     from stochres.expressions import compile_expression
 
     calls = []
-    if case == "energy_estimate":
-        ch = ChannelConfig(tau=1.0, eps=0.7244, law=stochres.ou_law())
-        energy = energy_limit(0.3, ch)
-        limit_at = estimators.energy_limit_at
-        monkeypatch.setattr(estimators, "energy_limit_at",
-                            lambda t, *args: calls.append(np.ravel(t)) or limit_at(t, *args))
-        # the knots 0, tau, -tau and 2 tau, then 8 iterations
-        root, expected_calls = estimate_theta_energy(energy, ch), 9
-        check = float(limit_at(root, ch.tau, ch.eps, ch.law)) - energy
-    else:
+    if case == "grid_quantile":
         law = stochres.build_invariant_law(
             stochres.DiffusionSpec(compile_expression("-x^3"), compile_expression("1")))
-        cdf = laws.LawTables.cdf
-        monkeypatch.setattr(laws.LawTables, "cdf", lambda self, x: calls.append(np.ravel(x)) or cdf(self, x))
-        # the doubling knots -1, -2, ... and 1, 2, ... to the grid ends, then 6 iterations
-        root, expected_calls = law.quantile(0.3), 7
-        check = cdf(law.tables, root) - 0.3
-    assert len(calls) == expected_calls, calls
+        law.tables  # built before the patches, which a build does not reach
+        for name in ("cdf", "upper_moments", "_locate"):
+            monkeypatch.setattr(laws.LawTables, name, lambda *args, name=name: calls.append(name))
+        monkeypatch.setattr(laws, "_panel_of", lambda *args: calls.append("_panel_of"))
+        points = []
+        brent = laws._brent
+
+        def recorded(g, lo, hi, glo, ghi, xtol):
+            points.extend([*lo.tolist(), *hi.tolist()])
+            return brent(lambda x, e: points.extend(x.tolist()) or g(x, e), lo, hi, glo, ghi, xtol)
+
+        monkeypatch.setattr(laws, "_brent", recorded)
+        root = law.quantile(0.3)
+        assert calls == []
+        assert len(points) > 2 and len(np.unique(points)) == len(points)
+        assert points[1] - points[0] == pytest.approx(0.005)  # one node panel
+        monkeypatch.undo()
+        assert law.F(root) - 0.3 == pytest.approx(0.0, abs=1e-10)
+        return
+    ch = ChannelConfig(tau=1.0, eps=0.7244, law=stochres.ou_law())
+    energy = energy_limit(0.3, ch)
+    limit_at = estimators.energy_limit_at
+    monkeypatch.setattr(estimators, "energy_limit_at",
+                        lambda t, *args: calls.append(np.ravel(t)) or limit_at(t, *args))
+    # the knots 0, tau, -tau and 2 tau, then 8 iterations
+    root = estimate_theta_energy(energy, ch)
+    assert len(calls) == 9, calls
     points = np.concatenate(calls)
     assert len(np.unique(points)) == len(points)
-    assert check == pytest.approx(0.0, abs=1e-10)
+    assert float(limit_at(root, ch.tau, ch.eps, ch.law)) - energy == pytest.approx(0.0, abs=1e-10)
 
 
 def test_bracket_validation():
