@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import DegenerateObservation, OutOfRange, QuadratureFailure
 from .laws import InvariantLaw
-from .numerics import Bracket, _brent, integrate_line, not_finite_above
+from .numerics import _brent, integrate_line, not_finite_above
 
 __all__ = [
     "ChannelConfig",
@@ -389,61 +389,65 @@ def energy_limit_derivative(theta: float, ch: ChannelConfig) -> float:
     return float(energy_limit_derivative_at(theta, ch.tau, np.array([ch.eps]), ch.law)[0])
 
 
-# the brackets [0, tau], [-tau, 0] and [tau, 2 tau] of the energy map, in
-# the order they are tried, as index pairs into its knots 0, tau, -tau, 2 tau
-_ENERGY_BRACKETS = np.array([[0, 1], [2, 0], [1, 3]])
-
-
 def estimate_theta_energy_at(energies: np.ndarray, ch: ChannelConfig) -> np.ndarray:
     """Array form of ``estimate_theta_energy``: the estimate at each entry
     of an array of energies.
 
-    The map is evaluated at the four knots once, in one lookup, and each
-    entry's bracket is chosen from those values; the entries inside a
-    bracket are then solved by one array root find, one lookup per
-    iteration.  Raises what a loop of ``estimate_theta_energy`` over the
-    entries raises: the error of the first entry that fails.
+    The node tables give the map at the signal level tau - eps*x_k of every
+    table node x_k, where it decreases in k.  One search gives each entry
+    the first node whose value falls to it or below, and its bracket is the
+    three node panels around that node: one panel of margin on each side of
+    the panel that holds the root, so the forward map, looked up once at
+    both ends of every bracket, changes sign there.  At either end of the
+    table the margin is the panel past its last node, where the map holds
+    the table's end value, and every bracket reaches two doubles past its
+    end levels.  One array root find then solves every bracket,
+    one lookup per iteration.  Raises ValueError for tau <= 0, where the
+    map is not monotone, and otherwise what a loop of
+    ``estimate_theta_energy`` over the entries raises: the error of the
+    first entry that fails.
     """
+    if not ch.tau > 0.0:
+        raise ValueError("the energy map is monotone only for tau > 0")
     energies = np.asarray(energies, dtype=float)
-    knots = np.array([0.0, ch.tau, -ch.tau, 2.0 * ch.tau])
-    held = energy_limit_at(knots, ch.tau, ch.eps, ch.law)[:, None] - energies
+    x, m = ch.law.tables.x, ch.law.tables.m
+    # the signal level at each node and one panel past either end
+    levels = ch.tau - ch.eps * np.r_[2.0 * x[0] - x[1], x, 2.0 * x[-1] - x[-2]]
+    at_nodes = _dot(_energy_weights(levels[1:-1], ch.eps), m.T)
     theta = np.full(energies.shape, np.nan)
-    bracket = np.full(energies.shape, -1)
-    todo = ~(energies < 0.0)
-    for k, (i, j) in enumerate(_ENERGY_BRACKETS.tolist()):
-        for end, g in ((i, held[i]), (j, held[j])):
-            at_end = todo & (g == 0.0)
-            theta[at_end] = knots[end]
-            todo &= ~at_end
-        inside = todo & (held[i] * held[j] < 0.0)
-        bracket[inside] = k
-        todo &= ~inside
-    # a negative energy or one in no bracket: the entries before the first
-    # are solved, as a loop meets their errors first
-    failed = np.flatnonzero((energies < 0.0) | todo)[:1].tolist()
-    solved = np.flatnonzero(bracket[: failed[0] if failed else None] >= 0)
+    # a negative energy, 0 or one above the map's value at the first node:
+    # the entries before the first are solved, as a loop meets its error first
+    failed = np.flatnonzero(~((energies > 0.0) & (energies <= at_nodes[0])))[:1].tolist()
+    solved = energies[: failed[0] if failed else None]
     if solved.size:
-        i, j = _ENERGY_BRACKETS[bracket[solved]].T
-        Bracket(float(knots[i[0]]), float(knots[j[0]]))  # a reversed one (tau < 0) raises ValueError
-        theta[solved] = _brent(
-            lambda x, k: energy_limit_at(x, ch.tau, ch.eps, ch.law) - energies[solved[k]],
-            knots[i], knots[j], held[i, solved], held[j, solved], 1e-10,
+        # node k is level k + 1; the root lies between nodes k - 1 and k
+        k = (-at_nodes).searchsorted(-solved)
+        lo, hi = levels[k + 2], levels[np.maximum(k - 1, 0)]
+        # two doubles more on each side: at an eps so small that eps times a
+        # panel is below the spacing of the doubles near tau, neighbouring
+        # levels round to one double
+        lo, hi = lo - 2.0 * np.spacing(np.abs(lo)), hi + 2.0 * np.spacing(np.abs(hi))
+        held = energy_limit_at(np.concatenate([lo, hi]), ch.tau, ch.eps, ch.law) - np.tile(solved, 2)
+        theta[: solved.size] = _brent(
+            lambda t, i: energy_limit_at(t, ch.tau, ch.eps, ch.law) - solved[i],
+            lo, hi, held[: solved.size], held[solved.size :], 1e-10,
         )
     if failed:
         energy = float(energies[failed[0]])
         if energy < 0.0:
             raise OutOfRange("energy statistic cannot be negative")
-        raise OutOfRange(f"energy {energy} is outside the forward map range on [-tau, 2*tau]")
+        raise OutOfRange(f"energy {energy} is outside the forward map range (0, {float(at_nodes[0])}]")
     return theta
 
 
 def estimate_theta_energy(energy: float, ch: ChannelConfig) -> float:
-    """Invert the energy map by monotone root finding on [0, tau].
+    """Invert the energy map, which increases strictly in theta for tau > 0,
+    by monotone root finding in the node panels that bracket the energy.
 
-    The bracket is widened to [-tau, 0], then [tau, 2 tau], when the
-    observation falls outside the primary range; OutOfRange is raised when
-    no bracket contains a root (for example a negative observation).  This
-    is ``estimate_theta_energy_at`` on an array of one.
+    Every energy in (0, top], top the map's value at the signal level of
+    the first table node, has an estimate; OutOfRange is raised for any
+    other (for example a negative observation).  This is
+    ``estimate_theta_energy_at`` on an array of one.
     """
     return float(estimate_theta_energy_at(np.array([energy]), ch)[0])
 

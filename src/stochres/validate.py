@@ -34,9 +34,7 @@ from .errors import DegenerateObservation, NumericBlowup
 from .estimators import (
     ChannelConfig,
     energy_scheme_variance,
-    estimate_theta_energy,
     estimate_theta_energy_at,
-    estimate_theta_time,
     estimate_theta_time_at,
     time_scheme_variance,
 )
@@ -188,19 +186,8 @@ def _variance_job(
     sim = SimConfig(T=horizon, dt=dt, seed=base_seed)
 
     def study(fractions: np.ndarray, energies: np.ndarray) -> VarianceStudy:
-        try:
-            est_t, degenerate = estimate_theta_time_at(fractions, ch)
-            est_e = estimate_theta_energy_at(energies[~degenerate], ch)
-        except Exception:
-            # the error of the first replication that fails, its time
-            # estimate before its energy one, as a loop over them raises it
-            for fraction, energy in zip(fractions.tolist(), energies.tolist()):
-                try:
-                    estimate_theta_time(fraction, ch)
-                except DegenerateObservation:
-                    continue
-                estimate_theta_energy(energy, ch)
-            raise
+        est_t, degenerate = estimate_theta_time_at(fractions, ch)
+        est_e = estimate_theta_energy_at(energies[~degenerate], ch)
         est_t = est_t[~degenerate]
         if len(est_t) < 2:
             raise DegenerateObservation("too few usable replications for a variance estimate")

@@ -471,12 +471,12 @@ def test_estimate_golden_report(tmp_path):
     assert run(["estimate", "--noise", "ou", "--T", "200", "--seed", "11", "--out", out]) == 0
     assert json.loads((out / "estimate.json").read_text()) == {
         "Sigma": 0.6504843956511028,
-        "Sigma_tilde": 0.7040560206935511,
+        "Sigma_tilde": 0.7040560206857722,
         "T": 200.0,
         "gamma_T": 0.2104,
         "nu_T": 0.37383806972639466,
         "seed": 11,
-        "theta_hat_energy": 0.5977788920473165,
+        "theta_hat_energy": 0.5977788920618866,
         "theta_hat_time": 0.58763886846419,
     }
 
@@ -487,14 +487,14 @@ GOLDEN_VALIDATE = {
     "ou": (["--noise", "ou"], {
         "degenerate": False,
         "empirical_error_rate": 0.2,
-        "empirical_var_ratio_energy": 1.5071348116837953,
+        "empirical_var_ratio_energy": 1.5071348116852938,
         "empirical_var_ratio_time": 1.542987241923908,
         "predicted_p_err": 0.19588682036735447,
     }),
     "sigma2": (["--drift=-4*x", "--sigma=2"], {
         "degenerate": False,
         "empirical_error_rate": 0.05,
-        "empirical_var_ratio_energy": 1.1628465251064142,
+        "empirical_var_ratio_energy": 1.1628465251036513,
         "empirical_var_ratio_time": 1.2560492925197049,
         "predicted_p_err": 0.04672818780944572,
     }),

@@ -28,6 +28,7 @@ from stochres import (
     time_scheme_variance,
     time_scheme_variance_ou_reference,
 )
+from stochres import estimators
 from stochres.errors import DegenerateObservation, OutOfRange, QuadratureFailure
 from stochres.estimators import (
     edf_variance_at,
@@ -283,23 +284,20 @@ def test_array_estimators_equal_the_scalar_loop(ou, coefficients, theta, eps):
     ch = ChannelConfig(tau=1.0, eps=eps, law=law)
     fractions, energies = observe_paths(law.spec, SimConfig(T=20.0, dt=0.01, seed=4), 300,
                                         np.full(300, theta), eps, ch.tau)
-    want_t, want_e, in_range = [], [], []
-    for k, (fraction, energy) in enumerate(zip(fractions.tolist(), energies.tolist())):
+    # every replication with a finite time estimate gets an energy estimate
+    # too, those of short paths below -tau included (37 of them on tanh)
+    want_t, want_e = [], []
+    for fraction, energy in zip(fractions.tolist(), energies.tolist()):
         try:
             want_t.append(estimate_theta_time(fraction, ch).hex())
         except DegenerateObservation:
             continue
-        try:
-            want_e.append(estimate_theta_energy(energy, ch).hex())
-            in_range.append(k)
-        except OutOfRange:  # a short path's energy below the map's value at -tau
-            pass
+        want_e.append(estimate_theta_energy(energy, ch).hex())
     theta_t, degenerate = estimate_theta_time_at(fractions, ch)
     assert [v.hex() for v in theta_t[~degenerate].tolist()] == want_t
     assert np.isnan(theta_t[degenerate]).all()
-    theta_e = estimate_theta_energy_at(energies[in_range], ch)
+    theta_e = estimate_theta_energy_at(energies[~degenerate], ch)
     assert [v.hex() for v in theta_e.tolist()] == want_e
-    assert len(want_e) > 200
 
 
 def test_array_estimators_edge_cases(ou):
@@ -308,20 +306,53 @@ def test_array_estimators_edge_cases(ou):
     assert degenerate.tolist() == [True, False, True, False]
     assert np.isnan(theta[degenerate]).all()
     assert theta[~degenerate].tolist() == [estimate_theta_time(0.3, ch), estimate_theta_time(0.5, ch)]
-    # two energies at the knots 0 and 2 tau, then one in each bracket
-    # [-tau, 0], [tau, 2 tau] and [0, tau]
-    targets = np.array([0.0, 2.0, -0.5, 1.5, 0.4])
+    # one energy in each of [-tau, 0], [tau, 2 tau] and [0, tau], two at
+    # their ends 0 and 2 tau, and one below -tau and one above 2 tau
+    targets = np.array([0.0, 2.0, -0.5, 1.5, 0.4, -3.0, 4.0])
     energies = energy_limit_at(targets, ch.tau, ch.eps, ou)
     got = estimate_theta_energy_at(energies, ch)
-    assert got[:2].tolist() == [0.0, 2.0]
     assert got.tolist() == [estimate_theta_energy(e, ch) for e in energies.tolist()]
     np.testing.assert_allclose(got, targets, rtol=0.0, atol=1e-8)
-    # the first entry that fails is named, as a loop over the entries would
+    # the first entry that fails is named, as a loop over the entries would;
+    # 1e4 lies above the map's value at the first node (376.45)
     with pytest.raises(OutOfRange, match="cannot be negative"):
-        estimate_theta_energy_at(np.array([0.1, -1e-3, 50.0]), ch)
-    with pytest.raises(OutOfRange, match=r"^energy 50\.0 is outside"):
-        estimate_theta_energy_at(np.array([0.1, 50.0, -1e-3, 60.0]), ch)
+        estimate_theta_energy_at(np.array([0.1, -1e-3, 1e4]), ch)
+    with pytest.raises(OutOfRange, match=r"^energy 10000\.0 is outside the forward map range \(0, 3"):
+        estimate_theta_energy_at(np.array([0.1, 1e4, -1e-3, 2e4]), ch)
+    with pytest.raises(OutOfRange, match=r"^energy 0\.0 is outside"):
+        estimate_theta_energy_at(np.array([0.1, 0.0, 1e4]), ch)
+    # the map is monotone only above a positive threshold
+    for tau in (0.0, -1.0):
+        with pytest.raises(ValueError, match="tau > 0"):
+            estimate_theta_energy_at(np.array([0.1]), ChannelConfig(tau=tau, eps=0.7, law=ou))
     assert estimate_theta_energy_at(np.array([]), ch).shape == (0,)
+
+
+@pytest.mark.parametrize("name", ["ou", "-x^3"])
+@pytest.mark.parametrize("eps", [1e-15, 0.01, 0.7, 1.5, 50.0])
+def test_every_energy_up_to_the_top_has_an_estimate(ou, cubic_law, name, eps):
+    # from the smallest double to the map's value at the first node, each
+    # energy gets a finite estimate, and the root lies within xtol (1e-10,
+    # plus Brent's relative term) of the forward map's sign change, however
+    # far outside [-tau, 2 tau] it lies.  At eps = 1e-15 about 20 nodes
+    # share each signal level, a double next to tau.  At eps = 50 deep in
+    # the lower tail (theta near -1300) the map's own rounding, theta^2 m_0
+    # against an integrand near tau^2 at the gap, exceeds its change over
+    # xtol, so there only the estimates are checked to exist.
+    law = ou if name == "ou" else cubic_law
+    ch = ChannelConfig(tau=1.0, eps=eps, law=law)
+    level = ch.tau - ch.eps * law.tables.x[0]
+    top = float(estimators._dot(estimators._energy_weights(level, ch.eps), law.tables.m[:, 0]))
+    energies = np.concatenate([[5e-324, 1e-300], np.geomspace(1e-300, top, 300)[1:-1],
+                               [np.nextafter(top, 0.0), top]])
+    theta = estimate_theta_energy_at(energies, ch)
+    assert np.isfinite(theta).all()
+    if eps < 50.0:
+        step = 1e-10 + 1e-15 * np.abs(theta)
+        assert (energy_limit_at(theta - step, ch.tau, ch.eps, law) <= energies).all()
+        assert (energy_limit_at(theta + step, ch.tau, ch.eps, law) >= energies).all()
+    with pytest.raises(OutOfRange, match="outside the forward map range"):
+        estimate_theta_energy(np.nextafter(top, np.inf), ch)
 
 
 # ---------------------------------------------------------------------------

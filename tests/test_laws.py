@@ -92,17 +92,17 @@ def test_mass_must_decay_at_the_probe_ends(drift, sigma, ergodic):
 
 def _far_mass_drift(x):
     # -x up to |x| = 32, where the mass exp(-1024) is below the support
-    # floor and the doubling search stops; then +400 sign(x) up to 36, which
-    # lifts the exponent to 1088 (an infinite mass); then -2000 sign(x)
+    # floor; then +400 sign(x) up to 36, which lifts the exponent to 1088
+    # (an infinite mass); then -2000 sign(x)
     x = np.asarray(x, dtype=float)
     out = np.where(np.abs(x) <= 36.0, 400.0 * np.sign(x), -2000.0 * np.sign(x))
     return np.where(np.abs(x) <= 32.0, -x, out)
 
 
 def test_mass_beyond_the_support_edges_fails_c3():
-    # the mass is infinite on (32, 36] although the doubling search stops at
-    # 32: a probe node past the edges above the floor makes the support the
-    # whole probe range, so G sums the infinite mass there
+    # the mass is below the floor at |x| = 32 and infinite on (32, 36]: a
+    # largest node mass that is not finite bounds nothing, so the support is
+    # the whole probe range and G sums the infinite mass there
     spec = DiffusionSpec(_far_mass_drift, lambda x: 1.0)
     report = check_ergodicity(spec)
     assert report.c2_holds

@@ -319,9 +319,10 @@ def test_array_solve_raises_the_lowest_failing_entry():
 def test_held_bracket_ends_are_not_evaluated_again(monkeypatch, case):
     # Brent's method starts from values at the bracket ends that the caller
     # already holds and then evaluates g once per iteration, so no point is
-    # evaluated twice.  The energy estimate holds them from one lookup at its
-    # knots; the quantile reads them from the node tables, and solves in the
-    # panel they bracket without a lookup, a clip or a search.
+    # evaluated twice.  The energy estimate holds them from one lookup at the
+    # ends of the three node panels the tables give it; the quantile reads
+    # them from the node tables, and solves in the panel they bracket without
+    # a lookup, a clip or a search.
     from stochres import estimators, laws
     from stochres.estimators import ChannelConfig, energy_limit, estimate_theta_energy
     from stochres.expressions import compile_expression
@@ -354,11 +355,14 @@ def test_held_bracket_ends_are_not_evaluated_again(monkeypatch, case):
     limit_at = estimators.energy_limit_at
     monkeypatch.setattr(estimators, "energy_limit_at",
                         lambda t, *args: calls.append(np.ravel(t)) or limit_at(t, *args))
-    # the knots 0, tau, -tau and 2 tau, then 8 iterations
+    # the two bracket ends, then 4 iterations
     root = estimate_theta_energy(energy, ch)
-    assert len(calls) == 9, calls
+    assert [len(c) for c in calls] == [2, 1, 1, 1, 1], calls
     points = np.concatenate(calls)
     assert len(np.unique(points)) == len(points)
+    lo, hi = calls[0]
+    assert hi - lo == pytest.approx(0.015 * ch.eps)  # three node panels
+    assert lo < root < hi
     assert float(limit_at(root, ch.tau, ch.eps, ch.law)) - energy == pytest.approx(0.0, abs=1e-10)
 
 

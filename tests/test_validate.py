@@ -14,7 +14,7 @@ import stochres
 from stochres import DiffusionSpec, SimConfig, observe_paths
 from stochres import TestProblem as Problem
 from stochres import error_rate_study, ou_law, validation_studies, variance_validation_study
-from stochres.errors import DegenerateObservation, NumericBlowup, OutOfRange
+from stochres.errors import DegenerateObservation, NumericBlowup
 from stochres.validate import _Job, _run_jobs
 
 
@@ -214,8 +214,8 @@ def test_combined_studies_raise_what_the_serial_run_raises(law):
         (NumericBlowup, "seed 8;", dict(eps=1.0, horizon=1.0, n_reps=10)),
         # the variance study's paths stay bounded; every error-study path blows up
         (NumericBlowup, "seed 10;", dict(eps=1.0, horizon=0.5, n_reps=10)),
-        # an energy no theta in [-tau, 2 tau] explains
-        (OutOfRange, "outside the forward map range", dict(eps=3.0, horizon=0.5, n_reps=8)),
+        # the variance study's paths never cross the threshold: its reduction fails
+        (DegenerateObservation, "too few usable replications", dict(eps=0.01, horizon=0.5, n_reps=8)),
     ]
     for kind, named, kwargs in cases:
         args = (problem, 0.5, kwargs["eps"], kwargs["horizon"], 0.05, kwargs["n_reps"], 8)
@@ -229,30 +229,29 @@ def test_combined_studies_raise_what_the_serial_run_raises(law):
             assert multiprocessing.active_children() == []
 
 
-def test_variance_error_names_the_first_replication_out_of_range(law):
-    # replications 4 and 7 have energies no theta in [-tau, 2 tau] explains
-    # (6 is degenerate); a loop over the replications names the energy of 4,
-    # in one range (workers 1) as across ranges (workers 2 and 3)
+def test_variance_study_estimates_energies_below_minus_tau(law):
+    # replications 4 and 7 are short paths whose energies lie below the
+    # map's value at -tau (6 and 8 are degenerate); each gets an estimate
+    # whose forward map gives its energy back, and the study uses them
     problem = Problem(0.0, 0.5, 0.5, 0.5, 1.0, 1.2, 20.0, law, "time")
     cfg = SimConfig(T=1.0, dt=0.05, seed=0)
-    _, energies = observe_paths(law.spec, cfg, 10, np.full(10, 0.5), 1.5, 1.0)
+    fractions, energies = observe_paths(law.spec, cfg, 10, np.full(10, 0.5), 1.5, 1.0)
     ch = stochres.ChannelConfig(tau=1.0, eps=1.5, law=law)
-    failing = []
-    for k, energy in enumerate(energies.tolist()):
-        try:
-            stochres.estimate_theta_energy(energy, ch)
-        except OutOfRange:
-            failing.append(k)
-    assert failing[:2] == [4, 6] and 7 in failing
-    for workers in (1, 2, 3):
-        with pytest.raises(OutOfRange, match=f"^energy {re.escape(repr(energies[4].item()))} is outside"):
-            validation_studies(problem, 0.5, 1.5, 1.0, 0.05, 10, 8, workers=workers)
+    for k in (4, 7):
+        theta = stochres.estimate_theta_energy(energies[k].item(), ch)
+        assert theta < -ch.tau
+        assert stochres.energy_limit(theta, ch) == pytest.approx(energies[k], rel=1e-10, abs=0.0)
+    assert np.flatnonzero((fractions == 0.0) | (fractions == 1.0)).tolist() == [6, 8]
+    studies = [validation_studies(problem, 0.5, 1.5, 1.0, 0.05, 10, 8, workers=workers)[0]
+               for workers in (1, 2, 3)]
+    assert studies[0].n_reps == 8 and studies[0].n_degenerate == 2
+    assert studies[1] == studies[0] and studies[2] == studies[0]
     assert multiprocessing.active_children() == []
 
 
 def test_variance_reduce_lookups_do_not_grow_with_the_replications(law, monkeypatch):
     # each scheme's estimates are one array root find: one lookup at the
-    # bracket knots, then one per iteration of the slowest replication (a
+    # bracket ends, then one per iteration of the slowest replication (a
     # loop over the 200 replications makes about 20 per replication)
     from stochres import laws
     from stochres.validate import _variance_job
