@@ -401,11 +401,13 @@ def estimate_theta_energy_at(energies: np.ndarray, ch: ChannelConfig) -> np.ndar
     both ends of every bracket, changes sign there.  At either end of the
     table the margin is the panel past its last node, where the map holds
     the table's end value, and every bracket reaches two doubles past its
-    end levels.  One array root find then solves every bracket,
-    one lookup per iteration.  Raises ValueError for tau <= 0, where the
-    map is not monotone, and otherwise what a loop of
-    ``estimate_theta_energy`` over the entries raises: the error of the
-    first entry that fails.
+    end levels.  An energy at or above the map's value at the first node
+    has its root where the map is the quadratic of the table's full
+    moments, and its upper end comes from that quadratic.  One array root
+    find then solves every bracket, one lookup per iteration.  Raises
+    ValueError for tau <= 0, where the map is not monotone, and otherwise
+    what a loop of ``estimate_theta_energy`` over the entries raises: the
+    error of the first entry that fails.
     """
     if not ch.tau > 0.0:
         raise ValueError("the energy map is monotone only for tau > 0")
@@ -415,14 +417,22 @@ def estimate_theta_energy_at(energies: np.ndarray, ch: ChannelConfig) -> np.ndar
     levels = ch.tau - ch.eps * np.r_[2.0 * x[0] - x[1], x, 2.0 * x[-1] - x[-2]]
     at_nodes = _dot(_energy_weights(levels[1:-1], ch.eps), m.T)
     theta = np.full(energies.shape, np.nan)
-    # a negative energy, 0 or one above the map's value at the first node:
-    # the entries before the first are solved, as a loop meets its error first
-    failed = np.flatnonzero(~((energies > 0.0) & (energies <= at_nodes[0])))[:1].tolist()
+    # past a quarter of the largest double the upper end below would make
+    # the map overflow
+    top = np.finfo(float).max / 4.0
+    # a negative energy, 0, NaN or one above the top: the entries before the
+    # first are solved, as a loop meets its error first
+    failed = np.flatnonzero(~((energies > 0.0) & (energies <= top)))[:1].tolist()
     solved = energies[: failed[0] if failed else None]
     if solved.size:
         # node k is level k + 1; the root lies between nodes k - 1 and k
         k = (-at_nodes).searchsorted(-solved)
         lo, hi = levels[k + 2], levels[np.maximum(k - 1, 0)]
+        # at or above the map's value at the first node the map is the
+        # quadratic Q = m_0 theta^2 + 2 eps m_1 theta + eps^2 m_2 of the table's
+        # full moments, and Q(levels[1] + s) >= Q(levels[1]) + m_0 s^2 there,
+        # so s = sqrt(2 energy / m_0) puts the upper end past the root
+        hi = np.where(k == 0, np.maximum(hi, levels[1] + np.sqrt(2.0 / m[0, 0]) * np.sqrt(solved)), hi)
         # two doubles more on each side: at an eps so small that eps times a
         # panel is below the spacing of the doubles near tau, neighbouring
         # levels round to one double
@@ -436,7 +446,7 @@ def estimate_theta_energy_at(energies: np.ndarray, ch: ChannelConfig) -> np.ndar
         energy = float(energies[failed[0]])
         if energy < 0.0:
             raise OutOfRange("energy statistic cannot be negative")
-        raise OutOfRange(f"energy {energy} is outside the forward map range (0, {float(at_nodes[0])}]")
+        raise OutOfRange(f"energy {energy} is outside the forward map range (0, {top}]")
     return theta
 
 
@@ -444,10 +454,11 @@ def estimate_theta_energy(energy: float, ch: ChannelConfig) -> float:
     """Invert the energy map, which increases strictly in theta for tau > 0,
     by monotone root finding in the node panels that bracket the energy.
 
-    Every energy in (0, top], top the map's value at the signal level of
-    the first table node, has an estimate; OutOfRange is raised for any
-    other (for example a negative observation).  This is
-    ``estimate_theta_energy_at`` on an array of one.
+    Every energy in (0, top], top a quarter of the largest double, has an
+    estimate, within xtol = 1e-10 of the forward map's sign change;
+    OutOfRange is raised for any other (for example a negative
+    observation).  This is ``estimate_theta_energy_at``
+    on an array of one.
     """
     return float(estimate_theta_energy_at(np.array([energy]), ch)[0])
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -307,20 +308,25 @@ def test_array_estimators_edge_cases(ou):
     assert np.isnan(theta[degenerate]).all()
     assert theta[~degenerate].tolist() == [estimate_theta_time(0.3, ch), estimate_theta_time(0.5, ch)]
     # one energy in each of [-tau, 0], [tau, 2 tau] and [0, tau], two at
-    # their ends 0 and 2 tau, and one below -tau and one above 2 tau
-    targets = np.array([0.0, 2.0, -0.5, 1.5, 0.4, -3.0, 4.0])
+    # their ends 0 and 2 tau, one below -tau, one above 2 tau and one above
+    # the first node's signal level tau - eps*x_0 (19.4)
+    targets = np.array([0.0, 2.0, -0.5, 1.5, 0.4, -3.0, 4.0, 30.0])
     energies = energy_limit_at(targets, ch.tau, ch.eps, ou)
     got = estimate_theta_energy_at(energies, ch)
     assert got.tolist() == [estimate_theta_energy(e, ch) for e in energies.tolist()]
     np.testing.assert_allclose(got, targets, rtol=0.0, atol=1e-8)
-    # the first entry that fails is named, as a loop over the entries would;
-    # 1e4 lies above the map's value at the first node (376.45)
+    # the first entry that fails is named, as a loop over the entries would
     with pytest.raises(OutOfRange, match="cannot be negative"):
-        estimate_theta_energy_at(np.array([0.1, -1e-3, 1e4]), ch)
-    with pytest.raises(OutOfRange, match=r"^energy 10000\.0 is outside the forward map range \(0, 3"):
-        estimate_theta_energy_at(np.array([0.1, 1e4, -1e-3, 2e4]), ch)
-    with pytest.raises(OutOfRange, match=r"^energy 0\.0 is outside"):
-        estimate_theta_energy_at(np.array([0.1, 0.0, 1e4]), ch)
+        estimate_theta_energy_at(np.array([0.1, -1e-3, 0.0]), ch)
+    with pytest.raises(OutOfRange, match=r"^energy 0\.0 is outside the forward map range \(0, 4\.49423"):
+        estimate_theta_energy_at(np.array([0.1, 1e4, 0.0, -1e-3]), ch)
+    # up to a quarter of the largest double the map stays finite at the
+    # upper bracket end; nothing above it is estimated
+    top = np.finfo(float).max / 4.0
+    assert np.isfinite(estimate_theta_energy(top, ch))
+    for bad in (math.nan, math.inf, float(np.nextafter(top, np.inf))):
+        with pytest.raises(OutOfRange, match=f"^energy {re.escape(str(bad))} is outside"):
+            estimate_theta_energy_at(np.array([0.1, bad, -1e-3]), ch)
     # the map is monotone only above a positive threshold
     for tau in (0.0, -1.0):
         with pytest.raises(ValueError, match="tau > 0"):
@@ -330,29 +336,50 @@ def test_array_estimators_edge_cases(ou):
 
 @pytest.mark.parametrize("name", ["ou", "-x^3"])
 @pytest.mark.parametrize("eps", [1e-15, 0.01, 0.7, 1.5, 50.0])
-def test_every_energy_up_to_the_top_has_an_estimate(ou, cubic_law, name, eps):
-    # from the smallest double to the map's value at the first node, each
-    # energy gets a finite estimate, and the root lies within xtol (1e-10,
-    # plus Brent's relative term) of the forward map's sign change, however
-    # far outside [-tau, 2 tau] it lies.  At eps = 1e-15 about 20 nodes
-    # share each signal level, a double next to tau.  At eps = 50 deep in
-    # the lower tail (theta near -1300) the map's own rounding, theta^2 m_0
-    # against an integrand near tau^2 at the gap, exceeds its change over
-    # xtol, so there only the estimates are checked to exist.
+def test_every_positive_energy_has_an_estimate(ou, cubic_law, name, eps):
+    # from the smallest double to 1e300, each energy gets a finite estimate,
+    # and the root lies within xtol (1e-10, plus Brent's relative term) of
+    # the forward map's sign change, however far outside [-tau, 2 tau] it
+    # lies.  The map's value at the first node's signal level tau - eps*x_0
+    # and the doubles either side of it are among the energies: above it
+    # the map is the quadratic of the table's full moments.  At eps = 1e-15
+    # about 20 nodes share each signal level, a double next to tau.  At
+    # eps = 50 deep in the lower tail (theta near -1300) the map's own
+    # rounding, theta^2 m_0 against an integrand near tau^2 at the gap,
+    # exceeds its change over xtol, so there only the estimates are checked
+    # to exist.
     law = ou if name == "ou" else cubic_law
     ch = ChannelConfig(tau=1.0, eps=eps, law=law)
     level = ch.tau - ch.eps * law.tables.x[0]
-    top = float(estimators._dot(estimators._energy_weights(level, ch.eps), law.tables.m[:, 0]))
-    energies = np.concatenate([[5e-324, 1e-300], np.geomspace(1e-300, top, 300)[1:-1],
-                               [np.nextafter(top, 0.0), top]])
+    at_first = float(estimators._dot(estimators._energy_weights(level, ch.eps), law.tables.m[:, 0]))
+    near_first = [np.nextafter(at_first, 0.0), at_first, np.nextafter(at_first, np.inf)]
+    energies = np.sort(np.concatenate([[5e-324], np.geomspace(1e-300, 1e300, 600), near_first]))
     theta = estimate_theta_energy_at(energies, ch)
     assert np.isfinite(theta).all()
     if eps < 50.0:
         step = 1e-10 + 1e-15 * np.abs(theta)
         assert (energy_limit_at(theta - step, ch.tau, ch.eps, law) <= energies).all()
         assert (energy_limit_at(theta + step, ch.tau, ch.eps, law) >= energies).all()
-    with pytest.raises(OutOfRange, match="outside the forward map range"):
-        estimate_theta_energy(np.nextafter(top, np.inf), ch)
+
+
+@pytest.mark.parametrize("name", ["ou", "-x^3"])
+def test_energy_estimate_above_the_first_node_level(ou, cubic_law, name):
+    # at eps = 0.01 the first node's signal level tau - eps*x_0 lies below
+    # 2 tau (1.26 on OU, 1.06 on -x^3), and the energies of the signals
+    # between it and 2 tau, which the fixed bracket [tau, 2 tau] solved,
+    # get the same estimates within xtol, the forward map matching to
+    # 1e-10 relative
+    law = ou if name == "ou" else cubic_law
+    ch = ChannelConfig(tau=1.0, eps=0.01, law=law)
+    targets = np.array([1.3, 1.5, 1.9, 2.0])
+    assert (targets > ch.tau - ch.eps * law.tables.x[0]).all()
+    energies = energy_limit_at(targets, ch.tau, ch.eps, law)
+    theta = estimate_theta_energy_at(energies, ch)
+    np.testing.assert_allclose(theta, targets, rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(energy_limit_at(theta, ch.tau, ch.eps, law), energies, rtol=1e-10, atol=0.0)
+    if name == "ou":
+        # the fixed bracket's estimate of 2.25, 1.4999833332404358
+        assert estimate_theta_energy(2.25, ch) == pytest.approx(1.4999833332404358, rel=0.0, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
