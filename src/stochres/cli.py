@@ -189,17 +189,26 @@ def _merge_config(args: argparse.Namespace, command: str) -> dict[str, Any]:
     return merged
 
 
+# the most cells a grid may have; the default grids have 800, 59 and 29
+_MAX_GRID_CELLS = 100_000
+
+
 def _parse_grid(text: str, name: str = "grid") -> np.ndarray:
+    flag = "--" + name
     try:
         lo_s, hi_s, step_s = text.split(":")
         lo, hi, step = float(lo_s), float(hi_s), float(step_s)
     except ValueError as exc:
-        raise ConfigError(f"{name} must look like lo:hi:step, got {text!r}") from exc
+        raise ConfigError(f"{flag} must look like lo:hi:step, got {text!r}") from exc
     if step <= 0 or hi <= lo:
-        raise ConfigError(f"{name} needs hi > lo and step > 0, got {text!r}")
-    n = int(round((hi - lo) / step))
+        raise ConfigError(f"{flag} needs hi > lo and step > 0, got {text!r}")
+    # a span that is not finite makes the cell count inf or NaN
+    cells = (hi - lo) / step
+    if not math.isfinite(cells) or round(cells) > _MAX_GRID_CELLS:
+        raise ConfigError(f"{flag} needs a finite span and at most {_MAX_GRID_CELLS} cells, got {text!r}")
+    n = round(cells)
     if n < 1:
-        raise ConfigError(f"{name} {text!r} contains no points")
+        raise ConfigError(f"{flag} {text!r} contains no points")
     return np.linspace(lo, hi, n + 1)
 
 

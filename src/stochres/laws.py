@@ -10,19 +10,19 @@ and variance 1/2.
 A law is its density and the cumulative tables of that density on a node
 grid (``LawTables``), from which the asymptotic variances of both
 observation schemes are read in O(1) per noise level; one lookup takes a
-whole array of gaps.  Both constructors hand the density, its normalizer
-and its ergodicity report to one builder, ``_tables_law``, which forms the
-public f and whose F, sf and quantile read the tables: the closed-form law
-differs from a law built from coefficients only in its density, its
-normalizer and its report, which is closed-form too.  Each table is built
-by its first reader: F, sf and the quantile build only the first-order
-tables (F and the upper moments), and the first variance lookup builds the
-variance tables.  A law built from coefficients hands the tables the mass
-at the Gauss points that its normalizer summed, so a build computes the
-density at each point once, and that normalizer is the G its ergodicity
-check reads.  One rule sets every support: the probe's node masses, read
-from the exponent it already holds at its nodes, rounded out to powers of
-two (see ``_support_edges``).
+whole array of gaps.  Both constructors hand the density and its
+ergodicity report to one builder, ``_tables_law``; the report's G
+normalizes the density, so ``law.ergodicity.G`` is the law's one
+normalizer.  The builder builds the first-order tables (F and the upper
+moments) with the law, forms the public f and lets F, sf and the quantile
+read those tables: the closed-form law differs from a law built from
+coefficients only in its density and its report, which is closed-form
+too.  The variance tables are built by their first reader, the first
+variance lookup.  A law built from coefficients hands the tables the mass
+at the Gauss points that G summed, divided by G, so a build computes the
+density at each point once.  One rule sets every support: the probe's node
+masses, read from the exponent it already holds at its nodes, rounded out
+to powers of two (see ``_support_edges``).
 The tables call the density with the panel of the node grid that holds
 each point, a slice of whole panels in a build and the panel a lookup has
 located, so only a law's public f (and the probe) searches the nodes.  The
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -135,31 +135,26 @@ class InvariantLaw:
     """Stationary law: density f, distribution F, survival sf and quantile.
 
     ``grid_x`` is the node grid over the numerical support and ``tables``
-    the cumulative tables of ``f`` on it, each built by its first reader
-    (see ``LawTables``).  F, sf and the quantile read those tables, so every
+    the cumulative tables of ``f`` on it: the first-order ones are built
+    with the law, the variance ones by their first reader (see
+    ``LawTables``).  F, sf and the quantile read those tables, so every
     law has one representation; ``sf`` is the tables' upper moment m_0, not
     ``1 - F``, so that far tails retain relative accuracy.  Beyond the tabulated support F is 0 or
     1 and sf 1 or 0.  Every law keeps its ``ergodicity`` report: the one
-    its build checked, or the closed form's.  Instances are immutable apart
-    from the tables' cache and safe to share.
+    its build checked, or the closed form's.  The report's G is the law's
+    one normalizer.  Instances are immutable apart from the tables'
+    variance cache and safe to share.
     """
 
     f: Callable
     F: Callable
     sf: Callable
     quantile: Callable
-    G: float
     spec: DiffusionSpec
     grid_x: np.ndarray = field(repr=False, compare=False)
-    # the tables of the law's density on grid_x, built at the first call
-    lazy_tables: Callable[[], "LawTables"] = field(repr=False, compare=False)
+    tables: "LawTables" = field(repr=False, compare=False)
     ergodicity: ErgodicityReport = field(compare=False)
     label: str = ""
-
-    @property
-    def tables(self) -> "LawTables":
-        """Cumulative Gauss-Legendre tables of this law's f on ``grid_x``."""
-        return self.lazy_tables()
 
 
 def _as_output(out: np.ndarray):
@@ -216,7 +211,7 @@ def _node_grid(lo: float, hi: float) -> tuple[np.ndarray, int]:
 
 def _panel_of(nodes: np.ndarray, x):
     """The index of the panel of ``nodes`` that holds each x; the last panel
-    holds the last node.  A density called by the tables is handed its
+    holds the last node.  A density called by the tables is passed its
     panels, so only a law's public ``f`` and its probe search."""
     return np.minimum(np.searchsorted(nodes, x, side="right") - 1, len(nodes) - 2)
 
@@ -440,10 +435,11 @@ class LawTables:
     scaled by B, which keeps them O(1 + |x|^(j+k)) where S_jk itself would
     under- or overflow.  A lookup adds one partial panel at x.
 
-    The first-order tables (the trim, F and m) are built with the tables;
-    ``cdf``, ``upper_moments``, ``inverse`` and ``support`` read only them.
-    The variance tables (``log_A``, ``log_B`` and ``nu``) are built once, at
-    the first ``at`` or the first read of one of them.  Their pass reuses the
+    The first-order tables (the trim, F and m) are built with the tables,
+    and so with the law; ``cdf``, ``upper_moments``, ``inverse`` and
+    ``support`` read only them.  The variance tables (``log_A``, ``log_B``
+    and ``nu``) are built once, at the first ``at`` or the first read of one
+    of them.  Their pass reuses the
     density that the first pass kept at the Gauss points, and calls the
     density only on the nested points.
 
@@ -460,15 +456,16 @@ class LawTables:
     the trimmed support.  ``density(x, i)`` is the law's density at points
     x of the panels i of ``nodes`` (see ``_mass``): the build and every
     lookup know the panel of each point they pass, so none searches for it;
-    a build passes a slice per block.  ``gauss_density(i)``, when a law's
-    build already holds them, gives the density at the Gauss points of the
-    panels of ``nodes`` in the slice i, as ``density`` would; the first pass
-    then calls no density on them.  ``sigma`` is the diffusion's array form
-    (see ``_array_form``): it is called on arrays of Gauss points as it is.
+    a build passes a slice per block.  ``f_gauss``, when a law's build
+    already holds it, is the density at the Gauss points of every panel of
+    ``nodes``, shape (5, len(nodes) - 1), as ``density`` would give it; the
+    first pass then calls no density on them.  ``sigma`` is the diffusion's
+    array form (see ``_array_form``): it is called on arrays of Gauss points
+    as it is.
     """
 
     def __init__(self, nodes: np.ndarray, density: Callable, sigma: Callable,
-                 gauss_density: Optional[Callable[[slice], np.ndarray]] = None) -> None:
+                 f_gauss: Optional[np.ndarray] = None) -> None:
         self.density = density
         self.sigma = sigma
         # node k is the left end of panel k, the last node the right end of the last panel
@@ -490,7 +487,7 @@ class LawTables:
         for j, k in self._spans:
             t, w = _gauss_rule(x[j:k], x[j + 1 : k + 1])
             panels = slice(shift + j, shift + k)
-            f_t[:, j:k] = density(t, panels) if gauss_density is None else gauss_density(panels)
+            f_t[:, j:k] = density(t, panels) if f_gauss is None else f_gauss[:, panels]
             P[:, j:k] = _moments(t, w * f_t[:, j:k])
         self.x = x
         self.F = np.zeros(n + 1)
@@ -636,47 +633,40 @@ class LawTables:
         return LawPoint(F=F, m=m, log_A=log_A, log_B=log_B, nu=nu, outside=outside)
 
 
-def _tables_law(density: Callable, G: float, spec: DiffusionSpec, nodes: np.ndarray, sigma: Callable, label: str,
-                report: ErgodicityReport,
-                gauss_density: Optional[Callable[[slice], np.ndarray]] = None) -> InvariantLaw:
-    """The law of normalizer ``G`` and ergodicity ``report`` whose density at
-    points x of the panels i of the node grid ``nodes`` is
-    ``density(x, i)``, with ``sigma`` the diffusion's array form.  The
-    public f clips x to the grid, searches its panel and reads the density
-    there, and is 0 off the grid; only f searches the nodes.  F, sf and the
-    quantile read the first-order tables of the density, which are built at
-    the first call that needs them; they never build the variance tables.
-    ``gauss_density``, if given, is the density at the Gauss points of whole
-    panels, which a build already holds (see ``LawTables``).
+def _tables_law(density: Callable, spec: DiffusionSpec, nodes: np.ndarray, sigma: Callable, label: str,
+                report: ErgodicityReport, f_gauss: Optional[np.ndarray] = None) -> InvariantLaw:
+    """The law of ergodicity ``report`` whose density at points x of the
+    panels i of the node grid ``nodes`` is ``density(x, i)``, with ``sigma``
+    the diffusion's array form; the report's G is the density's normalizer.
+    The law's tables are built here, first-order tables only: F, sf and the
+    quantile read them and never build the variance tables, which their
+    first reader builds.  The public f clips x to the grid, searches its
+    panel and reads the density there, and is 0 off the grid; only f
+    searches the nodes.  ``f_gauss``, if given, is the density at the Gauss
+    points of every panel, which a build already holds (see ``LawTables``).
 
     The quantile takes a level or an array of levels in (0, 1) and returns
     a float for a float, as F and sf do.  It is the tables' inverse of F
     (``LawTables.inverse``): a level above 1/2 is solved on sf at 1 - p, and
     each level is a root in the node panel that brackets it."""
     lo, hi = float(nodes[0]), float(nodes[-1])
-    # the build's Gauss-point values go to the table build that reads them,
-    # so the law keeps none once its tables exist
-    handed = [gauss_density]
-    tables = cache(lambda: LawTables(nodes, density, sigma, handed.pop() if handed else None))
+    tables = LawTables(nodes, density, sigma, f_gauss)
 
     def f(x):
         x = np.asarray(x, dtype=float)
         y = np.clip(x, lo, hi)
         return _as_output(np.where((x >= lo) & (x <= hi), density(y, _panel_of(nodes, y)), 0.0))
 
-    def F(x):
-        return tables().cdf(x)
-
     def sf(x):
-        return _as_output(tables().upper_moments(x)[0])
+        return _as_output(tables.upper_moments(x)[0])
 
     def quantile(p):
         p = np.asarray(p, dtype=float)
         if not np.all((p > 0.0) & (p < 1.0)):
             raise ValueError("quantile is defined on (0, 1)")
-        return _as_output(tables().inverse(p.reshape(-1), False).reshape(p.shape))
+        return _as_output(tables.inverse(p.reshape(-1), False).reshape(p.shape))
 
-    return InvariantLaw(f=f, F=F, sf=sf, quantile=quantile, G=G, spec=spec, grid_x=nodes, lazy_tables=tables,
+    return InvariantLaw(f=f, F=tables.cdf, sf=sf, quantile=quantile, spec=spec, grid_x=nodes, tables=tables,
                         ergodicity=report, label=label)
 
 
@@ -687,21 +677,20 @@ def build_invariant_law(spec: DiffusionSpec) -> InvariantLaw:
     ``_support_edges``).  On the support nodes the density exponent
     int_0^x S/sigma^2 is evaluated again by the same panel rule, and G is
     the panel sum of the mass exp(2*exponent)/sigma^2 there, summed
-    panel-major.  That one G decides c3 and is the report's G, to the bit.
-    The mass at those Gauss points is kept for the tables, which divide it
-    by G.  f, F, sf and the quantile read the density (see
-    ``_tables_law``), and the law keeps the ergodicity report.  Raises
+    panel-major.  That one G decides c3 and is the report's G, to the bit,
+    the law's one normalizer.  The mass at those Gauss points, divided in
+    place by G, goes to the tables.  f, F, sf and the quantile read the
+    density (see ``_tables_law``), and the law keeps the report.  Raises
     NotErgodic, naming each failed condition, when the ergodicity probes
     fail.
     """
     report, failures, nodes, mass, mass_t, sigma = _support_mass(spec)
     if failures:
         raise NotErgodic("ergodicity checks failed: " + "; ".join(failures))
-    # the first pass of the tables reads the Gauss-point masses, divided by
-    # G, instead of calling the density
+    # the first pass of the tables reads these densities instead of calling the density
     G = report.G
-    return _tables_law(lambda x, i: mass(x, i) / G, G, spec, nodes, sigma, spec.label or "custom", report,
-                       lambda i: mass_t[:, i] / G)
+    mass_t /= G
+    return _tables_law(lambda x, i: mass(x, i) / G, spec, nodes, sigma, spec.label or "custom", report, mass_t)
 
 
 def ou_law() -> InvariantLaw:
@@ -721,8 +710,8 @@ def ou_law() -> InvariantLaw:
     spec = DiffusionSpec(drift=lambda x: -x, diffusion=compile_expression("1"), label="ou")
     nodes = _node_grid(-32.0, 32.0)[0]
     report = ErgodicityReport(c2_left_limit=-1250.0, c2_right_limit=-1250.0, G=_SQRT_PI, c2_holds=True, c3_holds=True)
-    return _tables_law(lambda x, i: np.exp(-np.square(x)) / _SQRT_PI, _SQRT_PI, spec, nodes,
-                       _array_form(spec.diffusion, nodes), "ou", report)
+    return _tables_law(lambda x, i: np.exp(-np.square(x)) / _SQRT_PI, spec, nodes, _array_form(spec.diffusion, nodes),
+                       "ou", report)
 
 
 NAMED_SPECS: dict[str, Callable[[], InvariantLaw]] = {"ou": ou_law}

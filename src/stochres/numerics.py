@@ -116,6 +116,8 @@ def integrate_interval(f: Callable[[float], float], lo: float, hi: float) -> flo
 
     Raises NonConvergence when the MAX_SUBDIVISIONS budget runs out before
     the REL_TOL / ABS_TOL tolerance is met, or when the result is not finite.
+    QUADPACK comes from scipy, a dependency of the ``test`` extra only: the
+    reference oracles that call this, and ``perfbench/run.py``, need it.
     """
     from scipy.integrate import quad
 
@@ -134,7 +136,8 @@ def integrate_line(f: Callable[[float], float], *, split_at: Sequence[float] = (
     and each segment goes through ``integrate_interval``.  ``split_at`` lists
     interior points where the integrand has kinks or jumps; splitting there
     keeps the adaptive scheme efficient and reliable.  A divergent integral
-    raises NonConvergence, also when the subdivision reaches t = +-1.
+    raises NonConvergence, also when the subdivision reaches t = +-1.  Each
+    segment needs scipy, from the ``test`` extra (see ``integrate_interval``).
     """
     cuts = sorted({_t_of_x(p) for p in split_at if math.isfinite(p)})
     edges = [-1.0] + [t for t in cuts if -1.0 < t < 1.0] + [1.0]

@@ -55,7 +55,7 @@ def test_law_custom_cubic_drift(tmp_path):
     assert report["c2_holds"] and report["c3_holds"]
     # the report's G is the law's normalizer, to the bit
     law = stochres.build_invariant_law(stochres.DiffusionSpec(compile_expression("-x^3"), compile_expression("1")))
-    assert report["G"].hex() == law.G.hex()
+    assert report["G"].hex() == law.ergodicity.G.hex()
     header, rows = read_csv(out / "law.csv")
     assert len(rows) == 9
 
@@ -248,6 +248,28 @@ def test_resonance_fails_when_every_level_fails(tmp_path, capsys):
 def test_resonance_rejects_bad_grid(tmp_path):
     assert run(["resonance", "--grid", "0:1", "--out", tmp_path / "r"]) == 2
     assert run(["resonance", "--grid", "1:0:0.1", "--out", tmp_path / "r"]) == 2
+
+
+@pytest.mark.parametrize("grid", ["-1e308:1e308:1e307", "-4:4:1e-300", "nan:1:0.1", "-inf:1:0.1"])
+def test_law_rejects_a_grid_it_cannot_build(tmp_path, capsys, grid):
+    # a span that overflows to inf, or one so fine that its cell count is
+    # 8e300, ended in an OverflowError or numpy's ValueError: it is a config
+    # error that names the flag
+    assert run(["law", f"--grid={grid}", "--out", tmp_path / "law"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --grid needs a finite span and at most")
+    assert not (tmp_path / "law" / "law.csv").exists()
+
+
+def test_grid_cell_count_is_capped(tmp_path, capsys):
+    # read first, so that a tree without the cap never runs the command below,
+    # which would ask numpy for 3e9 points (22 GiB)
+    cap = cli._MAX_GRID_CELLS
+    assert len(cli._parse_grid(f"0:1:{1.0 / cap!r}")) == cap + 1
+    with pytest.raises(cli.ConfigError, match="--theta-grid needs"):
+        cli._parse_grid(f"0:1:{1.0 / (cap + 1)!r}", "theta-grid")
+    assert run(["resonance", "--grid", "0.05:3:1e-9", "--out", tmp_path / "r"]) == 2
+    assert "error: --grid needs a finite span and at most 100000 cells" in capsys.readouterr().err
 
 
 def test_resonance_workers_agree(tmp_path):

@@ -81,9 +81,9 @@ def test_mass_must_decay_at_the_probe_ends(drift, sigma, ergodic):
     report = check_ergodicity(spec)
     assert report.c3_holds is ergodic
     if ergodic:
-        # one normalizer: the check, the build's report and the law share G to the bit
+        # one normalizer: the check and the report the law keeps share G to the bit
         law = build_invariant_law(spec)
-        assert report.G.hex() == law.ergodicity.G.hex() == law.G.hex()
+        assert report.G.hex() == law.ergodicity.G.hex()
         return
     assert math.isinf(report.G)
     with pytest.raises(NotErgodic, match=r"not decayed at the probe end x=50 \(tail ratio mass\*\|x\|/G = "):
@@ -176,8 +176,10 @@ def test_probe_reads_the_mass_only_where_it_searches(monkeypatch, drift):
     law = build_invariant_law(DiffusionSpec(compile_expression(drift), compile_expression("1")))
     probe, support = reads
     assert probe == [2]
-    # the support's G sums the mass at 5 Gauss points of each of its panels
-    assert support == [5 * (len(law.grid_x) - 1)]
+    # the support's G sums the mass at 5 Gauss points of each of its panels;
+    # the tables, built with the law, read it once more at the nodes for the trim
+    n = len(law.grid_x)
+    assert support == [5 * (n - 1), n]
 
 
 def test_nonpositive_diffusion_rejected():
@@ -398,8 +400,7 @@ def test_grid_law_reads_its_tables(ou_numeric):
     tables = ou_numeric.tables
     np.testing.assert_array_equal(ou_numeric.F(tables.x), tables.F)
     np.testing.assert_array_equal(ou_numeric.sf(tables.x), tables.m[0])
-    assert ou_numeric.G == pytest.approx(SQRT_PI, rel=1e-13)
-    assert ou_numeric.ergodicity.c3_holds and ou_numeric.ergodicity.G == pytest.approx(SQRT_PI, rel=1e-9)
+    assert ou_numeric.ergodicity.c3_holds and ou_numeric.ergodicity.G == pytest.approx(SQRT_PI, rel=1e-13)
 
 
 def test_closed_form_law_reads_its_tables(ou):
@@ -589,7 +590,7 @@ def test_tables_bits_are_pinned(ou, cubic, name):
     assert len(tables.x) == n
     nodes = [0, 1, n // 7, n // 3, n // 2, 2 * n // 3, n - 2, n - 1]
     point = tables.at(PINNED_POINTS)
-    fields = {"G": law.G, "F": tables.F[nodes], "m": tables.m[:, nodes], "log_A": tables.log_A[nodes],
+    fields = {"G": law.ergodicity.G, "F": tables.F[nodes], "m": tables.m[:, nodes], "log_A": tables.log_A[nodes],
               "log_B": tables.log_B[nodes], "nu": tables.nu[:, nodes], "at.F": point.F, "at.m": point.m,
               "at.log_A": point.log_A, "at.log_B": point.log_B, "at.nu": point.nu}
     assert fields.keys() == pinned.keys()
@@ -624,7 +625,7 @@ def test_tables_call_the_density_on_its_panels(monkeypatch, drift, sigma, trimme
     calls = []
     init = laws.LawTables.__init__
 
-    def checked_init(self, nodes, density, sigma_form, gauss_density=None):
+    def checked_init(self, nodes, density, sigma_form, f_gauss=None):
         panels = np.arange(len(nodes) - 1)
 
         def checked(x, i):
@@ -637,16 +638,12 @@ def test_tables_call_the_density_on_its_panels(monkeypatch, drift, sigma, trimme
             calls.append(x.size)
             return density(x, i)
 
-        def checked_gauss(i):
-            # the build hands over whole panels of the law's grid: a slice
-            # inside it, with one value per Gauss point of each panel
-            assert isinstance(i, slice) and 0 <= i.start < i.stop <= len(panels)
-            values = gauss_density(i)
-            assert values.shape == (5, i.stop - i.start)
-            calls.append(values.size)
-            return values
-
-        init(self, nodes, checked, sigma_form, None if gauss_density is None else checked_gauss)
+        if f_gauss is not None:
+            # the build hands over every panel of the law's grid, with one
+            # value per Gauss point of each panel
+            assert f_gauss.shape == (5, len(panels))
+            calls.append(f_gauss.size)
+        init(self, nodes, checked, sigma_form, f_gauss)
 
     monkeypatch.setattr(laws.LawTables, "__init__", checked_init)
     law = laws.ou_law() if drift is None else build_invariant_law(
@@ -694,13 +691,13 @@ def test_first_order_readers_build_no_variance_table(monkeypatch, drift, sigma):
     nested = []
     init = laws.LawTables.__init__
 
-    def counting_init(self, nodes, density, sigma_form, gauss_density=None):
+    def counting_init(self, nodes, density, sigma_form, f_gauss=None):
         def counted(x, i):
             if np.ndim(x) == 3:
                 nested.append(np.shape(x))
             return density(x, i)
 
-        init(self, nodes, counted, sigma_form, gauss_density)
+        init(self, nodes, counted, sigma_form, f_gauss)
 
     monkeypatch.setattr(laws.LawTables, "__init__", counting_init)
     law = _law(drift, sigma)
@@ -719,11 +716,37 @@ def test_first_order_readers_build_no_variance_table(monkeypatch, drift, sigma):
     assert len(nested) == blocks + 2
 
 
+def test_each_law_builds_its_tables_once(monkeypatch, tmp_path):
+    # a law's tables are built with it, once: no read of F, sf, the quantile
+    # or a lookup builds them again, and each CLI command builds one law
+    from stochres import laws
+    from stochres.cli import main
+
+    built = []
+    init = laws.LawTables.__init__
+    monkeypatch.setattr(laws.LawTables, "__init__", lambda self, *args: built.append(self) or init(self, *args))
+    xs = np.linspace(-3.0, 3.0, 13)
+    for drift, sigma in ((None, None), ("-x^3", "1")):
+        law = _law(drift, sigma)
+        assert len(built) == 1  # counted before law.tables is read
+        assert built[0] is law.tables
+        law.F(xs), law.sf(xs), law.F(0.3), law.sf(0.3), law.quantile(np.array([0.1, 0.5, 0.9])), law.quantile(0.7)
+        law.tables.at(xs), law.tables.at(np.array([0.3]))
+        assert built == [law.tables]
+        built.clear()
+    cubic = ["--drift=-x^3", "--sigma", "1"]
+    for argv in (["law"], ["estimate", "--T", "100", *cubic], ["resonance", "--grid", "0.3:1.5:0.1", *cubic],
+                 ["test", "--T", "100", "--grid", "0.3:1.0:0.35", "--theta-grid", "0.4:0.6:0.2"]):
+        assert main(argv + ["--out", str(tmp_path / argv[0])]) == 0
+        assert len(built) == 1, argv[0]
+        built.clear()
+
+
 @pytest.mark.parametrize("drift, sigma, trimmed", [
     ("-x", "1", True), ("-x^3", "1", True), ("-tanh(x)", "1+0.5*exp(-x^2)", False), ("-x", "10", False),
 ])
 def test_tables_from_the_build_masses_equal_tables_that_call_the_density(monkeypatch, drift, sigma, trimmed):
-    # a law's build hands its Gauss-point masses to the tables, whose first
+    # a law's build hands its Gauss-point densities to the tables, whose first
     # pass then calls the density on the nodes only; the tables and every
     # lookup are bit for bit those of tables that evaluate the density
     from stochres import laws
@@ -731,9 +754,9 @@ def test_tables_from_the_build_masses_equal_tables_that_call_the_density(monkeyp
     calls = []
     init = laws.LawTables.__init__
 
-    def counting_init(self, nodes, density, sigma_form, gauss_density=None):
-        assert gauss_density is not None
-        init(self, nodes, lambda x, i: calls.append(np.ndim(x)) or density(x, i), sigma_form, gauss_density)
+    def counting_init(self, nodes, density, sigma_form, f_gauss=None):
+        assert f_gauss is not None
+        init(self, nodes, lambda x, i: calls.append(np.ndim(x)) or density(x, i), sigma_form, f_gauss)
 
     with monkeypatch.context() as patch:
         patch.setattr(laws.LawTables, "__init__", counting_init)

@@ -331,7 +331,6 @@ def test_held_bracket_ends_are_not_evaluated_again(monkeypatch, case):
     if case == "grid_quantile":
         law = stochres.build_invariant_law(
             stochres.DiffusionSpec(compile_expression("-x^3"), compile_expression("1")))
-        law.tables  # built before the patches, which a build does not reach
         for name in ("cdf", "upper_moments", "_locate"):
             monkeypatch.setattr(laws.LawTables, name, lambda *args, name=name: calls.append(name))
         monkeypatch.setattr(laws, "_panel_of", lambda *args: calls.append("_panel_of"))

@@ -1,9 +1,13 @@
+import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+from stochres import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
 
 from compare_reports import moved, ran_differs  # noqa: E402
 
@@ -34,3 +38,40 @@ def test_differing_stdout_is_summarized_when_it_parses_as_json():
     assert ran_differs("stdout", a, "done\n", "HEAD") == f"stdout differs: {a!r} at HEAD, 'done\\n' in the working tree"
     assert ran_differs("stderr", a, b, "HEAD") == f"stderr differs: {a!r} at HEAD, {b!r} in the working tree"
     assert ran_differs("exit code", 0, 1, "HEAD") == "exit code differs: 0 at HEAD, 1 in the working tree"
+
+
+def _reports(root, commands):
+    """Run each argv with ``--out`` under root: the bytes of every file written."""
+    for name, argv in commands:
+        assert cli.main(argv + ["--out", str(root / name)]) == 0
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_benchmark_tracer_counts_law_builds_and_changes_no_report(tmp_path):
+    # the benchmark's tracer wraps the functions it names in TRACED wherever
+    # a stochres module binds them, and rebuilds each law with counted f, F
+    # and sf (dataclasses.replace); a rename of those functions or fields
+    # breaks the traced benchmark run, so it is checked here on two commands
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    cubic = ["--drift=-x^3", "--sigma", "1"]
+    commands = [("law", ["law", *cubic]), ("resonance", ["resonance", *cubic])]
+    plain = _reports(tmp_path / "plain", commands)
+    bindings = {name: dict(vars(module)) for name, module in sys.modules.items()
+                if name == "stochres" or name.startswith("stochres.")}
+    table = dict(cli._COMMANDS)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = _reports(tmp_path / "traced", commands)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["laws.build_invariant_law.calls"] == 2
+    assert tracer.counts["laws.nodes"] > 0
+    assert traced == plain and len(plain) == 4
+    # uninstall puts back every binding the install replaced
+    assert cli._COMMANDS == table
+    for name, before in bindings.items():
+        after = vars(sys.modules[name])
+        assert [key for key, value in before.items() if after.get(key) is not value] == [], name
