@@ -14,17 +14,25 @@ the approximation says nothing about the error: such a noise level is
 flagged degenerate and reports the prior-guess error min(p0, p1).
 
 The moments of either scheme are ``estimators.statistic_at``, the mean
-and the raw variance divided by the horizon: one table lookup per signal
-value over an array of noise levels, so a row of the error surface and
-each scan of ``find_perr_minimum`` (the coarse scan and the scans that
-refine each dip) take one lookup per hypothesis and no other read of the
-tables.  A single noise level (``moments``) is an array of one.  An unknown
-scheme raises ValueError there.
+and the raw variance divided by the horizon.  It takes an array of signal
+values beside the noise levels, so the whole error surface, each scan of
+``find_perr_minimum`` (the coarse scan and the scans that refine each dip)
+and each ``moments`` call take one table lookup for both hypotheses, and
+no other read of the tables.  A single noise level is an array of one.  An
+unknown scheme raises ValueError there.
+
+One core on Python floats (``_cell``) evaluates the rule and the error of
+each cell, and the public ``build_rule``, ``error_report`` and ``p_err``
+wrap it, so the formulas exist once.  A scan reads the core's floats, and
+report objects are built only for what is reported (the surface cells, a
+search's bracket ends, ``p_err``).  A cell whose cuts
+underflow (both terms of the far cut round to 0, so the near cut would
+divide by 0) fails, like one whose variance fails.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 from typing import Optional
 
@@ -166,15 +174,18 @@ class ErrorReport:
     rule: Optional[DecisionRule] = None
 
 
-def _statistic_moments(
-    theta: float, tau: float, eps: np.ndarray, horizon: float, law: InvariantLaw, scheme: Scheme
-):
-    """Mean and variance of the statistic at one signal value and each entry
-    of an array of noise levels, in one table lookup, and the mask of the
-    levels whose variance fails (see ``statistic_at``)."""
-    _, _, mu, var, failed = statistic_at(theta, tau, eps, law, scheme)
+def _lookup(thetas: list[float], tau: float, eps: np.ndarray, horizon: float, law: InvariantLaw,
+            scheme: Scheme) -> tuple[list, list, list]:
+    """Mean and variance of the statistic at each signal value (a row) and
+    each entry of an array of noise levels (a column), and the mask of the
+    cells whose variance fails (see ``statistic_at``), as nested lists of
+    Python floats: one table lookup for all the rows."""
+    n = len(eps)
+    _, _, mu, var, failed = statistic_at(np.repeat(np.array(thetas, dtype=float), n), tau,
+                                         np.tile(eps, len(thetas)), law, scheme)
     var = var / horizon
-    return mu, var, failed | not_finite_above(var)
+    failed = failed | not_finite_above(var)
+    return tuple(v.reshape(len(thetas), n).tolist() for v in (mu, var, failed))
 
 
 def moments(problem: TestProblem) -> GaussianMoments:
@@ -188,71 +199,63 @@ def moments(problem: TestProblem) -> GaussianMoments:
     QuadratureFailure where either variance cannot be evaluated, and
     ValueError for an unknown scheme.
     """
-    eps = np.array([problem.eps])
-    mu0, v0, failed0, mu1, v1, failed1 = (
-        v[0] for t in (problem.theta0, problem.theta1)
-        for v in _statistic_moments(t, problem.tau, eps, problem.horizon, problem.law, problem.scheme)
-    )
-    if failed0 or failed1:
-        raise QuadratureFailure(
-            f"statistic variance degenerates at eps={problem.eps} (variances {float(v0)}, {float(v1)})"
-        )
-    return GaussianMoments(mu0=float(mu0), mu1=float(mu1), s0sq=float(v0), s1sq=float(v1))
+    mu, var, failed = _lookup([problem.theta0, problem.theta1], problem.tau, np.array([problem.eps]),
+                              problem.horizon, problem.law, problem.scheme)
+    (mu0,), (mu1,) = mu
+    (v0,), (v1,) = var
+    if failed[0][0] or failed[1][0]:
+        raise QuadratureFailure(f"statistic variance degenerates at eps={problem.eps} (variances {v0}, {v1})")
+    return GaussianMoments(mu0=mu0, mu1=mu1, s0sq=v0, s1sq=v1)
 
 
-def build_rule(m: GaussianMoments, p0: float, p1: float) -> DecisionRule:
-    """Translate the posterior comparison into interval thresholds.
+# The core on Python floats (see the module docstring).  A rule is the tuple
+# of the fields of ``DecisionRule``, in their order; a cell is (p_err,
+# p_type1, p_type2, rule), rule None where the cell takes the prior guess.
 
-    Near-equal variances (relative difference below 1e-12) use the single-cut
-    case: the two-cut formulas divide by the variance difference and lose all
-    precision there, while the single cut is their well-defined limit.  Case 2
-    runs the case-1 formulas on the relabelled hypotheses.
-    """
-    if abs(m.s0sq - m.s1sq) <= _VAR_EQUAL_RTOL * max(m.s0sq, m.s1sq):
-        if m.mu1 == m.mu0:
+
+def _rule(mu0: float, mu1: float, s0sq: float, s1sq: float, p0: float, p1: float,
+          sd0: float, sd1: float) -> Optional[tuple]:
+    """``build_rule`` with the standard deviations sd_i = sqrt(s_i^2), as a
+    tuple; None where the cuts underflow (see ``build_rule``)."""
+    if abs(s0sq - s1sq) <= _VAR_EQUAL_RTOL * max(s0sq, s1sq):
+        if mu1 == mu0:
             # identical Gaussians: pick the larger prior everywhere
             gamma = math.inf if p0 >= p1 else -math.inf
         else:
             # posterior-equality point; valid for either mean ordering
-            gamma = (m.mu1**2 - m.mu0**2 + 2.0 * m.s0sq * math.log(p0 / p1)) / (
-                2.0 * (m.mu1 - m.mu0)
-            )
-        return DecisionRule(case_id=3, gamma_single=gamma, alt_on_high=m.mu1 >= m.mu0)
+            gamma = (mu1**2 - mu0**2 + 2.0 * s0sq * math.log(p0 / p1)) / (2.0 * (mu1 - mu0))
+        return 3, None, None, None, gamma, mu1 >= mu0
     case_id = 1
-    if m.s1sq > m.s0sq:
+    if s1sq > s0sq:
         # the same cuts with the hypotheses swapped; D1 now lies outside them
-        m, p0, p1, case_id = m.swapped(), p1, p0, 2
-    s0, s1 = math.sqrt(m.s0sq), math.sqrt(m.s1sq)
-    s2sq = m.s0sq - m.s1sq
-    log_ratio = math.log(p0 * s1 / (p1 * s0))
-    delta = (m.mu0 - m.mu1) ** 2 - 2.0 * s2sq * log_ratio
+        mu0, mu1, s0sq, s1sq, p0, p1, sd0, sd1, case_id = mu1, mu0, s1sq, s0sq, p1, p0, sd1, sd0, 2
+    s2sq = s0sq - s1sq
+    log_ratio = math.log(p0 * sd1 / (p1 * sd0))
+    delta = (mu0 - mu1) ** 2 - 2.0 * s2sq * log_ratio
     if delta <= 0:
-        return DecisionRule(case_id=case_id, delta=delta)
+        return case_id, delta, None, None, None, True
     # the cuts are the roots (b -+ root)/s2sq of s2sq g^2 - 2 b g + c; the far
     # one adds root to b with the sign of b, and the near one comes from the
     # product of the roots, c/s2sq, as b - sign(b) root would cancel
-    b = m.mu1 * m.s0sq - m.mu0 * m.s1sq
-    c = m.mu1**2 * m.s0sq - m.mu0**2 * m.s1sq + 2.0 * m.s0sq * m.s1sq * log_ratio
-    q = b + math.copysign(s0 * s1 * math.sqrt(delta), b)
+    b = mu1 * s0sq - mu0 * s1sq
+    c = mu1**2 * s0sq - mu0**2 * s1sq + 2.0 * s0sq * s1sq * log_ratio
+    q = b + math.copysign(sd0 * sd1 * math.sqrt(delta), b)
+    if q == 0.0:
+        return None
     far, near = q / s2sq, c / q
-    return DecisionRule(case_id=case_id, delta=delta, gamma_lo=min(far, near), gamma_hi=max(far, near))
+    return case_id, delta, min(far, near), max(far, near), None, True
 
 
-def _d1_interval(rule: DecisionRule) -> tuple[float, float, bool]:
-    """(lo, hi, inside): the rule decides D1 exactly where lo < s < hi holds
-    (inside) or fails (outside).  A negative discriminant is the empty
-    interval (inf, inf)."""
-    if rule.case_id == 3:
-        g = rule.gamma_single
-        return (g, math.inf, True) if rule.alt_on_high else (-math.inf, g, True)
-    lo, hi = (rule.gamma_lo, rule.gamma_hi) if rule.delta > 0 else (math.inf, math.inf)
-    return lo, hi, rule.case_id == 1
-
-
-def decide(rule: DecisionRule, statistic: float) -> Decision:
-    """Apply the interval rule; D1 means the alternative wins the posterior."""
-    lo, hi, inside = _d1_interval(rule)
-    return Decision.D1 if (lo < statistic < hi) == inside else Decision.D0
+def _d1_interval(case_id: int, delta: Optional[float], gamma_lo: Optional[float], gamma_hi: Optional[float],
+                 gamma_single: Optional[float], alt_on_high: bool) -> tuple[float, float, bool]:
+    """(lo, hi, inside) of a rule given by its fields: the rule decides D1
+    exactly where lo < s < hi holds (inside) or fails (outside).  A negative
+    discriminant is the empty interval (inf, inf)."""
+    if case_id == 3:
+        g = gamma_single
+        return (g, math.inf, True) if alt_on_high else (-math.inf, g, True)
+    lo, hi = (gamma_lo, gamma_hi) if delta > 0 else (math.inf, math.inf)
+    return lo, hi, case_id == 1
 
 
 def _mass(lo: float, hi: float, inside: bool, mu: float, sd: float) -> float:
@@ -264,26 +267,79 @@ def _mass(lo: float, hi: float, inside: bool, mu: float, sd: float) -> float:
     return normal_cdf(b) - normal_cdf(a) if a <= 0 else normal_cdf(-a) - normal_cdf(-b)
 
 
+def _errors(rule: tuple, mu0: float, mu1: float, sd0: float, sd1: float, p0: float,
+            p1: float) -> tuple[float, float, float]:
+    """(p_err, p_type1, p_type2) of a rule: the null mass of its D1 set, the
+    alternative mass of the complement, and their prior-weighted sum."""
+    lo, hi, inside = _d1_interval(*rule)
+    t1 = _mass(lo, hi, inside, mu0, sd0)
+    t2 = _mass(lo, hi, not inside, mu1, sd1)
+    return t1 * p0 + t2 * p1, t1, t2
+
+
+def _cell(mu0: float, mu1: float, s0sq: float, s1sq: float, p0: float, p1: float) -> Optional[tuple]:
+    """The ``p_err`` cell of these moments: (p_err, p_type1, p_type2, rule),
+    rule None where the moments are degenerate (the prior guess); None
+    where the cuts underflow."""
+    sd0, sd1 = math.sqrt(s0sq), math.sqrt(s1sq)
+    if mu0 / sd0 > DEGENERATE_Z or mu1 / sd1 > DEGENERATE_Z:
+        rule = _rule(mu0, mu1, s0sq, s1sq, p0, p1, sd0, sd1)
+        return None if rule is None else (*_errors(rule, mu0, mu1, sd0, sd1, p0, p1), rule)
+    # always decide for the larger prior
+    t1, t2 = (0.0, 1.0) if p0 >= p1 else (1.0, 0.0)
+    return t1 * p0 + t2 * p1, t1, t2, None
+
+
+def _cuts_underflow(m: GaussianMoments) -> QuadratureFailure:
+    return QuadratureFailure(
+        f"MAP rule cuts underflow (the near cut would divide by 0) at mu0={m.mu0}, mu1={m.mu1}, "
+        f"s0sq={m.s0sq}, s1sq={m.s1sq}"
+    )
+
+
+def build_rule(m: GaussianMoments, p0: float, p1: float) -> DecisionRule:
+    """Translate the posterior comparison into interval thresholds.
+
+    Near-equal variances (relative difference below 1e-12) use the single-cut
+    case: the two-cut formulas divide by the variance difference and lose all
+    precision there, while the single cut is their well-defined limit.  Case 2
+    runs the case-1 formulas on the relabelled hypotheses.  Raises
+    QuadratureFailure where the cuts underflow: the linear term and the
+    root of the discriminant both round to 0 (variances near the smallest
+    double, as at T = 1e300), so the near cut would be c/0.
+    """
+    rule = _rule(m.mu0, m.mu1, m.s0sq, m.s1sq, p0, p1, math.sqrt(m.s0sq), math.sqrt(m.s1sq))
+    if rule is None:
+        raise _cuts_underflow(m)
+    return DecisionRule(*rule)
+
+
+def decide(rule: DecisionRule, statistic: float) -> Decision:
+    """Apply the interval rule; D1 means the alternative wins the posterior."""
+    lo, hi, inside = _d1_interval(rule.case_id, rule.delta, rule.gamma_lo, rule.gamma_hi,
+                                  rule.gamma_single, rule.alt_on_high)
+    return Decision.D1 if (lo < statistic < hi) == inside else Decision.D0
+
+
 def error_report(m: GaussianMoments, p0: float, p1: float) -> ErrorReport:
     """Conditional error probabilities of the rule built from these moments."""
     rule = build_rule(m, p0, p1)
-    lo, hi, inside = _d1_interval(rule)
-    t1 = _mass(lo, hi, inside, m.mu0, math.sqrt(m.s0sq))
-    t2 = _mass(lo, hi, not inside, m.mu1, math.sqrt(m.s1sq))
-    return ErrorReport(p_err=t1 * p0 + t2 * p1, p_type1=t1, p_type2=t2, rule=rule)
+    sd0, sd1 = math.sqrt(m.s0sq), math.sqrt(m.s1sq)
+    p, t1, t2 = _errors(astuple(rule), m.mu0, m.mu1, sd0, sd1, p0, p1)
+    return ErrorReport(p_err=p, p_type1=t1, p_type2=t2, rule=rule)
 
 
-def _statistic_error(m: GaussianMoments, p0: float, p1: float) -> ErrorReport:
-    """``error_report`` for a nonnegative statistic, or the prior guess where
-    its moments are degenerate."""
-    z0 = m.mu0 / math.sqrt(m.s0sq)
-    z1 = m.mu1 / math.sqrt(m.s1sq)
-    if z0 > DEGENERATE_Z or z1 > DEGENERATE_Z:
-        return error_report(m, p0, p1)
-    # always decide for the larger prior
-    t1, t2 = (0.0, 1.0) if p0 >= p1 else (1.0, 0.0)
+def _report(cell: Optional[tuple], m: GaussianMoments) -> ErrorReport:
+    """The ``p_err`` report of the cell of the moments ``m``; raises
+    QuadratureFailure for a cell whose cuts underflow."""
+    if cell is None:
+        raise _cuts_underflow(m)
+    p, t1, t2, rule = cell
+    if rule is not None:
+        return ErrorReport(p_err=p, p_type1=t1, p_type2=t2, rule=DecisionRule(*rule))
+    z0, z1 = m.mu0 / math.sqrt(m.s0sq), m.mu1 / math.sqrt(m.s1sq)
     return ErrorReport(
-        p_err=t1 * p0 + t2 * p1,
+        p_err=p,
         p_type1=t1,
         p_type2=t2,
         degenerate=True,
@@ -303,9 +359,12 @@ def p_err(problem: TestProblem) -> ErrorReport:
     near 0 where Monte Carlo measures about min(p0, p1).  The report is then
     the prior-guess error min(p0, p1), with the components of always
     deciding for the larger prior, ``degenerate`` set and both z values in
-    ``reason``.
+    ``reason``.  Raises QuadratureFailure where either variance cannot be
+    evaluated (see ``moments``) or the rule's cuts underflow (see
+    ``build_rule``).
     """
-    return _statistic_error(moments(problem), problem.p0, problem.p1)
+    m = moments(problem)
+    return _report(_cell(m.mu0, m.mu1, m.s0sq, m.s1sq, problem.p0, problem.p1), m)
 
 
 @dataclass(frozen=True)
@@ -345,11 +404,11 @@ def p_err_surface(
     whose statistic variance cannot be evaluated (a gap outside the law's
     tabulated support, or a cancelling energy quadratic form) are flagged
     as failed with NaN; cells where the Gaussian approximation is
-    degenerate follow the rule of ``p_err`` and are flagged as degenerate.
-    The null-hypothesis row of moments is one table lookup over the noise
-    levels, and so is each theta1 row.  Raises ValueError unless theta0
-    and tau are finite, the noise levels positive and finite and the
-    horizon positive and finite.
+    degenerate follow the rule of ``p_err`` and are flagged as degenerate;
+    a cell whose rule cuts underflow is failed too.  The moments of the
+    null row and of every theta1 row are one table lookup.  Raises
+    ValueError unless theta0 and tau are finite, the noise levels positive
+    and finite and the horizon positive and finite.
     """
     eps = np.array([float(e) for e in eps_grid])
     if not (math.isfinite(theta0) and math.isfinite(tau)):
@@ -357,14 +416,12 @@ def p_err_surface(
     _check_horizon(horizon)
     if not (np.all(eps > 0.0) and np.all(np.isfinite(eps))):
         raise ValueError("eps must be positive and finite")
-    null = _statistic_moments(theta0, tau, eps, horizon, law, scheme)
-    rows = []  # (theta1, its reports per noise level, or None where skipped)
-    for theta1 in map(float, theta1_grid):
-        if not theta0 < theta1 < tau:
-            rows.append((theta1, None))
-            continue
-        alt = _statistic_moments(theta1, tau, eps, horizon, law, scheme)
-        rows.append((theta1, _error_row(null, alt, p0, p1)))
+    theta1s = [float(t) for t in theta1_grid]
+    alternatives = [t for t in theta1s if theta0 < t < tau]
+    moments_ = _lookup([theta0, *alternatives], tau, eps, horizon, law, scheme)
+    alt_rows = (_cells(moments_, k, p0, p1) for k in range(1, len(alternatives) + 1))
+    # (theta1, its cells per noise level, or None where skipped)
+    rows = [(theta1, next(alt_rows) if theta0 < theta1 < tau else None) for theta1 in theta1s]
     cells: list[SurfaceCell] = []
     for k, e in enumerate(eps.tolist()):
         for theta1, row in rows:
@@ -372,31 +429,21 @@ def p_err_surface(
                 cells.append(SurfaceCell(theta1, e, None, None, None, None, math.nan, skipped=True))
             elif row[k] is None:
                 cells.append(SurfaceCell(theta1, e, None, None, None, None, math.nan, failed=True))
-            elif row[k].degenerate:
-                cells.append(
-                    SurfaceCell(theta1, e, None, None, None, None, row[k].p_err, degenerate=True)
-                )
+            elif row[k][3] is None:
+                cells.append(SurfaceCell(theta1, e, None, None, None, None, row[k][0], degenerate=True))
             else:
-                rule = row[k].rule
-                cells.append(SurfaceCell(
-                    theta1=theta1,
-                    eps=e,
-                    case_id=rule.case_id,
-                    delta=rule.delta,
-                    gamma_lo=rule.gamma_lo,
-                    gamma_hi=rule.gamma_hi,
-                    p_err=row[k].p_err,
-                ))
+                case_id, delta, gamma_lo, gamma_hi = row[k][3][:4]
+                cells.append(SurfaceCell(theta1, e, case_id, delta, gamma_lo, gamma_hi, row[k][0]))
     return cells
 
 
-def _error_row(null, alt, p0: float, p1: float) -> list[Optional[ErrorReport]]:
-    """The ``p_err`` report at each noise level of a row of null moments and
-    a row of alternative ones, None where either failed."""
+def _cells(moments_: tuple[list, list, list], k: int, p0: float, p1: float) -> list[Optional[tuple]]:
+    """The ``_cell`` at each noise level of row k of ``_lookup`` against row
+    0, the null; None where either variance fails or the cuts underflow."""
+    mu, var, failed = moments_
     return [
-        None if failed0 or failed1
-        else _statistic_error(GaussianMoments(mu0=mu0, mu1=mu1, s0sq=v0, s1sq=v1), p0, p1)
-        for mu0, v0, failed0, mu1, v1, failed1 in zip(*(np.asarray(v).tolist() for v in null + alt))
+        None if failed0 or failed1 else _cell(mu0, mu1, v0, v1, p0, p1)
+        for mu0, v0, failed0, mu1, v1, failed1 in zip(mu[0], var[0], failed[0], mu[k], var[k], failed[k])
     ]
 
 
@@ -433,8 +480,8 @@ def find_perr_minimum(
 ) -> PerrMinimum:
     """Minimize the overall error probability over the noise level.
 
-    Degenerate noise levels (see ``p_err``) and failed ones evaluate to
-    min(p0, p1), the error of guessing by prior alone, which is both the
+    Degenerate noise levels and failed ones (a variance or the rule's cuts
+    cannot be evaluated; see ``p_err``) evaluate to min(p0, p1), the error of guessing by prior alone, which is both the
     genuine limit at the bracket edges and never spuriously optimal.
     ``local_minima`` lists the interior local minima of a scan of
     ``SCAN_CELLS`` cells.  Two kinds of minimum are dropped: one within a
@@ -452,19 +499,17 @@ def find_perr_minimum(
         raise ValueError("noise bracket must be positive")
     ceiling = min(p0, p1)
 
-    def reports(eps: np.ndarray) -> list[Optional[ErrorReport]]:
-        null, alt = (_statistic_moments(t, tau, eps, horizon, law, scheme)
-                     for t in (theta0, theta1))
-        return _error_row(null, alt, p0, p1)
+    def scan_cells(eps: np.ndarray) -> tuple[list[Optional[tuple]], tuple[list, list, list]]:
+        moments_ = _lookup([theta0, theta1], tau, eps, horizon, law, scheme)
+        return _cells(moments_, 1, p0, p1), moments_
 
-    def value(report: Optional[ErrorReport]) -> float:
-        return -ceiling if report is None else -report.p_err
+    def values(cells: list[Optional[tuple]]) -> list[float]:
+        return [-ceiling if c is None else -c[0] for c in cells]
 
     scan = scan_points(bracket)
-    row = reports(scan)
-    result = maximize_scalar(lambda eps: [value(r) for r in reports(eps)], bracket, tol=tol,
-                             scan=[value(r) for r in row])
-    degenerate = [eps for eps, r in zip(scan.tolist(), row) if r is not None and r.degenerate]
+    row, (mu, var, _) = scan_cells(scan)
+    result = maximize_scalar(lambda eps: values(scan_cells(eps)[0]), bracket, tol=tol, scan=values(row))
+    degenerate = [eps for eps, c in zip(scan.tolist(), row) if c is not None and c[3] is None]
     cell = (bracket.hi - bracket.lo) / SCAN_CELLS
     local = [
         (x, -v)
@@ -476,7 +521,10 @@ def find_perr_minimum(
         eps_star=result.x_star,
         p_err_min=-result.h_star,
         local_minima=local,
-        n_failed=sum(r is None for r in row),
+        n_failed=sum(c is None for c in row),
         n_degenerate=len(degenerate),
-        endpoints=(row[0], row[-1]),
+        endpoints=tuple(
+            None if row[k] is None else _report(row[k], GaussianMoments(mu[0][k], mu[1][k], var[0][k], var[1][k]))
+            for k in (0, -1)
+        ),
     )

@@ -10,11 +10,14 @@ normals ``_NORMALS_BLOCK`` at a time, and a step writes the next row of the
 chunk in place.  For a diffusion with a ``constant`` (a compiled expression
 without x) the increments (c sqrt(dt)) Z of a whole chunk are one product,
 so a step is the drift, one product and two sums, and the diffusion is
-never called; a single path uses the same increments, one chunk at a time.
-A single path steps on Python floats: a compiled coefficient through its
-``scalar`` form, which is one Python function, so a step makes one call
-for the drift and one for a diffusion that is not a constant.  Every product and sum keeps the operands and order of
-X + S(X) dt + sigma(X) sqrt(dt) Z, so no route changes a bit of a path.
+never called.  A single path steps on Python floats, ``_NORMALS_BLOCK``
+steps at a time, each block one list comprehension that
+``expressions.euler_steps`` generates once per path: a compiled
+coefficient's scalar arithmetic is inline in it, so a step calls no
+function for it, and any other coefficient is called once a step.  The
+bound on |X| is checked once per block, over its values.  Every product and
+sum keeps the operands and order of X + S(X) dt + sigma(X) sqrt(dt) Z, so
+no route changes a bit of a path.
 
 ``observe_paths`` steps, perturbs and observes a block of paths keeping
 only per-path counters, in buffers allocated once, so its memory is
@@ -36,6 +39,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import NumericBlowup
+from .expressions import euler_steps
 from .laws import DiffusionSpec
 from .numerics import _array_form
 
@@ -56,7 +60,9 @@ _BLOWUP = 1e12
 # read column-wise into step rows, and a power-of-two row stride maps a column
 # onto few cache sets (the transpose of a 2000-path chunk then takes ~5x longer).
 CHUNK = 250
-# Steps of normals a path draws per generator call: one call serves four chunks.
+# Steps of normals a path of an ensemble draws per generator call: one call
+# serves four chunks.  A single path steps this many at a time, which keeps
+# the fixed cost of a block (its increments, store and bound check) small.
 _NORMALS_BLOCK = 4 * CHUNK
 
 
@@ -120,34 +126,58 @@ def _normals(seed: int, n: int) -> np.ndarray:
 def _em_scalar(spec: DiffusionSpec, x0: float, dt: float, z: np.ndarray) -> np.ndarray:
     """X_0 = x0 and the Euler-Maruyama steps driven by the normals ``z``.
 
-    x stays a Python float.  A compiled coefficient is stepped through its
-    ``scalar`` form, one Python call per step, and any other callable is
-    called as it is; a constant diffusion is never called, its increments
-    (c sqrt(dt)) z formed one chunk at a time.  The steps of a chunk are
-    collected in a list and stored with one slice assignment."""
-    drift = getattr(spec.drift, "scalar", spec.drift)
-    diffusion = getattr(spec.diffusion, "scalar", spec.diffusion)
+    x stays a Python float.  Each block of ``_NORMALS_BLOCK`` steps is one
+    call of the list comprehension that ``euler_steps`` generates for the
+    path, compiled coefficients inline; a constant diffusion is never
+    called, its increments (c sqrt(dt)) z formed one block at a time.  The
+    block's values are stored with one slice assignment and checked against
+    the bound in one pass, which names the first step past it.  A numpy
+    floating-point error that the caller would see (a warning, say) raises
+    inside the comprehension, and so may any other error of a coefficient
+    (OverflowError past the bound, say); that one block is then stepped
+    again one step at a time (``_em_steps``) in the caller's error state,
+    which checks the bound before the next step, so the error surfaces, or
+    the blow-up is named, where a step-by-step loop would do it."""
     c = getattr(spec.diffusion, "constant", None)
     sqrt_dt = math.sqrt(dt)
+    steps = euler_steps(spec.drift, None if c is not None else spec.diffusion, dt)
+    caller = np.geterr()
     out = np.empty(len(z) + 1)
     out[0] = x = float(x0)
-    for start in range(0, len(z), CHUNK):
-        block = z[start : start + CHUNK]
-        steps = []
-        if c is None:
-            for zk in block.tolist():
-                x = x + drift(x) * dt + diffusion(x) * sqrt_dt * zk
-                if not (-_BLOWUP < x < _BLOWUP):  # also catches NaN
-                    raise _blowup_at(start + len(steps) + 1)
-                steps.append(x)
-        else:
-            for dw in (c * sqrt_dt * block).tolist():
-                x = x + drift(x) * dt + dw
-                if not (-_BLOWUP < x < _BLOWUP):
-                    raise _blowup_at(start + len(steps) + 1)
-                steps.append(x)
-        out[start + 1 : start + 1 + len(steps)] = steps
+    with np.errstate(**{k: "ignore" if v == "ignore" else "raise" for k, v in caller.items()}):
+        for start in range(0, len(z), _NORMALS_BLOCK):
+            block = z[start : start + _NORMALS_BLOCK]
+            try:
+                chunk = steps(x, (block if c is None else c * sqrt_dt * block).tolist())
+            except Exception:  # any error: the step-by-step pass tells it from a blow-up
+                chunk = None
+            if chunk is None:  # outside the handler, so an error raised again is not chained
+                with np.errstate(**caller):
+                    chunk = _em_steps(spec, x, dt, block, c, start)
+            end = start + 1 + len(chunk)
+            out[start + 1 : end] = chunk
+            size = np.abs(out[start + 1 : end])
+            if not size.max() < _BLOWUP:  # also catches NaN
+                raise _blowup_at(start + 1 + int(np.argmax(~(size < _BLOWUP))))
+            x = chunk[-1]
     return out
+
+
+def _em_steps(spec: DiffusionSpec, x: float, dt: float, block: np.ndarray, c: float | None,
+              start: int) -> list:
+    """The steps of one block of ``_em_scalar`` one at a time, a compiled
+    coefficient through its ``scalar`` form, raising NumericBlowup at the
+    first step past the bound."""
+    drift = getattr(spec.drift, "scalar", spec.drift)
+    diffusion = getattr(spec.diffusion, "scalar", spec.diffusion)
+    sqrt_dt = math.sqrt(dt)
+    steps = []
+    for w in (block if c is None else c * sqrt_dt * block).tolist():
+        x = x + drift(x) * dt + (w if c is not None else diffusion(x) * sqrt_dt * w)
+        if not (-_BLOWUP < x < _BLOWUP):
+            raise _blowup_at(start + len(steps) + 1)
+        steps.append(x)
+    return steps
 
 
 def _blowup_at(k: int) -> NumericBlowup:

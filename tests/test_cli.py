@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -336,6 +337,15 @@ def test_test_fails_when_a_bracket_end_fails(tmp_path, capsys):
     assert not (out / "minima.json").exists()
 
 
+def test_test_at_an_extreme_horizon_is_an_error_not_a_traceback(tmp_path, capsys):
+    # at T = 1e300 the variances underflow: some scan levels fail outright
+    # and at others the MAP cuts underflow (a ZeroDivisionError traceback
+    # once); each fails its level, and the failed bracket end fails the command
+    assert run(["test", "--T", "1e300", "--out", tmp_path / "t"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: p_err failed at a bracket end")
+
+
 def test_test_names_the_gap_beyond_the_support(tmp_path, capsys):
     # the default grid starts at eps = 0.1, where the null gap 1/0.1 = 10 lies
     # beyond the cubic law's tabulated support (+-6.095): the error says so
@@ -501,6 +511,43 @@ def test_estimate_golden_report(tmp_path):
         "theta_hat_energy": 0.5977788920618866,
         "theta_hat_time": 0.58763886846419,
     }
+
+
+# the exact reports of the README test command in both schemes and of two
+# estimates on custom laws, byte for byte (tests/goldens), and the sha256 of
+# the tables beside them: a change to how a MAP cell is evaluated or a single
+# path is stepped must not move a report
+GOLDENS = Path(__file__).resolve().parent / "goldens"
+GOLDEN_SURFACE_SHA256 = {
+    "time": "89488f22bd3547f850feeb23993413474b9905422639cf8c03952c4da7337914",
+    "energy": "2bdfc02ba2b9c154a74819c77cf1cb6caa93333393d7bfdf04544540f0724c8c",
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("scheme", ["time", "energy"])
+def test_map_test_golden_reports(tmp_path, scheme):
+    out = tmp_path / scheme
+    assert run(["test", "--scheme", scheme, "--theta0", "0", "--theta-grid", "0.3:0.7:0.2",
+                "--grid", "0.1:3:0.1", "--T", "100", "--out", out]) == 0
+    assert (out / "minima.json").read_bytes() == (GOLDENS / f"test_{scheme}_minima.json").read_bytes()
+    assert _sha256(out / "surface.csv") == GOLDEN_SURFACE_SHA256[scheme]
+
+
+def test_estimate_golden_reports_on_custom_laws(tmp_path):
+    out = tmp_path / "cubic"
+    assert run(["estimate", "--drift=-x^3", "--sigma", "1", "--T", "200", "--seed", "11",
+                "--out", out]) == 0
+    assert (out / "estimate.json").read_bytes() == (GOLDENS / "estimate_cubic.json").read_bytes()
+    out = tmp_path / "tanh"
+    assert run(["estimate", "--drift=-tanh(x)", "--sigma", "1+0.5*exp(-x^2)", "--theta", "0.5",
+                "--eps", "0.7", "--T", "200", "--seed", "11", "--out", out,
+                "--trajectory-out", out / "path.csv"]) == 0
+    assert (out / "estimate.json").read_bytes() == (GOLDENS / "estimate_tanh.json").read_bytes()
+    assert _sha256(out / "path.csv") == "9dd1ed125c33edce7d6ba397c2583350f426419d03960229dcddbb591a2ae37c"
 
 
 # the exact validate.json of two small runs, OU and -4*x with sigma 2: a

@@ -414,6 +414,23 @@ def test_perr_minimum_carries_bracket_endpoints(ou, scheme):
     assert hi == p_err(problem(ou, eps=3.0, scheme=scheme)) and not hi.degenerate
 
 
+def test_underflowing_cuts_fail_the_cell(ou):
+    # at T = 1e150 the variances are near the smallest double: at eps =
+    # 0.0625 both the linear term b and s0*s1*sqrt(delta) round to 0, so the
+    # near cut c/q divided by 0 (a ZeroDivisionError from p_err and from the
+    # search); the cell now fails like one whose variance fails, with a reason
+    pr = problem(ou, theta1=0.1, eps=0.0625, horizon=1e150)
+    m = moments(pr)
+    for evaluate in (lambda: p_err(pr), lambda: build_rule(m, 0.5, 0.5), lambda: error_report(m, 0.5, 0.5)):
+        with pytest.raises(QuadratureFailure, match="cuts underflow"):
+            evaluate()
+    [cell] = p_err_surface(0.0, [0.1], [0.0625], 1.0, 1e150, 0.5, 0.5, ou)
+    assert cell.failed and math.isnan(cell.p_err)
+    for horizon in (1e150, 1e300):
+        found = find_perr_minimum(0.0, 0.1, 1.0, horizon, 0.5, 0.5, ou)
+        assert found.n_failed > 0 and found.endpoints[0] is None
+
+
 @pytest.mark.parametrize("scheme", ["time", "energy"])
 def test_perr_minimum_counts_the_scan_levels_only(ou, scheme):
     # n_degenerate and n_failed are properties of the 65-point scan, not of
@@ -473,12 +490,12 @@ def test_no_minimum_next_to_degenerate_level(ou, scheme, horizon):
 
 @pytest.mark.parametrize("scheme", ["time", "energy"])
 def test_scan_and_surface_rows_are_one_lookup_each(ou, monkeypatch, scheme):
-    # one 65-point lookup per hypothesis for the scan of find_perr_minimum
-    # and for each of its two refining scans, and one per row of the
-    # surface: the null row and one per theta1; one lookup per point made
-    # 166 and 120.  Each call records the number of points looked up.  No
-    # other read of the tables: a time-scheme mean read from sf made 38
-    # more per search and 4 per surface.
+    # one lookup of both hypotheses' 65 points for the scan of
+    # find_perr_minimum and for each of its two refining scans, and one for
+    # the whole surface, its null row and every theta1 row; one lookup per
+    # hypothesis made 6 and 4, one per point 166 and 120.  Each call records
+    # the number of points looked up.  No other read of the tables: a
+    # time-scheme mean read from sf made 38 more per search and 4 per surface.
     calls, reads = [], []
     real = LawTables.at
     monkeypatch.setattr(LawTables, "at", lambda self, x: calls.append(np.size(x)) or real(self, x))
@@ -486,12 +503,12 @@ def test_scan_and_surface_rows_are_one_lookup_each(ou, monkeypatch, scheme):
         read = getattr(LawTables, name)
         monkeypatch.setattr(LawTables, name, lambda self, x, name=name, read=read: reads.append(name) or read(self, x))
     find_perr_minimum(0.0, 0.5, 1.0, 100.0, 0.5, 0.5, ou, scheme)
-    assert calls == [65] * 6
+    assert calls == [130] * 3
     assert reads == []
     calls.clear()
     cells = p_err_surface(0.0, [0.3, 0.5, 0.7], np.arange(1, 31) / 10.0, 1.0, 100.0, 0.5, 0.5, ou, scheme)
     assert len(cells) == 90
-    assert calls == [30, 30, 30, 30] and reads == []
+    assert calls == [120] and reads == []
 
 
 def test_surface_cells_equal_pointwise_reports(ou):

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,67 @@ def test_blowup_after_the_first_chunk_names_its_step(sigma):
     assert CHUNK < k < cfg.n_steps
     with pytest.raises(NumericBlowup, match=f"at step {k};"):
         simulate_path(spec, cfg)
+
+
+def _first_step_past_the_bound(drift, c, cfg):
+    """Step x + drift(x) dt + (c sqrt(dt)) z one step at a time: the first
+    step past |X| < 1e12 and the value there."""
+    sqrt_dt = math.sqrt(cfg.dt)
+    x = cfg.x0
+    for k, zk in enumerate(_normals(cfg.seed, cfg.n_steps).tolist(), 1):
+        x = x + drift(x) * cfg.dt + (c * sqrt_dt) * zk
+        if not abs(x) < 1e12:
+            return k, x
+    raise AssertionError("the path stays bounded")
+
+
+def test_blowup_names_its_step_when_a_plain_drift_raises_past_the_bound():
+    # x^3 on a Python float raises OverflowError a few steps past the bound,
+    # inside the block the bound is crossed in: the path still stops at the
+    # first step past the bound with NumericBlowup
+    drift = lambda x: x**3  # noqa: E731
+    cfg = SimConfig(T=20.0, dt=0.01, seed=2, x0=0.3)
+    k, x = _first_step_past_the_bound(drift, 0.01, cfg)
+    assert CHUNK < k
+    with pytest.raises(OverflowError):
+        for _ in range(3):
+            x = x + drift(x) * cfg.dt
+    with pytest.raises(NumericBlowup, match=f"at step {k};"):
+        simulate_path(DiffusionSpec(drift, lambda x: 0.01), cfg)
+
+
+@pytest.mark.parametrize("over, shown", [("warn", "error"), ("warn", "always"), ("ignore", "error")])
+def test_blowup_names_its_step_when_a_compiled_drift_overflows_past_the_bound(over, shown):
+    # exp(x) stays finite up to the bound and overflows on the step after it:
+    # the path stops at the first step past the bound whether numpy warns of
+    # the overflow (raised as an error, or shown) or ignores it, and a path
+    # that stops there shows no warning of a step it never took
+    cfg = SimConfig(T=40.0, dt=0.01, seed=4, x0=-1.5)
+    with np.errstate(over="raise"):
+        k, x = _first_step_past_the_bound(lambda x: float(np.exp(x)), 0.1, cfg)
+        with pytest.raises(FloatingPointError):
+            np.exp(x)
+    assert CHUNK < k
+    spec = DiffusionSpec(compile_expression("exp(x)"), compile_expression("0.1"))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter(shown)
+        with np.errstate(over=over), pytest.raises(NumericBlowup, match=f"at step {k};"):
+            simulate_path(spec, cfg)
+    assert seen == []
+
+
+@pytest.mark.parametrize("drift, sigma, c, cfg", [
+    (compile_expression("x"), compile_expression("1"), 1.0, SimConfig(T=40.0, dt=0.02, seed=2, x0=1.0)),
+    (compile_expression("x"), compile_expression("1+0*x"), 1.0, SimConfig(T=40.0, dt=0.02, seed=2, x0=1.0)),
+    (lambda x: x**3, lambda x: 0.01, 0.01, SimConfig(T=80.0, dt=0.01, seed=2, x0=0.15)),
+], ids=["compiled", "compiled-sigma-of-x", "plain-overflowing"])
+def test_blowup_in_a_later_block_of_a_single_path_names_its_step(drift, sigma, c, cfg):
+    # a single path steps _NORMALS_BLOCK steps at a time: a blow-up past the
+    # first block is named by its step in the whole path
+    k, _ = _first_step_past_the_bound(getattr(drift, "scalar", drift), c, cfg)
+    assert _NORMALS_BLOCK < k < cfg.n_steps
+    with pytest.raises(NumericBlowup, match=f"at step {k};"):
+        simulate_path(DiffusionSpec(drift, sigma), cfg)
 
 
 def test_ensemble_with_scalar_only_coefficients_matches_single_paths():

@@ -9,7 +9,8 @@ from stochres import cli
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
-from compare_reports import moved, ran_differs  # noqa: E402
+from compare_reports import commands as compared_commands, moved, ran_differs  # noqa: E402
+from perfbench.workloads import WORKLOADS  # noqa: E402
 
 
 @pytest.mark.parametrize("path, a, b, largest, other", [
@@ -38,6 +39,16 @@ def test_differing_stdout_is_summarized_when_it_parses_as_json():
     assert ran_differs("stdout", a, "done\n", "HEAD") == f"stdout differs: {a!r} at HEAD, 'done\\n' in the working tree"
     assert ran_differs("stderr", a, b, "HEAD") == f"stderr differs: {a!r} at HEAD, {b!r} in the working tree"
     assert ran_differs("exit code", 0, 1, "HEAD") == "exit code differs: 0 at HEAD, 1 in the working tree"
+
+
+def test_seed_option_adds_each_workloads_seed_n_commands():
+    base, seeded = compared_commands(), compared_commands(3)
+    extra = [argv for argv in seeded if argv not in base]
+    assert [argv for argv in seeded if argv in base] == base
+    assert len(extra) == sum(len(w.commands(3, Path(name))) for name, w in WORKLOADS.items())
+    for argv in extra:
+        out = argv[argv.index("--out") + 1]
+        assert out.split("/")[0] in {f"{name}_seed3" for name in WORKLOADS}, argv
 
 
 def _reports(root, commands):

@@ -2,16 +2,18 @@
 
 Usage (from anywhere inside the repository):
 
-    python3 tools/compare_reports.py REV
+    python3 tools/compare_reports.py REV [--seed N]
 
 ``src/`` at REV is extracted with ``git archive`` into a temporary
 directory.  The same commands then run against that tree and against the
 working tree's ``src/``: the ``stochres`` commands of README.md's CLI
 section, each README ``validate`` command again with ``--workers 2`` (its
 studies stepped on a process pool), and the seed-0 commands of every
-benchmark workload (``perfbench.workloads.WORKLOADS``).  Each command runs
-in its own interpreter with ``PYTHONPATH`` set to one tree, from a working
-directory of its own, and writes under a relative ``--out``.  Every file
+benchmark workload (``perfbench.workloads.WORKLOADS``); ``--seed N`` adds
+each workload's seed-N commands, so the reports at a seed not used while
+writing a change are compared too.  Each command runs in its own
+interpreter with ``PYTHONPATH`` set to one tree, from a working directory
+of its own, and writes under a relative ``--out``.  Every file
 written, the exit code and the standard output and error (with the working
 directory replaced by ``<out>``) must be byte-identical.  One line is printed per
 difference; the exit status is 1 if there is any, else 0.  The line of a
@@ -53,8 +55,9 @@ def readme_commands() -> list[list[str]]:
     return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("stochres ")]
 
 
-def commands() -> list[list[str]]:
-    """Every command to compare; each writes under a relative ``--out``."""
+def commands(seed: int | None = None) -> list[list[str]]:
+    """Every command to compare, with the seed-``seed`` workload commands
+    when one is given; each writes under a relative ``--out``."""
     argvs = []
     for argv in readme_commands():
         out = argv.index("--out") + 1
@@ -64,6 +67,8 @@ def commands() -> list[list[str]]:
                          + ["--workers", "2"])
     for name, workload in WORKLOADS.items():
         argvs += [command.argv for command in workload.commands(0, Path(name))]
+        if seed is not None:
+            argvs += [command.argv for command in workload.commands(seed, Path(f"{name}_seed{seed}"))]
     return argvs
 
 
@@ -150,12 +155,12 @@ def ran_differs(what: str, a, b, rev: str) -> str:
     return f"{what} differs{summary}" if summary else f"{what} differs: {a!r} at {rev}, {b!r} in the working tree"
 
 
-def compare(rev: str) -> list[str]:
+def compare(rev: str, seed: int | None = None) -> list[str]:
     differences = []
     with tempfile.TemporaryDirectory(prefix="compare_reports_") as tmp:
         tmp = Path(tmp)
         rev_src = extract_src(rev, tmp / "rev")
-        for k, argv in enumerate(commands()):
+        for k, argv in enumerate(commands(seed)):
             name = "stochres " + shlex.join(argv)
             ran_rev, wrote_rev = run(rev_src, argv, tmp / "out_rev" / str(k))
             ran_work, wrote_work = run(ROOT / "src", argv, tmp / "out_work" / str(k))
@@ -175,7 +180,9 @@ def compare(rev: str) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision to compare against, e.g. HEAD~1")
-    differences = compare(parser.parse_args(argv).rev)
+    parser.add_argument("--seed", type=int, help="also compare each workload's commands at this seed")
+    args = parser.parse_args(argv)
+    differences = compare(args.rev, args.seed)
     for line in differences:
         print(line)
     print(f"{len(differences)} difference(s)")
