@@ -38,7 +38,7 @@ from .estimators import (
 )
 from .expressions import ExpressionError, compile_expression
 from .laws import NAMED_SPECS, DiffusionSpec, InvariantLaw, build_invariant_law
-from .maptest import PerrMinimum, TestProblem, find_perr_minimum, p_err_surface
+from .maptest import PerrMinimum, TestProblem, find_perr_minimum, p_err, p_err_surface
 from .numerics import Bracket
 from .resonance import find_resonance, resonance_curve
 from .simulate import SimConfig, observe, perturb, simulate_path
@@ -405,15 +405,23 @@ def _bracket_end_failure(cfg: dict[str, Any], theta1: float, bracket: Bracket,
                          found: PerrMinimum, law: InvariantLaw) -> str:
     """Why ``p_err`` failed at an end of the --grid bracket.  Where the null
     gap (tau - theta0)/eps, the larger one, lies beyond the tabulated support
-    at the low end, the message names it and the smallest usable start."""
+    at the low end, the message names it and the smallest usable start;
+    otherwise it gives the failure ``p_err`` raises at the failed end (a
+    degenerate variance, or cuts that underflow)."""
     message = f"p_err failed at a bracket end of --grid (theta1={theta1})"
     lo, hi = law.tables.support
     distance = cfg["tau"] - cfg["theta0"]
     if found.endpoints[0] is None and distance / bracket.lo >= hi:
-        message += (f": at eps={bracket.lo:g} the null gap (tau - theta0)/eps = "
-                    f"{distance / bracket.lo:.6g} lies beyond the law's tabulated support "
-                    f"({lo:.6g}, {hi:.6g}); start --grid above (tau - theta0)/{hi:.6g} = "
-                    f"{distance / hi:.6g}")
+        return message + (f": at eps={bracket.lo:g} the null gap (tau - theta0)/eps = "
+                          f"{distance / bracket.lo:.6g} lies beyond the law's tabulated support "
+                          f"({lo:.6g}, {hi:.6g}); start --grid above (tau - theta0)/{hi:.6g} = "
+                          f"{distance / hi:.6g}")
+    eps = bracket.lo if found.endpoints[0] is None else bracket.hi
+    try:
+        p_err(TestProblem(theta0=cfg["theta0"], theta1=theta1, p0=cfg["p0"], p1=1.0 - cfg["p0"],
+                          tau=cfg["tau"], eps=eps, horizon=cfg["T"], law=law, scheme=cfg["scheme"]))
+    except QuadratureFailure as exc:
+        return f"{message}: {exc}"
     return message
 
 

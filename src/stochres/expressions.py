@@ -16,14 +16,8 @@ is compiled once into a single Python function with its arithmetic inline:
 - The array form evaluates with numpy semantics, so it accepts scalars and
   arrays alike and broadcasts a constant to the shape of ``x``.
 - The scalar form runs on Python floats, with no numpy conversion around it;
-  the compiled function sends an argument of type ``float`` there.
-
-The same emitter writes the stepper of a single Euler path (``euler_steps``):
-one list comprehension per path, ``[x := x + (S) * dt + w for w in ws]``,
-or ``... + (sigma) * sqrt_dt * w`` for a diffusion that is not a constant,
-with the scalar bodies of compiled coefficients inline (a step calls no
-function for them) and any other callable called by name.  The compiled
-function keeps its parse tree as ``tree`` for this.
+  the compiled function sends an argument of type ``float`` there, which is
+  what a single Euler path steps on, one call per step.
 
 No user text reaches the compiler.  The tokenizer and the parser accept
 only numbers, ``x``, the operators and the function names of
@@ -31,8 +25,7 @@ only numbers, ``x``, the operators and the function names of
 number becomes a constant node, ``x`` the lambda's argument, and each
 operation a fixed operator or a call of a fixed helper name.  The forms run
 in a namespace that holds only those helpers (the ufuncs, ``float``, the
-two divisions and the array conversion) and empty ``__builtins__``; a
-stepper's namespace adds only the coefficients it calls by name.
+two divisions and the array conversion) and empty ``__builtins__``.
 
 The two forms round alike, bit for bit, so a path stepped one float at a
 time equals its row of an ensemble stepped on arrays:
@@ -52,20 +45,19 @@ compiled function's ``constant`` attribute (``None`` when ``x`` occurs,
 even where it cancels, as in ``x*0+1``).  The fold runs the scalar form,
 so ``constant`` is the double every evaluation returns; a fold that divides
 by zero or overflows gives numpy's inf or nan without a warning.  The
-Euler-Maruyama steppers form a constant diffusion's increments for a whole
+Euler-Maruyama stepper forms a constant diffusion's increments for a whole
 chunk of steps at once instead of calling the coefficient at every step.
 """
 from __future__ import annotations
 
 import ast
 import itertools
-import math
 import re
 from typing import Callable, Iterator
 
 import numpy as np
 
-__all__ = ["ExpressionError", "compile_expression", "euler_steps"]
+__all__ = ["ExpressionError", "compile_expression"]
 
 
 class ExpressionError(ValueError):
@@ -257,50 +249,13 @@ _HELPERS = {
 }
 
 
-def _lambda(params: list[str], body: ast.expr, namespace: dict) -> Callable:
-    """``lambda params: body``, compiled in ``namespace`` with no builtins."""
-    args = ast.arguments(posonlyargs=[], args=[ast.arg(p) for p in params], kwonlyargs=[],
-                         kw_defaults=[], defaults=[])
-    code = compile(ast.fix_missing_locations(ast.Expression(ast.Lambda(args, body))), "<coefficient>", "eval")
-    return eval(code, dict(namespace, __builtins__={}))
-
-
 def _compile(tree: Node, scalar: bool) -> Callable:
     """``lambda x: ...`` of the scalar or the array form of ``tree``,
     compiled once from the emitted nodes."""
-    return _lambda(["x"], _emit(tree, scalar, map("_b{}".format, itertools.count())), _HELPERS)
-
-
-def euler_steps(drift: Callable, diffusion: Callable | None, dt: float) -> Callable:
-    """``steps(x, ws)``: the Euler-Maruyama values that follow x, one per
-    entry of ``ws``, as one generated list comprehension.
-
-    With ``diffusion`` None the ``ws`` are the increments of a constant
-    diffusion and a step is ``x := x + (S) * dt + w``; otherwise they are
-    the normals and a step is ``x := x + (S) * dt + (sigma) * sqrt_dt * w``,
-    with ``sqrt_dt = math.sqrt(dt)``.  The scalar body of a compiled
-    coefficient is emitted inline from its parse tree; any other callable
-    is called by name.  Each value has the operands and order of a step
-    through the scalar forms, so it is the same double.
-    """
-    names = map("_b{}".format, itertools.count())
-    namespace = dict(_HELPERS)
-    x = ast.Name("x", ast.Load())
-
-    def term(coefficient: Callable, name: str) -> ast.expr:
-        if hasattr(coefficient, "tree"):
-            return _emit(coefficient.tree, True, names)
-        namespace[name] = coefficient
-        return _call(name, x)
-
-    step = ast.BinOp(x, ast.Add(), ast.BinOp(term(drift, "_drift"), ast.Mult(), ast.Constant(dt)))
-    w = ast.Name("w", ast.Load())
-    if diffusion is not None:
-        sigma = ast.BinOp(term(diffusion, "_diffusion"), ast.Mult(), ast.Constant(math.sqrt(dt)))
-        w = ast.BinOp(sigma, ast.Mult(), w)
-    loop = ast.comprehension(ast.Name("w", ast.Store()), ast.Name("ws", ast.Load()), [], 0)
-    chunk = ast.ListComp(ast.NamedExpr(ast.Name("x", ast.Store()), ast.BinOp(step, ast.Add(), w)), [loop])
-    return _lambda(["x", "ws"], chunk, namespace)
+    body = _emit(tree, scalar, map("_b{}".format, itertools.count()))
+    args = ast.arguments(posonlyargs=[], args=[ast.arg("x")], kwonlyargs=[], kw_defaults=[], defaults=[])
+    code = compile(ast.fix_missing_locations(ast.Expression(ast.Lambda(args, body))), "<coefficient>", "eval")
+    return eval(code, dict(_HELPERS, __builtins__={}))
 
 
 def compile_expression(text: str) -> Callable:
@@ -310,10 +265,8 @@ def compile_expression(text: str) -> Callable:
     else goes to the array form, scalar-in scalar-out, broadcasting over
     numpy arrays.  Both forms give the same doubles (see the module
     docstring).  The callable's ``scalar`` and ``array`` are the two forms
-    themselves, with no dispatch or shape handling around them, its
-    ``tree`` the parse tree they were emitted from (``euler_steps`` inlines
-    it), and its ``constant`` the expression's value when it has no ``x``,
-    else None.
+    themselves, with no dispatch or shape handling around them, and its
+    ``constant`` is the expression's value when it has no ``x``, else None.
     """
     if not text or not text.strip():
         raise ExpressionError("empty expression")
@@ -331,7 +284,6 @@ def compile_expression(text: str) -> Callable:
 
     fn.scalar = scalar
     fn.array = array
-    fn.tree = tree
     fn.constant = None
     if not _has_x(tree):
         with np.errstate(all="ignore"):

@@ -32,9 +32,9 @@ divide by 0) fails, like one whose variance fails.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -209,8 +209,24 @@ def moments(problem: TestProblem) -> GaussianMoments:
 
 
 # The core on Python floats (see the module docstring).  A rule is the tuple
-# of the fields of ``DecisionRule``, in their order; a cell is (p_err,
-# p_type1, p_type2, rule), rule None where the cell takes the prior guess.
+# of the fields of ``DecisionRule`` in their order: ``_rule`` makes one,
+# ``DecisionRule(*rule)`` reads it and ``_fields`` writes a DecisionRule as one.
+
+
+def _fields(rule: DecisionRule) -> tuple:
+    """The core's tuple of a rule (``dataclasses.astuple`` without its deep
+    copy, which costs ~12 us a call where ``decide`` runs once a path)."""
+    return rule.case_id, rule.delta, rule.gamma_lo, rule.gamma_hi, rule.gamma_single, rule.alt_on_high
+
+
+class _Cell(NamedTuple):
+    """The ``p_err`` of one noise level; ``rule`` is None where the cell
+    takes the prior guess."""
+
+    p_err: float
+    p_type1: float
+    p_type2: float
+    rule: Optional[tuple]
 
 
 def _rule(mu0: float, mu1: float, s0sq: float, s1sq: float, p0: float, p1: float,
@@ -277,17 +293,16 @@ def _errors(rule: tuple, mu0: float, mu1: float, sd0: float, sd1: float, p0: flo
     return t1 * p0 + t2 * p1, t1, t2
 
 
-def _cell(mu0: float, mu1: float, s0sq: float, s1sq: float, p0: float, p1: float) -> Optional[tuple]:
-    """The ``p_err`` cell of these moments: (p_err, p_type1, p_type2, rule),
-    rule None where the moments are degenerate (the prior guess); None
-    where the cuts underflow."""
+def _cell(mu0: float, mu1: float, s0sq: float, s1sq: float, p0: float, p1: float) -> Optional[_Cell]:
+    """The ``p_err`` cell of these moments, its rule None where the moments
+    are degenerate (the prior guess); None where the cuts underflow."""
     sd0, sd1 = math.sqrt(s0sq), math.sqrt(s1sq)
     if mu0 / sd0 > DEGENERATE_Z or mu1 / sd1 > DEGENERATE_Z:
         rule = _rule(mu0, mu1, s0sq, s1sq, p0, p1, sd0, sd1)
-        return None if rule is None else (*_errors(rule, mu0, mu1, sd0, sd1, p0, p1), rule)
+        return None if rule is None else _Cell(*_errors(rule, mu0, mu1, sd0, sd1, p0, p1), rule)
     # always decide for the larger prior
     t1, t2 = (0.0, 1.0) if p0 >= p1 else (1.0, 0.0)
-    return t1 * p0 + t2 * p1, t1, t2, None
+    return _Cell(t1 * p0 + t2 * p1, t1, t2, None)
 
 
 def _cuts_underflow(m: GaussianMoments) -> QuadratureFailure:
@@ -316,8 +331,7 @@ def build_rule(m: GaussianMoments, p0: float, p1: float) -> DecisionRule:
 
 def decide(rule: DecisionRule, statistic: float) -> Decision:
     """Apply the interval rule; D1 means the alternative wins the posterior."""
-    lo, hi, inside = _d1_interval(rule.case_id, rule.delta, rule.gamma_lo, rule.gamma_hi,
-                                  rule.gamma_single, rule.alt_on_high)
+    lo, hi, inside = _d1_interval(*_fields(rule))
     return Decision.D1 if (lo < statistic < hi) == inside else Decision.D0
 
 
@@ -325,11 +339,11 @@ def error_report(m: GaussianMoments, p0: float, p1: float) -> ErrorReport:
     """Conditional error probabilities of the rule built from these moments."""
     rule = build_rule(m, p0, p1)
     sd0, sd1 = math.sqrt(m.s0sq), math.sqrt(m.s1sq)
-    p, t1, t2 = _errors(astuple(rule), m.mu0, m.mu1, sd0, sd1, p0, p1)
+    p, t1, t2 = _errors(_fields(rule), m.mu0, m.mu1, sd0, sd1, p0, p1)
     return ErrorReport(p_err=p, p_type1=t1, p_type2=t2, rule=rule)
 
 
-def _report(cell: Optional[tuple], m: GaussianMoments) -> ErrorReport:
+def _report(cell: Optional[_Cell], m: GaussianMoments) -> ErrorReport:
     """The ``p_err`` report of the cell of the moments ``m``; raises
     QuadratureFailure for a cell whose cuts underflow."""
     if cell is None:
@@ -429,15 +443,16 @@ def p_err_surface(
                 cells.append(SurfaceCell(theta1, e, None, None, None, None, math.nan, skipped=True))
             elif row[k] is None:
                 cells.append(SurfaceCell(theta1, e, None, None, None, None, math.nan, failed=True))
-            elif row[k][3] is None:
-                cells.append(SurfaceCell(theta1, e, None, None, None, None, row[k][0], degenerate=True))
+            elif row[k].rule is None:
+                cells.append(SurfaceCell(theta1, e, None, None, None, None, row[k].p_err, degenerate=True))
             else:
-                case_id, delta, gamma_lo, gamma_hi = row[k][3][:4]
-                cells.append(SurfaceCell(theta1, e, case_id, delta, gamma_lo, gamma_hi, row[k][0]))
+                rule = DecisionRule(*row[k].rule)
+                cells.append(SurfaceCell(theta1, e, rule.case_id, rule.delta, rule.gamma_lo, rule.gamma_hi,
+                                         row[k].p_err))
     return cells
 
 
-def _cells(moments_: tuple[list, list, list], k: int, p0: float, p1: float) -> list[Optional[tuple]]:
+def _cells(moments_: tuple[list, list, list], k: int, p0: float, p1: float) -> list[Optional[_Cell]]:
     """The ``_cell`` at each noise level of row k of ``_lookup`` against row
     0, the null; None where either variance fails or the cuts underflow."""
     mu, var, failed = moments_
@@ -499,17 +514,17 @@ def find_perr_minimum(
         raise ValueError("noise bracket must be positive")
     ceiling = min(p0, p1)
 
-    def scan_cells(eps: np.ndarray) -> tuple[list[Optional[tuple]], tuple[list, list, list]]:
+    def scan_cells(eps: np.ndarray) -> tuple[list[Optional[_Cell]], tuple[list, list, list]]:
         moments_ = _lookup([theta0, theta1], tau, eps, horizon, law, scheme)
         return _cells(moments_, 1, p0, p1), moments_
 
-    def values(cells: list[Optional[tuple]]) -> list[float]:
-        return [-ceiling if c is None else -c[0] for c in cells]
+    def values(cells: list[Optional[_Cell]]) -> list[float]:
+        return [-ceiling if c is None else -c.p_err for c in cells]
 
     scan = scan_points(bracket)
     row, (mu, var, _) = scan_cells(scan)
     result = maximize_scalar(lambda eps: values(scan_cells(eps)[0]), bracket, tol=tol, scan=values(row))
-    degenerate = [eps for eps, c in zip(scan.tolist(), row) if c is not None and c[3] is None]
+    degenerate = [eps for eps, c in zip(scan.tolist(), row) if c is not None and c.rule is None]
     cell = (bracket.hi - bracket.lo) / SCAN_CELLS
     local = [
         (x, -v)

@@ -11,13 +11,12 @@ chunk in place.  For a diffusion with a ``constant`` (a compiled expression
 without x) the increments (c sqrt(dt)) Z of a whole chunk are one product,
 so a step is the drift, one product and two sums, and the diffusion is
 never called.  A single path steps on Python floats, ``_NORMALS_BLOCK``
-steps at a time, each block one list comprehension that
-``expressions.euler_steps`` generates once per path: a compiled
-coefficient's scalar arithmetic is inline in it, so a step calls no
-function for it, and any other coefficient is called once a step.  The
-bound on |X| is checked once per block, over its values.  Every product and
-sum keeps the operands and order of X + S(X) dt + sigma(X) sqrt(dt) Z, so
-no route changes a bit of a path.
+steps at a time, each block one list comprehension: a step makes one call
+of the drift and one of a diffusion that is not a constant, a compiled
+coefficient through its ``scalar`` form, and no other call, bound check or
+append.  The bound on |X| is checked once per block, over its values.
+Every product and sum keeps the operands and order of
+X + S(X) dt + sigma(X) sqrt(dt) Z, so no route changes a bit of a path.
 
 ``observe_paths`` steps, perturbs and observes a block of paths keeping
 only per-path counters, in buffers allocated once, so its memory is
@@ -39,7 +38,6 @@ from typing import Iterator
 import numpy as np
 
 from .errors import NumericBlowup
-from .expressions import euler_steps
 from .laws import DiffusionSpec
 from .numerics import _array_form
 
@@ -126,58 +124,60 @@ def _normals(seed: int, n: int) -> np.ndarray:
 def _em_scalar(spec: DiffusionSpec, x0: float, dt: float, z: np.ndarray) -> np.ndarray:
     """X_0 = x0 and the Euler-Maruyama steps driven by the normals ``z``.
 
-    x stays a Python float.  Each block of ``_NORMALS_BLOCK`` steps is one
-    call of the list comprehension that ``euler_steps`` generates for the
-    path, compiled coefficients inline; a constant diffusion is never
-    called, its increments (c sqrt(dt)) z formed one block at a time.  The
-    block's values are stored with one slice assignment and checked against
-    the bound in one pass, which names the first step past it.  A numpy
-    floating-point error that the caller would see (a warning, say) raises
-    inside the comprehension, and so may any other error of a coefficient
-    (OverflowError past the bound, say); that one block is then stepped
-    again one step at a time (``_em_steps``) in the caller's error state,
-    which checks the bound before the next step, so the error surfaces, or
-    the blow-up is named, where a step-by-step loop would do it."""
+    x stays a Python float, and a compiled coefficient is called through its
+    ``scalar`` form.  Each block of ``_NORMALS_BLOCK`` steps is one call of
+    ``steps``, a list comprehension over the block's normals, or over its
+    increments (c sqrt(dt)) z when the diffusion is a constant, which is then
+    never called.  The block's values are stored with one slice assignment
+    and checked against the bound in one pass, which names the first step
+    past it.  A numpy floating-point error that the caller would see (a
+    warning, say) raises inside the comprehension, and so may any other
+    error of a coefficient (OverflowError past the bound, say); that one
+    block is then stepped again through ``steps`` one step at a time, in the
+    caller's error state and with the bound checked before the next step, so
+    the error surfaces, or the blow-up is named, where a step-by-step loop
+    would do it.
+
+    The coefficients must be pure functions of x: a block calls them for up
+    to ``_NORMALS_BLOCK - 1`` steps past the first step out of bounds, and a
+    block stepped again calls them a second time for its steps before the
+    error."""
+    drift = getattr(spec.drift, "scalar", spec.drift)
+    diffusion = getattr(spec.diffusion, "scalar", spec.diffusion)
     c = getattr(spec.diffusion, "constant", None)
     sqrt_dt = math.sqrt(dt)
-    steps = euler_steps(spec.drift, None if c is not None else spec.diffusion, dt)
+    if c is None:
+        def steps(x: float, ws: list) -> list:
+            return [x := x + drift(x) * dt + diffusion(x) * sqrt_dt * w for w in ws]
+    else:
+        def steps(x: float, ws: list) -> list:
+            return [x := x + drift(x) * dt + w for w in ws]
     caller = np.geterr()
     out = np.empty(len(z) + 1)
     out[0] = x = float(x0)
     with np.errstate(**{k: "ignore" if v == "ignore" else "raise" for k, v in caller.items()}):
         for start in range(0, len(z), _NORMALS_BLOCK):
             block = z[start : start + _NORMALS_BLOCK]
+            ws = (block if c is None else c * sqrt_dt * block).tolist()
             try:
-                chunk = steps(x, (block if c is None else c * sqrt_dt * block).tolist())
-            except Exception:  # any error: the step-by-step pass tells it from a blow-up
+                chunk = steps(x, ws)
+            except Exception:  # any error: stepping one at a time tells it from a blow-up
                 chunk = None
             if chunk is None:  # outside the handler, so an error raised again is not chained
+                chunk = []
                 with np.errstate(**caller):
-                    chunk = _em_steps(spec, x, dt, block, c, start)
+                    for w in ws:
+                        [x] = steps(x, [w])
+                        if not (-_BLOWUP < x < _BLOWUP):  # also catches NaN
+                            raise _blowup_at(start + len(chunk) + 1)
+                        chunk.append(x)
             end = start + 1 + len(chunk)
             out[start + 1 : end] = chunk
             size = np.abs(out[start + 1 : end])
-            if not size.max() < _BLOWUP:  # also catches NaN
+            if not size.max() < _BLOWUP:
                 raise _blowup_at(start + 1 + int(np.argmax(~(size < _BLOWUP))))
             x = chunk[-1]
     return out
-
-
-def _em_steps(spec: DiffusionSpec, x: float, dt: float, block: np.ndarray, c: float | None,
-              start: int) -> list:
-    """The steps of one block of ``_em_scalar`` one at a time, a compiled
-    coefficient through its ``scalar`` form, raising NumericBlowup at the
-    first step past the bound."""
-    drift = getattr(spec.drift, "scalar", spec.drift)
-    diffusion = getattr(spec.diffusion, "scalar", spec.diffusion)
-    sqrt_dt = math.sqrt(dt)
-    steps = []
-    for w in (block if c is None else c * sqrt_dt * block).tolist():
-        x = x + drift(x) * dt + (w if c is not None else diffusion(x) * sqrt_dt * w)
-        if not (-_BLOWUP < x < _BLOWUP):
-            raise _blowup_at(start + len(steps) + 1)
-        steps.append(x)
-    return steps
 
 
 def _blowup_at(k: int) -> NumericBlowup:

@@ -344,6 +344,7 @@ def test_test_at_an_extreme_horizon_is_an_error_not_a_traceback(tmp_path, capsys
     assert run(["test", "--T", "1e300", "--out", tmp_path / "t"]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: p_err failed at a bracket end")
+    assert lines[0].endswith(": statistic variance degenerates at eps=0.1 (variances 0.0, 0.0)")
 
 
 def test_test_names_the_gap_beyond_the_support(tmp_path, capsys):

@@ -1,5 +1,4 @@
 import math
-import sys
 import warnings
 
 import numpy as np
@@ -163,30 +162,24 @@ def test_compiled_forms_see_only_their_helpers(text):
 
 
 def test_a_single_path_calls_the_scalar_forms_once_a_step():
-    # a single path inlines a compiled coefficient's scalar body into its
-    # generated chunk stepper, so it calls neither form of either
-    # coefficient; plain callables that wrap the scalar forms are called by
-    # name, once a step each, and step the same path bit for bit
     from stochres import DiffusionSpec, SimConfig, simulate_path
 
     drift, sigma = compile_expression("-tanh(x)"), compile_expression("1+0.5*exp(-x^2)")
     cfg = SimConfig(T=6.0, dt=0.01, seed=5)
-    forms = {form.__code__: name for name, f in (("drift", drift), ("sigma", sigma))
-             for form in (f.scalar, f.array)}
+    expected = simulate_path(DiffusionSpec(drift, sigma), cfg)
+    calls = {"drift": 0, "sigma": 0}
 
-    def stepped(spec):
-        calls = []
-        sys.setprofile(lambda frame, event, _: event == "call" and frame.f_code in forms
-                       and calls.append(forms[frame.f_code]))
-        try:
-            return simulate_path(spec, cfg), calls
-        finally:
-            sys.setprofile(None)
+    def counted(name, form):
+        def scalar(x):
+            calls[name] += 1
+            return form(x)
 
-    expected, calls = stepped(DiffusionSpec(lambda x: drift.scalar(x), lambda x: sigma.scalar(x)))
-    assert (calls.count("drift"), calls.count("sigma")) == (cfg.n_steps, cfg.n_steps)
-    path, calls = stepped(DiffusionSpec(drift, sigma))
-    assert calls == []
+        return scalar
+
+    drift.scalar = counted("drift", drift.scalar)
+    sigma.scalar = counted("sigma", sigma.scalar)
+    path = simulate_path(DiffusionSpec(drift, sigma), cfg)
+    assert calls == {"drift": cfg.n_steps, "sigma": cfg.n_steps}
     assert np.array_equal(path.values, expected.values)
 
 

@@ -222,6 +222,31 @@ def test_blowup_in_a_later_block_of_a_single_path_names_its_step(drift, sigma, c
         simulate_path(DiffusionSpec(drift, sigma), cfg)
 
 
+def test_a_drift_that_warns_every_step_steps_each_block_one_at_a_time():
+    # a numpy warning inside a block raises there, at the block's first
+    # step, and the block is stepped again one step at a time in the
+    # caller's error state: the drift is called once more per block, shows
+    # its warning at every step, and the path is the one of the quiet drift
+    calls = []
+
+    def drift(x):
+        calls.append(x)
+        np.float64(1.0) / np.float64(0.0)  # a harmless divide-by-zero warning
+        return -x
+
+    cfg = SimConfig(T=25.0, dt=0.01, seed=3)
+    blocks = math.ceil(cfg.n_steps / _NORMALS_BLOCK)
+    assert blocks == 3
+    spec = DiffusionSpec(drift, lambda x: 1.0)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        path = simulate_path(spec, cfg)
+    assert len(seen) == cfg.n_steps
+    assert all(issubclass(w.category, RuntimeWarning) for w in seen)
+    assert len(calls) == cfg.n_steps + blocks
+    assert np.array_equal(path.values, simulate_path(DiffusionSpec(lambda x: -x, lambda x: 1.0), cfg).values)
+
+
 def test_ensemble_with_scalar_only_coefficients_matches_single_paths():
     # drift rejects arrays, diffusion returns a scalar for an array
     spec = DiffusionSpec(lambda x: -math.sin(x), lambda x: 1.0)
