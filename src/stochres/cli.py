@@ -353,12 +353,18 @@ def cmd_resonance(cfg: dict[str, Any]) -> None:
           f"({table}, {out / 'resonance.json'})")
 
 
+def _priors(cfg: dict[str, Any]) -> tuple[float, float]:
+    """(p0, 1 - p0); ConfigError unless both lie strictly inside (0, 1) (a
+    p0 of 2^-54 or less rounds 1 - p0 to 1)."""
+    p0 = cfg["p0"]
+    if not (0.0 < p0 < 1.0 and 1.0 - p0 < 1.0):
+        raise ConfigError("--p0 and 1 - p0 must lie strictly inside (0, 1)")
+    return p0, 1.0 - p0
+
+
 def cmd_test(cfg: dict[str, Any]) -> None:
     _check_positive(cfg, ("tau", "T"))
-    if not 0.0 < cfg["p0"] < 1.0:
-        raise ConfigError("--p0 must lie strictly inside (0, 1)")
-    p0 = cfg["p0"]
-    p1 = 1.0 - p0
+    p0, p1 = _priors(cfg)
     law = _resolve_law(cfg)
     eps_grid = _parse_grid(cfg["grid"])
     if np.any(eps_grid <= 0):
@@ -437,11 +443,9 @@ def cmd_validate(cfg: dict[str, Any]) -> None:
         raise ConfigError(
             f"need theta0 < theta1 < tau, got {cfg['theta0']}, {cfg['theta1']}, {cfg['tau']}"
         )
-    if not 0.0 < cfg["p0"] < 1.0:
-        raise ConfigError("--p0 must lie strictly inside (0, 1)")
+    p0, p1 = _priors(cfg)
     law = _resolve_law(cfg)
-    p1 = 1.0 - cfg["p0"]
-    problem = TestProblem(theta0=cfg["theta0"], theta1=cfg["theta1"], p0=cfg["p0"], p1=p1,
+    problem = TestProblem(theta0=cfg["theta0"], theta1=cfg["theta1"], p0=p0, p1=p1,
                           tau=cfg["tau"], eps=cfg["test_eps"], horizon=cfg["test_T"],
                           law=law, scheme=cfg["scheme"])
     var_study, err_study = validation_studies(

@@ -23,9 +23,10 @@ unknown scheme raises ValueError there.
 
 One core on Python floats (``_cell``) evaluates the rule and the error of
 each cell, and the public ``build_rule``, ``error_report`` and ``p_err``
-wrap it, so the formulas exist once.  A scan reads the core's floats, and
-report objects are built only for what is reported (the surface cells, a
-search's bracket ends, ``p_err``).  A cell whose cuts
+wrap it, so the formulas exist once.  The core builds the public records
+themselves, a ``DecisionRule`` and the ``p_err`` ``ErrorReport`` of each
+cell (both NamedTuples), so a scan, the surface and ``p_err`` read one
+record of each.  A cell whose cuts
 underflow (both terms of the far cut round to 0, so the near cut would
 divide by 0) fails, like one whose variance fails.
 """
@@ -82,12 +83,20 @@ def _check_horizon(horizon: float) -> None:
         raise ValueError("horizon must be positive and finite")
 
 
+def _check_priors(p0: float, p1: float) -> None:
+    if not (0.0 < p0 < 1.0 and 0.0 < p1 < 1.0):
+        raise ValueError("priors must lie strictly inside (0, 1)")
+    if abs(p0 + p1 - 1.0) > 1e-12:
+        raise ValueError("priors must sum to 1")
+
+
 @dataclass(frozen=True)
 class TestProblem:
     """Two simple hypotheses theta0 < theta1 < tau with prior weights.
 
-    tau, eps and the horizon must be finite, eps and the horizon positive.
-    The scheme is checked where the moments are read (``statistic_at``).
+    theta0, tau, eps and the horizon must be finite, eps and the horizon
+    positive.  The scheme is checked where the moments are read
+    (``statistic_at``).
     """
 
     theta0: float
@@ -103,12 +112,9 @@ class TestProblem:
     def __post_init__(self) -> None:
         if not self.theta0 < self.theta1 < self.tau:
             raise ValueError("need theta0 < theta1 < tau")
-        if not (0.0 < self.p0 < 1.0 and 0.0 < self.p1 < 1.0):
-            raise ValueError("priors must lie strictly inside (0, 1)")
-        if abs(self.p0 + self.p1 - 1.0) > 1e-12:
-            raise ValueError("priors must sum to 1")
-        if not math.isfinite(self.tau):
-            raise ValueError("tau must be finite")
+        _check_priors(self.p0, self.p1)
+        if not (math.isfinite(self.theta0) and math.isfinite(self.tau)):
+            raise ValueError("theta0 and tau must be finite")
         if not (self.eps > 0 and math.isfinite(self.eps)):
             raise ValueError("eps must be positive and finite")
         _check_horizon(self.horizon)
@@ -131,9 +137,8 @@ class GaussianMoments:
         return GaussianMoments(mu0=self.mu1, mu1=self.mu0, s0sq=self.s1sq, s1sq=self.s0sq)
 
 
-@dataclass(frozen=True)
-class DecisionRule:
-    """Interval form of the posterior comparison.
+class DecisionRule(NamedTuple):
+    """Interval form of the posterior comparison, an immutable NamedTuple.
 
     case_id 1: null variance larger; reject the null inside (gamma_lo, gamma_hi).
     case_id 2: alternative variance larger; reject the null outside the
@@ -152,9 +157,9 @@ class DecisionRule:
     alt_on_high: bool = True
 
 
-@dataclass(frozen=True)
-class ErrorReport:
-    """Overall error probability and its two conditional components.
+class ErrorReport(NamedTuple):
+    """Overall error probability and its two conditional components, an
+    immutable NamedTuple.
 
     ``p_type1`` is the null mass of the set where ``rule`` decides D1 and
     ``p_type2`` the alternative mass of its complement, each summed from
@@ -208,31 +213,13 @@ def moments(problem: TestProblem) -> GaussianMoments:
     return GaussianMoments(mu0=mu0, mu1=mu1, s0sq=v0, s1sq=v1)
 
 
-# The core on Python floats (see the module docstring).  A rule is the tuple
-# of the fields of ``DecisionRule`` in their order: ``_rule`` makes one,
-# ``DecisionRule(*rule)`` reads it and ``_fields`` writes a DecisionRule as one.
-
-
-def _fields(rule: DecisionRule) -> tuple:
-    """The core's tuple of a rule (``dataclasses.astuple`` without its deep
-    copy, which costs ~12 us a call where ``decide`` runs once a path)."""
-    return rule.case_id, rule.delta, rule.gamma_lo, rule.gamma_hi, rule.gamma_single, rule.alt_on_high
-
-
-class _Cell(NamedTuple):
-    """The ``p_err`` of one noise level; ``rule`` is None where the cell
-    takes the prior guess."""
-
-    p_err: float
-    p_type1: float
-    p_type2: float
-    rule: Optional[tuple]
+# The core on Python floats (see the module docstring).
 
 
 def _rule(mu0: float, mu1: float, s0sq: float, s1sq: float, p0: float, p1: float,
-          sd0: float, sd1: float) -> Optional[tuple]:
-    """``build_rule`` with the standard deviations sd_i = sqrt(s_i^2), as a
-    tuple; None where the cuts underflow (see ``build_rule``)."""
+          sd0: float, sd1: float) -> Optional[DecisionRule]:
+    """``build_rule`` with the standard deviations sd_i = sqrt(s_i^2); None
+    where the cuts underflow (see ``build_rule``)."""
     if abs(s0sq - s1sq) <= _VAR_EQUAL_RTOL * max(s0sq, s1sq):
         if mu1 == mu0:
             # identical Gaussians: pick the larger prior everywhere
@@ -240,7 +227,7 @@ def _rule(mu0: float, mu1: float, s0sq: float, s1sq: float, p0: float, p1: float
         else:
             # posterior-equality point; valid for either mean ordering
             gamma = (mu1**2 - mu0**2 + 2.0 * s0sq * math.log(p0 / p1)) / (2.0 * (mu1 - mu0))
-        return 3, None, None, None, gamma, mu1 >= mu0
+        return DecisionRule(3, gamma_single=gamma, alt_on_high=mu1 >= mu0)
     case_id = 1
     if s1sq > s0sq:
         # the same cuts with the hypotheses swapped; D1 now lies outside them
@@ -249,7 +236,7 @@ def _rule(mu0: float, mu1: float, s0sq: float, s1sq: float, p0: float, p1: float
     log_ratio = math.log(p0 * sd1 / (p1 * sd0))
     delta = (mu0 - mu1) ** 2 - 2.0 * s2sq * log_ratio
     if delta <= 0:
-        return case_id, delta, None, None, None, True
+        return DecisionRule(case_id, delta)
     # the cuts are the roots (b -+ root)/s2sq of s2sq g^2 - 2 b g + c; the far
     # one adds root to b with the sign of b, and the near one comes from the
     # product of the roots, c/s2sq, as b - sign(b) root would cancel
@@ -259,19 +246,18 @@ def _rule(mu0: float, mu1: float, s0sq: float, s1sq: float, p0: float, p1: float
     if q == 0.0:
         return None
     far, near = q / s2sq, c / q
-    return case_id, delta, min(far, near), max(far, near), None, True
+    return DecisionRule(case_id, delta, min(far, near), max(far, near))
 
 
-def _d1_interval(case_id: int, delta: Optional[float], gamma_lo: Optional[float], gamma_hi: Optional[float],
-                 gamma_single: Optional[float], alt_on_high: bool) -> tuple[float, float, bool]:
-    """(lo, hi, inside) of a rule given by its fields: the rule decides D1
-    exactly where lo < s < hi holds (inside) or fails (outside).  A negative
-    discriminant is the empty interval (inf, inf)."""
-    if case_id == 3:
-        g = gamma_single
-        return (g, math.inf, True) if alt_on_high else (-math.inf, g, True)
-    lo, hi = (gamma_lo, gamma_hi) if delta > 0 else (math.inf, math.inf)
-    return lo, hi, case_id == 1
+def _d1_interval(rule: DecisionRule) -> tuple[float, float, bool]:
+    """(lo, hi, inside) of a rule: it decides D1 exactly where lo < s < hi
+    holds (inside) or fails (outside).  A negative discriminant is the
+    empty interval (inf, inf)."""
+    if rule.case_id == 3:
+        g = rule.gamma_single
+        return (g, math.inf, True) if rule.alt_on_high else (-math.inf, g, True)
+    lo, hi = (rule.gamma_lo, rule.gamma_hi) if rule.delta > 0 else (math.inf, math.inf)
+    return lo, hi, rule.case_id == 1
 
 
 def _mass(lo: float, hi: float, inside: bool, mu: float, sd: float) -> float:
@@ -283,26 +269,29 @@ def _mass(lo: float, hi: float, inside: bool, mu: float, sd: float) -> float:
     return normal_cdf(b) - normal_cdf(a) if a <= 0 else normal_cdf(-a) - normal_cdf(-b)
 
 
-def _errors(rule: tuple, mu0: float, mu1: float, sd0: float, sd1: float, p0: float,
+def _errors(rule: DecisionRule, mu0: float, mu1: float, sd0: float, sd1: float, p0: float,
             p1: float) -> tuple[float, float, float]:
     """(p_err, p_type1, p_type2) of a rule: the null mass of its D1 set, the
     alternative mass of the complement, and their prior-weighted sum."""
-    lo, hi, inside = _d1_interval(*rule)
+    lo, hi, inside = _d1_interval(rule)
     t1 = _mass(lo, hi, inside, mu0, sd0)
     t2 = _mass(lo, hi, not inside, mu1, sd1)
     return t1 * p0 + t2 * p1, t1, t2
 
 
-def _cell(mu0: float, mu1: float, s0sq: float, s1sq: float, p0: float, p1: float) -> Optional[_Cell]:
-    """The ``p_err`` cell of these moments, its rule None where the moments
-    are degenerate (the prior guess); None where the cuts underflow."""
+def _cell(mu0: float, mu1: float, s0sq: float, s1sq: float, p0: float, p1: float) -> Optional[ErrorReport]:
+    """The ``p_err`` report of these moments (the prior guess where they are
+    degenerate); None where the cuts underflow."""
     sd0, sd1 = math.sqrt(s0sq), math.sqrt(s1sq)
-    if mu0 / sd0 > DEGENERATE_Z or mu1 / sd1 > DEGENERATE_Z:
+    z0, z1 = mu0 / sd0, mu1 / sd1
+    if z0 > DEGENERATE_Z or z1 > DEGENERATE_Z:
         rule = _rule(mu0, mu1, s0sq, s1sq, p0, p1, sd0, sd1)
-        return None if rule is None else _Cell(*_errors(rule, mu0, mu1, sd0, sd1, p0, p1), rule)
+        return None if rule is None else ErrorReport(*_errors(rule, mu0, mu1, sd0, sd1, p0, p1), rule=rule)
     # always decide for the larger prior
     t1, t2 = (0.0, 1.0) if p0 >= p1 else (1.0, 0.0)
-    return _Cell(t1 * p0 + t2 * p1, t1, t2, None)
+    reason = (f"Gaussian approximation reaches the statistic's boundary 0 under both "
+              f"hypotheses: z0={z0:.3g}, z1={z1:.3g} <= {DEGENERATE_Z:g}")
+    return ErrorReport(t1 * p0 + t2 * p1, t1, t2, degenerate=True, reason=reason)
 
 
 def _cuts_underflow(m: GaussianMoments) -> QuadratureFailure:
@@ -326,12 +315,12 @@ def build_rule(m: GaussianMoments, p0: float, p1: float) -> DecisionRule:
     rule = _rule(m.mu0, m.mu1, m.s0sq, m.s1sq, p0, p1, math.sqrt(m.s0sq), math.sqrt(m.s1sq))
     if rule is None:
         raise _cuts_underflow(m)
-    return DecisionRule(*rule)
+    return rule
 
 
 def decide(rule: DecisionRule, statistic: float) -> Decision:
     """Apply the interval rule; D1 means the alternative wins the posterior."""
-    lo, hi, inside = _d1_interval(*_fields(rule))
+    lo, hi, inside = _d1_interval(rule)
     return Decision.D1 if (lo < statistic < hi) == inside else Decision.D0
 
 
@@ -339,29 +328,7 @@ def error_report(m: GaussianMoments, p0: float, p1: float) -> ErrorReport:
     """Conditional error probabilities of the rule built from these moments."""
     rule = build_rule(m, p0, p1)
     sd0, sd1 = math.sqrt(m.s0sq), math.sqrt(m.s1sq)
-    p, t1, t2 = _errors(_fields(rule), m.mu0, m.mu1, sd0, sd1, p0, p1)
-    return ErrorReport(p_err=p, p_type1=t1, p_type2=t2, rule=rule)
-
-
-def _report(cell: Optional[_Cell], m: GaussianMoments) -> ErrorReport:
-    """The ``p_err`` report of the cell of the moments ``m``; raises
-    QuadratureFailure for a cell whose cuts underflow."""
-    if cell is None:
-        raise _cuts_underflow(m)
-    p, t1, t2, rule = cell
-    if rule is not None:
-        return ErrorReport(p_err=p, p_type1=t1, p_type2=t2, rule=DecisionRule(*rule))
-    z0, z1 = m.mu0 / math.sqrt(m.s0sq), m.mu1 / math.sqrt(m.s1sq)
-    return ErrorReport(
-        p_err=p,
-        p_type1=t1,
-        p_type2=t2,
-        degenerate=True,
-        reason=(
-            f"Gaussian approximation reaches the statistic's boundary 0 under both "
-            f"hypotheses: z0={z0:.3g}, z1={z1:.3g} <= {DEGENERATE_Z:g}"
-        ),
-    )
+    return ErrorReport(*_errors(rule, m.mu0, m.mu1, sd0, sd1, p0, p1), rule=rule)
 
 
 def p_err(problem: TestProblem) -> ErrorReport:
@@ -378,7 +345,10 @@ def p_err(problem: TestProblem) -> ErrorReport:
     ``build_rule``).
     """
     m = moments(problem)
-    return _report(_cell(m.mu0, m.mu1, m.s0sq, m.s1sq, problem.p0, problem.p1), m)
+    report = _cell(m.mu0, m.mu1, m.s0sq, m.s1sq, problem.p0, problem.p1)
+    if report is None:
+        raise _cuts_underflow(m)
+    return report
 
 
 @dataclass(frozen=True)
@@ -422,12 +392,14 @@ def p_err_surface(
     a cell whose rule cuts underflow is failed too.  The moments of the
     null row and of every theta1 row are one table lookup.  Raises
     ValueError unless theta0 and tau are finite, the noise levels positive
-    and finite and the horizon positive and finite.
+    and finite, the horizon positive and finite and the priors as in
+    ``TestProblem``.
     """
     eps = np.array([float(e) for e in eps_grid])
     if not (math.isfinite(theta0) and math.isfinite(tau)):
         raise ValueError("theta0 and tau must be finite")
     _check_horizon(horizon)
+    _check_priors(p0, p1)
     if not (np.all(eps > 0.0) and np.all(np.isfinite(eps))):
         raise ValueError("eps must be positive and finite")
     theta1s = [float(t) for t in theta1_grid]
@@ -443,16 +415,16 @@ def p_err_surface(
                 cells.append(SurfaceCell(theta1, e, None, None, None, None, math.nan, skipped=True))
             elif row[k] is None:
                 cells.append(SurfaceCell(theta1, e, None, None, None, None, math.nan, failed=True))
-            elif row[k].rule is None:
+            elif row[k].degenerate:
                 cells.append(SurfaceCell(theta1, e, None, None, None, None, row[k].p_err, degenerate=True))
             else:
-                rule = DecisionRule(*row[k].rule)
+                rule = row[k].rule
                 cells.append(SurfaceCell(theta1, e, rule.case_id, rule.delta, rule.gamma_lo, rule.gamma_hi,
                                          row[k].p_err))
     return cells
 
 
-def _cells(moments_: tuple[list, list, list], k: int, p0: float, p1: float) -> list[Optional[_Cell]]:
+def _cells(moments_: tuple[list, list, list], k: int, p0: float, p1: float) -> list[Optional[ErrorReport]]:
     """The ``_cell`` at each noise level of row k of ``_lookup`` against row
     0, the null; None where either variance fails or the cuts underflow."""
     mu, var, failed = moments_
@@ -496,8 +468,9 @@ def find_perr_minimum(
     """Minimize the overall error probability over the noise level.
 
     Degenerate noise levels and failed ones (a variance or the rule's cuts
-    cannot be evaluated; see ``p_err``) evaluate to min(p0, p1), the error of guessing by prior alone, which is both the
-    genuine limit at the bracket edges and never spuriously optimal.
+    cannot be evaluated; see ``p_err``) evaluate to min(p0, p1), the error
+    of guessing by prior alone, which is both the genuine limit at the
+    bracket edges and never spuriously optimal.
     ``local_minima`` lists the interior local minima of a scan of
     ``SCAN_CELLS`` cells.  Two kinds of minimum are dropped: one within a
     scan cell of either bracket end, which is the edge of the search and not
@@ -505,26 +478,27 @@ def find_perr_minimum(
     sits where the Gaussian approximation starts.  The list may be empty.
     ``eps_star`` is the lowest error found, dropped minima and bracket
     endpoints included.  Raises ValueError unless theta0 < theta1 < tau with
-    theta0 and tau finite, and unless the horizon is positive and finite.
+    theta0 and tau finite, the horizon is positive and finite and the priors
+    are as in ``TestProblem``.
     """
     if not (theta0 < theta1 < tau and math.isfinite(theta0) and math.isfinite(tau)):
         raise ValueError("need theta0 < theta1 < tau, with theta0 and tau finite")
     _check_horizon(horizon)
+    _check_priors(p0, p1)
     if bracket.lo <= 0:
         raise ValueError("noise bracket must be positive")
     ceiling = min(p0, p1)
 
-    def scan_cells(eps: np.ndarray) -> tuple[list[Optional[_Cell]], tuple[list, list, list]]:
-        moments_ = _lookup([theta0, theta1], tau, eps, horizon, law, scheme)
-        return _cells(moments_, 1, p0, p1), moments_
+    def scan_cells(eps: np.ndarray) -> list[Optional[ErrorReport]]:
+        return _cells(_lookup([theta0, theta1], tau, eps, horizon, law, scheme), 1, p0, p1)
 
-    def values(cells: list[Optional[_Cell]]) -> list[float]:
+    def values(cells: list[Optional[ErrorReport]]) -> list[float]:
         return [-ceiling if c is None else -c.p_err for c in cells]
 
     scan = scan_points(bracket)
-    row, (mu, var, _) = scan_cells(scan)
-    result = maximize_scalar(lambda eps: values(scan_cells(eps)[0]), bracket, tol=tol, scan=values(row))
-    degenerate = [eps for eps, c in zip(scan.tolist(), row) if c is not None and c.rule is None]
+    row = scan_cells(scan)
+    result = maximize_scalar(lambda eps: values(scan_cells(eps)), bracket, tol=tol, scan=values(row))
+    degenerate = [eps for eps, c in zip(scan.tolist(), row) if c is not None and c.degenerate]
     cell = (bracket.hi - bracket.lo) / SCAN_CELLS
     local = [
         (x, -v)
@@ -538,8 +512,5 @@ def find_perr_minimum(
         local_minima=local,
         n_failed=sum(c is None for c in row),
         n_degenerate=len(degenerate),
-        endpoints=tuple(
-            None if row[k] is None else _report(row[k], GaussianMoments(mu[0][k], mu[1][k], var[0][k], var[1][k]))
-            for k in (0, -1)
-        ),
+        endpoints=(row[0], row[-1]),
     )

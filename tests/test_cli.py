@@ -326,6 +326,14 @@ def test_test_rejects_degenerate_prior(tmp_path):
     assert run(["test", "--p0", "0", "--out", tmp_path / "t"]) == 2
 
 
+@pytest.mark.parametrize("command", ["test", "validate"])
+def test_a_prior_whose_complement_rounds_to_1_is_rejected(tmp_path, capsys, command):
+    # 1 - 1e-17 is 1.0: validate ended in a ValueError traceback and test
+    # ran with p1 = 1
+    assert run([command, "--p0", "1e-17", "--out", tmp_path / "t"]) == 2
+    assert capsys.readouterr().err == "error: --p0 and 1 - p0 must lie strictly inside (0, 1)\n"
+
+
 def test_test_fails_when_a_bracket_end_fails(tmp_path, capsys):
     # minima.json reports p_err at both bracket ends, so a failed end fails the
     # command: at eps = 0.03 the null gap 1/0.03 lies beyond the Gaussian

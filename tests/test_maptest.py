@@ -52,10 +52,11 @@ def test_problem_validation(ou):
         Problem(0.0, 0.5, 0.6, 0.6, 1.0, 0.7, 100.0, ou)  # priors not summing to 1
 
 
-@pytest.mark.parametrize("field", ["tau", "eps", "horizon"])
-@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["tau", "eps", "horizon", "theta0"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_problem_rejects_non_finite_tau_eps_and_horizon(ou, field, value):
-    # a NaN horizon would build and fail only in p_err, as a quadrature failure
+    # a NaN horizon or an infinite theta0 would build and fail only in
+    # p_err, as a quadrature failure
     fields = dict(theta0=0.0, theta1=0.5, p0=0.5, p1=0.5, tau=1.0, eps=0.7, horizon=100.0, law=ou)
     with pytest.raises(ValueError, match=field):
         Problem(**{**fields, field: value})
@@ -395,6 +396,18 @@ def test_perr_minimum_and_surface_reject_a_non_finite_null(ou, theta0):
         find_perr_minimum(theta0, 0.5, 1.0, 100.0, 0.5, 0.5, ou)
 
 
+@pytest.mark.parametrize("p0, p1, message", [
+    (0.7, 0.7, "priors must sum to 1"),  # the search returned eps* 0.583
+    (0.0, 1.0, "priors must lie strictly inside"),  # a ZeroDivisionError
+    (1.5, -0.5, "priors must lie strictly inside"),  # a math domain error
+])
+def test_perr_minimum_and_surface_check_the_priors(ou, p0, p1, message):
+    with pytest.raises(ValueError, match=message):
+        find_perr_minimum(0.0, 0.5, 1.0, 100.0, p0, p1, ou)
+    with pytest.raises(ValueError, match=message):
+        p_err_surface(0.0, [0.5], [0.5, 1.0], 1.0, 100.0, p0, p1, ou)
+
+
 def test_perr_minimum_ignores_degenerate_levels(ou):
     found = find_perr_minimum(0.0, 0.5, 1.0, 100.0, 0.5, 0.5, ou, "time",
                               bracket=Bracket(0.05, 3.0))
@@ -513,8 +526,8 @@ def test_scan_and_surface_rows_are_one_lookup_each(ou, monkeypatch, scheme):
 
 def test_surface_cells_equal_pointwise_reports(ou):
     # a surface row reads one array lookup; each cell is the p_err report of
-    # its own problem, bit for bit, and a failed cell is one whose problem
-    # raises
+    # its own problem, its error and its rule bit for bit, and a failed cell
+    # is one whose problem raises
     theta1_grid = [0.3, 0.7]
     eps_grid = [0.03, 0.1, 0.4, 0.9, 2.5]
     for scheme in ("time", "energy"):
@@ -525,7 +538,12 @@ def test_surface_cells_equal_pointwise_reports(ou):
                 with pytest.raises(QuadratureFailure):
                     p_err(pr)
                 continue
-            assert cell.p_err == p_err(pr).p_err
+            report = p_err(pr)
+            assert cell.p_err == report.p_err and cell.degenerate == report.degenerate
+            if not cell.degenerate:
+                rule = report.rule
+                assert (cell.case_id, cell.delta, cell.gamma_lo, cell.gamma_hi) == (
+                    rule.case_id, rule.delta, rule.gamma_lo, rule.gamma_hi)
         assert any(c.failed for c in cells) and any(c.degenerate for c in cells)
 
 

@@ -147,7 +147,8 @@ def test_blowup_detected_scalar_and_ensemble():
 @pytest.mark.parametrize("sigma", ["1", "1+0*x"])
 def test_blowup_after_the_first_chunk_names_its_step(sigma):
     # drift x from x0 = 1 grows by 1.1 a step and leaves |x| <= 1e12 near
-    # step 290, inside the second chunk of a single path
+    # step 290: past the first CHUNK steps, inside the first _NORMALS_BLOCK
+    # block of a single path
     spec = DiffusionSpec(compile_expression("x"), compile_expression(sigma))
     cfg = SimConfig(T=100.0, dt=0.1, seed=2, x0=1.0)
     sqrt_dt = math.sqrt(cfg.dt)

@@ -9,6 +9,7 @@ from stochres import cli
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
+from code_lines import code_lines  # noqa: E402
 from compare_reports import commands as compared_commands, moved, ran_differs  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
 
@@ -49,6 +50,22 @@ def test_seed_option_adds_each_workloads_seed_n_commands():
     for argv in extra:
         out = argv[argv.index("--out") + 1]
         assert out.split("/")[0] in {f"{name}_seed3" for name in WORKLOADS}, argv
+
+
+def test_code_lines_count_lines_with_a_token_other_than_a_comment_or_docstring():
+    source = (
+        '"""A module docstring\n'
+        'over two lines."""\n'
+        "import math  # a comment after code\n"
+        "\n"
+        "# a comment line\n"
+        "def f(x):\n"
+        '    """A docstring."""\n'
+        "    return math.hypot(x,\n"
+        "                      1.0)\n"
+    )
+    # the import, the def and both lines of the split call
+    assert code_lines(source) == 4
 
 
 def _reports(root, commands):
