@@ -17,12 +17,13 @@ normalizer.  The builder builds the first-order tables (F and the upper
 moments) with the law, forms the public f and lets F, sf and the quantile
 read those tables: the closed-form law differs from a law built from
 coefficients only in its density and its report, which is closed-form
-too.  The variance tables are built by their first reader, the first
-variance lookup.  A law built from coefficients hands the tables the mass
-at the Gauss points that G summed, divided by G, so a build computes the
-density at each point once.  One rule sets every support: the probe's node
-masses, read from the exponent it already holds at its nodes, rounded out
-to powers of two (see ``_support_edges``).
+too.  The variance tables are built by their first reader: A and B at the
+first variance lookup, the S_jk at the first energy variance.  A law built
+from coefficients hands the tables the mass at the Gauss points that G
+summed, divided by G, so a build computes the density at each point once.
+One rule sets every support: the probe's node masses, read from the
+exponent it already holds at its nodes, rounded out to powers of two (see
+``_support_edges``).
 The tables call the density with the panel of the node grid that holds
 each point, a slice of whole panels in a build and the panel a lookup has
 located, so only a law's public f (and the probe) searches the nodes.  The
@@ -402,6 +403,25 @@ def _second_order_panels(F_t, m_t, f_t, sig2_t, w):
     return la, lb, q
 
 
+def _suffix_tables(log_B: np.ndarray, lb: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The six S_jk/B at the nodes, shape (6, n + 1) in ``_PAIRS`` order,
+    from log B at the nodes, each panel's log int sf^2/(sigma^2 f) ``lb``
+    and its pair means ``q`` (see ``_second_order_panels``)."""
+    # S_jk may change sign (m_1 < 0 below a negative mean), so the positive
+    # and negative panels of each are accumulated apart, in logs; a part
+    # with no panel would add -0.0 or +0.0 to every entry, and is skipped
+    nu = np.zeros((len(q), len(lb) + 1))
+    with np.errstate(divide="ignore"):
+        for row, q_row in zip(nu, q):
+            log_q = lb + np.log(np.abs(q_row))
+            for sign in (1.0, -1.0):
+                part = sign * q_row > 0.0
+                if part.any():
+                    log_part = np.where(part, log_q, -np.inf)
+                    row[:-1] += sign * np.exp(np.logaddexp.accumulate(log_part[::-1])[::-1] - log_B[:-1])
+    return nu
+
+
 @dataclass(frozen=True)
 class LawPoint:
     """The tabulated quantities of a law at each of an array of n points x.
@@ -413,14 +433,20 @@ class LawPoint:
     ``F``, ``log_A`` and ``log_B`` have length n, ``m`` is (n, 3) and ``nu``
     (n, 3, 3).  ``outside``, always a boolean array of length n, marks the
     points that do not lie strictly inside the support, whose fields are NaN.
+    ``nu`` is formed at its first read, by ``_nu``, so a lookup whose reader
+    never reads it (a time-scheme variance) builds no S_jk table.
     """
 
     F: np.ndarray
     m: np.ndarray
     log_A: np.ndarray
     log_B: np.ndarray
-    nu: np.ndarray
     outside: np.ndarray
+    _nu: Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @cached_property
+    def nu(self) -> np.ndarray:
+        return self._nu()
 
 
 class LawTables:
@@ -437,11 +463,13 @@ class LawTables:
 
     The first-order tables (the trim, F and m) are built with the tables,
     and so with the law; ``cdf``, ``upper_moments``, ``inverse`` and
-    ``support`` read only them.  The variance tables (``log_A``, ``log_B``
-    and ``nu``) are built once, at the first ``at`` or the first read of one
-    of them.  Their pass reuses the
-    density that the first pass kept at the Gauss points, and calls the
-    density only on the nested points.
+    ``support`` read only them.  The variance tables are built once each,
+    by their first reader: ``log_A`` and ``log_B`` at the first ``at`` or
+    the first read of one of them, and ``nu`` at its first read, from the
+    table's own ``nu`` or a lookup's, which only the energy variance makes.
+    The pass of ``log_A`` and ``log_B`` reuses the density that the first
+    pass kept at the Gauss points, calls the density only on the nested
+    points, and keeps the panel sums that ``nu`` accumulates.
 
     Every panel kernel holds the 5 Gauss points on the leading axis and the
     panels on the last one: (5, n) per quantity, (3, 5, n) for the moments
@@ -496,9 +524,10 @@ class LawTables:
         self.m[:, :-1] = np.cumsum(P[:, ::-1], axis=1)[:, ::-1]
 
     @cached_property
-    def _second_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """log A, log B and nu at the nodes, from the variance integrands of
-        every panel, anchored on the first-order tables."""
+    def _second_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """log A and log B at the nodes, from the variance integrands of
+        every panel, anchored on the first-order tables.  The panels'
+        log int sf^2/(sigma^2 f) and pair means are kept for ``nu``."""
         x, F, m, f_t, shift = self.x, self.F, self.m, self._f_t, self._shift
         n = len(x) - 1
         la, lb, q = np.empty(n), np.empty(n), np.empty((len(_PAIRS[0]), n))
@@ -512,20 +541,9 @@ class LawTables:
                 np.square(self.sigma(t)), w
             )
         log_B = np.concatenate([np.logaddexp.accumulate(lb[::-1])[::-1], [-np.inf]])
-        # S_jk may change sign (m_1 < 0 below a negative mean), so the positive
-        # and negative panels of each are accumulated apart, in logs; a part
-        # with no panel would add -0.0 or +0.0 to every entry, and is skipped
-        nu = np.zeros((len(q), n + 1))
-        with np.errstate(divide="ignore"):
-            for row, q_row in zip(nu, q):
-                log_q = lb + np.log(np.abs(q_row))
-                for sign in (1.0, -1.0):
-                    part = sign * q_row > 0.0
-                    if part.any():
-                        log_part = np.where(part, log_q, -np.inf)
-                        row[:-1] += sign * np.exp(np.logaddexp.accumulate(log_part[::-1])[::-1] - log_B[:-1])
+        self._lb, self._q = lb, q
         del self._f_t  # this pass is its only reader
-        return np.concatenate([[-np.inf], np.logaddexp.accumulate(la)]), log_B, nu
+        return np.concatenate([[-np.inf], np.logaddexp.accumulate(la)]), log_B
 
     @property
     def log_A(self) -> np.ndarray:
@@ -535,9 +553,12 @@ class LawTables:
     def log_B(self) -> np.ndarray:
         return self._second_order[1]
 
-    @property
+    @cached_property
     def nu(self) -> np.ndarray:
-        return self._second_order[2]
+        # log_B first: its pass keeps lb and q
+        nu = _suffix_tables(self.log_B, self._lb, self._q)
+        del self._lb, self._q  # this pass is their only reader
+        return nu
 
     @property
     def support(self) -> tuple[float, float]:
@@ -619,18 +640,22 @@ class LawTables:
         log_B_next = self.log_B[j]
         log_B = np.logaddexp(log_B_next, lb)
         shift = np.exp(np.array([log_B_next, lb]) - log_B)
-        pairs = self.nu[:, j] * shift[0] + q * shift[1]
-        # contiguous rows: BLAS rounds the energy form's products on a strided
-        # matrix differently from one point's
-        nu = np.ascontiguousarray(pairs[_SYMMETRIC].T).reshape(n, 3, 3)
+
+        def nu() -> np.ndarray:
+            pairs = self.nu[:, j] * shift[0] + q * shift[1]
+            # contiguous rows: BLAS rounds the energy form's products on a
+            # strided matrix differently from one point's
+            nu = np.ascontiguousarray(pairs[_SYMMETRIC].T).reshape(n, 3, 3)
+            nu[outside] = np.nan
+            return nu
+
         F = self.F[i] + P[0, :n]
         m = np.ascontiguousarray((m_next + P[:, n:]).T)
         log_A = np.logaddexp(self.log_A[i], la)
         if outside.any():
             F, log_A, log_B = (np.where(outside, np.nan, v) for v in (F, log_A, log_B))
             m[outside] = np.nan
-            nu[outside] = np.nan
-        return LawPoint(F=F, m=m, log_A=log_A, log_B=log_B, nu=nu, outside=outside)
+        return LawPoint(F=F, m=m, log_A=log_A, log_B=log_B, outside=outside, _nu=nu)
 
 
 def _tables_law(density: Callable, spec: DiffusionSpec, nodes: np.ndarray, sigma: Callable, label: str,

@@ -8,9 +8,13 @@ O(paths x CHUNK), independent of the horizon, and every path's statistics
 are bit-identical to observing that path on its own.
 
 Each study is a job: its paths, and one function of every path's time
-fraction and energy, in seed order, to the study.  The variance study's
-estimates are two array root finds over all its replications, one per
-scheme (``estimate_theta_time_at`` and ``estimate_theta_energy_at``), so
+fraction and energy, in seed order, to the study.  A job forms the
+energies only when its study reads them: the variance study and an
+energy-scheme error study do, while a time-scheme error study, the
+default, only counts each path's steps above the threshold (see
+``observe_paths``) and its study gets None for the energies.  The variance
+study's estimates are two array root finds over all its replications, one
+per scheme (``estimate_theta_time_at`` and ``estimate_theta_energy_at``), so
 its table lookups do not grow with the number of replications.  With
 ``workers=1`` every job is one kernel call in this process.  With more
 workers the jobs of a run share one fork-started process pool:
@@ -55,8 +59,9 @@ __all__ = [
 class _Job:
     """One study's paths, seeds sim.seed, ..., sim.seed + n_paths - 1, the
     path k observed at theta[k]; ``study`` maps every path's time fraction
-    and energy, in seed order, to the study.  A job with no paths gets two
-    empty arrays."""
+    and energy, in seed order, to the study.  ``energy`` says whether the
+    study reads the energies: where it does not, they are never formed and
+    ``study`` gets None for them.  A job with no paths gets empty arrays."""
 
     spec: DiffusionSpec
     sim: SimConfig
@@ -64,7 +69,8 @@ class _Job:
     theta: np.ndarray
     eps: float
     tau: float
-    study: Callable[[np.ndarray, np.ndarray], Any]
+    study: Callable[[np.ndarray, np.ndarray | None], Any]
+    energy: bool = True
 
 
 # the jobs a pool worker serves; set only in the worker processes, by
@@ -77,17 +83,18 @@ def _adopt_jobs(jobs: list[_Job]) -> None:
     _JOBS = jobs
 
 
-def _run_range(job: _Job, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """The time fractions and energies of seeds lo..hi-1 of a job."""
+def _run_range(job: _Job, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The time fractions and energies (None unless the job reads them) of
+    seeds lo..hi-1 of a job."""
     sim = replace(job.sim, seed=job.sim.seed + lo)
-    return observe_paths(job.spec, sim, hi - lo, job.theta[lo:hi], job.eps, job.tau)
+    return observe_paths(job.spec, sim, hi - lo, job.theta[lo:hi], job.eps, job.tau, job.energy)
 
 
-def _run_adopted(index: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+def _run_adopted(index: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray | None]:
     return _run_range(_JOBS[index], lo, hi)
 
 
-def _finish(job: _Job, outcomes: list[Callable[[], tuple[np.ndarray, np.ndarray]]]) -> Any:
+def _finish(job: _Job, outcomes: list[Callable[[], tuple[np.ndarray, np.ndarray | None]]]) -> Any:
     """The job's study from its ranges' statistics, in seed order.
 
     A stepping error is raised first: a blow-up as one kernel call over
@@ -104,7 +111,7 @@ def _finish(job: _Job, outcomes: list[Callable[[], tuple[np.ndarray, np.ndarray]
     if blowups:
         raise min(blowups, key=lambda exc: exc.step)
     fractions, energies = zip(*parts) if parts else ([np.empty(0)], [np.empty(0)])
-    return job.study(np.concatenate(fractions), np.concatenate(energies))
+    return job.study(np.concatenate(fractions), np.concatenate(energies) if job.energy else None)
 
 
 def _run_jobs(jobs: list[_Job], workers: int) -> list:
@@ -118,9 +125,10 @@ def _run_jobs(jobs: list[_Job], workers: int) -> list:
     every study equals the one-range result bit for bit.  The jobs reach the
     workers by inheritance, because the coefficients (lambdas, compiled
     expressions) and the studies do not pickle; only the range bounds go
-    out and each range's time fractions and energies come back.  A worker
-    only steps paths: each study is reduced once, in this process.  The
-    caller must hold no threads that fork could leave with a held lock.
+    out and each range's time fractions (and energies, where the job reads
+    them) come back.  A worker only steps paths: each study is reduced
+    once, in this process.  The caller must hold no threads that fork could
+    leave with a held lock.
     With one worker, or where fork is not available, each job is one range
     stepped in this process.  Errors are raised as themselves, the same for
     any count (see ``_finish``), jobs in order.
@@ -204,7 +212,7 @@ def _variance_job(
             seeds=(base_seed, base_seed + n_reps - 1),
         )
 
-    return _Job(law.spec, sim, n_reps, np.full(n_reps, float(theta)), eps, tau, study)
+    return _Job(law.spec, sim, n_reps, np.full(n_reps, float(theta)), eps, tau, study, energy=True)
 
 
 def variance_validation_study(
@@ -264,7 +272,7 @@ def _error_job(problem: TestProblem, dt: float, n_paths: int, base_seed: int) ->
     theta = np.where(is_alternative, problem.theta1, problem.theta0)
     sim = SimConfig(T=problem.horizon, dt=dt, seed=base_seed)
 
-    def study(fractions: np.ndarray, energies: np.ndarray) -> ErrorRateStudy:
+    def study(fractions: np.ndarray, energies: np.ndarray | None) -> ErrorRateStudy:
         if report.degenerate:
             decides_alternative = np.full(n_paths, problem.p1 > problem.p0)
         else:
@@ -287,7 +295,8 @@ def _error_job(problem: TestProblem, dt: float, n_paths: int, base_seed: int) ->
 
     # the prior guess needs no path
     stepped = 0 if report.degenerate else n_paths
-    return _Job(problem.law.spec, sim, stepped, theta, problem.eps, problem.tau, study)
+    return _Job(problem.law.spec, sim, stepped, theta, problem.eps, problem.tau, study,
+                energy=problem.scheme == "energy")
 
 
 def error_rate_study(

@@ -818,3 +818,59 @@ def test_import_path_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_time_scheme_readers_build_no_suffix_table(monkeypatch):
+    # the S_jk tables (nu) are read by the energy variance only: a time
+    # lookup, a time-scheme curve and a time-scheme error surface build none
+    # of them, and the first energy lookup builds them once, bit for bit the
+    # tables a lookup of them at once would have
+    from stochres import laws
+    from stochres.estimators import statistic_at
+    from stochres.maptest import p_err_surface
+    from stochres.resonance import resonance_curve
+
+    built = []
+    suffix_tables = laws._suffix_tables
+    monkeypatch.setattr(laws, "_suffix_tables", lambda *args: built.append(1) or suffix_tables(*args))
+    for drift, sigma in ((None, None), ("-x^3", "1")):
+        law = _law(drift, sigma)
+        eps = np.linspace(0.1, 2.0, 20)
+        statistic_at(0.5, 1.0, eps, law, "time")
+        resonance_curve(0.5, 1.0, law, "time", eps)
+        p_err_surface(0.0, [0.3, 0.5], eps, 1.0, 100.0, 0.5, 0.5, law, "time")
+        assert "_second_order" in law.tables.__dict__ and "nu" not in law.tables.__dict__
+        assert built == []
+        energy = statistic_at(0.5, 1.0, eps, law, "energy")
+        assert "nu" in law.tables.__dict__ and built == [1]
+        statistic_at(0.5, 1.0, eps, law, "energy")
+        p_err_surface(0.0, [0.3, 0.5], eps, 1.0, 100.0, 0.5, 0.5, law, "energy")
+        assert built == [1]
+        fresh = _law(drift, sigma)
+        fresh.tables.nu
+        again = statistic_at(0.5, 1.0, eps, fresh, "energy")
+        for a, b in zip(energy, again):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        built.clear()
+
+
+def test_time_scheme_commands_build_no_suffix_table(monkeypatch, tmp_path):
+    from stochres import laws
+    from stochres.cli import main
+
+    built = []
+    suffix_tables = laws._suffix_tables
+    monkeypatch.setattr(laws, "_suffix_tables", lambda *args: built.append(1) or suffix_tables(*args))
+    cubic = ["--drift=-x^3", "--sigma", "1"]
+    for argv, builds in (
+        (["resonance", "--scheme", "time", "--grid", "0.3:1.5:0.1"], 0),
+        (["resonance", "--scheme", "time", "--grid", "0.3:1.5:0.1", *cubic], 0),
+        (["test", "--scheme", "time", "--T", "100", "--grid", "0.3:1.0:0.35", "--theta-grid", "0.4:0.6:0.2"], 0),
+        (["test", "--scheme", "time", "--T", "100", "--grid", "0.3:1.0:0.35", "--theta-grid", "0.4:0.6:0.2",
+          *cubic], 0),
+        (["resonance", "--scheme", "energy", "--grid", "0.3:1.5:0.1"], 1),
+        (["test", "--scheme", "energy", "--T", "100", "--grid", "0.3:1.0:0.35", "--theta-grid", "0.4:0.6:0.2"], 1),
+    ):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert len(built) == builds, argv
+        built.clear()

@@ -423,3 +423,87 @@ def test_observe_paths_validation():
         observe_paths(OU, cfg, 0, 0.5, 0.7, 1.0)
     with pytest.raises(ValueError):
         observe_paths(OU, cfg, 2, 0.5, 0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# non-finite observations
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("energy", [math.nan, math.inf])
+def test_observation_summary_requires_a_finite_energy(energy):
+    with pytest.raises(ValueError, match="energy must be finite and nonnegative"):
+        ObservationSummary(time_fraction=0.5, energy=energy, horizon=1.0)
+
+
+def test_observe_rejects_a_stored_path_with_nan():
+    # NaN > tau is False: the time fraction alone would count it below
+    with pytest.raises(ValueError, match="energy must be finite"):
+        observe(make_traj([0.5, math.nan, 2.0, 2.0]), tau=1.0)
+
+
+@pytest.mark.parametrize("theta, eps, named", [
+    (math.nan, 0.7, "theta"), (math.inf, 0.7, "theta"), (-math.inf, 0.7, "theta"),
+    (0.5, math.nan, "eps"), (0.5, math.inf, "eps"),
+])
+def test_perturb_and_observe_paths_reject_a_non_finite_channel(theta, eps, named):
+    path = make_traj([0.0, 1.0, -2.0, 0.5])
+    with pytest.raises(ValueError, match=f"{named} must be finite"):
+        perturb(path, theta, eps)
+    cfg = SimConfig(T=1.0, dt=0.1, seed=3)
+    per_path = np.array([0.5, theta, 0.5])
+    for energy in (True, False):
+        with pytest.raises(ValueError, match=f"{named} must be finite"):
+            observe_paths(OU, cfg, 3, theta, eps, 1.0, energy=energy)
+        with pytest.raises(ValueError, match=f"{named} must be finite"):
+            observe_paths(OU, cfg, 3, per_path, eps, 1.0, energy=energy)
+
+
+# ---------------------------------------------------------------------------
+# the counting route: time fractions without energies
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_steps", [1, CHUNK - 1, CHUNK + 1, _NORMALS_BLOCK + 3, 2 * _NORMALS_BLOCK + CHUNK + 7])
+@pytest.mark.parametrize("n_paths", [1, 257])
+def test_counted_fractions_equal_observed_ones_off_the_chunk_and_block_grid(n_steps, n_paths):
+    cfg = SimConfig(T=n_steps * 0.01, dt=0.01, seed=900)
+    assert cfg.n_steps == n_steps
+    # one theta per path: three levels, the threshold among them
+    theta = np.array([0.0, 0.5, 1.0])[np.arange(n_paths) % 3]
+    for spec in (OU, TANH):
+        counted, none = observe_paths(spec, cfg, n_paths, theta, 0.7, 1.0, energy=False)
+        assert none is None
+        observed, energies = observe_paths(spec, cfg, n_paths, theta, 0.7, 1.0)
+        assert counted.shape == observed.shape == energies.shape == (n_paths,)
+        assert counted.tobytes() == observed.tobytes(), spec.label
+        for k in sorted({0, n_paths // 2, n_paths - 1}):
+            traj = simulate_path(spec, SimConfig(T=cfg.T, dt=cfg.dt, seed=900 + k))
+            assert counted[k] == observe(perturb(traj, theta[k], 0.7), 1.0).time_fraction, (spec.label, k)
+
+
+# x^3 from 0 at dt 0.05: seeds 8 and 9 leave the bound within 20 steps, the
+# lower ones later; x from 0 at dt 0.1: every path leaves it in the second chunk
+@pytest.mark.parametrize("drift, cfg, named, step", [
+    (lambda x: x**3, SimConfig(T=1.0, dt=0.05, seed=5), 8, 20),
+    (compile_expression("x"), SimConfig(T=100.0, dt=0.1, seed=30), 30, 2 * CHUNK),
+], ids=["cubic", "linear"])
+def test_a_blowup_names_the_same_seed_and_step_on_both_routes(drift, cfg, named, step):
+    spec = DiffusionSpec(drift, compile_expression("1"))
+    raised = []
+    for energy in (True, False):
+        with pytest.raises(NumericBlowup, match=f"seed {named};") as info:
+            observe_paths(spec, cfg, 6, 0.0, 1.0, 1.0, energy=energy)
+        assert info.value.step == step
+        raised.append(str(info.value))
+    assert raised[0] == raised[1]
+
+
+@pytest.mark.parametrize("n_steps", [CHUNK, 3 * CHUNK + 1])
+def test_a_chunk_wholly_above_the_threshold_counts_every_step(n_steps):
+    # a whole chunk above tau is the largest count of one chunk, CHUNK
+    cfg = SimConfig(T=n_steps * 0.01, dt=0.01, seed=4)
+    for energy in (True, False):
+        fractions, _ = observe_paths(OU, cfg, 3, 50.0, 0.1, 1.0, energy=energy)
+        assert fractions.tolist() == [1.0, 1.0, 1.0]
+    assert observe(make_traj(np.full(n_steps + 1, 2.0)), tau=1.0).time_fraction == 1.0

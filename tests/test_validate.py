@@ -305,3 +305,28 @@ def test_studies_are_reduced_in_this_process(law, monkeypatch):
     variance, _ = validation_studies(problem, 0.5, 0.7, 20.0, 0.01, 7, 9, base_seed=3, workers=2)
     assert calls == [7] and variance.n_reps == 7
     assert multiprocessing.active_children() == []
+
+
+def test_only_energy_readers_ask_for_energies(law, monkeypatch):
+    # the time-scheme error study counts its paths' steps above the
+    # threshold; the variance study and an energy-scheme error study read
+    # the energies.  Forming energies nobody reads changes no study.
+    asked = []
+
+    def recording(spec, cfg, n_paths, theta, eps, tau, energy=True):
+        asked.append(energy)
+        return observe_paths(spec, cfg, n_paths, theta, eps, tau, energy)
+
+    monkeypatch.setattr("stochres.validate.observe_paths", recording)
+    for scheme, expected in (("time", [True, False]), ("energy", [True, True])):
+        problem = Problem(0.0, 0.5, 0.5, 0.5, 1.0, 0.7, 50.0, law, scheme)
+        asked.clear()
+        studies = validation_studies(problem, 0.5, 0.7, 20.0, 0.01, 10, 40, base_seed=3)
+        assert asked == expected, scheme
+        asked.clear()
+        assert error_rate_study(problem, 0.01, 40, base_seed=13) == studies[1]
+        assert asked == expected[1:], scheme
+        with monkeypatch.context() as patch:
+            patch.setattr("stochres.validate.observe_paths",
+                          lambda *args: observe_paths(*args[:6], energy=True))
+            assert validation_studies(problem, 0.5, 0.7, 20.0, 0.01, 10, 40, base_seed=3) == studies
