@@ -23,7 +23,9 @@ from coefficients hands the tables the mass at the Gauss points that G
 summed, divided by G, so a build computes the density at each point once.
 One rule sets every support: the probe's node masses, read from the
 exponent it already holds at its nodes, rounded out to powers of two (see
-``_support_edges``).
+``_support_edges``).  The probe has a node grid of its own, 0.05 apart
+over [-50, 50] (``_PROBE_SPACING``); the support grid and every table keep
+the spacing 0.005 (``_NODE_SPACING``).
 The tables call the density with the panel of the node grid that holds
 each point, a slice of whole panels in a build and the panel a lookup has
 located, so only a law's public f (and the probe) searches the nodes.  The
@@ -41,6 +43,7 @@ more from its first row.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -84,7 +87,13 @@ _PROBE_RANGE = Bracket(-50.0, 50.0)
 _PROBE_ENDS = np.array([_PROBE_RANGE.lo, _PROBE_RANGE.hi])
 # the support edges: powers of two from 1 up to the first past the probe range
 _EDGES = 2.0 ** np.arange(7)
+# the node spacing of the support grid and every table
 _NODE_SPACING = 0.005
+# the probe's own node spacing, ten times coarser: it reads the exponent at
+# four points, the mass at the probe ends and the node masses rounded out to
+# powers of two, so its nodes set the edges that nodes _NODE_SPACING apart
+# would unless a power of two lies between the outermost live nodes of the two
+_PROBE_SPACING = 10 * _NODE_SPACING
 
 # index pairs j <= k of the six suffix tables S_jk, and the pair of each
 # entry of the symmetric 3 x 3 matrix, row by row
@@ -201,11 +210,12 @@ def _support_edges(nodes: np.ndarray, mass: np.ndarray) -> tuple[float, float]:
             min(float(_EDGES[_EDGES > live[-1]][0]), _PROBE_RANGE.hi))
 
 
-def _node_grid(lo: float, hi: float) -> tuple[np.ndarray, int]:
-    """Nodes ``_NODE_SPACING`` apart over [lo, hi], lo < 0 < hi, with 0 among
-    them, and the index of 0."""
-    n_left = max(int(round(-lo / _NODE_SPACING)), 8)
-    n_right = max(int(round(hi / _NODE_SPACING)), 8)
+def _node_grid(lo: float, hi: float, spacing: float) -> tuple[np.ndarray, int]:
+    """Nodes ``spacing`` apart over [lo, hi], lo < 0 < hi, with 0 among
+    them, and the index of 0: ``_PROBE_SPACING`` for the probe,
+    ``_NODE_SPACING`` for a support and its tables."""
+    n_left = max(int(round(-lo / spacing)), 8)
+    n_right = max(int(round(hi / spacing)), 8)
     nodes = np.concatenate([np.linspace(lo, 0.0, n_left + 1)[:-1], np.linspace(0.0, hi, n_right + 1)])
     return nodes, n_left
 
@@ -268,8 +278,8 @@ def _probe(spec: DiffusionSpec) -> tuple[tuple[float, float], list[str], np.ndar
     """The exponent int_0^x S/sigma^2 at both probe ends, the reason for
     each failed c2 condition, the unnormalized mass at the probe ends, the
     support edges, and the array forms of the drift and the diffusion,
-    lifted from the probe's node grid.  Nothing of the probe's node grid
-    outlives the call.
+    lifted from the probe's own node grid, ``_PROBE_SPACING`` apart.
+    Nothing of that grid outlives the call.
 
     The support edges come from the mass at every probe node, read from the
     exponent at the nodes (see ``_support_edges``); the mass function itself
@@ -279,7 +289,7 @@ def _probe(spec: DiffusionSpec) -> tuple[tuple[float, float], list[str], np.ndar
     finite at some node makes the support the whole probe range, where G
     sums it."""
     lo, hi = _PROBE_RANGE.lo, _PROBE_RANGE.hi
-    nodes, zero_idx = _node_grid(lo, hi)
+    nodes, zero_idx = _node_grid(lo, hi, _PROBE_SPACING)
     drift, sigma = _array_form(spec.drift, nodes), _array_form(spec.diffusion, nodes)
     sig = sigma(nodes)
     bad = ~(np.isfinite(drift(nodes)) & np.isfinite(sig) & (sig > 0))
@@ -308,7 +318,7 @@ def _support_mass(spec: DiffusionSpec) -> tuple[ErgodicityReport, list[str], np.
     layout, and the diffusion's array form.  G, the one normalizer, is the
     panel sum of those Gauss-point masses."""
     (left, right), c2_failures, end_mass, edges, (drift, sigma) = _probe(spec)
-    nodes, zero_idx = _node_grid(*edges)
+    nodes, zero_idx = _node_grid(*edges, _NODE_SPACING)
     mass = _mass(drift, sigma, nodes, zero_idx)[2]
     t, w = _gauss_rule(nodes[:-1], nodes[1:])
     mass_t = mass(t, slice(None))
@@ -330,15 +340,17 @@ def _support_mass(spec: DiffusionSpec) -> tuple[ErgodicityReport, list[str], np.
 def check_ergodicity(spec: DiffusionSpec) -> ErgodicityReport:
     """Probe the ergodicity conditions at finite range.
 
-    int_0^x S/sigma^2 is the law's exponent on nodes ``_NODE_SPACING`` apart
-    over the fixed probe range [-50, 50]; c2 holds when it is negative and
-    still falling at both probe ends.  c3 holds when G, the panel sum of the
-    mass over the support that ``build_invariant_law`` builds on, is finite
-    and positive and the mass has decayed at both probe ends,
-    mass(x)*|x| <= REL_TOL*G: about REL_TOL of G lies past x for a tail
-    falling at least like |x|^-2.  The support is the whole probe range when
-    the largest node mass is not finite (see ``_support_edges``), so a mass
-    that is infinite at a probe node fails c3.
+    int_0^x S/sigma^2 is the law's exponent on the probe's own nodes,
+    ``_PROBE_SPACING`` (0.05) apart over the fixed probe range [-50, 50]; c2
+    holds when it is negative and still falling at both probe ends.  c3
+    holds when G, the panel sum of the mass over the support that
+    ``build_invariant_law`` builds on (nodes ``_NODE_SPACING`` apart, as
+    its tables), is finite and positive and the mass has decayed at both
+    probe ends, mass(x)*|x| <= REL_TOL*G: about REL_TOL of G lies past x
+    for a tail falling at least like |x|^-2.  The support is the whole
+    probe range when the largest node mass is not finite (see
+    ``_support_edges``), so a mass that is infinite at a probe node fails
+    c3.
     """
     return _support_mass(spec)[0]
 
@@ -730,10 +742,11 @@ def ou_law() -> InvariantLaw:
     rule gives exp(-x^2), which falls below ``_MASS_FLOOR`` of its peak
     near |x| = 26.3 (see ``_support_edges``).  The diffusion is the
     compiled constant ``1``, so paths of this law take the steppers'
-    constant-diffusion route.
+    constant-diffusion route.  The drift is ``operator.neg``: -x on floats
+    and arrays alike, which a single-path step calls without a Python frame.
     """
-    spec = DiffusionSpec(drift=lambda x: -x, diffusion=compile_expression("1"), label="ou")
-    nodes = _node_grid(-32.0, 32.0)[0]
+    spec = DiffusionSpec(drift=operator.neg, diffusion=compile_expression("1"), label="ou")
+    nodes = _node_grid(-32.0, 32.0, _NODE_SPACING)[0]
     report = ErgodicityReport(c2_left_limit=-1250.0, c2_right_limit=-1250.0, G=_SQRT_PI, c2_holds=True, c3_holds=True)
     return _tables_law(lambda x, i: np.exp(-np.square(x)) / _SQRT_PI, spec, nodes, _array_form(spec.diffusion, nodes),
                        "ou", report)

@@ -182,6 +182,98 @@ def test_probe_reads_the_mass_only_where_it_searches(monkeypatch, drift):
     assert support == [5 * (n - 1), n]
 
 
+def _c2_failure(end, e, e_mid):
+    return f"int_0^x S/sigma^2 does not fall toward -inf at the probe end x={end} ({e}, {e_mid} at x/2)"
+
+
+def _undecayed(ratio):
+    return "; ".join(f"the stationary mass has not decayed at the probe end x={end} "
+                     f"(tail ratio mass*|x|/G = {ratio} > 1e-09)" for end in (-50, 50))
+
+
+# (drift, sigma, c2, c3, support edges or the NotErgodic message): the README
+# and benchmark laws, shifted and narrow laws, steep and multi-well drifts,
+# and laws that fail c2, c3 or both.  The values were recorded with the
+# probe on nodes 0.005 apart, the support's spacing; its own coarser grid
+# must give the same.
+_PROBE_PANEL = [
+    ("-x^3", "1", True, True, (-8.0, 8.0)),
+    ("-tanh(x)", "1+0.5*exp(-x^2)", True, True, (-50.0, 50.0)),
+    ("-x", "1", True, True, (-32.0, 32.0)),
+    ("-4*x", "2", True, True, (-32.0, 32.0)),
+    ("-(x-20)", "1", True, True, (-8.0, 50.0)),
+    ("-(x+20)", "1", True, True, (-50.0, 8.0)),
+    ("-x", "0.001", True, True, (-1.0, 1.0)),
+    ("-x", "0.01", True, True, (-1.0, 1.0)),
+    ("-x", "0.05", True, True, (-2.0, 2.0)),
+    ("-x", "0.1", True, True, (-4.0, 4.0)),
+    ("-x", "0.3", True, True, (-8.0, 8.0)),
+    ("-x", "3", True, True, (-50.0, 50.0)),
+    ("-x", "10", True, True, (-50.0, 50.0)),
+    ("-x", "30", True, False, "ergodicity checks failed: " + _undecayed("0.0596")),
+    ("-(x-3)^3", "0.5", True, True, (-2.0, 8.0)),
+    ("-x^3", "0.2", True, True, (-4.0, 4.0)),
+    ("-x^3", "0.05", True, True, (-2.0, 2.0)),
+    ("-x^5", "1", True, True, (-4.0, 4.0)),
+    ("-x^9", "1", True, True, (-4.0, 4.0)),
+    ("x-x^3", "1", True, True, (-8.0, 8.0)),
+    ("2*x-x^3", "1", True, True, (-8.0, 8.0)),
+    ("x-x^3", "0.3", True, True, (-4.0, 4.0)),
+    ("-x*(x^2-1)*(x^2-4)", "1", True, True, (-4.0, 4.0)),
+    ("-x*(x^2-1)*(x^2-4)", "0.5", True, True, (-4.0, 4.0)),
+    ("-tanh(5*x)", "1", True, True, (-50.0, 50.0)),
+    ("-tanh(x)", "1", True, True, (-50.0, 50.0)),
+    ("-3*(x-1)", "0.7", True, True, (-16.0, 16.0)),
+    ("1000*x", "1", False, False,
+     "ergodicity checks failed: " + _c2_failure(-50, "1.25e+06", "312500") + "; "
+     + _c2_failure(50, "1.25e+06", "312500") + "; the stationary mass sums to G=inf on the probe range"),
+    ("0", "1", False, False,
+     "ergodicity checks failed: " + _c2_failure(-50, 0, 0) + "; " + _c2_failure(50, 0, 0) + "; " + _undecayed("0.5")),
+    ("x", "1", False, False,
+     "ergodicity checks failed: " + _c2_failure(-50, 1250, 312.5) + "; " + _c2_failure(50, 1250, 312.5)
+     + "; the stationary mass sums to G=inf on the probe range"),
+    ("-x/(1+x^2)", "1", True, False, "ergodicity checks failed: " + _undecayed("0.00645")),
+    ("-x/(2*(1+x^2))", "1", True, False, "ergodicity checks failed: " + _undecayed("0.109")),
+    ("-x", "1+x^2", True, False, "ergodicity checks failed: " + _undecayed("2.34e-06")),
+    ("-x^3", "1+x^2", True, False, "ergodicity checks failed: " + _undecayed("6.12e-09")),
+    ("-x^3", "exp(x)", False, True, "ergodicity checks failed: " + _c2_failure(50, -0.375, -0.375)),
+]
+
+
+@pytest.mark.parametrize("drift, sigma, c2, c3, outcome", _PROBE_PANEL)
+def test_probe_sets_the_supports_verdicts_and_messages(drift, sigma, c2, c3, outcome):
+    spec = DiffusionSpec(compile_expression(drift), compile_expression(sigma))
+    report = check_ergodicity(spec)
+    assert (report.c2_holds, report.c3_holds) == (c2, c3)
+    if isinstance(outcome, tuple):
+        law = build_invariant_law(spec)
+        assert (law.grid_x[0], law.grid_x[-1]) == outcome
+        return
+    with pytest.raises(NotErgodic) as raised:
+        build_invariant_law(spec)
+    assert str(raised.value) == outcome
+
+
+def test_probe_lays_its_own_coarse_grid():
+    # the probe calls the drift at its 2 001 nodes (twice: the lift to an
+    # array form and the finite check) and at 5 Gauss points of each of its
+    # 2 000 panels, 14 002 points; nodes 0.005 apart would take 140 002
+    from stochres import laws
+
+    seen = []
+
+    def drift(x):
+        seen.append(np.size(x))
+        return -np.asarray(x, dtype=float) ** 3
+
+    spec = DiffusionSpec(drift, compile_expression("1"))
+    laws._probe(spec)
+    assert sum(seen) <= 15_000
+    # the support grid and its tables keep the finer spacing
+    law = build_invariant_law(spec)
+    assert np.diff(law.grid_x).max() == pytest.approx(0.005, rel=1e-9)
+
+
 def test_nonpositive_diffusion_rejected():
     with pytest.raises(ValueError):
         check_ergodicity(DiffusionSpec(lambda x: -x, lambda x: 0.0))
@@ -294,10 +386,17 @@ def test_quantile_of_an_array_is_the_quantile_of_each_level(ou, ou_numeric):
 
 
 def test_probe_range_sets_c2_limits():
-    # for drift -x the probe integral is -probe^2/2 at either end of +-50
-    report = check_ergodicity(DiffusionSpec(lambda x: -x, lambda x: 1.0))
-    assert report.c2_left_limit == pytest.approx(-1250.0, rel=1e-12)
-    assert report.c2_right_limit == pytest.approx(-1250.0, rel=1e-12)
+    # for drift -x^k the probe integral is -50^(k+1)/(k+1) at either end of
+    # +-50; the 5-point rule is exact on these polynomials, so only rounding
+    # separates the probe's exponent from it
+    for spec, limit in [
+        (DiffusionSpec(lambda x: -x, lambda x: 1.0), -1250.0),
+        (DiffusionSpec(compile_expression("-x^3"), compile_expression("1")), -1562500.0),
+        (DiffusionSpec(compile_expression("-x^5"), compile_expression("1")), -(50.0**6) / 6.0),
+    ]:
+        report = check_ergodicity(spec)
+        assert report.c2_left_limit == pytest.approx(limit, rel=2e-15, abs=0.0)
+        assert report.c2_right_limit == pytest.approx(limit, rel=2e-15, abs=0.0)
 
 
 def test_scalar_only_and_constant_coefficients_build_the_compiled_law():
