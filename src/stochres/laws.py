@@ -92,7 +92,8 @@ _NODE_SPACING = 0.005
 # the probe's own node spacing, ten times coarser: it reads the exponent at
 # four points, the mass at the probe ends and the node masses rounded out to
 # powers of two, so its nodes set the edges that nodes _NODE_SPACING apart
-# would unless a power of two lies between the outermost live nodes of the two
+# would, unless a power of two lies between the two grids' outermost nodes
+# above the mass floor
 _PROBE_SPACING = 10 * _NODE_SPACING
 
 # index pairs j <= k of the six suffix tables S_jk, and the pair of each
