@@ -21,11 +21,21 @@ too.  The variance tables are built by their first reader: A and B at the
 first variance lookup, the S_jk at the first energy variance.  A law built
 from coefficients hands the tables the mass at the Gauss points that G
 summed, divided by G, so a build computes the density at each point once.
-One rule sets every support: the probe's node masses, read from the
-exponent it already holds at its nodes, rounded out to powers of two (see
-``_support_edges``).  The probe has a node grid of its own, 0.05 apart
-over [-50, 50] (``_PROBE_SPACING``); the support grid and every table keep
-the spacing 0.005 (``_NODE_SPACING``).
+One rule lays every support grid (``_support_grid``), from the log-mass
+at the probe's nodes, 0.05 apart over [-50, 50] (``_PROBE_SPACING``): it
+takes the probe panels that hold mass above ``_MASS_FLOOR`` of the peak,
+with one panel of margin on each side, and splits each into equal panels
+no wider than ``_MAX_WIDTH`` (0.0125), across which the log-mass falls by
+about ``_MAX_FALL`` (1) at most.  A law built from coefficients reads the
+log-mass from the exponent its probe already holds, the closed-form law
+passes its exact -x^2, and each cuts the grid to the nodes whose mass is
+above the floor, so the tables take the grid as it is.  The two constants
+were chosen against the same rule at an eighth of both: on 13 laws (OU,
+-x, -x^3, -x^5, -x^7, -x^9, 2*x-x^3 and -tanh(x) at sigma 1, with
+1+0.5*exp(-x^2) too, -x at sigma 0.3, 0.01 and 0.001, and -x^3 at 0.05)
+the Fisher information of both schemes at theta = 0.5, tau = 1 and 30
+noise levels from 0.1 to 3 (times 1/sigma for the three narrow laws)
+stays within 1.1e-12 of it, relative.
 The tables call the density with the panel of the node grid that holds
 each point, a slice of whole panels in a build and the panel a lookup has
 located, so only a law's public f (and the probe) searches the nodes.  The
@@ -83,18 +93,21 @@ _PARTIAL = np.ascontiguousarray(
 
 # the support ends where the stationary mass falls below this fraction of its peak
 _MASS_FLOOR = 1e-300
+_LOG_FLOOR = math.log(_MASS_FLOOR)
 _PROBE_RANGE = Bracket(-50.0, 50.0)
 _PROBE_ENDS = np.array([_PROBE_RANGE.lo, _PROBE_RANGE.hi])
-# the support edges: powers of two from 1 up to the first past the probe range
-_EDGES = 2.0 ** np.arange(7)
-# the node spacing of the support grid and every table
-_NODE_SPACING = 0.005
-# the probe's own node spacing, ten times coarser: it reads the exponent at
-# four points, the mass at the probe ends and the node masses rounded out to
-# powers of two, so its nodes set the edges that nodes _NODE_SPACING apart
-# would, unless a power of two lies between the two grids' outermost nodes
-# above the mass floor
-_PROBE_SPACING = 10 * _NODE_SPACING
+# the probe's node spacing; the support grid splits each probe panel it spans
+_PROBE_SPACING = 0.05
+# the support grid's rule: no panel wider than _MAX_WIDTH, and the log-mass
+# falls by about _MAX_FALL at most across one (see _support_grid)
+_MAX_WIDTH = 0.0125
+_MAX_FALL = 1.0
+# a build refuses a grid with a panel across which the log-density falls by
+# more than this (between the panel's outer Gauss points): the rule leaves
+# such panels only past the edge of a law narrower than about 3e-4 (standard
+# deviation), where it caps the falls it resolves (see _support_grid); tables
+# across them lose their accuracy, and turn NaN at a fall of about 10
+_UNRESOLVED_FALL = 4.0 * _MAX_FALL
 
 # index pairs j <= k of the six suffix tables S_jk, and the pair of each
 # entry of the symmetric 3 x 3 matrix, row by row
@@ -129,7 +142,8 @@ class ErgodicityReport:
     stationary mass must be finite (c3): its panel sum G over the support
     is finite and it has decayed at both probe ends (else G is inf).  G is
     the normalizer of the law built from the same coefficients, to the bit.
-    The support is set by the probe's node masses (see ``_support_edges``).
+    The support is set by the log-mass at the probe's nodes (see
+    ``_support_grid``).
     Every law carries one: a law built from coefficients the report its
     build checked, the closed-form law its exact one.
     """
@@ -196,29 +210,57 @@ def _moments(t: np.ndarray, wf: np.ndarray) -> np.ndarray:
     return np.array([wf.sum(0), wft.sum(0), (wft * t).sum(0)])
 
 
-def _support_edges(nodes: np.ndarray, mass: np.ndarray) -> tuple[float, float]:
-    """The support of the unnormalized ``mass`` at the probe's ``nodes``:
-    each edge is the smallest of the powers of two 1, 2, 4, ... that lies
-    beyond every node whose mass exceeds ``_MASS_FLOOR`` times the largest
-    node mass, capped at ``_PROBE_RANGE``.  A largest mass that is not
-    finite and positive bounds nothing: the support is then the whole probe
-    range."""
-    peak = float(mass.max())
-    if not (math.isfinite(peak) and peak > 0):
-        return _PROBE_RANGE.lo, _PROBE_RANGE.hi
-    live = nodes[mass > _MASS_FLOOR * peak]
-    return (max(-float(_EDGES[_EDGES > -live[0]][0]), _PROBE_RANGE.lo),
-            min(float(_EDGES[_EDGES > live[-1]][0]), _PROBE_RANGE.hi))
+def _probe_grid() -> np.ndarray:
+    """The probe's nodes, ``_PROBE_SPACING`` apart over ``_PROBE_RANGE``,
+    with 0 among them."""
+    n = int(round(_PROBE_RANGE.hi / _PROBE_SPACING))
+    return np.concatenate([np.linspace(_PROBE_RANGE.lo, 0.0, n + 1)[:-1], np.linspace(0.0, _PROBE_RANGE.hi, n + 1)])
 
 
-def _node_grid(lo: float, hi: float, spacing: float) -> tuple[np.ndarray, int]:
-    """Nodes ``spacing`` apart over [lo, hi], lo < 0 < hi, with 0 among
-    them, and the index of 0: ``_PROBE_SPACING`` for the probe,
-    ``_NODE_SPACING`` for a support and its tables."""
-    n_left = max(int(round(-lo / spacing)), 8)
-    n_right = max(int(round(hi / spacing)), 8)
-    nodes = np.concatenate([np.linspace(lo, 0.0, n_left + 1)[:-1], np.linspace(0.0, hi, n_right + 1)])
-    return nodes, n_left
+def _live(log_mass: np.ndarray) -> slice:
+    """The slice from the first to the last entry of ``log_mass`` above
+    ``_LOG_FLOOR`` below its largest (NaN entries aside); all of it when
+    that level is not finite."""
+    floor = np.fmax.reduce(log_mass) + _LOG_FLOOR
+    live = np.flatnonzero(log_mass > floor) if np.isfinite(floor) else [0, len(log_mass) - 1]
+    return slice(live[0], live[-1] + 1)
+
+
+def _support_grid(nodes: np.ndarray, log_mass: np.ndarray) -> np.ndarray:
+    """The support's node grid, from the log-mass at the probe's ``nodes``.
+
+    The grid spans the probe panels from one node before the first to one
+    node past the last whose mass is above ``_MASS_FLOOR`` of the largest
+    (see ``_live``), widened to 0 if need be, so that 0 stays a node.  Each
+    of those panels is split into max(ceil(_PROBE_SPACING/_MAX_WIDTH),
+    ceil(fall/_MAX_FALL)) equal panels, fall being the largest change of
+    the log-mass across the panel or either neighbour.  An even split by
+    the panel's own change leaves its steep end more than the mean fall
+    (twice it, for a log-mass falling quadratically from its peak: 2.0 on
+    -x at sigma = 0.01); the steeper neighbour bounds the slope where it
+    grows monotonically.
+
+    Before the falls are taken the log-mass is raised to twice the floor's
+    depth (2 * 690.8) below its largest value.  That touches only a panel
+    that ends far below the floor: the one past the last live node of a
+    law narrower than about 0.003 (standard deviation), or one of a mass
+    whose log rises far from 0.  It bounds the grid for any law, at about
+    4 * 690.8/_MAX_FALL panels per mode plus the span over _MAX_WIDTH.  A
+    narrower law's last live panels fall by more than _MAX_FALL, and a
+    build refuses a law where one falls by more than ``_UNRESOLVED_FALL``.
+    """
+    live = _live(log_mass)
+    zero = int(nodes.searchsorted(0.0))
+    lo, hi = max(min(live.start - 1, zero), 0), min(max(live.stop, zero), len(nodes) - 1)
+    # a largest log-mass that is not finite makes every fall NaN: each panel is then split the fewest times
+    with np.errstate(invalid="ignore"):
+        fall = np.abs(np.diff(np.fmax(log_mass[lo : hi + 1], np.fmax.reduce(log_mass) + 2.0 * _LOG_FLOOR)))
+    steep = np.fmax.reduce([fall, np.r_[fall[1:], 0.0], np.r_[0.0, fall[:-1]]])
+    splits = np.fmax(np.ceil(steep / _MAX_FALL), _PROBE_SPACING / _MAX_WIDTH).astype(int)
+    panel = np.repeat(np.arange(lo, hi), splits)
+    # each node's fractional index in the probe grid: its panel k, plus j/splits for the j-th node of panel k
+    at = panel + (np.arange(len(panel)) - panel.searchsorted(panel)) / splits[panel - lo]
+    return np.interp(np.append(at, hi), np.arange(len(nodes)), nodes)
 
 
 def _panel_of(nodes: np.ndarray, x):
@@ -229,19 +271,23 @@ def _panel_of(nodes: np.ndarray, x):
 
 
 def _mass(drift: Callable, sigma: Callable, nodes: np.ndarray,
-          zero_idx: int) -> tuple[np.ndarray, Callable, Callable]:
-    """The exponent int_0^x S/sigma^2 at the nodes, the exponent, and the
-    unnormalized stationary mass exp(2*exponent)/sigma^2, from the array
-    forms of the coefficients.  The two functions take (x, i): x, scalar or
-    array, lies in the panels i of ``nodes``
-    (panel k is [nodes[k], nodes[k+1]]).  i broadcasts along the last axis
-    of x: an index array, or a slice when that axis runs over consecutive
-    panels, whose coefficients are then read as views.  Neither searches
-    the nodes (``_panel_of`` does, for callers that do not know the panel).
+          trim: bool = False) -> tuple[np.ndarray, np.ndarray, Callable, Callable]:
+    """The nodes, the exponent int_0^x S/sigma^2 at them, the exponent, and
+    the unnormalized stationary mass exp(2*exponent)/sigma^2, from the array
+    forms of the coefficients; 0 is one of the ``nodes``.  The two
+    functions take (x, i): x, scalar or array, lies in the panels i of the
+    nodes returned (panel k is [nodes[k], nodes[k+1]]).  i broadcasts along
+    the last axis of x: an index array, or a slice when that axis runs over
+    consecutive panels, whose coefficients are then read as views.  Neither
+    searches the nodes (``_panel_of`` does, for callers that do not know the
+    panel).  With ``trim`` the nodes are cut, once the exponent is known at
+    them, to the first through the last whose mass is above ``_MASS_FLOOR``
+    of the largest node mass (see ``_live``), so every node mass of the
+    grid is a normal double.
 
     At the nodes the exponent is a prefix of 5-point Gauss-Legendre panels,
-    accumulated outward from ``nodes[zero_idx] = 0`` so that rounding stays
-    relative to |exponent|.  Between nodes it adds half * Q(u),
+    accumulated outward from the node 0 so that rounding stays relative to
+    |exponent|.  Between nodes it adds half * Q(u),
     u = (x - mid)/half, the partial panel of the polynomial through the
     panel's five Gauss values of S/sigma^2 (a fresh Gauss rule on [x_i, x]
     would call the coefficients five times per density point, and the tables
@@ -253,10 +299,15 @@ def _mass(drift: Callable, sigma: Callable, nodes: np.ndarray,
     sig_t = sigma(t)
     s_gauss = drift(t) / (sig_t * sig_t)
     panels = half * (s_gauss @ _GL_W)
+    zero = int(nodes.searchsorted(0.0))
     at_nodes = np.zeros(len(nodes))
-    np.cumsum(panels[zero_idx:], out=at_nodes[zero_idx + 1 :])
-    at_nodes[:zero_idx] = -np.cumsum(panels[:zero_idx][::-1])[::-1]
+    np.cumsum(panels[zero:], out=at_nodes[zero + 1 :])
+    at_nodes[:zero] = -np.cumsum(panels[:zero][::-1])[::-1]
     partial = (half[:, None] * (s_gauss @ _PARTIAL)).T
+    if trim:
+        keep = _live(2.0 * at_nodes - np.log(np.square(sigma(nodes))))
+        cut = slice(keep.start, keep.stop - 1)  # the panels between the nodes kept
+        nodes, at_nodes, half, mid, partial = nodes[keep], at_nodes[keep], half[cut], mid[cut], partial[:, cut]
     at_left = at_nodes[:-1]  # per panel, as half, mid and partial are
 
     def exponent(x, i):
@@ -271,56 +322,52 @@ def _mass(drift: Callable, sigma: Callable, nodes: np.ndarray,
         with np.errstate(over="ignore"):
             return np.exp(2.0 * exponent(x, i)) / (sig * sig)
 
-    return at_nodes, exponent, mass
+    return nodes, at_nodes, exponent, mass
 
 
-def _probe(spec: DiffusionSpec) -> tuple[tuple[float, float], list[str], np.ndarray, tuple[float, float],
+def _probe(spec: DiffusionSpec) -> tuple[tuple[float, float], list[str], np.ndarray, np.ndarray,
                                          tuple[Callable, Callable]]:
     """The exponent int_0^x S/sigma^2 at both probe ends, the reason for
-    each failed c2 condition, the unnormalized mass at the probe ends, the
-    support edges, and the array forms of the drift and the diffusion,
-    lifted from the probe's own node grid, ``_PROBE_SPACING`` apart.
-    Nothing of that grid outlives the call.
+    each failed c2 condition, the log of the unnormalized mass at the probe
+    ends, the support's node grid, and the array forms of the drift and the
+    diffusion, lifted from the probe's own node grid, ``_PROBE_SPACING``
+    apart.  Nothing of that grid outlives the call.  The lift evaluates
+    each coefficient at the probe nodes once, and the finite check reads
+    those values.
 
-    The support edges come from the mass at every probe node, read from the
-    exponent at the nodes (see ``_support_edges``); the mass function itself
-    is called only at the two probe ends.  Past the edges of a bounded
+    The support grid and the mass at the probe ends come from the log-mass
+    at every probe node, read from the exponent at the nodes (see
+    ``_support_grid``), so the probe calls no mass function.  Past the
     support every node mass is below ``_MASS_FLOOR`` of the largest, so the
-    support holds all of G that the probe range does; a mass that is not
-    finite at some node makes the support the whole probe range, where G
-    sums it."""
-    lo, hi = _PROBE_RANGE.lo, _PROBE_RANGE.hi
-    nodes, zero_idx = _node_grid(lo, hi, _PROBE_SPACING)
-    drift, sigma = _array_form(spec.drift, nodes), _array_form(spec.diffusion, nodes)
-    sig = sigma(nodes)
-    bad = ~(np.isfinite(drift(nodes)) & np.isfinite(sig) & (sig > 0))
-    if bad.any():
-        x = nodes[bad.argmax()]
-        raise ValueError(f"coefficients must be finite and sigma positive on the probe grid (x={x})")
-    at_nodes, exponent, mass = _mass(drift, sigma, nodes, zero_idx)
-    probes = np.array([lo, lo / 2.0, hi / 2.0, hi])
-    left, left_mid, right_mid, right = (float(e) for e in exponent(probes, _panel_of(nodes, probes)))
+    support holds all of G that the probe range does; a log-mass whose
+    largest value is not finite makes the support the whole probe range,
+    where G sums it."""
+    nodes = _probe_grid()
+    (drift, s), (sigma, sig) = _array_form(spec.drift, nodes), _array_form(spec.diffusion, nodes)
+    bad = np.flatnonzero(~(np.isfinite(s) & np.isfinite(sig) & (sig > 0)))
+    if len(bad):
+        raise ValueError(f"coefficients must be finite and sigma positive on the probe grid (x={nodes[bad[0]]})")
+    _, at_nodes, exponent, _ = _mass(drift, sigma, nodes)
+    probes = np.r_[_PROBE_ENDS, _PROBE_ENDS / 2.0]
+    left, right, left_mid, right_mid = (float(e) for e in exponent(probes, _panel_of(nodes, probes)))
     c2_failures = [
         f"int_0^x S/sigma^2 does not fall toward -inf at the probe end x={end:g} ({e:.6g}, {e_mid:.6g} at x/2)"
-        for end, e, e_mid in ((lo, left, left_mid), (hi, right, right_mid))
+        for end, e, e_mid in zip(_PROBE_ENDS.tolist(), (left, right), (left_mid, right_mid))
         if not e < min(e_mid, 0.0)
     ]
-    end_mass = mass(_PROBE_ENDS, np.array([0, -1]))
-    with np.errstate(over="ignore"):
-        edges = _support_edges(nodes, np.exp(2.0 * at_nodes) / np.square(sig))
-    return (left, right), c2_failures, end_mass, edges, (drift, sigma)
+    log_mass = 2.0 * at_nodes - np.log(np.square(sig))
+    return (left, right), c2_failures, log_mass[[0, -1]], _support_grid(nodes, log_mass), (drift, sigma)
 
 
 def _support_mass(spec: DiffusionSpec) -> tuple[ErgodicityReport, list[str], np.ndarray, Callable, np.ndarray,
                                                 Callable]:
     """The ergodicity report, the reason for each failed condition, the
-    support's nodes, the unnormalized mass on them (see ``_mass``), the mass
-    at the Gauss points of every support panel, in ``_gauss_rule``'s
-    layout, and the diffusion's array form.  G, the one normalizer, is the
-    panel sum of those Gauss-point masses."""
-    (left, right), c2_failures, end_mass, edges, (drift, sigma) = _probe(spec)
-    nodes, zero_idx = _node_grid(*edges, _NODE_SPACING)
-    mass = _mass(drift, sigma, nodes, zero_idx)[2]
+    support's nodes, cut to the live mass (see ``_mass``), the unnormalized
+    mass on them, the mass at the Gauss points of every support panel, in
+    ``_gauss_rule``'s layout, and the diffusion's array form.  G, the one
+    normalizer, is the panel sum of those Gauss-point masses."""
+    (left, right), c2_failures, log_end, nodes, (drift, sigma) = _probe(spec)
+    nodes, _, _, mass = _mass(drift, sigma, nodes, trim=True)
     t, w = _gauss_rule(nodes[:-1], nodes[1:])
     mass_t = mass(t, slice(None))
     # sum a contiguous (n, 5) copy: a flat sum of the (5, n) block groups the adds otherwise
@@ -330,7 +377,7 @@ def _support_mass(spec: DiffusionSpec) -> tuple[ErgodicityReport, list[str], np.
         c3_failures = [
             f"the stationary mass has not decayed at the probe end x={end:g} "
             f"(tail ratio mass*|x|/G = {ratio:.3g} > {REL_TOL:g})"
-            for end, ratio in zip(_PROBE_ENDS, end_mass * np.abs(_PROBE_ENDS) / G)
+            for end, ratio in zip(_PROBE_ENDS, np.exp(log_end - math.log(G)) * np.abs(_PROBE_ENDS))
             if not ratio <= REL_TOL
         ]
     report = ErgodicityReport(c2_left_limit=left, c2_right_limit=right, G=math.inf if c3_failures else G,
@@ -344,14 +391,13 @@ def check_ergodicity(spec: DiffusionSpec) -> ErgodicityReport:
     int_0^x S/sigma^2 is the law's exponent on the probe's own nodes,
     ``_PROBE_SPACING`` (0.05) apart over the fixed probe range [-50, 50]; c2
     holds when it is negative and still falling at both probe ends.  c3
-    holds when G, the panel sum of the mass over the support that
-    ``build_invariant_law`` builds on (nodes ``_NODE_SPACING`` apart, as
-    its tables), is finite and positive and the mass has decayed at both
-    probe ends, mass(x)*|x| <= REL_TOL*G: about REL_TOL of G lies past x
-    for a tail falling at least like |x|^-2.  The support is the whole
-    probe range when the largest node mass is not finite (see
-    ``_support_edges``), so a mass that is infinite at a probe node fails
-    c3.
+    holds when G, the panel sum of the mass over the grid that
+    ``build_invariant_law`` builds its tables on (see ``_support_grid``),
+    is finite and positive and the mass has decayed at both probe ends,
+    mass(x)*|x| <= REL_TOL*G: about REL_TOL of G lies past x for a tail
+    falling at least like |x|^-2.  The support rule reads the mass in
+    logs, so a mass that overflows is located like any other and sums to
+    G = inf over it: it fails c3.
     """
     return _support_mass(spec)[0]
 
@@ -474,7 +520,7 @@ class LawTables:
     scaled by B, which keeps them O(1 + |x|^(j+k)) where S_jk itself would
     under- or overflow.  A lookup adds one partial panel at x.
 
-    The first-order tables (the trim, F and m) are built with the tables,
+    The first-order tables (F and m) are built with the tables,
     and so with the law; ``cdf``, ``upper_moments``, ``inverse`` and
     ``support`` read only them.  The variance tables are built once each,
     by their first reader: ``log_A`` and ``log_B`` at the first ``at`` or
@@ -491,33 +537,23 @@ class LawTables:
     whichever axis holds them, so the layout does not move a bit of the
     tables.
 
-    The grid is trimmed to the nodes where the density exceeds
-    ``_MASS_FLOOR`` times its peak, so every first-order quantity is a
-    normal double there.  A second-order lookup flags its points outside
-    the trimmed support.  ``density(x, i)`` is the law's density at points
-    x of the panels i of ``nodes`` (see ``_mass``): the build and every
-    lookup know the panel of each point they pass, so none searches for it;
-    a build passes a slice per block.  ``f_gauss``, when a law's build
-    already holds it, is the density at the Gauss points of every panel of
-    ``nodes``, shape (5, len(nodes) - 1), as ``density`` would give it; the
-    first pass then calls no density on them.  ``sigma`` is the diffusion's
-    array form (see ``_array_form``): it is called on arrays of Gauss points
-    as it is.
+    The tables take the grid ``nodes`` as it is: both constructors cut it
+    to the nodes where the density exceeds ``_MASS_FLOOR`` times its peak,
+    so every first-order quantity is a normal double there.  A second-order
+    lookup flags its points outside the support.  ``density(x, i)`` is the
+    law's density at points x of the panels i of ``nodes`` (see ``_mass``):
+    the build and every lookup know the panel of each point they pass, so
+    none searches for it; a build passes a slice per block.  ``f_gauss``,
+    when a law's build already holds it, is the density at the Gauss points
+    of every panel of ``nodes``, shape (5, len(nodes) - 1), as ``density``
+    would give it; the first pass then calls no density on them.
+    ``sigma`` is the diffusion's array form (see ``_array_form``): it is
+    called on arrays of Gauss points as it is.
     """
 
     def __init__(self, nodes: np.ndarray, density: Callable, sigma: Callable,
                  f_gauss: Optional[np.ndarray] = None) -> None:
-        self.density = density
-        self.sigma = sigma
-        # node k is the left end of panel k, the last node the right end of the last panel
-        f_nodes = np.asarray(density(nodes, np.minimum(np.arange(len(nodes)), len(nodes) - 2)), dtype=float)
-        live = np.flatnonzero(f_nodes > _MASS_FLOOR * f_nodes.max())
-        # panel j of the trimmed grid is panel j + _shift of nodes
-        self._shift = shift = int(live[0])
-        x = np.asarray(nodes[shift : live[-1] + 1], dtype=float)
-        if len(x) < 2:
-            raise NotErgodic("stationary density has no resolvable support on its node grid")
-        n = len(x) - 1
+        self.density, self.sigma, self.x, n = density, sigma, nodes, len(nodes) - 1
         # the panels go through in blocks, in each pass: the node tables of F
         # and m here, the variance integrands anchored on them at the first
         # lookup; this bounds the nested-rule temporaries to one block
@@ -526,11 +562,9 @@ class LawTables:
         self._f_t = f_t = np.empty((len(_GL_X), n))
         P = np.empty((3, n))
         for j, k in self._spans:
-            t, w = _gauss_rule(x[j:k], x[j + 1 : k + 1])
-            panels = slice(shift + j, shift + k)
-            f_t[:, j:k] = density(t, panels) if f_gauss is None else f_gauss[:, panels]
+            t, w = _gauss_rule(nodes[j:k], nodes[j + 1 : k + 1])
+            f_t[:, j:k] = density(t, slice(j, k)) if f_gauss is None else f_gauss[:, j:k]
             P[:, j:k] = _moments(t, w * f_t[:, j:k])
-        self.x = x
         self.F = np.zeros(n + 1)
         np.cumsum(P[0], out=self.F[1:])
         self.m = np.zeros((3, n + 1))
@@ -541,14 +575,14 @@ class LawTables:
         """log A and log B at the nodes, from the variance integrands of
         every panel, anchored on the first-order tables.  The panels'
         log int sf^2/(sigma^2 f) and pair means are kept for ``nu``."""
-        x, F, m, f_t, shift = self.x, self.F, self.m, self._f_t, self._shift
+        x, F, m, f_t = self.x, self.F, self.m, self._f_t
         n = len(x) - 1
         la, lb, q = np.empty(n), np.empty(n), np.empty((len(_PAIRS[0]), n))
         for j, k in self._spans:
             t, w = _gauss_rule(x[j:k], x[j + 1 : k + 1])
             # the panel moments of the first pass, to the bit
             P = _moments(t, w * f_t[:, j:k])
-            I = _nested_moments(self.density, x[j:k], t, slice(shift + j, shift + k))
+            I = _nested_moments(self.density, x[j:k], t, slice(j, k))
             la[j:k], lb[j:k], q[:, j:k] = _second_order_panels(
                 F[j:k] + I[0], m[:, None, j + 1 : k + 1] + (P[:, None] - I), f_t[:, j:k],
                 np.square(self.sigma(t)), w
@@ -586,14 +620,14 @@ class LawTables:
         """F(x) at any real x, scalar or array: the prefix F of x's panel plus
         the partial panel up to x."""
         x, i = self._locate(x)
-        return _as_output(self.F[i] + _panels(self.density, self.x[i], x, i + self._shift)[1].sum(0))
+        return _as_output(self.F[i] + _panels(self.density, self.x[i], x, i)[1].sum(0))
 
     def upper_moments(self, x) -> np.ndarray:
         """(m_0, m_1, m_2)(x) with m_k = E[xi^k 1{xi > x}], at any real x,
         scalar or array: the suffix tables of the next node plus the partial
         panel from x."""
         x, i = self._locate(x)
-        return self.m[:, i + 1] + _moments(*_panels(self.density, x, self.x[i + 1], i + self._shift))
+        return self.m[:, i + 1] + _moments(*_panels(self.density, x, self.x[i + 1], i))
 
     def inverse(self, c: np.ndarray, upper: bool) -> np.ndarray:
         """The x with F(x) = c, or sf(x) = c when ``upper``, at each level c
@@ -620,8 +654,7 @@ class LawTables:
         def g(x, e):
             # F[i] + int_{x_i}^x f, or -(m_0[i + 1] + int_x^{x_i+1} f)
             j, sf = i[e], on_sf[e]
-            partial = _panels(self.density, np.where(sf, x, self.x[j]), np.where(sf, self.x[j + 1], x),
-                              j + self._shift)[1].sum(0)
+            partial = _panels(self.density, np.where(sf, x, self.x[j]), np.where(sf, self.x[j + 1], x), j)[1].sum(0)
             return np.where(sf, neg_m0[j + 1] - partial, self.F[j] + partial) - key[e]
 
         return _brent(g, *self.x[ends], *(np.where(on_sf, neg_m0[ends], self.F[ends]) - key), 1e-12)
@@ -646,7 +679,7 @@ class LawTables:
         # panels [x_i, x] (the first n) extend the prefix tables, panels
         # [x, x_i+1] the suffix ones; both lie in panel i
         ends = np.concatenate([self.x[i], pts, self.x[j]])
-        t, w, f_t, P, I = _gauss_panels(self.density, ends[: 2 * n], ends[n:], np.tile(i + self._shift, 2))
+        t, w, f_t, P, I = _gauss_panels(self.density, ends[: 2 * n], ends[n:], np.tile(i, 2))
         F_t = self.F[i] + I[0, :, :n]
         m_t = m_next[:, None] + (P[:, None, n:] - I[:, :, n:])
         la, lb, q = _second_order_panels(F_t, m_t, f_t, np.square(self.sigma(t)), w)
@@ -711,24 +744,29 @@ def _tables_law(density: Callable, spec: DiffusionSpec, nodes: np.ndarray, sigma
 def build_invariant_law(spec: DiffusionSpec) -> InvariantLaw:
     """Construct the stationary law of a diffusion from its coefficients.
 
-    The support edges come from the probe's node masses (see
-    ``_support_edges``).  On the support nodes the density exponent
-    int_0^x S/sigma^2 is evaluated again by the same panel rule, and G is
-    the panel sum of the mass exp(2*exponent)/sigma^2 there, summed
-    panel-major.  That one G decides c3 and is the report's G, to the bit,
-    the law's one normalizer.  The mass at those Gauss points, divided in
-    place by G, goes to the tables.  f, F, sf and the quantile read the
-    density (see ``_tables_law``), and the law keeps the report.  Raises
-    NotErgodic, naming each failed condition, when the ergodicity probes
-    fail.
+    The support grid comes from the log-mass at the probe's nodes (see
+    ``_support_grid``).  On its nodes the density exponent int_0^x
+    S/sigma^2 is evaluated again by the same panel rule, the grid is cut to
+    the nodes whose mass is above ``_MASS_FLOOR`` of the largest (see
+    ``_mass``), and G is the panel sum of the mass exp(2*exponent)/sigma^2
+    on the panels left, summed panel-major.  That one G decides c3 and is
+    the report's G, to the bit, the law's one normalizer.  The mass at
+    those Gauss points, divided by G, goes to the tables.  f, F, sf and the
+    quantile read the density (see ``_tables_law``), and the law keeps the
+    report.  Raises NotErgodic, naming each failed condition, when the
+    ergodicity probes fail, and when the log-density falls by more than
+    ``_UNRESOLVED_FALL`` across a panel of the grid: a law narrower than
+    the grid resolves.
     """
     report, failures, nodes, mass, mass_t, sigma = _support_mass(spec)
     if failures:
         raise NotErgodic("ergodicity checks failed: " + "; ".join(failures))
+    # the largest fall of the log-density between the outer Gauss points of a panel
+    if not (fall := np.abs(np.log(mass_t[0] / mass_t[-1])).max()) <= _UNRESOLVED_FALL:
+        raise NotErgodic(f"too narrow a law: its density falls by {fall:.3g} > {_UNRESOLVED_FALL:g} across a panel")
     # the first pass of the tables reads these densities instead of calling the density
     G = report.G
-    mass_t /= G
-    return _tables_law(lambda x, i: mass(x, i) / G, spec, nodes, sigma, spec.label or "custom", report, mass_t)
+    return _tables_law(lambda x, i: mass(x, i) / G, spec, nodes, sigma, spec.label or "custom", report, mass_t / G)
 
 
 def ou_law() -> InvariantLaw:
@@ -739,18 +777,22 @@ def ou_law() -> InvariantLaw:
     are exact (int_0^{+-50} -x dx = -1250 at both probe ends), and its f, F,
     sf and quantile read that density as a law built from coefficients does
     (F, sf and the quantile match erfc(-x)/2, erfc(x)/2 and the Gaussian
-    quantile to about 1e-14).  Its node grid is +-32, the one the support
-    rule gives exp(-x^2), which falls below ``_MASS_FLOOR`` of its peak
-    near |x| = 26.3 (see ``_support_edges``).  The diffusion is the
-    compiled constant ``1``, so paths of this law take the steppers'
-    constant-diffusion route.  The drift is ``operator.neg``: -x on floats
-    and arrays alike, which a single-path step calls without a Python frame.
+    quantile to about 1e-14).  Its node grid is the one the support rule
+    gives its exact log-mass -x^2 (see ``_support_grid``), cut as a build
+    cuts it to the nodes where exp(-x^2) is above ``_MASS_FLOOR``: 4 204
+    panels 0.0125 apart over +-26.275, the grid of the law built from -x
+    and 1, bit for bit.  The diffusion is the compiled constant ``1``, so
+    paths of this law take the steppers' constant-diffusion route.  The
+    drift is ``operator.neg``: -x on floats and arrays alike, which a
+    single-path step calls without a Python frame.
     """
     spec = DiffusionSpec(drift=operator.neg, diffusion=compile_expression("1"), label="ou")
-    nodes = _node_grid(-32.0, 32.0, _NODE_SPACING)[0]
+    nodes = _probe_grid()
+    nodes = _support_grid(nodes, -np.square(nodes))
+    nodes = nodes[_live(-np.square(nodes))]
     report = ErgodicityReport(c2_left_limit=-1250.0, c2_right_limit=-1250.0, G=_SQRT_PI, c2_holds=True, c3_holds=True)
-    return _tables_law(lambda x, i: np.exp(-np.square(x)) / _SQRT_PI, spec, nodes, _array_form(spec.diffusion, nodes),
-                       "ou", report)
+    return _tables_law(lambda x, i: np.exp(-np.square(x)) / _SQRT_PI, spec, nodes,
+                       _array_form(spec.diffusion, nodes)[0], "ou", report)
 
 
 NAMED_SPECS: dict[str, Callable[[], InvariantLaw]] = {"ou": ou_law}

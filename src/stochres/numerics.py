@@ -80,21 +80,25 @@ def normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / _SQRT2)
 
 
-def _array_form(fn: Callable, x: np.ndarray) -> Callable:
+def _array_form(fn: Callable, x: np.ndarray) -> tuple[Callable, np.ndarray]:
     """``fn`` itself when it maps the float array ``x`` to a float array of
     the same shape, otherwise a wrapper that does: a loop over the entries
     for a function that takes floats only, a broadcast for one that
-    returns a constant.  Decided once, from ``x``, rather than at every call.
-    A compiled expression is judged by its ``array`` form, which skips the
-    compiled function's dispatch between floats and arrays."""
+    returns a constant.  Decided once, from ``x``, rather than at every
+    call, and returned with its values at ``x``, from the one evaluation
+    that decided it.  A compiled expression is judged by its ``array``
+    form, which skips the compiled function's dispatch between floats and
+    arrays."""
     fn = getattr(fn, "array", fn)
     try:
         out = fn(x)
     except (TypeError, ValueError):
-        return np.vectorize(fn, otypes=[float])
+        form = np.vectorize(fn, otypes=[float])
+        return form, form(x)
     if isinstance(out, np.ndarray) and out.shape == x.shape and out.dtype == np.float64:
-        return fn
-    return lambda y: np.broadcast_to(np.asarray(fn(y), dtype=float), np.shape(y))
+        return fn, out
+    return (lambda y: np.broadcast_to(np.asarray(fn(y), dtype=float), np.shape(y)),
+            np.broadcast_to(np.asarray(out, dtype=float), x.shape))
 
 
 def not_finite_above(x: np.ndarray, floor: float = 0.0) -> np.ndarray:
@@ -316,8 +320,7 @@ def maximize_scalar(
         raise ValueError("tol must be positive")
     xs = scan_points(bracket)
     if scan is None:
-        h = _array_form(h, xs)
-        scan = h(xs)
+        h, scan = _array_form(h, xs)
     hs = _finite(xs, scan)
 
     candidates = [

@@ -224,9 +224,9 @@ def _chunks(spec: DiffusionSpec, cfg: SimConfig, n_paths: int) -> Iterator[np.nd
     sqrt_dt = math.sqrt(dt)
     rows = np.empty((CHUNK + 1, n_paths))
     rows[0] = cfg.x0
-    drift = _array_form(spec.drift, rows[0])
+    drift = _array_form(spec.drift, rows[0])[0]
     c = getattr(spec.diffusion, "constant", None)
-    diffusion = _array_form(spec.diffusion, rows[0]) if c is None else None
+    diffusion = _array_form(spec.diffusion, rows[0])[0] if c is None else None
     z_paths = np.empty((n_paths, min(_NORMALS_BLOCK, n)))
     # row i: the normals of step i, or for a constant diffusion its increments
     dw = np.empty((CHUNK, n_paths))

@@ -78,11 +78,13 @@ def test_law_rejects_a_sigma_that_is_not_positive(tmp_path, capsys):
     assert lines[0].startswith("error: coefficients must be finite and sigma positive")
 
 
-def test_law_builds_no_variance_table_for_a_steep_tail(tmp_path, capsys):
-    # the variance tables of -x^7 are NaN near its upper edge (the tail
-    # moment cancels there): law reads F and f only, so it builds none of
-    # them and writes its reports with no warning; resonance needs them, so
-    # it still warns of the NaN and fails every scan level, with no report
+def test_law_builds_no_variance_table_for_a_steep_tail(tmp_path, monkeypatch):
+    # law reads F and f only: it builds no variance table of -x^7 and writes
+    # its reports with no warning
+    from stochres import laws
+
+    second_order = []
+    monkeypatch.setattr(laws, "_second_order_panels", lambda *args: second_order.append(1))
     out = tmp_path / "law"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -90,13 +92,36 @@ def test_law_builds_no_variance_table_for_a_steep_tail(tmp_path, capsys):
     assert json.loads((out / "ergodicity.json").read_text())["c3_holds"]
     header, rows = read_csv(out / "law.csv")
     assert header == ["x", "f", "F"] and len(rows) > 0
-    capsys.readouterr()
-    resonance = tmp_path / "r"
-    with pytest.warns(RuntimeWarning, match="invalid value"):
-        assert run(["resonance", "--drift=-x^7", "--sigma", "1", "--scheme", "time", "--theta", "0.5",
-                    "--out", resonance]) == 1
-    assert "all 65 noise levels of the scan failed" in capsys.readouterr().err
-    assert not resonance.exists()
+    assert second_order == []
+
+
+# laws whose variance tables were NaN on nodes 0.005 apart, where one panel
+# spans a fall of the log-mass of 10 or more; the narrow laws scan noise
+# levels on their own scale, 1/sigma times the default bracket (0.02, 3),
+# and find the resonance of -x at sigma 1 (eps* = 0.366) at eps*/sigma, with
+# its Fisher information
+STEEP_AND_NARROW = {
+    "-x^7": (["--drift=-x^7", "--sigma", "1"], None),
+    "-x^9": (["--drift=-x^9", "--sigma", "1"], None),
+    "-x^3, sigma 0.05": (["--drift=-x^3", "--sigma", "0.05"], None),
+    "-x, sigma 0.01": (["--drift=-x", "--sigma", "0.01", "--grid", "2:300:4.6"], 0.01),
+    "-x, sigma 0.001": (["--drift=-x", "--sigma", "0.001", "--grid", "20:3000:46"], 0.001),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STEEP_AND_NARROW))
+def test_resonance_on_steep_and_narrow_laws(tmp_path, case):
+    flags, sigma = STEEP_AND_NARROW[case]
+    out = tmp_path / "r"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["resonance", *flags, "--scheme", "time", "--theta", "0.5", "--out", out]) == 0
+    report = json.loads((out / "resonance.json").read_text())
+    assert len(report["local_maxima"]) == 1 and report["fisher_star"] > 0.0
+    if sigma is not None:
+        _, eps_star, fisher_star = GOLDEN_RESONANCE["ou_time"]
+        assert report["eps_star"] * sigma == pytest.approx(eps_star, rel=1e-5)
+        assert report["fisher_star"] == pytest.approx(fisher_star, rel=1e-9)
 
 
 def test_law_reports_the_build_check(tmp_path, monkeypatch):
@@ -357,13 +382,13 @@ def test_test_at_an_extreme_horizon_is_an_error_not_a_traceback(tmp_path, capsys
 
 def test_test_names_the_gap_beyond_the_support(tmp_path, capsys):
     # the default grid starts at eps = 0.1, where the null gap 1/0.1 = 10 lies
-    # beyond the cubic law's tabulated support (+-6.095): the error says so
-    # and names the smallest usable grid start, 1/6.095
+    # beyond the cubic law's tabulated support (+-6.09565): the error says so
+    # and names the smallest usable grid start, 1/6.09565
     out = tmp_path / "t"
     assert run(["test", "--drift=-x^3", "--sigma", "1", "--out", out]) == 1
     err = capsys.readouterr().err
     assert "bracket end" in err and "at eps=0.1 the null gap (tau - theta0)/eps = 10 " in err
-    assert "support (-6.095, 6.095)" in err and "start --grid above (tau - theta0)/6.095 = 0.164069" in err
+    assert "support (-6.09565, 6.09565)" in err and "start --grid above (tau - theta0)/6.09565 = 0.164051" in err
     assert run(["test", "--drift=-x^3", "--sigma", "1", "--grid", "0.2:3:0.1", "--out", out]) == 0
 
 
@@ -485,10 +510,10 @@ def test_validate_starts_one_pool(tmp_path, monkeypatch):
 # estimate.json of one short OU run: a change to how a noise level is
 # evaluated must not move the resonance or an estimate
 GOLDEN_RESONANCE = {
-    "ou_time": (["--noise", "ou", "--scheme", "time"], 0.36599426269531254, 2.89757982450736),
-    "ou_energy": (["--noise", "ou", "--scheme", "energy"], 0.3635635375976563, 2.710131665916644),
+    "ou_time": (["--noise", "ou", "--scheme", "time"], 0.36599426269531254, 2.8975798245073623),
+    "ou_energy": (["--noise", "ou", "--scheme", "energy"], 0.3635635375976563, 2.7101316659166477),
     "cubic_time": (["--drift=-x^3", "--sigma", "1", "--scheme", "time"],
-                   0.3371856689453125, 18.12695189394986),
+                   0.3371856689453125, 18.126951893949936),
 }
 
 
@@ -511,14 +536,14 @@ def test_estimate_golden_report(tmp_path):
     out = tmp_path / "est"
     assert run(["estimate", "--noise", "ou", "--T", "200", "--seed", "11", "--out", out]) == 0
     assert json.loads((out / "estimate.json").read_text()) == {
-        "Sigma": 0.6504843956511028,
-        "Sigma_tilde": 0.7040560206857722,
+        "Sigma": 0.650484395651104,
+        "Sigma_tilde": 0.7040560206781368,
         "T": 200.0,
         "gamma_T": 0.2104,
         "nu_T": 0.37383806972639466,
         "seed": 11,
-        "theta_hat_energy": 0.5977788920618866,
-        "theta_hat_time": 0.58763886846419,
+        "theta_hat_energy": 0.5977788920761881,
+        "theta_hat_time": 0.5876388684641842,
     }
 
 
@@ -528,8 +553,8 @@ def test_estimate_golden_report(tmp_path):
 # path is stepped must not move a report
 GOLDENS = Path(__file__).resolve().parent / "goldens"
 GOLDEN_SURFACE_SHA256 = {
-    "time": "89488f22bd3547f850feeb23993413474b9905422639cf8c03952c4da7337914",
-    "energy": "2bdfc02ba2b9c154a74819c77cf1cb6caa93333393d7bfdf04544540f0724c8c",
+    "time": "067520f792e8f0b9eebdcfe7b8af5d0433131a4830ea3b4fbba337a2b632c5d7",
+    "energy": "ef7bbebc84e28e64ffb60eae2c9594466d567f9d3cb3a953fe8e44ae0598e28f",
 }
 
 
@@ -565,16 +590,16 @@ GOLDEN_VALIDATE = {
     "ou": (["--noise", "ou"], {
         "degenerate": False,
         "empirical_error_rate": 0.2,
-        "empirical_var_ratio_energy": 1.5071348116852938,
-        "empirical_var_ratio_time": 1.542987241923908,
-        "predicted_p_err": 0.19588682036735447,
+        "empirical_var_ratio_energy": 1.5071348116725942,
+        "empirical_var_ratio_time": 1.5429872419240178,
+        "predicted_p_err": 0.19588682036735436,
     }),
     "sigma2": (["--drift=-4*x", "--sigma=2"], {
         "degenerate": False,
         "empirical_error_rate": 0.05,
-        "empirical_var_ratio_energy": 1.1628465251036513,
-        "empirical_var_ratio_time": 1.2560492925197049,
-        "predicted_p_err": 0.04672818780944572,
+        "empirical_var_ratio_energy": 1.162846525092303,
+        "empirical_var_ratio_time": 1.256049292519809,
+        "predicted_p_err": 0.04672818780944561,
     }),
 }
 

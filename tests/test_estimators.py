@@ -41,6 +41,7 @@ from stochres.estimators import (
     fisher_at,
 )
 from stochres.expressions import compile_expression
+from stochres.numerics import integrate_interval
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -551,6 +552,53 @@ def test_energy_variance_deep_tail(ou, theta, eps):
     assert energy_statistic_variance(theta, ch) == pytest.approx(
         ou_energy_variance_oracle(theta, eps), rel=1e-6, abs=0.0
     )
+
+
+def power_law_edf_variance_oracle(n, s, a):
+    """V(a) = 4[sf(a)^2 A(a) + F(a)^2 B(a)] for the law of drift -x^(n-1)
+    and constant sigma s, n even: density exp(-c|x|^n)/Z with c = 2/(n s^2),
+    sf(x) = Q(1/n, c x^n)/2 for x >= 0 (Q the regularized upper gamma), and
+    A, B the integrals of F^2/(s^2 f) below a and sf^2/(s^2 f) above it, each
+    by ``integrate_interval`` on windows beside a where the integrand falls
+    by e^-60 at most, scaled by its value at a."""
+    c = 2.0 / (n * s * s)
+    log_z = math.log(2.0 * special.gamma(1.0 + 1.0 / n)) - math.log(c) / n
+
+    def log_sf(x):
+        q = 0.5 * special.gammaincc(1.0 / n, c * abs(x) ** n)
+        return math.log(q) if x >= 0.0 else math.log1p(-q)
+
+    def log_f(x):
+        return -c * abs(x) ** n - log_z
+
+    def integral(log_g, edges):
+        shift = log_g(a)
+        return math.exp(shift) * sum(integrate_interval(lambda x: math.exp(log_g(x) - shift), lo, hi)
+                                     for lo, hi in zip(edges[:-1], edges[1:]))
+
+    near = max(a - 50.0 / (n * c * a ** (n - 1)), 0.0)
+    A = integral(lambda x: 2.0 * log_sf(-x) - log_f(x) - 2.0 * math.log(s), [-(60.0 / c) ** (1.0 / n), 0.0, near, a])
+    B = integral(lambda x: 2.0 * log_sf(x) - log_f(x) - 2.0 * math.log(s), [a, ((c * a**n + 60.0) / c) ** (1.0 / n)])
+    return 4.0 * (math.exp(2.0 * log_sf(a)) * A + math.exp(2.0 * log_sf(-a)) * B)
+
+
+@pytest.mark.parametrize("drift, sigma, n", [("-x^7", 1.0, 8), ("-x^9", 1.0, 10), ("-x", 0.01, 2), ("-x", 0.001, 2),
+                                             ("-x^3", 0.05, 4)])
+def test_steep_and_narrow_laws_match_a_quadrature_oracle(drift, sigma, n):
+    # laws where a panel 0.005 wide spans a fall of the log-mass of 10 or
+    # more, and their tables were NaN: each now builds finite tables, and V
+    # at gaps where the mass has fallen by e^-5, e^-50 and e^-300 matches the
+    # oracle as the deep-tail tests of the Gaussian law do
+    law = build_invariant_law(DiffusionSpec(compile_expression(drift), compile_expression(repr(sigma))))
+    tables = law.tables
+    assert np.all(np.isfinite(tables.log_A[1:])) and np.all(np.isfinite(tables.log_B[:-1]))
+    assert np.all(np.isfinite(tables.nu))
+    c = 2.0 / (n * sigma * sigma)
+    gaps = (np.array([5.0, 50.0, 300.0]) / c) ** (1.0 / n)
+    v, failed = edf_variance_at(gaps, law)
+    assert not failed.any()
+    for a, got in zip(gaps.tolist(), v.tolist()):
+        assert got == pytest.approx(power_law_edf_variance_oracle(n, sigma, a), rel=1e-6, abs=0.0), a
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.25, 0.5])

@@ -100,9 +100,9 @@ def _far_mass_drift(x):
 
 
 def test_mass_beyond_the_support_edges_fails_c3():
-    # the mass is below the floor at |x| = 32 and infinite on (32, 36]: a
-    # largest node mass that is not finite bounds nothing, so the support is
-    # the whole probe range and G sums the infinite mass there
+    # the mass is below the floor at |x| = 32 and overflows between |x| =
+    # 34.2 and 36.4: the support rule reads the log-mass, which peaks at
+    # +-36, so the grid spans the overflowing mass and G sums it to inf
     spec = DiffusionSpec(_far_mass_drift, lambda x: 1.0)
     report = check_ergodicity(spec)
     assert report.c2_holds
@@ -132,54 +132,70 @@ def test_mass_with_no_finite_peak_fails_c2_and_c3():
     )
 
 
-@pytest.mark.parametrize(
-    "drift, sigma, edges",
-    [
-        ("-x", "1", (-32.0, 32.0)),
-        ("-x^3", "1", (-8.0, 8.0)),
-        ("-x^5", "1", (-4.0, 4.0)),
-        ("2*x-x^3", "1", (-8.0, 8.0)),
-        ("-x", "0.01", (-1.0, 1.0)),
-        ("-x^3", "0.05", (-2.0, 2.0)),
-        ("-3*(x-1)", "0.7", (-16.0, 16.0)),
-        ("-x", "10", (-50.0, 50.0)),
-        # the largest node mass lies at -20 or 20: the mass near the origin,
-        # e^-400 of it, sets no edge
-        ("-(x+20)", "1", (-50.0, 8.0)),
-        ("-(x-20)", "1", (-8.0, 50.0)),
-    ],
-)
-def test_support_edges_round_the_node_masses_out_to_powers_of_two(drift, sigma, edges):
-    # each edge is the first power of two past every node whose mass
-    # exceeds 1e-300 of the largest node mass, capped at the probe range
+# laws whose grids the support rule is checked on: steep, narrow, shifted,
+# multi-well and wide laws, and a sigma that varies
+_RULE_PANEL = [
+    ("-x", "1"), ("-x^3", "1"), ("-x^5", "1"), ("-x^9", "1"), ("2*x-x^3", "1"), ("-x", "0.01"), ("-x^3", "0.05"),
+    ("-3*(x-1)", "0.7"), ("-(x+20)", "1"), ("-x", "10"), ("-x*(x^2-1)*(x^2-4)", "0.5"),
+    ("-tanh(x)", "1+0.5*exp(-x^2)"),
+]
+
+
+@pytest.mark.parametrize("drift, sigma", _RULE_PANEL)
+def test_support_panels_follow_the_fall_of_the_log_mass(drift, sigma):
+    # no panel is wider than h_max, the log-mass falls by about c at most
+    # across any panel, and every node holds mass above 1e-300 of the peak
+    from stochres import laws
+
     law = build_invariant_law(DiffusionSpec(compile_expression(drift), compile_expression(sigma)))
-    assert tuple(law.grid_x[[0, -1]]) == edges
+    x = law.grid_x
+    assert np.diff(x).max() <= laws._MAX_WIDTH * (1.0 + 1e-12)
+    f = law.f(x)
+    assert np.abs(np.diff(np.log(f))).max() <= 1.1 * laws._MAX_FALL
+    assert f.min() > 1e-300 * f.max()
+
+
+def test_a_narrow_law_gets_the_panels_of_the_wide_one():
+    # -x at sigma 0.01 is -x at sigma 1 shrunk 100 times: no more panels
+    # than the wide law, and its information at eps is the wide law's at
+    # 100 eps, to the accuracy of the tables
+    from stochres.estimators import fisher_at
+
+    narrow, wide = (build_invariant_law(DiffusionSpec(compile_expression("-x"), compile_expression(sigma)))
+                    for sigma in ("0.01", "1"))
+    assert len(narrow.grid_x) <= len(wide.grid_x)
+    eps = np.linspace(0.1, 3.0, 30)
+    for scheme in ("time", "energy"):
+        fisher, failed = fisher_at(0.5, 1.0, eps, wide, scheme)
+        scaled, scaled_failed = fisher_at(0.5, 1.0, 100.0 * eps, narrow, scheme)
+        assert not failed.any() and not scaled_failed.any()
+        np.testing.assert_allclose(scaled, fisher, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("drift", ["-x", "-x^3"])
 def test_probe_reads_the_mass_only_where_it_searches(monkeypatch, drift):
-    # the probe evaluates the mass function once, at the two probe ends: its
-    # support comes from the exponent at its nodes, never from the Gauss
-    # points of the probe range
+    # the probe evaluates no mass function: its support grid and the mass at
+    # the probe ends come from the exponent at its nodes, never from the
+    # Gauss points of the probe range
     from stochres import laws
 
     reads = []
     make_mass = laws._mass
 
-    def counting_mass(drift_fn, sigma, nodes, zero_idx):
-        at_nodes, exponent, mass = make_mass(drift_fn, sigma, nodes, zero_idx)
+    def counting_mass(drift_fn, sigma, nodes, trim=False):
+        nodes, at_nodes, exponent, mass = make_mass(drift_fn, sigma, nodes, trim)
         calls = []
         reads.append(calls)
-        return at_nodes, exponent, lambda x, i: calls.append(np.size(x)) or mass(x, i)
+        return nodes, at_nodes, exponent, lambda x, i: calls.append(np.size(x)) or mass(x, i)
 
     monkeypatch.setattr(laws, "_mass", counting_mass)
     law = build_invariant_law(DiffusionSpec(compile_expression(drift), compile_expression("1")))
     probe, support = reads
-    assert probe == [2]
-    # the support's G sums the mass at 5 Gauss points of each of its panels;
-    # the tables, built with the law, read it once more at the nodes for the trim
+    assert probe == []
+    # the support's G sums the mass at 5 Gauss points of each of its panels,
+    # and the tables, built with the law, read it nowhere else
     n = len(law.grid_x)
-    assert support == [5 * (n - 1), n]
+    assert support == [5 * (n - 1)]
 
 
 def _c2_failure(end, e, e_mid):
@@ -193,37 +209,38 @@ def _undecayed(ratio):
 
 # (drift, sigma, c2, c3, support edges or the NotErgodic message): the README
 # and benchmark laws, shifted and narrow laws, steep and multi-well drifts,
-# and laws that fail c2, c3 or both.  The values were recorded with the
-# probe on nodes 0.005 apart, the support's spacing; its own coarser grid
-# must give the same.
+# and laws that fail c2, c3 or both.  The verdicts and messages were
+# recorded with the probe on nodes 0.005 apart, and the probe's own coarser
+# grid gives the same; the supports are the ends of each law's grid, the
+# nodes where its mass is still above 1e-300 of its peak.
 _PROBE_PANEL = [
-    ("-x^3", "1", True, True, (-8.0, 8.0)),
+    ("-x^3", "1", True, True, (-6.095652173913038, 6.095652173913039)),
     ("-tanh(x)", "1+0.5*exp(-x^2)", True, True, (-50.0, 50.0)),
-    ("-x", "1", True, True, (-32.0, 32.0)),
-    ("-4*x", "2", True, True, (-32.0, 32.0)),
-    ("-(x-20)", "1", True, True, (-8.0, 50.0)),
-    ("-(x+20)", "1", True, True, (-50.0, 8.0)),
-    ("-x", "0.001", True, True, (-1.0, 1.0)),
-    ("-x", "0.01", True, True, (-1.0, 1.0)),
-    ("-x", "0.05", True, True, (-2.0, 2.0)),
-    ("-x", "0.1", True, True, (-4.0, 4.0)),
-    ("-x", "0.3", True, True, (-8.0, 8.0)),
+    ("-x", "1", True, True, (-26.275, 26.275)),
+    ("-4*x", "2", True, True, (-26.275, 26.275)),
+    ("-(x-20)", "1", True, True, (-6.274999999999999, 46.275000000000006)),
+    ("-(x+20)", "1", True, True, (-46.275, 6.275)),
+    ("-x", "0.001", True, True, (-0.026266280752530163, 0.026266280752531658)),
+    ("-x", "0.01", True, True, (-0.2627272727272718, 0.26268115942028775)),
+    ("-x", "0.05", True, True, (-1.3132075471698066, 1.313207547169816)),
+    ("-x", "0.1", True, True, (-2.6277777777777738, 2.627777777777783)),
+    ("-x", "0.3", True, True, (-7.883333333333328, 7.883333333333337)),
     ("-x", "3", True, True, (-50.0, 50.0)),
     ("-x", "10", True, True, (-50.0, 50.0)),
     ("-x", "30", True, False, "ergodicity checks failed: " + _undecayed("0.0596")),
-    ("-(x-3)^3", "0.5", True, True, (-2.0, 8.0)),
-    ("-x^3", "0.2", True, True, (-4.0, 4.0)),
-    ("-x^3", "0.05", True, True, (-2.0, 2.0)),
-    ("-x^5", "1", True, True, (-4.0, 4.0)),
-    ("-x^9", "1", True, True, (-4.0, 4.0)),
-    ("x-x^3", "1", True, True, (-8.0, 8.0)),
-    ("2*x-x^3", "1", True, True, (-8.0, 8.0)),
-    ("x-x^3", "0.3", True, True, (-4.0, 4.0)),
-    ("-x*(x^2-1)*(x^2-4)", "1", True, True, (-4.0, 4.0)),
-    ("-x*(x^2-1)*(x^2-4)", "0.5", True, True, (-4.0, 4.0)),
+    ("-(x-3)^3", "0.5", True, True, (-1.3106060606060588, 7.310606060606063)),
+    ("-x^3", "0.2", True, True, (-2.7264705882352906, 2.726470588235293)),
+    ("-x^3", "0.05", True, True, (-1.3628571428571388, 1.3628571428571377)),
+    ("-x^5", "1", True, True, (-3.5703389830508416, 3.5703389830508514)),
+    ("-x^9", "1", True, True, (-2.2585365853658512, 2.2585365853658574)),
+    ("x-x^3", "1", True, True, (-6.1760869565217345, 6.176086956521738)),
+    ("2*x-x^3", "1", True, True, (-6.258333333333331, 6.258333333333337)),
+    ("x-x^3", "0.3", True, True, (-3.484883720930229, 3.484883720930236)),
+    ("-x*(x^2-1)*(x^2-4)", "1", True, True, (-3.925384615384613, 3.92538461538461)),
+    ("-x*(x^2-1)*(x^2-4)", "0.5", True, True, (-3.28255813953488, 3.282558139534888)),
     ("-tanh(5*x)", "1", True, True, (-50.0, 50.0)),
     ("-tanh(x)", "1", True, True, (-50.0, 50.0)),
-    ("-3*(x-1)", "0.7", True, True, (-16.0, 16.0)),
+    ("-3*(x-1)", "0.7", True, True, (-9.621428571428568, 11.621428571428568)),
     ("1000*x", "1", False, False,
      "ergodicity checks failed: " + _c2_failure(-50, "1.25e+06", "312500") + "; "
      + _c2_failure(50, "1.25e+06", "312500") + "; the stationary mass sums to G=inf on the probe range"),
@@ -255,23 +272,28 @@ def test_probe_sets_the_supports_verdicts_and_messages(drift, sigma, c2, c3, out
 
 
 def test_probe_lays_its_own_coarse_grid():
-    # the probe calls the drift at its 2 001 nodes (twice: the lift to an
-    # array form and the finite check) and at 5 Gauss points of each of its
-    # 2 000 panels, 14 002 points; nodes 0.005 apart would take 140 002
+    # the probe calls each coefficient once at its 2 001 nodes (the lift to
+    # an array form, whose values the finite check reads) and at 5 Gauss
+    # points of each of its 2 000 panels, 12 001 points; nodes 0.005 apart
+    # would take 120 001, and no probe node is evaluated twice
     from stochres import laws
 
-    seen = []
+    seen = {"drift": [], "sigma": []}
 
-    def drift(x):
-        seen.append(np.size(x))
-        return -np.asarray(x, dtype=float) ** 3
+    def counted(name, fn):
+        return lambda x: seen[name].append(np.array(x, dtype=float)) or fn(np.asarray(x, dtype=float))
 
-    spec = DiffusionSpec(drift, compile_expression("1"))
+    spec = DiffusionSpec(counted("drift", lambda x: -x**3), counted("sigma", lambda x: 1.0 + 0.0 * x))
     laws._probe(spec)
-    assert sum(seen) <= 15_000
-    # the support grid and its tables keep the finer spacing
+    nodes = laws._probe_grid()
+    for name, calls in seen.items():
+        points = np.concatenate([np.ravel(x) for x in calls])
+        assert len(points) == 12_001, name
+        at_nodes = points[np.isin(points, nodes)]
+        assert len(at_nodes) == len(nodes) and np.array_equal(np.unique(at_nodes), nodes), name
+    # the support grid splits the probe panels, into panels at most 0.0125 wide
     law = build_invariant_law(spec)
-    assert np.diff(law.grid_x).max() == pytest.approx(0.005, rel=1e-9)
+    assert np.diff(law.grid_x).max() == pytest.approx(0.0125, rel=1e-9)
 
 
 def test_nonpositive_diffusion_rejected():
@@ -312,18 +334,12 @@ def test_density_normalization(ou_numeric):
 
 
 def test_density_is_cdf_derivative(ou, ou_numeric):
-    # numeric law: central differences on its own cache nodes
-    nodes = ou_numeric.grid_x
-    F_nodes = ou_numeric.F(nodes)
-    inner = (nodes > -4.0) & (nodes < 4.0)
-    idx = np.flatnonzero(inner)[1:-1]
-    fd = (F_nodes[idx + 1] - F_nodes[idx - 1]) / (nodes[idx + 1] - nodes[idx - 1])
-    assert np.max(np.abs(fd - ou_numeric.f(nodes[idx]))) < 1e-5
-
-    # closed form: same stencil on a fresh grid
+    # both laws: central differences on a stencil 0.005 apart, finer than
+    # their node grids
     xs = np.arange(-4.0, 4.0001, 0.005)
-    fd = (ou.F(xs[2:]) - ou.F(xs[:-2])) / (xs[2:] - xs[:-2])
-    assert np.max(np.abs(fd - ou.f(xs[1:-1]))) < 1e-5
+    for law in (ou, ou_numeric):
+        fd = (law.F(xs[2:]) - law.F(xs[:-2])) / (xs[2:] - xs[:-2])
+        assert np.max(np.abs(fd - law.f(xs[1:-1]))) < 1e-5
 
 
 def test_survival_function_tail_accuracy(ou_numeric):
@@ -410,9 +426,47 @@ def test_scalar_only_and_constant_coefficients_build_the_compiled_law():
         np.testing.assert_array_equal(getattr(lifted.tables, name), getattr(compiled.tables, name), err_msg=name)
 
 
+@pytest.mark.parametrize("drift, sigma, scale", [("-x^3", "1", 1.0), ("2*x-x^3", "1", 1.0), ("-x^9", "1", 1.0),
+                                                 ("-x", "0.01", 100.0)])
+def test_support_rule_meets_its_stated_accuracy(monkeypatch, drift, sigma, scale):
+    # the Fisher information of both schemes at theta 0.5, tau 1 and 30 noise
+    # levels from 0.1 to 3 (times 1/sigma for the narrow law) stays within
+    # 1.1e-12 of the same rule with c and h_max an eighth as large
+    from stochres import laws
+    from stochres.estimators import fisher_at
+
+    spec = DiffusionSpec(compile_expression(drift), compile_expression(sigma))
+    eps = scale * np.linspace(0.1, 3.0, 30)
+    law = build_invariant_law(spec)
+    monkeypatch.setattr(laws, "_MAX_FALL", laws._MAX_FALL / 8.0)
+    monkeypatch.setattr(laws, "_MAX_WIDTH", laws._MAX_WIDTH / 8.0)
+    fine = build_invariant_law(spec)
+    assert len(fine.grid_x) > 7 * len(law.grid_x)
+    for scheme in ("time", "energy"):
+        (got, failed), (want, fine_failed) = (fisher_at(0.5, 1.0, eps, v, scheme) for v in (law, fine))
+        np.testing.assert_array_equal(failed, fine_failed)
+        np.testing.assert_allclose(got[~failed], want[~failed], rtol=1.1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("sigma, fall", [("0.0004", "4.29"), ("0.0001", "17")])
+def test_a_law_narrower_than_the_grid_resolves_is_refused(sigma, fall):
+    # past the edge of -x at sigma below about 4.3e-4 the rule's cap leaves
+    # panels across which the log-density falls by more than 4: the build
+    # refuses the law rather than build tables that lose their accuracy
+    # there, or turn NaN (sigma 1e-4)
+    spec = DiffusionSpec(compile_expression("-x"), compile_expression(sigma))
+    assert check_ergodicity(spec).c3_holds
+    with pytest.raises(NotErgodic, match=rf"^too narrow a law: its density falls by {fall} > 4 across a panel$"):
+        build_invariant_law(spec)
+
+
 def test_ou_law_node_grid_follows_support_rule(ou, ou_numeric):
-    # exp(-x^2) falls below 1e-300 of its peak between 16 and 32
-    assert ou.grid_x[0] == -32.0 and ou.grid_x[-1] == 32.0
+    # exp(-x^2) falls below 1e-300 of its peak between the last node and the
+    # next, 0.0125 on; the grid is the one the law built from -x, 1 gets
+    from stochres import laws
+
+    lo, hi = ou.grid_x[[0, -1]]
+    assert lo == -hi and math.exp(-hi * hi) > 1e-300 > math.exp(-((hi + laws._MAX_WIDTH) ** 2))
     np.testing.assert_array_equal(ou.grid_x, ou_numeric.grid_x)
 
 
@@ -420,11 +474,12 @@ def test_ou_law_f_is_the_closed_form_density(ou):
     # the one public f of every law reads the closed-form density on the
     # grid, to the bit, and is 0 off it, where exp(-x^2) has underflowed
     nodes = ou.grid_x
-    inside = np.concatenate([nodes, np.random.default_rng(3).uniform(-32.0, 32.0, 500)])
+    lo, hi = nodes[[0, -1]]
+    inside = np.concatenate([nodes, np.random.default_rng(3).uniform(lo, hi, 500)])
     expected = np.exp(-np.square(inside)) / SQRT_PI
     assert [v.hex() for v in ou.f(inside).tolist()] == [v.hex() for v in expected.tolist()]
     assert [ou.f(float(x)).hex() for x in inside[::97]] == [v.hex() for v in expected[::97].tolist()]
-    outside = np.array([-1e300, -50.0, np.nextafter(-32.0, -np.inf), np.nextafter(32.0, np.inf), 40.0, np.inf])
+    outside = np.array([-1e300, -50.0, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), 40.0, np.inf])
     assert ou.f(outside).tolist() == [0.0] * len(outside)
     assert isinstance(ou.f(33.0), float) and ou.f(33.0) == 0.0 and ou.f(-32.5) == 0.0
 
@@ -533,144 +588,144 @@ def test_closed_form_law_reads_its_tables(ou):
 # shows here
 PINNED_POINTS = np.array([-2.3, -0.41, 0.0, 0.7, 3.1])
 PINNED_BITS = {
-    "ou": (10513, {
+    "ou": (4205, {
         "G": (
             "0x1.c5bf891b4ef6ap+0"
         ),
         "F": (
-            "0x0.0p+0 0x1.44d28bef79c87p-1005 0x1.4f97c5066b23ap-515 0x1.40b51f65b95d8p-116 0x1.0000000000001p-1 "
-            "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0"
+            "0x0.0p+0 0x1.466241ad1af5ep-1003 0x1.4f97c5066b1aep-515 0x1.32e014bb80662p-116 "
+            "0x1.ffffffffffffep-2 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0"
         ),
         "m": (
-            "0x1.ffffffffffff7p-1 0x1.ffffffffffff7p-1 0x1.ffffffffffff7p-1 0x1.ffffffffffff7p-1 "
-            "0x1.fffffffffffffp-2 0x1.40b51f65b9529p-116 0x1.44d28bef78824p-1005 0x0.0p+0 -0x1.c50dff6cc07f5p-53 "
-            "-0x1.c50dff6cc07f5p-53 -0x1.c50dff6cc07f5p-53 -0x1.c50dff6cc07f5p-53 0x1.20dd750429b6ap-2 "
-            "0x1.616f19b6fed53p-113 0x1.0abbe409d4438p-1000 0x0.0p+0 0x1.ffffffffffff3p-2 0x1.ffffffffffff3p-2 "
-            "0x1.ffffffffffff3p-2 0x1.ffffffffffff3p-2 0x1.0000000000001p-2 0x1.858407aedacf4p-110 "
-            "0x1.b61127a3af879p-996 0x0.0p+0"
+            "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 "
+            "0x1.ffffffffffffcp-2 0x1.32e014bb80665p-116 0x1.466241ad1af5dp-1003 0x0.0p+0 "
+            "0x1.5c1ba531e4f60p-56 0x1.5c1ba531e4f60p-56 0x1.5c1ba531e4f60p-56 0x1.5c1ba531e4f60p-56 "
+            "0x1.20dd750429b6dp-2 0x1.52491c4f24fe4p-113 0x1.0bebc902020a9p-998 0x0.0p+0 "
+            "0x1.0000000000000p-1 0x1.0000000000000p-1 0x1.0000000000000p-1 0x1.0000000000000p-1 "
+            "0x1.0000000000001p-2 0x1.74ed0791c0b8fp-110 0x1.b7dc4d47dd035p-994 0x0.0p+0"
         ),
         "log_A": (
-            "-inf -0x1.6219b62c3af76p+9 -0x1.6bf5021bdf57ep+8 -0x1.57ba24fbdc331p+6 -0x1.c0b7fa5f194d5p+0 "
-            "0x1.29d0200e6f029p+6 0x1.577e54641039fp+9 0x1.579ff0c20d7b3p+9"
+            "-inf -0x1.6095e67cca40ep+9 -0x1.6bf5021bdf57fp+8 -0x1.57e7dc4b6dfa6p+6 -0x1.c0b7fa5f194d9p+0 "
+            "0x1.29fcafcac0616p+6 0x1.572a54a56ee95p+9 0x1.577e54641039dp+9"
         ),
         "log_B": (
-            "0x1.579ff0c20d7b3p+9 0x1.577e54641039ep+9 0x1.5d72e0a109d36p+8 0x1.29d0200e6f027p+6 "
-            "-0x1.c0b7fa5f194d3p+0 -0x1.57ba24fbdc332p+6 -0x1.6219b62c3af95p+9 -inf"
+            "0x1.577e54641039dp+9 0x1.572a54a56ee95p+9 0x1.5d72e0a109d35p+8 0x1.29fcafcac0616p+6 "
+            "-0x1.c0b7fa5f194d7p+0 -0x1.57e7dc4b6dfa5p+6 -0x1.6095e67cca40ap+9 -inf"
         ),
         "nu": (
             "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 "
-            "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0 -0x1.c50dff6cc0891p-53 "
-            "-0x1.c50dff6cc0891p-53 -0x1.c50dff6cc06ccp-53 -0x1.c50dff6cc073dp-53 0x1.a0be83d8d0328p-1 "
-            "0x1.1be4ca9820d70p+3 0x1.a472ed922254fp+4 0x0.0p+0 0x1.00000000000f8p-1 0x1.00000000000f8p-1 "
-            "0x1.fffffffffffefp-2 0x1.fffffffffffefp-2 0x1.b8aa3b295c173p-1 0x1.3ad9e9b688188p+6 "
-            "0x1.5944a79ca441ap+9 0x0.0p+0 0x1.90e5455d68a54p-105 0x1.90e5455d68a54p-105 0x1.90e5455d688c4p-105 "
-            "0x1.9ce8e8594311ep-105 0x1.71547652b82f7p-1 0x1.3ad6bd43ec434p+6 0x1.5944a7922cb81p+9 0x0.0p+0 "
-            "-0x1.c50dff6cc06bep-54 -0x1.c50dff6cc06bep-54 -0x1.c50dff6cc06bep-54 -0x1.c50dff6cc072ep-54 "
-            "0x1.a0be83d8d0321p-1 0x1.5d2f31c564817p+9 0x1.1b87d20040de8p+14 0x0.0p+0 0x1.fffffffffffdep-3 "
-            "0x1.fffffffffffdep-3 0x1.fffffffffffdep-3 0x1.000000000002fp-2 0x1.f1547652b82f1p-1 "
-            "0x1.834ab6939b326p+12 0x1.d1aa1e398a183p+18 0x0.0p+0"
+            "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0 0x1.5c1ba531e4de4p-56 "
+            "0x1.5c1ba531e509dp-56 0x1.5c1ba531e4f40p-56 0x1.5c1ba531e4f6cp-56 0x1.a0be83d8d0330p-1 "
+            "0x1.1bf9057969101p+3 0x1.a451798622baep+4 0x0.0p+0 0x1.ffffffffffdefp-2 0x1.00000000000f8p-1 "
+            "0x1.fffffffffffefp-2 0x1.fffffffffffefp-2 0x1.b8aa3b295c180p-1 0x1.3b06c8ca29717p+6 "
+            "0x1.590db8a7f3005p+9 0x0.0p+0 0x1.d95b2c1be9972p-112 0x1.d95b2c1be9972p-112 "
+            "0x1.d95b2c1be9972p-112 0x1.e66c0e0653854p-110 0x1.71547652b82fdp-1 0x1.3b039cc88aa0cp+6 "
+            "0x1.590db86725fa0p+9 0x0.0p+0 0x1.5c1ba531e4f35p-57 0x1.5c1ba531e4f35p-57 0x1.5c1ba531e4f35p-57 "
+            "0x1.5c1ba531e4f61p-57 0x1.a0be83d8d0331p-1 0x1.5d79d9032715fp+9 0x1.1b442a25ecbc1p+14 0x0.0p+0 "
+            "0x1.fffffffffffdep-3 0x1.fffffffffffdep-3 0x1.fffffffffffdep-3 0x1.000000000002fp-2 "
+            "0x1.f1547652b8300p-1 0x1.83b91e2563011p+12 0x1.d115fcc74f257p+18 0x0.0p+0"
         ),
         "at.F": (
-            "0x1.2bad48659485dp-11 0x1.1fc283f23f3d1p-2 0x1.0000000000001p-1 0x1.ad846108b8b23p-1 "
-            "0x1.ffff3c9165c7bp-1"
+            "0x1.2bad48659485ep-11 0x1.1fc283f23f3d0p-2 0x1.ffffffffffffep-2 0x1.ad846108b8b24p-1 "
+            "0x1.ffff3c9165c70p-1"
         ),
         "at.m": (
-            "0x1.ffb514ade69aap-1 0x1.74d5df00c6208p-10 0x1.fc5b8f2cfe6c2p-2 0x1.701ebe06e0619p-1 "
-            "0x1.e85669854088dp-3 0x1.0c02c9acd6fdap-2 0x1.fffffffffffffp-2 0x1.20dd750429b6ap-2 "
-            "0x1.0000000000001p-2 0x1.49ee7bdd1d377p-3 0x1.61eec74c053cep-3 0x1.9cb7fca3c5798p-3 "
-            "0x1.86dd3472492c6p-18 0x1.3d5ad068da296p-16 0x1.022a17f4d4f63p-14"
+            "0x1.ffb514ade69b0p-1 0x1.74d5df00c65e8p-10 0x1.fc5b8f2cfe6c9p-2 0x1.701ebe06e0617p-1 "
+            "0x1.e856698540899p-3 0x1.0c02c9acd6fdcp-2 0x1.ffffffffffffcp-2 0x1.20dd750429b6dp-2 "
+            "0x1.0000000000001p-2 0x1.49ee7bdd1d373p-3 0x1.61eec74c053cbp-3 0x1.9cb7fca3c5795p-3 "
+            "0x1.86dd3472492c4p-18 0x1.3d5ad068da296p-16 0x1.022a17f4d4f64p-14"
         ),
         "at.log_A": (
-            "-0x1.59b8306d22087p+3 -0x1.6fea31828856ap+1 -0x1.c0b7fa5f194d5p+0 -0x1.97ba6929d869fp-4 "
+            "-0x1.59b8306d22087p+3 -0x1.6fea31828856dp+1 -0x1.c0b7fa5f194d9p+0 -0x1.97ba6929d86d3p-4 "
             "0x1.0d6b95f53fd57p+3"
         ),
         "at.log_B": (
-            "0x1.1d1cb4bbdba17p+2 -0x1.84abb2d89a36fp-1 -0x1.c0b7fa5f194d3p+0 -0x1.e2c43c17bd3dbp+1 "
-            "-0x1.fc0f085c166a3p+3"
+            "0x1.1d1cb4bbdba17p+2 -0x1.84abb2d89a373p-1 -0x1.c0b7fa5f194d7p+0 -0x1.e2c43c17bd3dep+1 "
+            "-0x1.fc0f085c166a2p+3"
         ),
         "at.nu": (
-            "0x1.ffffffffffffcp-1 0x1.b5f7148fff06cp-7 0x1.f1bf53073d375p-2 0x1.b5f7148fff06cp-7 "
-            "0x1.7c9a9136c8934p-9 0x1.b63c688764386p-8 0x1.f1bf53073d375p-2 0x1.b63c688764386p-8 "
-            "0x1.e672df8e53210p-3 0x1.fffffffffffffp-1 0x1.23a21bb695555p-1 0x1.26858d18d2862p-1 "
-            "0x1.23a21bb695555p-1 0x1.8939da7901fd7p-2 0x1.a60b3773df9bfp-2 0x1.26858d18d2862p-1 "
-            "0x1.a60b3773df9bfp-2 0x1.dc30227505077p-2 0x1.0000000000000p+0 0x1.a0be83d8d0329p-1 "
-            "0x1.b8aa3b295c174p-1 0x1.a0be83d8d0329p-1 0x1.71547652b82f7p-1 0x1.a0be83d8d0320p-1 "
-            "0x1.b8aa3b295c174p-1 0x1.a0be83d8d0320p-1 0x1.f1547652b82f1p-1 0x1.fffffffffffffp-1 "
-            "0x1.4df85da0358f3p+0 0x1.d4e1fe89221f3p+0 0x1.4df85da0358f3p+0 0x1.bffc885551f3dp+0 "
-            "0x1.43c7c4edf7768p+1 0x1.d4e1fe89221f3p+0 0x1.43c7c4edf7768p+1 0x1.e2a3b46ad6330p+1 "
-            "0x1.0000000000000p+0 0x1.b09d51f30cfacp+1 0x1.6eaba0c2f65f9p+3 0x1.b09d51f30cfacp+1 "
-            "0x1.6e1088698f7b3p+3 0x1.36bd0ba43336ap+5 0x1.6eaba0c2f65f9p+3 0x1.36bd0ba43336ap+5 "
-            "0x1.08338b25da412p+7"
+            "0x1.0000000000001p+0 0x1.b5f7148fff0e8p-7 0x1.f1bf53073d376p-2 0x1.b5f7148fff0e8p-7 "
+            "0x1.7c9a9136c8945p-9 0x1.b63c6887643fcp-8 0x1.f1bf53073d376p-2 0x1.b63c6887643fcp-8 "
+            "0x1.e672df8e5320ep-3 0x1.ffffffffffffep-1 0x1.23a21bb695556p-1 0x1.26858d18d2865p-1 "
+            "0x1.23a21bb695556p-1 0x1.8939da7901fdap-2 0x1.a60b3773df9cap-2 0x1.26858d18d2865p-1 "
+            "0x1.a60b3773df9cap-2 0x1.dc30227505085p-2 0x1.0000000000001p+0 0x1.a0be83d8d0330p-1 "
+            "0x1.b8aa3b295c17fp-1 0x1.a0be83d8d0330p-1 0x1.71547652b82fep-1 0x1.a0be83d8d0332p-1 "
+            "0x1.b8aa3b295c17fp-1 0x1.a0be83d8d0332p-1 0x1.f1547652b8301p-1 0x1.fffffffffffffp-1 "
+            "0x1.4df85da0358fbp+0 0x1.d4e1fe89221fbp+0 0x1.4df85da0358fbp+0 0x1.bffc885551f48p+0 "
+            "0x1.43c7c4edf776fp+1 0x1.d4e1fe89221fbp+0 0x1.43c7c4edf776fp+1 0x1.e2a3b46ad633fp+1 "
+            "0x1.0000000000003p+0 0x1.b09d51f30cfbbp+1 0x1.6eaba0c2f65fcp+3 0x1.b09d51f30cfbbp+1 "
+            "0x1.6e1088698f7cap+3 0x1.36bd0ba433361p+5 0x1.6eaba0c2f65fcp+3 0x1.36bd0ba433361p+5 "
+            "0x1.08338b25da420p+7"
         ),
     }),
-    "-x^3": (2439, {
+    "-x^3": (1883, {
         "G": (
             "0x1.13f145bc7d120p+1"
         ),
         "F": (
-            "0x0.0p+0 0x1.99fc9e5665631p-1003 0x1.078660edf5001p-268 0x1.61a4873765690p-18 0x1.0000000000003p-1 "
-            "0x1.ffff5e8199e7bp-1 0x1.0000000000002p+0 0x1.0000000000002p+0"
+            "0x0.0p+0 0x1.db2d8e443ad8cp-1006 0x1.1015720b23529p-635 0x1.427c02d23283fp-156 "
+            "0x1.0000000000000p-1 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0"
         ),
         "m": (
-            "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.ffff4f2dbc64bp-1 "
-            "0x1.0000000000004p-1 0x1.42fccc31ef012p-18 0x1.99fc9e5665d75p-1003 0x0.0p+0 -0x1.5f3fe53a3a6f7p-54 "
-            "-0x1.5f3fe53a3a6f7p-54 -0x1.5f3fe53a3a6f7p-54 0x1.7019ff65ba6dap-17 0x1.29a91ba90e2b5p-2 "
-            "0x1.50f2e0f47689fp-17 0x1.382f9ab68085dp-1000 0x0.0p+0 0x1.e975e5343aa5bp-2 0x1.e975e5343aa5bp-2 "
-            "0x1.e975e5343aa5bp-2 0x1.e96fe7c1eaff9p-2 0x1.e975e5343aa66p-3 0x1.5fb3ffa32c0f1p-16 "
-            "0x1.db6e2916280fap-998 0x0.0p+0"
+            "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 "
+            "0x1.ffffffffffffep-2 0x1.427c02d23175bp-156 0x1.db2d8e4432ebdp-1006 0x0.0p+0 "
+            "0x1.4aae6fa035288p-55 0x1.4aae6fa035288p-55 0x1.4aae6fa035288p-55 0x1.4aae6fa035288p-55 "
+            "0x1.29a91ba90e2b5p-2 0x1.31c0139f5750ap-154 0x1.69fd6da12f92dp-1003 0x0.0p+0 "
+            "0x1.e975e5343aa57p-2 0x1.e975e5343aa57p-2 0x1.e975e5343aa57p-2 0x1.e975e5343aa57p-2 "
+            "0x1.e975e5343aa5cp-3 0x1.21e2dcc9f2daap-152 0x1.13c373c4bdbb3p-1000 0x0.0p+0"
         ),
         "log_A": (
-            "-inf -0x1.61c41c68759d0p+9 -0x1.87ee2b73595b0p+7 -0x1.2125dc9626f1cp+4 -0x1.9534df96bcfd3p+0 "
-            "0x1.a84c8a5ba0949p+2 0x1.5535ba2d878efp+9 0x1.5656e0869ebb7p+9"
+            "-inf -0x1.634424c7b2d00p+9 -0x1.c3a0e131882e1p+8 -0x1.d531cb23a5178p+6 -0x1.9534df96bcfd7p+0 "
+            "0x1.8a1f14b588f5bp+6 0x1.55fecca993c14p+9 0x1.567ca5132d68bp+9"
         ),
         "log_B": (
-            "0x1.5656e0869ebb9p+9 0x1.5535ba2d878f2p+9 0x1.5f0a6431a1b93p+7 0x1.a37eaeddbb28bp+2 "
-            "-0x1.9534df96bcfcfp+0 -0x1.22cc4ecb13802p+4 -0x1.61c41c687f40dp+9 -inf"
+            "0x1.567ca5132d68ap+9 0x1.55fecca993bffp+9 0x1.ac8db2d61edf0p+8 0x1.8a1f14b588f27p+6 "
+            "-0x1.9534df96bcfdap+0 -0x1.d531cb23a51b9p+6 -0x1.634424c7b2d42p+9 -inf"
         ),
         "nu": (
             "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 "
-            "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0 -0x1.5f3fe53a3a5c6p-54 "
-            "-0x1.5f3fe53a3a885p-54 -0x1.5f3fe53a3a725p-54 0x1.098eae0df1b94p-10 0x1.829595a5658a4p-1 "
-            "0x1.109768aed8638p+1 0x1.85ebcfe11265ap+2 0x0.0p+0 0x1.e975e5343a8f4p-2 0x1.e975e5343a8f4p-2 "
-            "0x1.e975e5343aaddp-2 0x1.e8f3fa6206679p-2 0x1.60b901ac9cbd3p-1 0x1.2280d6a3b9febp+2 "
-            "0x1.28f3404ec2811p+5 0x0.0p+0 0x1.e1f046884c2f8p-108 0x1.e1f046884c2f8p-108 0x1.e1f046884c2f8p-108 "
-            "0x1.6bd718ad460fap-12 0x1.2fceb422f7565p-1 0x1.225e0c8a8a00ap+2 0x1.28f33fbb9a6d9p+5 0x0.0p+0 "
-            "-0x1.4fc967c5e765ep-55 -0x1.4fc967c5e765ep-55 -0x1.4fc967c5e75b6p-55 0x1.fbbbe25d32c70p-12 "
-            "0x1.1c8e8d50484eep-1 0x1.359130ee8b9b6p+3 0x1.c44b29e5378c7p+7 0x0.0p+0 0x1.d3e9cdf66b902p-3 "
-            "0x1.d3e9cdf66b902p-3 0x1.d3e9cdf66b818p-3 0x1.d31051668d476p-3 0x1.0fd5f86f3e5fap-1 "
-            "0x1.4a2b0ec4a8461p+4 0x1.58736cfd52cc0p+10 0x0.0p+0"
+            "0x1.0000000000001p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0 0x1.4aae6fa0352cbp-55 "
+            "0x1.4aae6fa0352cbp-55 0x1.4aae6fa035180p-55 0x1.4aae6fa03524fp-55 0x1.829595a5658b2p-1 "
+            "0x1.e6928fbc12bf7p+1 0x1.860ffd27686f3p+2 0x0.0p+0 0x1.e975e5343a8f4p-2 0x1.e975e5343a8f4p-2 "
+            "0x1.e975e5343a8f4p-2 0x1.e975e5343a9e9p-2 0x1.60b901ac9cbd4p-1 0x1.ce69b428af1a2p+3 "
+            "0x1.292a5c51746eap+5 0x0.0p+0 0x1.ab262ea4f78bcp-110 0x1.ab262ea4f7566p-110 "
+            "0x1.ab262ea4f7711p-110 0x1.ab262ea52fc15p-110 0x1.2fceb422f756bp-1 0x1.ce690b2f66e67p+3 "
+            "0x1.292a5c3288319p+5 0x0.0p+0 0x1.3c1fbe81c55c1p-56 0x1.3c1fbe81c55c1p-56 0x1.3c1fbe81c55c1p-56 "
+            "0x1.3c1fbe81c5638p-56 0x1.1c8e8d50484ecp-1 0x1.b773ed11d04a6p+5 0x1.c4c918168ade0p+7 0x0.0p+0 "
+            "0x1.d3e9cdf66b902p-3 0x1.d3e9cdf66b55ap-3 0x1.d3e9cdf66b72ep-3 0x1.d3e9cdf66b7a3p-3 "
+            "0x1.0fd5f86f3e5ffp-1 0x1.a1a32d6999fcdp+7 0x1.58f3515fb249fp+10 0x0.0p+0"
         ),
         "at.F": (
-            "0x1.05544dd051334p-26 0x1.3dcc95e01ac4fp-2 0x1.0000000000003p-1 0x1.a263130c255a2p-1 "
-            "0x1.0000000000002p+0"
+            "0x1.05544dd051326p-26 0x1.3dcc95e01ac4dp-2 0x1.0000000000000p-1 0x1.a263130c255a0p-1 "
+            "0x1.0000000000000p+0"
         ),
         "at.m": (
-            "0x1.ffffff7d55d96p-1 0x1.316b3695c5d7ep-25 0x1.e975dfa01af09p-2 0x1.6119b50ff29dbp-1 "
-            "0x1.01ec9c82302abp-2 0x1.ff2761eb4f0c2p-3 0x1.0000000000004p-1 0x1.29a91ba90e2b5p-2 "
-            "0x1.e975e5343aa66p-3 0x1.7673b3cf6a981p-3 0x1.738f63aab3ef7p-3 0x1.8239b24f96c9cp-3 "
-            "0x1.473f8465a8b2fp-74 0x1.fde59a7a5529dp-73 0x1.8d41357dc0c8cp-71"
+            "0x1.ffffff7d55d92p-1 0x1.316b36a5ea8fep-25 0x1.e975dfa01af08p-2 0x1.6119b50ff29d8p-1 "
+            "0x1.01ec9c82302b0p-2 0x1.ff2761eb4f0b9p-3 0x1.ffffffffffffep-2 0x1.29a91ba90e2b5p-2 "
+            "0x1.e975e5343aa5cp-3 0x1.7673b3cf6a983p-3 0x1.738f63aab3ef7p-3 0x1.8239b24f96c9bp-3 "
+            "0x1.473f8465a8b59p-74 0x1.fde59a7a552e2p-73 0x1.8d41357dc0cc7p-71"
         ),
         "at.log_A": (
-            "-0x1.8920263ef8d02p+4 -0x1.6da31781e26fep+1 -0x1.9534df96bcfd3p+0 -0x1.b03a78fd3a451p-4 "
-            "0x1.56fd29f3a1bc4p+5"
+            "-0x1.8920263ef8d03p+4 -0x1.6da31781e26fdp+1 -0x1.9534df96bcfd7p+0 -0x1.b03a78fd3a4a4p-4 "
+            "0x1.56fd29f3a1bbcp+5"
         ),
         "at.log_B": (
-            "0x1.741e3e16b46e8p+3 -0x1.4ccb70a1eac2bp-1 -0x1.9534df96bcfcfp+0 -0x1.044606618a81ap+2 "
-            "-0x1.da45647c0dd69p+5"
+            "0x1.741e3e16b46eap+3 -0x1.4ccb70a1eac3ap-1 -0x1.9534df96bcfdap+0 -0x1.044606618a81ap+2 "
+            "-0x1.da45647c0dd71p+5"
         ),
         "at.nu": (
-            "0x1.0000000000003p+0 0x1.b9ed15c7bc6c3p-18 0x1.e974f42ac43a6p-2 0x1.b9ed15c7bc6c3p-18 "
-            "0x1.2363b41f93b03p-19 0x1.a678b1d595391p-19 0x1.e974f42ac43a6p-2 0x1.a678b1d595391p-19 "
-            "0x1.d3e8329eb5f4ap-3 0x1.ffffffffffffdp-1 0x1.273a3ee38156bp-1 0x1.07f0c75051a3ap-1 "
-            "0x1.273a3ee38156bp-1 0x1.75576cf771200p-2 0x1.5483d183e0d9fp-2 0x1.07f0c75051a3ap-1 "
-            "0x1.5483d183e0d9fp-2 0x1.3b735b77f05b2p-2 0x1.0000000000000p+0 0x1.829595a5658a5p-1 "
-            "0x1.60b901ac9cbd2p-1 0x1.829595a5658a5p-1 0x1.2fceb422f7564p-1 0x1.1c8e8d50484edp-1 "
-            "0x1.60b901ac9cbd2p-1 0x1.1c8e8d50484edp-1 0x1.0fd5f86f3e5fap-1 0x1.ffffffffffffdp-1 "
-            "0x1.1e155fff75b79p+0 0x1.4bd1089323e9cp+0 0x1.1e155fff75b79p+0 0x1.4307a36c84192p+0 "
-            "0x1.7a9030499928fp+0 0x1.4bd1089323e9cp+0 0x1.7a9030499928fp+0 0x1.c048956287b66p+0 "
-            "0x1.000000000000ap+0 0x1.90e010bc049a4p+1 0x1.39e276a7af7f7p+3 0x1.90e010bc049a4p+1 "
-            "0x1.39e06abc8aeafp+3 0x1.eb8aa80ca8e34p+4 0x1.39e276a7af7f7p+3 0x1.eb8aa80ca8e34p+4 "
-            "0x1.80e51e5f866cap+6"
+            "0x1.0000000000003p+0 0x1.b9ed15c7dcb34p-18 0x1.e974f42ac439ep-2 0x1.b9ed15c7dcb34p-18 "
+            "0x1.2363b41f93af6p-19 0x1.a678b1d5b4140p-19 0x1.e974f42ac439ep-2 0x1.a678b1d5b4140p-19 "
+            "0x1.d3e8329eb5f49p-3 0x1.fffffffffffffp-1 0x1.273a3ee381575p-1 0x1.07f0c75051a3ap-1 "
+            "0x1.273a3ee381575p-1 0x1.75576cf771209p-2 0x1.5483d183e0d9cp-2 0x1.07f0c75051a3ap-1 "
+            "0x1.5483d183e0d9cp-2 0x1.3b735b77f05acp-2 0x1.0000000000001p+0 0x1.829595a5658b2p-1 "
+            "0x1.60b901ac9cbd4p-1 0x1.829595a5658b2p-1 0x1.2fceb422f7569p-1 0x1.1c8e8d50484edp-1 "
+            "0x1.60b901ac9cbd4p-1 0x1.1c8e8d50484edp-1 0x1.0fd5f86f3e5ffp-1 0x1.ffffffffffffdp-1 "
+            "0x1.1e155fff75b79p+0 0x1.4bd1089323ea6p+0 0x1.1e155fff75b79p+0 0x1.4307a36c8418fp+0 "
+            "0x1.7a9030499929bp+0 0x1.4bd1089323ea6p+0 0x1.7a9030499929bp+0 0x1.c048956287b62p+0 "
+            "0x1.0000000000005p+0 0x1.90e010bc049b0p+1 0x1.39e276a7af828p+3 0x1.90e010bc049b0p+1 "
+            "0x1.39e06abc8aecep+3 0x1.eb8aa80ca8e8cp+4 0x1.39e276a7af828p+3 0x1.eb8aa80ca8e8cp+4 "
+            "0x1.80e51e5f86700p+6"
         ),
     }),
 }
@@ -716,8 +771,8 @@ def test_float_argument_gives_entry_of_array_call(ou, cubic, name):
 @pytest.mark.parametrize("drift, sigma, trimmed", [(None, None, True), ("-x^3", "1", True), ("-x", "10", False)])
 def test_tables_call_the_density_on_its_panels(monkeypatch, drift, sigma, trimmed):
     # every point the build and the lookups hand the density lies in the panel
-    # passed with it; under sigma = 10 no node is trimmed, so the panels of
-    # the tables are those of the law
+    # passed with it; under sigma = 10 the mass at +-50 is above the floor,
+    # so the build cuts no node from the support grid
     from stochres import laws
     from stochres.estimators import ChannelConfig, estimate_theta_time_at
 
@@ -748,7 +803,9 @@ def test_tables_call_the_density_on_its_panels(monkeypatch, drift, sigma, trimme
     law = laws.ou_law() if drift is None else build_invariant_law(
         DiffusionSpec(compile_expression(drift), compile_expression(sigma)))
     tables = law.tables
-    assert (tables._shift > 0) == trimmed and (len(tables.x) < len(law.grid_x)) == trimmed
+    # the build cuts the support grid to the live mass, and the tables take
+    # the cut grid as it is
+    assert tables.x is law.grid_x and (len(law.grid_x) < len(laws._probe(law.spec)[3])) == trimmed
     lo, hi = tables.support
     xs = np.concatenate([
         tables.x[[0, 1, len(tables.x) // 3, len(tables.x) // 2, -2, -1]],  # nodes, both support ends among them
@@ -780,8 +837,8 @@ def _law(drift, sigma):
 
 @pytest.mark.parametrize("drift, sigma", [(None, None), ("-x^3", "1"), ("-x", "10")])
 def test_first_order_readers_build_no_variance_table(monkeypatch, drift, sigma):
-    # F, sf, the quantile, cdf, upper_moments and the support read the
-    # trim, F and m only: no density call on the nested points of the
+    # F, sf, the quantile, cdf, upper_moments and the support read F and m
+    # only: no density call on the nested points of the
     # variance pass, a (5, 5, n) block.  The first lookup builds the
     # variance tables, one nested call per block, and later lookups and
     # reads of them build nothing more.
@@ -846,8 +903,8 @@ def test_each_law_builds_its_tables_once(monkeypatch, tmp_path):
 ])
 def test_tables_from_the_build_masses_equal_tables_that_call_the_density(monkeypatch, drift, sigma, trimmed):
     # a law's build hands its Gauss-point densities to the tables, whose first
-    # pass then calls the density on the nodes only; the tables and every
-    # lookup are bit for bit those of tables that evaluate the density
+    # pass then calls no density; the tables and every lookup are bit for
+    # bit those of tables that evaluate the density
     from stochres import laws
 
     calls = []
@@ -861,9 +918,9 @@ def test_tables_from_the_build_masses_equal_tables_that_call_the_density(monkeyp
         patch.setattr(laws.LawTables, "__init__", counting_init)
         law = _law(drift, sigma)
         handed = law.tables
-    assert calls == [1]
+    assert calls == []
     called = laws.LawTables(law.grid_x, handed.density, handed.sigma)
-    assert (handed._shift > 0) == trimmed
+    assert (len(handed.x) < len(laws._probe(law.spec)[3])) == trimmed
     lo, hi = handed.support
     xs = np.concatenate([np.linspace(lo, hi, 65)[1:-1] + 1e-3, handed.x[[1, len(handed.x) // 2, -2]]])
     for name in ("x", "F", "m", "log_A", "log_B", "nu"):

@@ -345,7 +345,8 @@ def test_held_bracket_ends_are_not_evaluated_again(monkeypatch, case):
         root = law.quantile(0.3)
         assert calls == []
         assert len(points) > 2 and len(np.unique(points)) == len(points)
-        assert points[1] - points[0] == pytest.approx(0.005)  # one node panel
+        i = law.tables.x.searchsorted(points[0])
+        assert points[:2] == law.tables.x[i : i + 2].tolist()  # one node panel
         monkeypatch.undo()
         assert law.F(root) - 0.3 == pytest.approx(0.0, abs=1e-10)
         return
@@ -360,7 +361,10 @@ def test_held_bracket_ends_are_not_evaluated_again(monkeypatch, case):
     points = np.concatenate(calls)
     assert len(np.unique(points)) == len(points)
     lo, hi = calls[0]
-    assert hi - lo == pytest.approx(0.015 * ch.eps)  # three node panels
+    # three node panels, two doubles wider on each side
+    x = ch.law.tables.x
+    i = np.abs(x - (ch.tau - lo) / ch.eps).argmin()
+    assert hi - lo == pytest.approx(ch.eps * (x[i] - x[i - 3]), rel=1e-12)
     assert lo < root < hi
     assert float(limit_at(root, ch.tau, ch.eps, ch.law)) - energy == pytest.approx(0.0, abs=1e-10)
 
