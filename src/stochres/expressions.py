@@ -7,8 +7,33 @@ Grammar (identifiers: the single variable ``x``; functions: exp, tanh):
     unary  := '-' unary | power
     power  := atom ('^' unary)?          right associative
     atom   := NUMBER | 'x' | FUNC '(' expr ')' | '(' expr ')'
+    NUMBER := D+ ['.' D*] [E] | '.' D+ [E]     D a digit 0-9
+    E      := ('e' | 'E') ['+' | '-'] D+
 
-An expression is parsed once into a tree.  One emitter turns the tree into
+This is a subset of Python's expression grammar, with ``^`` for ``**``, so
+Python's own parser reads it.  ``_parse`` makes four steps:
+
+1. It refuses any character outside the alphabet (ASCII digits and
+   letters, ``.``, ``+ - * / ^ ( )`` and whitespace), and ``**``.
+2. It normalizes the text: each run of whitespace (a newline, a tab or a
+   Unicode space alike) becomes one space, the zeros that lead a decimal
+   integer are dropped (the grammar reads ``007`` as 7; Python refuses
+   it), and ``^`` becomes ``**``.
+3. ``ast.parse`` reads the result, with warnings turned into errors.  It
+   builds a tree and runs nothing.
+4. One walk admits the grammar's nodes only and builds the tuple tree from
+   them: a literal whose source text is a NUMBER, the name ``x``, unary
+   minus, ``+ - * / **``, and a call of exp or tanh, by its bare name, with
+   one positional argument.  Any other node (``x.real``, ``x//2``,
+   ``+x``, ``1j``, ``0x1F``, a keyword argument, ``(exp)(x)``) raises
+   ExpressionError naming the part that is not allowed.
+
+A text that Python cannot parse raises ExpressionError with the parser's
+message.  A text that nests too deeply for the parser, the walk or the
+compiler raises ExpressionError("... nests too deeply"), not
+RecursionError or MemoryError.
+
+An expression is parsed once.  One emitter turns the tree into
 the body of ``lambda x: ...`` in two forms, as ``ast`` nodes, and each form
 is compiled once into a single Python function with its arithmetic inline:
 ``-x^3`` becomes ``lambda x: -(x * x * x)``.
@@ -19,13 +44,12 @@ is compiled once into a single Python function with its arithmetic inline:
   the compiled function sends an argument of type ``float`` there, which is
   what a single Euler path steps on, one call per step.
 
-No user text reaches the compiler.  The tokenizer and the parser accept
-only numbers, ``x``, the operators and the function names of
-``_FUNCTIONS``, and the emitter builds every node from the parse tree: a
-number becomes a constant node, ``x`` the lambda's argument, and each
-operation a fixed operator or a call of a fixed helper name.  The forms run
-in a namespace that holds only those helpers (the ufuncs, ``float``, the
-two divisions and the array conversion) and empty ``__builtins__``.
+No user text reaches the compiler.  The emitter builds every node it
+compiles from the tuple tree: a number becomes a constant node, ``x`` the
+lambda's argument, and each operation a fixed operator or a call of a
+fixed helper name.  The forms run in a namespace that holds only those
+helpers (the ufuncs, ``float``, the two divisions and the array
+conversion) and empty ``__builtins__``.
 
 The two forms round alike, bit for bit, so a path stepped one float at a
 time equals its row of an ensemble stepped on arrays:
@@ -53,6 +77,8 @@ from __future__ import annotations
 import ast
 import itertools
 import re
+import reprlib
+import warnings
 from typing import Callable, Iterator
 
 import numpy as np
@@ -64,12 +90,6 @@ class ExpressionError(ValueError):
     """Malformed coefficient expression."""
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
-
 _FUNCTIONS: dict[str, np.ufunc] = {"exp": np.exp, "tanh": np.tanh}
 
 # larger literal integer exponents go through ``power``: the product's cost
@@ -80,99 +100,54 @@ _MAX_MULTIPLIED_POWER = 16
 # for op in + - * / ^, or (function name, a).
 Node = tuple
 
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
-    text = text.strip()
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ExpressionError(f"unexpected character {text[pos]!r} at position {pos}")
-        if m.lastgroup is not None:
-            tokens.append((m.lastgroup, m.group(m.lastgroup)))
-        pos = m.end()
-    return tokens
+# a character outside the grammar's alphabet, or Python's power operator
+_NOT_ALLOWED = re.compile(r"[^0-9A-Za-z.+\-*/^()\s]|\*\*")
+# the zeros that lead a decimal integer: the grammar reads 007 as 7
+_LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=\d)")
+_NUMBER = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
+_TOO_DEEP = "expression {} nests too deeply"
+_BINARY = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
 
 
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str]], source: str):
-        self.tokens = tokens
-        self.pos = 0
-        self.source = source
+def _parse(text: str) -> Node:
+    """The tree of ``text``, read by Python's parser and admitted node by
+    node (see the module docstring)."""
+    if bad := _NOT_ALLOWED.search(text):
+        raise ExpressionError(f"{bad[0]!r} is not allowed in {reprlib.repr(text)}")
+    source = _LEADING_ZEROS.sub("", " ".join(text.split())).replace("^", "**")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            body = ast.parse(source, mode="eval").body
+    except SyntaxError as exc:
+        raise ExpressionError(f"malformed expression {reprlib.repr(text)}: {exc.msg}") from None
+    except MemoryError:  # the parser's own stack overflowed
+        raise ExpressionError(_TOO_DEEP.format(reprlib.repr(text))) from None
 
-    def peek(self) -> tuple[str, str] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def walk(node: ast.expr) -> Node:
+        part = source[node.col_offset:node.end_col_offset]
+        if isinstance(node, ast.Constant) and _NUMBER.fullmatch(part):
+            return ("num", float(part))
+        if isinstance(node, ast.Name) and node.id == "x":
+            return ("x",)
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return ("neg", walk(node.operand))
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            return (_BINARY[type(node.op)], walk(node.left), walk(node.right))
+        # the name must open the call: ``(exp)(x)`` is not in the grammar
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in _FUNCTIONS
+                and node.func.col_offset == node.col_offset and len(node.args) == 1 and not node.keywords):
+            return (node.func.id, walk(node.args[0]))
+        raise ExpressionError(f"{reprlib.repr(part)} is not allowed in {reprlib.repr(text)}")
 
-    def take(self) -> tuple[str, str]:
-        tok = self.peek()
-        if tok is None:
-            raise ExpressionError(f"unexpected end of expression in {self.source!r}")
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str) -> None:
-        tok = self.take()
-        if tok != ("op", op):
-            raise ExpressionError(f"expected {op!r}, found {tok[1]!r} in {self.source!r}")
-
-    def parse(self) -> Node:
-        node = self.expr()
-        if self.peek() is not None:
-            raise ExpressionError(f"trailing input {self.peek()[1]!r} in {self.source!r}")
-        return node
-
-    def expr(self) -> Node:
-        node = self.term()
-        while self.peek() in (("op", "+"), ("op", "-")):
-            node = (self.take()[1], node, self.term())
-        return node
-
-    def term(self) -> Node:
-        node = self.unary()
-        while self.peek() in (("op", "*"), ("op", "/")):
-            node = (self.take()[1], node, self.unary())
-        return node
-
-    def unary(self) -> Node:
-        if self.peek() == ("op", "-"):
-            self.take()
-            return ("neg", self.unary())
-        return self.power()
-
-    def power(self) -> Node:
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            return ("^", base, self.unary())
-        return base
-
-    def atom(self) -> Node:
-        kind, text = self.take()
-        if kind == "num":
-            return ("num", float(text))
-        if kind == "name":
-            if text == "x":
-                return ("x",)
-            if text not in _FUNCTIONS:
-                raise ExpressionError(f"unknown identifier {text!r} in {self.source!r}")
-            self.expect_op("(")
-            arg = self.expr()
-            self.expect_op(")")
-            return (text, arg)
-        if (kind, text) == ("op", "("):
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ExpressionError(f"unexpected token {text!r} in {self.source!r}")
+    return walk(body)
 
 
 def _multiplied_power(exponent: Node) -> int | None:
     """n when ``exponent`` is a literal integer the power multiplies out."""
-    if exponent[0] != "num":
-        return None
-    value = exponent[1]
-    return int(value) if value.is_integer() and 1 <= value <= _MAX_MULTIPLIED_POWER else None
+    if exponent[0] == "num" and exponent[1].is_integer() and 1 <= exponent[1] <= _MAX_MULTIPLIED_POWER:
+        return int(exponent[1])
+    return None
 
 
 def _has_x(node: Node) -> bool:
@@ -268,11 +243,12 @@ def compile_expression(text: str) -> Callable:
     themselves, with no dispatch or shape handling around them, and its
     ``constant`` is the expression's value when it has no ``x``, else None.
     """
-    if not text or not text.strip():
-        raise ExpressionError("empty expression")
-    tree = _Parser(_tokenize(text), text).parse()
-    scalar = _compile(tree, scalar=True)
-    array = _compile(tree, scalar=False)
+    try:
+        tree = _parse(text)
+        scalar, array = _compile(tree, scalar=True), _compile(tree, scalar=False)
+        has_x = _has_x(tree)
+    except RecursionError:
+        raise ExpressionError(_TOO_DEEP.format(reprlib.repr(text))) from None
 
     def fn(x):
         if type(x) is float:
@@ -282,10 +258,7 @@ def compile_expression(text: str) -> Callable:
             return float(out)
         return np.broadcast_to(out, np.shape(x)).copy() if out.shape != np.shape(x) else out
 
-    fn.scalar = scalar
-    fn.array = array
-    fn.constant = None
-    if not _has_x(tree):
-        with np.errstate(all="ignore"):
-            fn.constant = scalar(0.0)
+    fn.scalar, fn.array = scalar, array
+    with np.errstate(all="ignore"):
+        fn.constant = None if has_x else scalar(0.0)
     return fn

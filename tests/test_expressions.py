@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochres.expressions import ExpressionError, _Parser, _tokenize, compile_expression
+from stochres.expressions import ExpressionError, _parse, compile_expression
 
 
 def test_constants_and_variable():
@@ -144,7 +144,7 @@ def test_scalar_form_is_the_float_route_and_follows_the_tree(text, v):
     f = compile_expression(text)
     with np.errstate(all="ignore"):
         scalar = f.scalar(float(v))
-        reference = _reference(_Parser(_tokenize(text), text).parse(), float(v))
+        reference = _reference(_parse(text), float(v))
         called = f(float(v))
     assert type(scalar) is float
     assert _same_double(scalar, called), (text, v, scalar, called)
@@ -195,13 +195,87 @@ def test_whitespace_tolerated():
     assert compile_expression(" - x ^ 2 + 1 ")(2.0) == -3.0
 
 
-@pytest.mark.parametrize(
-    "bad",
-    ["", "  ", "y", "sin(x)", "2+", "exp(x", "(x", "x)", "2 3", "x & 2", "^2"],
-)
+# malformed text, then Python syntax outside the grammar ("1if x else 2"
+# draws Python's "invalid decimal literal" warning; a fullwidth x would be
+# read as x, a fullwidth digit is not a digit of the grammar)
+_REJECTED = [
+    "", "  ", "y", "sin(x)", "2+", "exp(x", "(x", "x)", "2 3", "x & 2", "^2",
+    "x**2", "+x", "x//2", "x%2", "exp(x,)", "exp(x, 2)", "exp(x=1)", "x.real", "x[0]", "0x1F", "1_0", "1j",
+    "True", "1if x else 2", "(y:=1)", "lambda: x", "\uff58", "\uff13*x", "__import__('os')", "(exp)(x)",
+]
+
+
+@pytest.mark.parametrize("bad", _REJECTED)
 def test_malformed_expressions_rejected(bad):
     with pytest.raises(ExpressionError):
         compile_expression(bad)
+
+
+@pytest.mark.parametrize("bad", _REJECTED)
+def test_rejection_emits_no_warning(bad):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ExpressionError):
+            compile_expression(bad)
+    assert caught == []
+
+
+# the tree of each README, workload and test expression, recorded from the
+# recursive-descent parser that preceded `_parse`
+_TREES = [
+    ("-x^3", ("neg", ("^", ("x",), ("num", 3.0)))),
+    ("1", ("num", 1.0)),
+    ("-x", ("neg", ("x",))),
+    ("-4*x", ("*", ("neg", ("num", 4.0)), ("x",))),
+    ("2", ("num", 2.0)),
+    ("-tanh(x)", ("neg", ("tanh", ("x",)))),
+    ("1+0.5*exp(-x^2)", ("+", ("num", 1.0), ("*", ("num", 0.5), ("exp", ("neg", ("^", ("x",), ("num", 2.0))))))),
+    ("2*x-x^3", ("-", ("*", ("num", 2.0), ("x",)), ("^", ("x",), ("num", 3.0)))),
+    ("-x*(x^2-4)*(x^2-9)/10", ("/", ("*", ("*", ("neg", ("x",)), ("-", ("^", ("x",), ("num", 2.0)), ("num", 4.0))),
+                                       ("-", ("^", ("x",), ("num", 2.0)), ("num", 9.0))), ("num", 10.0))),
+    ("(x-0.0123)^2", ("^", ("-", ("x",), ("num", 0.0123)), ("num", 2.0))),
+    ("-x/(2*(1+x^2))", ("/", ("neg", ("x",)), ("*", ("num", 2.0), ("+", ("num", 1.0), ("^", ("x",), ("num", 2.0)))))),
+    ("-x^7", ("neg", ("^", ("x",), ("num", 7.0)))),
+    ("-x^9", ("neg", ("^", ("x",), ("num", 9.0)))),
+    ("-(x-2)", ("neg", ("-", ("x",), ("num", 2.0)))),
+    ("-3*(x-1)", ("*", ("neg", ("num", 3.0)), ("-", ("x",), ("num", 1.0)))),
+    ("1+x^2", ("+", ("num", 1.0), ("^", ("x",), ("num", 2.0)))),
+    ("exp(x)", ("exp", ("x",))),
+    ("-tanh(5*x)", ("neg", ("tanh", ("*", ("num", 5.0), ("x",))))),
+    ("0.01", ("num", 0.01)),
+    ("1e-2", ("num", 0.01)),
+    ("2^3^2", ("^", ("num", 2.0), ("^", ("num", 3.0), ("num", 2.0)))),
+    ("2^-1", ("^", ("num", 2.0), ("neg", ("num", 1.0)))),
+    ("--x", ("neg", ("neg", ("x",)))),
+    ("(-x)^2", ("^", ("neg", ("x",)), ("num", 2.0))),
+    ("-x^2", ("neg", ("^", ("x",), ("num", 2.0)))),
+    (" - x ^ 2 + 1 ", ("+", ("neg", ("^", ("x",), ("num", 2.0))), ("num", 1.0))),
+]
+
+
+@pytest.mark.parametrize("text, tree", _TREES)
+def test_trees_are_pinned(text, tree):
+    assert _parse(text) == tree
+
+
+def test_leading_zeros_and_any_whitespace():
+    assert _parse("007") == ("num", 7.0)
+    assert _parse("x^02") == _parse("x^2")
+    spaced = _parse("-x ^ 3 + 1")
+    for space in ("\n", "\t", "\u3000", "\u00a0"):
+        assert _parse(space.join(["-x", "^", "3", "+", "1"])) == spaced
+
+
+@pytest.mark.parametrize("drift", ["-" * 2000 + "x", "-" * 100_000 + "x", "+".join(["x"] * 100_000),
+                                   "(" * 250 + "x" + ")" * 250],
+                         ids=["2000 minus signs", "100000 minus signs", "100000-term sum", "250 parentheses"])
+def test_deep_nesting_is_a_named_error(tmp_path, capsys, drift):
+    from stochres.cli import main
+
+    assert main(["law", f"--drift={drift}", "--sigma", "1", "--out", str(tmp_path / "law")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad coefficient expression: ") and err.count("\n") == 1
+    assert ("too many nested parentheses" if drift.startswith("(") else "nests too deeply") in err
 
 
 def test_expression_as_diffusion_coefficient():

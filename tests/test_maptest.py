@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from stochres import TestProblem as Problem
 from stochres import (
     Bracket,
     Decision,
+    DiffusionSpec,
     GaussianMoments,
+    build_invariant_law,
     build_rule,
     decide,
     error_rate_study,
@@ -19,7 +22,9 @@ from stochres import (
     p_err,
     p_err_surface,
 )
+from stochres import maptest
 from stochres.errors import QuadratureFailure
+from stochres.expressions import compile_expression
 from stochres.estimators import fisher_at
 from stochres.laws import LawTables
 from stochres.numerics import SCAN_CELLS, scan_points
@@ -306,6 +311,44 @@ def test_two_cut_errors_keep_far_tails(m, case_id):
     assert 0.0 < t1 < 1e-30 and 0.0 < t2 < 1e-30
     assert report.p_type1 == pytest.approx(t1, rel=1e-12, abs=0.0)
     assert report.p_type2 == pytest.approx(t2, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("centre", np.linspace(-37.0, 37.0, 15).tolist())
+def test_interval_mass_matches_quadrature(centre):
+    # widths from 1e-15 to 10 standard deviations, centres across both tails
+    integrate = pytest.importorskip("scipy.integrate")
+    for width in np.logspace(-15, 1, 17).tolist():
+        lo, hi = centre - width / 2, centre + width / 2
+        with warnings.catch_warnings():
+            # quad flags roundoff on intervals a few ulps wide; its values there
+            # agree with 60-digit mpmath to 1e-13
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            reference = integrate.quad(lambda x: gaussian_pdf(x, 0.0, 1.0), lo, hi, epsabs=0.0, epsrel=1e-13)[0]
+        if reference < 1e-300:
+            continue
+        # the nearer-tail difference loses a digit per decade that width x
+        # max(1, |centre|) falls below 1; the midpoint form takes over at 1e-4
+        u = (hi - lo) * max(1.0, abs((lo + hi) / 2))
+        rel = 1e-12 if u <= maptest._NARROW else 1e-12 / min(1.0, u)
+        assert maptest._mass(lo, hi, True, 0.0, 1.0) == pytest.approx(reference, rel=rel, abs=0.0), (lo, hi)
+
+
+def test_narrow_interval_of_the_readme_cubic_test():
+    # theta1 = 0.7, eps = 0.3 of the README cubic ``stochres test``: the D0
+    # interval is 9.7e-15 sd wide, 3.5 sd below the alternative mean, and its
+    # alternative mass was the difference of two CDF values near 2.3e-4
+    quad = pytest.importorskip("scipy.integrate").quad
+    law = build_invariant_law(DiffusionSpec(compile_expression("-x^3"), compile_expression("1")))
+    pr = Problem(theta0=0.0, theta1=0.7, p0=0.5, p1=0.5, tau=1.0, eps=0.3, horizon=100.0, law=law)
+    report, m = p_err(pr), moments(pr)
+    rule = report.rule
+    assert rule.case_id == 2 and (rule.gamma_hi - rule.gamma_lo) / math.sqrt(m.s1sq) < 1e-14
+    inside = quad(lambda x: gaussian_pdf(x, m.mu1, math.sqrt(m.s1sq)), rule.gamma_lo, rule.gamma_hi,
+                  epsabs=0.0, epsrel=1e-13)[0]
+    t1, t2 = reference_errors(m, rule)
+    assert report.p_type2 == pytest.approx(inside, rel=1e-12, abs=0.0)
+    assert report.p_type2 == pytest.approx(t2, rel=1e-12, abs=0.0)
+    assert report.p_err == pytest.approx(0.5 * (t1 + t2), rel=1e-12, abs=0.0)
 
 
 def test_map_never_worse_than_prior_guess(ou):
