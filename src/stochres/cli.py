@@ -287,6 +287,8 @@ def cmd_law(cfg: dict[str, Any]) -> None:
         "c2_holds": report.c2_holds,
         "c3_holds": report.c3_holds,
         "label": law.label,
+        "nodes": len(law.grid_x),
+        "support": list(law.tables.support),
     })
     grid = _parse_grid(cfg["grid"])
     rows = list(zip(grid.tolist(), law.f(grid).tolist(), law.F(grid).tolist()))

@@ -24,18 +24,23 @@ summed, divided by G, so a build computes the density at each point once.
 One rule lays every support grid (``_support_grid``), from the log-mass
 at the probe's nodes, 0.05 apart over [-50, 50] (``_PROBE_SPACING``): it
 takes the probe panels that hold mass above ``_MASS_FLOOR`` of the peak,
-with one panel of margin on each side, and splits each into equal panels
-no wider than ``_MAX_WIDTH`` (0.0125), across which the log-mass falls by
-about ``_MAX_FALL`` (1) at most.  A law built from coefficients reads the
-log-mass from the exponent its probe already holds, the closed-form law
-passes its exact -x^2, and each cuts the grid to the nodes whose mass is
-above the floor, so the tables take the grid as it is.  The two constants
-were chosen against the same rule at an eighth of both: on 13 laws (OU,
--x, -x^3, -x^5, -x^7, -x^9, 2*x-x^3 and -tanh(x) at sigma 1, with
-1+0.5*exp(-x^2) too, -x at sigma 0.3, 0.01 and 0.001, and -x^3 at 0.05)
-the Fisher information of both schemes at theta = 0.5, tau = 1 and 30
-noise levels from 0.1 to 3 (times 1/sigma for the three narrow laws)
-stays within 1.1e-12 of it, relative.
+with one panel of margin on each side, and splits each into as few equal
+panels as its own smoothness allows: across one the log-mass falls by
+about ``_MAX_FALL`` (1) at most, its second difference is ``_MAX_BEND``
+(0.05) at most, and the exponent between nodes, a degree-5 polynomial per
+panel, is off by about ``_MAX_DEFECT`` (1e-14) at most.  A law built from
+coefficients reads the log-mass and the exponent's defect from what its
+probe already holds; the closed-form law passes its exact -x^2 and no
+defect; each cuts the grid to the nodes whose mass is above the floor, so
+the tables take the grid as it is.  OU and -x get 1 957 nodes, -x^3 1 583
+and -tanh(x) 2 191.  The rule was measured against a fixed fine grid,
+each live probe panel split into at least 32 panels and by falls of 1/8:
+on 15 laws (OU; -x, -x^3, -x^5, -x^7, -x^9, 2*x-x^3, -x-x^3, -tanh(x) and
+-tanh(5*x) at sigma 1; -x at 1+0.5*exp(-x^2), 0.3, 0.01 and 0.001; -x^3 at
+0.05) the Fisher information of both schemes at theta = 0.5, tau = 1 and
+30 noise levels from 0.1 to 3 (times 1/sigma for the three narrow laws)
+stays within 1.03e-12 of it, relative (the largest, on -x at sigma 0.3),
+and fails at the same levels.
 The tables call the density with the panel of the node grid that holds
 each point, a slice of whole panels in a build and the panel a lookup has
 located, so only a law's public f (and the probe) searches the nodes.  The
@@ -90,6 +95,8 @@ _PARTIAL = np.ascontiguousarray(
         @ np.linalg.inv(np.vander(_GL_X, 5, increasing=True))
     ).T
 )
+# Q'(u) = p(u) at u = -1 and 1 from Q's coefficients: _PARTIAL_SLOPES @ Q
+_PARTIAL_SLOPES = np.array([np.arange(6.0) * (-1.0) ** np.arange(1, 7), np.arange(6.0)])
 
 # the support ends where the stationary mass falls below this fraction of its peak
 _MASS_FLOOR = 1e-300
@@ -98,10 +105,12 @@ _PROBE_RANGE = Bracket(-50.0, 50.0)
 _PROBE_ENDS = np.array([_PROBE_RANGE.lo, _PROBE_RANGE.hi])
 # the probe's node spacing; the support grid splits each probe panel it spans
 _PROBE_SPACING = 0.05
-# the support grid's rule: no panel wider than _MAX_WIDTH, and the log-mass
-# falls by about _MAX_FALL at most across one (see _support_grid)
-_MAX_WIDTH = 0.0125
+# the support grid's rule (see _support_grid): across one panel the log-mass
+# falls by about _MAX_FALL at most, its second difference is _MAX_BEND at
+# most, and the exponent between nodes is off by about _MAX_DEFECT at most
 _MAX_FALL = 1.0
+_MAX_BEND = 0.05
+_MAX_DEFECT = 1e-14
 # a build refuses a grid with a panel across which the log-density falls by
 # more than this (between the panel's outer Gauss points): the rule leaves
 # such panels only past the edge of a law narrower than about 3e-4 (standard
@@ -226,37 +235,58 @@ def _live(log_mass: np.ndarray) -> slice:
     return slice(live[0], live[-1] + 1)
 
 
-def _support_grid(nodes: np.ndarray, log_mass: np.ndarray) -> np.ndarray:
-    """The support's node grid, from the log-mass at the probe's ``nodes``.
+def _support_grid(nodes: np.ndarray, log_mass: np.ndarray, defect: Optional[np.ndarray] = None) -> np.ndarray:
+    """The support's node grid, from the log-mass at the probe's ``nodes``
+    and, for a law whose exponent between nodes is a polynomial, its
+    ``defect`` on each probe panel.
 
     The grid spans the probe panels from one node before the first to one
     node past the last whose mass is above ``_MASS_FLOOR`` of the largest
     (see ``_live``), widened to 0 if need be, so that 0 stays a node.  Each
-    of those panels is split into max(ceil(_PROBE_SPACING/_MAX_WIDTH),
-    ceil(fall/_MAX_FALL)) equal panels, fall being the largest change of
-    the log-mass across the panel or either neighbour.  An even split by
-    the panel's own change leaves its steep end more than the mean fall
-    (twice it, for a log-mass falling quadratically from its peak: 2.0 on
-    -x at sigma = 0.01); the steeper neighbour bounds the slope where it
-    grows monotonically.
+    of those panels is split into equal panels, as many as the largest of
+    1 and three criteria, each the split that brings its measure under its
+    bound:
+    - steep/_MAX_FALL, steep being the largest change of the log-mass
+      across the panel or either neighbour.  An even split by the panel's
+      own change leaves its steep end more than the mean fall (twice it,
+      for a log-mass falling quadratically from its peak: 2.0 on -x at
+      sigma = 0.01); the steeper neighbour bounds the slope where it grows
+      monotonically.
+    - sqrt(bend/_MAX_BEND), bend being the largest second difference of the
+      log-mass at the panel's two nodes (0 at the grid's ends): a split in
+      n divides it by n^2.  It resolves a peak and a turn, where the falls
+      are small but the log-mass curves.
+    - (defect/_MAX_DEFECT)^(1/6), ``defect`` being half the panel width
+      times the largest gap, at the panel's two ends, between S/sigma^2 and
+      the degree-4 polynomial through its five Gauss values (see ``_probe``):
+      the error of the exponent between nodes, which shrinks as the 6th
+      power of the width.  The closed-form law passes none, as its
+      exponent is exact.
 
-    Before the falls are taken the log-mass is raised to twice the floor's
-    depth (2 * 690.8) below its largest value.  That touches only a panel
-    that ends far below the floor: the one past the last live node of a
-    law narrower than about 0.003 (standard deviation), or one of a mass
-    whose log rises far from 0.  It bounds the grid for any law, at about
-    4 * 690.8/_MAX_FALL panels per mode plus the span over _MAX_WIDTH.  A
-    narrower law's last live panels fall by more than _MAX_FALL, and a
-    build refuses a law where one falls by more than ``_UNRESOLVED_FALL``.
+    Before the falls and bends are taken the log-mass is raised to twice
+    the floor's depth (2 * 690.8) below its largest value.  That touches
+    only a panel that ends far below the floor: the one past the last live
+    node of a law narrower than about 0.003 (standard deviation), or one of
+    a mass whose log rises far from 0.  It bounds the first two splits at
+    about 1 382 and 236 per panel.  A narrower law's last live panels fall
+    by more than _MAX_FALL, and a build refuses a law where one falls by
+    more than ``_UNRESOLVED_FALL``.  The defect is not bounded: a
+    coefficient that jumps by D inside the live mass adds about
+    (2.5e12 D)^(1/6) panels to the probe panel that holds the jump.
     """
     live = _live(log_mass)
     zero = int(nodes.searchsorted(0.0))
     lo, hi = max(min(live.start - 1, zero), 0), min(max(live.stop, zero), len(nodes) - 1)
     # a largest log-mass that is not finite makes every fall NaN: each panel is then split the fewest times
     with np.errstate(invalid="ignore"):
-        fall = np.abs(np.diff(np.fmax(log_mass[lo : hi + 1], np.fmax.reduce(log_mass) + 2.0 * _LOG_FLOOR)))
+        floored = np.fmax(log_mass[lo : hi + 1], np.fmax.reduce(log_mass) + 2.0 * _LOG_FLOOR)
+        fall = np.abs(np.diff(floored))
+        bend = np.abs(np.r_[0.0, np.diff(floored, 2), 0.0])
     steep = np.fmax.reduce([fall, np.r_[fall[1:], 0.0], np.r_[0.0, fall[:-1]]])
-    splits = np.fmax(np.ceil(steep / _MAX_FALL), _PROBE_SPACING / _MAX_WIDTH).astype(int)
+    criteria = [np.ones(hi - lo), np.ceil(steep / _MAX_FALL), np.ceil(np.sqrt(np.fmax(bend[:-1], bend[1:]) / _MAX_BEND))]
+    if defect is not None:
+        criteria.append(np.ceil((defect[lo:hi] / _MAX_DEFECT) ** (1.0 / 6.0)))
+    splits = np.fmax.reduce(criteria).astype(int)
     panel = np.repeat(np.arange(lo, hi), splits)
     # each node's fractional index in the probe grid: its panel k, plus j/splits for the j-th node of panel k
     at = panel + (np.arange(len(panel)) - panel.searchsorted(panel)) / splits[panel - lo]
@@ -271,9 +301,11 @@ def _panel_of(nodes: np.ndarray, x):
 
 
 def _mass(drift: Callable, sigma: Callable, nodes: np.ndarray,
-          trim: bool = False) -> tuple[np.ndarray, np.ndarray, Callable, Callable]:
-    """The nodes, the exponent int_0^x S/sigma^2 at them, the exponent, and
-    the unnormalized stationary mass exp(2*exponent)/sigma^2, from the array
+          trim: bool = False) -> tuple[np.ndarray, np.ndarray, Callable, Callable, np.ndarray]:
+    """The nodes, the exponent int_0^x S/sigma^2 at them, the exponent, the
+    unnormalized stationary mass exp(2*exponent)/sigma^2, and half of each
+    panel's width times the polynomial through its Gauss values of
+    S/sigma^2 (see below) at its two ends, shape (2, panels), from the array
     forms of the coefficients; 0 is one of the ``nodes``.  The two
     functions take (x, i): x, scalar or array, lies in the panels i of the
     nodes returned (panel k is [nodes[k], nodes[k+1]]).  i broadcasts along
@@ -304,10 +336,12 @@ def _mass(drift: Callable, sigma: Callable, nodes: np.ndarray,
     np.cumsum(panels[zero:], out=at_nodes[zero + 1 :])
     at_nodes[:zero] = -np.cumsum(panels[:zero][::-1])[::-1]
     partial = (half[:, None] * (s_gauss @ _PARTIAL)).T
+    ends = _PARTIAL_SLOPES @ partial
     if trim:
         keep = _live(2.0 * at_nodes - np.log(np.square(sigma(nodes))))
         cut = slice(keep.start, keep.stop - 1)  # the panels between the nodes kept
-        nodes, at_nodes, half, mid, partial = nodes[keep], at_nodes[keep], half[cut], mid[cut], partial[:, cut]
+        nodes, at_nodes, half, mid = nodes[keep], at_nodes[keep], half[cut], mid[cut]
+        partial, ends = partial[:, cut], ends[:, cut]
     at_left = at_nodes[:-1]  # per panel, as half, mid and partial are
 
     def exponent(x, i):
@@ -322,7 +356,7 @@ def _mass(drift: Callable, sigma: Callable, nodes: np.ndarray,
         with np.errstate(over="ignore"):
             return np.exp(2.0 * exponent(x, i)) / (sig * sig)
 
-    return nodes, at_nodes, exponent, mass
+    return nodes, at_nodes, exponent, mass, ends
 
 
 def _probe(spec: DiffusionSpec) -> tuple[tuple[float, float], list[str], np.ndarray, np.ndarray,
@@ -347,7 +381,7 @@ def _probe(spec: DiffusionSpec) -> tuple[tuple[float, float], list[str], np.ndar
     bad = np.flatnonzero(~(np.isfinite(s) & np.isfinite(sig) & (sig > 0)))
     if len(bad):
         raise ValueError(f"coefficients must be finite and sigma positive on the probe grid (x={nodes[bad[0]]})")
-    _, at_nodes, exponent, _ = _mass(drift, sigma, nodes)
+    _, at_nodes, exponent, _, ends = _mass(drift, sigma, nodes)
     probes = np.r_[_PROBE_ENDS, _PROBE_ENDS / 2.0]
     left, right, left_mid, right_mid = (float(e) for e in exponent(probes, _panel_of(nodes, probes)))
     c2_failures = [
@@ -356,7 +390,11 @@ def _probe(spec: DiffusionSpec) -> tuple[tuple[float, float], list[str], np.ndar
         if not e < min(e_mid, 0.0)
     ]
     log_mass = 2.0 * at_nodes - np.log(np.square(sig))
-    return (left, right), c2_failures, log_mass[[0, -1]], _support_grid(nodes, log_mass), (drift, sigma)
+    rate, half = s / np.square(sig), 0.5 * np.diff(nodes)
+    with np.errstate(invalid="ignore"):
+        defect = np.fmax(np.abs(ends[0] - half * rate[:-1]), np.abs(ends[1] - half * rate[1:]))
+    support = _support_grid(nodes, log_mass, defect)
+    return (left, right), c2_failures, log_mass[[0, -1]], support, (drift, sigma)
 
 
 def _support_mass(spec: DiffusionSpec) -> tuple[ErgodicityReport, list[str], np.ndarray, Callable, np.ndarray,
@@ -367,7 +405,7 @@ def _support_mass(spec: DiffusionSpec) -> tuple[ErgodicityReport, list[str], np.
     ``_gauss_rule``'s layout, and the diffusion's array form.  G, the one
     normalizer, is the panel sum of those Gauss-point masses."""
     (left, right), c2_failures, log_end, nodes, (drift, sigma) = _probe(spec)
-    nodes, _, _, mass = _mass(drift, sigma, nodes, trim=True)
+    nodes, _, _, mass, _ = _mass(drift, sigma, nodes, trim=True)
     t, w = _gauss_rule(nodes[:-1], nodes[1:])
     mass_t = mass(t, slice(None))
     # sum a contiguous (n, 5) copy: a flat sum of the (5, n) block groups the adds otherwise
@@ -778,10 +816,11 @@ def ou_law() -> InvariantLaw:
     sf and quantile read that density as a law built from coefficients does
     (F, sf and the quantile match erfc(-x)/2, erfc(x)/2 and the Gaussian
     quantile to about 1e-14).  Its node grid is the one the support rule
-    gives its exact log-mass -x^2 (see ``_support_grid``), cut as a build
-    cuts it to the nodes where exp(-x^2) is above ``_MASS_FLOOR``: 4 204
-    panels 0.0125 apart over +-26.275, the grid of the law built from -x
-    and 1, bit for bit.  The diffusion is the compiled constant ``1``, so
+    gives its exact log-mass -x^2 and no defect (see ``_support_grid``), cut
+    as a build cuts it to the nodes where exp(-x^2) is above
+    ``_MASS_FLOOR``: 1 956 panels over +-26.2667, whole probe panels out
+    to |x| = 9.95, halves out to 19.95 and thirds beyond, the grid of the
+    law built from -x and 1, bit for bit.  The diffusion is the compiled constant ``1``, so
     paths of this law take the steppers' constant-diffusion route.  The
     drift is ``operator.neg``: -x on floats and arrays alike, which a
     single-path step calls without a Python frame.

@@ -46,6 +46,10 @@ def test_law_default_grid(tmp_path):
     # the closed-form law's own report: int_0^{+-50} -x dx and sqrt(pi), exactly
     assert report["c2_left_limit"] == report["c2_right_limit"] == -1250.0
     assert report["G"].hex() == math.sqrt(math.pi).hex()
+    # the size and ends of the node grid the tables are built on
+    law = stochres.ou_law()
+    assert report["nodes"] == len(law.grid_x) == 1957
+    assert report["support"] == [law.grid_x[0], law.grid_x[-1]]
 
 
 def test_law_custom_cubic_drift(tmp_path):
@@ -510,10 +514,10 @@ def test_validate_starts_one_pool(tmp_path, monkeypatch):
 # estimate.json of one short OU run: a change to how a noise level is
 # evaluated must not move the resonance or an estimate
 GOLDEN_RESONANCE = {
-    "ou_time": (["--noise", "ou", "--scheme", "time"], 0.36599426269531254, 2.8975798245073623),
-    "ou_energy": (["--noise", "ou", "--scheme", "energy"], 0.3635635375976563, 2.7101316659166477),
+    "ou_time": (["--noise", "ou", "--scheme", "time"], 0.36599426269531254, 2.897579824507363),
+    "ou_energy": (["--noise", "ou", "--scheme", "energy"], 0.3635635375976563, 2.710131665916647),
     "cubic_time": (["--drift=-x^3", "--sigma", "1", "--scheme", "time"],
-                   0.3371856689453125, 18.126951893949936),
+                   0.3371856689453125, 18.126951893949915),
 }
 
 
@@ -536,14 +540,14 @@ def test_estimate_golden_report(tmp_path):
     out = tmp_path / "est"
     assert run(["estimate", "--noise", "ou", "--T", "200", "--seed", "11", "--out", out]) == 0
     assert json.loads((out / "estimate.json").read_text()) == {
-        "Sigma": 0.650484395651104,
-        "Sigma_tilde": 0.7040560206781368,
+        "Sigma": 0.6504843956511015,
+        "Sigma_tilde": 0.7040560206880768,
         "T": 200.0,
         "gamma_T": 0.2104,
         "nu_T": 0.37383806972639466,
         "seed": 11,
-        "theta_hat_energy": 0.5977788920761881,
-        "theta_hat_time": 0.5876388684641842,
+        "theta_hat_energy": 0.5977788920575705,
+        "theta_hat_time": 0.5876388684641902,
     }
 
 
@@ -553,8 +557,8 @@ def test_estimate_golden_report(tmp_path):
 # path is stepped must not move a report
 GOLDENS = Path(__file__).resolve().parent / "goldens"
 GOLDEN_SURFACE_SHA256 = {
-    "time": "067520f792e8f0b9eebdcfe7b8af5d0433131a4830ea3b4fbba337a2b632c5d7",
-    "energy": "ef7bbebc84e28e64ffb60eae2c9594466d567f9d3cb3a953fe8e44ae0598e28f",
+    "time": "b09d538d97d656ee184107b84df4bb7a16ea386a0b722d27b2d0775ef2003882",
+    "energy": "16648bcebcc4602050e34d5dbbb520db6bb19cb2b03db1c84e4a15f0fec4ca82",
 }
 
 
@@ -590,16 +594,16 @@ GOLDEN_VALIDATE = {
     "ou": (["--noise", "ou"], {
         "degenerate": False,
         "empirical_error_rate": 0.2,
-        "empirical_var_ratio_energy": 1.5071348116725942,
-        "empirical_var_ratio_time": 1.5429872419240178,
-        "predicted_p_err": 0.19588682036735436,
+        "empirical_var_ratio_energy": 1.5071348116778385,
+        "empirical_var_ratio_time": 1.5429872419240127,
+        "predicted_p_err": 0.19588682036735416,
     }),
     "sigma2": (["--drift=-4*x", "--sigma=2"], {
         "degenerate": False,
         "empirical_error_rate": 0.05,
-        "empirical_var_ratio_energy": 1.162846525092303,
-        "empirical_var_ratio_time": 1.256049292519809,
-        "predicted_p_err": 0.04672818780944561,
+        "empirical_var_ratio_energy": 1.1628465251195967,
+        "empirical_var_ratio_time": 1.2560492925196212,
+        "predicted_p_err": 0.046728187809445564,
     }),
 }
 

@@ -143,13 +143,13 @@ _RULE_PANEL = [
 
 @pytest.mark.parametrize("drift, sigma", _RULE_PANEL)
 def test_support_panels_follow_the_fall_of_the_log_mass(drift, sigma):
-    # no panel is wider than h_max, the log-mass falls by about c at most
-    # across any panel, and every node holds mass above 1e-300 of the peak
+    # no panel is wider than a probe panel, the log-mass falls by about c at
+    # most across any panel, and every node holds mass above 1e-300 of the peak
     from stochres import laws
 
     law = build_invariant_law(DiffusionSpec(compile_expression(drift), compile_expression(sigma)))
     x = law.grid_x
-    assert np.diff(x).max() <= laws._MAX_WIDTH * (1.0 + 1e-12)
+    assert np.diff(x).max() <= laws._PROBE_SPACING * (1.0 + 1e-12)
     f = law.f(x)
     assert np.abs(np.diff(np.log(f))).max() <= 1.1 * laws._MAX_FALL
     assert f.min() > 1e-300 * f.max()
@@ -183,10 +183,10 @@ def test_probe_reads_the_mass_only_where_it_searches(monkeypatch, drift):
     make_mass = laws._mass
 
     def counting_mass(drift_fn, sigma, nodes, trim=False):
-        nodes, at_nodes, exponent, mass = make_mass(drift_fn, sigma, nodes, trim)
+        nodes, at_nodes, exponent, mass, ends = make_mass(drift_fn, sigma, nodes, trim)
         calls = []
         reads.append(calls)
-        return nodes, at_nodes, exponent, lambda x, i: calls.append(np.size(x)) or mass(x, i)
+        return nodes, at_nodes, exponent, lambda x, i: calls.append(np.size(x)) or mass(x, i), ends
 
     monkeypatch.setattr(laws, "_mass", counting_mass)
     law = build_invariant_law(DiffusionSpec(compile_expression(drift), compile_expression("1")))
@@ -216,10 +216,10 @@ def _undecayed(ratio):
 _PROBE_PANEL = [
     ("-x^3", "1", True, True, (-6.095652173913038, 6.095652173913039)),
     ("-tanh(x)", "1+0.5*exp(-x^2)", True, True, (-50.0, 50.0)),
-    ("-x", "1", True, True, (-26.275, 26.275)),
-    ("-4*x", "2", True, True, (-26.275, 26.275)),
-    ("-(x-20)", "1", True, True, (-6.274999999999999, 46.275000000000006)),
-    ("-(x+20)", "1", True, True, (-46.275, 6.275)),
+    ("-x", "1", True, True, (-26.266666666666666, 26.266666666666662)),
+    ("-4*x", "2", True, True, (-26.266666666666666, 26.266666666666662)),
+    ("-(x-20)", "1", True, True, (-6.2666666666666675, 46.266666666666666)),
+    ("-(x+20)", "1", True, True, (-46.266666666666666, 6.266666666666663)),
     ("-x", "0.001", True, True, (-0.026266280752530163, 0.026266280752531658)),
     ("-x", "0.01", True, True, (-0.2627272727272718, 0.26268115942028775)),
     ("-x", "0.05", True, True, (-1.3132075471698066, 1.313207547169816)),
@@ -291,9 +291,9 @@ def test_probe_lays_its_own_coarse_grid():
         assert len(points) == 12_001, name
         at_nodes = points[np.isin(points, nodes)]
         assert len(at_nodes) == len(nodes) and np.array_equal(np.unique(at_nodes), nodes), name
-    # the support grid splits the probe panels, into panels at most 0.0125 wide
+    # the support grid splits the probe panels and leaves the smoothest whole
     law = build_invariant_law(spec)
-    assert np.diff(law.grid_x).max() == pytest.approx(0.0125, rel=1e-9)
+    assert np.diff(law.grid_x).max() == pytest.approx(0.05, rel=1e-9)
 
 
 def test_nonpositive_diffusion_rejected():
@@ -426,26 +426,71 @@ def test_scalar_only_and_constant_coefficients_build_the_compiled_law():
         np.testing.assert_array_equal(getattr(lifted.tables, name), getattr(compiled.tables, name), err_msg=name)
 
 
-@pytest.mark.parametrize("drift, sigma, scale", [("-x^3", "1", 1.0), ("2*x-x^3", "1", 1.0), ("-x^9", "1", 1.0),
-                                                 ("-x", "0.01", 100.0)])
+# the laws the node rule is measured on, (drift, sigma, noise scale): OU;
+# -x, -x^3, -x^5, -x^7, -x^9, 2*x-x^3, -x-x^3, -tanh(x) and -tanh(5*x) at
+# sigma 1; -x at 1+0.5*exp(-x^2) and 0.3; and the narrow laws, -x at 0.01 and
+# 0.001 and -x^3 at 0.05, whose noise levels are scaled by 1/sigma
+_NODE_RULE_LAWS = [
+    ("ou", None, 1.0), ("-x", "1", 1.0), ("-x^3", "1", 1.0), ("-x^5", "1", 1.0), ("-x^7", "1", 1.0),
+    ("-x^9", "1", 1.0), ("2*x-x^3", "1", 1.0), ("-x-x^3", "1", 1.0), ("-tanh(x)", "1", 1.0),
+    ("-tanh(5*x)", "1", 1.0), ("-x", "1+0.5*exp(-x^2)", 1.0), ("-x", "0.3", 1.0), ("-x", "0.01", 100.0),
+    ("-x", "0.001", 1000.0), ("-x^3", "0.05", 20.0),
+]
+
+
+def _node_rule_law(drift, sigma):
+    if drift == "ou":
+        return stochres.ou_law()
+    return build_invariant_law(DiffusionSpec(compile_expression(drift), compile_expression(sigma)))
+
+
+def _reference_grid(nodes, log_mass, defect=None):
+    # a fixed fine reference: each live probe panel split into at least 32
+    # equal panels (0.05/32 = 0.0125/8 wide) and into as many as its log-mass
+    # or a neighbour's falls by in steps of 1/8 (the smoothness criteria of
+    # the rule are left out)
+    from stochres import laws
+
+    live = laws._live(log_mass)
+    zero = int(nodes.searchsorted(0.0))
+    lo, hi = max(min(live.start - 1, zero), 0), min(max(live.stop, zero), len(nodes) - 1)
+    floored = np.fmax(log_mass[lo : hi + 1], np.fmax.reduce(log_mass) + 2.0 * laws._LOG_FLOOR)
+    fall = np.abs(np.diff(floored))
+    steep = np.fmax.reduce([fall, np.r_[fall[1:], 0.0], np.r_[0.0, fall[:-1]]])
+    splits = np.fmax(np.ceil(8.0 * steep), 32).astype(int)
+    panel = np.repeat(np.arange(lo, hi), splits)
+    at = panel + (np.arange(len(panel)) - panel.searchsorted(panel)) / splits[panel - lo]
+    return np.interp(np.append(at, hi), np.arange(len(nodes)), nodes)
+
+
+@pytest.mark.parametrize("drift, sigma, scale", _NODE_RULE_LAWS)
 def test_support_rule_meets_its_stated_accuracy(monkeypatch, drift, sigma, scale):
     # the Fisher information of both schemes at theta 0.5, tau 1 and 30 noise
-    # levels from 0.1 to 3 (times 1/sigma for the narrow law) stays within
-    # 1.1e-12 of the same rule with c and h_max an eighth as large
+    # levels from 0.1 to 3 (times 1/sigma for the narrow laws) stays within
+    # 1.1e-12 of the law's on the fixed fine reference grid, and fails at the
+    # same levels
     from stochres import laws
     from stochres.estimators import fisher_at
 
-    spec = DiffusionSpec(compile_expression(drift), compile_expression(sigma))
     eps = scale * np.linspace(0.1, 3.0, 30)
-    law = build_invariant_law(spec)
-    monkeypatch.setattr(laws, "_MAX_FALL", laws._MAX_FALL / 8.0)
-    monkeypatch.setattr(laws, "_MAX_WIDTH", laws._MAX_WIDTH / 8.0)
-    fine = build_invariant_law(spec)
+    law = _node_rule_law(drift, sigma)
+    monkeypatch.setattr(laws, "_support_grid", _reference_grid)
+    fine = _node_rule_law(drift, sigma)
     assert len(fine.grid_x) > 7 * len(law.grid_x)
     for scheme in ("time", "energy"):
         (got, failed), (want, fine_failed) = (fisher_at(0.5, 1.0, eps, v, scheme) for v in (law, fine))
         np.testing.assert_array_equal(failed, fine_failed)
         np.testing.assert_allclose(got[~failed], want[~failed], rtol=1.1e-12, atol=0.0)
+
+
+def test_node_rule_stays_within_its_budget():
+    # the smoothness criteria lay OU on 1 957 nodes, -tanh(x) on 2 191 and
+    # the 15 laws on 27 819 (the width floor of 0.0125 laid 4 205, 8 001 and
+    # 46 637)
+    counts = {(drift, sigma): len(_node_rule_law(drift, sigma).grid_x) for drift, sigma, _ in _NODE_RULE_LAWS}
+    assert counts["ou", None] <= 2_000
+    assert counts["-tanh(x)", "1"] <= 2_300
+    assert sum(counts.values()) <= 28_500
 
 
 @pytest.mark.parametrize("sigma, fall", [("0.0004", "4.29"), ("0.0001", "17")])
@@ -461,12 +506,12 @@ def test_a_law_narrower_than_the_grid_resolves_is_refused(sigma, fall):
 
 
 def test_ou_law_node_grid_follows_support_rule(ou, ou_numeric):
-    # exp(-x^2) falls below 1e-300 of its peak between the last node and the
-    # next, 0.0125 on; the grid is the one the law built from -x, 1 gets
-    from stochres import laws
-
-    lo, hi = ou.grid_x[[0, -1]]
-    assert lo == -hi and math.exp(-hi * hi) > 1e-300 > math.exp(-((hi + laws._MAX_WIDTH) ** 2))
+    # at either end exp(-x^2) falls below 1e-300 of its peak between the last
+    # node and the next, one end panel on; the grid is the one the law built
+    # from -x, 1 gets
+    x = ou.grid_x
+    for end, outer in ((x[0], 2.0 * x[0] - x[1]), (x[-1], 2.0 * x[-1] - x[-2])):
+        assert math.exp(-end * end) > 1e-300 > math.exp(-outer * outer)
     np.testing.assert_array_equal(ou.grid_x, ou_numeric.grid_x)
 
 
@@ -569,7 +614,7 @@ def test_closed_form_law_reads_its_tables(ou):
         if p < 1.0:  # erfc_F(x) rounds to 1 from x = 5.9 on
             assert abs(ou.quantile(p) - GAUSS.inv_cdf(p)) <= 1e-12
     lo, hi = ou.tables.support
-    assert hi == pytest.approx(26.3, abs=0.05) and lo == -hi
+    assert hi == pytest.approx(26.3, abs=0.05) and lo == pytest.approx(-hi, rel=1e-15)
     beyond = np.array([-100.0, lo - 1.0, lo, hi, hi + 1.0, 100.0])
     np.testing.assert_array_equal(ou.F(beyond[:3]), 0.0)
     np.testing.assert_allclose(ou.F(beyond[3:]), 1.0, rtol=1e-14)
@@ -588,143 +633,143 @@ def test_closed_form_law_reads_its_tables(ou):
 # shows here
 PINNED_POINTS = np.array([-2.3, -0.41, 0.0, 0.7, 3.1])
 PINNED_BITS = {
-    "ou": (4205, {
+    "ou": (1957, {
         "G": (
             "0x1.c5bf891b4ef6ap+0"
         ),
         "F": (
-            "0x0.0p+0 0x1.466241ad1af5ep-1003 0x1.4f97c5066b1aep-515 0x1.32e014bb80662p-116 "
-            "0x1.ffffffffffffep-2 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0"
-        ),
-        "m": (
-            "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 "
-            "0x1.ffffffffffffcp-2 0x1.32e014bb80665p-116 0x1.466241ad1af5dp-1003 0x0.0p+0 "
-            "0x1.5c1ba531e4f60p-56 0x1.5c1ba531e4f60p-56 0x1.5c1ba531e4f60p-56 0x1.5c1ba531e4f60p-56 "
-            "0x1.20dd750429b6dp-2 0x1.52491c4f24fe4p-113 0x1.0bebc902020a9p-998 0x0.0p+0 "
-            "0x1.0000000000000p-1 0x1.0000000000000p-1 0x1.0000000000000p-1 0x1.0000000000000p-1 "
-            "0x1.0000000000001p-2 0x1.74ed0791c0b8fp-110 0x1.b7dc4d47dd035p-994 0x0.0p+0"
-        ),
-        "log_A": (
-            "-inf -0x1.6095e67cca40ep+9 -0x1.6bf5021bdf57fp+8 -0x1.57e7dc4b6dfa6p+6 -0x1.c0b7fa5f194d9p+0 "
-            "0x1.29fcafcac0616p+6 0x1.572a54a56ee95p+9 0x1.577e54641039dp+9"
-        ),
-        "log_B": (
-            "0x1.577e54641039dp+9 0x1.572a54a56ee95p+9 0x1.5d72e0a109d35p+8 0x1.29fcafcac0616p+6 "
-            "-0x1.c0b7fa5f194d7p+0 -0x1.57e7dc4b6dfa5p+6 -0x1.6095e67cca40ap+9 -inf"
-        ),
-        "nu": (
-            "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 "
-            "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0 0x1.5c1ba531e4de4p-56 "
-            "0x1.5c1ba531e509dp-56 0x1.5c1ba531e4f40p-56 0x1.5c1ba531e4f6cp-56 0x1.a0be83d8d0330p-1 "
-            "0x1.1bf9057969101p+3 0x1.a451798622baep+4 0x0.0p+0 0x1.ffffffffffdefp-2 0x1.00000000000f8p-1 "
-            "0x1.fffffffffffefp-2 0x1.fffffffffffefp-2 0x1.b8aa3b295c180p-1 0x1.3b06c8ca29717p+6 "
-            "0x1.590db8a7f3005p+9 0x0.0p+0 0x1.d95b2c1be9972p-112 0x1.d95b2c1be9972p-112 "
-            "0x1.d95b2c1be9972p-112 0x1.e66c0e0653854p-110 0x1.71547652b82fdp-1 0x1.3b039cc88aa0cp+6 "
-            "0x1.590db86725fa0p+9 0x0.0p+0 0x1.5c1ba531e4f35p-57 0x1.5c1ba531e4f35p-57 0x1.5c1ba531e4f35p-57 "
-            "0x1.5c1ba531e4f61p-57 0x1.a0be83d8d0331p-1 0x1.5d79d9032715fp+9 0x1.1b442a25ecbc1p+14 0x0.0p+0 "
-            "0x1.fffffffffffdep-3 0x1.fffffffffffdep-3 0x1.fffffffffffdep-3 0x1.000000000002fp-2 "
-            "0x1.f1547652b8300p-1 0x1.83b91e2563011p+12 0x1.d115fcc74f257p+18 0x0.0p+0"
-        ),
-        "at.F": (
-            "0x1.2bad48659485ep-11 0x1.1fc283f23f3d0p-2 0x1.ffffffffffffep-2 0x1.ad846108b8b24p-1 "
-            "0x1.ffff3c9165c70p-1"
-        ),
-        "at.m": (
-            "0x1.ffb514ade69b0p-1 0x1.74d5df00c65e8p-10 0x1.fc5b8f2cfe6c9p-2 0x1.701ebe06e0617p-1 "
-            "0x1.e856698540899p-3 0x1.0c02c9acd6fdcp-2 0x1.ffffffffffffcp-2 0x1.20dd750429b6dp-2 "
-            "0x1.0000000000001p-2 0x1.49ee7bdd1d373p-3 0x1.61eec74c053cbp-3 0x1.9cb7fca3c5795p-3 "
-            "0x1.86dd3472492c4p-18 0x1.3d5ad068da296p-16 0x1.022a17f4d4f64p-14"
-        ),
-        "at.log_A": (
-            "-0x1.59b8306d22087p+3 -0x1.6fea31828856dp+1 -0x1.c0b7fa5f194d9p+0 -0x1.97ba6929d86d3p-4 "
-            "0x1.0d6b95f53fd57p+3"
-        ),
-        "at.log_B": (
-            "0x1.1d1cb4bbdba17p+2 -0x1.84abb2d89a373p-1 -0x1.c0b7fa5f194d7p+0 -0x1.e2c43c17bd3dep+1 "
-            "-0x1.fc0f085c166a2p+3"
-        ),
-        "at.nu": (
-            "0x1.0000000000001p+0 0x1.b5f7148fff0e8p-7 0x1.f1bf53073d376p-2 0x1.b5f7148fff0e8p-7 "
-            "0x1.7c9a9136c8945p-9 0x1.b63c6887643fcp-8 0x1.f1bf53073d376p-2 0x1.b63c6887643fcp-8 "
-            "0x1.e672df8e5320ep-3 0x1.ffffffffffffep-1 0x1.23a21bb695556p-1 0x1.26858d18d2865p-1 "
-            "0x1.23a21bb695556p-1 0x1.8939da7901fdap-2 0x1.a60b3773df9cap-2 0x1.26858d18d2865p-1 "
-            "0x1.a60b3773df9cap-2 0x1.dc30227505085p-2 0x1.0000000000001p+0 0x1.a0be83d8d0330p-1 "
-            "0x1.b8aa3b295c17fp-1 0x1.a0be83d8d0330p-1 0x1.71547652b82fep-1 0x1.a0be83d8d0332p-1 "
-            "0x1.b8aa3b295c17fp-1 0x1.a0be83d8d0332p-1 0x1.f1547652b8301p-1 0x1.fffffffffffffp-1 "
-            "0x1.4df85da0358fbp+0 0x1.d4e1fe89221fbp+0 0x1.4df85da0358fbp+0 0x1.bffc885551f48p+0 "
-            "0x1.43c7c4edf776fp+1 0x1.d4e1fe89221fbp+0 0x1.43c7c4edf776fp+1 0x1.e2a3b46ad633fp+1 "
-            "0x1.0000000000003p+0 0x1.b09d51f30cfbbp+1 0x1.6eaba0c2f65fcp+3 0x1.b09d51f30cfbbp+1 "
-            "0x1.6e1088698f7cap+3 0x1.36bd0ba433361p+5 0x1.6eaba0c2f65fcp+3 0x1.36bd0ba433361p+5 "
-            "0x1.08338b25da420p+7"
-        ),
-    }),
-    "-x^3": (1883, {
-        "G": (
-            "0x1.13f145bc7d120p+1"
-        ),
-        "F": (
-            "0x0.0p+0 0x1.db2d8e443ad8cp-1006 0x1.1015720b23529p-635 0x1.427c02d23283fp-156 "
+            "0x0.0p+0 0x1.7d4b2839eda20p-1002 0x1.82de6bfa2c1c0p-681 0x1.e77117811a7bcp-255 "
             "0x1.0000000000000p-1 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0"
         ),
         "m": (
             "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 "
-            "0x1.ffffffffffffep-2 0x1.427c02d23175bp-156 0x1.db2d8e4432ebdp-1006 0x0.0p+0 "
-            "0x1.4aae6fa035288p-55 0x1.4aae6fa035288p-55 0x1.4aae6fa035288p-55 0x1.4aae6fa035288p-55 "
-            "0x1.29a91ba90e2b5p-2 0x1.31c0139f5750ap-154 0x1.69fd6da12f92dp-1003 0x0.0p+0 "
-            "0x1.e975e5343aa57p-2 0x1.e975e5343aa57p-2 0x1.e975e5343aa57p-2 0x1.e975e5343aa57p-2 "
-            "0x1.e975e5343aa5cp-3 0x1.21e2dcc9f2daap-152 0x1.13c373c4bdbb3p-1000 0x0.0p+0"
+            "0x1.0000000000000p-1 0x1.e77117811a7eep-255 0x1.7d4b2839ed3e1p-1002 0x0.0p+0 "
+            "0x1.6182ed82426ecp-55 0x1.6182ed82426ecp-55 0x1.6182ed82426ecp-55 0x1.6182ed82426ecp-55 "
+            "0x1.20dd750429b6ep-2 0x1.91022d83bf90cp-251 0x1.38dd6907f7066p-997 0x0.0p+0 0x1.0000000000000p-1 "
+            "0x1.0000000000000p-1 0x1.0000000000000p-1 0x1.0000000000000p-1 0x1.fffffffffffffp-3 "
+            "0x1.49e781e1d3b22p-247 0x1.00b77b1c8a2d0p-992 0x0.0p+0"
         ),
         "log_A": (
-            "-inf -0x1.634424c7b2d00p+9 -0x1.c3a0e131882e1p+8 -0x1.d531cb23a5178p+6 -0x1.9534df96bcfd7p+0 "
-            "0x1.8a1f14b588f5bp+6 0x1.55fecca993c14p+9 0x1.567ca5132d68bp+9"
+            "-inf -0x1.5fed3e26a6686p+9 -0x1.df2865fab9739p+8 -0x1.6d4f88a7b8bb5p+7 -0x1.c0b7fa5f194d9p+0 "
+            "0x1.532580bce895dp+7 0x1.56d65f2626dc2p+9 0x1.5746536c29027p+9"
         ),
         "log_B": (
-            "0x1.567ca5132d68ap+9 0x1.55fecca993bffp+9 0x1.ac8db2d61edf0p+8 0x1.8a1f14b588f27p+6 "
-            "-0x1.9534df96bcfdap+0 -0x1.d531cb23a51b9p+6 -0x1.634424c7b2d42p+9 -inf"
+            "0x1.5746536c29028p+9 0x1.56d65f2626dc2p+9 0x1.d0164c6f8e7e1p+8 0x1.532580bce895dp+7 "
+            "-0x1.c0b7fa5f194d9p+0 -0x1.6d4f88a7b8bb5p+7 -0x1.5fed3e26a6692p+9 -inf"
         ),
         "nu": (
             "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 "
-            "0x1.0000000000001p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0 0x1.4aae6fa0352cbp-55 "
-            "0x1.4aae6fa0352cbp-55 0x1.4aae6fa035180p-55 0x1.4aae6fa03524fp-55 0x1.829595a5658b2p-1 "
-            "0x1.e6928fbc12bf7p+1 0x1.860ffd27686f3p+2 0x0.0p+0 0x1.e975e5343a8f4p-2 0x1.e975e5343a8f4p-2 "
-            "0x1.e975e5343a8f4p-2 0x1.e975e5343a9e9p-2 0x1.60b901ac9cbd4p-1 0x1.ce69b428af1a2p+3 "
-            "0x1.292a5c51746eap+5 0x0.0p+0 0x1.ab262ea4f78bcp-110 0x1.ab262ea4f7566p-110 "
-            "0x1.ab262ea4f7711p-110 0x1.ab262ea52fc15p-110 0x1.2fceb422f756bp-1 0x1.ce690b2f66e67p+3 "
-            "0x1.292a5c3288319p+5 0x0.0p+0 0x1.3c1fbe81c55c1p-56 0x1.3c1fbe81c55c1p-56 0x1.3c1fbe81c55c1p-56 "
-            "0x1.3c1fbe81c5638p-56 0x1.1c8e8d50484ecp-1 0x1.b773ed11d04a6p+5 0x1.c4c918168ade0p+7 0x0.0p+0 "
-            "0x1.d3e9cdf66b902p-3 0x1.d3e9cdf66b55ap-3 0x1.d3e9cdf66b72ep-3 0x1.d3e9cdf66b7a3p-3 "
-            "0x1.0fd5f86f3e5ffp-1 0x1.a1a32d6999fcdp+7 0x1.58f3515fb249fp+10 0x0.0p+0"
+            "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0 0x1.6182ed82425b4p-55 "
+            "0x1.6182ed8242877p-55 0x1.6182ed8242716p-55 0x1.6182ed8242716p-55 0x1.a0be83d8d0329p-1 "
+            "0x1.a669f45780d4ep+3 0x1.a427939a1cb39p+4 0x0.0p+0 0x1.ffffffffffdefp-2 0x1.00000000000f8p-1 "
+            "0x1.fffffffffffefp-2 0x1.fffffffffffefp-2 0x1.b8aa3b295c17ep-1 0x1.5c82307ff699bp+7 "
+            "0x1.58c8f1c8eebc1p+9 0x0.0p+0 0x1.e82a55f74fe29p-110 0x1.e82a55f74fe29p-110 "
+            "0x1.e82a55f74fe29p-110 0x1.e82a55f74fdafp-110 0x1.71547652b82ffp-1 0x1.5c817690258e3p+7 "
+            "0x1.58c8f156bb657p+9 0x0.0p+0 0x1.6182ed824270ap-56 0x1.6182ed824270ap-56 0x1.6182ed824270ap-56 "
+            "0x1.6182ed824270ap-56 0x1.a0be83d8d032bp-1 0x1.1f889d3696546p+11 0x1.1aef7d3d2b1ddp+14 0x0.0p+0 "
+            "0x1.fffffffffffdep-3 0x1.fffffffffffdep-3 0x1.fffffffffffdep-3 0x1.fffffffffffdep-3 "
+            "0x1.f1547652b8300p-1 0x1.da7624daaedc0p+14 0x1.d05ca82c48ab1p+18 0x0.0p+0"
         ),
         "at.F": (
-            "0x1.05544dd051326p-26 0x1.3dcc95e01ac4dp-2 0x1.0000000000000p-1 0x1.a263130c255a0p-1 "
-            "0x1.0000000000000p+0"
+            "0x1.2bad48659485dp-11 0x1.1fc283f23f3cfp-2 0x1.0000000000000p-1 0x1.ad846108b8b24p-1 "
+            "0x1.ffff3c9165c6dp-1"
         ),
         "at.m": (
-            "0x1.ffffff7d55d92p-1 0x1.316b36a5ea8fep-25 0x1.e975dfa01af08p-2 0x1.6119b50ff29d8p-1 "
-            "0x1.01ec9c82302b0p-2 0x1.ff2761eb4f0b9p-3 0x1.ffffffffffffep-2 0x1.29a91ba90e2b5p-2 "
-            "0x1.e975e5343aa5cp-3 0x1.7673b3cf6a983p-3 0x1.738f63aab3ef7p-3 0x1.8239b24f96c9bp-3 "
-            "0x1.473f8465a8b59p-74 0x1.fde59a7a552e2p-73 0x1.8d41357dc0cc7p-71"
+            "0x1.ffb514ade69afp-1 0x1.74d5df00c6642p-10 0x1.fc5b8f2cfe6c8p-2 0x1.701ebe06e0619p-1 "
+            "0x1.e856698540899p-3 0x1.0c02c9acd6fdap-2 0x1.0000000000000p-1 0x1.20dd750429b6ep-2 "
+            "0x1.fffffffffffffp-3 0x1.49ee7bdd1d373p-3 0x1.61eec74c053cap-3 0x1.9cb7fca3c5794p-3 "
+            "0x1.86dd3472492c8p-18 0x1.3d5ad068da298p-16 0x1.022a17f4d4f66p-14"
         ),
         "at.log_A": (
-            "-0x1.8920263ef8d03p+4 -0x1.6da31781e26fdp+1 -0x1.9534df96bcfd7p+0 -0x1.b03a78fd3a4a4p-4 "
-            "0x1.56fd29f3a1bbcp+5"
+            "-0x1.59b8306d22088p+3 -0x1.6fea31828856dp+1 -0x1.c0b7fa5f194d9p+0 -0x1.97ba6929d86d8p-4 "
+            "0x1.0d6b95f53fd56p+3"
         ),
         "at.log_B": (
-            "0x1.741e3e16b46eap+3 -0x1.4ccb70a1eac3ap-1 -0x1.9534df96bcfdap+0 -0x1.044606618a81ap+2 "
-            "-0x1.da45647c0dd71p+5"
+            "0x1.1d1cb4bbdba16p+2 -0x1.84abb2d89a372p-1 -0x1.c0b7fa5f194d9p+0 -0x1.e2c43c17bd3ddp+1 "
+            "-0x1.fc0f085c166a3p+3"
         ),
         "at.nu": (
-            "0x1.0000000000003p+0 0x1.b9ed15c7dcb34p-18 0x1.e974f42ac439ep-2 0x1.b9ed15c7dcb34p-18 "
-            "0x1.2363b41f93af6p-19 0x1.a678b1d5b4140p-19 0x1.e974f42ac439ep-2 0x1.a678b1d5b4140p-19 "
-            "0x1.d3e8329eb5f49p-3 0x1.fffffffffffffp-1 0x1.273a3ee381575p-1 0x1.07f0c75051a3ap-1 "
-            "0x1.273a3ee381575p-1 0x1.75576cf771209p-2 0x1.5483d183e0d9cp-2 0x1.07f0c75051a3ap-1 "
-            "0x1.5483d183e0d9cp-2 0x1.3b735b77f05acp-2 0x1.0000000000001p+0 0x1.829595a5658b2p-1 "
-            "0x1.60b901ac9cbd4p-1 0x1.829595a5658b2p-1 0x1.2fceb422f7569p-1 0x1.1c8e8d50484edp-1 "
-            "0x1.60b901ac9cbd4p-1 0x1.1c8e8d50484edp-1 0x1.0fd5f86f3e5ffp-1 0x1.ffffffffffffdp-1 "
-            "0x1.1e155fff75b79p+0 0x1.4bd1089323ea6p+0 0x1.1e155fff75b79p+0 0x1.4307a36c8418fp+0 "
-            "0x1.7a9030499929bp+0 0x1.4bd1089323ea6p+0 0x1.7a9030499929bp+0 0x1.c048956287b62p+0 "
-            "0x1.0000000000005p+0 0x1.90e010bc049b0p+1 0x1.39e276a7af828p+3 0x1.90e010bc049b0p+1 "
-            "0x1.39e06abc8aecep+3 0x1.eb8aa80ca8e8cp+4 0x1.39e276a7af828p+3 0x1.eb8aa80ca8e8cp+4 "
+            "0x1.0000000000001p+0 0x1.b5f7148fff0fdp-7 0x1.f1bf53073d37ep-2 0x1.b5f7148fff0fdp-7 "
+            "0x1.7c9a9136c8945p-9 0x1.b63c688764403p-8 0x1.f1bf53073d37ep-2 0x1.b63c688764403p-8 "
+            "0x1.e672df8e53212p-3 0x1.0000000000000p+0 0x1.23a21bb695552p-1 0x1.26858d18d2863p-1 "
+            "0x1.23a21bb695552p-1 0x1.8939da7901fdbp-2 0x1.a60b3773df9bfp-2 0x1.26858d18d2863p-1 "
+            "0x1.a60b3773df9bfp-2 0x1.dc3022750507dp-2 0x1.0000000000000p+0 0x1.a0be83d8d0329p-1 "
+            "0x1.b8aa3b295c17fp-1 0x1.a0be83d8d0329p-1 0x1.71547652b8300p-1 0x1.a0be83d8d032bp-1 "
+            "0x1.b8aa3b295c17fp-1 0x1.a0be83d8d032bp-1 0x1.f1547652b82ffp-1 0x1.fffffffffffffp-1 "
+            "0x1.4df85da0358f8p+0 0x1.d4e1fe89221f3p+0 0x1.4df85da0358f8p+0 0x1.bffc885551f3dp+0 "
+            "0x1.43c7c4edf7768p+1 0x1.d4e1fe89221f3p+0 0x1.43c7c4edf7768p+1 0x1.e2a3b46ad6337p+1 "
+            "0x1.0000000000003p+0 0x1.b09d51f30cfd4p+1 0x1.6eaba0c2f65fap+3 0x1.b09d51f30cfd4p+1 "
+            "0x1.6e1088698f7c0p+3 0x1.36bd0ba43336cp+5 0x1.6eaba0c2f65fap+3 0x1.36bd0ba43336cp+5 "
+            "0x1.08338b25da420p+7"
+        ),
+    }),
+    "-x^3": (1583, {
+        "G": (
+            "0x1.13f145bc7d120p+1"
+        ),
+        "F": (
+            "0x0.0p+0 0x1.db2d8e443ad8cp-1006 0x1.0b35fbaaf74a6p-694 0x1.233d3fa8d420cp-286 "
+            "0x1.0000000000001p-1 0x1.0000000000002p+0 0x1.0000000000002p+0 0x1.0000000000002p+0"
+        ),
+        "m": (
+            "0x1.ffffffffffffcp-1 0x1.ffffffffffffcp-1 0x1.ffffffffffffcp-1 0x1.ffffffffffffcp-1 "
+            "0x1.fffffffffffffp-2 0x1.233d3fa8d2239p-286 0x1.db2d8e4432ebdp-1006 0x0.0p+0 "
+            "-0x1.1c045569186efp-54 -0x1.1c045569186efp-54 -0x1.1c045569186efp-54 -0x1.1c045569186efp-54 "
+            "0x1.29a91ba90e2b7p-2 0x1.42cd445cae0fap-284 0x1.69fd6da12f92dp-1003 0x0.0p+0 0x1.e975e5343aa61p-2 "
+            "0x1.e975e5343aa61p-2 0x1.e975e5343aa61p-2 0x1.e975e5343aa61p-2 0x1.e975e5343aa61p-3 "
+            "0x1.65c91857e1b20p-282 0x1.13c373c4bdbb3p-1000 0x0.0p+0"
+        ),
+        "log_A": (
+            "-inf -0x1.634424c7b2d00p+9 -0x1.ecad3956c0203p+8 -0x1.a0e16504d9e9ap+7 -0x1.9534df96bcfd7p+0 "
+            "0x1.779851fcac6afp+7 0x1.55fecca993c14p+9 0x1.567ca5132d68bp+9"
+        ),
+        "log_B": (
+            "0x1.567ca5132d68ap+9 0x1.55fecca993bffp+9 0x1.d5550bb4a1ae1p+8 0x1.779851fcac677p+7 "
+            "-0x1.9534df96bcfd9p+0 -0x1.a0e16504d9ee2p+7 -0x1.634424c7b2d42p+9 -inf"
+        ),
+        "nu": (
+            "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 "
+            "0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0 -0x1.1c045569186a5p-54 "
+            "-0x1.1c045569186a5p-54 -0x1.1c045569186a5p-54 -0x1.1c04556918733p-54 0x1.829595a5658b5p-1 "
+            "0x1.1c1aefbb9cbd0p+2 0x1.860ffd27686f3p+2 0x0.0p+0 0x1.e975e5343a8f4p-2 0x1.e975e5343a8f4p-2 "
+            "0x1.e975e5343a8f4p-2 0x1.e975e5343aaddp-2 0x1.60b901ac9cbd4p-1 0x1.3b4c09b6b5b3dp+4 "
+            "0x1.292a5c51746eap+5 0x0.0p+0 0x1.3b199d93f5f3ap-108 0x1.3b199d93f5f3ap-108 "
+            "0x1.3b199d93f5f3ap-108 0x1.3b199d93f6075p-108 0x1.2fceb422f756ep-1 0x1.3b4be7f9637fdp+4 "
+            "0x1.292a5c3288319p+5 0x0.0p+0 -0x1.0f8389b54d75cp-55 -0x1.0f8389b54d75cp-55 "
+            "-0x1.0f8389b54d86cp-55 -0x1.0f8389b54d8f3p-55 0x1.1c8e8d50484eep-1 0x1.5de9d19d73ab2p+6 "
+            "0x1.c4c918168ade0p+7 0x0.0p+0 0x1.d3e9cdf66b902p-3 0x1.d3e9cdf66b55ap-3 0x1.d3e9cdf66b72ep-3 "
+            "0x1.d3e9cdf66b818p-3 0x1.0fd5f86f3e606p-1 0x1.8454da9eb7153p+8 0x1.58f3515fb249fp+10 0x0.0p+0"
+        ),
+        "at.F": (
+            "0x1.05544dd051332p-26 0x1.3dcc95e01ac4ep-2 0x1.0000000000001p-1 0x1.a263130c255a3p-1 "
+            "0x1.0000000000002p+0"
+        ),
+        "at.m": (
+            "0x1.ffffff7d55d90p-1 0x1.316b3697dfb42p-25 0x1.e975dfa01af0dp-2 0x1.6119b50ff29d7p-1 "
+            "0x1.01ec9c82302adp-2 0x1.ff2761eb4f0bdp-3 0x1.fffffffffffffp-2 0x1.29a91ba90e2b7p-2 "
+            "0x1.e975e5343aa61p-3 0x1.7673b3cf6a982p-3 0x1.738f63aab3ef9p-3 0x1.8239b24f96c9ep-3 "
+            "0x1.473f8465a8b07p-74 0x1.fde59a7a55263p-73 0x1.8d41357dc0c63p-71"
+        ),
+        "at.log_A": (
+            "-0x1.8920263ef8d03p+4 -0x1.6da31781e26ffp+1 -0x1.9534df96bcfd7p+0 -0x1.b03a78fd3a47bp-4 "
+            "0x1.56fd29f3a1bbbp+5"
+        ),
+        "at.log_B": (
+            "0x1.741e3e16b46e2p+3 -0x1.4ccb70a1eac3cp-1 -0x1.9534df96bcfd9p+0 -0x1.044606618a81ap+2 "
+            "-0x1.da45647c0dd73p+5"
+        ),
+        "at.nu": (
+            "0x1.0000000000003p+0 0x1.b9ed15c7c0a44p-18 0x1.e974f42ac439ep-2 0x1.b9ed15c7c0a44p-18 "
+            "0x1.2363b41f93b3fp-19 0x1.a678b1d599421p-19 0x1.e974f42ac439ep-2 0x1.a678b1d599421p-19 "
+            "0x1.d3e8329eb5f58p-3 0x1.fffffffffffffp-1 0x1.273a3ee381575p-1 0x1.07f0c75051a3dp-1 "
+            "0x1.273a3ee381575p-1 0x1.75576cf771212p-2 0x1.5483d183e0da4p-2 0x1.07f0c75051a3dp-1 "
+            "0x1.5483d183e0da4p-2 0x1.3b735b77f05b6p-2 0x1.0000000000000p+0 0x1.829595a5658b6p-1 "
+            "0x1.60b901ac9cbd5p-1 0x1.829595a5658b6p-1 0x1.2fceb422f756fp-1 0x1.1c8e8d50484efp-1 "
+            "0x1.60b901ac9cbd5p-1 0x1.1c8e8d50484efp-1 0x1.0fd5f86f3e607p-1 0x1.ffffffffffff5p-1 "
+            "0x1.1e155fff75b7bp+0 0x1.4bd1089323e9ep+0 0x1.1e155fff75b7bp+0 0x1.4307a36c8418fp+0 "
+            "0x1.7a9030499929bp+0 0x1.4bd1089323e9ep+0 0x1.7a9030499929bp+0 0x1.c048956287b66p+0 "
+            "0x1.0000000000005p+0 0x1.90e010bc049b1p+1 0x1.39e276a7af83bp+3 0x1.90e010bc049b1p+1 "
+            "0x1.39e06abc8aed0p+3 0x1.eb8aa80ca8e8ep+4 0x1.39e276a7af83bp+3 0x1.eb8aa80ca8e8ep+4 "
             "0x1.80e51e5f86700p+6"
         ),
     }),

@@ -355,9 +355,9 @@ def test_held_bracket_ends_are_not_evaluated_again(monkeypatch, case):
     limit_at = estimators.energy_limit_at
     monkeypatch.setattr(estimators, "energy_limit_at",
                         lambda t, *args: calls.append(np.ravel(t)) or limit_at(t, *args))
-    # the two bracket ends, then 4 iterations
+    # the two bracket ends, then 5 iterations
     root = estimate_theta_energy(energy, ch)
-    assert [len(c) for c in calls] == [2, 1, 1, 1, 1], calls
+    assert [len(c) for c in calls] == [2, 1, 1, 1, 1, 1], calls
     points = np.concatenate(calls)
     assert len(np.unique(points)) == len(points)
     lo, hi = calls[0]

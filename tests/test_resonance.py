@@ -148,9 +148,9 @@ def test_resonance_bracket_validation(ou):
 @pytest.mark.parametrize("scheme", ["time", "energy"])
 def test_resonance_raises_when_every_scan_level_fails(ou, scheme):
     # eps <= 0.01 puts every gap 0.5/eps at 50 or more, beyond the Gaussian
-    # law's tabulated support (+-26.275): no level has information, so the
+    # law's tabulated support (+-26.2667): no level has information, so the
     # bracket's lower end must not be reported as a peak
-    with pytest.raises(QuadratureFailure, match=r"all 65 noise levels .* support is \(-26\.275, 26\.275\)"):
+    with pytest.raises(QuadratureFailure, match=r"all 65 noise levels .* support is \(-26\.2667, 26\.2667\)"):
         find_resonance(0.5, 1.0, ou, scheme, bracket=Bracket(0.001, 0.01))
 
 
