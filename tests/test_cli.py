@@ -557,8 +557,8 @@ def test_estimate_golden_report(tmp_path):
 # path is stepped must not move a report
 GOLDENS = Path(__file__).resolve().parent / "goldens"
 GOLDEN_SURFACE_SHA256 = {
-    "time": "b09d538d97d656ee184107b84df4bb7a16ea386a0b722d27b2d0775ef2003882",
-    "energy": "16648bcebcc4602050e34d5dbbb520db6bb19cb2b03db1c84e4a15f0fec4ca82",
+    "time": "bf386b877d551d661e97bd05b54814bf314cdc10c12c7e02bd0dfb46521c380c",
+    "energy": "05130cf16014b225d0c830a04e72b31d322bc4b767ea75b8175838c954ae4f8f",
 }
 
 

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -315,21 +314,20 @@ def test_two_cut_errors_keep_far_tails(m, case_id):
 
 @pytest.mark.parametrize("centre", np.linspace(-37.0, 37.0, 15).tolist())
 def test_interval_mass_matches_quadrature(centre):
-    # widths from 1e-15 to 10 standard deviations, centres across both tails
-    integrate = pytest.importorskip("scipy.integrate")
+    # widths from 1e-15 to 10 standard deviations, centres across both tails,
+    # against the mass between the same float ends in 60-digit arithmetic
+    mpmath = pytest.importorskip("mpmath")
     for width in np.logspace(-15, 1, 17).tolist():
         lo, hi = centre - width / 2, centre + width / 2
-        with warnings.catch_warnings():
-            # quad flags roundoff on intervals a few ulps wide; its values there
-            # agree with 60-digit mpmath to 1e-13
-            warnings.simplefilter("ignore", integrate.IntegrationWarning)
-            reference = integrate.quad(lambda x: gaussian_pdf(x, 0.0, 1.0), lo, hi, epsabs=0.0, epsrel=1e-13)[0]
+        with mpmath.workdps(60):
+            a, b = mpmath.mpf(lo), mpmath.mpf(hi)
+            reference = float(mpmath.ncdf(b) - mpmath.ncdf(a) if a <= 0 else mpmath.ncdf(-a) - mpmath.ncdf(-b))
         if reference < 1e-300:
             continue
-        # the nearer-tail difference loses a digit per decade that width x
-        # max(1, |centre|) falls below 1; the midpoint form takes over at 1e-4
+        # the series about the midpoint keeps 2e-13 up to width x max(1,
+        # |centre|) = 1, beyond which the nearer-tail difference keeps 1e-12
         u = (hi - lo) * max(1.0, abs((lo + hi) / 2))
-        rel = 1e-12 if u <= maptest._NARROW else 1e-12 / min(1.0, u)
+        rel = 2e-13 if u <= maptest._NARROW else 1e-12
         assert maptest._mass(lo, hi, True, 0.0, 1.0) == pytest.approx(reference, rel=rel, abs=0.0), (lo, hi)
 
 
