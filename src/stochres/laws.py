@@ -391,8 +391,7 @@ def _probe(spec: DiffusionSpec) -> tuple[tuple[float, float], list[str], np.ndar
     ]
     log_mass = 2.0 * at_nodes - np.log(np.square(sig))
     rate, half = s / np.square(sig), 0.5 * np.diff(nodes)
-    with np.errstate(invalid="ignore"):
-        defect = np.fmax(np.abs(ends[0] - half * rate[:-1]), np.abs(ends[1] - half * rate[1:]))
+    defect = np.fmax(np.abs(ends[0] - half * rate[:-1]), np.abs(ends[1] - half * rate[1:]))
     support = _support_grid(nodes, log_mass, defect)
     return (left, right), c2_failures, log_mass[[0, -1]], support, (drift, sigma)
 
