@@ -819,8 +819,9 @@ def ou_law() -> InvariantLaw:
     as a build cuts it to the nodes where exp(-x^2) is above
     ``_MASS_FLOOR``: 1 956 panels over +-26.2667, whole probe panels out
     to |x| = 9.95, halves out to 19.95 and thirds beyond, the grid of the
-    law built from -x and 1, bit for bit.  The diffusion is the compiled constant ``1``, so
-    paths of this law take the steppers' constant-diffusion route.  The
+    law built from -x and 1, bit for bit.  The diffusion is the compiled
+    constant ``1``, so paths of this law take the steppers'
+    constant-diffusion route.  The
     drift is ``operator.neg``: -x on floats and arrays alike, which a
     single-path step calls without a Python frame.
     """
