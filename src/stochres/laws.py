@@ -111,6 +111,9 @@ _PROBE_SPACING = 0.05
 _MAX_FALL = 1.0
 _MAX_BEND = 0.05
 _MAX_DEFECT = 1e-14
+# the most panels the rule splits a probe panel into: the largest fall of a
+# log-mass floored at twice the floor's depth (see _support_grid)
+_MAX_SPLIT = -2.0 * _LOG_FLOOR / _MAX_FALL
 # a build refuses a grid with a panel across which the log-density falls by
 # more than this (between the panel's outer Gauss points): the rule leaves
 # such panels only past the edge of a law narrower than about 3e-4 (standard
@@ -221,9 +224,10 @@ def _moments(t: np.ndarray, wf: np.ndarray) -> np.ndarray:
 
 def _probe_grid() -> np.ndarray:
     """The probe's nodes, ``_PROBE_SPACING`` apart over ``_PROBE_RANGE``,
-    with 0 among them."""
+    with 0 among them; the negative nodes mirror the positive ones exactly."""
     n = int(round(_PROBE_RANGE.hi / _PROBE_SPACING))
-    return np.concatenate([np.linspace(_PROBE_RANGE.lo, 0.0, n + 1)[:-1], np.linspace(0.0, _PROBE_RANGE.hi, n + 1)])
+    positive = np.linspace(0.0, _PROBE_RANGE.hi, n + 1)
+    return np.concatenate([-positive[:0:-1], positive])
 
 
 def _live(log_mass: np.ndarray) -> slice:
@@ -268,11 +272,18 @@ def _support_grid(nodes: np.ndarray, log_mass: np.ndarray, defect: Optional[np.n
     only a panel that ends far below the floor: the one past the last live
     node of a law narrower than about 0.003 (standard deviation), or one of
     a mass whose log rises far from 0.  It bounds the first two splits at
-    about 1 382 and 236 per panel.  A narrower law's last live panels fall
-    by more than _MAX_FALL, and a build refuses a law where one falls by
-    more than ``_UNRESOLVED_FALL``.  The defect is not bounded: a
-    coefficient that jumps by D inside the live mass adds about
-    (2.5e12 D)^(1/6) panels to the probe panel that holds the jump.
+    about 1 382 (``_MAX_SPLIT``) and 236 per panel.  A narrower law's last
+    live panels fall by more than _MAX_FALL, and a build refuses a law
+    where one falls by more than ``_UNRESOLVED_FALL``.  The defect split is
+    capped at ``_MAX_SPLIT`` too: a coefficient that jumps by D inside the
+    live mass adds about (2.5e12 D)^(1/6) panels, at most that many, to the
+    probe panel that holds the jump, and a sigma that vanishes between
+    probe nodes, whose S/sigma^2 is unbounded near a Gauss point, is left
+    to the build's refusals (``NotErgodic``).
+
+    Each panel's nodes are laid from its end nearer 0, so the grid of a
+    log-mass that is mirror-symmetric on the probe nodes, which are, is
+    mirror-symmetric bit for bit.
     """
     live = _live(log_mass)
     zero = int(nodes.searchsorted(0.0))
@@ -285,12 +296,16 @@ def _support_grid(nodes: np.ndarray, log_mass: np.ndarray, defect: Optional[np.n
     steep = np.fmax.reduce([fall, np.r_[fall[1:], 0.0], np.r_[0.0, fall[:-1]]])
     criteria = [np.ones(hi - lo), np.ceil(steep / _MAX_FALL), np.ceil(np.sqrt(np.fmax(bend[:-1], bend[1:]) / _MAX_BEND))]
     if defect is not None:
-        criteria.append(np.ceil((defect[lo:hi] / _MAX_DEFECT) ** (1.0 / 6.0)))
+        # capped as the falls are; NaN, from a coefficient that is not finite at a Gauss point, leaves it out
+        criteria.append(np.ceil(np.minimum((defect[lo:hi] / _MAX_DEFECT) ** (1.0 / 6.0), _MAX_SPLIT)))
     splits = np.fmax.reduce(criteria).astype(int)
     panel = np.repeat(np.arange(lo, hi), splits)
-    # each node's fractional index in the probe grid: its panel k, plus j/splits for the j-th node of panel k
-    at = panel + (np.arange(len(panel)) - panel.searchsorted(panel)) / splits[panel - lo]
-    return np.interp(np.append(at, hi), np.arange(len(nodes)), nodes)
+    j, n = np.arange(len(panel)) - panel.searchsorted(panel), splits[panel - lo]  # the j-th of n nodes of its panel
+    # laid from the panel's end nearer 0: the j-th node of n lies (n - j)/n of the way from the right end of a
+    # negative panel; far - near is exact (Sterbenz), so the first node of each panel is its probe node
+    negative = nodes[panel + 1] <= 0.0
+    near, far = np.where(negative, nodes[panel + 1], nodes[panel]), np.where(negative, nodes[panel], nodes[panel + 1])
+    return np.append(near + np.where(negative, n - j, j) / n * (far - near), nodes[hi])
 
 
 def _panel_of(nodes: np.ndarray, x):
@@ -301,12 +316,13 @@ def _panel_of(nodes: np.ndarray, x):
 
 
 def _mass(drift: Callable, sigma: Callable, nodes: np.ndarray,
-          trim: bool = False) -> tuple[np.ndarray, np.ndarray, Callable, Callable, np.ndarray]:
+          trim: bool = False) -> tuple[np.ndarray, np.ndarray, Callable, Callable, Optional[np.ndarray]]:
     """The nodes, the exponent int_0^x S/sigma^2 at them, the exponent, the
-    unnormalized stationary mass exp(2*exponent)/sigma^2, and half of each
-    panel's width times the polynomial through its Gauss values of
-    S/sigma^2 (see below) at its two ends, shape (2, panels), from the array
-    forms of the coefficients; 0 is one of the ``nodes``.  The two
+    unnormalized stationary mass exp(2*exponent)/sigma^2, and, unless
+    ``trim`` (None then), half of each panel's width times the polynomial
+    through its Gauss values of S/sigma^2 (see below) at its two ends,
+    shape (2, panels), from the array forms of the coefficients; 0 is one
+    of the ``nodes``.  The two
     functions take (x, i): x, scalar or array, lies in the panels i of the
     nodes returned (panel k is [nodes[k], nodes[k+1]]).  i broadcasts along
     the last axis of x: an index array, or a slice when that axis runs over
@@ -336,12 +352,13 @@ def _mass(drift: Callable, sigma: Callable, nodes: np.ndarray,
     np.cumsum(panels[zero:], out=at_nodes[zero + 1 :])
     at_nodes[:zero] = -np.cumsum(panels[:zero][::-1])[::-1]
     partial = (half[:, None] * (s_gauss @ _PARTIAL)).T
-    ends = _PARTIAL_SLOPES @ partial
+    ends = None
     if trim:
         keep = _live(2.0 * at_nodes - np.log(np.square(sigma(nodes))))
         cut = slice(keep.start, keep.stop - 1)  # the panels between the nodes kept
-        nodes, at_nodes, half, mid = nodes[keep], at_nodes[keep], half[cut], mid[cut]
-        partial, ends = partial[:, cut], ends[:, cut]
+        nodes, at_nodes, half, mid, partial = nodes[keep], at_nodes[keep], half[cut], mid[cut], partial[:, cut]
+    else:
+        ends = _PARTIAL_SLOPES @ partial
     at_left = at_nodes[:-1]  # per panel, as half, mid and partial are
 
     def exponent(x, i):
